@@ -17,11 +17,23 @@ GATED_BINS   := e11_server_shard_scaling e12_callback_batching \
                 e17_wire_overhead
 
 .PHONY: test check-latency refresh-baselines validate-metrics experiments \
-        e16 check-rss refresh-rss-baseline two-process-smoke
+        e16 check-rss refresh-rss-baseline two-process-smoke bench-check bench
 
 test:
 	cargo build --release
 	cargo test -q --workspace
+
+# The repo benchmark (BENCHMARK.json) is a cargo package of its own that
+# the root workspace does not see: build it, run every workload at 1 %
+# length with its names and units validated, and run its own tests — so a
+# product change that breaks it fails here, not in the pipeline's run.
+bench-check:
+	bash benchmark/run.sh --check
+	cd benchmark && cargo test --release --offline
+
+# Two full sets of ten runs per workload, then compare.py (~30 min).
+bench:
+	bash benchmark/run.sh --repeat 2
 
 # Re-run the gated obs-smoke experiments and compare their p95 commit /
 # lock-wait latencies against the checked-in baseline.

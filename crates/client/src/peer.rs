@@ -207,8 +207,7 @@ impl ClientCore {
                         // Racing wave: re-ship the stashed frame. The clone
                         // is an Arc bump, not a page copy — account the
                         // bytes we did NOT re-allocate.
-                        self.metrics
-                            .add("page_ship_bytes_shared", bytes.len() as u64);
+                        self.ship_bytes_shared.add(bytes.len() as u64);
                         shipped.push(page);
                         Some(bytes)
                     } else {

@@ -15,21 +15,23 @@ use crate::cache::ClientCache;
 use crate::strategy::{strategy_for, LoggingStrategy};
 use crate::txn::{TxnLogMode, TxnState, TxnStatus, UndoEntry};
 use fgl_common::config::CommitPolicy;
-use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Result, SlotId, SystemConfig, TxnId};
+use fgl_common::{
+    ClientId, FglError, IdMap, IdSet, Lsn, ObjectId, PageId, Psn, Result, SlotId, SystemConfig,
+    TxnId,
+};
 use fgl_locks::glm::CallbackKind;
 use fgl_locks::llm::{LlmCore, LocalDecision};
-use fgl_locks::mode::ObjMode;
+use fgl_locks::mode::{LockTarget, ObjMode};
 use fgl_net::api::{LockResponse, ServerApi};
 use fgl_net::stats::NetSim;
 use fgl_net::wait::GrantMsg;
-use fgl_obs::{emit, Event, HistKind, LogOwner, Metrics};
+use fgl_obs::{emit, Counter, Event, HistKind, LogOwner, Metrics};
 use fgl_storage::page::Page;
 use fgl_wal::envelope::{RedoUpdateRecord, StrategyRecord};
 use fgl_wal::manager::LogManager;
 use fgl_wal::records::{LogPayload, UpdateRecord};
 use fgl_wal::store::{LogStore, MemLogStore};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,20 +51,23 @@ pub(crate) struct ClientState {
     pub llm: LlmCore,
     pub cache: ClientCache,
     pub wal: LogManager,
-    pub dpt: HashMap<PageId, DptState>,
-    pub txns: HashMap<TxnId, TxnState>,
+    pub dpt: IdMap<PageId, DptState>,
+    pub txns: IdMap<TxnId, TxnState>,
     pub next_seq: u32,
     pub records_since_ckpt: u64,
     /// Pages that must be re-fetched from the server before next use
     /// (a global lock grant may mean the cached copy is stale, §2).
-    pub refetch: HashSet<PageId>,
+    pub refetch: IdSet<PageId>,
     /// ServerLog baseline: log bytes below this LSN were shipped.
     pub shipped_upto: Lsn,
     /// Dirty pages evicted from the cache whose ship to the server has
     /// not completed yet. A callback racing that window must answer with
     /// this copy — otherwise the requester can fetch a stale server
     /// version and cache it under its fresh lock.
-    pub in_transit: HashMap<PageId, Arc<[u8]>>,
+    pub in_transit: IdMap<PageId, Arc<[u8]>>,
+    /// Emptied `dirtied` sets of finished transactions; `begin` hands one
+    /// to the next transaction instead of allocating.
+    pub spare_dirtied: Vec<IdSet<PageId>>,
     pub crashed: bool,
     /// First-use warm-up done (hot maps pre-sized, cache frame table
     /// reserved)? See [`ClientCore::warm_state`].
@@ -127,6 +132,20 @@ pub struct ClientCore {
     log_stall_events: AtomicU64,
     commits_forced: AtomicU64,
     commits_piggybacked: AtomicU64,
+    /// Registry counters on the commit and callback paths, resolved once.
+    group_commit_forced: Counter,
+    group_commit_piggybacked: Counter,
+    pub(crate) ship_bytes_shared: Counter,
+}
+
+/// Where a transaction's log chain stands, read under the state mutex by
+/// [`ClientCore::operate`] and handed to the operation's body.
+#[derive(Clone, Copy)]
+struct TxnPos {
+    /// The transaction's most recent record (ARIES PrevLSN).
+    prev: Lsn,
+    /// Its log mode, once the first update fixed it.
+    mode: Option<TxnLogMode>,
 }
 
 impl ClientCore {
@@ -177,13 +196,14 @@ impl ClientCore {
             llm: LlmCore::new(cfg.granularity, cfg.update_policy),
             cache: ClientCache::new(cfg.client_cache_pages),
             wal,
-            dpt: HashMap::new(),
-            txns: HashMap::new(),
+            dpt: IdMap::default(),
+            txns: IdMap::default(),
             next_seq: 0,
             records_since_ckpt: 0,
-            refetch: HashSet::new(),
+            refetch: IdSet::default(),
             shipped_upto: Lsn(1),
-            in_transit: HashMap::new(),
+            in_transit: IdMap::default(),
+            spare_dirtied: Vec::new(),
             crashed,
             warmed: false,
         };
@@ -202,6 +222,9 @@ impl ClientCore {
             cv: Condvar::new(),
             force_state: Mutex::new(None),
             force_cv: Condvar::new(),
+            group_commit_forced: metrics.counter("group_commit_forced"),
+            group_commit_piggybacked: metrics.counter("group_commit_piggybacked"),
+            ship_bytes_shared: metrics.counter("page_ship_bytes_shared"),
             metrics,
             strategy,
             touched: AtomicBool::new(crashed),
@@ -333,6 +356,9 @@ impl ClientCore {
                 Err(e) => return Err(e),
             };
             let mut t = TxnState::new(txn);
+            if let Some(spare) = st.spare_dirtied.pop() {
+                t.dirtied = spare;
+            }
             t.note_record(lsn);
             st.txns.insert(txn, t);
             return Ok(txn);
@@ -353,7 +379,7 @@ impl ClientCore {
     pub fn commit_with(&self, txn: TxnId, before_release: impl FnOnce()) -> Result<()> {
         let commit_start = self.metrics.now_us();
         let _span = fgl_obs::trace::span(fgl_obs::SpanKind::Commit, txn);
-        let (policy, ship_log, dirtied, group_force_upto) = {
+        let (shipment, group_force_upto) = {
             let mut st = self.st.lock();
             let t = st.txns.get(&txn).ok_or(FglError::InvalidTxnState {
                 txn,
@@ -366,7 +392,6 @@ impl ClientCore {
                 });
             }
             let prev = t.last_lsn;
-            let dirtied: Vec<PageId> = t.dirtied.iter().copied().collect();
             self.append_critical(
                 &mut st,
                 &LogPayload::Commit {
@@ -382,8 +407,7 @@ impl ClientCore {
                     // and write-behind release the mutex between the
                     // commit-record append and the force, so concurrent
                     // committers can append behind us and share it).
-                    let upto = self.strategy.commit_append_done(self, &mut st)?;
-                    (CommitPolicy::ClientLog, None, dirtied, upto)
+                    (None, self.strategy.commit_append_done(self, &mut st)?)
                 }
                 CommitPolicy::ServerLog | CommitPolicy::ShipPagesAtCommit => {
                     // ARIES/CSA shape: the durable copy of the log lives at
@@ -395,22 +419,23 @@ impl ClientCore {
                     // The local store is volatile under this policy, but
                     // mark it durable so local scans (rollback) still work.
                     st.wal.force()?;
-                    (self.cfg.commit_policy, Some(bytes), dirtied, None)
+                    let dirtied: Vec<PageId> = st.txns[&txn].dirtied.iter().copied().collect();
+                    (Some((bytes, dirtied)), None)
                 }
             }
         };
         if let Some(upto) = group_force_upto {
             self.strategy.commit_wait_durable(self, txn, upto)?;
         }
-        if let Some(bytes) = ship_log {
+        if let Some((bytes, dirtied)) = shipment {
             // The dirtied-page set doubles as the partition-routing hint:
             // a multi-server front end ships only to the owners of these
             // pages (one serialized force for a partition-local txn).
-            let touched: Vec<PageId> = dirtied.to_vec();
-            self.server.commit_ship_log(self.id, bytes, touched)?;
-            if policy == CommitPolicy::ShipPagesAtCommit {
-                for page in &dirtied {
-                    self.ship_page_copy(*page, false)?;
+            self.server
+                .commit_ship_log(self.id, bytes, dirtied.clone())?;
+            if self.cfg.commit_policy == CommitPolicy::ShipPagesAtCommit {
+                for page in dirtied {
+                    self.ship_page_copy(page, false)?;
                 }
             }
         }
@@ -454,25 +479,30 @@ impl ClientCore {
         let _span = fgl_obs::trace::span(fgl_obs::SpanKind::WalForce, txn);
         let mut forced = false;
         loop {
-            if self.st.lock().wal.durable_lsn() >= upto {
-                break;
-            }
             let mut fs = self.force_state.lock();
+            // One look at the log answers both questions: are we durable
+            // already, and if we lead, what does the force cover?
+            let end = {
+                let st = self.st.lock();
+                if st.wal.durable_lsn() >= upto {
+                    break;
+                }
+                st.wal.end_lsn()
+            };
             if fs.is_some() {
                 // An in-flight force either covers us (wait → durable) or
                 // predates our record (wait → lead the next one).
                 self.force_cv.wait(&mut fs);
                 continue;
             }
-            // Become the leader. Capture the goal under the state mutex:
-            // everything appended so far rides this force. With a
-            // write-behind window the capture is delayed so cohort
-            // committers can append behind us first.
+            // Become the leader: everything appended so far rides this
+            // force. With a write-behind window the goal is captured after
+            // the wait instead, so cohort committers can append behind us
+            // first.
             let goal = if window.is_zero() {
-                let g = self.st.lock().wal.end_lsn();
-                *fs = Some(g);
+                *fs = Some(end);
                 drop(fs);
-                g
+                end
             } else {
                 *fs = Some(Lsn::NIL); // claim the slot; goal comes later
                 drop(fs);
@@ -498,10 +528,10 @@ impl ClientCore {
             .observe_since(HistKind::GroupCommit, wait_start);
         if forced {
             self.commits_forced.fetch_add(1, Ordering::Relaxed);
-            self.metrics.add("group_commit_forced", 1);
+            self.group_commit_forced.add(1);
         } else {
             self.commits_piggybacked.fetch_add(1, Ordering::Relaxed);
-            self.metrics.add("group_commit_piggybacked", 1);
+            self.group_commit_piggybacked.add(1);
         }
         emit(Event::GroupCommit {
             client: self.id,
@@ -577,7 +607,10 @@ impl ClientCore {
     fn finish_txn(&self, txn: TxnId) -> Result<()> {
         let (completions, low_space) = {
             let mut st = self.st.lock();
-            st.txns.remove(&txn);
+            if let Some(mut t) = st.txns.remove(&txn) {
+                t.dirtied.clear();
+                st.spare_dirtied.push(t.dirtied);
+            }
             let completions = st.llm.end_txn(txn);
             let low = st.wal.free_bytes() < st.wal.capacity() / 8;
             (completions, low)
@@ -683,13 +716,17 @@ impl ClientCore {
 
     /// Read an object's bytes under a shared lock.
     pub fn read(&self, txn: TxnId, oid: ObjectId) -> Result<Vec<u8>> {
-        self.ensure_access(txn, oid, ObjMode::S, false)?;
-        self.with_page(oid.page, |page| Ok(page.read_object(oid.slot)?.to_vec()))
+        self.operate(txn, oid, ObjMode::S, false, |st, _| {
+            let page = st
+                .cache
+                .peek(oid.page)
+                .ok_or(FglError::PageNotFound(oid.page))?;
+            Ok(page.read_object(oid.slot)?.to_vec())
+        })
     }
 
     /// Overwrite an object without changing its size (mergeable, §3.1).
     pub fn write(&self, txn: TxnId, oid: ObjectId, bytes: &[u8]) -> Result<()> {
-        self.ensure_access(txn, oid, ObjMode::X, false)?;
         self.logged_update(txn, oid, false, |page| {
             let before = page.read_object(oid.slot)?.to_vec();
             if before.len() != bytes.len() {
@@ -703,7 +740,6 @@ impl ClientCore {
 
     /// Overwrite part of an object (mergeable).
     pub fn write_at(&self, txn: TxnId, oid: ObjectId, offset: usize, bytes: &[u8]) -> Result<()> {
-        self.ensure_access(txn, oid, ObjMode::X, false)?;
         self.logged_update(txn, oid, false, |page| {
             let before = page.read_object(oid.slot)?.to_vec();
             if offset + bytes.len() > before.len() {
@@ -722,51 +758,34 @@ impl ClientCore {
     pub fn insert(&self, txn: TxnId, page: PageId, bytes: &[u8]) -> Result<ObjectId> {
         // Structural lock on the page.
         let probe = ObjectId::new(page, SlotId(0));
-        self.ensure_access(txn, probe, ObjMode::X, true)?;
-        loop {
-            self.ensure_page_present(page)?;
-            let mut st = self.st.lock();
-            let slot = {
-                let p = st.cache.peek(page).ok_or(FglError::PageNotFound(page))?;
-                p.peek_insert_slot()
-            };
-            let oid = ObjectId::new(page, slot);
-            let prev = self.txn_prev(&st, txn)?;
-            let psn_before = st.cache.peek(page).unwrap().psn();
-            let mode = self.txn_log_mode(&mut st, txn, bytes.len())?;
+        self.operate(txn, probe, ObjMode::X, true, |st, at| {
+            let p = st.cache.peek(page).ok_or(FglError::PageNotFound(page))?;
+            let oid = ObjectId::new(page, p.peek_insert_slot());
+            let psn_before = p.psn();
+            let mode = self.log_mode(st, txn, at, bytes.len());
             let record = self.update_record(
                 mode,
                 txn,
-                prev,
+                at.prev,
                 oid,
                 psn_before,
-                None,
-                Some(bytes.to_vec()),
+                &mut None,
+                &mut Some(bytes.to_vec()),
                 true,
             );
-            let lsn = match self.append(&mut st, &record, false) {
-                Ok(l) => l,
-                Err(FglError::LogFull) => {
-                    drop(st);
-                    self.log_stall_events.fetch_add(1, Ordering::Relaxed);
-                    self.reclaim_log_space()?;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
+            let lsn = self.append(st, &record, false)?;
             let p = st.cache.get_mut(page).ok_or(FglError::PageNotFound(page))?;
             let got = p.insert_object(bytes)?;
-            debug_assert_eq!(got, slot);
-            self.note_mem_undo(&mut st, mode, txn, oid, lsn, None);
-            self.after_update(&mut st, txn, oid, lsn);
+            debug_assert_eq!(got, oid.slot);
+            self.note_mem_undo(st, mode, txn, oid, lsn, None);
+            self.after_update(st, txn, oid, lsn);
             st.llm.register_object_use(txn, oid, ObjMode::X);
-            return Ok(oid);
-        }
+            Ok(oid)
+        })
     }
 
     /// Delete an object (structural).
     pub fn remove(&self, txn: TxnId, oid: ObjectId) -> Result<()> {
-        self.ensure_access(txn, oid, ObjMode::X, true)?;
         self.logged_update(txn, oid, true, |page| {
             let before = page.read_object(oid.slot)?.to_vec();
             Ok((Some(before), None))
@@ -775,7 +794,6 @@ impl ClientCore {
 
     /// Resize an object, preserving the common prefix (structural).
     pub fn resize(&self, txn: TxnId, oid: ObjectId, new_len: usize) -> Result<()> {
-        self.ensure_access(txn, oid, ObjMode::X, true)?;
         self.logged_update(txn, oid, true, |page| {
             let before = page.read_object(oid.slot)?.to_vec();
             let mut after = before.clone();
@@ -802,12 +820,7 @@ impl ClientCore {
         let evicted = {
             let mut st = self.st.lock();
             st.llm.grant_page_lock(txn, pid, ObjMode::X);
-            let end = st.wal.end_lsn();
-            st.dpt.entry(pid).or_insert(DptState {
-                redo_lsn: end,
-                remembered: None,
-                updated_since_ship: false,
-            });
+            Self::ensure_dpt(&mut st, pid);
             let ev = st.cache.install_exact(page, false);
             self.stash_evicted(&mut st, ev)?
         };
@@ -815,103 +828,87 @@ impl ClientCore {
         Ok(pid)
     }
 
-    /// Apply a logged single-object update: computes before/after images
-    /// under the page, appends the log record first (WAL), then mutates.
+    /// Apply a logged single-object update under one guard: compute the
+    /// before/after images from the page, append the log record first
+    /// (WAL), then mutate.
     fn logged_update<F>(&self, txn: TxnId, oid: ObjectId, structural: bool, f: F) -> Result<()>
     where
         F: Fn(&Page) -> Result<(Option<Vec<u8>>, Option<Vec<u8>>)>,
     {
-        loop {
-            self.ensure_page_present(oid.page)?;
-            let mut st = self.st.lock();
-            let prev = self.txn_prev(&st, txn)?;
-            let (before, after, psn_before) = {
-                let p = st
-                    .cache
-                    .peek(oid.page)
-                    .ok_or(FglError::PageNotFound(oid.page))?;
-                let (b, a) = f(p)?;
-                (b, a, p.psn())
-            };
-            let mode = self.txn_log_mode(&mut st, txn, after.as_ref().map_or(0, |a| a.len()))?;
+        self.operate(txn, oid, ObjMode::X, structural, |st, at| {
+            let page = st
+                .cache
+                .peek(oid.page)
+                .ok_or(FglError::PageNotFound(oid.page))?;
+            let (mut before, mut after) = f(page)?;
+            let psn_before = page.psn();
+            let mode = self.log_mode(st, txn, at, after.as_ref().map_or(0, Vec::len));
             let record = self.update_record(
                 mode,
                 txn,
-                prev,
+                at.prev,
                 oid,
                 psn_before,
-                before.clone(),
-                after.clone(),
+                &mut before,
+                &mut after,
                 structural,
             );
-            let lsn = match self.append(&mut st, &record, false) {
-                Ok(l) => l,
-                Err(FglError::LogFull) => {
-                    drop(st);
-                    self.log_stall_events.fetch_add(1, Ordering::Relaxed);
-                    self.reclaim_log_space()?;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            {
-                let p = st
-                    .cache
-                    .get_mut(oid.page)
-                    .ok_or(FglError::PageNotFound(oid.page))?;
-                match (&before, &after) {
-                    (Some(_), Some(a)) => {
-                        if p.read_object(oid.slot)?.len() == a.len() {
-                            p.write_object(oid.slot, a)?;
-                        } else {
-                            p.free_object(oid.slot)?;
-                            p.insert_object_at(oid.slot, a)?;
-                        }
-                    }
-                    (Some(_), None) => {
+            let lsn = self.append(st, &record, false)?;
+            // A physical record was lent the images instead of a copy of
+            // them; the page and the undo stack need them back.
+            if let LogPayload::Update(u) = record {
+                (before, after) = (u.before, u.after);
+            }
+            let p = st
+                .cache
+                .get_mut(oid.page)
+                .ok_or(FglError::PageNotFound(oid.page))?;
+            match (&before, &after) {
+                (Some(_), Some(a)) => {
+                    if p.read_object(oid.slot)?.len() == a.len() {
+                        p.write_object(oid.slot, a)?;
+                    } else {
                         p.free_object(oid.slot)?;
-                    }
-                    (None, Some(a)) => {
                         p.insert_object_at(oid.slot, a)?;
                     }
-                    (None, None) => {}
                 }
+                (Some(_), None) => {
+                    p.free_object(oid.slot)?;
+                }
+                (None, Some(a)) => {
+                    p.insert_object_at(oid.slot, a)?;
+                }
+                (None, None) => {}
             }
-            self.note_mem_undo(&mut st, mode, txn, oid, lsn, before);
-            self.after_update(&mut st, txn, oid, lsn);
-            return Ok(());
-        }
+            self.note_mem_undo(st, mode, txn, oid, lsn, before);
+            self.after_update(st, txn, oid, lsn);
+            Ok(())
+        })
     }
 
     /// The transaction's log mode, fixed by the strategy at its first
     /// update (`payload_len` = that update's after-image length).
-    fn txn_log_mode(
+    fn log_mode(
         &self,
         st: &mut ClientState,
         txn: TxnId,
+        at: TxnPos,
         payload_len: usize,
-    ) -> Result<TxnLogMode> {
-        let t =
-            st.txns
-                .get_mut(&txn)
-                .filter(|t| t.is_active())
-                .ok_or(FglError::InvalidTxnState {
-                    txn,
-                    state: "not active",
-                })?;
-        Ok(match t.log_mode {
-            Some(m) => m,
-            None => {
-                let m = self.strategy.log_mode_for_txn(payload_len);
-                t.log_mode = Some(m);
-                m
+    ) -> TxnLogMode {
+        at.mode.unwrap_or_else(|| {
+            let mode = self.strategy.log_mode_for_txn(payload_len);
+            if let Some(t) = st.txns.get_mut(&txn) {
+                t.log_mode = Some(mode);
             }
+            mode
         })
     }
 
     /// Build the log record for one object update under `mode`: the full
-    /// physical record, or the redo-only envelope (before-image withheld;
-    /// it goes on the in-memory undo stack instead).
+    /// physical record, which *takes* both images (the caller takes them
+    /// back after the append), or the redo-only envelope, which encodes
+    /// the after-image and leaves both in place (the before-image goes on
+    /// the in-memory undo stack instead of the log).
     #[allow(clippy::too_many_arguments)]
     fn update_record(
         &self,
@@ -919,9 +916,9 @@ impl ClientCore {
         txn: TxnId,
         prev: Lsn,
         oid: ObjectId,
-        psn_before: fgl_common::Psn,
-        before: Option<Vec<u8>>,
-        after: Option<Vec<u8>>,
+        psn_before: Psn,
+        before: &mut Option<Vec<u8>>,
+        after: &mut Option<Vec<u8>>,
         structural: bool,
     ) -> LogPayload {
         match mode {
@@ -930,8 +927,8 @@ impl ClientCore {
                 prev_lsn: prev,
                 object: oid,
                 psn_before,
-                before,
-                after,
+                before: before.take(),
+                after: after.take(),
                 structural,
             }),
             TxnLogMode::RedoOnly => StrategyRecord::RedoUpdate(RedoUpdateRecord {
@@ -939,7 +936,7 @@ impl ClientCore {
                 prev_lsn: prev,
                 object: oid,
                 psn_before,
-                after,
+                after: after.clone(),
                 structural,
             })
             .into_payload(self.strategy.envelope_id()),
@@ -968,17 +965,6 @@ impl ClientCore {
         }
     }
 
-    fn txn_prev(&self, st: &ClientState, txn: TxnId) -> Result<Lsn> {
-        st.txns
-            .get(&txn)
-            .filter(|t| t.is_active())
-            .map(|t| t.last_lsn)
-            .ok_or(FglError::InvalidTxnState {
-                txn,
-                state: "not active",
-            })
-    }
-
     pub(crate) fn after_update(&self, st: &mut ClientState, txn: TxnId, oid: ObjectId, lsn: Lsn) {
         if let Some(t) = st.txns.get_mut(&txn) {
             t.note_record(lsn);
@@ -1000,142 +986,205 @@ impl ClientCore {
         }
     }
 
-    // ---- locking ----------------------------------------------------------------
+    // ---- the operation loop ------------------------------------------------------
 
-    /// Ensure `txn` may access `oid` in `mode`; drives the LLM/GLM
-    /// protocol including waits, deadlock verdicts and timeouts.
-    pub(crate) fn ensure_access(
+    /// One object operation as one loop over the client state. Each round
+    /// locks `st` and finishes whatever can be finished locally: the
+    /// transaction check, the lock out of the LLM's cache (§2) with its
+    /// §3.2 DPT entry, the resident page, and `body` — which logs and
+    /// applies under that same guard. A step that needs the server (a
+    /// global lock, a page fetch, §3.6 log-space reclamation) or has to
+    /// wait out a deferred callback leaves the guard, does that one step,
+    /// and goes round again; an operation on a cached lock and a resident
+    /// page is simply the first round. The state mutex is never held
+    /// across a call into the server.
+    fn operate<R>(
         &self,
         txn: TxnId,
         oid: ObjectId,
         mode: ObjMode,
         structural: bool,
-    ) -> Result<()> {
-        let deadline = Instant::now() + self.cfg.lock_timeout;
+        mut body: impl FnMut(&mut ClientState, TxnPos) -> Result<R>,
+    ) -> Result<R> {
+        // Once `txn` uses the lock no callback can take it away (strict
+        // 2PL defers them), so later rounds skip the LLM.
+        let mut locked = false;
+        // Computed when the operation first has to wait.
+        let mut deadline = None;
+        let mut st = self.st.lock();
         loop {
-            let decision = {
-                let mut st = self.st.lock();
-                if !st.txns.get(&txn).map(|t| t.is_active()).unwrap_or(false) {
+            let at = match st.txns.get(&txn) {
+                Some(t) if t.is_active() => TxnPos {
+                    prev: t.last_lsn,
+                    mode: t.log_mode,
+                },
+                _ => {
                     return Err(FglError::InvalidTxnState {
                         txn,
                         state: "not active",
-                    });
+                    })
                 }
+            };
+            if !locked {
                 match st.llm.acquire(txn, oid, mode, structural) {
+                    LocalDecision::LocallyGranted => {
+                        self.local_grants.fetch_add(1, Ordering::Relaxed);
+                        self.on_lock_granted(&mut st, oid, mode, structural, None);
+                        locked = true;
+                    }
                     LocalDecision::BlockedByCallback => {
                         // Wait for local callback resolution, then retry.
+                        let deadline =
+                            *deadline.get_or_insert_with(|| Instant::now() + self.cfg.lock_timeout);
                         if Instant::now() >= deadline {
                             drop(st);
-                            self.lock_timeouts.fetch_add(1, Ordering::Relaxed);
-                            emit(Event::LockTimeout {
-                                client: self.id,
-                                txn,
-                                page: oid.page,
-                            });
-                            self.on_lock_failure(txn, true)?;
-                            fgl_obs::dump_on_anomaly("lock-timeout");
-                            return Err(FglError::LockTimeout(txn));
+                            return Err(self.lock_timed_out(txn, oid.page));
                         }
                         self.cv.wait_for(&mut st, Duration::from_millis(20));
                         continue;
                     }
-                    d => d,
-                }
-            };
-            match decision {
-                LocalDecision::LocallyGranted => {
-                    self.local_grants.fetch_add(1, Ordering::Relaxed);
-                    if mode == ObjMode::X || structural {
-                        let mut st = self.st.lock();
-                        self.ensure_dpt(&mut st, oid.page);
-                    }
-                    return Ok(());
-                }
-                LocalDecision::NeedGlobal(target) => {
-                    self.global_lock_requests.fetch_add(1, Ordering::Relaxed);
-                    let wait_start = self.metrics.now_us();
-                    // Dropped on every exit from this arm: grant, victim,
-                    // timeout and transport error all close the span.
-                    let _span = fgl_obs::trace::span(fgl_obs::SpanKind::LockWait, txn);
-                    let cached_psn = {
-                        let mut st = self.st.lock();
+                    LocalDecision::NeedGlobal(target) => {
                         // Guard the in-flight window: a callback arriving
                         // between the server-side grant and our
                         // installation below must defer, not revoke.
                         st.llm.begin_global_request(txn, target);
-                        st.cache.peek(oid.page).map(|p| p.psn())
-                    };
-                    let resp = match self.server.lock(self.id, txn, target, cached_psn) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            self.st.lock().llm.end_global_request(txn);
-                            return Err(e);
-                        }
-                    };
-                    let granted = match resp {
-                        LockResponse::Granted {
-                            target, evidence, ..
-                        } => Some((target, evidence)),
-                        LockResponse::Wait(waiter) => match waiter.wait(self.cfg.lock_timeout) {
-                            Some(GrantMsg::Granted {
-                                target, evidence, ..
-                            }) => Some((target, evidence)),
-                            Some(GrantMsg::Victim) => {
-                                self.deadlock_victims.fetch_add(1, Ordering::Relaxed);
-                                self.clear_inflight(txn);
-                                self.on_lock_failure(txn, true)?;
-                                fgl_obs::dump_on_anomaly("deadlock-victim");
-                                return Err(FglError::DeadlockVictim(txn));
-                            }
-                            None => {
-                                self.lock_timeouts.fetch_add(1, Ordering::Relaxed);
-                                emit(Event::LockTimeout {
-                                    client: self.id,
-                                    txn,
-                                    page: oid.page,
-                                });
-                                self.server.cancel_wait(self.id, txn);
-                                self.clear_inflight(txn);
-                                self.on_lock_failure(txn, true)?;
-                                fgl_obs::dump_on_anomaly("lock-timeout");
-                                return Err(FglError::LockTimeout(txn));
-                            }
-                        },
-                    };
-                    if let Some((eff, evidence)) = granted {
-                        self.metrics.observe_since(HistKind::LockWait, wait_start);
-                        let mut st = self.st.lock();
-                        st.llm.global_granted(txn, oid, mode, eff);
+                        let cached_psn = st.cache.peek(oid.page).map(|p| p.psn());
+                        drop(st);
+                        let (granted, evidence) =
+                            self.request_global(txn, oid.page, target, cached_psn)?;
+                        st = self.st.lock();
+                        st.llm.global_granted(txn, oid, mode, granted);
                         st.llm.end_global_request(txn);
                         // The cached copy may be stale for the newly locked
                         // object: refetch before next use (§2).
                         if st.cache.contains(oid.page) {
                             st.refetch.insert(oid.page);
                         }
-                        if mode == ObjMode::X || structural {
-                            self.ensure_dpt(&mut st, oid.page);
-                        }
-                        // §3.1: the client that triggered a callback for an
-                        // exclusive lock logs who responded and at which
-                        // PSN — server restart recovery rebuilds the
-                        // inter-client update order from these records.
-                        if mode == ObjMode::X {
-                            if let Some((from, psn)) = evidence {
-                                let record =
-                                    LogPayload::Callback(fgl_wal::records::CallbackRecord {
-                                        object: oid,
-                                        from_client: from,
-                                        psn,
-                                    });
-                                let _ = self.append(&mut st, &record, true);
-                            }
-                        }
-                        return Ok(());
+                        self.on_lock_granted(&mut st, oid, mode, structural, evidence);
+                        locked = true;
+                        continue; // the guard was dropped: look at the txn again
                     }
                 }
-                LocalDecision::BlockedByCallback => unreachable!("handled above"),
+            }
+            if !st.cache.contains(oid.page) || st.refetch.contains(&oid.page) {
+                drop(st);
+                self.fetch_page(oid.page)?;
+                st = self.st.lock();
+                continue;
+            }
+            match body(&mut st, at) {
+                Err(FglError::LogFull) => {
+                    drop(st);
+                    self.log_stall_events.fetch_add(1, Ordering::Relaxed);
+                    self.reclaim_log_space()?;
+                    st = self.st.lock();
+                }
+                done => return done,
             }
         }
+    }
+
+    /// Bookkeeping the moment `oid` becomes usable in `mode`, under the
+    /// guard that saw the grant.
+    fn on_lock_granted(
+        &self,
+        st: &mut ClientState,
+        oid: ObjectId,
+        mode: ObjMode,
+        structural: bool,
+        evidence: Option<(ClientId, Psn)>,
+    ) {
+        if mode == ObjMode::X || structural {
+            Self::ensure_dpt(st, oid.page);
+        }
+        // §3.1: the client that triggered a callback for an exclusive lock
+        // logs who responded and at which PSN — server restart recovery
+        // rebuilds the inter-client update order from these records.
+        if let (ObjMode::X, Some((from_client, psn))) = (mode, evidence) {
+            let record = LogPayload::Callback(fgl_wal::records::CallbackRecord {
+                object: oid,
+                from_client,
+                psn,
+            });
+            let _ = self.append(st, &record, true);
+        }
+    }
+
+    /// §3.2: DPT entry at first exclusive lock, RedoLSN = current end of
+    /// log (conservative).
+    fn ensure_dpt(st: &mut ClientState, page: PageId) {
+        let end = st.wal.end_lsn();
+        st.dpt.entry(page).or_insert(DptState {
+            redo_lsn: end,
+            remembered: None,
+            updated_since_ship: false,
+        });
+    }
+
+    /// The global-lock step of [`Self::operate`]: ask the server's GLM for
+    /// `target` and wait out its queue, with no client lock held. Returns
+    /// the granted (possibly adaptive-converted) target and the §3.1
+    /// callback evidence. On a deadlock verdict or a timeout the
+    /// transaction is already rolled back when the error returns.
+    fn request_global(
+        &self,
+        txn: TxnId,
+        page: PageId,
+        target: LockTarget,
+        cached_psn: Option<Psn>,
+    ) -> Result<(LockTarget, Option<(ClientId, Psn)>)> {
+        self.global_lock_requests.fetch_add(1, Ordering::Relaxed);
+        let wait_start = self.metrics.now_us();
+        // Dropped on every exit: grant, victim, timeout and transport
+        // error all close the span.
+        let _span = fgl_obs::trace::span(fgl_obs::SpanKind::LockWait, txn);
+        let resp = match self.server.lock(self.id, txn, target, cached_psn) {
+            Ok(r) => r,
+            Err(e) => {
+                self.clear_inflight(txn);
+                return Err(e);
+            }
+        };
+        let granted = match resp {
+            LockResponse::Granted {
+                target, evidence, ..
+            } => (target, evidence),
+            LockResponse::Wait(waiter) => match waiter.wait(self.cfg.lock_timeout) {
+                Some(GrantMsg::Granted {
+                    target, evidence, ..
+                }) => (target, evidence),
+                Some(GrantMsg::Victim) => {
+                    self.deadlock_victims.fetch_add(1, Ordering::Relaxed);
+                    self.clear_inflight(txn);
+                    self.abort(txn)?;
+                    fgl_obs::dump_on_anomaly("deadlock-victim");
+                    return Err(FglError::DeadlockVictim(txn));
+                }
+                None => {
+                    self.server.cancel_wait(self.id, txn);
+                    self.clear_inflight(txn);
+                    return Err(self.lock_timed_out(txn, page));
+                }
+            },
+        };
+        self.metrics.observe_since(HistKind::LockWait, wait_start);
+        Ok(granted)
+    }
+
+    /// A lock wait ran out: count it, roll the transaction back so its
+    /// locks stop blocking others, and return the error to report.
+    fn lock_timed_out(&self, txn: TxnId, page: PageId) -> FglError {
+        self.lock_timeouts.fetch_add(1, Ordering::Relaxed);
+        emit(Event::LockTimeout {
+            client: self.id,
+            txn,
+            page,
+        });
+        if let Err(e) = self.abort(txn) {
+            return e;
+        }
+        fgl_obs::dump_on_anomaly("lock-timeout");
+        FglError::LockTimeout(txn)
     }
 
     /// Clear a failed request's in-flight registration. Deferred
@@ -1143,45 +1192,6 @@ impl ClientCore {
     /// `finish_txn → end_txn` that follows every lock failure.
     fn clear_inflight(&self, txn: TxnId) {
         self.st.lock().llm.end_global_request(txn);
-    }
-
-    /// Roll the transaction back after a deadlock/timeout verdict so its
-    /// locks stop blocking others.
-    fn on_lock_failure(&self, txn: TxnId, rollback: bool) -> Result<()> {
-        if rollback {
-            self.rollback_chain(txn, Lsn::NIL)?;
-            let mut st = self.st.lock();
-            let prev = st.txns.get(&txn).map(|t| t.last_lsn).unwrap_or(Lsn::NIL);
-            self.append_critical(
-                &mut st,
-                &LogPayload::Abort {
-                    txn,
-                    prev_lsn: prev,
-                },
-            )?;
-            if let Some(t) = st.txns.get_mut(&txn) {
-                t.status = TxnStatus::Aborted;
-            }
-            drop(st);
-            emit(Event::TxnAbort {
-                client: self.id,
-                txn,
-            });
-            self.aborts.fetch_add(1, Ordering::Relaxed);
-            self.finish_txn(txn)?;
-        }
-        Ok(())
-    }
-
-    /// §3.2: DPT entry at first exclusive lock, RedoLSN = current end of
-    /// log (conservative).
-    fn ensure_dpt(&self, st: &mut ClientState, page: PageId) {
-        let end = st.wal.end_lsn();
-        st.dpt.entry(page).or_insert(DptState {
-            redo_lsn: end,
-            remembered: None,
-            updated_since_ship: false,
-        });
     }
 
     // ---- page movement ---------------------------------------------------------
@@ -1195,28 +1205,26 @@ impl ClientCore {
                     return Ok(());
                 }
             }
-            let fetch_start = self.metrics.now_us();
-            let fetch_span = fgl_obs::trace::span(fgl_obs::SpanKind::PageFetch, TxnId(0));
-            let (bytes, _dct_psn) = self.server.fetch_page(self.id, page)?;
-            drop(fetch_span);
-            self.metrics.observe_since(HistKind::PageFetch, fetch_start);
-            let incoming = Page::from_bytes(bytes)?;
-            let evicted = {
-                let mut st = self.st.lock();
-                st.refetch.remove(&page);
-                let ev = st.cache.install_from_server(incoming)?;
-                self.stash_evicted(&mut st, ev)?
-            };
-            self.handle_evicted(evicted)?;
+            self.fetch_page(page)?;
         }
     }
 
-    /// Run `f` against the cached page.
-    fn with_page<R>(&self, page: PageId, f: impl FnOnce(&Page) -> Result<R>) -> Result<R> {
-        self.ensure_page_present(page)?;
-        let st = self.st.lock();
-        let p = st.cache.peek(page).ok_or(FglError::PageNotFound(page))?;
-        f(p)
+    /// The page-fetch step: bring `page` from the server and merge it into
+    /// the cache (§2), shipping whatever dirty page that pushed out.
+    fn fetch_page(&self, page: PageId) -> Result<()> {
+        let fetch_start = self.metrics.now_us();
+        let fetch_span = fgl_obs::trace::span(fgl_obs::SpanKind::PageFetch, TxnId(0));
+        let (bytes, _dct_psn) = self.server.fetch_page(self.id, page)?;
+        drop(fetch_span);
+        self.metrics.observe_since(HistKind::PageFetch, fetch_start);
+        let incoming = Page::from_bytes(bytes)?;
+        let evicted = {
+            let mut st = self.st.lock();
+            st.refetch.remove(&page);
+            let ev = st.cache.install_from_server(incoming)?;
+            self.stash_evicted(&mut st, ev)?
+        };
+        self.handle_evicted(evicted)
     }
 
     /// A dirty page fell out of the cache: force the log (WAL), ship it to

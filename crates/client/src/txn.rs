@@ -7,7 +7,7 @@
 //! partial rollbacks), and the pages dirtied (the ship-pages-at-commit
 //! baseline needs them).
 
-use fgl_common::{Lsn, ObjectId, PageId, TxnId};
+use fgl_common::{IdSet, Lsn, ObjectId, PageId, TxnId};
 use std::collections::HashSet;
 
 /// Lifecycle of a client transaction.
@@ -69,8 +69,9 @@ pub struct TxnState {
     pub last_lsn: Lsn,
     /// First log record (bounds log-space reclamation while active).
     pub first_lsn: Lsn,
-    /// Pages this transaction dirtied.
-    pub dirtied: HashSet<PageId>,
+    /// Pages this transaction dirtied (read at commit by the ship-log
+    /// policies). `begin` swaps in a finished transaction's emptied table.
+    pub dirtied: IdSet<PageId>,
     /// Logging mode, fixed by the strategy at the first update.
     pub log_mode: Option<TxnLogMode>,
     /// Cold rollback state, allocated on first use.
@@ -84,9 +85,7 @@ impl TxnState {
             status: TxnStatus::Active,
             last_lsn: Lsn::NIL,
             first_lsn: Lsn::NIL,
-            // The update path inserts page ids per access; a handful of
-            // buckets up front keeps the first inserts rehash-free.
-            dirtied: HashSet::with_capacity(8),
+            dirtied: IdSet::default(),
             log_mode: None,
             cold: None,
         }
@@ -143,10 +142,11 @@ impl TxnState {
     }
 }
 
-// Static size guard: the hot per-client `txns` map entry must stay
-// within 96 bytes — boxing the cold rollback state bought the shrink;
-// growing the struct again needs a deliberate decision here.
-const _: () = assert!(std::mem::size_of::<TxnState>() <= 96);
+// Static size guard: the hot per-client `txns` map entry is 72 bytes —
+// boxing the cold rollback state and the zero-sized hasher of `dirtied`
+// bought the shrinks; growing the struct again needs a deliberate
+// decision here.
+const _: () = assert!(std::mem::size_of::<TxnState>() <= 72);
 const _: () = assert!(std::mem::size_of::<Option<Box<TxnCold>>>() == 8);
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 
 pub mod config;
 pub mod error;
+pub mod idmap;
 pub mod ids;
 pub mod rng;
 
@@ -16,4 +17,5 @@ pub use config::{
     CommitPolicy, LockGranularity, LoggingStrategyKind, SystemConfig, TransportKind, UpdatePolicy,
 };
 pub use error::{FglError, Result};
+pub use idmap::{IdMap, IdSet};
 pub use ids::{ClientId, Lsn, ObjectId, PageId, Psn, SlotId, TxnId};

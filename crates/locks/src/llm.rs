@@ -24,8 +24,8 @@
 use crate::glm::{CallbackKind, CallbackReply};
 use crate::mode::{LockTarget, ObjMode};
 use fgl_common::config::{LockGranularity, UpdatePolicy};
-use fgl_common::{ObjectId, PageId, TxnId};
-use std::collections::HashMap;
+use fgl_common::{IdMap, ObjectId, PageId, TxnId};
+use std::collections::hash_map::Entry;
 
 /// Outcome of a local acquisition attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,11 +52,14 @@ pub struct LlmCore {
     granularity: LockGranularity,
     update_policy: UpdatePolicy,
     /// Cached page-level locks (real S/X — intents are a GLM concern).
-    page_locks: HashMap<PageId, ObjMode>,
+    page_locks: IdMap<PageId, ObjMode>,
     /// Cached object-level locks.
-    object_locks: HashMap<ObjectId, ObjMode>,
+    object_locks: IdMap<ObjectId, ObjMode>,
     /// Per active transaction: resources in use with the max mode used.
-    txn_use: HashMap<TxnId, HashMap<Res, ObjMode>>,
+    txn_use: IdMap<TxnId, IdMap<Res, ObjMode>>,
+    /// Emptied usage tables of finished transactions; the next
+    /// transaction's first access takes one instead of allocating.
+    spare_uses: Vec<IdMap<Res, ObjMode>>,
     /// Callbacks deferred until their blocking transactions finish.
     deferred: Vec<CallbackKind>,
     /// Outstanding global lock requests: the request was sent to (or
@@ -64,7 +67,7 @@ pub struct LlmCore {
     /// callback that overlaps one of these must defer — answering `Done`
     /// would let the server revoke a grant the application thread is
     /// about to rely on.
-    inflight: HashMap<TxnId, LockTarget>,
+    inflight: IdMap<TxnId, LockTarget>,
 }
 
 impl LlmCore {
@@ -72,11 +75,12 @@ impl LlmCore {
         LlmCore {
             granularity,
             update_policy,
-            page_locks: HashMap::new(),
-            object_locks: HashMap::new(),
-            txn_use: HashMap::new(),
+            page_locks: IdMap::default(),
+            object_locks: IdMap::default(),
+            txn_use: IdMap::default(),
+            spare_uses: Vec::new(),
             deferred: Vec::new(),
-            inflight: HashMap::new(),
+            inflight: IdMap::default(),
         }
     }
 
@@ -136,7 +140,10 @@ impl LlmCore {
     }
 
     fn register_use(&mut self, txn: TxnId, res: Res, mode: ObjMode) {
-        let uses = self.txn_use.entry(txn).or_default();
+        let uses = match self.txn_use.entry(txn) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(self.spare_uses.pop().unwrap_or_default()),
+        };
         let m = uses.entry(res).or_insert(mode);
         if mode > *m {
             *m = mode;
@@ -326,7 +333,7 @@ impl LlmCore {
     /// mode — what de-escalation retains (§3.2: "each LLM maintains a list
     /// of the objects accessed by local transactions").
     pub fn accessed_objects(&self, page: PageId) -> Vec<(ObjectId, ObjMode)> {
-        let mut acc: HashMap<ObjectId, ObjMode> = HashMap::new();
+        let mut acc: IdMap<ObjectId, ObjMode> = IdMap::default();
         for uses in self.txn_use.values() {
             for (r, m) in uses {
                 if let Res::Object(o) = r {
@@ -438,7 +445,10 @@ impl LlmCore {
     /// any deferred callback whose blockers are now gone completes. The
     /// returned `(kind, reply)` pairs must be forwarded to the server.
     pub fn end_txn(&mut self, txn: TxnId) -> Vec<(CallbackKind, CallbackReply)> {
-        self.txn_use.remove(&txn);
+        if let Some(mut uses) = self.txn_use.remove(&txn) {
+            uses.clear();
+            self.spare_uses.push(uses);
+        }
         let pending = std::mem::take(&mut self.deferred);
         let mut completions = Vec::new();
         for kind in pending {

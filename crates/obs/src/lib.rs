@@ -34,7 +34,7 @@ pub mod trace;
 pub use event::{CallbackClass, Event, LogOwner, RecoveryPhase, SpanKind};
 pub use hist::{HistSnapshot, Histogram};
 pub use procstat::{current_rss_bytes, current_threads, RssSampler};
-pub use registry::{Clock, HistKind, ManualClock, Metrics, Snapshot};
+pub use registry::{Clock, Counter, HistKind, ManualClock, Metrics, Snapshot};
 pub use ring::{dump, last_dump, Stamped};
 pub use sink::{CaptureSink, EventSink, SinkGuard, StderrSink};
 pub use trace::{assemble, span, SpanGuard, SpanRecord, TraceReport};

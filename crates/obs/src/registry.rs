@@ -120,6 +120,19 @@ impl Clock for ManualClock {
     }
 }
 
+/// A named counter resolved once ([`Metrics::counter`]): adding to it is
+/// one relaxed atomic add, with no registry lock and no name look-up. The
+/// value shows in snapshots under the name it was registered with.
+#[derive(Clone)]
+pub struct Counter(Arc<AtomicU64>);
+
+impl Counter {
+    #[inline]
+    pub fn add(&self, delta: u64) {
+        self.0.fetch_add(delta, Ordering::Relaxed);
+    }
+}
+
 /// The registry: one histogram per [`HistKind`], a dynamic set of named
 /// counters and named histograms, one clock. Shared via `Arc` between
 /// server, clients and the WAL managers.
@@ -172,18 +185,22 @@ impl Metrics {
         self.observe(kind, self.now_us().saturating_sub(start_us));
     }
 
-    /// Add to a named counter, creating it on first use.
+    /// Add to a named counter, creating it on first use. Cold paths only:
+    /// every call takes the registry lock and looks the name up; a hot
+    /// path holds a [`Counter`] instead.
     pub fn add(&self, name: &str, delta: u64) {
         if let Some(c) = self.counters.read().unwrap().get(name) {
             c.fetch_add(delta, Ordering::Relaxed);
             return;
         }
-        self.counters
-            .write()
-            .unwrap()
-            .entry(name.to_string())
-            .or_default()
-            .fetch_add(delta, Ordering::Relaxed);
+        self.counter(name).add(delta);
+    }
+
+    /// The counter registered under `name` (created at zero on first use),
+    /// as a handle that bypasses the registry on every later add.
+    pub fn counter(&self, name: &str) -> Counter {
+        let mut counters = self.counters.write().unwrap();
+        Counter(Arc::clone(counters.entry(name.to_string()).or_default()))
     }
 
     /// Record into a named histogram, creating it on first use. For
@@ -423,6 +440,16 @@ mod tests {
         let d = after.delta_since(&before);
         assert_eq!(d.counters["msgs"], 7);
         assert_eq!(d.counters["new_counter"], 1);
+    }
+
+    #[test]
+    fn counter_handles_share_the_named_counter() {
+        let m = Metrics::new();
+        let forces = m.counter("log_forces");
+        forces.add(2);
+        m.add("log_forces", 3);
+        m.counter("log_forces").add(5);
+        assert_eq!(m.snapshot().counters["log_forces"], 10);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! On a plain OS thread every primitive behaves exactly as before, so
 //! the `threads` scheduler is untouched.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{self, TryLockError};
 use std::time::{Duration, Instant};
 
@@ -243,6 +243,11 @@ impl WaitTimeoutResult {
 #[derive(Default, Debug)]
 pub struct Condvar {
     inner: sync::Condvar,
+    /// OS threads inside `inner.wait*`, each counted in while it still
+    /// holds the user mutex — so a notifier that changed the condition
+    /// under that mutex sees it. With nobody counted in (every commit's
+    /// notify) the notify skips the futex call std would make.
+    os_waiters: AtomicUsize,
     task_waiters: sync::Mutex<Vec<TaskWaiter>>,
     next_waiter: AtomicU64,
 }
@@ -262,13 +267,16 @@ impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: sync::Condvar::new(),
+            os_waiters: AtomicUsize::new(0),
             task_waiters: sync::Mutex::new(Vec::new()),
             next_waiter: AtomicU64::new(0),
         }
     }
 
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.os_waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_one();
+        }
         let waiter = {
             let mut w = recover(self.task_waiters.lock());
             if w.is_empty() {
@@ -283,7 +291,9 @@ impl Condvar {
     }
 
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.os_waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_all();
+        }
         let drained: Vec<TaskWaiter> = std::mem::take(&mut *recover(self.task_waiters.lock()));
         for w in drained {
             w.unparker.unpark();
@@ -317,10 +327,12 @@ impl Condvar {
             return;
         }
         let inner = guard.inner.take().expect("guard present");
+        self.os_waiters.fetch_add(1, Ordering::SeqCst);
         let inner = match self.inner.wait(inner) {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
+        self.os_waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
     }
 
@@ -340,6 +352,7 @@ impl Condvar {
             };
         }
         let inner = guard.inner.take().expect("guard present");
+        self.os_waiters.fetch_add(1, Ordering::SeqCst);
         let (inner, result) = match self.inner.wait_timeout(inner, timeout) {
             Ok((g, r)) => (g, r),
             Err(p) => {
@@ -347,6 +360,7 @@ impl Condvar {
                 (g, r)
             }
         };
+        self.os_waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
         WaitTimeoutResult {
             timed_out: result.timed_out(),
@@ -409,6 +423,35 @@ mod tests {
         }
         assert!(*done);
         h.join().unwrap();
+    }
+
+    /// Two threads hand a turn back and forth, each notifying *after*
+    /// releasing the mutex (the client runtime's habit). A notify skipped
+    /// while the peer was already counted in would leave it asleep until
+    /// the timeout, which fails the round.
+    #[test]
+    fn condvar_handoff_never_loses_a_wakeup() {
+        const ROUNDS: u32 = 20_000;
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let play = |me: u32, pair: Arc<(Mutex<u32>, Condvar)>| {
+            let (turn, cv) = &*pair;
+            for _ in 0..ROUNDS {
+                let mut t = turn.lock();
+                while *t % 2 != me {
+                    let r = cv.wait_for(&mut t, Duration::from_secs(10));
+                    assert!(!r.timed_out(), "wakeup lost at turn {}", *t);
+                }
+                *t += 1;
+                drop(t);
+                cv.notify_all();
+            }
+        };
+        let p2 = pair.clone();
+        let h = std::thread::spawn(move || play(1, p2));
+        play(0, pair.clone());
+        h.join().unwrap();
+        assert_eq!(*pair.0.lock(), 2 * ROUNDS);
+        assert_eq!(pair.1.os_waiters.load(Ordering::SeqCst), 0);
     }
 
     #[test]

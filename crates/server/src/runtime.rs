@@ -44,7 +44,7 @@ use fgl_locks::WaitGraph;
 use fgl_net::peer::{CallbackOutcome, ClientPeer};
 use fgl_net::stats::{MsgKind, NetSim};
 use fgl_net::wait::{grant_pair, GrantMsg, GrantSlot};
-use fgl_obs::{emit, CallbackClass, Event, HistKind, LogOwner, Metrics};
+use fgl_obs::{emit, CallbackClass, Counter, Event, HistKind, LogOwner, Metrics};
 use fgl_storage::disk::DiskBackend;
 use fgl_storage::page::Page;
 use fgl_wal::manager::LogManager;
@@ -160,6 +160,8 @@ pub struct ServerCore {
     /// Shared metrics registry: histograms + counters for the whole
     /// system. Clients and WAL managers clone this handle.
     metrics: Arc<Metrics>,
+    /// `page_ship_bytes_copied`, resolved once: every absorbed page adds.
+    ship_bytes_copied: Counter,
     /// Per-page wait-time / callback fan-out accumulator (top-N hottest
     /// pages; surfaced through [`ServerCore::contention_top`]).
     contention: ContentionProfiler,
@@ -249,6 +251,7 @@ impl ServerCore {
             recovery_cv: Condvar::new(),
             recovery_needs: Mutex::new(Vec::new()),
             down: AtomicBool::new(false),
+            ship_bytes_copied: metrics.counter("page_ship_bytes_copied"),
             metrics,
             contention: ContentionProfiler::new(),
             lock_requests: AtomicU64::new(0),
@@ -923,8 +926,7 @@ impl ServerCore {
     /// The ship path's single copy: materialize an owned page from a
     /// shared frame, accounting the copied bytes.
     fn parse_frame(&self, bytes: &[u8]) -> Result<Page> {
-        self.metrics
-            .add("page_ship_bytes_copied", bytes.len() as u64);
+        self.ship_bytes_copied.add(bytes.len() as u64);
         fgl_storage::merge::parse_incoming(bytes)
     }
 

@@ -9,8 +9,7 @@
 //! runtimes where they belong.
 
 use crate::page::Page;
-use fgl_common::PageId;
-use std::collections::HashMap;
+use fgl_common::{IdMap, PageId};
 
 /// A page pushed out of the pool by an insertion.
 #[derive(Debug)]
@@ -28,7 +27,7 @@ struct Frame {
 /// Fixed-capacity LRU pool. Not internally synchronized; owners wrap it in
 /// their own locks.
 pub struct BufferPool {
-    frames: HashMap<PageId, Frame>,
+    frames: IdMap<PageId, Frame>,
     capacity: usize,
     tick: u64,
 }
@@ -41,7 +40,7 @@ impl BufferPool {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer pool capacity must be positive");
         BufferPool {
-            frames: HashMap::new(),
+            frames: IdMap::default(),
             capacity,
             tick: 0,
         }
@@ -55,11 +54,12 @@ impl BufferPool {
         self.frames.reserve(want.saturating_sub(self.frames.len()));
     }
 
-    fn touch(&mut self, id: PageId) {
+    /// The frame for `id`, its recency refreshed: one table look-up.
+    fn touch(&mut self, id: PageId) -> Option<&mut Frame> {
         self.tick += 1;
-        if let Some(f) = self.frames.get_mut(&id) {
-            f.last_used = self.tick;
-        }
+        let f = self.frames.get_mut(&id)?;
+        f.last_used = self.tick;
+        Some(f)
     }
 
     /// Number of cached pages.
@@ -81,8 +81,7 @@ impl BufferPool {
 
     /// Read access; refreshes recency.
     pub fn get(&mut self, id: PageId) -> Option<&Page> {
-        self.touch(id);
-        self.frames.get(&id).map(|f| &f.page)
+        self.touch(id).map(|f| &f.page)
     }
 
     /// Read access without refreshing recency (for scans/snapshots).
@@ -92,8 +91,7 @@ impl BufferPool {
 
     /// Mutable access; marks the page dirty and refreshes recency.
     pub fn get_mut(&mut self, id: PageId) -> Option<&mut Page> {
-        self.touch(id);
-        self.frames.get_mut(&id).map(|f| {
+        self.touch(id).map(|f| {
             f.dirty = true;
             &mut f.page
         })
@@ -102,8 +100,7 @@ impl BufferPool {
     /// Mutable access *without* setting the dirty flag (recovery installs
     /// PSNs on fetched pages without logically dirtying them).
     pub fn get_mut_clean(&mut self, id: PageId) -> Option<&mut Page> {
-        self.touch(id);
-        self.frames.get_mut(&id).map(|f| &mut f.page)
+        self.touch(id).map(|f| &mut f.page)
     }
 
     /// Is the cached copy dirty?

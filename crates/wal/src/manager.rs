@@ -23,7 +23,7 @@ use crate::codec::checksum;
 use crate::records::{LogPayload, KIND_NAMES};
 use crate::store::{LogStore, MasterAnchor};
 use fgl_common::{FglError, Lsn, Result};
-use fgl_obs::{Event, HistKind, LogOwner, Metrics};
+use fgl_obs::{Counter, Event, HistKind, LogOwner, Metrics};
 use std::sync::Arc;
 
 const FRAME_HEADER: usize = 8;
@@ -57,8 +57,12 @@ pub struct LogManager {
     /// Number of force (sync) calls (informational).
     forces: u64,
     /// Observability hook: when attached, forces are timed into the
-    /// registry's log-force histogram and emitted as typed events.
-    obs: Option<(Arc<Metrics>, LogOwner)>,
+    /// registry's log-force histogram, counted in its `log_forces` counter
+    /// and emitted as typed events.
+    obs: Option<(Arc<Metrics>, Counter, LogOwner)>,
+    /// The frame being appended, header first; reused so an append
+    /// allocates nothing once the largest record has been seen.
+    scratch: Vec<u8>,
 }
 
 impl LogManager {
@@ -76,6 +80,7 @@ impl LogManager {
             bytes_by_kind: [0; KIND_NAMES.len()],
             forces: 0,
             obs: None,
+            scratch: Vec::new(),
         }
     }
 
@@ -83,7 +88,8 @@ impl LogManager {
     /// are timed into the log-force histogram and emit [`Event::LogForce`]
     /// tagged with `owner` (the server log or one client's private log).
     pub fn attach_obs(&mut self, metrics: Arc<Metrics>, owner: LogOwner) {
-        self.obs = Some((metrics, owner));
+        let forces = metrics.counter("log_forces");
+        self.obs = Some((metrics, forces, owner));
     }
 
     /// Reopen a store after a crash: read the master anchor and validate
@@ -159,17 +165,20 @@ impl LogManager {
             .collect()
     }
 
-    fn frame(payload: &LogPayload) -> Vec<u8> {
-        let body = payload.encode();
-        let mut framed = Vec::with_capacity(body.len() + FRAME_HEADER);
-        framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&checksum(&body).to_le_bytes());
-        framed.extend_from_slice(&body);
-        framed
+    /// Frame `payload` into `out`: `[len][checksum][body]`, the header
+    /// patched in once the body is encoded behind it.
+    fn frame_into(payload: &LogPayload, out: &mut Vec<u8>) {
+        out.clear();
+        out.extend_from_slice(&[0; FRAME_HEADER]);
+        payload.encode_into(out);
+        let (header, body) = out.split_at_mut(FRAME_HEADER);
+        header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&checksum(body).to_le_bytes());
     }
 
     fn append_inner(&mut self, payload: &LogPayload, critical: bool) -> Result<Lsn> {
-        let framed = Self::frame(payload);
+        Self::frame_into(payload, &mut self.scratch);
+        let framed = &self.scratch;
         let budget = if critical {
             self.capacity
         } else {
@@ -179,7 +188,7 @@ impl LogManager {
             return Err(FglError::LogFull);
         }
         let lsn = self.end_lsn();
-        self.store.append(&framed)?;
+        self.store.append(framed)?;
         self.appended += 1;
         self.appended_bytes += framed.len() as u64;
         self.bytes_by_kind[payload.kind_index()] += framed.len() as u64;
@@ -200,14 +209,14 @@ impl LogManager {
 
     /// Force the log: everything appended so far becomes durable.
     pub fn force(&mut self) -> Result<Lsn> {
-        let start = self.obs.as_ref().map(|(m, _)| m.now_us());
+        let start = self.obs.as_ref().map(|(m, ..)| m.now_us());
         let _span = fgl_obs::trace::span(fgl_obs::SpanKind::WalForce, fgl_common::TxnId(0));
         self.store.sync()?;
         self.forces += 1;
         let durable = self.durable_lsn();
-        if let Some((metrics, owner)) = &self.obs {
+        if let Some((metrics, forces, owner)) = &self.obs {
             metrics.observe_since(HistKind::LogForce, start.unwrap());
-            metrics.add("log_forces", 1);
+            forces.add(1);
             fgl_obs::emit(Event::LogForce {
                 owner: *owner,
                 lsn: durable,
@@ -229,10 +238,10 @@ impl LogManager {
         self.store.sync_range(Self::offset(upto))?;
         self.forces += 1;
         let durable = self.durable_lsn();
-        if let Some((metrics, owner)) = &self.obs {
+        if let Some((metrics, forces, owner)) = &self.obs {
             let start = started_us.unwrap_or_else(|| metrics.now_us());
             metrics.observe_since(HistKind::LogForce, start);
-            metrics.add("log_forces", 1);
+            forces.add(1);
             fgl_obs::emit(Event::LogForce {
                 owner: *owner,
                 lsn: durable,
@@ -400,6 +409,12 @@ mod tests {
         LogManager::new(Box::new(MemLogStore::new()), 64 * 1024)
     }
 
+    fn framed(payload: &LogPayload) -> Vec<u8> {
+        let mut out = Vec::new();
+        LogManager::frame_into(payload, &mut out);
+        out
+    }
+
     fn begin(seq: u32) -> LogPayload {
         LogPayload::Begin {
             txn: TxnId::compose(ClientId(1), seq),
@@ -424,7 +439,7 @@ mod tests {
         let l1 = m.append(&begin(1)).unwrap();
         assert_eq!(l1, Lsn(1));
         let l2 = m.append(&begin(2)).unwrap();
-        let framed = LogManager::frame(&begin(1)).len() as u64;
+        let framed = framed(&begin(1)).len() as u64;
         assert_eq!(l2, Lsn(1 + framed));
     }
 
@@ -514,7 +529,7 @@ mod tests {
             }
         }
         // Less than one record of ordinary space remains.
-        let record_len = LogManager::frame(&update(1, 0)).len() as u64;
+        let record_len = framed(&update(1, 0)).len() as u64;
         assert!(m.free_bytes() < record_len);
         m.advance_low_water(last).unwrap();
         assert!(m.free_bytes() > 0);
@@ -588,9 +603,9 @@ mod tests {
         // prefix of a third directly into the store. The scan must yield
         // the two complete records and stop — no error, no garbage.
         let mut store = MemLogStore::new();
-        let good1 = LogManager::frame(&begin(1));
-        let good2 = LogManager::frame(&update(1, 2));
-        let torn = LogManager::frame(&update(1, 3));
+        let good1 = framed(&begin(1));
+        let good2 = framed(&update(1, 2));
+        let torn = framed(&update(1, 3));
         store.append(&good1).unwrap();
         store.append(&good2).unwrap();
         store.append(&torn[..torn.len() - 5]).unwrap();
@@ -653,8 +668,8 @@ mod tests {
         assert_eq!(by_kind.iter().map(|(_, b)| b).sum::<u64>(), total);
         let upd = by_kind.iter().find(|(n, _)| *n == "update").unwrap().1;
         let beg = by_kind.iter().find(|(n, _)| *n == "begin").unwrap().1;
-        assert_eq!(upd, 2 * LogManager::frame(&update(1, 0)).len() as u64);
-        assert_eq!(beg, LogManager::frame(&begin(1)).len() as u64);
+        assert_eq!(upd, 2 * framed(&update(1, 0)).len() as u64);
+        assert_eq!(beg, framed(&begin(1)).len() as u64);
     }
 
     #[test]

@@ -223,7 +223,17 @@ impl LogPayload {
     /// Serialize to bytes (without framing/checksum — the log manager adds
     /// those).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        // Room for the common record, an update of two 64-byte images,
+        // without regrowth.
+        let mut out = Vec::with_capacity(192);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append exactly the bytes [`encode`](Self::encode) returns to `out`
+    /// (the log manager frames records in a buffer it reuses).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::onto(std::mem::take(out));
         match self {
             LogPayload::Begin { txn } => {
                 w.u8(TAG_BEGIN);
@@ -312,7 +322,7 @@ impl LogPayload {
                 w.bytes(&e.body);
             }
         }
-        w.into_bytes()
+        *out = w.into_bytes();
     }
 
     /// Decode from bytes produced by [`encode`](Self::encode).
@@ -429,6 +439,11 @@ mod tests {
         let bytes = p.encode();
         let q = LogPayload::decode(&bytes).unwrap();
         assert_eq!(p, q);
+        // `encode_into` appends exactly those bytes behind what is there.
+        let mut framed = b"header".to_vec();
+        p.encode_into(&mut framed);
+        assert_eq!(&framed[..6], b"header");
+        assert_eq!(&framed[6..], &bytes[..]);
     }
 
     #[test]
