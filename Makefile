@@ -3,20 +3,13 @@
 METRICS_DIR  ?= metrics
 BASELINE     := ci/latency_baseline.json
 RSS_BASELINE := ci/rss_baseline.json
-GATED        := $(METRICS_DIR)/e11_server_shard_scaling.json \
-                $(METRICS_DIR)/e12_callback_batching.json \
-                $(METRICS_DIR)/e13_client_scaling.json \
-                $(METRICS_DIR)/e14_recovery_shootout.json \
-                $(METRICS_DIR)/e15_trace_attribution.json \
-                $(METRICS_DIR)/e16_memory_cliff.json \
-                $(METRICS_DIR)/e17_wire_overhead.json
+# The one experiment list (`name gated|ungated` per line) that this file,
+# run_experiments.sh and CI all read; `gated` bins have a latency baseline
+# and a metrics validator.
+GATED_BINS   := $(shell awk '$$2 == "gated" { print $$1 }' ci/experiments.txt)
+GATED        := $(GATED_BINS:%=$(METRICS_DIR)/%.json)
 
-GATED_BINS   := e11_server_shard_scaling e12_callback_batching \
-                e13_client_scaling e14_recovery_shootout \
-                e15_trace_attribution e16_memory_cliff \
-                e17_wire_overhead
-
-.PHONY: test check-latency refresh-baselines validate-metrics experiments \
+.PHONY: test run-gated check-latency refresh-baselines validate-metrics experiments \
         e16 check-rss refresh-rss-baseline two-process-smoke bench-check bench
 
 test:
@@ -35,24 +28,25 @@ bench-check:
 bench:
 	bash benchmark/run.sh --repeat 2
 
-# Re-run the gated obs-smoke experiments and compare their p95 commit /
-# lock-wait latencies against the checked-in baseline.
-check-latency:
+# Quick sweeps of the gated experiments, metrics JSON into $(METRICS_DIR).
+run-gated:
+	mkdir -p $(METRICS_DIR)
 	for b in $(GATED_BINS); do \
 	  FGL_METRICS_DIR=$(METRICS_DIR) cargo run --release -q -p fgl-bench --bin $$b -- --quick || exit 1; \
 	done
+
+# Re-run the gated obs-smoke experiments and compare their p95 commit /
+# lock-wait latencies against the checked-in baseline.
+check-latency: run-gated
 	python3 scripts/check_latency_regression.py $(BASELINE) $(GATED)
 
 # Rebuild the baseline from a fresh run (after an intentional latency
 # change); commit the updated $(BASELINE).
-refresh-baselines:
-	for b in $(GATED_BINS); do \
-	  FGL_METRICS_DIR=$(METRICS_DIR) cargo run --release -q -p fgl-bench --bin $$b -- --quick || exit 1; \
-	done
+refresh-baselines: run-gated
 	python3 scripts/check_latency_regression.py --update $(BASELINE) $(GATED)
 
-# Schema/content validation of the emitted metrics JSON (same script CI
-# runs; add --trace <file> for Chrome trace files).
+# Schema/content validation of the metrics JSON `run-gated` emitted (add
+# --trace <file> to the script for Chrome trace files).
 validate-metrics:
 	python3 scripts/validate_metrics_json.py $(GATED)
 

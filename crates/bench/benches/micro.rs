@@ -10,7 +10,6 @@ use fgl::{System, SystemConfig};
 use fgl_common::{ClientId, ObjectId, PageId, Psn, SlotId, TxnId};
 use fgl_locks::glm::GlmCore;
 use fgl_locks::mode::{LockTarget, ObjMode};
-use fgl_locks::WaitGraph;
 use fgl_storage::merge::merge_pages;
 use fgl_storage::page::Page;
 use fgl_wal::manager::LogManager;
@@ -110,41 +109,6 @@ fn bench_glm() {
     });
 }
 
-/// Four lock-table shards sharing one waits-for graph, driven from four
-/// threads with shard-disjoint pages — measures that shard-local lock
-/// traffic scales (the only shared touch is the graph on queue changes,
-/// which never happen here).
-fn bench_sharded_glm() {
-    use std::sync::{Arc, Mutex};
-    const SHARDS: usize = 4;
-    const LOCKS_PER_THREAD: u64 = 64;
-    bench("glm/sharded_x64_locks_4_threads", 2_000, || {
-        let graph = Arc::new(WaitGraph::new());
-        let shards: Vec<Arc<Mutex<GlmCore>>> = (0..SHARDS)
-            .map(|_| Arc::new(Mutex::new(GlmCore::with_graph(graph.clone()))))
-            .collect();
-        std::thread::scope(|s| {
-            for (i, shard) in shards.iter().enumerate() {
-                let shard = shard.clone();
-                s.spawn(move || {
-                    let client = ClientId(i as u32 + 1);
-                    for k in 0..LOCKS_PER_THREAD {
-                        // Pages in this shard's residue class only.
-                        let page = PageId(i as u64 + k * SHARDS as u64);
-                        let o = ObjectId::new(page, SlotId((k % 16) as u16));
-                        shard.lock().unwrap().lock(
-                            client,
-                            TxnId::compose(client, 1),
-                            LockTarget::Object(o, ObjMode::X),
-                        );
-                    }
-                });
-            }
-        });
-        black_box(&shards);
-    });
-}
-
 fn bench_wal() {
     let record = LogPayload::Update(UpdateRecord {
         txn: TxnId::compose(ClientId(1), 1),
@@ -195,7 +159,6 @@ fn main() {
     bench_page_ops();
     bench_merge();
     bench_glm();
-    bench_sharded_glm();
     bench_wal();
     bench_end_to_end();
 }

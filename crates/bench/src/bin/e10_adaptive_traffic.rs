@@ -31,7 +31,6 @@ fn main() {
         "commits/s",
         "lock reqs/commit",
         "cb/commit",
-        "cb/commit unbatched",
         "local grant ratio",
     ]);
     for kind in [
@@ -40,50 +39,35 @@ fn main() {
         WorkloadKind::Uniform,
     ] {
         for granularity in [LockGranularity::Object, LockGranularity::Adaptive] {
-            // Two runs per row: callback batching on (default) and off, so
-            // the row shows callback traffic under both wire protocols.
-            let mut per_batching = Vec::new();
-            let mut local_ratio = 0.0;
-            for batching in [true, false] {
-                let cfg = experiment_config()
-                    .with_granularity(granularity)
-                    .with_callback_batching(batching);
-                let sys = System::build(cfg, clients).expect("build");
-                let mut spec = standard_spec(kind, clients);
-                spec.write_fraction = 0.4;
-                let layout = populate(sys.client(0), spec.pages, spec.objects_per_page, 64)
-                    .expect("populate");
-                let mut opts = HarnessOptions::new(spec, txns_per_client());
-                opts.seed = 0xE10;
-                let report = run_workload(&sys, &layout, None, &opts).expect("run");
-                let cb_per_commit =
-                    report.net.count(MsgKind::Callback) as f64 / report.commits.max(1) as f64;
-                emitter.row(
-                    &[
-                        ("workload", kind.name().to_string()),
-                        ("granularity", granularity_name(granularity).to_string()),
-                        ("batching", batching.to_string()),
-                        ("callback_msgs_per_commit", format!("{cb_per_commit:.4}")),
-                    ],
-                    &report.metrics,
-                );
-                if batching {
-                    let stats: Vec<_> = sys.clients.iter().map(|c| c.stats()).collect();
-                    let local: u64 = stats.iter().map(|s| s.local_grants).sum();
-                    let global: u64 = stats.iter().map(|s| s.global_lock_requests).sum();
-                    local_ratio = local as f64 / (local + global).max(1) as f64;
-                }
-                per_batching.push(report);
-            }
-            let batched = &per_batching[0];
-            let unbatched = &per_batching[1];
+            let cfg = experiment_config().with_granularity(granularity);
+            let sys = System::build(cfg, clients).expect("build");
+            let mut spec = standard_spec(kind, clients);
+            spec.write_fraction = 0.4;
+            let layout =
+                populate(sys.client(0), spec.pages, spec.objects_per_page, 64).expect("populate");
+            let mut opts = HarnessOptions::new(spec, txns_per_client());
+            opts.seed = 0xE10;
+            let report = run_workload(&sys, &layout, None, &opts).expect("run");
+            let cb_per_commit =
+                report.net.count(MsgKind::Callback) as f64 / report.commits.max(1) as f64;
+            emitter.row(
+                &[
+                    ("workload", kind.name().to_string()),
+                    ("granularity", granularity_name(granularity).to_string()),
+                    ("callback_msgs_per_commit", format!("{cb_per_commit:.4}")),
+                ],
+                &report.metrics,
+            );
+            let stats: Vec<_> = sys.clients.iter().map(|c| c.stats()).collect();
+            let local: u64 = stats.iter().map(|s| s.local_grants).sum();
+            let global: u64 = stats.iter().map(|s| s.global_lock_requests).sum();
+            let local_ratio = local as f64 / (local + global).max(1) as f64;
             table.row(vec![
                 kind.name().into(),
                 granularity_name(granularity).into(),
-                f1(batched.throughput()),
-                f2(batched.net.count(MsgKind::LockReq) as f64 / batched.commits.max(1) as f64),
-                f2(batched.net.count(MsgKind::Callback) as f64 / batched.commits.max(1) as f64),
-                f2(unbatched.net.count(MsgKind::Callback) as f64 / unbatched.commits.max(1) as f64),
+                f1(report.throughput()),
+                f2(report.net.count(MsgKind::LockReq) as f64 / report.commits.max(1) as f64),
+                f2(cb_per_commit),
                 f2(local_ratio),
             ]);
         }

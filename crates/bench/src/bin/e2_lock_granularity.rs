@@ -34,7 +34,6 @@ fn main() {
         "abort_rate",
         "lock msgs/commit",
         "cb/commit",
-        "cb/commit unbatched",
     ]);
     for write_fraction in [0.2, 0.5, 0.8] {
         for granularity in [
@@ -42,65 +41,49 @@ fn main() {
             LockGranularity::Page,
             LockGranularity::Adaptive,
         ] {
-            // Each row runs twice: with per-destination callback batching
-            // (the default) and with the one-callback-one-message ablation,
-            // so the row carries both callback-traffic figures.
-            let mut per_batching: Vec<(bool, _)> = Vec::new();
-            for batching in [true, false] {
-                let mut cfg = experiment_config()
-                    .with_granularity(granularity)
-                    .with_callback_batching(batching);
-                if granularity == LockGranularity::Page {
-                    // Page locking under HICON is timeout-bound (multi-page
-                    // transactions deadlock constantly); a short timeout keeps
-                    // the sweep finite without changing who wins.
-                    cfg.lock_timeout = std::time::Duration::from_millis(300);
-                }
-                let sys = System::build(cfg, clients).expect("build");
-                let mut spec = standard_spec(WorkloadKind::HiCon, clients);
-                spec.write_fraction = write_fraction;
-                spec.hot_pages = 4;
-                let layout = populate(sys.client(0), spec.pages, spec.objects_per_page, 64)
-                    .expect("populate");
-                // Page-granularity serializes the hot set almost completely;
-                // a quarter of the transactions is enough to see its (flat)
-                // throughput without stretching the sweep.
-                let txns = if granularity == LockGranularity::Page {
-                    txns_per_client() / 8
-                } else {
-                    txns_per_client()
-                };
-                let mut opts = HarnessOptions::new(spec, txns);
-                opts.seed = 0xE2;
-                let report = run_workload(&sys, &layout, None, &opts).expect("run");
-                let cb_per_commit =
-                    report.net.count(fgl::MsgKind::Callback) as f64 / report.commits.max(1) as f64;
-                emitter.row(
-                    &[
-                        ("write_fraction", write_fraction.to_string()),
-                        ("granularity", granularity_name(granularity).to_string()),
-                        ("batching", batching.to_string()),
-                        ("callback_msgs_per_commit", format!("{cb_per_commit:.4}")),
-                    ],
-                    &report.metrics,
-                );
-                per_batching.push((batching, report));
+            let mut cfg = experiment_config().with_granularity(granularity);
+            if granularity == LockGranularity::Page {
+                // Page locking under HICON is timeout-bound (multi-page
+                // transactions deadlock constantly); a short timeout keeps
+                // the sweep finite without changing who wins.
+                cfg.lock_timeout = std::time::Duration::from_millis(300);
             }
-            let batched = &per_batching[0].1;
-            let unbatched = &per_batching[1].1;
-            let lock_msgs = batched.net.count(fgl::MsgKind::LockReq)
-                + batched.net.count(fgl::MsgKind::Callback);
+            let sys = System::build(cfg, clients).expect("build");
+            let mut spec = standard_spec(WorkloadKind::HiCon, clients);
+            spec.write_fraction = write_fraction;
+            spec.hot_pages = 4;
+            let layout =
+                populate(sys.client(0), spec.pages, spec.objects_per_page, 64).expect("populate");
+            // Page-granularity serializes the hot set almost completely;
+            // a quarter of the transactions is enough to see its (flat)
+            // throughput without stretching the sweep.
+            let txns = if granularity == LockGranularity::Page {
+                txns_per_client() / 8
+            } else {
+                txns_per_client()
+            };
+            let mut opts = HarnessOptions::new(spec, txns);
+            opts.seed = 0xE2;
+            let report = run_workload(&sys, &layout, None, &opts).expect("run");
+            let callbacks = report.net.count(fgl::MsgKind::Callback);
+            let cb_per_commit = callbacks as f64 / report.commits.max(1) as f64;
+            emitter.row(
+                &[
+                    ("write_fraction", write_fraction.to_string()),
+                    ("granularity", granularity_name(granularity).to_string()),
+                    ("callback_msgs_per_commit", format!("{cb_per_commit:.4}")),
+                ],
+                &report.metrics,
+            );
+            let lock_msgs = report.net.count(fgl::MsgKind::LockReq) + callbacks;
             table.row(vec![
                 f1(write_fraction * 100.0) + "%",
                 granularity_name(granularity).into(),
-                f1(batched.throughput()),
-                batched.aborts.to_string(),
-                f2(batched.abort_rate()),
-                f2(lock_msgs as f64 / batched.commits.max(1) as f64),
-                f2(batched.net.count(fgl::MsgKind::Callback) as f64
-                    / batched.commits.max(1) as f64),
-                f2(unbatched.net.count(fgl::MsgKind::Callback) as f64
-                    / unbatched.commits.max(1) as f64),
+                f1(report.throughput()),
+                report.aborts.to_string(),
+                f2(report.abort_rate()),
+                f2(lock_msgs as f64 / report.commits.max(1) as f64),
+                f2(cb_per_commit),
             ]);
         }
     }

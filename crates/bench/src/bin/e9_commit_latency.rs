@@ -73,7 +73,6 @@ fn main() {
     let mut gc_table = Table::new(&[
         "clients",
         "committers",
-        "group commit",
         "p50 us",
         "p95 us",
         "p99 us",
@@ -81,50 +80,34 @@ fn main() {
         "piggybacked",
     ]);
     for &n in &client_counts {
-        for group_commit in [true, false] {
-            let cfg = experiment_config().with_group_commit(group_commit);
-            let sys = System::build(cfg, n).expect("build");
-            let mut spec = standard_spec(WorkloadKind::Private, n);
-            spec.write_fraction = 0.5;
-            let layout =
-                populate(sys.client(0), spec.pages, spec.objects_per_page, 64).expect("populate");
-            let mut opts = HarnessOptions::new(spec, txns_per_client() / 2);
-            opts.seed = 0xE9;
-            opts.threads_per_client = committers;
-            let report = run_workload(&sys, &layout, None, &opts).expect("run");
-            let forced = report
-                .metrics
-                .counters
-                .get("client_commits_forced")
-                .copied()
-                .unwrap_or(0);
-            let piggybacked = report
-                .metrics
-                .counters
-                .get("client_commits_piggybacked")
-                .copied()
-                .unwrap_or(0);
-            emitter.row(
-                &[
-                    ("clients", n.to_string()),
-                    ("policy", "client-log".to_string()),
-                    ("committers", committers.to_string()),
-                    ("group_commit", group_commit.to_string()),
-                    ("commit_p95_us", report.latency_us(95.0).to_string()),
-                ],
-                &report.metrics,
-            );
-            gc_table.row(vec![
-                n.to_string(),
-                committers.to_string(),
-                if group_commit { "on" } else { "off" }.into(),
-                report.latency_us(50.0).to_string(),
-                report.latency_us(95.0).to_string(),
-                report.latency_us(99.0).to_string(),
-                forced.to_string(),
-                piggybacked.to_string(),
-            ]);
-        }
+        let sys = System::build(experiment_config(), n).expect("build");
+        let mut spec = standard_spec(WorkloadKind::Private, n);
+        spec.write_fraction = 0.5;
+        let layout =
+            populate(sys.client(0), spec.pages, spec.objects_per_page, 64).expect("populate");
+        let mut opts = HarnessOptions::new(spec, txns_per_client() / 2);
+        opts.seed = 0xE9;
+        opts.threads_per_client = committers;
+        let report = run_workload(&sys, &layout, None, &opts).expect("run");
+        let counter = |name: &str| report.metrics.counters.get(name).copied().unwrap_or(0);
+        emitter.row(
+            &[
+                ("clients", n.to_string()),
+                ("policy", "client-log".to_string()),
+                ("committers", committers.to_string()),
+                ("commit_p95_us", report.latency_us(95.0).to_string()),
+            ],
+            &report.metrics,
+        );
+        gc_table.row(vec![
+            n.to_string(),
+            committers.to_string(),
+            report.latency_us(50.0).to_string(),
+            report.latency_us(95.0).to_string(),
+            report.latency_us(99.0).to_string(),
+            counter("client_commits_forced").to_string(),
+            counter("client_commits_piggybacked").to_string(),
+        ]);
     }
     gc_table.print();
     emitter.finish();

@@ -192,7 +192,7 @@ impl ClientCore {
         let cfg = server.config_shared();
         let metrics = server.metrics();
         wal.attach_obs(metrics.clone(), LogOwner::Client(id));
-        let mut state = ClientState {
+        let state = ClientState {
             llm: LlmCore::new(cfg.granularity, cfg.update_policy),
             cache: ClientCache::new(cfg.client_cache_pages),
             wal,
@@ -207,11 +207,6 @@ impl ClientCore {
             crashed,
             warmed: false,
         };
-        if !cfg.lazy_client_init {
-            // Eager mode: pay the full per-client footprint up front (the
-            // pre-scaling behavior, kept for determinism ablation).
-            Self::warm_state(&mut state, &cfg);
-        }
         let strategy = strategy_for(cfg.logging_strategy);
         let core = Arc::new(ClientCore {
             id,
@@ -258,8 +253,8 @@ impl ClientCore {
 
     /// First-use warm-up: pre-size the hot per-client containers to their
     /// steady-state capacities so the transaction path never grows them
-    /// from empty. Deferred to the first `begin` under
-    /// `lazy_client_init` so never-active clients skip the cost entirely.
+    /// from empty. Runs at the first `begin`, so never-active clients
+    /// skip the cost entirely.
     fn warm_state(st: &mut ClientState, cfg: &SystemConfig) {
         st.cache.warm();
         // The DPT tracks dirty cached pages, so the cache capacity bounds
@@ -401,13 +396,10 @@ impl ClientCore {
             )?;
             match self.cfg.commit_policy {
                 CommitPolicy::ClientLog => {
-                    // The strategy decides how the commit record becomes
-                    // durable: force right here, or return an LSN to make
-                    // durable *after* the state mutex drops (group commit
-                    // and write-behind release the mutex between the
-                    // commit-record append and the force, so concurrent
-                    // committers can append behind us and share it).
-                    (None, self.strategy.commit_append_done(self, &mut st)?)
+                    // The commit record becomes durable *after* the state
+                    // mutex drops (`commit_wait_durable`), so concurrent
+                    // committers can append behind us and share the force.
+                    (None, Some(st.wal.end_lsn()))
                 }
                 CommitPolicy::ServerLog | CommitPolicy::ShipPagesAtCommit => {
                     // ARIES/CSA shape: the durable copy of the log lives at

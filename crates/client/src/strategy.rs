@@ -62,15 +62,10 @@ pub(crate) trait LoggingStrategy: Send + Sync {
         TxnLogMode::Physical
     }
 
-    /// Called under the state mutex right after the commit record is
-    /// appended. Returns `Some(upto)` when durability up to `upto` is to
-    /// be established out-of-lock by [`Self::commit_wait_durable`];
-    /// `None` when the commit is already durable on return.
-    fn commit_append_done(&self, client: &ClientCore, st: &mut ClientState) -> Result<Option<Lsn>>;
-
-    /// Out-of-lock durability wait paired with a `Some` from
-    /// [`Self::commit_append_done`]. Must not return before the log is
-    /// durable through `upto`.
+    /// Out-of-lock durability wait: the commit record ends at `upto` and
+    /// the state mutex was released after appending it, so concurrent
+    /// committers can append behind it and share the force. Must not
+    /// return before the log is durable through `upto`.
     fn commit_wait_durable(&self, client: &ClientCore, txn: TxnId, upto: Lsn) -> Result<()>;
 
     /// The steal hook: called under the state mutex right before a dirty
@@ -103,18 +98,6 @@ pub(crate) fn strategy_for(kind: LoggingStrategyKind) -> &'static dyn LoggingStr
         LoggingStrategyKind::RedoOnly => &RedoOnly,
         LoggingStrategyKind::Hybrid => &Hybrid,
         LoggingStrategyKind::WriteBehind => &WriteBehind,
-    }
-}
-
-/// Shared commit hook for the force-at-commit strategies: with group
-/// commit the force runs out-of-lock (cohorts coalesce); without it the
-/// commit record is forced right here.
-fn aries_commit_append_done(client: &ClientCore, st: &mut ClientState) -> Result<Option<Lsn>> {
-    if client.config().group_commit {
-        Ok(Some(st.wal.end_lsn()))
-    } else {
-        st.wal.force()?;
-        Ok(None)
     }
 }
 
@@ -173,10 +156,6 @@ impl LoggingStrategy for ClientAries {
         LoggingStrategyKind::ClientAries
     }
 
-    fn commit_append_done(&self, client: &ClientCore, st: &mut ClientState) -> Result<Option<Lsn>> {
-        aries_commit_append_done(client, st)
-    }
-
     fn commit_wait_durable(&self, client: &ClientCore, txn: TxnId, upto: Lsn) -> Result<()> {
         client.group_force(txn, upto)
     }
@@ -204,10 +183,6 @@ impl LoggingStrategy for RedoOnly {
 
     fn log_mode_for_txn(&self, _payload_len: usize) -> TxnLogMode {
         TxnLogMode::RedoOnly
-    }
-
-    fn commit_append_done(&self, client: &ClientCore, st: &mut ClientState) -> Result<Option<Lsn>> {
-        aries_commit_append_done(client, st)
     }
 
     fn commit_wait_durable(&self, client: &ClientCore, txn: TxnId, upto: Lsn) -> Result<()> {
@@ -247,10 +222,6 @@ impl LoggingStrategy for Hybrid {
         }
     }
 
-    fn commit_append_done(&self, client: &ClientCore, st: &mut ClientState) -> Result<Option<Lsn>> {
-        aries_commit_append_done(client, st)
-    }
-
     fn commit_wait_durable(&self, client: &ClientCore, txn: TxnId, upto: Lsn) -> Result<()> {
         client.group_force(txn, upto)
     }
@@ -278,14 +249,6 @@ pub(crate) struct WriteBehind;
 impl LoggingStrategy for WriteBehind {
     fn kind(&self) -> LoggingStrategyKind {
         LoggingStrategyKind::WriteBehind
-    }
-
-    fn commit_append_done(
-        &self,
-        _client: &ClientCore,
-        st: &mut ClientState,
-    ) -> Result<Option<Lsn>> {
-        Ok(Some(st.wal.end_lsn()))
     }
 
     fn commit_wait_durable(&self, client: &ClientCore, txn: TxnId, upto: Lsn) -> Result<()> {

@@ -192,41 +192,18 @@ pub struct SystemConfig {
     pub net_latency: Duration,
     /// Simulated latency added to every disk I/O (log force, page write).
     pub disk_latency: Duration,
-    /// Number of independent server shards. Pages are partitioned by
-    /// `PageId % server_shards`; each shard owns its slice of the lock
-    /// table, buffer pool and DCT so requests on different pages never
-    /// contend. `1` reproduces the unsharded server.
-    pub server_shards: usize,
     /// Number of independent server *instances* (partitioned scale-out).
     /// Pages are partitioned across instances by `PageId %
     /// server_instances`; each instance is a full `ServerCore` — its own
-    /// GLM shards, store partition, DCT, server log, checkpoints and §4.1
+    /// GLM, store partition, DCT, server log, checkpoints and §4.1
     /// commit-log ship — and clients route requests through a
     /// `PartitionedServer`. `1` reproduces the single-server system.
     pub server_instances: usize,
-    /// Ship callbacks emitted by one GLM decision as one batch message
-    /// per destination client, delivered to distinct holders in parallel
-    /// (a grant blocked on N holders resolves after max(RTT) instead of
-    /// sum(RTT)). `false` reproduces the one-callback-one-round-trip
-    /// protocol for ablation.
-    pub callback_batching: bool,
-    /// Group commit: concurrent committers on one client coalesce into a
-    /// single private-log force — a committer whose commit record is
-    /// already covered by a cohort member's force piggybacks instead of
-    /// forcing again. `false` forces once per commit.
-    pub group_commit: bool,
     /// Per-thread flight-recorder ring capacity (events retained before
     /// the oldest is evicted). Raise it for trace-assembly runs that need
     /// the whole event window; evictions are counted in the
     /// `ring_dropped_events` metric either way.
     pub obs_ring_entries: usize,
-    /// Defer building each client's heavyweight state (pre-sized cache
-    /// frame table, hot transaction/DPT maps) until its first `begin`.
-    /// With 100k simulated clients of which only a subset transact, the
-    /// idle ones then cost almost nothing. `false` builds everything at
-    /// construction — the pre-scaling behavior, kept for determinism
-    /// ablation (state timing must never change protocol traffic).
-    pub lazy_client_init: bool,
     /// Which transport carries the protocol: the in-process counted
     /// fabric (deterministic default) or real sockets (TCP/UDS) speaking
     /// the `fgl-net` frame codec. Socket transports ignore `net_latency`
@@ -252,12 +229,8 @@ impl Default for SystemConfig {
             lock_timeout: Duration::from_secs(5),
             net_latency: Duration::ZERO,
             disk_latency: Duration::ZERO,
-            server_shards: 1,
             server_instances: 1,
-            callback_batching: true,
-            group_commit: true,
             obs_ring_entries: 256,
-            lazy_client_init: true,
             transport: TransportKind::Sim,
         }
     }
@@ -291,12 +264,6 @@ impl SystemConfig {
         }
         if self.lock_timeout < Duration::from_millis(10) {
             return Err(FglError::Config("lock_timeout below 10ms".into()));
-        }
-        if self.server_shards == 0 || self.server_shards > 256 {
-            return Err(FglError::Config(format!(
-                "server_shards {} out of supported range [1, 256]",
-                self.server_shards
-            )));
         }
         if self.server_instances == 0 || self.server_instances > 64 {
             return Err(FglError::Config(format!(
@@ -353,39 +320,15 @@ impl SystemConfig {
         self
     }
 
-    /// Builder-style setter for the server shard count.
-    pub fn with_server_shards(mut self, n: usize) -> Self {
-        self.server_shards = n;
-        self
-    }
-
     /// Builder-style setter for the server instance (partition) count.
     pub fn with_server_instances(mut self, n: usize) -> Self {
         self.server_instances = n;
         self
     }
 
-    /// Builder-style setter for per-destination callback batching.
-    pub fn with_callback_batching(mut self, on: bool) -> Self {
-        self.callback_batching = on;
-        self
-    }
-
-    /// Builder-style setter for group commit.
-    pub fn with_group_commit(mut self, on: bool) -> Self {
-        self.group_commit = on;
-        self
-    }
-
     /// Builder-style setter for the flight-recorder ring capacity.
     pub fn with_obs_ring_entries(mut self, entries: usize) -> Self {
         self.obs_ring_entries = entries;
-        self
-    }
-
-    /// Builder-style setter for lazy per-client state construction.
-    pub fn with_lazy_client_init(mut self, on: bool) -> Self {
-        self.lazy_client_init = on;
         self
     }
 
@@ -450,20 +393,11 @@ mod tests {
             .with_granularity(LockGranularity::Page)
             .with_update_policy(UpdatePolicy::UpdateToken)
             .with_commit_policy(CommitPolicy::ServerLog)
-            .with_server_shards(4)
-            .with_callback_batching(false)
-            .with_group_commit(false);
+            .with_server_instances(4);
         assert_eq!(c.granularity, LockGranularity::Page);
         assert_eq!(c.update_policy, UpdatePolicy::UpdateToken);
         assert_eq!(c.commit_policy, CommitPolicy::ServerLog);
-        assert_eq!(c.server_shards, 4);
-        assert!(!c.callback_batching);
-        assert!(!c.group_commit);
-        let d = SystemConfig::default();
-        assert!(d.callback_batching);
-        assert!(d.group_commit);
-        assert!(d.lazy_client_init);
-        assert!(!d.clone().with_lazy_client_init(false).lazy_client_init);
+        assert_eq!(c.server_instances, 4);
     }
 
     #[test]
@@ -533,18 +467,5 @@ mod tests {
                 .server_instances,
             2
         );
-    }
-
-    #[test]
-    fn rejects_zero_or_excessive_shards() {
-        let mut c = SystemConfig {
-            server_shards: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        c.server_shards = 512;
-        assert!(c.validate().is_err());
-        c.server_shards = 8;
-        assert!(c.validate().is_ok());
     }
 }

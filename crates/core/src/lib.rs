@@ -54,7 +54,7 @@ pub use fgl_net::{PartitionedServer, ServerApi};
 pub use fgl_obs::{
     CaptureSink, Event, HistKind, HistSnapshot, LogOwner, Metrics, RecoveryPhase, Snapshot,
 };
-pub use fgl_server::{RestartReport, ServerCore, ServerStats, ShardStats};
+pub use fgl_server::{RestartReport, ServerCore, ServerStats};
 pub use fgl_storage::page::Page;
 
 use fgl_storage::disk::{DiskBackend, MemDisk, SimDisk};
@@ -73,8 +73,8 @@ use std::sync::Arc;
 ///
 /// With `cfg.server_instances = N > 1` the builder stands up N
 /// independent server instances (instance `k` owns pages with
-/// `PageId % N == k`, each with its own GLM shards, store partition,
-/// DCT, server log and checkpoints), joins their wait graphs through a
+/// `PageId % N == k`, each with its own GLM, store partition, DCT,
+/// server log and checkpoints), joins their wait graphs through a
 /// [`fgl_locks::DeadlockCoordinator`], and hands every client one
 /// [`PartitionedServer`] routing by page residue class — on either
 /// transport. [`System::server`] stays the instance-0 handle so
@@ -325,8 +325,8 @@ impl System {
     }
 
     /// One unified [`Snapshot`]: the registry's histograms and counters
-    /// plus the four legacy stats surfaces — [`ServerStats`] (with its
-    /// per-shard breakdown), the summed [`ClientStats`], the per-kind
+    /// plus the four legacy stats surfaces — [`ServerStats`] (summed and
+    /// per instance), the summed [`ClientStats`], the per-kind
     /// [`NetSnapshot`] and the simulated-disk I/O counts — folded in as
     /// named counters. Two of these subtract cleanly via
     /// [`Snapshot::delta_since`] to measure an interval.
@@ -334,11 +334,7 @@ impl System {
         let mut snap = self.server.metrics().snapshot();
 
         // Server counters sum across instances; each instance also
-        // reports under its own `srv{k}_*` namespace, with shard
-        // counters nested as `srv{k}_shard{j}_*` — both axes explicit,
-        // so multi-instance runs cannot collide shard names across
-        // servers. Single-instance systems additionally keep the legacy
-        // flat `shard{j}_*` names E11 consumers read.
+        // reports under its own `srv{k}_*` namespace.
         let per_instance: Vec<ServerStats> = self.servers.iter().map(|s| s.stats()).collect();
         let sum = |f: fn(&ServerStats) -> u64| per_instance.iter().map(f).sum::<u64>();
         snap.set_counter("server_lock_requests", sum(|s| s.lock_requests));
@@ -349,23 +345,12 @@ impl System {
         snap.set_counter("server_checkpoints", sum(|s| s.server_checkpoints));
         snap.set_counter("server_commit_log_ships", sum(|s| s.commit_log_ships));
         snap.set_counter("server_merges", sum(|s| s.merges));
-        let single = per_instance.len() == 1;
         for (k, s) in per_instance.iter().enumerate() {
             snap.set_counter(&format!("srv{k}_lock_requests"), s.lock_requests);
             snap.set_counter(&format!("srv{k}_page_fetches"), s.page_fetches);
             snap.set_counter(&format!("srv{k}_pages_received"), s.pages_received);
             snap.set_counter(&format!("srv{k}_commit_log_ships"), s.commit_log_ships);
             snap.set_counter(&format!("srv{k}_merges"), s.merges);
-            for (j, sh) in s.per_shard.iter().enumerate() {
-                snap.set_counter(&format!("srv{k}_shard{j}_lock_requests"), sh.lock_requests);
-                snap.set_counter(&format!("srv{k}_shard{j}_page_fetches"), sh.page_fetches);
-                snap.set_counter(&format!("srv{k}_shard{j}_merges"), sh.merges);
-                if single {
-                    snap.set_counter(&format!("shard{j}_lock_requests"), sh.lock_requests);
-                    snap.set_counter(&format!("shard{j}_page_fetches"), sh.page_fetches);
-                    snap.set_counter(&format!("shard{j}_merges"), sh.merges);
-                }
-            }
         }
 
         // Active-client set: clients that never ran a transaction report
@@ -978,7 +963,7 @@ mod tests {
 
     /// Lazy client init: an idle client's hot maps stay unallocated and
     /// it stays out of the active set; the first `begin` pre-sizes the
-    /// maps from config. Eager mode pays the footprint at construction.
+    /// maps from config.
     #[test]
     fn lazy_client_init_defers_and_presizes_hot_state() {
         let sys = System::build(quiet_cfg(), 2).unwrap();
@@ -1001,11 +986,6 @@ mod tests {
         );
         assert!(txns >= 8 && in_transit >= 8);
         assert_eq!(idle.hot_map_capacities(), (0, 0, 0));
-
-        // Eager mode: the same footprint exists before any transaction.
-        let eager = System::build(quiet_cfg().with_lazy_client_init(false), 1).unwrap();
-        let (dpt, txns, in_transit) = eager.client(0).hot_map_capacities();
-        assert!(dpt >= quiet_cfg().client_cache_pages && txns >= 8 && in_transit >= 8);
     }
 
     /// The config is shared behind one `Arc`, not cloned per client.
@@ -1156,8 +1136,11 @@ mod tests {
         assert_eq!(alice.read(t, ob).unwrap(), b"BOB-b!");
         alice.commit(t).unwrap();
 
-        // Both instances actually served lock traffic.
+        // Both instances actually served lock traffic, their counters
+        // sum to the global axis, and instances are the only partition
+        // axis the metrics name.
         let snap = sys.metrics_snapshot();
+        let mut per_instance = 0;
         for k in 0..2 {
             let served = snap
                 .counters
@@ -1165,51 +1148,10 @@ mod tests {
                 .copied()
                 .unwrap_or(0);
             assert!(served > 0, "instance {k} saw no lock traffic");
+            per_instance += served;
         }
-    }
-
-    /// Satellite 2: multi-instance shard counters nest as
-    /// `srv{k}_shard{j}_*`; the flat legacy `shard{j}_*` names are
-    /// reserved for single-instance systems; per-instance counters sum to
-    /// the global `server_*` axis.
-    #[test]
-    fn multi_instance_metrics_nest_per_server_shards() {
-        let sys = System::build(
-            quiet_cfg().with_server_instances(2).with_server_shards(2),
-            1,
-        )
-        .unwrap();
-        let c = sys.client(0);
-        let (pa, pb) = two_pages_two_partitions(&sys, c);
-        let t = c.begin().unwrap();
-        c.insert(t, pa, b"aaaa").unwrap();
-        c.insert(t, pb, b"bbbb").unwrap();
-        c.commit(t).unwrap();
-
-        let snap = sys.metrics_snapshot();
-        for k in 0..2 {
-            for j in 0..2 {
-                assert!(
-                    snap.counters
-                        .contains_key(&format!("srv{k}_shard{j}_lock_requests")),
-                    "missing srv{k}_shard{j}_lock_requests"
-                );
-            }
-        }
-        assert!(
-            !snap.counters.contains_key("shard0_lock_requests"),
-            "flat shard names must not leak out of single-instance mode"
-        );
-        let total = snap.counters.get("server_lock_requests").copied().unwrap();
-        let per: u64 = (0..2)
-            .map(|k| {
-                snap.counters
-                    .get(&format!("srv{k}_lock_requests"))
-                    .copied()
-                    .unwrap()
-            })
-            .sum();
-        assert_eq!(total, per, "global axis must equal the instance sum");
+        assert_eq!(snap.counters["server_lock_requests"], per_instance);
+        assert!(!snap.counters.keys().any(|name| name.contains("shard")));
     }
 
     /// The router composes with the socket transport: two server

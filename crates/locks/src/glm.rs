@@ -135,15 +135,13 @@ enum Conflict {
     ObjLevel(ClientId, SlotId, ObjMode),
 }
 
-/// The global lock manager — one instance per server shard (pages are
-/// partitioned across shards by the runtime; the unsharded server is the
-/// one-shard case).
+/// The global lock manager — one per server instance.
 #[derive(Default)]
 pub struct GlmCore {
     pages: HashMap<PageId, PageLocks>,
-    /// Waits-for graph (deferral + queue edges). Shared across every GLM
-    /// shard of a server so deadlock cycles spanning shards are detected;
-    /// a standalone `GlmCore::new()` owns a private instance.
+    /// Waits-for graph (deferral + queue edges). The server hands in the
+    /// graph its cross-instance coordinator reads; a standalone
+    /// `GlmCore::new()` owns a private one.
     graph: Arc<WaitGraph>,
     /// Clients currently marked crashed (their callbacks queue at the
     /// server runtime; the GLM only needs it to skip S-lock grants held
@@ -156,7 +154,7 @@ impl GlmCore {
         Self::default()
     }
 
-    /// A shard-local lock table feeding the given shared waits-for graph.
+    /// A lock table feeding the given waits-for graph.
     pub fn with_graph(graph: Arc<WaitGraph>) -> Self {
         GlmCore {
             graph,
@@ -716,7 +714,7 @@ impl GlmCore {
     /// that waiter's transaction. Without the queue edges, cycles that
     /// thread through FIFO ordering are invisible until the timeout
     /// backstop fires. Called after every waiter-queue change; a page
-    /// belongs to exactly one shard, so publications never race.
+    /// belongs to exactly one server instance, so publications never race.
     fn publish_queue_edges(&self, page: PageId) {
         let edges = match self.pages.get(&page) {
             Some(entry) => {
@@ -738,8 +736,8 @@ impl GlmCore {
         self.graph.publish_queue_edges(page, edges);
     }
 
-    /// Cycle search over the shared graph (deferral edges from every
-    /// shard plus the republished queue edges); the youngest cycle member
+    /// Cycle search over the graph (deferral edges plus the republished
+    /// queue edges); the youngest cycle member
     /// (largest local sequence, tie-broken by raw id) is the victim.
     fn find_deadlock_victim(&self, start: TxnId) -> Option<TxnId> {
         self.graph.find_victim(start)

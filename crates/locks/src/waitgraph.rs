@@ -1,27 +1,27 @@
-//! The process-global **waits-for graph** backing distributed deadlock
-//! detection.
+//! The **waits-for graph** backing distributed deadlock detection.
 //!
-//! With the server's hot path sharded by page partition, each shard owns
-//! an independent [`GlmCore`](crate::glm::GlmCore) slice of the lock
-//! table — but a deadlock cycle can thread through pages living on
-//! *different* shards (txn A waits on a page in shard 0 while txn B waits
-//! on a page in shard 1). Detection therefore runs on one shared graph
-//! that every shard feeds:
+//! Each server instance's [`GlmCore`](crate::glm::GlmCore) writes its
+//! waits-for edges here rather than keeping them private, because in a
+//! multi-instance page service a deadlock cycle can thread through pages
+//! living on *different* instances (txn A waits on a page of instance 0
+//! while txn B waits on a page of instance 1): the
+//! [`DeadlockCoordinator`] merges every instance's graph and runs the
+//! cycle search over the union. A single server searches its own graph.
+//! Two kinds of edge:
 //!
 //! * **deferral edges** — waiter txn → blocking txns named in deferred
 //!   callback replies — are written directly;
 //! * **queue edges** — a waiter behind an earlier conflicting waiter in a
 //!   page's FIFO queue waits for that waiter's transaction — are
-//!   *republished per page* whenever a shard mutates that page's waiter
-//!   queue. A page maps to exactly one shard, so publications never race
-//!   on the same key.
+//!   *republished per page* whenever the GLM mutates that page's waiter
+//!   queue. A page maps to exactly one instance, so publications never
+//!   race on the same key.
 //!
-//! Locking discipline: a shard always acquires its own lock-table mutex
+//! Locking discipline: a server always acquires its own lock-table mutex
 //! **before** touching the graph, and the graph never calls back into a
-//! shard — the ordering `shard → graph` is acyclic, so cross-shard
-//! detection adds no deadlock risk of its own. The victim policy is the
-//! one the unsharded GLM used: the youngest cycle member, by
-//! `(local_seq, raw id)`.
+//! server — the ordering `glm → graph` is acyclic, so detection adds no
+//! deadlock risk of its own. The victim policy is the youngest cycle
+//! member, by `(local_seq, raw id)`.
 
 use crate::coordinator::DeadlockCoordinator;
 use fgl_common::{PageId, TxnId};
@@ -38,8 +38,8 @@ struct Inner {
     queue: HashMap<PageId, Vec<(TxnId, TxnId)>>,
 }
 
-/// Shared waits-for graph. One instance per server, shared by all GLM
-/// shards through an `Arc`.
+/// Waits-for graph. One per server instance, shared between its GLM and
+/// (in a multi-instance system) the coordinator through an `Arc`.
 #[derive(Default)]
 pub struct WaitGraph {
     inner: Mutex<Inner>,
@@ -112,7 +112,7 @@ impl WaitGraph {
         self.bump();
     }
 
-    /// Replace the queue edges contributed by `page` (the owning shard
+    /// Replace the queue edges contributed by `page` (the owning GLM
     /// calls this after any waiter-queue change; an empty list clears the
     /// page's contribution).
     pub fn publish_queue_edges(&self, page: PageId, edges: Vec<(TxnId, TxnId)>) {
@@ -213,7 +213,7 @@ mod tests {
     fn cycle_spanning_deferral_and_queue_edges() {
         let g = WaitGraph::new();
         // t1 -> t2 via a deferral, t2 -> t1 via a queue edge on another
-        // page — the cross-shard shape.
+        // page.
         g.add_deferrals(t(1, 5), &[t(2, 7)]);
         g.publish_queue_edges(PageId(9), vec![(t(2, 7), t(1, 5))]);
         assert_eq!(g.find_victim(t(1, 5)), Some(t(2, 7)));

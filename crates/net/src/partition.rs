@@ -132,8 +132,7 @@ impl ServerApi for PartitionedServer {
 
     fn cancel_wait(&self, client: ClientId, txn: TxnId) {
         // The caller does not know which partition the txn queued on;
-        // non-owning partitions no-op (mirroring the per-shard hunt
-        // inside one server).
+        // non-owning partitions no-op.
         for part in &self.parts {
             part.cancel_wait(client, txn);
         }

@@ -54,7 +54,7 @@ pub const HEADER: usize = wire::HEADER;
 /// Handshake magic: `"FGLW"`.
 pub const MAGIC: u32 = 0x4647_4C57;
 /// Codec version carried in the handshake.
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 /// Upper bound on a single frame; larger length prefixes are corrupt.
 pub const MAX_FRAME: usize = 64 << 20;
 
@@ -1527,11 +1527,7 @@ pub fn encode_hello_ack(cfg: &SystemConfig) -> Vec<Seg> {
     b.u64(cfg.lock_timeout.as_nanos() as u64);
     b.u64(cfg.net_latency.as_nanos() as u64);
     b.u64(cfg.disk_latency.as_nanos() as u64);
-    b.u64(cfg.server_shards as u64);
     b.u64(cfg.server_instances as u64);
-    b.u8(cfg.callback_batching as u8);
-    b.u8(cfg.group_commit as u8);
-    b.u8(cfg.lazy_client_init as u8);
     b.u64(cfg.obs_ring_entries as u64);
     b.frame(FrameKind::HelloAck, 0, 0, 0)
 }
@@ -1585,11 +1581,7 @@ pub fn decode_hello_ack(body: &[u8]) -> Result<SystemConfig> {
     let lock_timeout = Duration::from_nanos(c.u64()?);
     let net_latency = Duration::from_nanos(c.u64()?);
     let disk_latency = Duration::from_nanos(c.u64()?);
-    let server_shards = c.u64()? as usize;
     let server_instances = c.u64()? as usize;
-    let callback_batching = c.u8()? != 0;
-    let group_commit = c.u8()? != 0;
-    let lazy_client_init = c.u8()? != 0;
     let obs_ring_entries = c.u64()? as usize;
     c.done()?;
     Ok(SystemConfig {
@@ -1607,12 +1599,8 @@ pub fn decode_hello_ack(body: &[u8]) -> Result<SystemConfig> {
         lock_timeout,
         net_latency,
         disk_latency,
-        server_shards,
         server_instances,
-        callback_batching,
-        group_commit,
         obs_ring_entries,
-        lazy_client_init,
         transport,
     })
 }

@@ -11,4 +11,4 @@ pub mod runtime;
 pub use dct::Dct;
 pub use pagestore::PageStore;
 pub use recovery::RestartReport;
-pub use runtime::{LockResponse, ServerCore, ServerStats, ShardStats};
+pub use runtime::{LockResponse, ServerCore, ServerStats};

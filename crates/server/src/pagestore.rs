@@ -32,10 +32,11 @@ impl PageStore {
         Self::with_partition(disk, pool_pages, page_size, 0, 1)
     }
 
-    /// A store owning one page partition of a sharded server: fresh
-    /// allocations walk the residue class `start mod step`, so sibling
-    /// shards never hand out colliding page ids. `(0, 1)` is the whole
-    /// id space (the unsharded server).
+    /// A store owning one page partition of a multi-instance page
+    /// service: fresh allocations walk the residue class `start mod step`
+    /// — instance `k` of `N` passes `(k, N)` — so sibling instances never
+    /// hand out colliding page ids. `(0, 1)` is the whole id space (the
+    /// single server).
     pub fn with_partition(
         disk: Arc<dyn DiskBackend>,
         pool_pages: usize,
@@ -104,7 +105,7 @@ impl PageStore {
     }
 
     /// Handle to the backing disk, for I/O performed while no store lock
-    /// is held (the simulated disk latency must not run under a shard
+    /// is held (the simulated disk latency must not run under a server
     /// mutex).
     pub fn disk_handle(&self) -> Arc<dyn DiskBackend> {
         self.disk.clone()

@@ -74,7 +74,7 @@ impl ServerCore {
             let report = peer.report_state();
             self.net.msg(MsgKind::Recovery, 64 + 24 * report.dpt.len());
             for lock in report.locks.iter().filter(|l| self.owns_page(l.page())) {
-                self.glm_for(lock.page()).install_holder(id, *lock);
+                self.glm.lock().install_holder(id, *lock);
             }
             dpt_by_client.insert(
                 id,
@@ -117,13 +117,13 @@ impl ServerCore {
         // clients.
         for (client, dpt) in &dpt_by_client {
             for (page, _) in dpt {
-                self.dct_for(*page).insert(*page, *client, None);
+                self.dct.lock().insert(*page, *client, None);
             }
         }
         // Step 2: read candidate pages from disk, remember their PSNs.
         let mut disk_psn: HashMap<PageId, Psn> = HashMap::new();
         for page in involved.keys() {
-            if let Some(p) = self.store_for(*page).read_disk(*page)? {
+            if let Some(p) = self.store.lock().read_disk(*page)? {
                 disk_psn.insert(*page, p.psn());
             }
         }
@@ -149,9 +149,9 @@ impl ServerCore {
             }
         };
         // §3.5: checkpointed entries (which may reference crashed
-        // clients' pages) seed the table, each in its page's shard.
+        // clients' pages) seed the table.
         for e in ckpt_dct {
-            self.dct_for(e.page).install(e);
+            self.dct.lock().install(e);
         }
         let replacement_records: Vec<(Lsn, LogPayload)> = {
             let slog = self.slog_mut();
@@ -162,7 +162,7 @@ impl ServerCore {
         let records_scanned = replacement_records.len();
         for (lsn, payload) in replacement_records {
             if let LogPayload::Replacement(r) = payload {
-                let mut dct = self.dct_for(r.page);
+                let mut dct = self.dct.lock();
                 for (cid, _) in &r.clients {
                     dct.insert(r.page, *cid, None);
                 }
@@ -251,9 +251,9 @@ impl ServerCore {
                     let c = *c;
                     scope.spawn(move || -> Result<()> {
                         // Base copy: the server's current merged view.
-                        let (base, evicted) = self.store_for(page).get_or_format(page)?;
+                        let (base, evicted) = self.store.lock().get_or_format(page)?;
                         self.flush_images_pub(evicted)?;
-                        let install_psn = self.dct_for(page).psn_of(page, c).unwrap_or(base.psn());
+                        let install_psn = self.dct.lock().psn_of(page, c).unwrap_or(base.psn());
                         self.net.msg(MsgKind::Recovery, 32 + 24 * list.len());
                         self.net.msg(MsgKind::PageShip, base.size());
                         let outcome = peer.recover_page(page, base.into_bytes(), install_psn, list);

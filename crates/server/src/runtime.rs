@@ -2,33 +2,28 @@
 //! message fabric, and the driver that turns GLM events into callbacks,
 //! grants and aborts.
 //!
-//! # Sharding
+//! # One of each
 //!
-//! The hot path is partitioned into `cfg.server_shards` independent
-//! `Shard`s keyed by `PageId % N`. Each shard owns its slice of the lock
-//! table (a [`GlmCore`]), the buffer pool + space-map partition (a
-//! [`PageStore`] allocating ids in the shard's residue class), the DCT,
-//! the parked lock waiters, and the per-page bookkeeping (`replaced_by`,
-//! `last_ship`). A page maps to exactly one shard, so per-page ordering
-//! (PSN monotonicity, callback-before-grant) is untouched; requests on
-//! pages of different shards never contend. Deadlock detection stays
-//! process-global through the shared [`WaitGraph`] every shard's GLM
-//! feeds, so cycles spanning shards are still found. What stays
-//! deliberately global: the server log (one sequential device), the
-//! §4.1 `commit_ship_log` baseline (its shared mutex *is* the bottleneck
-//! the paper predicts — do not shard it), and client lifecycle state.
+//! A `ServerCore` is the paper's server (§2, §3.2): one lock table (a
+//! [`GlmCore`]), one buffer pool + space map (a [`PageStore`]), one DCT,
+//! one server log. Scale-out is by *instances*: an N-way partitioned
+//! page service is N `ServerCore`s, instance `k` owning the pages with
+//! `PageId % N == k` (see [`ServerCore::new_instance`]); nothing inside
+//! an instance is partitioned again. The GLM feeds a [`WaitGraph`] that
+//! the cross-instance `DeadlockCoordinator` reads, so cycles spanning
+//! instances are still found. The §4.1 `commit_ship_log` baseline's
+//! shared mutex *is* the bottleneck the paper predicts and stays as is.
 //!
 //! # Locking discipline
 //!
-//! Internal mutexes (per-shard `glm`, `store`, `dct`, `waiters`, …) are
-//! held only for short state transitions and **never** across a
-//! [`ClientPeer`] call; clients, symmetrically, never invoke the server
-//! while holding their own runtime mutex. This pair of rules is what
-//! makes the direct-call message fabric deadlock-free. Shard mutexes also
-//! never nest across shards, and a shard's GLM acquires the shared wait
-//! graph's lock only while the graph never calls back into a shard, so
-//! the order `shard → graph` is acyclic. Simulated disk latency
-//! (page reads and in-place writes) runs with **no shard lock held**: the
+//! Internal mutexes (`glm`, `store`, `dct`, `waiters`, …) are held only
+//! for short state transitions and **never** across a [`ClientPeer`]
+//! call; clients, symmetrically, never invoke the server while holding
+//! their own runtime mutex. This pair of rules is what makes the
+//! direct-call message fabric deadlock-free. The GLM acquires the wait
+//! graph's lock only while the graph never calls back into the server,
+//! so the order `glm → graph` is acyclic. Simulated disk latency (page
+//! reads and in-place writes) runs with **no server lock held**: the
 //! store exposes pool-first primitives and a bare disk handle so every
 //! sleep happens between lock acquisitions.
 
@@ -71,17 +66,6 @@ pub struct ServerStats {
     pub server_checkpoints: u64,
     pub commit_log_ships: u64,
     pub merges: u64,
-    /// Hot-path traffic per shard, index = `PageId % server_shards` — the
-    /// E11 scaling experiment reads the skew straight off this.
-    pub per_shard: Vec<ShardStats>,
-}
-
-/// One shard's slice of the hot-path counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShardStats {
-    pub lock_requests: u64,
-    pub page_fetches: u64,
-    pub merges: u64,
 }
 
 /// Map a GLM callback to its observability class.
@@ -95,28 +79,6 @@ fn class_of(kind: &CallbackKind) -> CallbackClass {
     }
 }
 
-/// One partition of the server's hot path: everything keyed by a page in
-/// the shard's residue class lives here, behind shard-local mutexes.
-struct Shard {
-    glm: Mutex<GlmCore>,
-    store: Mutex<PageStore>,
-    dct: Mutex<Dct>,
-    /// Parked lock waiters plus the cached PSN their request carried
-    /// (footnote 4 of §3.2). Keyed by txn; a txn's waiter lives in the
-    /// shard of the page it is waiting on.
-    waiters: Mutex<HashMap<TxnId, (GrantSlot, Option<Psn>)>>,
-    /// Clients that replaced each page and must be told when it is forced
-    /// (§3.6).
-    replaced_by: Mutex<HashMap<PageId, HashSet<ClientId>>>,
-    /// Last client to ship each page, with the shipped PSN — callback
-    /// log-record evidence (§3.1).
-    last_ship: Mutex<HashMap<PageId, (ClientId, Psn)>>,
-    /// Shard-local traffic counters (surfaced in [`ServerStats::per_shard`]).
-    lock_requests: AtomicU64,
-    page_fetches: AtomicU64,
-    merges: AtomicU64,
-}
-
 /// The page server.
 pub struct ServerCore {
     /// Read-mostly and shared: clients hold `Arc` clones instead of
@@ -128,17 +90,24 @@ pub struct ServerCore {
     /// single-server system.
     instance: usize,
     instances: usize,
-    /// Hot-path partitions; an owned page belongs to
-    /// `shards[(page / instances) % len]`.
-    shards: Vec<Shard>,
-    /// Process-global waits-for graph fed by every shard's GLM —
-    /// cross-shard deadlock cycles are detected here.
+    pub(crate) glm: Mutex<GlmCore>,
+    pub(crate) store: Mutex<PageStore>,
+    pub(crate) dct: Mutex<Dct>,
+    /// Parked lock waiters plus the cached PSN their request carried
+    /// (footnote 4 of §3.2), keyed by txn.
+    waiters: Mutex<HashMap<TxnId, (GrantSlot, Option<Psn>)>>,
+    /// Clients that replaced each page and must be told when it is forced
+    /// (§3.6).
+    replaced_by: Mutex<HashMap<PageId, HashSet<ClientId>>>,
+    /// Last client to ship each page, with the shipped PSN — callback
+    /// log-record evidence (§3.1).
+    last_ship: Mutex<HashMap<PageId, (ClientId, Psn)>>,
+    /// The waits-for graph the GLM feeds; the cross-instance
+    /// [`DeadlockCoordinator`] reads it.
     wait_graph: Arc<WaitGraph>,
     /// Multi-server systems: the merged cycle search this instance's
     /// graph joined, plus our member id (skipped on our own broadcasts).
     coord: OnceLock<(Arc<DeadlockCoordinator>, usize)>,
-    /// Round-robin cursor spreading fresh allocations across shards.
-    alloc_next: AtomicU64,
     /// Server log: replacement records + server checkpoints (§3.1, §3.2).
     /// Global: one sequential log device.
     slog: Mutex<LogManager>,
@@ -183,10 +152,10 @@ impl ServerCore {
 
     /// Build one instance of an N-way partitioned page service: the
     /// instance owns pages in the residue class `PageId % instances ==
-    /// instance` and slices *those* across its own GLM shards by
-    /// `(PageId / instances) % shards`. Every instance gets its own
-    /// store partition, DCT, server log and §4.1 commit-log ship; the
-    /// metrics registry is shared so one snapshot covers the system.
+    /// instance`, and its space map allocates ids in that class. Every
+    /// instance gets its own GLM, store, DCT, server log and §4.1
+    /// commit-log ship; the metrics registry is shared so one snapshot
+    /// covers the system.
     /// `(0, 1)` with a fresh registry is exactly [`ServerCore::new`].
     pub fn new_instance(
         cfg: SystemConfig,
@@ -197,34 +166,14 @@ impl ServerCore {
         metrics: Arc<Metrics>,
     ) -> Arc<Self> {
         assert!(instances >= 1 && instance < instances);
-        let n = cfg.server_shards.max(1);
         let wait_graph = Arc::new(WaitGraph::new());
-        // Split the buffer pool evenly; every shard keeps at least one
-        // frame so tiny pools still make progress.
-        let pool_per_shard = (cfg.server_cache_pages / n).max(1);
-        // Shard i of instance k allocates ids ≡ i·instances + k modulo
-        // shards·instances: every id it hands out satisfies both
-        // `id % instances == k` (instance ownership) and
-        // `(id / instances) % shards == i` (shard ownership).
-        let shards = (0..n)
-            .map(|i| Shard {
-                glm: Mutex::new(GlmCore::with_graph(wait_graph.clone())),
-                store: Mutex::new(PageStore::with_partition(
-                    disk.clone(),
-                    pool_per_shard,
-                    cfg.page_size,
-                    (i * instances + instance) as u64,
-                    (n * instances) as u64,
-                )),
-                dct: Mutex::new(Dct::new()),
-                waiters: Mutex::new(HashMap::new()),
-                replaced_by: Mutex::new(HashMap::new()),
-                last_ship: Mutex::new(HashMap::new()),
-                lock_requests: AtomicU64::new(0),
-                page_fetches: AtomicU64::new(0),
-                merges: AtomicU64::new(0),
-            })
-            .collect();
+        let store = PageStore::with_partition(
+            disk,
+            cfg.server_cache_pages,
+            cfg.page_size,
+            instance as u64,
+            instances as u64,
+        );
         let mut slog = LogManager::new(
             Box::new(fgl_wal::store::SimLogStore::new(
                 Box::new(MemLogStore::new()),
@@ -238,10 +187,14 @@ impl ServerCore {
             net,
             instance,
             instances,
-            shards,
+            glm: Mutex::new(GlmCore::with_graph(wait_graph.clone())),
+            store: Mutex::new(store),
+            dct: Mutex::new(Dct::new()),
+            waiters: Mutex::new(HashMap::new()),
+            replaced_by: Mutex::new(HashMap::new()),
+            last_ship: Mutex::new(HashMap::new()),
             wait_graph,
             coord: OnceLock::new(),
-            alloc_next: AtomicU64::new(0),
             slog: Mutex::new(slog),
             peers: RwLock::new(HashMap::new()),
             client_logs: Mutex::new(HashMap::new()),
@@ -275,11 +228,6 @@ impl ServerCore {
         self.cfg.clone()
     }
 
-    /// Number of hot-path partitions.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// This server's partition index (`0` in a single-server system).
     pub fn instance(&self) -> usize {
         self.instance
@@ -296,16 +244,10 @@ impl ServerCore {
         page.0 % self.instances as u64 == self.instance as u64
     }
 
-    fn shard_of(&self, page: PageId) -> &Shard {
-        debug_assert!(self.owns_page(page), "misrouted page {page:?}");
-        &self.shards[((page.0 / self.instances as u64) % self.shards.len() as u64) as usize]
-    }
-
     /// Join a multi-server system's merged deadlock search: this
     /// instance's wait graph starts feeding the coordinator, and victims
     /// detected elsewhere are torn down here through the registered
-    /// abort hook (which hunts the victim's parked waiter across our
-    /// shards — idempotent when the victim never waited here).
+    /// abort hook (idempotent when the victim never waited here).
     pub fn attach_coordinator(self: &Arc<Self>, coord: &Arc<DeadlockCoordinator>) {
         let weak: Weak<ServerCore> = Arc::downgrade(self);
         let member = coord.register(
@@ -326,16 +268,19 @@ impl ServerCore {
         if self.down.load(Ordering::Acquire) {
             return;
         }
-        let mut events = Vec::new();
-        for shard in &self.shards {
-            let slot = shard.waiters.lock().remove(&txn);
-            if let Some((slot, _)) = slot {
-                self.net.msg(MsgKind::Abort, 16);
-                slot.fulfil(GrantMsg::Victim);
-            }
-            events.extend(shard.glm.lock().cancel_wait(txn));
-        }
+        let events = self.abort_waiter(txn);
         self.drive(events);
+    }
+
+    /// Tell `txn`'s parked waiter (if any) it was chosen as a deadlock
+    /// victim and withdraw its request from the GLM.
+    fn abort_waiter(&self, txn: TxnId) -> Vec<GlmEvent> {
+        let slot = self.waiters.lock().remove(&txn);
+        if let Some((slot, _)) = slot {
+            self.net.msg(MsgKind::Abort, 16);
+            slot.fulfil(GrantMsg::Victim);
+        }
+        self.glm.lock().cancel_wait(txn)
     }
 
     fn check_up(&self) -> Result<()> {
@@ -355,16 +300,7 @@ impl ServerCore {
             replacement_records: self.replacement_records.load(Ordering::Relaxed),
             server_checkpoints: self.server_checkpoints.load(Ordering::Relaxed),
             commit_log_ships: self.commit_log_ships.load(Ordering::Relaxed),
-            merges: self.shards.iter().map(|s| s.store.lock().merges()).sum(),
-            per_shard: self
-                .shards
-                .iter()
-                .map(|s| ShardStats {
-                    lock_requests: s.lock_requests.load(Ordering::Relaxed),
-                    page_fetches: s.page_fetches.load(Ordering::Relaxed),
-                    merges: s.merges.load(Ordering::Relaxed),
-                })
-                .collect(),
+            merges: self.store.lock().merges(),
         }
     }
 
@@ -412,8 +348,7 @@ impl ServerCore {
         self.check_up()?;
         self.net.msg(MsgKind::LockReq, 40);
         self.lock_requests.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard_of(target.page());
-        shard.lock_requests.fetch_add(1, Ordering::Relaxed);
+        debug_assert!(self.owns_page(target.page()), "misrouted {target:?}");
         emit(Event::LockRequest {
             client,
             txn,
@@ -426,18 +361,15 @@ impl ServerCore {
         // resolves the slot through this same mutex — registering after
         // releasing it would drop that wake-up and strand the client
         // until the timeout backstop.
-        let mut parked = shard.waiters.lock();
-        let (outcome, effective, events) = shard.glm.lock().lock(client, txn, target);
+        let mut parked = self.waiters.lock();
+        let (outcome, effective, events) = self.glm.lock().lock(client, txn, target);
         match outcome {
             LockOutcome::Granted {
                 first_exclusive_on_page,
             } => {
                 drop(parked);
                 if first_exclusive_on_page {
-                    shard
-                        .dct
-                        .lock()
-                        .insert(effective.page(), client, cached_psn);
+                    self.dct.lock().insert(effective.page(), client, cached_psn);
                 }
                 self.drive(events);
                 self.net.msg(MsgKind::LockReply, 24);
@@ -471,33 +403,25 @@ impl ServerCore {
         }
     }
 
-    /// A waiting client gave up (timeout) or aborted. The caller does not
-    /// know which page the txn queued on, so every shard is asked; the
-    /// non-owning ones no-op.
+    /// A waiting client gave up (timeout) or aborted.
     pub fn cancel_wait(&self, _client: ClientId, txn: TxnId) {
         self.net.msg(MsgKind::Control, 16);
         self.contention.on_resolve(txn, self.metrics.now_us());
-        let mut events = Vec::new();
-        for shard in &self.shards {
-            shard.waiters.lock().remove(&txn);
-            events.extend(shard.glm.lock().cancel_wait(txn));
-        }
+        self.waiters.lock().remove(&txn);
+        let events = self.glm.lock().cancel_wait(txn);
         self.drive(events);
     }
 
     /// Turn GLM events into protocol actions. Runs with no server mutex
-    /// held; each step routes to the owning shard and takes exactly the
-    /// locks it needs.
+    /// held; each step takes exactly the locks it needs.
     ///
     /// Callbacks are **batched per destination**: every `SendCallback` in
     /// the current wave of events is collected into one message per
     /// holder, the batches are delivered to distinct holders in parallel
     /// (legal precisely because `drive` holds no server mutex), and each
-    /// holder's merged reply feeds the owning shards' GLMs in one pass.
-    /// A grant blocked on N holders thus resolves after max(RTT) instead
-    /// of sum(RTT), and the E2/E10 callbacks-per-commit constant drops
-    /// with the fan-out. `cfg.callback_batching = false` reproduces the
-    /// one-callback-one-round-trip protocol for ablation.
+    /// holder's merged reply feeds the GLM in one pass. A grant blocked
+    /// on N holders thus resolves after max(RTT) instead of sum(RTT), and
+    /// the E2/E10 callbacks-per-commit constant drops with the fan-out.
     fn drive(&self, events: Vec<GlmEvent>) {
         let mut queue: std::collections::VecDeque<GlmEvent> = events.into();
         loop {
@@ -507,13 +431,9 @@ impl ServerCore {
             while let Some(ev) = queue.pop_front() {
                 match ev {
                     GlmEvent::SendCallback(cb) => {
-                        if self.cfg.callback_batching {
-                            match batches.iter_mut().find(|(to, _)| *to == cb.to) {
-                                Some((_, kinds)) => kinds.push(cb.kind),
-                                None => batches.push((cb.to, vec![cb.kind])),
-                            }
-                        } else {
-                            self.deliver_callback_now(cb.to, cb.kind, &mut queue);
+                        match batches.iter_mut().find(|(to, _)| *to == cb.to) {
+                            Some((_, kinds)) => kinds.push(cb.kind),
+                            None => batches.push((cb.to, vec![cb.kind])),
                         }
                     }
                     GlmEvent::Grant {
@@ -529,11 +449,10 @@ impl ServerCore {
                             queued: true,
                         });
                         self.contention.on_resolve(txn, self.metrics.now_us());
-                        let shard = self.shard_of(target.page());
-                        let slot = shard.waiters.lock().remove(&txn);
+                        let slot = self.waiters.lock().remove(&txn);
                         if let Some((slot, cached_psn)) = slot {
                             if first_exclusive_on_page {
-                                shard.dct.lock().insert(target.page(), client, cached_psn);
+                                self.dct.lock().insert(target.page(), client, cached_psn);
                             }
                             self.net.msg(MsgKind::LockReply, 24);
                             let evidence = self.grant_evidence(client, &target);
@@ -548,19 +467,7 @@ impl ServerCore {
                         emit(Event::DeadlockVictim { txn });
                         self.metrics.add("deadlock_victims", 1);
                         self.contention.on_resolve(txn, self.metrics.now_us());
-                        // The victim of a cross-shard cycle may be parked
-                        // on a page of *another* shard than the GLM that
-                        // detected the cycle, so its waiter is hunted
-                        // everywhere; the cancellation is idempotent on
-                        // non-owning shards.
-                        for shard in &self.shards {
-                            let slot = shard.waiters.lock().remove(&txn);
-                            if let Some((slot, _)) = slot {
-                                self.net.msg(MsgKind::Abort, 16);
-                                slot.fulfil(GrantMsg::Victim);
-                            }
-                            queue.extend(shard.glm.lock().cancel_wait(txn));
-                        }
+                        queue.extend(self.abort_waiter(txn));
                         // A cross-*server* cycle's victim may be parked on
                         // another instance entirely: broadcast so every
                         // other member hunts (and cancels) it too.
@@ -577,58 +484,6 @@ impl ServerCore {
                 self.apply_batch_reply(to, kinds, outcomes, &mut queue);
             }
         }
-    }
-
-    /// Unbatched (ablation) delivery of a single callback, counted and
-    /// applied exactly like the pre-batching protocol — except messages
-    /// are now sized by payload.
-    fn deliver_callback_now(
-        &self,
-        to: ClientId,
-        kind: CallbackKind,
-        queue: &mut std::collections::VecDeque<GlmEvent>,
-    ) {
-        if self.crashed_clients.lock().contains(&to) {
-            return;
-        }
-        let Some(peer) = self.peer(to) else {
-            return;
-        };
-        let _span = fgl_obs::trace::span(fgl_obs::SpanKind::CallbackRtt, TxnId(0));
-        self.net
-            .msg(MsgKind::Callback, fgl_net::wire::callback_batch(1));
-        self.contention.on_callback(kind.page());
-        emit(Event::CallbackIssued {
-            to,
-            page: kind.page(),
-            class: class_of(&kind),
-        });
-        let issued_at = self.metrics.now_us();
-        let outcome = peer.deliver_callback(kind);
-        self.net.msg(
-            MsgKind::CallbackReply,
-            fgl_net::wire::callback_reply(std::slice::from_ref(&outcome)),
-        );
-        match &outcome {
-            CallbackOutcome::Done { .. } => {
-                // A synchronous completion bounds the round trip; deferred
-                // callbacks are timed out-of-band when `callback_complete`
-                // arrives.
-                self.metrics
-                    .observe_since(HistKind::CallbackRoundTrip, issued_at);
-                emit(Event::CallbackCompleted {
-                    from: to,
-                    page: kind.page(),
-                });
-            }
-            CallbackOutcome::Deferred { .. } => {
-                emit(Event::CallbackDeferred {
-                    from: to,
-                    page: kind.page(),
-                });
-            }
-        }
-        self.apply_batch_reply(to, vec![kind], vec![outcome], queue);
     }
 
     /// Ship one callback batch per destination, concurrently for distinct
@@ -743,8 +598,7 @@ impl ServerCore {
 
     /// Apply one destination's merged reply: absorb shipped page copies
     /// first (PSN monotonicity — merges still go through `absorb_page`),
-    /// then feed the per-kind replies to each owning shard's GLM in one
-    /// batch pass.
+    /// then feed the per-kind replies to the GLM in one batch pass.
     fn apply_batch_reply(
         &self,
         from: ClientId,
@@ -752,7 +606,7 @@ impl ServerCore {
         outcomes: Vec<CallbackOutcome>,
         queue: &mut std::collections::VecDeque<GlmEvent>,
     ) {
-        let mut per_shard: Vec<(usize, Vec<(CallbackKind, CallbackReply)>)> = Vec::new();
+        let mut replies = Vec::with_capacity(kinds.len());
         for (kind, outcome) in kinds.into_iter().zip(outcomes) {
             let reply = match outcome {
                 CallbackOutcome::Done {
@@ -766,19 +620,10 @@ impl ServerCore {
                 }
                 CallbackOutcome::Deferred { blockers } => CallbackReply::Deferred { blockers },
             };
-            let idx = (kind.page().0 % self.shards.len() as u64) as usize;
-            match per_shard.iter_mut().find(|(i, _)| *i == idx) {
-                Some((_, replies)) => replies.push((kind, reply)),
-                None => per_shard.push((idx, vec![(kind, reply)])),
-            }
+            replies.push((kind, reply));
         }
-        for (idx, replies) in per_shard {
-            let evs = self.shards[idx]
-                .glm
-                .lock()
-                .callback_reply_batch(from, replies);
-            queue.extend(evs);
-        }
+        let evs = self.glm.lock().callback_reply_batch(from, replies);
+        queue.extend(evs);
     }
 
     /// Evidence for the §3.1 callback log record: the last client that
@@ -788,8 +633,7 @@ impl ServerCore {
         if target.mode() != ObjMode::X {
             return None;
         }
-        self.shard_of(target.page())
-            .last_ship
+        self.last_ship
             .lock()
             .get(&target.page())
             .copied()
@@ -820,11 +664,10 @@ impl ServerCore {
         if let Some(bytes) = page_copy {
             self.absorb_page(client, &bytes, false)?;
         }
-        let events = self.shard_of(kind.page()).glm.lock().callback_reply(
-            client,
-            kind,
-            CallbackReply::Done { retained },
-        );
+        let events = self
+            .glm
+            .lock()
+            .callback_reply(client, kind, CallbackReply::Done { retained });
         self.drive(events);
         Ok(())
     }
@@ -832,16 +675,15 @@ impl ServerCore {
     // ---- pages ---------------------------------------------------------------
 
     /// Pool-first page read: on a miss, the disk read (and its simulated
-    /// latency) runs with **no shard lock held**, then the copy is
+    /// latency) runs with **no server lock held**, then the copy is
     /// installed unless a newer one appeared meanwhile.
     fn read_page_copy(&self, page: PageId) -> Result<Page> {
-        let shard = self.shard_of(page);
-        if let Some(p) = shard.store.lock().pool_copy(page) {
+        if let Some(p) = self.store.lock().pool_copy(page) {
             return Ok(p);
         }
-        let disk = shard.store.lock().disk_handle();
+        let disk = self.store.lock().disk_handle();
         let from_disk = disk.read_page(page)?.ok_or(FglError::PageNotFound(page))?;
-        let (copy, evicted) = shard.store.lock().install_clean(from_disk);
+        let (copy, evicted) = self.store.lock().install_clean(from_disk);
         self.flush_images(evicted)?;
         Ok(copy)
     }
@@ -854,12 +696,10 @@ impl ServerCore {
         self.check_up()?;
         self.net.msg(MsgKind::FetchPage, 16);
         self.page_fetches.fetch_add(1, Ordering::Relaxed);
-        self.shard_of(page)
-            .page_fetches
-            .fetch_add(1, Ordering::Relaxed);
+        debug_assert!(self.owns_page(page), "misrouted page {page:?}");
         let copy = self.read_page_copy(page)?;
         let dct_psn = {
-            let mut dct = self.shard_of(page).dct.lock();
+            let mut dct = self.dct.lock();
             dct.set_psn_if_unset(page, client, copy.psn());
             dct.psn_of(page, client)
         };
@@ -875,24 +715,17 @@ impl ServerCore {
 
     /// Allocate a fresh page on behalf of a client, granting it the page
     /// exclusively and seeding the DCT entry (creation is a structural
-    /// update, §3.1). Allocations round-robin across shards; each shard's
-    /// space map hands out ids in its own residue class.
+    /// update, §3.1). The space map hands out ids in this instance's
+    /// residue class.
     pub fn allocate_page(&self, client: ClientId, _txn: TxnId) -> Result<Vec<u8>> {
         self.check_up()?;
         self.net.msg(MsgKind::Control, 16);
-        let idx =
-            (self.alloc_next.fetch_add(1, Ordering::Relaxed) % self.shards.len() as u64) as usize;
-        let shard = &self.shards[idx];
-        let (page, evicted) = {
-            let mut store = shard.store.lock();
-            store.allocate()?
-        };
+        let (page, evicted) = self.store.lock().allocate()?;
         self.flush_images(evicted)?;
-        shard
-            .glm
+        self.glm
             .lock()
             .install_holder(client, LockTarget::Page(page.id(), ObjMode::X));
-        shard.dct.lock().insert(page.id(), client, Some(page.psn()));
+        self.dct.lock().insert(page.id(), client, Some(page.psn()));
         self.net.msg(MsgKind::PageShip, page.size());
         Ok(page.into_bytes())
     }
@@ -933,13 +766,12 @@ impl ServerCore {
     fn absorb_parsed(&self, client: ClientId, page: Page, replaced: bool) -> Result<()> {
         let id = page.id();
         self.pages_received.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard_of(id);
-        shard.merges.fetch_add(1, Ordering::Relaxed);
+        debug_assert!(self.owns_page(id), "misrouted page {id:?}");
         let merge_start = self.metrics.now_us();
         // Pool-first merge; on a miss the disk read runs unlocked and the
         // merge re-checks the pool (a copy that slipped in wins as the
         // resident side).
-        let store = shard.store.lock();
+        let store = self.store.lock();
         let (incoming_psn, _outcome, evicted) = {
             let mut store = store;
             if store.pool_has(id) {
@@ -948,7 +780,7 @@ impl ServerCore {
                 let disk = store.disk_handle();
                 drop(store);
                 let disk_copy = disk.read_page(id)?;
-                shard.store.lock().receive_with(page, disk_copy)?
+                self.store.lock().receive_with(page, disk_copy)?
             }
         };
         self.metrics.observe_since(HistKind::Merge, merge_start);
@@ -957,11 +789,10 @@ impl ServerCore {
             page: id,
             psn: incoming_psn,
         });
-        shard.dct.lock().set_psn(id, client, incoming_psn);
-        shard.last_ship.lock().insert(id, (client, incoming_psn));
+        self.dct.lock().set_psn(id, client, incoming_psn);
+        self.last_ship.lock().insert(id, (client, incoming_psn));
         if replaced {
-            shard
-                .replaced_by
+            self.replaced_by
                 .lock()
                 .entry(id)
                 .or_default()
@@ -982,7 +813,7 @@ impl ServerCore {
     /// Force one page to disk: replacement log record first (§3.1), then
     /// the in-place write, then flush notifications and DCT pruning.
     pub fn flush_page(&self, page: PageId) -> Result<()> {
-        let copy = self.shard_of(page).store.lock().dirty_copy(page);
+        let copy = self.store.lock().dirty_copy(page);
         match copy {
             Some(img) => self.flush_images(vec![img]),
             None => {
@@ -998,14 +829,13 @@ impl ServerCore {
     }
 
     /// Write page images to disk with their replacement records. The
-    /// in-place disk write (and its simulated latency) runs with no shard
+    /// in-place disk write (and its simulated latency) runs with no server
     /// lock held; the log force serializes on the log's own mutex, which
     /// is the nature of a single sequential log device.
     fn flush_images(&self, images: Vec<Page>) -> Result<()> {
         for img in images {
             let id = img.id();
-            let shard = self.shard_of(id);
-            let entries = shard.dct.lock().entries_for_page(id);
+            let entries = self.dct.lock().entries_for_page(id);
             let record = LogPayload::Replacement(ReplacementRecord {
                 page: id,
                 psn: img.psn(),
@@ -1021,10 +851,10 @@ impl ServerCore {
                 lsn
             };
             self.replacement_records.fetch_add(1, Ordering::Relaxed);
-            shard.dct.lock().note_replacement_record(id, lsn);
-            let disk = shard.store.lock().disk_handle();
+            self.dct.lock().note_replacement_record(id, lsn);
+            let disk = self.store.lock().disk_handle();
             disk.write_page(&img)?;
-            shard.store.lock().mark_clean_if_match(&img);
+            self.store.lock().mark_clean_if_match(&img);
             self.pages_flushed.fetch_add(1, Ordering::Relaxed);
             self.notify_flushed(id);
             self.prune_dct(id);
@@ -1035,7 +865,7 @@ impl ServerCore {
 
     fn notify_flushed(&self, page: PageId) {
         let clients: Vec<ClientId> = {
-            let mut map = self.shard_of(page).replaced_by.lock();
+            let mut map = self.replaced_by.lock();
             map.remove(&page)
                 .map(|s| s.into_iter().collect())
                 .unwrap_or_default()
@@ -1055,13 +885,12 @@ impl ServerCore {
     /// Drop DCT entries whose page is clean on disk and whose client no
     /// longer holds exclusive locks touching the page (§3.2).
     fn prune_dct(&self, page: PageId) {
-        let shard = self.shard_of(page);
-        if shard.store.lock().is_dirty(page) {
+        if self.store.lock().is_dirty(page) {
             return;
         }
-        let entries = shard.dct.lock().entries_for_page(page);
-        let glm = shard.glm.lock();
-        let mut dct = shard.dct.lock();
+        let entries = self.dct.lock().entries_for_page(page);
+        let glm = self.glm.lock();
+        let mut dct = self.dct.lock();
         for e in entries {
             if !glm.client_has_exclusive_on_page(e.client, page) {
                 dct.remove(page, e.client);
@@ -1078,13 +907,10 @@ impl ServerCore {
         self.checkpoint()
     }
 
-    /// Take a server fuzzy checkpoint (§3.2): persist the DCT (merged
-    /// across all shards) and advance the log low-water mark.
+    /// Take a server fuzzy checkpoint (§3.2): persist the DCT and advance
+    /// the log low-water mark.
     pub fn checkpoint(&self) -> Result<()> {
-        let mut snapshot = Vec::new();
-        for shard in &self.shards {
-            snapshot.extend(shard.dct.lock().snapshot());
-        }
+        let snapshot = self.dct.lock().snapshot();
         let min_redo = snapshot.iter().filter_map(|e| e.redo_lsn).min();
         let mut slog = self.slog.lock();
         let lsn = slog.append_critical(&LogPayload::ServerCheckpoint { dct: snapshot })?;
@@ -1109,9 +935,8 @@ impl ServerCore {
 
     /// ARIES/CSA-shape commit: the client ships its log records; the
     /// server appends them to its (single, shared) client-log store and
-    /// forces. The shared mutex *is* the bottleneck the paper predicts —
-    /// it stays deliberately unsharded, and the disk sleep deliberately
-    /// runs under it.
+    /// forces. The shared mutex *is* the bottleneck the paper predicts,
+    /// and the disk sleep deliberately runs under it.
     pub fn commit_ship_log(&self, client: ClientId, records: Vec<u8>) -> Result<()> {
         self.check_up()?;
         let _span = fgl_obs::trace::span(fgl_obs::SpanKind::CommitLogShip, TxnId(0));
@@ -1152,25 +977,26 @@ impl ServerCore {
     // ---- client crash handling (§3.3) ------------------------------------------
 
     /// A client crashed: release its shared locks, keep its exclusive
-    /// locks, queue callbacks addressed to it. Every shard holds a slice
-    /// of its state.
+    /// locks, queue callbacks addressed to it.
     pub fn client_crashed(&self, client: ClientId) {
         self.crashed_clients.lock().insert(client);
         self.peers.write().remove(&client);
-        let mut events = Vec::new();
-        for shard in &self.shards {
-            // Its parked waiters die with it.
-            let its: Vec<TxnId> = shard
-                .waiters
-                .lock()
+        // Its parked waiters die with it.
+        let its: Vec<TxnId> = {
+            let mut waiters = self.waiters.lock();
+            let its: Vec<TxnId> = waiters
                 .keys()
                 .copied()
                 .filter(|t| t.client() == client)
                 .collect();
             for t in &its {
-                shard.waiters.lock().remove(t);
+                waiters.remove(t);
             }
-            let mut glm = shard.glm.lock();
+            its
+        };
+        let mut events = Vec::new();
+        {
+            let mut glm = self.glm.lock();
             for t in its {
                 events.extend(glm.cancel_wait(t));
             }
@@ -1180,8 +1006,7 @@ impl ServerCore {
     }
 
     /// Restarting client: hand it the exclusive locks it held (§3.3) and
-    /// the DCT PSNs for its pages (Property 1 filtering), unioned across
-    /// shards.
+    /// the DCT PSNs for its pages (Property 1 filtering).
     pub fn client_recovery_begin(
         &self,
         client: ClientId,
@@ -1190,19 +1015,14 @@ impl ServerCore {
         self.check_up()?;
         self.net.msg(MsgKind::Recovery, 16);
         self.peers.write().insert(client, peer);
-        let mut locks = Vec::new();
-        let mut psns: Vec<(PageId, Option<Psn>)> = Vec::new();
-        for shard in &self.shards {
-            locks.extend(shard.glm.lock().exclusive_locks(client));
-            psns.extend(
-                shard
-                    .dct
-                    .lock()
-                    .entries_for_client(client)
-                    .into_iter()
-                    .map(|e| (e.page, e.psn)),
-            );
-        }
+        let locks = self.glm.lock().exclusive_locks(client);
+        let psns: Vec<(PageId, Option<Psn>)> = self
+            .dct
+            .lock()
+            .entries_for_client(client)
+            .into_iter()
+            .map(|e| (e.page, e.psn))
+            .collect();
         let dct_complete = !self.dct_incomplete.lock().contains(&client);
         self.net
             .msg(MsgKind::Recovery, 16 * (locks.len() + psns.len()).max(1));
@@ -1216,12 +1036,11 @@ impl ServerCore {
         self.net.msg(MsgKind::Recovery, 16);
         self.crashed_clients.lock().remove(&client);
         self.dct_incomplete.lock().remove(&client);
-        let mut events = Vec::new();
-        for shard in &self.shards {
-            let mut glm = shard.glm.lock();
+        let events = {
+            let mut glm = self.glm.lock();
             glm.client_recovered(client);
-            events.extend(glm.release_all(client));
-        }
+            glm.release_all(client)
+        };
         self.drive(events);
         self.bump_recovery_gen();
         Ok(())
@@ -1229,20 +1048,18 @@ impl ServerCore {
 
     // ---- server crash plumbing (the restart algorithm lives in recovery.rs) ----
 
-    /// Simulate a server crash: all volatile state (buffer pools, GLM
-    /// shards, DCT, waits-for graph, parked waiters, un-forced log tail)
+    /// Simulate a server crash: all volatile state (buffer pool, GLM,
+    /// DCT, waits-for graph, parked waiters, un-forced log tail)
     /// vanishes; disk and forced log survive.
     pub fn crash(&self) {
         self.down.store(true, Ordering::Release);
         self.wait_graph.clear();
-        for shard in &self.shards {
-            shard.store.lock().crash();
-            shard.dct.lock().clear();
-            *shard.glm.lock() = GlmCore::with_graph(self.wait_graph.clone());
-            shard.waiters.lock().clear();
-            shard.replaced_by.lock().clear();
-            shard.last_ship.lock().clear();
-        }
+        self.store.lock().crash();
+        self.dct.lock().clear();
+        *self.glm.lock() = GlmCore::with_graph(self.wait_graph.clone());
+        self.waiters.lock().clear();
+        self.replaced_by.lock().clear();
+        self.last_ship.lock().clear();
         self.slog.lock().crash();
         self.slog_appends_since_ckpt.store(0, Ordering::Relaxed);
     }
@@ -1253,18 +1070,6 @@ impl ServerCore {
 
     pub(crate) fn mark_up(&self) {
         self.down.store(false, Ordering::Release);
-    }
-
-    pub(crate) fn glm_for(&self, page: PageId) -> parking_lot::MutexGuard<'_, GlmCore> {
-        self.shard_of(page).glm.lock()
-    }
-
-    pub(crate) fn store_for(&self, page: PageId) -> parking_lot::MutexGuard<'_, PageStore> {
-        self.shard_of(page).store.lock()
-    }
-
-    pub(crate) fn dct_for(&self, page: PageId) -> parking_lot::MutexGuard<'_, Dct> {
-        self.shard_of(page).dct.lock()
     }
 
     pub(crate) fn slog_mut(&self) -> parking_lot::MutexGuard<'_, LogManager> {
@@ -1312,7 +1117,7 @@ impl ServerCore {
             }
         }
         let copy = self.read_page_copy(page)?;
-        let dct_psn = self.shard_of(page).dct.lock().psn_of(page, client);
+        let dct_psn = self.dct.lock().psn_of(page, client);
         self.net.msg(MsgKind::PageShip, copy.size());
         Ok((copy.into_bytes(), dct_psn))
     }
@@ -1333,7 +1138,7 @@ impl ServerCore {
                 // Hold the generation lock across the condition check so a
                 // concurrent bump cannot slip between check and wait.
                 let mut gen = self.recovery_gen.lock();
-                let have = self.shard_of(page).dct.lock().psn_of(page, cid);
+                let have = self.dct.lock().psn_of(page, cid);
                 if have.map(|p| p >= psn).unwrap_or(false) {
                     break;
                 }
@@ -1361,13 +1166,12 @@ impl ServerCore {
     /// and the merged `CallBack_P` list from the operational clients.
     pub fn recover_client_page(&self, client: ClientId, page: PageId) -> Result<RecoverPagePlan> {
         self.net.msg(MsgKind::Recovery, 16);
-        let shard = self.shard_of(page);
-        let (base, evicted) = shard.store.lock().get_or_format(page)?;
+        let (base, evicted) = self.store.lock().get_or_format(page)?;
         self.flush_images(evicted)?;
-        let install_psn = shard.dct.lock().psn_of(page, client).unwrap_or(Psn::ZERO);
+        let install_psn = self.dct.lock().psn_of(page, client).unwrap_or(Psn::ZERO);
         // Ensure a DCT entry exists so parallel recoveries can wait on our
         // progress for this page.
-        shard.dct.lock().insert(page, client, None);
+        self.dct.lock().insert(page, client, None);
         let mut merged: HashMap<fgl_common::ObjectId, Psn> = HashMap::new();
         for peer in self.all_peers() {
             if peer.client_id() == client {
@@ -1411,12 +1215,7 @@ impl ServerCore {
 
     /// Diagnostics: PSN of the server's current copy (pool else disk).
     pub fn current_psn(&self, page: PageId) -> Option<Psn> {
-        self.shard_of(page)
-            .store
-            .lock()
-            .current_psn(page)
-            .ok()
-            .flatten()
+        self.store.lock().current_psn(page).ok().flatten()
     }
 
     /// Diagnostics / oracle verification: a copy of the page as the server
@@ -1425,15 +1224,9 @@ impl ServerCore {
         self.read_page_copy(page)
     }
 
-    /// Diagnostics: ids of every allocated page (across all shards).
+    /// Diagnostics: ids of every allocated page, ascending.
     pub fn allocated_pages(&self) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.store.lock().allocated_pages())
-            .collect();
-        pages.sort();
-        pages
+        self.store.lock().allocated_pages()
     }
 
     /// Server log state: `(last checkpoint, end)` (diagnostics).

@@ -414,24 +414,17 @@ mod tests {
 
     #[test]
     fn multi_committer_run_with_oracle_verifies() {
-        for group_commit in [true, false] {
-            let cfg = SystemConfig::default().with_group_commit(group_commit);
-            let sys = System::build(cfg, 2).unwrap();
-            let spec = small_spec(WorkloadKind::Private);
-            let layout = populate(sys.client(0), spec.pages, spec.objects_per_page, 32).unwrap();
-            let oracle = Oracle::new();
-            oracle.seed(sys.client(0), &layout).unwrap();
-            let mut opts = HarnessOptions::new(spec, 15);
-            opts.threads_per_client = 4;
-            let report = run_workload(&sys, &layout, Some(&oracle), &opts).unwrap();
-            assert!(report.commits > 0);
-            let verify = oracle.verify_via_reads(sys.client(0)).unwrap();
-            assert!(
-                verify.is_clean(),
-                "group_commit={group_commit}: {:?}",
-                verify.mismatches
-            );
-        }
+        let sys = System::build(SystemConfig::default(), 2).unwrap();
+        let spec = small_spec(WorkloadKind::Private);
+        let layout = populate(sys.client(0), spec.pages, spec.objects_per_page, 32).unwrap();
+        let oracle = Oracle::new();
+        oracle.seed(sys.client(0), &layout).unwrap();
+        let mut opts = HarnessOptions::new(spec, 15);
+        opts.threads_per_client = 4;
+        let report = run_workload(&sys, &layout, Some(&oracle), &opts).unwrap();
+        assert!(report.commits > 0);
+        let verify = oracle.verify_via_reads(sys.client(0)).unwrap();
+        assert!(verify.is_clean(), "{:?}", verify.mismatches);
     }
 
     #[test]

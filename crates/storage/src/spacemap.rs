@@ -47,9 +47,9 @@ impl SpaceMap {
     }
 
     /// A map owning the page-id residue class `start mod step`: fresh
-    /// allocations walk `start, start+step, start+2*step, …`. A sharded
-    /// server gives shard *i* of *N* the stride `(i, N)` so sibling
-    /// shards never hand out colliding ids.
+    /// allocations walk `start, start+step, start+2*step, …`. Instance
+    /// *k* of an *N*-way partitioned page service takes the stride
+    /// `(k, N)` so sibling instances never hand out colliding ids.
     pub fn with_stride(start: u64, step: u64) -> Self {
         assert!(step >= 1 && start < step, "stride start must be < step");
         SpaceMap {

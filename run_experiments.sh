@@ -1,5 +1,6 @@
 #!/bin/sh
-# Run the full experiment suite (E1-E17). Pass --quick for smaller sweeps.
+# Run the full experiment suite (every bin in ci/experiments.txt: E1-E10,
+# E13-E18). Pass --quick for smaller sweeps.
 # Each binary also writes machine-readable metrics JSON (counters +
 # latency histograms per sweep point) to $FGL_METRICS_DIR (default
 # ./metrics).
@@ -7,12 +8,7 @@ set -e
 FGL_METRICS_DIR="${FGL_METRICS_DIR:-metrics}"
 export FGL_METRICS_DIR
 mkdir -p "$FGL_METRICS_DIR"
-for exp in e1_logging_scalability e2_lock_granularity e3_merge_vs_token \
-           e4_client_recovery e5_server_recovery e6_checkpoints \
-           e7_log_space e8_crash_matrix e9_commit_latency e10_adaptive_traffic \
-           e11_server_shard_scaling e12_callback_batching e13_client_scaling \
-           e14_recovery_shootout e15_trace_attribution e16_memory_cliff \
-           e17_wire_overhead; do
+for exp in $(awk '{ print $1 }' "$(dirname "$0")/ci/experiments.txt"); do
   cargo run --release -q -p fgl-bench --bin "$exp" -- "$@"
   echo
 done

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Schema/content validation for the experiment metrics JSON (E11-E17)
+"""Schema/content validation for the experiment metrics JSON (E13-E18)
 and the Chrome trace-event files the tracing layer exports.
 
 MetricsEmitter writes one file per experiment:
@@ -53,33 +53,6 @@ def check_commit_hist(m):
     commit = m["histograms"]["commit_us"]
     for key in HIST_KEYS:
         assert key in commit, commit.keys()
-
-
-def validate_e11(doc):
-    rows = rows_of(doc, "e11_server_shard_scaling")
-    for row in rows:
-        m = row["metrics"]
-        assert m["counters"]["client_commits"] > 0, m["counters"]
-        check_commit_hist(m)
-        assert "lock_wait_us" in m["histograms"]
-    return f"{len(rows)} e11 rows"
-
-
-def validate_e12(doc):
-    rows = rows_of(doc, "e12_callback_batching")
-    sections = {r["params"]["section"] for r in rows}
-    assert sections == {"batching", "group_commit"}, sections
-    for row in rows:
-        p, m = row["params"], row["metrics"]
-        assert m["counters"]["client_commits"] > 0, m["counters"]
-        check_commit_hist(m)
-        if p["section"] == "batching":
-            assert "callback_rtt_us" in m["histograms"], m["histograms"].keys()
-        elif p["group_commit"] == "true":
-            forced = m["counters"]["client_commits_forced"]
-            piggybacked = m["counters"]["client_commits_piggybacked"]
-            assert forced + piggybacked == m["counters"]["client_commits"], m["counters"]
-    return f"{len(rows)} e12 rows across {len(sections)} sections"
 
 
 def validate_e13(doc):
@@ -232,8 +205,6 @@ def validate_e18(doc):
 
 
 VALIDATORS = {
-    "e11_server_shard_scaling": validate_e11,
-    "e12_callback_batching": validate_e12,
     "e13_client_scaling": validate_e13,
     "e14_recovery_shootout": validate_e14,
     "e15_trace_attribution": validate_e15,

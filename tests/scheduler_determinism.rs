@@ -34,13 +34,13 @@ fn spec() -> WorkloadSpec {
 }
 
 fn run(scheduler: SchedulerKind) -> (RunReport, bool) {
-    run_with(scheduler, SystemConfig::default(), 0)
+    run_with(scheduler, 0)
 }
 
-/// Like [`run`], with an explicit config and (for the event driver) task
-/// stack size in KiB — `0` keeps the current process-wide setting.
-fn run_with(scheduler: SchedulerKind, cfg: SystemConfig, stack_kb: usize) -> (RunReport, bool) {
-    let sys = System::build(cfg, 6).unwrap();
+/// Like [`run`], with an explicit (for the event driver) task stack size
+/// in KiB — `0` keeps the current process-wide setting.
+fn run_with(scheduler: SchedulerKind, stack_kb: usize) -> (RunReport, bool) {
+    let sys = System::build(SystemConfig::default(), 6).unwrap();
     let sp = spec();
     let layout = populate(sys.client(0), sp.pages, sp.objects_per_page, 32).unwrap();
     let oracle = Oracle::new();
@@ -142,24 +142,21 @@ fn crash_scenario_oracle_is_clean_under_event_scheduler() {
     assert!(r.phase2.commits > 0);
 }
 
-/// Stack pooling and lazy client initialisation are memory-layout
-/// changes only: a run with eager client init and a non-default
-/// (minimum) task stack must produce the same commits and byte-identical
-/// per-kind fabric traffic as the default lazy/pooled run from the same
-/// seed.
+/// Stack pooling (with lazily built client state on top of it) is a
+/// memory-layout change only: a run on a non-default (minimum) task
+/// stack must produce the same commits and byte-identical per-kind
+/// fabric traffic as the default run from the same seed.
 #[test]
 fn stack_pooling_and_lazy_init_do_not_change_traffic() {
     let _g = serial();
     let _stack = StackSizeGuard::capture();
-    let (lazy, lazy_clean) = run(SchedulerKind::Event);
-    let eager_cfg = SystemConfig::default().with_lazy_client_init(false);
-    let (eager, eager_clean) =
-        run_with(SchedulerKind::Event, eager_cfg, fgl_sched::MIN_STACK / 1024);
-    assert!(lazy_clean, "lazy/pooled run diverged from oracle");
-    assert!(eager_clean, "eager/small-stack run diverged from oracle");
-    assert_eq!(lazy.commits, eager.commits);
-    assert_eq!(lazy.aborts, eager.aborts);
-    assert_same_traffic(&lazy.net, &eager.net);
+    let (default, default_clean) = run(SchedulerKind::Event);
+    let (small, small_clean) = run_with(SchedulerKind::Event, fgl_sched::MIN_STACK / 1024);
+    assert!(default_clean, "default-stack run diverged from oracle");
+    assert!(small_clean, "small-stack run diverged from oracle");
+    assert_eq!(default.commits, small.commits);
+    assert_eq!(default.aborts, small.aborts);
+    assert_same_traffic(&default.net, &small.net);
 }
 
 /// Per-kind `SpanOpen` counts for one traced run. Scheduler runnable
@@ -208,20 +205,14 @@ fn span_counts_are_identical_across_schedulers() {
     );
 }
 
-/// The span invariant also holds across the memory-layout knobs: lazy
-/// vs eager client init and default vs minimum task stacks trace the
-/// same protocol path span for span.
+/// The span invariant also holds across the memory-layout knob: default
+/// vs minimum task stacks trace the same protocol path span for span.
 #[test]
 fn span_counts_unchanged_by_pooling_and_lazy_init() {
     let _g = serial();
     let _stack = StackSizeGuard::capture();
-    let lazy = traced_span_counts(SchedulerKind::Event);
-    let eager = traced_span_counts_of(|| {
-        run_with(
-            SchedulerKind::Event,
-            SystemConfig::default().with_lazy_client_init(false),
-            fgl_sched::MIN_STACK / 1024,
-        )
-    });
-    assert_eq!(lazy, eager, "per-kind span counts diverged");
+    let default = traced_span_counts(SchedulerKind::Event);
+    let small =
+        traced_span_counts_of(|| run_with(SchedulerKind::Event, fgl_sched::MIN_STACK / 1024));
+    assert_eq!(default, small, "per-kind span counts diverged");
 }

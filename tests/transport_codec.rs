@@ -388,17 +388,15 @@ fn hello_ack_round_trips_config() {
         lock_timeout: Duration::from_millis(2500),
         net_latency: Duration::from_micros(40),
         disk_latency: Duration::from_micros(400),
-        server_shards: 4,
         server_instances: 3,
-        callback_batching: false,
-        group_commit: false,
         obs_ring_entries: 512,
-        lazy_client_init: false,
         transport: TransportKind::Tcp,
     };
 
     let segs = frame::encode_hello_ack(&cfg);
     let (_, body) = read_back(&segs, FrameKind::HelloAck, 0);
+    // The version, twelve 8-byte fields and five enum codes.
+    assert_eq!(body.len(), 2 + 12 * 8 + 5);
     let back = frame::decode_hello_ack(&body).expect("decode");
     assert_eq!(back.page_size, cfg.page_size);
     assert_eq!(back.client_cache_pages, cfg.client_cache_pages);
@@ -415,12 +413,23 @@ fn hello_ack_round_trips_config() {
     assert_eq!(back.lock_timeout, cfg.lock_timeout);
     assert_eq!(back.net_latency, cfg.net_latency);
     assert_eq!(back.disk_latency, cfg.disk_latency);
-    assert_eq!(back.server_shards, cfg.server_shards);
     assert_eq!(back.server_instances, cfg.server_instances);
-    assert_eq!(back.callback_batching, cfg.callback_batching);
-    assert_eq!(back.group_commit, cfg.group_commit);
-    assert_eq!(back.lazy_client_init, cfg.lazy_client_init);
     assert_eq!(back.obs_ring_entries, cfg.obs_ring_entries);
+
+    // A version-2 server still sends a shard count and the three retired
+    // switches; its answer is refused by version, never decoded against
+    // the shorter layout.
+    let mut v2 = vec![2, 0];
+    v2.extend_from_slice(&body[2..body.len() - 16]);
+    v2.extend_from_slice(&4u64.to_le_bytes()); // shard count
+    v2.extend_from_slice(&body[body.len() - 16..body.len() - 8]); // server_instances
+    v2.extend_from_slice(&[1, 1, 1]); // batching, group commit, lazy init
+    v2.extend_from_slice(&body[body.len() - 8..]); // obs_ring_entries
+    let err = frame::decode_hello_ack(&v2).unwrap_err();
+    assert!(
+        matches!(&err, FglError::Protocol(m) if m.contains("wire version mismatch")),
+        "{err:?}"
+    );
 }
 
 // ---- nominal-accounting identity ------------------------------------------
