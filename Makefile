@@ -20,9 +20,14 @@ test:
 # the root workspace does not see: build it, run every workload at 1 %
 # length with its names and units validated, and run its own tests — so a
 # product change that breaks it fails here, not in the pipeline's run.
+# The last line guards §3.4 restart against going quadratic in prior load
+# again: the benchmark's fatal path 5 repro, short (~10 s). It read
+# ~21 000 ms before restart became one pass, ~90 ms after.
 bench-check:
 	bash benchmark/run.sh --check
 	cd benchmark && cargo test --release --offline
+	bash benchmark/run.sh --workload simlat_fanin --seed 1 --seconds 8 --trace 0 --set server_drill_txns=50 \
+	  | tail -n 1 | python3 scripts/check_restart_guard.py 2000
 
 # Two full sets of ten runs per workload, then compare.py (~30 min).
 bench:

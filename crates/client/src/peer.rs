@@ -5,8 +5,11 @@
 use crate::runtime::ClientCore;
 use fgl_common::{ClientId, Lsn, ObjectId, PageId, Psn};
 use fgl_locks::glm::{CallbackKind, CallbackReply};
-use fgl_net::peer::{CallbackOutcome, ClientPeer, ClientStateReport, RecoveredPageOutcome};
+use fgl_net::peer::{
+    CallbackOutcome, ClientPeer, ClientStateReport, RecoverJob, RecoveredPageOutcome,
+};
 use fgl_wal::records::{DptEntry, LogPayload};
+use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
 /// What the server holds for each registered client. Weak so the
@@ -74,9 +77,15 @@ impl ClientPeer for PeerHandle {
         for_client: ClientId,
         from_lsn: Lsn,
     ) -> Vec<(ObjectId, Psn)> {
-        self.core()
-            .map(|c| c.callback_list_for(page, for_client, from_lsn))
-            .unwrap_or_default()
+        self.callback_lists_for(&[(page, for_client, from_lsn)])
+            .remove(0)
+    }
+
+    fn callback_lists_for(&self, queries: &[(PageId, ClientId, Lsn)]) -> Vec<Vec<(ObjectId, Psn)>> {
+        match self.core() {
+            Some(core) => core.callback_lists_for(queries),
+            None => vec![Vec::new(); queries.len()],
+        }
     }
 
     fn ship_cached_page(&self, page: PageId) -> Option<Arc<[u8]>> {
@@ -90,9 +99,19 @@ impl ClientPeer for PeerHandle {
         install_psn: Psn,
         callback_list: Vec<(ObjectId, Psn)>,
     ) -> RecoveredPageOutcome {
+        self.recover_pages(vec![RecoverJob {
+            page,
+            base: base.into(),
+            install_psn,
+            callback_list,
+        }])
+        .remove(0)
+    }
+
+    fn recover_pages(&self, jobs: Vec<RecoverJob>) -> Vec<RecoveredPageOutcome> {
         match self.core() {
-            Some(core) => core.recover_page_for_server(page, base, install_psn, callback_list),
-            None => RecoveredPageOutcome::Failed("client gone".into()),
+            Some(core) => core.recover_pages_for_server(jobs),
+            None => vec![RecoveredPageOutcome::Failed("client gone".into()); jobs.len()],
         }
     }
 }
@@ -274,37 +293,64 @@ impl ClientCore {
         }
     }
 
-    /// §3.4: this client's `CallBack_P` contribution — callback log
-    /// records it wrote for objects of `page` naming `for_client`, the
-    /// latest PSN per object winning.
-    pub(crate) fn callback_list_for(
+    /// §3.4: this client's `CallBack_P` contributions — per `(page,
+    /// for_client, from_lsn)` query, the callback log records it wrote
+    /// for objects of `page` naming `for_client`, the latest PSN per
+    /// object winning. One scan of the log answers every query: it starts
+    /// at the lowest floor and files a record into each query whose own
+    /// floor it has reached.
+    pub(crate) fn callback_lists_for(
         &self,
-        page: PageId,
-        for_client: ClientId,
-        from_lsn: Lsn,
-    ) -> Vec<(ObjectId, Psn)> {
+        queries: &[(PageId, ClientId, Lsn)],
+    ) -> Vec<Vec<(ObjectId, Psn)>> {
         let st = self.st.lock();
-        let mut from = st.dpt.get(&page).map(|e| e.redo_lsn).unwrap_or(Lsn::NIL);
-        if !from_lsn.is_nil() && (from.is_nil() || from_lsn < from) {
-            from = from_lsn;
-        }
         let ckpt = st.wal.last_checkpoint();
-        if from.is_nil() || (!ckpt.is_nil() && ckpt < from) {
-            from = ckpt;
+        // A query's floor: the earlier of our own DPT RedoLSN for the page
+        // and the asker's, never later than the last checkpoint.
+        let floors: Vec<Lsn> = queries
+            .iter()
+            .map(|&(page, _, from_lsn)| {
+                let mut from = st.dpt.get(&page).map(|e| e.redo_lsn).unwrap_or(Lsn::NIL);
+                if !from_lsn.is_nil() && (from.is_nil() || from_lsn < from) {
+                    from = from_lsn;
+                }
+                if from.is_nil() || (!ckpt.is_nil() && ckpt < from) {
+                    from = ckpt;
+                }
+                from
+            })
+            .collect();
+        let Some(&start) = floors.iter().min() else {
+            return Vec::new();
+        };
+        let mut asked: HashMap<(PageId, ClientId), Vec<usize>> = HashMap::new();
+        for (i, &(page, for_client, _)) in queries.iter().enumerate() {
+            asked.entry((page, for_client)).or_default().push(i);
         }
-        let mut map: std::collections::HashMap<ObjectId, Psn> = std::collections::HashMap::new();
-        for entry in st.wal.scan_from(from) {
+        let mut maps: Vec<HashMap<ObjectId, Psn>> = vec![HashMap::new(); queries.len()];
+        for entry in st.wal.scan_from(start) {
             if let LogPayload::Callback(cb) = entry.payload {
-                if cb.object.page == page && cb.from_client == for_client {
-                    // Forward scan: later records overwrite earlier ones
-                    // ("the PSN stored in the most recent one", §3.4).
-                    map.insert(cb.object, cb.psn);
+                for &i in asked
+                    .get(&(cb.object.page, cb.from_client))
+                    .into_iter()
+                    .flatten()
+                {
+                    if entry.lsn >= floors[i] {
+                        // Forward scan: later records overwrite earlier
+                        // ones ("the PSN stored in the most recent one",
+                        // §3.4).
+                        maps[i].insert(cb.object, cb.psn);
+                    }
                 }
             }
         }
-        let mut out: Vec<(ObjectId, Psn)> = map.into_iter().collect();
-        out.sort_by_key(|(o, _)| (o.page.0, o.slot.0));
-        out
+        maps.into_iter()
+            .map(|map| {
+                let mut out: Vec<(ObjectId, Psn)> = map.into_iter().collect();
+                out.sort_by_key(|(o, _)| (o.page.0, o.slot.0));
+                out
+            })
+            .collect()
     }
 
     /// §3.4 step 4: ship the cached copy, forcing the log first (WAL).

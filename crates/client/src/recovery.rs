@@ -10,9 +10,10 @@
 //!   loser transactions with CLRs, and final hardening (ship + force the
 //!   recovered pages so every lock can be released).
 //!
-//! * `ClientCore::recover_page_for_server` — the client's part of
-//!   **server restart recovery** (§3.4): replay the private log against a
-//!   base copy the server supplies, applying records for called-back
+//! * `ClientCore::recover_pages_for_server` — the client's part of
+//!   **server restart recovery** (§3.4): scan the private log once for
+//!   the pages the server names, then replay each page's records against
+//!   the base copy the server supplies, applying records for called-back
 //!   objects only when their PSN clears the merged `CallBack_P`
 //!   threshold, fetching partially recovered state from other recovering
 //!   clients when a foreign callback record interposes, and feeding
@@ -22,12 +23,13 @@ use crate::peer::PeerHandle;
 use crate::runtime::{ClientCore, DptState};
 use crate::txn::{TxnState, TxnStatus};
 use fgl_common::{FglError, Lsn, ObjectId, PageId, Psn, Result, TxnId};
-use fgl_net::peer::RecoveredPageOutcome;
+use fgl_net::peer::{RecoverJob, RecoveredPageOutcome};
 use fgl_obs::{emit, Event, LogOwner, RecoveryPhase};
 use fgl_storage::merge::merge_pages;
 use fgl_storage::page::Page;
 use fgl_wal::envelope::StrategyRecord;
 use fgl_wal::records::LogPayload;
+use fgl_wal::LogRecordEntry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -406,6 +408,8 @@ impl ClientCore {
             .map(|(t, _)| *t)
             .collect();
         let skip = &skip_txns;
+        let records = self.page_records(dpt.iter().map(|(&p, &l)| (p, Some(l))));
+        let records = &records;
         // Pages replay in parallel: a replay blocked on another crashed
         // client's progress (recovery_fetch) must not stall this client's
         // remaining pages — they are what *other* recoveries wait on.
@@ -416,12 +420,12 @@ impl ClientCore {
                     scope.spawn(move || -> Result<(PageId, Lsn, Page)> {
                         let (base, install_psn, list) =
                             self.server.recover_client_page(self.id(), page)?;
-                        let bytes = self.recover_page_inner_from(
+                        let bytes = self.replay_records(
                             page,
                             base,
                             install_psn,
                             list,
-                            Some(redo_lsn),
+                            records.get(&page).map(Vec::as_slice).unwrap_or_default(),
                             skip,
                         )?;
                         Ok((page, redo_lsn, Page::from_bytes(bytes)?))
@@ -869,72 +873,89 @@ impl ClientCore {
         Ok(())
     }
 
-    /// §3.4, client side: replay the private log against the base copy
-    /// the server supplied.
-    pub(crate) fn recover_page_for_server(
+    /// §3.4, client side: replay the private log against the base copies
+    /// the server supplied. The log is scanned once for the whole batch;
+    /// each page then replays from its own bucket of records.
+    pub(crate) fn recover_pages_for_server(
         &self,
-        page: PageId,
-        base: Vec<u8>,
-        install_psn: Psn,
-        callback_list: Vec<(ObjectId, Psn)>,
-    ) -> RecoveredPageOutcome {
-        match self.recover_page_inner(page, base, install_psn, callback_list) {
-            Ok(bytes) => RecoveredPageOutcome::Done(bytes),
-            Err(e) => RecoveredPageOutcome::Failed(e.to_string()),
+        jobs: Vec<RecoverJob>,
+    ) -> Vec<RecoveredPageOutcome> {
+        let records = self.page_records(jobs.iter().map(|j| (j.page, None)));
+        let no_skips = HashSet::new();
+        jobs.into_iter()
+            .map(|j| {
+                let recs = records.get(&j.page).map(Vec::as_slice).unwrap_or_default();
+                match self.replay_records(
+                    j.page,
+                    j.base.to_vec(),
+                    j.install_psn,
+                    j.callback_list,
+                    recs,
+                    &no_skips,
+                ) {
+                    Ok(bytes) => RecoveredPageOutcome::Done(bytes),
+                    Err(e) => RecoveredPageOutcome::Failed(e.to_string()),
+                }
+            })
+            .collect()
+    }
+
+    /// One scan of the private log, bucketed per page: every record
+    /// naming one of `pages` at or above that page's scan floor. The
+    /// floor is the given RedoLSN, else our DPT RedoLSN for the page
+    /// (§3.4), else the last complete checkpoint. Replay is windowed, not
+    /// PSN-guarded, so a record below its page's floor must be dropped
+    /// here even though the scan (which starts at the lowest floor of
+    /// the set) passes over it.
+    fn page_records(
+        &self,
+        pages: impl Iterator<Item = (PageId, Option<Lsn>)>,
+    ) -> HashMap<PageId, Vec<LogRecordEntry>> {
+        let st = self.st.lock();
+        let ckpt = st.wal.last_checkpoint();
+        let mut buckets: HashMap<PageId, (Lsn, Vec<LogRecordEntry>)> = pages
+            .map(|(page, redo_lsn)| {
+                let mut from = redo_lsn
+                    .unwrap_or_else(|| st.dpt.get(&page).map(|e| e.redo_lsn).unwrap_or(Lsn::NIL));
+                if from.is_nil() {
+                    from = ckpt;
+                }
+                (page, (from, Vec::new()))
+            })
+            .collect();
+        let Some(start) = buckets.values().map(|(floor, _)| *floor).min() else {
+            return HashMap::new();
+        };
+        for entry in st.wal.scan_from(start) {
+            if let Some((floor, recs)) = entry.payload.page().and_then(|p| buckets.get_mut(&p)) {
+                if entry.lsn >= *floor {
+                    recs.push(entry);
+                }
+            }
         }
+        buckets
+            .into_iter()
+            .map(|(page, (_, recs))| (page, recs))
+            .collect()
     }
 
-    fn recover_page_inner(
+    /// Replay `records` — one page's bucket from
+    /// [`page_records`](Self::page_records) — against `base`. Records of
+    /// transactions in `skip_txns` (redo-only losers) are not replayed:
+    /// their updates are either absent from the base copy or undone
+    /// afterwards from spilled before-images.
+    fn replay_records(
         &self,
         page: PageId,
         base: Vec<u8>,
         install_psn: Psn,
         callback_list: Vec<(ObjectId, Psn)>,
-    ) -> Result<Vec<u8>> {
-        self.recover_page_inner_from(
-            page,
-            base,
-            install_psn,
-            callback_list,
-            None,
-            &HashSet::new(),
-        )
-    }
-
-    /// Records of transactions in `skip_txns` (redo-only losers) are not
-    /// replayed: their updates are either absent from the base copy or
-    /// undone afterwards from spilled before-images.
-    #[allow(clippy::too_many_arguments)]
-    fn recover_page_inner_from(
-        &self,
-        page: PageId,
-        base: Vec<u8>,
-        install_psn: Psn,
-        callback_list: Vec<(ObjectId, Psn)>,
-        from_override: Option<Lsn>,
+        records: &[LogRecordEntry],
         skip_txns: &HashSet<TxnId>,
     ) -> Result<Vec<u8>> {
         let mut work = Page::from_bytes(base)?;
         work.set_psn(install_psn);
         let thresholds: HashMap<ObjectId, Psn> = callback_list.into_iter().collect();
-
-        // Scan window: the DPT RedoLSN for the page (§3.4), bounded by the
-        // last complete checkpoint when no entry survives.
-        let records: Vec<_> = {
-            let st = self.st.lock();
-            let mut from = match from_override {
-                Some(l) => l,
-                None => st.dpt.get(&page).map(|e| e.redo_lsn).unwrap_or(Lsn::NIL),
-            };
-            let ckpt = st.wal.last_checkpoint();
-            if from.is_nil() {
-                from = ckpt;
-            }
-            st.wal
-                .scan_from(from)
-                .filter(|e| e.payload.page() == Some(page))
-                .collect()
-        };
 
         let mut processed = 0usize;
         for entry in records {

@@ -521,7 +521,9 @@ impl LlmCore {
                     .map(|(&o, &m)| LockTarget::Object(o, m)),
             )
             .collect();
-        out.sort_by_key(|t| (t.page().0, format!("{t:?}")));
+        // The key is built once per lock, not once per comparison: a
+        // client holds thousands of object locks when the server asks.
+        out.sort_by_cached_key(|t| (t.page().0, format!("{t:?}")));
         out
     }
 
@@ -575,6 +577,36 @@ mod tests {
 
     fn llm() -> LlmCore {
         LlmCore::new(LockGranularity::Object, UpdatePolicy::MergeCopies)
+    }
+
+    /// The order of `all_locks` is the order of the `State` reply on the
+    /// wire. It is page, then the lock's debug text — so on one page the
+    /// object locks precede the page lock and slot 10 precedes slot 2.
+    #[test]
+    fn all_locks_keeps_its_page_then_debug_text_order() {
+        let mut l = llm();
+        for (p, s) in [(3, 2), (3, 10), (3, 1), (12, 0), (2, 7), (3, 100), (12, 11)] {
+            let mode = if s % 2 == 0 { ObjMode::X } else { ObjMode::S };
+            l.object_locks.insert(obj(p, s), mode);
+        }
+        l.page_locks.insert(PageId(3), ObjMode::S);
+        l.page_locks.insert(PageId(7), ObjMode::X);
+        l.page_locks.insert(PageId(12), ObjMode::X);
+        let got = l.all_locks();
+        let mut want = got.clone();
+        want.reverse();
+        want.sort_by_key(|t| (t.page().0, format!("{t:?}")));
+        assert_eq!(got, want);
+        assert_eq!(
+            got[1..6],
+            [
+                LockTarget::Object(obj(3, 1), ObjMode::S),
+                LockTarget::Object(obj(3, 10), ObjMode::X),
+                LockTarget::Object(obj(3, 100), ObjMode::X),
+                LockTarget::Object(obj(3, 2), ObjMode::X),
+                LockTarget::Page(PageId(3), ObjMode::S),
+            ]
+        );
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! the socket backend maps the eventual grant onto the request's
 //! correlation ID (see `transport::socket`).
 
-use crate::peer::{CallbackOutcome, ClientPeer, ClientStateReport, RecoveredPageOutcome};
+use crate::peer::{
+    CallbackOutcome, ClientPeer, ClientStateReport, RecoverJob, RecoveredPageOutcome,
+};
 use crate::wait::GrantWaiter;
 use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, Result, SystemConfig, TxnId};
 use fgl_locks::glm::CallbackKind;
@@ -307,21 +309,13 @@ pub enum Callback {
     NotifyFlushed(PageId),
     /// Server-restart interrogation: DPT, cached pages, locks (§3.4).
     ReportState,
-    /// Merged `CallBack_P` evidence for a recovering peer (§3.5).
-    CallbackListFor {
-        page: PageId,
-        for_client: ClientId,
-        from_lsn: Lsn,
-    },
+    /// `CallBack_P` evidence (§3.4/§3.5): one `(page, for_client,
+    /// from_lsn)` query per list wanted.
+    CallbackListsFor(Vec<(PageId, ClientId, Lsn)>),
     /// §3.4: ship a cached DPT page back to the restarting server.
     ShipCachedPage(PageId),
-    /// §3.4 per-client page recovery: replay onto `base`.
-    RecoverPage {
-        page: PageId,
-        base: Vec<u8>,
-        install_psn: Psn,
-        callback_list: Vec<(ObjectId, Psn)>,
-    },
+    /// §3.4 per-client page recovery: replay onto each job's base copy.
+    RecoverPages(Vec<RecoverJob>),
 }
 
 /// A client → server answer to a [`Callback`].
@@ -330,9 +324,11 @@ pub enum CallbackReplyMsg {
     /// Per-kind outcomes for `DeliverBatch`, in delivery order.
     Outcomes(Vec<CallbackOutcome>),
     State(ClientStateReport),
-    CallbackList(Vec<(ObjectId, Psn)>),
+    /// One list per `CallbackListsFor` query, in query order.
+    CallbackLists(Vec<Vec<(ObjectId, Psn)>>),
     CachedPage(Option<Arc<[u8]>>),
-    Recovered(RecoveredPageOutcome),
+    /// One outcome per `RecoverPages` job, in job order.
+    RecoveredPages(Vec<RecoveredPageOutcome>),
 }
 
 impl Request {
@@ -382,9 +378,9 @@ impl Callback {
             Callback::DeliverBatch(_) => crate::MsgKind::Callback,
             Callback::NotifyFlushed(_) => crate::MsgKind::FlushNotify,
             Callback::ReportState
-            | Callback::CallbackListFor { .. }
+            | Callback::CallbackListsFor(_)
             | Callback::ShipCachedPage(_)
-            | Callback::RecoverPage { .. } => crate::MsgKind::Recovery,
+            | Callback::RecoverPages(_) => crate::MsgKind::Recovery,
         }
     }
 }
@@ -396,8 +392,8 @@ impl CallbackReplyMsg {
             CallbackReplyMsg::Outcomes(_) => CallbackReply,
             CallbackReplyMsg::CachedPage(_) => PageShip,
             CallbackReplyMsg::State(_)
-            | CallbackReplyMsg::CallbackList(_)
-            | CallbackReplyMsg::Recovered(_) => Recovery,
+            | CallbackReplyMsg::CallbackLists(_)
+            | CallbackReplyMsg::RecoveredPages(_) => Recovery,
         }
     }
 }
@@ -520,27 +516,15 @@ pub fn apply_callback(peer: &dyn ClientPeer, cb: Callback) -> Option<CallbackRep
             None
         }
         Callback::ReportState => Some(CallbackReplyMsg::State(peer.report_state())),
-        Callback::CallbackListFor {
-            page,
-            for_client,
-            from_lsn,
-        } => Some(CallbackReplyMsg::CallbackList(
-            peer.callback_list_for(page, for_client, from_lsn),
+        Callback::CallbackListsFor(queries) => Some(CallbackReplyMsg::CallbackLists(
+            peer.callback_lists_for(&queries),
         )),
         Callback::ShipCachedPage(page) => {
             Some(CallbackReplyMsg::CachedPage(peer.ship_cached_page(page)))
         }
-        Callback::RecoverPage {
-            page,
-            base,
-            install_psn,
-            callback_list,
-        } => Some(CallbackReplyMsg::Recovered(peer.recover_page(
-            page,
-            base,
-            install_psn,
-            callback_list,
-        ))),
+        Callback::RecoverPages(jobs) => {
+            Some(CallbackReplyMsg::RecoveredPages(peer.recover_pages(jobs)))
+        }
     }
 }
 
@@ -561,10 +545,18 @@ pub fn unreachable_callback_reply(cb: &Callback) -> Option<CallbackReplyMsg> {
         )),
         Callback::NotifyFlushed(_) => None,
         Callback::ReportState => Some(CallbackReplyMsg::State(ClientStateReport::default())),
-        Callback::CallbackListFor { .. } => Some(CallbackReplyMsg::CallbackList(Vec::new())),
+        Callback::CallbackListsFor(queries) => {
+            Some(CallbackReplyMsg::CallbackLists(vec![
+                Vec::new();
+                queries.len()
+            ]))
+        }
         Callback::ShipCachedPage(_) => Some(CallbackReplyMsg::CachedPage(None)),
-        Callback::RecoverPage { .. } => Some(CallbackReplyMsg::Recovered(
-            RecoveredPageOutcome::Failed("client unreachable".into()),
-        )),
+        Callback::RecoverPages(jobs) => Some(CallbackReplyMsg::RecoveredPages(vec![
+            RecoveredPageOutcome::Failed(
+                "client unreachable".into()
+            );
+            jobs.len()
+        ])),
     }
 }

@@ -34,6 +34,9 @@ pub use api::{
     Reply, Request, ServerApi, WireError,
 };
 pub use partition::PartitionedServer;
-pub use peer::{CallbackOutcome, ClientPeer, ClientStateReport, RecoveredPageOutcome};
+pub use peer::{
+    CallbackOutcome, ClientPeer, ClientStateReport, RecoverJob, RecoveredPageOutcome,
+    RECOVER_BATCH_PAGES,
+};
 pub use stats::{MsgKind, NetSim, NetSnapshot, NetStats};
 pub use wait::{GrantMsg, GrantSlot, GrantWaiter};

@@ -54,6 +54,23 @@ pub enum RecoveredPageOutcome {
     Failed(String),
 }
 
+/// One page of a batched §3.4 replay request: what
+/// [`ClientPeer::recover_page`] takes, as a value. The base copy is a
+/// shared buffer so the frame encoder splices it in without copying.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RecoverJob {
+    pub page: PageId,
+    pub base: Arc<[u8]>,
+    pub install_psn: Psn,
+    pub callback_list: Vec<(ObjectId, Psn)>,
+}
+
+/// Pages per [`ClientPeer::recover_pages`] call during server restart:
+/// large enough that a client scans its log a handful of times, small
+/// enough that a request or reply frame stays far below the transport's
+/// frame limit at any supported page size.
+pub const RECOVER_BATCH_PAGES: usize = 64;
+
 /// Server → client interface.
 pub trait ClientPeer: Send + Sync {
     fn client_id(&self) -> ClientId;
@@ -90,6 +107,18 @@ pub trait ClientPeer: Send + Sync {
         from_lsn: Lsn,
     ) -> Vec<(ObjectId, Psn)>;
 
+    /// [`callback_list_for`](Self::callback_list_for) for many
+    /// `(page, for_client, from_lsn)` queries in one message; one list
+    /// per query, parallel to `queries`. A batch-aware client answers all
+    /// of them from a single scan of its log. The default degrades to
+    /// per-query calls so existing peers stay correct.
+    fn callback_lists_for(&self, queries: &[(PageId, ClientId, Lsn)]) -> Vec<Vec<(ObjectId, Psn)>> {
+        queries
+            .iter()
+            .map(|&(page, for_client, from_lsn)| self.callback_list_for(page, for_client, from_lsn))
+            .collect()
+    }
+
     /// §3.4 step 4: ship the cached copy of `page` (None if not cached).
     fn ship_cached_page(&self, page: PageId) -> Option<Arc<[u8]>>;
 
@@ -103,4 +132,14 @@ pub trait ClientPeer: Send + Sync {
         install_psn: Psn,
         callback_list: Vec<(ObjectId, Psn)>,
     ) -> RecoveredPageOutcome;
+
+    /// [`recover_page`](Self::recover_page) for many pages in one
+    /// message; one outcome per job, parallel to `jobs`. A batch-aware
+    /// client buckets the records of every page in a single scan of its
+    /// log. The default degrades to per-page calls.
+    fn recover_pages(&self, jobs: Vec<RecoverJob>) -> Vec<RecoveredPageOutcome> {
+        jobs.into_iter()
+            .map(|j| self.recover_page(j.page, j.base.to_vec(), j.install_psn, j.callback_list))
+            .collect()
+    }
 }

@@ -33,7 +33,7 @@
 //! when a frame is shorter than its variant demands.
 
 use crate::api::{Callback, CallbackReplyMsg, Reply, Request, WireError};
-use crate::peer::{CallbackOutcome, ClientStateReport, RecoveredPageOutcome};
+use crate::peer::{CallbackOutcome, ClientStateReport, RecoverJob, RecoveredPageOutcome};
 use crate::wait::GrantMsg;
 use crate::wire;
 use fgl_common::config::{
@@ -54,7 +54,7 @@ pub const HEADER: usize = wire::HEADER;
 /// Handshake magic: `"FGLW"`.
 pub const MAGIC: u32 = 0x4647_4C57;
 /// Codec version carried in the handshake.
-pub const WIRE_VERSION: u16 = 3;
+pub const WIRE_VERSION: u16 = 4;
 /// Upper bound on a single frame; larger length prefixes are corrupt.
 pub const MAX_FRAME: usize = 64 << 20;
 
@@ -328,6 +328,20 @@ impl<'a> Cur<'a> {
         String::from_utf8(s.to_vec()).map_err(|_| corrupt("invalid utf-8 string".into()))
     }
 
+    /// A u32 element count, refused when the rest of the body cannot
+    /// hold that many elements of at least `min_elem` bytes — so a
+    /// corrupt count never sizes an allocation.
+    fn count(&mut self, min_elem: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_elem) > self.b.len() - self.pos {
+            return Err(corrupt(format!(
+                "count {n} exceeds the {} bytes left in the frame body",
+                self.b.len() - self.pos
+            )));
+        }
+        Ok(n)
+    }
+
     fn rest(&mut self) -> &'a [u8] {
         let s = &self.b[self.pos..];
         self.pos = self.b.len();
@@ -365,6 +379,33 @@ fn obj_mode(v: u8) -> Result<ObjMode> {
         1 => Ok(ObjMode::X),
         other => Err(corrupt(format!("bad object mode {other}"))),
     }
+}
+
+/// Bytes of one `(object, psn)` `CallBack_P` entry.
+const LIST_ENTRY: usize = 18;
+
+fn psn_list_len(v: &[(ObjectId, Psn)]) -> usize {
+    4 + v.len() * LIST_ENTRY
+}
+
+fn put_psn_list(b: &mut B, v: &[(ObjectId, Psn)]) {
+    b.u32(v.len() as u32);
+    for (o, p) in v {
+        b.u64(o.page.0);
+        b.u16(o.slot.0);
+        b.u64(p.0);
+    }
+}
+
+fn get_psn_list(c: &mut Cur) -> Result<Vec<(ObjectId, Psn)>> {
+    let n = c.count(LIST_ENTRY)?;
+    let mut v = Vec::with_capacity(n);
+    for _ in 0..n {
+        let page = PageId(c.u64()?);
+        let slot = SlotId(c.u16()?);
+        v.push((ObjectId { page, slot }, Psn(c.u64()?)));
+    }
+    Ok(v)
 }
 
 fn lock_target_len(t: &LockTarget) -> usize {
@@ -973,7 +1014,7 @@ pub fn reply_frame_len(r: &Reply) -> usize {
                 base,
                 callback_list,
                 ..
-            } => 8 + 4 + callback_list.len() * 18 + base.len(),
+            } => 8 + psn_list_len(callback_list) + base.len(),
             Reply::Needs(v) => 4 + v.len() * 16,
         }
 }
@@ -1020,12 +1061,7 @@ pub fn encode_reply(corr: u64, r: &Reply) -> Result<Vec<Seg>> {
             callback_list,
         } => {
             b.u64(install_psn.0);
-            b.u32(callback_list.len() as u32);
-            for (o, p) in callback_list {
-                b.u64(o.page.0);
-                b.u16(o.slot.0);
-                b.u64(p.0);
-            }
+            put_psn_list(&mut b, callback_list);
             b.bytes(base);
         }
         Reply::Needs(v) => {
@@ -1079,13 +1115,7 @@ pub fn decode_reply(h: &FrameHeader, body: &[u8]) -> Result<Reply> {
         }
         9 => {
             let install_psn = Psn(c.u64()?);
-            let n = c.u32()? as usize;
-            let mut callback_list = Vec::with_capacity(n);
-            for _ in 0..n {
-                let page = PageId(c.u64()?);
-                let slot = SlotId(c.u16()?);
-                callback_list.push((ObjectId { page, slot }, Psn(c.u64()?)));
-            }
+            let callback_list = get_psn_list(&mut c)?;
             Reply::RecoverPlan {
                 install_psn,
                 callback_list,
@@ -1108,14 +1138,28 @@ pub fn decode_reply(h: &FrameHeader, body: &[u8]) -> Result<Reply> {
 
 // ---- callbacks (reverse RPC) ----------------------------------------------
 
+/// Bytes of one `(page, for_client, from_lsn)` query.
+const LIST_QUERY: usize = 20;
+
+/// A frame the reader would refuse as out of range is refused by the
+/// encoder, before it is built.
+fn check_frame_len(len: usize) -> Result<()> {
+    if len > MAX_FRAME {
+        return Err(FglError::Protocol(format!(
+            "frame of {len} bytes exceeds the {MAX_FRAME}-byte frame limit"
+        )));
+    }
+    Ok(())
+}
+
 fn callback_tag(cb: &Callback) -> u16 {
     match cb {
         Callback::DeliverBatch(_) => 1,
         Callback::NotifyFlushed(_) => 2,
         Callback::ReportState => 3,
-        Callback::CallbackListFor { .. } => 4,
+        Callback::CallbackListsFor(_) => 4,
         Callback::ShipCachedPage(_) => 5,
-        Callback::RecoverPage { .. } => 6,
+        Callback::RecoverPages(_) => 6,
     }
 }
 
@@ -1126,17 +1170,21 @@ pub fn callback_frame_len(cb: &Callback) -> usize {
         Callback::DeliverBatch(kinds) => wire::callback_batch(kinds.len()),
         Callback::NotifyFlushed(_) | Callback::ShipCachedPage(_) => HEADER + 8,
         Callback::ReportState => HEADER,
-        Callback::CallbackListFor { .. } => HEADER + 20,
-        Callback::RecoverPage {
-            base,
-            callback_list,
-            ..
-        } => HEADER + 8 + 8 + 4 + callback_list.len() * 18 + base.len(),
+        Callback::CallbackListsFor(queries) => HEADER + 4 + queries.len() * LIST_QUERY,
+        Callback::RecoverPages(jobs) => {
+            HEADER
+                + 4
+                + jobs
+                    .iter()
+                    .map(|j| 8 + 8 + psn_list_len(&j.callback_list) + 4 + j.base.len())
+                    .sum::<usize>()
+        }
     }
 }
 
 /// Encode a [`Callback`] under a fresh server-side correlation id.
 pub fn encode_callback(corr: u64, cb: &Callback) -> Result<Vec<Seg>> {
+    check_frame_len(callback_frame_len(cb))?;
     let mut b = B::new();
     match cb {
         Callback::DeliverBatch(kinds) => {
@@ -1146,30 +1194,23 @@ pub fn encode_callback(corr: u64, cb: &Callback) -> Result<Vec<Seg>> {
         }
         Callback::NotifyFlushed(p) | Callback::ShipCachedPage(p) => b.u64(p.0),
         Callback::ReportState => {}
-        Callback::CallbackListFor {
-            page,
-            for_client,
-            from_lsn,
-        } => {
-            b.u64(page.0);
-            b.u32(for_client.0);
-            b.u64(from_lsn.0);
-        }
-        Callback::RecoverPage {
-            page,
-            base,
-            install_psn,
-            callback_list,
-        } => {
-            b.u64(page.0);
-            b.u64(install_psn.0);
-            b.u32(callback_list.len() as u32);
-            for (o, p) in callback_list {
-                b.u64(o.page.0);
-                b.u16(o.slot.0);
-                b.u64(p.0);
+        Callback::CallbackListsFor(queries) => {
+            b.u32(queries.len() as u32);
+            for (page, for_client, from_lsn) in queries {
+                b.u64(page.0);
+                b.u32(for_client.0);
+                b.u64(from_lsn.0);
             }
-            b.bytes(base);
+        }
+        Callback::RecoverPages(jobs) => {
+            b.u32(jobs.len() as u32);
+            for j in jobs {
+                b.u64(j.page.0);
+                b.u64(j.install_psn.0);
+                put_psn_list(&mut b, &j.callback_list);
+                b.u32(j.base.len() as u32);
+                b.shared(j.base.clone());
+            }
         }
     }
     let segs = b.frame(FrameKind::Cb, 0, callback_tag(cb), corr);
@@ -1198,28 +1239,31 @@ pub fn decode_callback(h: &FrameHeader, body: &[u8]) -> Result<Callback> {
         }
         2 => Callback::NotifyFlushed(PageId(c.u64()?)),
         3 => Callback::ReportState,
-        4 => Callback::CallbackListFor {
-            page: PageId(c.u64()?),
-            for_client: ClientId(c.u32()?),
-            from_lsn: Lsn(c.u64()?),
-        },
+        4 => {
+            let n = c.count(LIST_QUERY)?;
+            let mut queries = Vec::with_capacity(n);
+            for _ in 0..n {
+                queries.push((PageId(c.u64()?), ClientId(c.u32()?), Lsn(c.u64()?)));
+            }
+            Callback::CallbackListsFor(queries)
+        }
         5 => Callback::ShipCachedPage(PageId(c.u64()?)),
         6 => {
-            let page = PageId(c.u64()?);
-            let install_psn = Psn(c.u64()?);
-            let n = c.u32()? as usize;
-            let mut callback_list = Vec::with_capacity(n);
+            let n = c.count(8 + 8 + 4 + 4)?;
+            let mut jobs = Vec::with_capacity(n);
             for _ in 0..n {
-                let p = PageId(c.u64()?);
-                let s = SlotId(c.u16()?);
-                callback_list.push((ObjectId { page: p, slot: s }, Psn(c.u64()?)));
+                let page = PageId(c.u64()?);
+                let install_psn = Psn(c.u64()?);
+                let callback_list = get_psn_list(&mut c)?;
+                let base_len = c.u32()? as usize;
+                jobs.push(RecoverJob {
+                    page,
+                    base: Arc::from(c.take(base_len)?),
+                    install_psn,
+                    callback_list,
+                });
             }
-            Callback::RecoverPage {
-                page,
-                install_psn,
-                callback_list,
-                base: c.rest().to_vec(),
-            }
+            Callback::RecoverPages(jobs)
         }
         other => return Err(corrupt(format!("bad callback tag {other}"))),
     };
@@ -1233,9 +1277,9 @@ fn callback_reply_tag(r: &CallbackReplyMsg) -> u16 {
     match r {
         CallbackReplyMsg::Outcomes(_) => 1,
         CallbackReplyMsg::State(_) => 2,
-        CallbackReplyMsg::CallbackList(_) => 3,
+        CallbackReplyMsg::CallbackLists(_) => 3,
         CallbackReplyMsg::CachedPage(_) => 4,
-        CallbackReplyMsg::Recovered(_) => 5,
+        CallbackReplyMsg::RecoveredPages(_) => 5,
     }
 }
 
@@ -1253,15 +1297,23 @@ pub fn callback_reply_frame_len(r: &CallbackReplyMsg) -> usize {
                 + 4
                 + s.locks.iter().map(lock_target_len).sum::<usize>()
         }
-        CallbackReplyMsg::CallbackList(v) => HEADER + 4 + v.len() * 18,
+        CallbackReplyMsg::CallbackLists(lists) => {
+            HEADER + 4 + lists.iter().map(|v| psn_list_len(v)).sum::<usize>()
+        }
         CallbackReplyMsg::CachedPage(p) => HEADER + 1 + p.as_ref().map_or(0, |b| b.len()),
-        CallbackReplyMsg::Recovered(o) => {
+        CallbackReplyMsg::RecoveredPages(outcomes) => {
             HEADER
-                + 1
-                + match o {
-                    RecoveredPageOutcome::Done(bytes) => bytes.len(),
-                    RecoveredPageOutcome::Failed(msg) => msg.len(),
-                }
+                + 4
+                + outcomes
+                    .iter()
+                    .map(|o| {
+                        1 + 4
+                            + match o {
+                                RecoveredPageOutcome::Done(bytes) => bytes.len(),
+                                RecoveredPageOutcome::Failed(msg) => msg.len(),
+                            }
+                    })
+                    .sum::<usize>()
         }
     }
 }
@@ -1269,6 +1321,7 @@ pub fn callback_reply_frame_len(r: &CallbackReplyMsg) -> usize {
 /// Encode a [`CallbackReplyMsg`] under the originating callback's
 /// correlation id.
 pub fn encode_callback_reply(corr: u64, r: &CallbackReplyMsg) -> Result<Vec<Seg>> {
+    check_frame_len(callback_reply_frame_len(r))?;
     let mut b = B::new();
     match r {
         CallbackReplyMsg::Outcomes(outcomes) => {
@@ -1292,12 +1345,10 @@ pub fn encode_callback_reply(corr: u64, r: &CallbackReplyMsg) -> Result<Vec<Seg>
                 put_lock_target(&mut b, t);
             }
         }
-        CallbackReplyMsg::CallbackList(v) => {
-            b.u32(v.len() as u32);
-            for (o, p) in v {
-                b.u64(o.page.0);
-                b.u16(o.slot.0);
-                b.u64(p.0);
+        CallbackReplyMsg::CallbackLists(lists) => {
+            b.u32(lists.len() as u32);
+            for v in lists {
+                put_psn_list(&mut b, v);
             }
         }
         CallbackReplyMsg::CachedPage(p) => match p {
@@ -1307,16 +1358,18 @@ pub fn encode_callback_reply(corr: u64, r: &CallbackReplyMsg) -> Result<Vec<Seg>
             }
             None => b.u8(0),
         },
-        CallbackReplyMsg::Recovered(o) => match o {
-            RecoveredPageOutcome::Done(bytes) => {
-                b.u8(0);
+        CallbackReplyMsg::RecoveredPages(outcomes) => {
+            b.u32(outcomes.len() as u32);
+            for o in outcomes {
+                let (tag, bytes) = match o {
+                    RecoveredPageOutcome::Done(bytes) => (0, bytes.as_slice()),
+                    RecoveredPageOutcome::Failed(msg) => (1, msg.as_bytes()),
+                };
+                b.u8(tag);
+                b.u32(bytes.len() as u32);
                 b.bytes(bytes);
             }
-            RecoveredPageOutcome::Failed(msg) => {
-                b.u8(1);
-                b.bytes(msg.as_bytes());
-            }
-        },
+        }
     }
     let segs = b.frame(FrameKind::CbResp, 0, callback_reply_tag(r), corr);
     debug_assert_eq!(frame_len(&segs), callback_reply_frame_len(r));
@@ -1360,26 +1413,35 @@ pub fn decode_callback_reply(h: &FrameHeader, body: &[u8]) -> Result<CallbackRep
             })
         }
         3 => {
-            let n = c.u32()? as usize;
-            let mut v = Vec::with_capacity(n);
+            let n = c.count(4)?;
+            let mut lists = Vec::with_capacity(n);
             for _ in 0..n {
-                let page = PageId(c.u64()?);
-                let slot = SlotId(c.u16()?);
-                v.push((ObjectId { page, slot }, Psn(c.u64()?)));
+                lists.push(get_psn_list(&mut c)?);
             }
-            CallbackReplyMsg::CallbackList(v)
+            CallbackReplyMsg::CallbackLists(lists)
         }
         4 => match c.u8()? {
             0 => CallbackReplyMsg::CachedPage(None),
             _ => CallbackReplyMsg::CachedPage(Some(Arc::<[u8]>::from(c.rest()))),
         },
-        5 => match c.u8()? {
-            0 => CallbackReplyMsg::Recovered(RecoveredPageOutcome::Done(c.rest().to_vec())),
-            _ => CallbackReplyMsg::Recovered(RecoveredPageOutcome::Failed(
-                String::from_utf8(c.rest().to_vec())
-                    .map_err(|_| corrupt("invalid utf-8 failure message".into()))?,
-            )),
-        },
+        5 => {
+            let n = c.count(1 + 4)?;
+            let mut outcomes = Vec::with_capacity(n);
+            for _ in 0..n {
+                let tag = c.u8()?;
+                let len = c.u32()? as usize;
+                let bytes = c.take(len)?.to_vec();
+                outcomes.push(match tag {
+                    0 => RecoveredPageOutcome::Done(bytes),
+                    1 => RecoveredPageOutcome::Failed(
+                        String::from_utf8(bytes)
+                            .map_err(|_| corrupt("invalid utf-8 failure message".into()))?,
+                    ),
+                    other => return Err(corrupt(format!("bad recovered-page tag {other}"))),
+                });
+            }
+            CallbackReplyMsg::RecoveredPages(outcomes)
+        }
         other => return Err(corrupt(format!("bad callback reply tag {other}"))),
     };
     c.done()?;

@@ -32,7 +32,9 @@ use crate::api::{
     apply_callback, dispatch, unreachable_callback_reply, Callback, CallbackReplyMsg, Dispatched,
     LockResponse, RecoverPagePlan, RecoveryHandshake, Reply, Request, ServerApi,
 };
-use crate::peer::{CallbackOutcome, ClientPeer, ClientStateReport, RecoveredPageOutcome};
+use crate::peer::{
+    CallbackOutcome, ClientPeer, ClientStateReport, RecoverJob, RecoveredPageOutcome,
+};
 use crate::stats::{MsgKind, NetStats};
 use crate::transport::frame::{self, FrameKind};
 use crate::wait::{grant_pair, GrantSlot};
@@ -470,13 +472,14 @@ impl ClientPeer for RemoteClientPeer {
         for_client: ClientId,
         from_lsn: Lsn,
     ) -> Vec<(ObjectId, Psn)> {
-        match self.roundtrip(Callback::CallbackListFor {
-            page,
-            for_client,
-            from_lsn,
-        }) {
-            Some(CallbackReplyMsg::CallbackList(v)) => v,
-            _ => Vec::new(),
+        self.callback_lists_for(&[(page, for_client, from_lsn)])
+            .remove(0)
+    }
+
+    fn callback_lists_for(&self, queries: &[(PageId, ClientId, Lsn)]) -> Vec<Vec<(ObjectId, Psn)>> {
+        match self.roundtrip(Callback::CallbackListsFor(queries.to_vec())) {
+            Some(CallbackReplyMsg::CallbackLists(lists)) if lists.len() == queries.len() => lists,
+            _ => vec![Vec::new(); queries.len()],
         }
     }
 
@@ -494,14 +497,20 @@ impl ClientPeer for RemoteClientPeer {
         install_psn: Psn,
         callback_list: Vec<(ObjectId, Psn)>,
     ) -> RecoveredPageOutcome {
-        match self.roundtrip(Callback::RecoverPage {
+        self.recover_pages(vec![RecoverJob {
             page,
-            base,
+            base: base.into(),
             install_psn,
             callback_list,
-        }) {
-            Some(CallbackReplyMsg::Recovered(o)) => o,
-            _ => RecoveredPageOutcome::Failed("client unreachable".into()),
+        }])
+        .remove(0)
+    }
+
+    fn recover_pages(&self, jobs: Vec<RecoverJob>) -> Vec<RecoveredPageOutcome> {
+        let n = jobs.len();
+        match self.roundtrip(Callback::RecoverPages(jobs)) {
+            Some(CallbackReplyMsg::RecoveredPages(outcomes)) if outcomes.len() == n => outcomes,
+            _ => vec![RecoveredPageOutcome::Failed("client unreachable".into()); n],
         }
     }
 }

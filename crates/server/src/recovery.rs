@@ -15,9 +15,9 @@
 //! same page **in parallel**, coordinated through the `CallBack_P` lists
 //! and the partial-state requests of §3.4 step 3.
 
-use crate::runtime::ServerCore;
-use fgl_common::{ClientId, Lsn, PageId, Psn, Result};
-use fgl_net::peer::{ClientPeer, RecoveredPageOutcome};
+use crate::runtime::{fan_out, ServerCore};
+use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, Result};
+use fgl_net::peer::{ClientPeer, RecoverJob, RecoveredPageOutcome, RECOVER_BATCH_PAGES};
 use fgl_net::stats::MsgKind;
 use fgl_obs::{emit, Event, LogOwner, RecoveryPhase};
 use fgl_wal::records::LogPayload;
@@ -46,6 +46,9 @@ pub struct RestartReport {
     pub replay: Duration,
 }
 
+/// One page a client is to replay, with its merged `CallBack_P` list.
+type RecoverPlan = (PageId, Vec<(ObjectId, Psn)>);
+
 impl ServerCore {
     /// Run §3.4 restart recovery against the currently registered
     /// (operational) clients. Crashed clients (complex crash, §3.5)
@@ -62,19 +65,26 @@ impl ServerCore {
             owner: LogOwner::Server,
             phase: RecoveryPhase::Gather,
         });
+        // One interrogation per client, all clients at once.
+        let reports = fan_out(peers.iter().collect(), |peer| {
+            self.net.msg(MsgKind::Recovery, 16);
+            let report = peer.report_state();
+            self.net.msg(MsgKind::Recovery, 64 + 24 * report.dpt.len());
+            report
+        });
         let mut dpt_by_client: HashMap<ClientId, Vec<(PageId, Lsn)>> = HashMap::new();
         let mut cached_by_client: HashMap<ClientId, HashMap<PageId, Psn>> = HashMap::new();
         // Clients report their full state; a restarting *partition* of a
         // multi-server system keeps only the slice in its residue class —
         // locks, DPT entries and cached copies on other instances' pages
         // are those servers' concern, and they kept serving throughout.
-        for peer in &peers {
+        for (peer, report) in peers.iter().zip(reports) {
             let id = peer.client_id();
-            self.net.msg(MsgKind::Recovery, 16);
-            let report = peer.report_state();
-            self.net.msg(MsgKind::Recovery, 64 + 24 * report.dpt.len());
-            for lock in report.locks.iter().filter(|l| self.owns_page(l.page())) {
-                self.glm.lock().install_holder(id, *lock);
+            {
+                let mut glm = self.glm.lock();
+                for lock in report.locks.iter().filter(|l| self.owns_page(l.page())) {
+                    glm.install_holder(id, *lock);
+                }
             }
             dpt_by_client.insert(
                 id,
@@ -95,16 +105,20 @@ impl ServerCore {
             );
         }
 
-        // Pages needing replay: in a client's DPT but not in its cache.
-        let mut involved: HashMap<PageId, Vec<ClientId>> = HashMap::new();
-        for (client, dpt) in &dpt_by_client {
-            let cached = &cached_by_client[client];
-            for (page, _) in dpt {
-                if !cached.contains_key(page) {
-                    involved.entry(*page).or_default().push(*client);
-                }
-            }
+        // Units of replay, client by client: a page in a client's DPT but
+        // not in its cache.
+        let mut units: Vec<(PageId, ClientId)> = Vec::new();
+        for peer in &peers {
+            let id = peer.client_id();
+            let cached = &cached_by_client[&id];
+            units.extend(
+                dpt_by_client[&id]
+                    .iter()
+                    .filter(|(page, _)| !cached.contains_key(page))
+                    .map(|(page, _)| (*page, id)),
+            );
         }
+        let pages: HashSet<PageId> = units.iter().map(|(page, _)| *page).collect();
 
         // ---- (c): reconstruct the DCT ---------------------------------------
         let gather = start.elapsed();
@@ -122,7 +136,7 @@ impl ServerCore {
         }
         // Step 2: read candidate pages from disk, remember their PSNs.
         let mut disk_psn: HashMap<PageId, Psn> = HashMap::new();
-        for page in involved.keys() {
+        for page in &pages {
             if let Some(p) = self.store.lock().read_disk(*page)? {
                 disk_psn.insert(*page, p.psn());
             }
@@ -178,104 +192,88 @@ impl ServerCore {
             }
         }
         // Step 4: pull cached DPT pages from operational clients and merge
-        // them (their updates are in those copies).
-        for peer in &peers {
+        // them (their updates are in those copies) — the clients in
+        // parallel, each shipping its pages in turn.
+        let pulls = fan_out(peers.iter().collect(), |peer| -> Result<()> {
             let id = peer.client_id();
-            let dpt = &dpt_by_client[&id];
             let cached = &cached_by_client[&id];
-            for (page, _) in dpt {
+            for (page, _) in &dpt_by_client[&id] {
                 if cached.contains_key(page) {
                     self.net.msg(MsgKind::Recovery, 16);
                     if let Some(bytes) = peer.ship_cached_page(*page) {
                         self.net.msg(MsgKind::PageShip, bytes.len());
-                        self.install_recovered(id, bytes.to_vec())?;
+                        self.absorb_page(id, &bytes, false)?;
                     }
                 }
             }
-        }
+            Ok(())
+        });
+        pulls.into_iter().collect::<Result<()>>()?;
 
-        // ---- (d): coordinate per-page client replay --------------------------
+        // ---- (d): coordinate per-client replay -------------------------------
         let dct_rebuild = dct_start.elapsed();
         emit(Event::RecoveryPhase {
             owner: LogOwner::Server,
             phase: RecoveryPhase::Replay,
         });
         let replay_start = Instant::now();
-        let peer_map: HashMap<ClientId, Arc<dyn ClientPeer>> =
-            peers.iter().map(|p| (p.client_id(), p.clone())).collect();
-        let units: Vec<(PageId, ClientId)> = involved
-            .iter()
-            .flat_map(|(page, clients)| clients.iter().map(|c| (*page, *c)))
-            .collect();
-        let involved_clients: HashSet<ClientId> = units.iter().map(|(_, c)| *c).collect();
-
-        // Build the merged CallBack_P list for every (page, C) unit first.
-        let mut cb_lists: HashMap<(PageId, ClientId), Vec<(fgl_common::ObjectId, Psn)>> =
-            HashMap::new();
-        for (page, c) in &units {
-            let mut merged: HashMap<fgl_common::ObjectId, Psn> = HashMap::new();
-            for peer in &peers {
-                if peer.client_id() == *c {
-                    continue;
-                }
-                self.net.msg(MsgKind::Recovery, 16);
-                let from_lsn = dpt_by_client[&peer.client_id()]
-                    .iter()
-                    .find(|(p, _)| p == page)
-                    .map(|(_, l)| *l)
-                    .unwrap_or(Lsn::NIL);
-                let list = peer.callback_list_for(*page, *c, from_lsn);
-                self.net.msg(MsgKind::Recovery, 16 + 24 * list.len());
+        // The `CallBack_P` round: every client is asked once, for every
+        // unit it is not itself the replayer of, and answers from one
+        // scan of its log. The per-unit lists merge by highest PSN.
+        let answers = fan_out(peers.iter().collect(), |peer| {
+            let id = peer.client_id();
+            let own_redo: HashMap<PageId, Lsn> = dpt_by_client[&id].iter().copied().collect();
+            let queries: Vec<(PageId, ClientId, Lsn)> = units
+                .iter()
+                .filter(|(_, c)| *c != id)
+                .map(|&(page, c)| (page, c, own_redo.get(&page).copied().unwrap_or(Lsn::NIL)))
+                .collect();
+            if queries.is_empty() {
+                return (queries, Vec::new());
+            }
+            self.net.msg(MsgKind::Recovery, 16 * queries.len());
+            let lists = peer.callback_lists_for(&queries);
+            self.net.msg(
+                MsgKind::Recovery,
+                lists.iter().map(|l| 16 + 24 * l.len()).sum(),
+            );
+            (queries, lists)
+        });
+        let mut merged: HashMap<(PageId, ClientId), HashMap<ObjectId, Psn>> = HashMap::new();
+        for (queries, lists) in answers {
+            for ((page, c, _), list) in queries.into_iter().zip(lists) {
+                let unit = merged.entry((page, c)).or_default();
                 for (obj, psn) in list {
-                    let e = merged.entry(obj).or_insert(psn);
+                    let e = unit.entry(obj).or_insert(psn);
                     if psn > *e {
                         *e = psn;
                     }
                 }
             }
-            let mut list: Vec<_> = merged.into_iter().collect();
-            list.sort_by_key(|(o, _)| (o.page.0, o.slot.0));
-            cb_lists.insert((*page, *c), list);
         }
 
-        // Replay units run in parallel — §3.4: "clients may recover the
-        // same page in parallel"; cross-client dependencies resolve via
-        // recovery_fetch/poll_recovery_needs.
-        let unit_results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = units
-                .iter()
-                .map(|(page, c)| {
-                    let peer = peer_map[c].clone();
-                    let list = cb_lists[&(*page, *c)].clone();
-                    let page = *page;
-                    let c = *c;
-                    scope.spawn(move || -> Result<()> {
-                        // Base copy: the server's current merged view.
-                        let (base, evicted) = self.store.lock().get_or_format(page)?;
-                        self.flush_images_pub(evicted)?;
-                        let install_psn = self.dct.lock().psn_of(page, c).unwrap_or(base.psn());
-                        self.net.msg(MsgKind::Recovery, 32 + 24 * list.len());
-                        self.net.msg(MsgKind::PageShip, base.size());
-                        let outcome = peer.recover_page(page, base.into_bytes(), install_psn, list);
-                        match outcome {
-                            RecoveredPageOutcome::Done(bytes) => {
-                                self.install_recovered(c, bytes)?;
-                                Ok(())
-                            }
-                            RecoveredPageOutcome::Failed(msg) => {
-                                Err(fgl_common::FglError::Protocol(format!(
-                                    "client {c} failed to recover {page}: {msg}"
-                                )))
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        // Replay: each involved client recovers *its* pages from *its* log,
+        // the clients in parallel (§3.4), a client's pages in batches it
+        // answers from one log scan each. Cross-client dependencies
+        // resolve via recovery_fetch/poll_recovery_needs.
+        let replayers: Vec<&Arc<dyn ClientPeer>> = peers
+            .iter()
+            .filter(|peer| units.iter().any(|(_, c)| *c == peer.client_id()))
+            .collect();
+        let clients_involved = replayers.len();
+        let replays = fan_out(replayers, |peer| {
+            let c = peer.client_id();
+            let plans = units.iter().filter(|(_, uc)| *uc == c).map(|&(page, _)| {
+                let mut list: Vec<(ObjectId, Psn)> = merged
+                    .get(&(page, c))
+                    .map(|m| m.iter().map(|(o, p)| (*o, *p)).collect())
+                    .unwrap_or_default();
+                list.sort_by_key(|(o, _)| (o.page.0, o.slot.0));
+                (page, list)
+            });
+            self.replay_client(&**peer, &plans.collect::<Vec<RecoverPlan>>())
         });
-        for r in unit_results {
-            r?;
-        }
+        replays.into_iter().collect::<Result<()>>()?;
 
         // Clients that were down across this restart must recover via the
         // §3.5 path (the rebuilt DCT cannot be trusted to cover them).
@@ -289,8 +287,8 @@ impl ServerCore {
             phase: RecoveryPhase::Done,
         });
         let report = RestartReport {
-            pages_recovered: involved.len(),
-            clients_involved: involved_clients.len(),
+            pages_recovered: pages.len(),
+            clients_involved,
             recovery_units: units.len(),
             records_scanned,
             elapsed: start.elapsed(),
@@ -320,5 +318,58 @@ impl ServerCore {
         metrics.add("server_recovery_records_scanned", records_scanned as u64);
         metrics.add("server_recovery_pages", report.pages_recovered as u64);
         Ok(report)
+    }
+
+    /// Have one client replay its pages, [`RECOVER_BATCH_PAGES`] to a
+    /// message, and absorb what comes back. A batch's base copies are
+    /// read when it is sent, so they already hold the client's earlier
+    /// batches.
+    fn replay_client(&self, peer: &dyn ClientPeer, plans: &[RecoverPlan]) -> Result<()> {
+        let c = peer.client_id();
+        for batch in plans.chunks(RECOVER_BATCH_PAGES) {
+            let mut jobs = Vec::with_capacity(batch.len());
+            for (page, callback_list) in batch {
+                // Base copy: the server's current merged view.
+                let (base, evicted) = self.store.lock().get_or_format(*page)?;
+                self.flush_images_pub(evicted)?;
+                let install_psn = self.dct.lock().psn_of(*page, c).unwrap_or(base.psn());
+                jobs.push(RecoverJob {
+                    page: *page,
+                    base: base.into_bytes().into(),
+                    install_psn,
+                    callback_list: callback_list.clone(),
+                });
+            }
+            self.net.msg(
+                MsgKind::Recovery,
+                jobs.iter().map(|j| 32 + 24 * j.callback_list.len()).sum(),
+            );
+            self.net
+                .msg(MsgKind::PageShip, jobs.iter().map(|j| j.base.len()).sum());
+            let outcomes = peer.recover_pages(jobs);
+            if outcomes.len() != batch.len() {
+                return Err(FglError::Protocol(format!(
+                    "client {c} answered {} of {} pages to recover",
+                    outcomes.len(),
+                    batch.len()
+                )));
+            }
+            let mut shipped = 0;
+            for ((page, _), outcome) in batch.iter().zip(outcomes) {
+                match outcome {
+                    RecoveredPageOutcome::Done(bytes) => {
+                        shipped += bytes.len();
+                        self.absorb_page(c, &bytes, false)?;
+                    }
+                    RecoveredPageOutcome::Failed(msg) => {
+                        return Err(FglError::Protocol(format!(
+                            "client {c} failed to recover {page}: {msg}"
+                        )))
+                    }
+                }
+            }
+            self.net.msg(MsgKind::PageShip, shipped);
+        }
+        Ok(())
     }
 }

@@ -68,6 +68,32 @@ pub struct ServerStats {
     pub merges: u64,
 }
 
+/// Run `f` on every item concurrently — green subtasks when driven from
+/// the event scheduler, scoped OS threads otherwise — and return the
+/// results in item order. A single item runs inline: no thread to pay
+/// for.
+pub(crate) fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    if items.len() <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let f = &f;
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = items
+        .into_iter()
+        .zip(&slots)
+        .map(|(item, slot)| {
+            Box::new(move || {
+                *slot.lock() = Some(f(item));
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    fgl_sched::fanout(jobs);
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("fanout ran every job"))
+        .collect()
+}
+
 /// Map a GLM callback to its observability class.
 fn class_of(kind: &CallbackKind) -> CallbackClass {
     match kind {
@@ -510,10 +536,8 @@ impl ServerCore {
             };
             deliveries.push((to, peer, kinds));
         }
-        let deliver = |to: ClientId,
-                       peer: &Arc<dyn ClientPeer>,
-                       kinds: &[CallbackKind]|
-         -> Vec<CallbackOutcome> {
+        // One concurrent delivery per destination holder.
+        fan_out(deliveries, |(to, peer, kinds)| {
             // One round-trip span per destination batch. A `fanout`
             // subtask inherits the spawner's trace tag, so concurrent
             // deliveries stay parented under the span that triggered the
@@ -527,7 +551,7 @@ impl ServerCore {
                 to,
                 count: kinds.len() as u32,
             });
-            for kind in kinds {
+            for kind in &kinds {
                 self.contention.on_callback(kind.page());
                 emit(Event::CallbackIssued {
                     to,
@@ -536,7 +560,7 @@ impl ServerCore {
                 });
             }
             let issued_at = self.metrics.now_us();
-            let outcomes = peer.deliver_callback_batch(kinds);
+            let outcomes = peer.deliver_callback_batch(&kinds);
             self.net.msg(
                 MsgKind::CallbackReply,
                 fgl_net::wire::callback_reply(&outcomes),
@@ -559,41 +583,8 @@ impl ServerCore {
                     }
                 }
             }
-            outcomes
-        };
-        if deliveries.len() <= 1 {
-            // One destination: no thread to pay for.
-            return deliveries
-                .into_iter()
-                .map(|(to, peer, kinds)| {
-                    let outcomes = deliver(to, &peer, &kinds);
-                    (to, kinds, outcomes)
-                })
-                .collect();
-        }
-        // One concurrent delivery per destination holder: green subtasks
-        // when driven from the event scheduler, scoped OS threads
-        // otherwise (`fanout` joins either way before returning).
-        let results: Vec<Mutex<Option<Vec<CallbackOutcome>>>> =
-            deliveries.iter().map(|_| Mutex::new(None)).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = deliveries
-            .iter()
-            .zip(&results)
-            .map(|((to, peer, kinds), slot)| {
-                let deliver = &deliver;
-                Box::new(move || {
-                    *slot.lock() = Some(deliver(*to, peer, kinds));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        fgl_sched::fanout(jobs);
-        deliveries
-            .iter()
-            .zip(results)
-            .map(|((to, _, kinds), slot)| {
-                (*to, kinds.clone(), slot.into_inner().expect("delivery ran"))
-            })
-            .collect()
+            (to, kinds, outcomes)
+        })
     }
 
     /// Apply one destination's merged reply: absorb shipped page copies
@@ -751,7 +742,7 @@ impl ServerCore {
         self.absorb_parsed(client, page, replaced)
     }
 
-    fn absorb_page(&self, client: ClientId, bytes: &[u8], replaced: bool) -> Result<()> {
+    pub(crate) fn absorb_page(&self, client: ClientId, bytes: &[u8], replaced: bool) -> Result<()> {
         let page = self.parse_frame(bytes)?;
         self.absorb_parsed(client, page, replaced)
     }
@@ -1110,9 +1101,12 @@ impl ServerCore {
             // cached DPT pages were absorbed in step 4 before replay
             // began, and their flushed state is on disk — the current
             // merged copy covers them. Only a crashed client recovering
-            // in parallel (§3.5) can still owe state.
+            // in parallel (§3.5) can still owe state — and only once the
+            // server is up again: until then its recovery cannot begin
+            // (`client_recovery_begin` refuses), so the wait would always
+            // run to its deadline and reach the same merged copy.
             let provider_recovering = self.crashed_clients.lock().contains(&cid);
-            if provider_recovering {
+            if provider_recovering && !self.is_down() {
                 self.wait_for_recovery_progress(cid, page, psn);
             }
         }

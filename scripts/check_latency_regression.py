@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Latency-regression gate for the obs-smoke experiments.
 
-Compares the p95 commit and lock-wait latencies of freshly emitted
+Compares the p95 commit and lock-wait latencies — and, where a row
+restarted the server, its §3.4 phase times — of freshly emitted
 experiment metrics (the JSON files MetricsEmitter writes) against a
 checked-in baseline, and exits non-zero when a sweep point regresses
 beyond the noise band. The band is deliberately generous — the
@@ -24,6 +25,17 @@ import sys
 RATIO = 2.0
 ABS_SLACK_US = 500
 TRACKED = ("commit_us", "lock_wait_us")
+
+
+def tracked(name):
+    """Commit and lock-wait latency everywhere; plus the server-restart
+    phases (`recovery_phase_us_<strategy>_server_<phase>`), which only
+    rows that crashed the server carry (E14)."""
+    return name in TRACKED or (
+        name.startswith("recovery_phase_us_") and "_server_" in name
+    )
+
+
 # Measured-environment params (sampled thread counts, pool sizes derived
 # from host cores, RSS readings) would make baseline keys host-dependent;
 # identify sweep points by the swept knobs only.
@@ -49,10 +61,7 @@ def extract(path):
     rows = {}
     for row in doc["rows"]:
         hists = row["metrics"]["histograms"]
-        point = {}
-        for name in TRACKED:
-            if name in hists:
-                point[name] = hists[name]["p95"]
+        point = {name: h["p95"] for name, h in hists.items() if tracked(name)}
         if point:
             rows[row_key(row["params"])] = point
     return doc["experiment"], rows

@@ -2,12 +2,24 @@
 //! several workloads and seeds, verified against the committed-state
 //! oracle.
 
-use fgl::{System, SystemConfig};
+use fgl::{
+    ClientCore, ClientId, Lsn, MsgKind, ObjectId, PageId, Psn, System, SystemConfig, TransportKind,
+};
+use fgl_client::PeerHandle;
+use fgl_common::rng::DetRng;
+use fgl_locks::glm::CallbackKind;
+use fgl_net::{
+    CallbackOutcome, ClientPeer, ClientStateReport, RecoverJob, RecoveredPageOutcome,
+    RECOVER_BATCH_PAGES,
+};
 use fgl_sim::crash::{run_crash_scenario, CrashKind};
 use fgl_sim::harness::{run_workload, HarnessOptions};
 use fgl_sim::oracle::Oracle;
-use fgl_sim::setup::populate;
-use fgl_sim::workload::{WorkloadKind, WorkloadSpec};
+use fgl_sim::setup::{populate, populate_partitioned};
+use fgl_sim::workload::{Op, WorkloadKind, WorkloadSpec};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 fn spec(kind: WorkloadKind) -> WorkloadSpec {
     let mut s = WorkloadSpec::new(kind);
@@ -207,6 +219,368 @@ fn processing_continues_in_parallel_with_client_recovery() {
         rec.join().unwrap()
     });
     recovered.unwrap();
+    let v = oracle.verify_via_reads(sys.client(1)).unwrap();
+    assert!(v.is_clean(), "{:?}", v.mismatches);
+}
+
+// ---- server restart in one pass (§3.4) -------------------------------------
+
+/// Forwards to a client's own peer and counts the §3.4 services it is
+/// asked for: per-page primitives in `single`, batched forms by name.
+struct CountingPeer {
+    inner: PeerHandle,
+    report_state: AtomicUsize,
+    callback_lists_for: AtomicUsize,
+    recover_pages: AtomicUsize,
+    pages_recovered: AtomicUsize,
+    single: AtomicUsize,
+}
+
+impl CountingPeer {
+    fn register(sys: &System, i: usize) -> Arc<CountingPeer> {
+        let peer = Arc::new(CountingPeer {
+            inner: PeerHandle::new(sys.client(i)),
+            report_state: AtomicUsize::new(0),
+            callback_lists_for: AtomicUsize::new(0),
+            recover_pages: AtomicUsize::new(0),
+            pages_recovered: AtomicUsize::new(0),
+            single: AtomicUsize::new(0),
+        });
+        sys.server.register_client(peer.clone());
+        peer
+    }
+}
+
+impl ClientPeer for CountingPeer {
+    fn client_id(&self) -> ClientId {
+        self.inner.client_id()
+    }
+    fn deliver_callback(&self, kind: CallbackKind) -> CallbackOutcome {
+        self.inner.deliver_callback(kind)
+    }
+    fn deliver_callback_batch(&self, kinds: &[CallbackKind]) -> Vec<CallbackOutcome> {
+        self.inner.deliver_callback_batch(kinds)
+    }
+    fn notify_page_flushed(&self, page: PageId) {
+        self.inner.notify_page_flushed(page)
+    }
+    fn report_state(&self) -> ClientStateReport {
+        self.report_state.fetch_add(1, Ordering::Relaxed);
+        self.inner.report_state()
+    }
+    fn callback_list_for(&self, page: PageId, c: ClientId, from: Lsn) -> Vec<(ObjectId, Psn)> {
+        self.single.fetch_add(1, Ordering::Relaxed);
+        self.inner.callback_list_for(page, c, from)
+    }
+    fn callback_lists_for(&self, q: &[(PageId, ClientId, Lsn)]) -> Vec<Vec<(ObjectId, Psn)>> {
+        self.callback_lists_for.fetch_add(1, Ordering::Relaxed);
+        self.inner.callback_lists_for(q)
+    }
+    fn ship_cached_page(&self, page: PageId) -> Option<Arc<[u8]>> {
+        self.inner.ship_cached_page(page)
+    }
+    fn recover_page(
+        &self,
+        page: PageId,
+        base: Vec<u8>,
+        psn: Psn,
+        list: Vec<(ObjectId, Psn)>,
+    ) -> RecoveredPageOutcome {
+        self.single.fetch_add(1, Ordering::Relaxed);
+        self.inner.recover_page(page, base, psn, list)
+    }
+    fn recover_pages(&self, jobs: Vec<RecoverJob>) -> Vec<RecoveredPageOutcome> {
+        self.recover_pages.fetch_add(1, Ordering::Relaxed);
+        self.pages_recovered
+            .fetch_add(jobs.len(), Ordering::Relaxed);
+        self.inner.recover_pages(jobs)
+    }
+}
+
+/// Restart is O(clients) in messages: one interrogation, one `CallBack_P`
+/// query and ⌈pages ÷ `RECOVER_BATCH_PAGES`⌉ replay requests per client —
+/// not a query per (page, client) unit per other client, and not a replay
+/// request per unit. PRIVATE over partitioned loading keeps every count a
+/// function of the seed alone (no client ever touches another's pages).
+#[test]
+fn server_restart_costs_a_fixed_number_of_messages_per_client() {
+    const CLIENTS: usize = 5;
+    // A server pool that never evicts: no flush ever trims a client's DPT.
+    let cfg = SystemConfig {
+        client_cache_pages: 4,
+        server_cache_pages: 1024,
+        ..SystemConfig::default()
+    };
+    let sys = System::build(cfg, CLIENTS).unwrap();
+    let mut s = spec(WorkloadKind::Private);
+    s.pages = 400;
+    let loaders: Vec<_> = (0..CLIENTS).map(|i| sys.client(i)).collect();
+    let layout = populate_partitioned(&loaders, s.pages, s.objects_per_page, 32).unwrap();
+    let oracle = Oracle::new();
+    oracle.seed(sys.client(0), &layout).unwrap();
+    let mut opts = HarnessOptions::new(s, 40);
+    opts.seed = 1901;
+    run_workload(&sys, &layout, Some(&oracle), &opts).unwrap();
+
+    // What each client will be asked for: its dirty pages still cached are
+    // pulled (step 4), those it replaced are replayed.
+    let peers: Vec<_> = (0..CLIENTS)
+        .map(|i| CountingPeer::register(&sys, i))
+        .collect();
+    let mut pulled = 0;
+    let mut replayed = Vec::new();
+    for c in &sys.clients {
+        let dpt = c.dpt_snapshot();
+        let cached = dpt
+            .iter()
+            .filter(|(p, _)| c.cached_page(*p).is_some())
+            .count();
+        pulled += cached;
+        replayed.push(dpt.len() - cached);
+    }
+    let units: usize = replayed.iter().sum();
+    let batches: usize = replayed
+        .iter()
+        .map(|n| n.div_ceil(RECOVER_BATCH_PAGES))
+        .sum();
+    assert!(
+        replayed.iter().any(|&n| n > RECOVER_BATCH_PAGES),
+        "one client must need more than one batch: {replayed:?}"
+    );
+
+    sys.server.crash();
+    let before = sys.net.snapshot();
+    let report = sys.server.restart_recovery().unwrap();
+    let net = sys.net.snapshot().delta_since(&before);
+
+    // The same seed at the commit before the one-pass restart: 380 units
+    // over 380 pages, and 3 450 `Recovery` messages (3 040 of them the
+    // 2 × units × (clients − 1) of the per-unit `CallBack_P` round).
+    assert_eq!(report.recovery_units, units);
+    assert_eq!(report.recovery_units, 380);
+    assert_eq!(report.pages_recovered, 380);
+    assert_eq!(report.clients_involved, CLIENTS);
+    for (peer, pages) in peers.iter().zip(&replayed) {
+        assert_eq!(peer.report_state.load(Ordering::Relaxed), 1);
+        assert_eq!(peer.callback_lists_for.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            peer.recover_pages.load(Ordering::Relaxed),
+            pages.div_ceil(RECOVER_BATCH_PAGES)
+        );
+        assert_eq!(peer.pages_recovered.load(Ordering::Relaxed), *pages);
+        assert_eq!(peer.single.load(Ordering::Relaxed), 0);
+    }
+    // Request + reply for the interrogation and for the lists, one request
+    // per pulled page, one per replay batch (pages travel as `PageShip`).
+    let recovery = net.count(MsgKind::Recovery) as usize;
+    assert_eq!(recovery, 4 * CLIENTS + pulled + batches);
+    assert!(recovery - pulled <= 6 * CLIENTS, "{recovery} - {pulled}");
+    assert_eq!(net.count(MsgKind::PageShip) as usize, pulled + 2 * batches);
+
+    let v = oracle.verify_via_reads(sys.client(1)).unwrap();
+    assert!(v.is_clean(), "{:?}", v.mismatches);
+}
+
+/// The batched §3.4 services give the per-page answers: on a HOTCOLD run
+/// with caches small enough to replace dirty pages (so DPT RedoLSNs and
+/// callback records spread over the log), one scan for many queries, or
+/// for many pages, returns exactly what a scan per query or page does.
+#[test]
+fn batched_recovery_services_equal_the_per_page_ones() {
+    let cfg = SystemConfig {
+        client_cache_pages: 4,
+        server_cache_pages: 12,
+        client_checkpoint_every: 400,
+        ..SystemConfig::default()
+    };
+    let sys = System::build(cfg, 3).unwrap();
+    let mut s = spec(WorkloadKind::HotCold);
+    s.pages = 24;
+    s.hot_probability = 0.5;
+    let layout = populate(sys.client(0), s.pages, s.objects_per_page, 32).unwrap();
+    // The harness's seeded HOTCOLD streams without its threads: the
+    // clients take turns, so nothing ever waits and every run leaves the
+    // same three logs.
+    let mut rngs: Vec<DetRng> = (0..3).map(|i| DetRng::new(1902 + i)).collect();
+    for round in 0..80u8 {
+        for (i, c) in sys.clients.iter().enumerate() {
+            let t = c.begin().unwrap();
+            for op in s.next_txn(i, 3, &mut rngs[i]).ops {
+                match op {
+                    Op::Read(o) => drop(c.read(t, o).unwrap()),
+                    Op::Write(o) | Op::Resize(o) => c.write(t, o, &[round; 32]).unwrap(),
+                }
+            }
+            c.commit(t).unwrap();
+        }
+    }
+
+    let mut lists_seen = 0;
+    let mut floors_seen = std::collections::BTreeSet::new();
+    let mut undirtied_seen = false;
+    let mut replays_changed = 0;
+    for (i, client) in sys.clients.iter().enumerate() {
+        let peer = PeerHandle::new(client);
+        let dpt = client.dpt_snapshot();
+
+        // Every (page, other client) pair, asked once with no RedoLSN and
+        // once with one taken from this client's own table.
+        let mut queries = Vec::new();
+        for (n, &page) in layout.pages.iter().enumerate() {
+            for other in sys.clients.iter().filter(|o| o.id() != client.id()) {
+                queries.push((page, other.id(), Lsn::NIL));
+                if let Some((_, lsn)) = dpt.get(n % dpt.len().max(1)) {
+                    queries.push((page, other.id(), *lsn));
+                }
+            }
+        }
+        let batched = peer.callback_lists_for(&queries);
+        assert_eq!(batched.len(), queries.len());
+        for (&(page, c, from), list) in queries.iter().zip(&batched) {
+            assert_eq!(list, &peer.callback_list_for(page, c, from), "{page} {c}");
+            lists_seen += list.len();
+        }
+
+        // Every page of the database as one replay batch: pages with
+        // different RedoLSNs, and pages this client never dirtied. A list
+        // naming every object keeps replay off the foreign-callback path,
+        // whose fetches would change the server under the comparison.
+        let jobs: Vec<RecoverJob> = layout
+            .pages
+            .iter()
+            .map(|&page| {
+                let base = sys.server.page_copy(page).unwrap();
+                let callback_list = layout
+                    .objects
+                    .iter()
+                    .filter(|o| o.page == page)
+                    .map(|o| (*o, Psn::ZERO))
+                    .collect();
+                RecoverJob {
+                    page,
+                    install_psn: base.psn(),
+                    base: base.into_bytes().into(),
+                    callback_list,
+                }
+            })
+            .collect();
+        let batched = peer.recover_pages(jobs.clone());
+        assert_eq!(batched.len(), jobs.len());
+        for (job, out) in jobs.into_iter().zip(batched) {
+            match dpt.iter().find(|(p, _)| *p == job.page) {
+                Some((_, lsn)) => drop(floors_seen.insert((i, *lsn))),
+                None => undirtied_seen = true,
+            }
+            if out != RecoveredPageOutcome::Done(job.base.to_vec()) {
+                replays_changed += 1;
+            }
+            let single = peer.recover_page(
+                job.page,
+                job.base.to_vec(),
+                job.install_psn,
+                job.callback_list,
+            );
+            // (Not `assert_eq!`: a failure would print two whole pages.)
+            assert!(out == single, "client {i} page {}", job.page);
+        }
+    }
+    assert!(lists_seen > 0, "the run must leave callback records");
+    assert!(
+        floors_seen.len() > 3,
+        "RedoLSNs must differ: {floors_seen:?}"
+    );
+    assert!(undirtied_seen, "one page must have no DPT entry");
+    assert!(replays_changed > 0, "replay must have applied records");
+}
+
+/// While the server is down a crashed client cannot begin its recovery,
+/// so a replay that meets a callback record naming it must not wait for
+/// its progress: the wait can only run out and fall back to the merged
+/// copy the restart already has.
+#[test]
+fn restart_does_not_wait_on_a_crashed_clients_progress() {
+    let cfg = SystemConfig {
+        client_cache_pages: 2,
+        ..SystemConfig::default()
+    };
+    let sys = System::build(cfg, 2).unwrap();
+    let (a, b) = (sys.client(0), sys.client(1));
+    let oracle = Oracle::new();
+    let write = |c: &Arc<ClientCore>, obj: ObjectId, val: &[u8]| {
+        let t = c.begin().unwrap();
+        c.write(t, obj, val).unwrap();
+        c.commit_with(t, || oracle.commit_writes(&[(obj, Some(val.to_vec()))]))
+            .unwrap();
+    };
+    let create = |c: &Arc<ClientCore>, val: &[u8]| {
+        let t = c.begin().unwrap();
+        let page = c.create_page(t).unwrap();
+        let obj = c.insert(t, page, val).unwrap();
+        c.commit_with(t, || oracle.commit_writes(&[(obj, Some(val.to_vec()))]))
+            .unwrap();
+        obj
+    };
+
+    // A then B update one object: B's exclusive lock calls A back, and B
+    // logs a callback record naming A.
+    let shared = create(a, b"a-first.");
+    let own = create(a, b"a-alone.");
+    write(a, shared, b"a-again.");
+    write(b, shared, b"b-wrote.");
+    // B's copy is replaced: still in its DPT, no longer in its cache.
+    for _ in 0..3 {
+        create(b, b"b-other.");
+    }
+    assert!(b.cached_page(shared.page).is_none());
+    assert!(b.dpt_snapshot().iter().any(|(p, _)| *p == shared.page));
+
+    a.crash();
+    sys.server.crash();
+    let report = sys.server.restart_recovery().unwrap();
+    assert!(report.recovery_units >= 1);
+    assert!(
+        report.elapsed < Duration::from_millis(400),
+        "restart waited on a client that cannot move: {:?}",
+        report.elapsed
+    );
+    a.recover().unwrap();
+    let v = oracle.verify_via_reads(b).unwrap();
+    assert!(v.is_clean(), "{:?}", v.mismatches);
+    let t = a.begin().unwrap();
+    assert_eq!(a.read(t, own).unwrap(), b"a-alone.");
+    assert_eq!(a.read(t, shared).unwrap(), b"b-wrote.");
+    a.commit(t).unwrap();
+}
+
+/// The batched frames end to end: over a Unix socket a client with more
+/// replaced dirty pages than one batch holds answers the `CallBack_P`
+/// query and both `RecoverPages` requests through the real codec.
+#[test]
+fn server_restart_over_a_socket_replays_in_batches() {
+    let cfg = SystemConfig {
+        client_cache_pages: 4,
+        server_cache_pages: 1024,
+        ..SystemConfig::default()
+    }
+    .with_transport(TransportKind::Uds);
+    let sys = System::build(cfg, 2).unwrap();
+    let s = {
+        let mut s = spec(WorkloadKind::Private);
+        s.pages = 2 * (RECOVER_BATCH_PAGES + 8);
+        s
+    };
+    let loaders: Vec<_> = (0..2).map(|i| sys.client(i)).collect();
+    let layout = populate_partitioned(&loaders, s.pages, s.objects_per_page, 32).unwrap();
+    let oracle = Oracle::new();
+    oracle.seed(sys.client(0), &layout).unwrap();
+    let mut opts = HarnessOptions::new(s, 30);
+    opts.seed = 1903;
+    run_workload(&sys, &layout, Some(&oracle), &opts).unwrap();
+
+    sys.server.crash();
+    let report = sys.server.restart_recovery().unwrap();
+    assert_eq!(report.clients_involved, 2);
+    assert_eq!(report.recovery_units, 2 * (RECOVER_BATCH_PAGES + 8 - 4));
     let v = oracle.verify_via_reads(sys.client(1)).unwrap();
     assert!(v.is_clean(), "{:?}", v.mismatches);
 }

@@ -28,7 +28,7 @@ use fgl_locks::mode::{LockTarget, ObjMode};
 use fgl_net::transport::frame::{self, FrameHeader, FrameKind, Seg, HEADER, MAX_FRAME};
 use fgl_net::wire;
 use fgl_net::{Callback, CallbackOutcome, CallbackReplyMsg, ClientStateReport, GrantMsg};
-use fgl_net::{RecoveredPageOutcome, Reply, Request, WireError};
+use fgl_net::{RecoverJob, RecoveredPageOutcome, Reply, Request, WireError, RECOVER_BATCH_PAGES};
 use fgl_wal::records::DptEntry;
 
 fn obj(page: u64, slot: u16) -> ObjectId {
@@ -212,19 +212,30 @@ fn sample_callbacks() -> Vec<Callback> {
         Callback::DeliverBatch(vec![]),
         Callback::NotifyFlushed(PageId(8)),
         Callback::ReportState,
-        Callback::CallbackListFor {
-            page: PageId(9),
-            for_client: ClientId(2),
-            from_lsn: Lsn(100),
-        },
+        Callback::CallbackListsFor(vec![]),
+        Callback::CallbackListsFor(vec![(PageId(9), ClientId(2), Lsn(100))]),
+        Callback::CallbackListsFor(
+            (0..200)
+                .map(|i| (PageId(i), ClientId(i as u32 % 5), Lsn(i * 7)))
+                .collect(),
+        ),
         Callback::ShipCachedPage(PageId(10)),
-        Callback::RecoverPage {
-            page: PageId(11),
-            base: vec![1; 64],
-            install_psn: Psn(12),
-            callback_list: vec![(obj(11, 0), Psn(3))],
-        },
+        Callback::RecoverPages(vec![]),
+        Callback::RecoverPages(vec![sample_job(11)]),
+        Callback::RecoverPages((0..RECOVER_BATCH_PAGES as u64).map(sample_job).collect()),
     ]
+}
+
+/// A replay job whose base length and list length vary with the page.
+fn sample_job(page: u64) -> RecoverJob {
+    RecoverJob {
+        page: PageId(page),
+        base: page_buf(page as u8, 64 + page as usize % 3),
+        install_psn: Psn(page + 1),
+        callback_list: (0..page % 4)
+            .map(|s| (obj(page, s as u16), Psn(s)))
+            .collect(),
+    }
 }
 
 fn sample_outcomes() -> Vec<CallbackOutcome> {
@@ -256,11 +267,25 @@ fn sample_callback_replies() -> Vec<CallbackReplyMsg> {
             locks: vec![LockTarget::Object(obj(1, 0), ObjMode::X)],
         }),
         CallbackReplyMsg::State(ClientStateReport::default()),
-        CallbackReplyMsg::CallbackList(vec![(obj(2, 2), Psn(9))]),
+        CallbackReplyMsg::CallbackLists(vec![]),
+        CallbackReplyMsg::CallbackLists(vec![vec![(obj(2, 2), Psn(9))]]),
+        CallbackReplyMsg::CallbackLists(
+            (0..200)
+                .map(|i| (0..i % 3).map(|s| (obj(i, s as u16), Psn(i))).collect())
+                .collect(),
+        ),
         CallbackReplyMsg::CachedPage(Some(page_buf(8, 32))),
         CallbackReplyMsg::CachedPage(None),
-        CallbackReplyMsg::Recovered(RecoveredPageOutcome::Done(vec![1, 2, 3])),
-        CallbackReplyMsg::Recovered(RecoveredPageOutcome::Failed("no log".into())),
+        CallbackReplyMsg::RecoveredPages(vec![]),
+        CallbackReplyMsg::RecoveredPages(vec![RecoveredPageOutcome::Done(vec![1, 2, 3])]),
+        CallbackReplyMsg::RecoveredPages(
+            (0..RECOVER_BATCH_PAGES)
+                .map(|i| match i % 8 {
+                    7 => RecoveredPageOutcome::Failed(format!("no log for page {i}")),
+                    _ => RecoveredPageOutcome::Done(vec![i as u8; 64 + i % 3]),
+                })
+                .collect(),
+        ),
     ]
 }
 
@@ -489,6 +514,25 @@ fn ship_page_shares_the_page_buffer() {
     assert!(Arc::ptr_eq(&shared, &bytes));
 }
 
+#[test]
+fn recover_pages_shares_every_base_buffer() {
+    // A full replay batch: each job's base copy travels as its own shared
+    // segment, in job order, never copied into the frame.
+    let jobs: Vec<RecoverJob> = (0..RECOVER_BATCH_PAGES as u64).map(sample_job).collect();
+    let segs = frame::encode_callback(9, &Callback::RecoverPages(jobs.clone())).unwrap();
+    let shared: Vec<&Arc<[u8]>> = segs
+        .iter()
+        .filter_map(|s| match s {
+            Seg::Shared(a) => Some(a),
+            Seg::Owned(_) => None,
+        })
+        .collect();
+    assert_eq!(shared.len(), jobs.len());
+    for (seg, job) in shared.iter().zip(&jobs) {
+        assert!(Arc::ptr_eq(seg, &job.base));
+    }
+}
+
 // ---- truncation and malformed input ---------------------------------------
 
 /// A reader that trickles one byte per `read` call: exercises the
@@ -636,6 +680,79 @@ fn callback_batch_body_must_be_a_multiple_of_the_kind_size() {
 }
 
 #[test]
+fn batched_recovery_bodies_refuse_truncation_and_trailing_bytes() {
+    // Counts and lengths inside the four batched bodies are all checked
+    // against the bytes actually present: no strict prefix decodes, and
+    // neither does a body with a byte to spare.
+    let check = |body: &[u8], decode: &dyn Fn(&[u8]) -> Option<FglError>| {
+        assert!(decode(body).is_none(), "the whole body must decode");
+        for cut in 0..body.len() {
+            let err = decode(&body[..cut]).expect("a strict prefix must not decode");
+            assert!(matches!(err, FglError::Corrupt(_)), "cut {cut}: {err:?}");
+        }
+        let mut longer = body.to_vec();
+        longer.push(0);
+        let err = decode(&longer).expect("a trailing byte must not decode");
+        assert!(matches!(err, FglError::Corrupt(_)), "{err:?}");
+    };
+    let callbacks = [
+        Callback::CallbackListsFor(vec![
+            (PageId(1), ClientId(2), Lsn(3)),
+            (PageId(4), ClientId(5), Lsn::NIL),
+        ]),
+        Callback::RecoverPages(vec![sample_job(2), sample_job(7)]),
+    ];
+    for cb in &callbacks {
+        let segs = frame::encode_callback(1, cb).unwrap();
+        let (h, body) = read_back(&segs, FrameKind::Cb, 1);
+        check(&body, &|b| frame::decode_callback(&h, b).err());
+    }
+    let replies = [
+        CallbackReplyMsg::CallbackLists(vec![vec![(obj(1, 2), Psn(3))], vec![]]),
+        CallbackReplyMsg::RecoveredPages(vec![
+            RecoveredPageOutcome::Done(vec![9; 40]),
+            RecoveredPageOutcome::Failed("no log".into()),
+        ]),
+    ];
+    for r in &replies {
+        let segs = frame::encode_callback_reply(1, r).unwrap();
+        let (h, body) = read_back(&segs, FrameKind::CbResp, 1);
+        check(&body, &|b| frame::decode_callback_reply(&h, b).err());
+    }
+
+    // A count that the body cannot hold is refused before it sizes an
+    // allocation.
+    let segs = frame::encode_callback(1, &Callback::RecoverPages(vec![sample_job(2)])).unwrap();
+    let (h, mut body) = read_back(&segs, FrameKind::Cb, 1);
+    body[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let err = frame::decode_callback(&h, &body).unwrap_err();
+    assert!(matches!(err, FglError::Corrupt(_)), "{err:?}");
+}
+
+#[test]
+fn version_3_peers_are_refused() {
+    // Version 3 still speaks the per-page `CallbackListFor`/`RecoverPage`
+    // frames under the tags the batched ones took over; it is turned away
+    // at the handshake, in both directions.
+    assert_eq!(frame::WIRE_VERSION, 4);
+    let mut hello = frame::frame_bytes(&frame::encode_hello(ClientId(1)))[HEADER..].to_vec();
+    hello[4..6].copy_from_slice(&3u16.to_le_bytes());
+    let err = frame::decode_hello(&hello).unwrap_err();
+    assert!(
+        matches!(&err, FglError::Protocol(m) if m.contains("peer speaks 3")),
+        "{err:?}"
+    );
+    let ack = frame::encode_hello_ack(&SystemConfig::default());
+    let mut ack = frame::frame_bytes(&ack)[HEADER..].to_vec();
+    ack[..2].copy_from_slice(&3u16.to_le_bytes());
+    let err = frame::decode_hello_ack(&ack).unwrap_err();
+    assert!(
+        matches!(&err, FglError::Protocol(m) if m.contains("server speaks 3")),
+        "{err:?}"
+    );
+}
+
+#[test]
 fn hello_rejects_bad_magic_and_version() {
     let good = frame::frame_bytes(&frame::encode_hello(ClientId(1)));
     let body = good[HEADER..].to_vec();
@@ -676,5 +793,23 @@ fn encoders_refuse_counts_that_overflow_wire_fields() {
         blockers: vec![TxnId(0); (u16::MAX as usize) + 1],
     }]);
     let err = frame::encode_callback_reply(1, &too_many_blockers).unwrap_err();
+    assert!(matches!(err, FglError::Protocol(_)), "{err:?}");
+
+    // A replay batch the reader would refuse as longer than `MAX_FRAME`
+    // is refused by the encoder (one shared megabyte, named 65 times).
+    let base = page_buf(0, 1 << 20);
+    let jobs = (0..=(MAX_FRAME >> 20) as u64)
+        .map(|p| RecoverJob {
+            page: PageId(p),
+            base: base.clone(),
+            install_psn: Psn(0),
+            callback_list: vec![],
+        })
+        .collect();
+    let err = frame::encode_callback(1, &Callback::RecoverPages(jobs)).unwrap_err();
+    assert!(matches!(err, FglError::Protocol(_)), "{err:?}");
+    let recovered = vec![RecoveredPageOutcome::Done(vec![0; 1 << 20]); (MAX_FRAME >> 20) + 1];
+    let err =
+        frame::encode_callback_reply(1, &CallbackReplyMsg::RecoveredPages(recovered)).unwrap_err();
     assert!(matches!(err, FglError::Protocol(_)), "{err:?}");
 }
