@@ -1,7 +1,7 @@
 //! **E14 — Logging-strategy recovery shootout.**
 //!
 //! The `LoggingStrategy` seam makes the paper's client-based ARIES one
-//! policy among several: REDO-only single-pass restart (Sauer & Härder),
+//! policy among several: REDO-only logging (Sauer & Härder),
 //! an adaptive command/physical hybrid (Yao et al.), and a no-force
 //! write-behind baseline. This experiment races all four through the
 //! crash matrix and reports, per (strategy, crash) cell:

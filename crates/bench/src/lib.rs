@@ -1,9 +1,9 @@
-//! Shared scaffolding for the experiment binaries (E1–E9, `DESIGN.md`)
-//! and the criterion micro-benchmarks.
+//! Shared scaffolding for the experiment binaries (`ci/experiments.txt`,
+//! `DESIGN.md`).
 //!
 //! Every experiment binary accepts `--quick` to shrink the sweep (used by
-//! CI and the recorded `bench_output.txt`); defaults are sized to finish
-//! in tens of seconds on a laptop.
+//! CI and `run_experiments.sh --quick`); defaults are sized to finish in
+//! tens of seconds on a laptop.
 
 // Experiment sweeps mutate one config field at a time; the
 // default-then-assign pattern is the point.

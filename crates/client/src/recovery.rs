@@ -3,12 +3,16 @@
 //! Two distinct duties live here:
 //!
 //! * [`ClientCore::recover`] — recovery **from the client's own crash**
-//!   (§3.3): reinstall exclusive locks, ARIES analysis over the private
-//!   log from the last complete checkpoint, a redo pass *filtered by the
-//!   server's DCT* (Property 1 — only pages with a DCT entry need work)
-//!   with PSN-conditional application, an undo pass rolling back the
-//!   loser transactions with CLRs, and final hardening (ship + force the
-//!   recovered pages so every lock can be released).
+//!   (§3.3, and §3.5 when the server restarted too), one driver of five
+//!   steps under every logging strategy: the *handshake* reinstalls the
+//!   exclusive locks held before the crash; *analysis* scans the private
+//!   log for the transaction table, the log-derived DPT and any spilled
+//!   before-images; *redo* recovers each page from its own bucket of
+//!   records — against a fetched copy, filtered by the server's DCT
+//!   (Property 1) and PSN-conditional, or through the §3.4 replay when a
+//!   server restart left the DCT unable to vouch for us; *undo* rolls
+//!   the losers back with CLRs; *hardening* ships and forces the
+//!   recovered pages so every lock can be released.
 //!
 //! * `ClientCore::recover_pages_for_server` — the client's part of
 //!   **server restart recovery** (§3.4): scan the private log once for
@@ -21,8 +25,9 @@
 
 use crate::peer::PeerHandle;
 use crate::runtime::{ClientCore, DptState};
-use crate::txn::{TxnState, TxnStatus};
-use fgl_common::{FglError, Lsn, ObjectId, PageId, Psn, Result, TxnId};
+use crate::txn::TxnState;
+use fgl_common::{FglError, IdMap, Lsn, ObjectId, PageId, Psn, Result, TxnId};
+use fgl_locks::mode::ObjMode;
 use fgl_net::peer::{RecoverJob, RecoveredPageOutcome};
 use fgl_obs::{emit, Event, LogOwner, RecoveryPhase};
 use fgl_storage::merge::merge_pages;
@@ -30,6 +35,7 @@ use fgl_storage::page::Page;
 use fgl_wal::envelope::StrategyRecord;
 use fgl_wal::records::LogPayload;
 use fgl_wal::LogRecordEntry;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,14 +56,15 @@ pub struct ClientRecoveryReport {
     pub pages_recovered: usize,
     /// Pages fetched from the server during recovery.
     pub pages_fetched: usize,
-    /// Log records scanned (analysis + redo).
+    /// Log records read by analysis, plus those redo examined (the
+    /// records naming a page to redo at or above its RedoLSN).
     pub records_scanned: usize,
     /// Update/CLR records actually re-applied.
     pub records_applied: usize,
     pub elapsed: Duration,
-    /// ARIES analysis pass wall time.
+    /// Analysis pass wall time.
     pub analysis: Duration,
-    /// DCT-filtered redo pass wall time.
+    /// Redo pass wall time (local redo or §3.5 replay).
     pub redo: Duration,
     /// Loser-rollback pass wall time.
     pub undo: Duration,
@@ -71,8 +78,9 @@ struct AttEntry {
     first_lsn: Lsn,
     committed: bool,
     ended: bool,
-    /// The transaction logged redo-only (its loser rollback runs from
-    /// spilled before-images, not the log chain).
+    /// The transaction logged redo-only: redo skips it while it is a
+    /// loser, and its rollback runs from spilled before-images, not the
+    /// log chain.
     ext: bool,
 }
 
@@ -85,6 +93,83 @@ impl AttEntry {
             ended: false,
             ext: false,
         }
+    }
+}
+
+/// What the analysis pass learns from the private log. Keyed by ids this
+/// client minted and logged itself, and looked up once per record, hence
+/// [`IdMap`] (as are the [`page_records`](ClientCore::page_records)
+/// buckets).
+#[derive(Default)]
+struct Analysis {
+    att: IdMap<TxnId, AttEntry>,
+    /// Log-derived DPT: per page, its RedoLSN — the checkpoint's, else
+    /// its first record in the scanned window.
+    dpt: IdMap<PageId, Lsn>,
+    max_seq: u32,
+    spills: SpillMap,
+}
+
+impl Analysis {
+    /// Account one redoable record of `txn` on `page`.
+    fn update(&mut self, txn: TxnId, page: PageId, lsn: Lsn) -> &mut AttEntry {
+        self.max_seq = self.max_seq.max(txn.local_seq());
+        self.dpt.entry(page).or_insert(lsn);
+        let e = self.att.entry(txn).or_insert_with(|| AttEntry::at(lsn));
+        e.last_lsn = lsn;
+        e
+    }
+
+    /// The transactions the crash caught active, in id order.
+    fn losers(&self) -> Vec<(TxnId, &AttEntry)> {
+        let mut losers: Vec<_> = self
+            .att
+            .iter()
+            .filter(|(_, e)| !e.ended)
+            .map(|(t, e)| (*t, e))
+            .collect();
+        losers.sort_by_key(|(t, _)| *t);
+        losers
+    }
+}
+
+/// The redo half of a log record: the image `txn` left in `object` when
+/// the page stood at `psn_before`.
+struct RedoImage<'a> {
+    txn: TxnId,
+    object: ObjectId,
+    psn_before: Psn,
+    /// `None` means "object deleted".
+    after: Option<Cow<'a, [u8]>>,
+}
+
+impl<'a> RedoImage<'a> {
+    /// `None` for a record that carries no redo work.
+    fn of(payload: &'a LogPayload) -> Result<Option<Self>> {
+        Ok(match payload {
+            LogPayload::Update(u) => Some(RedoImage {
+                txn: u.txn,
+                object: u.object,
+                psn_before: u.psn_before,
+                after: u.after.as_deref().map(Cow::Borrowed),
+            }),
+            LogPayload::Clr(c) => Some(RedoImage {
+                txn: c.txn,
+                object: c.object,
+                psn_before: c.psn_before,
+                after: c.after.as_deref().map(Cow::Borrowed),
+            }),
+            LogPayload::Ext(ext) => match StrategyRecord::decode(ext)? {
+                StrategyRecord::RedoUpdate(ru) => Some(RedoImage {
+                    txn: ru.txn,
+                    object: ru.object,
+                    psn_before: ru.psn_before,
+                    after: ru.after.map(Cow::Owned),
+                }),
+                StrategyRecord::UndoSpill(_) => None,
+            },
+            _ => None,
+        })
     }
 }
 
@@ -113,10 +198,11 @@ impl ClientCore {
         self.recover_with(RecoveryOptions::default())
     }
 
-    /// [`recover`](Self::recover) with explicit options. Dispatches to
-    /// the active `LoggingStrategy`'s recovery
-    /// procedure (3-pass ARIES for the physical strategies, single-pass
-    /// for the redo-only ones).
+    /// [`recover`](Self::recover) with explicit options. One procedure
+    /// for every logging strategy and for both states the server can be
+    /// in: what differs is read from the log (a redo-only loser is
+    /// skipped by redo and undone from its spills) and from the handshake
+    /// (after a server restart redo runs through the §3.4 replay).
     pub fn recover_with(
         self: &Arc<Self>,
         options: RecoveryOptions,
@@ -124,713 +210,293 @@ impl ClientCore {
         // Recovery appends to the WAL and bumps counters, so the client
         // joins the active set even if it never ran a transaction here.
         self.touch();
-        self.strategy.recover(self, options)
-    }
-
-    /// The paper's 3-pass client restart (§3.3): analysis from the last
-    /// complete checkpoint, DCT-filtered redo, chain-walk undo.
-    pub(crate) fn recover_aries(
-        self: &Arc<Self>,
-        options: RecoveryOptions,
-    ) -> Result<ClientRecoveryReport> {
         let start = Instant::now();
         let mut report = ClientRecoveryReport::default();
+        let (dct, dct_complete) = self.handshake()?;
 
-        // Reconnect and receive the exclusive locks held before the crash
-        // plus the DCT view of our pages (Property 1 filter + install
-        // PSNs).
+        let phase = self.enter(RecoveryPhase::Analysis);
+        let log = self.analyse(&mut report)?;
+        report.analysis = phase.elapsed();
+
+        let phase = self.enter(if dct_complete {
+            RecoveryPhase::Redo
+        } else {
+            RecoveryPhase::Replay
+        });
+        self.redo(&log, &dct, dct_complete, options, &mut report)?;
+        report.redo = phase.elapsed();
+
+        let phase = self.enter(RecoveryPhase::Undo);
+        report.losers = self.undo_losers(&log)?;
+        report.undo = phase.elapsed();
+
+        let phase = self.enter(RecoveryPhase::Harden);
+        self.harden_and_release()?;
+        report.harden = phase.elapsed();
+
+        report.elapsed = start.elapsed();
+        self.finish_recovery_report(&report);
+        Ok(report)
+    }
+
+    /// Announce a restart phase and start its clock.
+    fn enter(&self, phase: RecoveryPhase) -> Instant {
+        emit(Event::RecoveryPhase {
+            owner: LogOwner::Client(self.id()),
+            phase,
+        });
+        Instant::now()
+    }
+
+    /// Reconnect and receive the exclusive locks held before the crash
+    /// plus the DCT view of our pages (the Property 1 filter and the
+    /// install PSNs), and whether that view is complete.
+    fn handshake(self: &Arc<Self>) -> Result<(HashMap<PageId, Option<Psn>>, bool)> {
         let peer = Arc::new(PeerHandle::new(self));
         let (locks, dct_entries, dct_complete) =
             self.server.client_recovery_begin(self.id(), peer)?;
-        let dct: HashMap<PageId, Option<Psn>> = dct_entries.into_iter().collect();
-        {
-            let mut st = self.st.lock();
-            st.crashed = false;
-            st.llm.reinstall_exclusive(&locks);
-        }
-
-        // ---- analysis pass ---------------------------------------------------
-        emit(Event::RecoveryPhase {
-            owner: LogOwner::Client(self.id()),
-            phase: RecoveryPhase::Analysis,
-        });
-        let analysis_start = Instant::now();
-        let (att, dpt, max_seq, scanned) = {
-            let st = self.st.lock();
-            let mut att: HashMap<TxnId, AttEntry> = HashMap::new();
-            let mut dpt: HashMap<PageId, Lsn> = HashMap::new();
-            let mut max_seq = 0u32;
-            let mut scanned = 0usize;
-            // Seed from the last complete checkpoint, then scan forward
-            // from its anchor (the shared checkpoint-anchored iterator).
-            if let Some(entry) = st.wal.checkpoint_entry() {
-                if let LogPayload::ClientCheckpoint {
-                    active_txns,
-                    dpt: ck_dpt,
-                } = entry.payload
-                {
-                    for (t, l) in active_txns {
-                        att.insert(t, AttEntry::at(l));
-                        max_seq = max_seq.max(t.local_seq());
-                    }
-                    for e in ck_dpt {
-                        dpt.insert(e.page, e.redo_lsn);
-                    }
-                }
-            }
-            for entry in st.wal.scan_from_checkpoint(Lsn::NIL) {
-                scanned += 1;
-                let lsn = entry.lsn;
-                match &entry.payload {
-                    LogPayload::Begin { txn } => {
-                        max_seq = max_seq.max(txn.local_seq());
-                        att.insert(*txn, AttEntry::at(lsn));
-                    }
-                    LogPayload::Update(u) => {
-                        max_seq = max_seq.max(u.txn.local_seq());
-                        let e = att.entry(u.txn).or_insert_with(|| AttEntry::at(lsn));
-                        e.last_lsn = lsn;
-                        dpt.entry(u.object.page).or_insert(lsn);
-                    }
-                    LogPayload::Clr(c) => {
-                        max_seq = max_seq.max(c.txn.local_seq());
-                        let e = att.entry(c.txn).or_insert_with(|| AttEntry::at(lsn));
-                        e.last_lsn = lsn;
-                        dpt.entry(c.object.page).or_insert(lsn);
-                    }
-                    LogPayload::Commit { txn, .. } => {
-                        if let Some(e) = att.get_mut(txn) {
-                            e.committed = true;
-                            e.ended = true;
-                        }
-                    }
-                    LogPayload::Abort { txn, .. } => {
-                        if let Some(e) = att.get_mut(txn) {
-                            e.ended = true;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            (att, dpt, max_seq, scanned)
-        };
-        report.records_scanned += scanned;
-        report.winners = att.values().filter(|e| e.committed).count();
-        report.analysis = analysis_start.elapsed();
-
-        // ---- redo pass -----------------------------------------------------
-        // Plain client crash: Property 1 lets us skip pages without a DCT
-        // entry. After a server restart (§3.5) the rebuilt DCT cannot be
-        // trusted to cover us, so every page in the log-derived
-        // ("augmented") DPT is recovered, via the §3.4 replay machinery.
-        if !dct_complete {
-            return self.recover_after_server_restart(
-                start,
-                report,
-                att,
-                dpt,
-                max_seq,
-                SpillMap::new(),
-            );
-        }
-        emit(Event::RecoveryPhase {
-            owner: LogOwner::Client(self.id()),
-            phase: RecoveryPhase::Redo,
-        });
-        let redo_pass_start = Instant::now();
-        let redo_dpt: HashMap<PageId, Lsn> = dpt
-            .iter()
-            .filter(|(p, _)| !options.use_dct_filter || dct.contains_key(*p))
-            .map(|(p, l)| (*p, *l))
-            .collect();
-        report.pages_recovered = redo_dpt.len();
-        let redo_start = redo_dpt.values().copied().min().unwrap_or(Lsn::NIL);
-        if !redo_dpt.is_empty() {
-            let records: Vec<_> = {
-                let st = self.st.lock();
-                st.wal
-                    .scan_from(redo_start)
-                    .filter(|e| matches!(e.payload, LogPayload::Update(_) | LogPayload::Clr(_)))
-                    .collect()
-            };
-            let mut fetched: HashSet<PageId> = HashSet::new();
-            for entry in records {
-                report.records_scanned += 1;
-                let (object, psn_before, after) = match &entry.payload {
-                    LogPayload::Update(u) => (u.object, u.psn_before, u.after.clone()),
-                    LogPayload::Clr(c) => (c.object, c.psn_before, c.after.clone()),
-                    _ => continue,
-                };
-                let Some(&page_redo) = redo_dpt.get(&object.page) else {
-                    continue;
-                };
-                if entry.lsn < page_redo {
-                    continue;
-                }
-                // Fetch the page once, installing the DCT PSN (§3.3).
-                if !fetched.contains(&object.page) {
-                    let (bytes, dct_psn) = self.server.fetch_page(self.id(), object.page)?;
-                    let mut page = Page::from_bytes(bytes)?;
-                    if let Some(Some(psn)) = dct.get(&object.page) {
-                        page.set_psn(*psn);
-                    } else if let Some(psn) = dct_psn {
-                        page.set_psn(psn);
-                    }
-                    let evicted = {
-                        let mut st = self.st.lock();
-                        st.dpt.entry(object.page).or_insert(DptState {
-                            redo_lsn: page_redo,
-                            remembered: None,
-                            updated_since_ship: true,
-                        });
-                        st.cache.install_exact(page, true)
-                    };
-                    // Evictions cannot be shipped mid-recovery without
-                    // perturbing the DCT; the cache is sized for recovery.
-                    if evicted.is_some() {
-                        return Err(FglError::Protocol(
-                            "client cache too small for recovery working set".into(),
-                        ));
-                    }
-                    fetched.insert(object.page);
-                    report.pages_fetched += 1;
-                }
-                // Apply only updates to exclusively locked objects whose
-                // PSN clears the page PSN (§3.3).
-                let mut st = self.st.lock();
-                let x_locked = st
-                    .llm
-                    .cached_mode(object)
-                    .map(|m| m == fgl_locks::mode::ObjMode::X)
-                    .unwrap_or(false);
-                if !x_locked {
-                    continue;
-                }
-                let p = st
-                    .cache
-                    .get_mut(object.page)
-                    .ok_or(FglError::PageNotFound(object.page))?;
-                if psn_before >= p.psn() {
-                    p.install_object(object.slot, after.as_deref(), psn_before.next())?;
-                    p.set_psn(psn_before.next());
-                    report.records_applied += 1;
-                }
-            }
-        }
-
-        report.redo = redo_pass_start.elapsed();
-
-        // ---- undo pass ---------------------------------------------------------
-        emit(Event::RecoveryPhase {
-            owner: LogOwner::Client(self.id()),
-            phase: RecoveryPhase::Undo,
-        });
-        let undo_start = Instant::now();
-        {
-            let mut st = self.st.lock();
-            st.next_seq = st.next_seq.max(max_seq);
-            for (txn, e) in &att {
-                if !e.ended {
-                    let mut t = TxnState::new(*txn);
-                    t.last_lsn = e.last_lsn;
-                    t.first_lsn = e.first_lsn;
-                    st.txns.insert(*txn, t);
-                }
-            }
-        }
-        let losers: Vec<TxnId> = att
-            .iter()
-            .filter(|(_, e)| !e.ended)
-            .map(|(t, _)| *t)
-            .collect();
-        report.losers = losers.len();
-        for txn in losers {
-            self.rollback_loser(txn)?;
-        }
-        report.undo = undo_start.elapsed();
-
-        // ---- harden and release --------------------------------------------------
-        emit(Event::RecoveryPhase {
-            owner: LogOwner::Client(self.id()),
-            phase: RecoveryPhase::Harden,
-        });
-        let harden_start = Instant::now();
-        let dirty: Vec<PageId> = {
-            let st = self.st.lock();
-            st.cache.dirty_ids()
-        };
-        for page in &dirty {
-            self.ship_page_copy(*page, true)?;
-            self.server.force_page(self.id(), *page)?;
-        }
-        self.checkpoint()?;
-        self.server.client_recovery_end(self.id())?;
-        {
-            let mut st = self.st.lock();
-            // Pre-crash transactions are all resolved; the server released
-            // our locks — mirror that locally.
-            st.llm.clear();
-            st.txns.clear();
-        }
-        self.cv.notify_all();
-        report.harden = harden_start.elapsed();
-        report.elapsed = start.elapsed();
-        self.finish_recovery_report(&report);
-        Ok(report)
-    }
-
-    /// §3.5: recovery of a crashed client after the server itself
-    /// restarted. Every page of the augmented (log-derived) DPT is
-    /// replayed through the §3.4 machinery: the server supplies the base
-    /// copy, the vouched-for PSN and the merged `CallBack_P` list; the
-    /// replayed copy is shipped back and hardened.
-    fn recover_after_server_restart(
-        self: &Arc<Self>,
-        start: Instant,
-        mut report: ClientRecoveryReport,
-        att: HashMap<TxnId, AttEntry>,
-        dpt: HashMap<PageId, Lsn>,
-        max_seq: u32,
-        spills: SpillMap,
-    ) -> Result<ClientRecoveryReport> {
-        report.analysis = start.elapsed();
-        emit(Event::RecoveryPhase {
-            owner: LogOwner::Client(self.id()),
-            phase: RecoveryPhase::Replay,
-        });
-        let redo_pass_start = Instant::now();
-        report.pages_recovered = dpt.len();
-        // Redo-only losers are skipped during replay; their shipped
-        // updates are undone from the spilled before-images afterwards.
-        let skip_txns: HashSet<TxnId> = att
-            .iter()
-            .filter(|(_, e)| !e.ended && e.ext)
-            .map(|(t, _)| *t)
-            .collect();
-        let skip = &skip_txns;
-        let records = self.page_records(dpt.iter().map(|(&p, &l)| (p, Some(l))));
-        let records = &records;
-        // Pages replay in parallel: a replay blocked on another crashed
-        // client's progress (recovery_fetch) must not stall this client's
-        // remaining pages — they are what *other* recoveries wait on.
-        let recovered_pages: Vec<Result<(PageId, Lsn, Page)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = dpt
-                .iter()
-                .map(|(&page, &redo_lsn)| {
-                    scope.spawn(move || -> Result<(PageId, Lsn, Page)> {
-                        let (base, install_psn, list) =
-                            self.server.recover_client_page(self.id(), page)?;
-                        let bytes = self.replay_records(
-                            page,
-                            base,
-                            install_psn,
-                            list,
-                            records.get(&page).map(Vec::as_slice).unwrap_or_default(),
-                            skip,
-                        )?;
-                        Ok((page, redo_lsn, Page::from_bytes(bytes)?))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for r in recovered_pages {
-            let (page, redo_lsn, recovered) = r?;
-            report.pages_fetched += 1;
-            let mut st = self.st.lock();
-            st.dpt.entry(page).or_insert(crate::runtime::DptState {
-                redo_lsn,
-                remembered: None,
-                updated_since_ship: true,
-            });
-            if st.cache.install_exact(recovered, true).is_some() {
-                return Err(FglError::Protocol(
-                    "client cache too small for recovery working set".into(),
-                ));
-            }
-        }
-        report.redo = redo_pass_start.elapsed();
-        // Undo losers (their pages are now cached).
-        emit(Event::RecoveryPhase {
-            owner: LogOwner::Client(self.id()),
-            phase: RecoveryPhase::Undo,
-        });
-        let undo_start = Instant::now();
-        {
-            let mut st = self.st.lock();
-            st.next_seq = st.next_seq.max(max_seq);
-            for (txn, e) in &att {
-                if !e.ended {
-                    let mut t = TxnState::new(*txn);
-                    t.last_lsn = e.last_lsn;
-                    t.first_lsn = e.first_lsn;
-                    st.txns.insert(*txn, t);
-                }
-            }
-        }
-        let mut losers: Vec<TxnId> = att
-            .iter()
-            .filter(|(_, e)| !e.ended)
-            .map(|(t, _)| *t)
-            .collect();
-        losers.sort();
-        report.losers = losers.len();
-        for txn in losers {
-            if skip_txns.contains(&txn) {
-                self.rollback_spilled(txn, spills.get(&txn).map_or(&[], |v| v.as_slice()))?;
-            } else {
-                self.rollback_loser(txn)?;
-            }
-        }
-        report.undo = undo_start.elapsed();
-        // Harden: ship and force every recovered page.
-        emit(Event::RecoveryPhase {
-            owner: LogOwner::Client(self.id()),
-            phase: RecoveryPhase::Harden,
-        });
-        let harden_start = Instant::now();
-        let dirty: Vec<PageId> = {
-            let st = self.st.lock();
-            st.cache.dirty_ids()
-        };
-        for page in &dirty {
-            self.ship_page_copy(*page, true)?;
-            self.server.force_page(self.id(), *page)?;
-        }
-        self.checkpoint()?;
-        self.server.client_recovery_end(self.id())?;
-        {
-            let mut st = self.st.lock();
-            st.llm.clear();
-            st.txns.clear();
-        }
-        self.cv.notify_all();
-        report.harden = harden_start.elapsed();
-        report.elapsed = start.elapsed();
-        self.finish_recovery_report(&report);
-        Ok(report)
-    }
-
-    /// Emit the terminal recovery event and fold the phase timings into
-    /// the shared metrics registry — both the legacy flat counters and
-    /// per-strategy phase histograms (`recovery_phase_us_<strategy>_*`).
-    fn finish_recovery_report(&self, report: &ClientRecoveryReport) {
-        emit(Event::RecoveryPhase {
-            owner: LogOwner::Client(self.id()),
-            phase: RecoveryPhase::Done,
-        });
-        let strategy = self.strategy.kind().name();
-        for (phase, took) in [
-            ("analysis", report.analysis),
-            ("redo", report.redo),
-            ("undo", report.undo),
-            ("harden", report.harden),
-        ] {
-            self.metrics.observe_named(
-                &format!("recovery_phase_us_{strategy}_{phase}"),
-                took.as_micros() as u64,
-            );
-        }
-        self.metrics.add("client_recoveries", 1);
-        self.metrics.add(
-            "client_recovery_analysis_us",
-            report.analysis.as_micros() as u64,
-        );
-        self.metrics
-            .add("client_recovery_redo_us", report.redo.as_micros() as u64);
-        self.metrics
-            .add("client_recovery_undo_us", report.undo.as_micros() as u64);
-        self.metrics.add(
-            "client_recovery_harden_us",
-            report.harden.as_micros() as u64,
-        );
-        self.metrics.add(
-            "client_recovery_records_scanned",
-            report.records_scanned as u64,
-        );
-        self.metrics
-            .add("client_recovery_pages", report.pages_recovered as u64);
-    }
-
-    /// Undo one loser transaction during restart (§3.3: "transaction
-    /// rollback is done by executing the ARIES undo pass").
-    fn rollback_loser(&self, txn: TxnId) -> Result<()> {
-        self.rollback_chain_public(txn)?;
         let mut st = self.st.lock();
-        let prev = st.txns.get(&txn).map(|t| t.last_lsn).unwrap_or(Lsn::NIL);
-        self.append_critical(
-            &mut st,
-            &LogPayload::Abort {
-                txn,
-                prev_lsn: prev,
-            },
-        )?;
-        if let Some(t) = st.txns.get_mut(&txn) {
-            t.status = TxnStatus::Aborted;
+        st.crashed = false;
+        st.llm.reinstall_exclusive(&locks);
+        Ok((dct_entries.into_iter().collect(), dct_complete))
+    }
+
+    /// One scan of the private log: the transaction table, the
+    /// log-derived DPT and the spilled before-images. A strategy that
+    /// writes spills scans from the low-water mark — the §3.6
+    /// reclamation floor never passes an active transaction's first
+    /// record or a DPT redo point, so every spill a loser needs sits
+    /// above it (after Sauer & Härder, arXiv 1409.3682); a physical log
+    /// is seeded from its last complete checkpoint and scanned from
+    /// there (§3.3).
+    fn analyse(&self, report: &mut ClientRecoveryReport) -> Result<Analysis> {
+        let st = self.st.lock();
+        let mut log = Analysis::default();
+        let scan = if self.strategy.envelope_id() != 0 {
+            st.wal.scan_from(Lsn::NIL)
+        } else {
+            if let Some(LogPayload::ClientCheckpoint { active_txns, dpt }) =
+                st.wal.checkpoint_entry().map(|e| e.payload)
+            {
+                for (t, l) in active_txns {
+                    log.att.insert(t, AttEntry::at(l));
+                    log.max_seq = log.max_seq.max(t.local_seq());
+                }
+                log.dpt
+                    .extend(dpt.into_iter().map(|e| (e.page, e.redo_lsn)));
+            }
+            st.wal.scan_from_checkpoint(Lsn::NIL)
+        };
+        for entry in scan {
+            report.records_scanned += 1;
+            let lsn = entry.lsn;
+            match &entry.payload {
+                LogPayload::Begin { txn } => {
+                    log.max_seq = log.max_seq.max(txn.local_seq());
+                    log.att.insert(*txn, AttEntry::at(lsn));
+                }
+                LogPayload::Update(u) => drop(log.update(u.txn, u.object.page, lsn)),
+                LogPayload::Clr(c) => drop(log.update(c.txn, c.object.page, lsn)),
+                LogPayload::Ext(ext) => match StrategyRecord::decode(ext)? {
+                    StrategyRecord::RedoUpdate(ru) => {
+                        log.update(ru.txn, ru.object.page, lsn).ext = true;
+                    }
+                    StrategyRecord::UndoSpill(s) => {
+                        log.dpt.entry(s.object.page).or_insert(lsn);
+                        log.spills
+                            .entry(s.txn)
+                            .or_default()
+                            .push((s.object, s.before));
+                    }
+                },
+                LogPayload::Commit { txn, .. } => {
+                    if let Some(e) = log.att.get_mut(txn) {
+                        e.committed = true;
+                        e.ended = true;
+                    }
+                }
+                LogPayload::Abort { txn, .. } => {
+                    if let Some(e) = log.att.get_mut(txn) {
+                        e.ended = true;
+                    }
+                }
+                _ => {}
+            }
         }
-        st.txns.remove(&txn);
+        report.winners = log.att.values().filter(|e| e.committed).count();
+        Ok(log)
+    }
+
+    /// Recover the pages of the log-derived DPT, each from its own bucket
+    /// of records, and cache them dirty. With a complete DCT, Property 1
+    /// lets redo skip pages that have no entry, and the rest are fetched
+    /// and redone here (§3.3). After a server restart the rebuilt DCT
+    /// cannot be trusted to cover us, so it filters nothing: for every
+    /// page the server supplies the base copy, the PSN it can vouch for
+    /// and the merged `CallBack_P` list, and the bucket replays through
+    /// the §3.4 machinery (§3.5).
+    ///
+    /// A redo-only loser's records are not replayed at all: its shipped
+    /// updates are undone from the spilled before-images afterwards, its
+    /// unshipped ones died with the cache, and the PSN test tolerates the
+    /// gaps because later records carry the higher pre-update PSNs the
+    /// skipped ones produced.
+    fn redo(
+        &self,
+        log: &Analysis,
+        dct: &HashMap<PageId, Option<Psn>>,
+        dct_complete: bool,
+        options: RecoveryOptions,
+        report: &mut ClientRecoveryReport,
+    ) -> Result<()> {
+        let skip: HashSet<TxnId> = log
+            .losers()
+            .into_iter()
+            .filter(|(_, e)| e.ext)
+            .map(|(t, _)| t)
+            .collect();
+        // A page a skipped loser spilled must be cached for its undo even
+        // when redo has nothing to do there.
+        let undo_pages: HashSet<PageId> = skip
+            .iter()
+            .flat_map(|t| log.spills.get(t).into_iter().flatten())
+            .map(|(o, _)| o.page)
+            .collect();
+        let filtered = dct_complete && options.use_dct_filter;
+        let to_redo = |page: &PageId| !filtered || dct.contains_key(page);
+        let mut pages: Vec<(PageId, Lsn)> = log
+            .dpt
+            .iter()
+            .map(|(p, l)| (*p, *l))
+            .filter(|(p, _)| to_redo(p) || undo_pages.contains(p))
+            .collect();
+        pages.sort_unstable();
+        let mut records = self.page_records(
+            pages
+                .iter()
+                .filter(|(p, _)| to_redo(p))
+                .map(|&(p, l)| (p, Some(l))),
+        );
+        report.pages_recovered = records.len();
+        report.records_scanned += records.values().map(Vec::len).sum::<usize>();
+        report.pages_fetched = pages.len();
+        // A page's unit of work owns its bucket (empty where only undo
+        // needs the page) and frees it as soon as the page is done.
+        let units: Vec<(PageId, Lsn, Vec<LogRecordEntry>)> = pages
+            .into_iter()
+            .map(|(page, redo_lsn)| (page, redo_lsn, records.remove(&page).unwrap_or_default()))
+            .collect();
+
+        if dct_complete {
+            for (page, redo_lsn, bucket) in units {
+                let (bytes, fetched_psn) = self.server.fetch_page(self.id(), page)?;
+                let mut work = Page::from_bytes(bytes)?;
+                // Install the PSN the DCT remembers for us (§3.3).
+                if let Some(psn) = dct.get(&page).copied().flatten().or(fetched_psn) {
+                    work.set_psn(psn);
+                }
+                report.records_applied += self.redo_records(&mut work, &bucket, &skip)?;
+                self.install_redone(work, redo_lsn)?;
+            }
+        } else {
+            // Pages replay in parallel: a replay blocked on another
+            // crashed client's progress (recovery_fetch) must not stall
+            // this client's remaining pages — they are what *other*
+            // recoveries wait on.
+            let replay = |(page, redo_lsn, bucket): (_, _, Vec<_>)| -> Result<(Page, Lsn)> {
+                let (base, install_psn, list) = self.server.recover_client_page(self.id(), page)?;
+                let bytes = self.replay_records(page, base, install_psn, list, &bucket, &skip)?;
+                Ok((Page::from_bytes(bytes)?, redo_lsn))
+            };
+            for replayed in fgl_sched::fan_out(units, replay) {
+                let (page, redo_lsn) = replayed?;
+                self.install_redone(page, redo_lsn)?;
+            }
+        }
         Ok(())
     }
 
-    /// Single-pass restart for the redo-only strategies (after Sauer &
-    /// Härder, arXiv 1409.3682): one scan from the low-water mark buffers
-    /// the ATT, the redo candidates and the spilled before-images; loser
-    /// records are skipped outright during redo (their shipped effects
-    /// are undone from the spills, their unshipped ones died with the
-    /// cache); no separate analysis scan or chain-walk undo runs.
-    ///
-    /// Scanning from the low-water mark rather than the last checkpoint
-    /// is what makes one pass sufficient: the §3.6 reclamation floor
-    /// never passes an active transaction's first record or a DPT redo
-    /// point, so every record recovery can need — spills included — sits
-    /// above it.
-    pub(crate) fn recover_single_pass(
-        self: &Arc<Self>,
-        options: RecoveryOptions,
-    ) -> Result<ClientRecoveryReport> {
-        let start = Instant::now();
-        let mut report = ClientRecoveryReport::default();
-        let peer = Arc::new(PeerHandle::new(self));
-        let (locks, dct_entries, dct_complete) =
-            self.server.client_recovery_begin(self.id(), peer)?;
-        let dct: HashMap<PageId, Option<Psn>> = dct_entries.into_iter().collect();
-        {
-            let mut st = self.st.lock();
-            st.crashed = false;
-            st.llm.reinstall_exclusive(&locks);
-        }
-
-        // ---- the single pass -----------------------------------------------
-        emit(Event::RecoveryPhase {
-            owner: LogOwner::Client(self.id()),
-            phase: RecoveryPhase::Analysis,
-        });
-        let analysis_start = Instant::now();
-        type RedoCandidate = (Lsn, TxnId, ObjectId, Psn, Option<Vec<u8>>);
-        let (att, dpt, max_seq, redo_records, spills) = {
-            let st = self.st.lock();
-            let mut att: HashMap<TxnId, AttEntry> = HashMap::new();
-            let mut dpt: HashMap<PageId, Lsn> = HashMap::new();
-            let mut redo: Vec<RedoCandidate> = Vec::new();
-            let mut spills = SpillMap::new();
-            let mut max_seq = 0u32;
-            for entry in st.wal.scan_from(Lsn::NIL) {
-                report.records_scanned += 1;
-                let lsn = entry.lsn;
-                match &entry.payload {
-                    LogPayload::Begin { txn } => {
-                        max_seq = max_seq.max(txn.local_seq());
-                        att.insert(*txn, AttEntry::at(lsn));
-                    }
-                    LogPayload::Update(u) => {
-                        max_seq = max_seq.max(u.txn.local_seq());
-                        let e = att.entry(u.txn).or_insert_with(|| AttEntry::at(lsn));
-                        e.last_lsn = lsn;
-                        dpt.entry(u.object.page).or_insert(lsn);
-                        redo.push((lsn, u.txn, u.object, u.psn_before, u.after.clone()));
-                    }
-                    LogPayload::Clr(c) => {
-                        max_seq = max_seq.max(c.txn.local_seq());
-                        let e = att.entry(c.txn).or_insert_with(|| AttEntry::at(lsn));
-                        e.last_lsn = lsn;
-                        dpt.entry(c.object.page).or_insert(lsn);
-                        redo.push((lsn, c.txn, c.object, c.psn_before, c.after.clone()));
-                    }
-                    LogPayload::Ext(ext) => match StrategyRecord::decode(ext)? {
-                        StrategyRecord::RedoUpdate(ru) => {
-                            max_seq = max_seq.max(ru.txn.local_seq());
-                            let e = att.entry(ru.txn).or_insert_with(|| AttEntry::at(lsn));
-                            e.last_lsn = lsn;
-                            e.ext = true;
-                            dpt.entry(ru.object.page).or_insert(lsn);
-                            redo.push((lsn, ru.txn, ru.object, ru.psn_before, ru.after));
-                        }
-                        StrategyRecord::UndoSpill(s) => {
-                            dpt.entry(s.object.page).or_insert(lsn);
-                            spills.entry(s.txn).or_default().push((s.object, s.before));
-                        }
-                    },
-                    LogPayload::Commit { txn, .. } => {
-                        if let Some(e) = att.get_mut(txn) {
-                            e.committed = true;
-                            e.ended = true;
-                        }
-                    }
-                    LogPayload::Abort { txn, .. } => {
-                        if let Some(e) = att.get_mut(txn) {
-                            e.ended = true;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            (att, dpt, max_seq, redo, spills)
-        };
-        report.analysis = analysis_start.elapsed();
-        report.winners = att.values().filter(|e| e.committed).count();
-
-        // A server restart invalidates the DCT filter: replay every page
-        // of the log-derived DPT through the §3.4 machinery instead.
-        if !dct_complete {
-            return self.recover_after_server_restart(start, report, att, dpt, max_seq, spills);
-        }
-
-        // ---- redo (losers skipped) -------------------------------------------
-        emit(Event::RecoveryPhase {
-            owner: LogOwner::Client(self.id()),
-            phase: RecoveryPhase::Redo,
-        });
-        let redo_pass_start = Instant::now();
-        let losers: HashSet<TxnId> = att
-            .iter()
-            .filter(|(_, e)| !e.ended)
-            .map(|(t, _)| *t)
-            .collect();
-        let redo_dpt: HashMap<PageId, Lsn> = dpt
-            .iter()
-            .filter(|(p, _)| !options.use_dct_filter || dct.contains_key(*p))
-            .map(|(p, l)| (*p, *l))
-            .collect();
-        report.pages_recovered = redo_dpt.len();
-        // Fetch every page redo or undo will touch, installing the DCT
-        // PSN (§3.3). Spill pages are always covered: the spill was
-        // forced before the page shipped, so the server has a DCT entry.
-        let mut to_fetch: Vec<PageId> = redo_dpt.keys().copied().collect();
-        for (txn, sp) in &spills {
-            if losers.contains(txn) {
-                for (o, _) in sp {
-                    if !redo_dpt.contains_key(&o.page) {
-                        to_fetch.push(o.page);
-                    }
-                }
-            }
-        }
-        to_fetch.sort_by_key(|p| p.0);
-        to_fetch.dedup();
-        for page in to_fetch {
-            let (bytes, dct_psn) = self.server.fetch_page(self.id(), page)?;
-            let mut p = Page::from_bytes(bytes)?;
-            if let Some(Some(psn)) = dct.get(&page) {
-                p.set_psn(*psn);
-            } else if let Some(psn) = dct_psn {
-                p.set_psn(psn);
-            }
-            let redo_lsn = dpt.get(&page).copied().unwrap_or(Lsn::NIL);
-            let evicted = {
-                let mut st = self.st.lock();
-                st.dpt.entry(page).or_insert(DptState {
-                    redo_lsn,
-                    remembered: None,
-                    updated_since_ship: true,
-                });
-                st.cache.install_exact(p, true)
-            };
-            if evicted.is_some() {
-                return Err(FglError::Protocol(
-                    "client cache too small for recovery working set".into(),
-                ));
-            }
-            report.pages_fetched += 1;
-        }
-        // Apply ended transactions' work PSN-conditionally to exclusively
-        // locked objects; loser records are not replayed at all — the PSN
-        // test tolerates the gaps because later records carry the higher
-        // pre-update PSNs the skipped ones produced.
-        for (lsn, txn, object, psn_before, after) in &redo_records {
-            if losers.contains(txn) {
-                continue;
-            }
-            let Some(&page_redo) = redo_dpt.get(&object.page) else {
+    /// §3.3 redo of one fetched page from its bucket, in log order: apply
+    /// only updates to exclusively locked objects whose PSN clears the
+    /// page PSN. Returns the number applied.
+    fn redo_records(
+        &self,
+        work: &mut Page,
+        records: &[LogRecordEntry],
+        skip_txns: &HashSet<TxnId>,
+    ) -> Result<usize> {
+        let st = self.st.lock();
+        let mut applied = 0;
+        for entry in records {
+            let Some(r) = RedoImage::of(&entry.payload)? else {
                 continue;
             };
-            if *lsn < page_redo {
+            if skip_txns.contains(&r.txn) || st.llm.cached_mode(r.object) != Some(ObjMode::X) {
                 continue;
             }
-            let mut st = self.st.lock();
-            let x_locked = st
-                .llm
-                .cached_mode(*object)
-                .map(|m| m == fgl_locks::mode::ObjMode::X)
-                .unwrap_or(false);
-            if !x_locked {
-                continue;
-            }
-            let p = st
-                .cache
-                .get_mut(object.page)
-                .ok_or(FglError::PageNotFound(object.page))?;
-            if *psn_before >= p.psn() {
-                p.install_object(object.slot, after.as_deref(), psn_before.next())?;
-                p.set_psn(psn_before.next());
-                report.records_applied += 1;
+            if r.psn_before >= work.psn() {
+                work.install_object(r.object.slot, r.after.as_deref(), r.psn_before.next())?;
+                work.set_psn(r.psn_before.next());
+                applied += 1;
             }
         }
-        report.redo = redo_pass_start.elapsed();
+        Ok(applied)
+    }
 
-        // ---- undo ------------------------------------------------------------
-        emit(Event::RecoveryPhase {
-            owner: LogOwner::Client(self.id()),
-            phase: RecoveryPhase::Undo,
+    /// Cache one recovered page, dirty, under a DPT entry at its RedoLSN.
+    fn install_redone(&self, page: Page, redo_lsn: Lsn) -> Result<()> {
+        let mut st = self.st.lock();
+        st.dpt.entry(page.id()).or_insert(DptState {
+            redo_lsn,
+            remembered: None,
+            updated_since_ship: true,
         });
-        let undo_start = Instant::now();
+        // Evictions cannot be shipped mid-recovery without perturbing the
+        // DCT; the cache is sized for recovery.
+        if st.cache.install_exact(page, true).is_some() {
+            return Err(FglError::Protocol(
+                "client cache too small for recovery working set".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Roll every loser back (their pages are cached by now) and end it
+    /// with an abort record: a redo-only loser from its spilled
+    /// before-images, any other by the ARIES undo pass over its log chain
+    /// (§3.3). Returns the number of losers.
+    fn undo_losers(&self, log: &Analysis) -> Result<usize> {
+        let losers = log.losers();
         {
             let mut st = self.st.lock();
-            st.next_seq = st.next_seq.max(max_seq);
-            for (txn, e) in &att {
-                if !e.ended {
-                    let mut t = TxnState::new(*txn);
-                    t.last_lsn = e.last_lsn;
-                    t.first_lsn = e.first_lsn;
-                    st.txns.insert(*txn, t);
-                }
+            st.next_seq = st.next_seq.max(log.max_seq);
+            for (txn, e) in &losers {
+                let mut t = TxnState::new(*txn);
+                t.last_lsn = e.last_lsn;
+                t.first_lsn = e.first_lsn;
+                st.txns.insert(*txn, t);
             }
         }
-        let mut loser_list: Vec<TxnId> = losers.iter().copied().collect();
-        loser_list.sort();
-        report.losers = loser_list.len();
-        for txn in loser_list {
-            if att.get(&txn).is_some_and(|e| e.ext) {
-                self.rollback_spilled(txn, spills.get(&txn).map_or(&[], |v| v.as_slice()))?;
+        for &(txn, e) in &losers {
+            if e.ext {
+                self.undo_from_spills(txn, log.spills.get(&txn).map_or(&[], Vec::as_slice))?;
             } else {
-                self.rollback_loser(txn)?;
+                self.rollback_chain_public(txn)?;
             }
-        }
-        report.undo = undo_start.elapsed();
-
-        // ---- harden and release ----------------------------------------------
-        emit(Event::RecoveryPhase {
-            owner: LogOwner::Client(self.id()),
-            phase: RecoveryPhase::Harden,
-        });
-        let harden_start = Instant::now();
-        let dirty: Vec<PageId> = {
-            let st = self.st.lock();
-            st.cache.dirty_ids()
-        };
-        for page in &dirty {
-            self.ship_page_copy(*page, true)?;
-            self.server.force_page(self.id(), *page)?;
-        }
-        self.checkpoint()?;
-        self.server.client_recovery_end(self.id())?;
-        {
             let mut st = self.st.lock();
-            st.llm.clear();
-            st.txns.clear();
+            let prev_lsn = st.txns.get(&txn).map_or(Lsn::NIL, |t| t.last_lsn);
+            self.append_critical(&mut st, &LogPayload::Abort { txn, prev_lsn })?;
+            st.txns.remove(&txn);
         }
-        self.cv.notify_all();
-        report.harden = harden_start.elapsed();
-        report.elapsed = start.elapsed();
-        self.finish_recovery_report(&report);
-        Ok(report)
+        Ok(losers.len())
     }
 
     /// Undo one redo-only loser from its spilled before-images: every
     /// shipped first-touch value is reinstalled under a real CLR (the
     /// restored image must be redoable and its PSN bump observable by
     /// merges); updates that never shipped need no undo — they died with
-    /// the cache. Ends the transaction with an abort record.
-    fn rollback_spilled(&self, txn: TxnId, spills: &[(ObjectId, Option<Vec<u8>>)]) -> Result<()> {
+    /// the cache.
+    fn undo_from_spills(&self, txn: TxnId, spills: &[(ObjectId, Option<Vec<u8>>)]) -> Result<()> {
         for (object, before) in spills.iter().rev() {
             let mut st = self.st.lock();
             let psn_before = st
@@ -857,20 +523,57 @@ impl ClientCore {
             }
             self.after_update(&mut st, txn, *object, clr_lsn);
         }
-        let mut st = self.st.lock();
-        let prev = st.txns.get(&txn).map(|t| t.last_lsn).unwrap_or(Lsn::NIL);
-        self.append_critical(
-            &mut st,
-            &LogPayload::Abort {
-                txn,
-                prev_lsn: prev,
-            },
-        )?;
-        if let Some(t) = st.txns.get_mut(&txn) {
-            t.status = TxnStatus::Aborted;
-        }
-        st.txns.remove(&txn);
         Ok(())
+    }
+
+    /// Ship and force every recovered page, checkpoint, and tell the
+    /// server we are done: pre-crash transactions are all resolved and
+    /// the server releases our locks — mirror that locally.
+    fn harden_and_release(&self) -> Result<()> {
+        let dirty: Vec<PageId> = self.st.lock().cache.dirty_ids();
+        for page in dirty {
+            self.ship_page_copy(page, true)?;
+            self.server.force_page(self.id(), page)?;
+        }
+        self.checkpoint()?;
+        self.server.client_recovery_end(self.id())?;
+        {
+            let mut st = self.st.lock();
+            st.llm.clear();
+            st.txns.clear();
+        }
+        self.cv.notify_all();
+        Ok(())
+    }
+
+    /// Emit the terminal recovery event and fold the phase timings into
+    /// the shared metrics registry — both the flat counters and the
+    /// per-strategy phase histograms (`recovery_phase_us_<strategy>_*`).
+    fn finish_recovery_report(&self, report: &ClientRecoveryReport) {
+        emit(Event::RecoveryPhase {
+            owner: LogOwner::Client(self.id()),
+            phase: RecoveryPhase::Done,
+        });
+        let strategy = self.strategy.kind().name();
+        for (phase, took) in [
+            ("analysis", report.analysis),
+            ("redo", report.redo),
+            ("undo", report.undo),
+            ("harden", report.harden),
+        ] {
+            let micros = took.as_micros() as u64;
+            self.metrics
+                .observe_named(&format!("recovery_phase_us_{strategy}_{phase}"), micros);
+            self.metrics
+                .add(&format!("client_recovery_{phase}_us"), micros);
+        }
+        self.metrics.add("client_recoveries", 1);
+        self.metrics.add(
+            "client_recovery_records_scanned",
+            report.records_scanned as u64,
+        );
+        self.metrics
+            .add("client_recovery_pages", report.pages_recovered as u64);
     }
 
     /// §3.4, client side: replay the private log against the base copies
@@ -884,13 +587,13 @@ impl ClientCore {
         let no_skips = HashSet::new();
         jobs.into_iter()
             .map(|j| {
-                let recs = records.get(&j.page).map(Vec::as_slice).unwrap_or_default();
+                let bucket = records.get(&j.page).map(Vec::as_slice).unwrap_or_default();
                 match self.replay_records(
                     j.page,
                     j.base.to_vec(),
                     j.install_psn,
                     j.callback_list,
-                    recs,
+                    bucket,
                     &no_skips,
                 ) {
                     Ok(bytes) => RecoveredPageOutcome::Done(bytes),
@@ -910,10 +613,10 @@ impl ClientCore {
     fn page_records(
         &self,
         pages: impl Iterator<Item = (PageId, Option<Lsn>)>,
-    ) -> HashMap<PageId, Vec<LogRecordEntry>> {
+    ) -> IdMap<PageId, Vec<LogRecordEntry>> {
         let st = self.st.lock();
         let ckpt = st.wal.last_checkpoint();
-        let mut buckets: HashMap<PageId, (Lsn, Vec<LogRecordEntry>)> = pages
+        let mut buckets: IdMap<PageId, (Lsn, Vec<LogRecordEntry>)> = pages
             .map(|(page, redo_lsn)| {
                 let mut from = redo_lsn
                     .unwrap_or_else(|| st.dpt.get(&page).map(|e| e.redo_lsn).unwrap_or(Lsn::NIL));
@@ -924,11 +627,17 @@ impl ClientCore {
             })
             .collect();
         let Some(start) = buckets.values().map(|(floor, _)| *floor).min() else {
-            return HashMap::new();
+            return IdMap::default();
         };
-        for entry in st.wal.scan_from(start) {
+        for mut entry in st.wal.scan_from(start) {
             if let Some((floor, recs)) = entry.payload.page().and_then(|p| buckets.get_mut(&p)) {
                 if entry.lsn >= *floor {
+                    // Neither redo nor replay reads a before-image: let
+                    // it go while the scan is still on it, so the
+                    // buckets hold, and later free, half as much.
+                    if let LogPayload::Update(u) = &mut entry.payload {
+                        u.before = None;
+                    }
                     recs.push(entry);
                 }
             }
@@ -940,10 +649,10 @@ impl ClientCore {
     }
 
     /// Replay `records` — one page's bucket from
-    /// [`page_records`](Self::page_records) — against `base`. Records of
-    /// transactions in `skip_txns` (redo-only losers) are not replayed:
-    /// their updates are either absent from the base copy or undone
-    /// afterwards from spilled before-images.
+    /// [`page_records`](Self::page_records) — against `base` (§3.4).
+    /// Records of transactions in `skip_txns` (redo-only losers) are not
+    /// replayed: their updates are either absent from the base copy or
+    /// undone afterwards from spilled before-images.
     fn replay_records(
         &self,
         page: PageId,
@@ -959,60 +668,38 @@ impl ClientCore {
 
         let mut processed = 0usize;
         for entry in records {
-            match &entry.payload {
-                LogPayload::Update(u) => {
-                    self.replay_apply(
-                        &mut work,
-                        u.object,
-                        u.psn_before,
-                        u.after.as_deref(),
-                        &thresholds,
+            if let LogPayload::Callback(cb) = &entry.payload {
+                // §3.4 step 3: a callback for an object in the list is
+                // skipped. A foreign one needs the state of the
+                // responding client up to the recorded PSN: ship our
+                // partial progress first (breaks mutual-wait cycles),
+                // then fetch the merged copy.
+                if !thresholds.contains_key(&cb.object) {
+                    self.server
+                        .install_recovered(self.id(), work.as_bytes().to_vec())?;
+                    let (bytes, _) = self.server.recovery_fetch(
+                        self.id(),
+                        page,
+                        Some((cb.from_client, cb.psn)),
                     )?;
+                    let incoming = Page::from_bytes(bytes)?;
+                    let (merged, _) = merge_pages(&work, &incoming)?;
+                    work = merged;
                 }
-                LogPayload::Clr(c) => {
-                    self.replay_apply(
-                        &mut work,
-                        c.object,
-                        c.psn_before,
-                        c.after.as_deref(),
-                        &thresholds,
-                    )?;
-                }
-                LogPayload::Ext(ext) => {
-                    if let StrategyRecord::RedoUpdate(ru) = StrategyRecord::decode(ext)? {
-                        if !skip_txns.contains(&ru.txn) {
-                            self.replay_apply(
-                                &mut work,
-                                ru.object,
-                                ru.psn_before,
-                                ru.after.as_deref(),
-                                &thresholds,
-                            )?;
-                        }
-                    }
-                    // UndoSpill records carry no redo work.
-                }
-                LogPayload::Callback(cb) => {
-                    if thresholds.contains_key(&cb.object) {
-                        // §3.4 step 3: in the list — skip.
-                    } else {
-                        // Foreign callback: we need the state of the
-                        // responding client up to the recorded PSN. Ship
-                        // our partial progress first (breaks mutual-wait
-                        // cycles), then fetch the merged copy.
-                        self.server
-                            .install_recovered(self.id(), work.as_bytes().to_vec())?;
-                        let (bytes, _) = self.server.recovery_fetch(
-                            self.id(),
-                            page,
-                            Some((cb.from_client, cb.psn)),
-                        )?;
-                        let incoming = Page::from_bytes(bytes)?;
-                        let (merged, _) = merge_pages(&work, &incoming)?;
-                        work = merged;
+            } else if let Some(r) = RedoImage::of(&entry.payload)? {
+                // Apply only when the record's PSN is >= the object's
+                // `CallBack_P` threshold: older updates were superseded
+                // by the other client's state already in the base copy.
+                let superseded = thresholds
+                    .get(&r.object)
+                    .is_some_and(|thresh| r.psn_before < *thresh);
+                if !superseded && !skip_txns.contains(&r.txn) {
+                    let psn = r.psn_before.next();
+                    work.install_object(r.object.slot, r.after.as_deref(), psn)?;
+                    if psn > work.psn() {
+                        work.set_psn(psn);
                     }
                 }
-                _ => {}
             }
             processed += 1;
             if processed.is_multiple_of(4) {
@@ -1026,30 +713,5 @@ impl ClientCore {
             }
         }
         Ok(work.into_bytes())
-    }
-
-    /// Apply one replayed record to the working copy, honouring the
-    /// `CallBack_P` thresholds (§3.4).
-    fn replay_apply(
-        &self,
-        work: &mut Page,
-        object: ObjectId,
-        psn_before: Psn,
-        after: Option<&[u8]>,
-        thresholds: &HashMap<ObjectId, Psn>,
-    ) -> Result<()> {
-        if let Some(&thresh) = thresholds.get(&object) {
-            // Apply only when the record's PSN is >= the threshold: older
-            // updates were superseded by the other client's state already
-            // present in the base copy.
-            if psn_before < thresh {
-                return Ok(());
-            }
-        }
-        work.install_object(object.slot, after, psn_before.next())?;
-        if psn_before.next() > work.psn() {
-            work.set_psn(psn_before.next());
-        }
-        Ok(())
     }
 }

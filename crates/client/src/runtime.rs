@@ -626,28 +626,9 @@ impl ClientCore {
                 groups[(c.0.page().0 % instances as u64) as usize].push(c);
             }
             let groups: Vec<_> = groups.into_iter().filter(|g| !g.is_empty()).collect();
-            if groups.len() > 1 {
-                let slots: Vec<Mutex<Option<Result<()>>>> =
-                    groups.iter().map(|_| Mutex::new(None)).collect();
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = groups
-                    .into_iter()
-                    .zip(&slots)
-                    .map(|(group, slot)| {
-                        Box::new(move || {
-                            *slot.lock() = Some(self.deliver_completions(group));
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                fgl_sched::fanout(jobs);
-                for slot in slots {
-                    slot.into_inner().expect("completion group ran")?;
-                }
-                return Ok(());
-            }
-            for group in groups {
-                self.deliver_completions(group)?;
-            }
-            return Ok(());
+            return fgl_sched::fan_out(groups, |group| self.deliver_completions(group))
+                .into_iter()
+                .collect();
         }
         self.deliver_completions(completions)
     }

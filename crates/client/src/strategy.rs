@@ -7,7 +7,7 @@
 //!
 //! * [`ClientAries`] — the paper's scheme, byte-identical to the
 //!   pre-trait code path. The default.
-//! * [`RedoOnly`] — single-pass REDO-only logging after Sauer & Härder
+//! * [`RedoOnly`] — REDO-only logging after Sauer & Härder
 //!   (arXiv 1409.3682): no before-images on the log; undo state lives in
 //!   client memory and spills to the log only at the steal point.
 //! * [`Hybrid`] — the adaptive command/physical scheme of Yao et al.
@@ -21,18 +21,19 @@
 //! Hook points, in transaction order: [`LoggingStrategy::log_mode_for_txn`]
 //! (first update), [`LoggingStrategy::before_ship`] (the steal point,
 //! *before* the WAL force that covers the shipped bytes),
-//! [`LoggingStrategy::commit_append_done`] (under the state mutex, right
-//! after the commit record is appended),
-//! [`LoggingStrategy::commit_wait_durable`] (out of the mutex),
-//! [`LoggingStrategy::on_checkpoint`], and [`LoggingStrategy::recover`].
+//! [`LoggingStrategy::commit_wait_durable`] (out of the mutex) and
+//! [`LoggingStrategy::on_checkpoint`]. Restart is not a hook: one
+//! procedure ([`ClientCore::recover`]) serves every strategy, reading
+//! what differs from the log itself — a loser whose records are
+//! redo-only envelopes is skipped by redo and undone from its spills —
+//! and from [`LoggingStrategy::envelope_id`]: a strategy that spills
+//! scans from the low-water mark rather than the last checkpoint.
 
-use crate::recovery::{ClientRecoveryReport, RecoveryOptions};
 use crate::runtime::{ClientCore, ClientState};
 use crate::txn::TxnLogMode;
 use fgl_common::{LoggingStrategyKind, Lsn, ObjectId, PageId, Result, TxnId};
 use fgl_wal::envelope::{StrategyRecord, UndoSpillRecord, STRATEGY_HYBRID, STRATEGY_REDO_ONLY};
 use std::collections::HashSet;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Hybrid mode boundary (after-image bytes): transactions whose first
@@ -82,13 +83,6 @@ pub(crate) trait LoggingStrategy: Send + Sync {
         let _ = (client, st);
         Ok(())
     }
-
-    /// Restart recovery over this strategy's log.
-    fn recover(
-        &self,
-        client: &Arc<ClientCore>,
-        options: RecoveryOptions,
-    ) -> Result<ClientRecoveryReport>;
 }
 
 /// Resolve the static strategy instance for a config knob.
@@ -159,17 +153,9 @@ impl LoggingStrategy for ClientAries {
     fn commit_wait_durable(&self, client: &ClientCore, txn: TxnId, upto: Lsn) -> Result<()> {
         client.group_force(txn, upto)
     }
-
-    fn recover(
-        &self,
-        client: &Arc<ClientCore>,
-        options: RecoveryOptions,
-    ) -> Result<ClientRecoveryReport> {
-        client.recover_aries(options)
-    }
 }
 
-/// Single-pass REDO-only logging (Sauer & Härder, arXiv 1409.3682).
+/// REDO-only logging (Sauer & Härder, arXiv 1409.3682).
 pub(crate) struct RedoOnly;
 
 impl LoggingStrategy for RedoOnly {
@@ -191,14 +177,6 @@ impl LoggingStrategy for RedoOnly {
 
     fn before_ship(&self, client: &ClientCore, st: &mut ClientState, page: PageId) -> Result<bool> {
         spill_undo_for_page(client, st, page, STRATEGY_REDO_ONLY)
-    }
-
-    fn recover(
-        &self,
-        client: &Arc<ClientCore>,
-        options: RecoveryOptions,
-    ) -> Result<ClientRecoveryReport> {
-        client.recover_single_pass(options)
     }
 }
 
@@ -229,14 +207,6 @@ impl LoggingStrategy for Hybrid {
     fn before_ship(&self, client: &ClientCore, st: &mut ClientState, page: PageId) -> Result<bool> {
         spill_undo_for_page(client, st, page, STRATEGY_HYBRID)
     }
-
-    fn recover(
-        &self,
-        client: &Arc<ClientCore>,
-        options: RecoveryOptions,
-    ) -> Result<ClientRecoveryReport> {
-        client.recover_single_pass(options)
-    }
 }
 
 /// No-force write-behind baseline: commits never force under the state
@@ -254,13 +224,5 @@ impl LoggingStrategy for WriteBehind {
     fn commit_wait_durable(&self, client: &ClientCore, txn: TxnId, upto: Lsn) -> Result<()> {
         let window = client.config().disk_latency.max(WRITE_BEHIND_WINDOW);
         client.force_coalesced(txn, upto, window)
-    }
-
-    fn recover(
-        &self,
-        client: &Arc<ClientCore>,
-        options: RecoveryOptions,
-    ) -> Result<ClientRecoveryReport> {
-        client.recover_aries(options)
     }
 }

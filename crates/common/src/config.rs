@@ -42,13 +42,14 @@ pub enum UpdatePolicy {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LoggingStrategyKind {
     /// The paper's client-based ARIES: physical before/after images,
-    /// three-pass (analysis/redo/undo) restart — the default.
+    /// losers redone and then undone along their log chain — the default.
     #[default]
     ClientAries,
-    /// REDO-only logging with single-pass restart (Sauer & Härder,
-    /// arXiv 1409.3682): update records carry no before-image; undo
-    /// information lives in memory and is spilled to the log only when an
-    /// uncommitted dirty page leaves the client.
+    /// REDO-only logging (Sauer & Härder, arXiv 1409.3682): update
+    /// records carry no before-image; undo information lives in memory
+    /// and is spilled to the log only when an uncommitted dirty page
+    /// leaves the client. Restart skips losers in redo and undoes them
+    /// from the spills.
     RedoOnly,
     /// Adaptive command/physical hybrid (Yao et al., arXiv 1503.03653):
     /// each transaction picks redo-only ("command-sized") or full physical

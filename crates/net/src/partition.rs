@@ -45,7 +45,6 @@ use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::LockTarget;
 use fgl_obs::Metrics;
 use fgl_storage::page::Page;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -78,37 +77,6 @@ impl PartitionedServer {
 
     fn owner(&self, page: PageId) -> &Arc<dyn ServerApi> {
         &self.parts[self.partition_of(page)]
-    }
-
-    /// Run one closure against each listed partition concurrently (green
-    /// subtasks under the event scheduler, scoped threads otherwise) and
-    /// collect the results in `owners` order. A single owner runs inline
-    /// — no scheduling detour for the common partition-local case.
-    fn fan_out<T: Send>(
-        &self,
-        owners: &[usize],
-        f: impl Fn(&Arc<dyn ServerApi>) -> T + Sync,
-    ) -> Vec<T> {
-        if let [k] = owners[..] {
-            return vec![f(&self.parts[k])];
-        }
-        let slots: Vec<Mutex<Option<T>>> = owners.iter().map(|_| Mutex::new(None)).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = owners
-            .iter()
-            .zip(&slots)
-            .map(|(k, slot)| {
-                let f = &f;
-                let part = &self.parts[*k];
-                Box::new(move || {
-                    *slot.lock() = Some(f(part));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        fgl_sched::fanout(jobs);
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("partition job ran"))
-            .collect()
     }
 }
 
@@ -183,8 +151,10 @@ impl ServerApi for PartitionedServer {
             }
             (0..self.parts.len()).filter(|k| want[*k]).collect()
         };
-        self.fan_out(&owners, |part| {
-            part.commit_ship_log(client, records.clone(), touched.clone())
+        // One owner runs inline: no scheduling detour for the common
+        // partition-local case.
+        fgl_sched::fan_out(owners, |k| {
+            self.parts[k].commit_ship_log(client, records.clone(), touched.clone())
         })
         .into_iter()
         .collect()
@@ -274,6 +244,7 @@ mod tests {
     use fgl_common::{Lsn, ObjectId, SlotId};
     use fgl_locks::mode::ObjMode;
     use fgl_storage::page::Page;
+    use parking_lot::Mutex;
 
     /// A stub backend that records which methods reached it.
     struct RecordingServer {

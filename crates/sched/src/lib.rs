@@ -588,6 +588,37 @@ pub fn fanout<'env>(jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
     });
 }
 
+/// Run `f` on every item concurrently — [`fanout`]: green subtasks when
+/// driven from the event scheduler, scoped OS threads otherwise — and
+/// return the results in item order. A single item runs inline: no
+/// thread or task to pay for.
+pub fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    if items.len() <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let f = &f;
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = items
+        .into_iter()
+        .zip(&slots)
+        .map(|(item, slot)| {
+            Box::new(move || {
+                *slot.lock().unwrap() = Some(f(item));
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    fanout(jobs);
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .ok()
+                .flatten()
+                .expect("fanout ran every job")
+        })
+        .collect()
+}
+
 /// Run `jobs` as green tasks on a pool of `workers` OS threads (the
 /// calling thread is one of them) and return once every job — and every
 /// subtask spawned via [`fanout`] — has finished. Jobs may borrow from

@@ -15,11 +15,13 @@
 //! same page **in parallel**, coordinated through the `CallBack_P` lists
 //! and the partial-state requests of §3.4 step 3.
 
-use crate::runtime::{fan_out, ServerCore};
+use crate::runtime::ServerCore;
 use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, Result};
+use fgl_net::api::ServerApi;
 use fgl_net::peer::{ClientPeer, RecoverJob, RecoveredPageOutcome, RECOVER_BATCH_PAGES};
 use fgl_net::stats::MsgKind;
 use fgl_obs::{emit, Event, LogOwner, RecoveryPhase};
+use fgl_sched::fan_out;
 use fgl_wal::records::LogPayload;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;

@@ -53,6 +53,7 @@ use std::sync::{Arc, OnceLock, Weak};
 // The request/response vocabulary lives with the RPC surface in
 // `fgl-net::api`; re-exported here so server-side callers keep their
 // historical paths.
+use fgl_net::api::ServerApi;
 pub use fgl_net::api::{LockResponse, RecoverPagePlan, RecoveryHandshake};
 
 /// Aggregate counters exposed for experiments.
@@ -66,32 +67,6 @@ pub struct ServerStats {
     pub server_checkpoints: u64,
     pub commit_log_ships: u64,
     pub merges: u64,
-}
-
-/// Run `f` on every item concurrently — green subtasks when driven from
-/// the event scheduler, scoped OS threads otherwise — and return the
-/// results in item order. A single item runs inline: no thread to pay
-/// for.
-pub(crate) fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    if items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let f = &f;
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = items
-        .into_iter()
-        .zip(&slots)
-        .map(|(item, slot)| {
-            Box::new(move || {
-                *slot.lock() = Some(f(item));
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    fgl_sched::fanout(jobs);
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("fanout ran every job"))
-        .collect()
 }
 
 /// Map a GLM callback to its observability class.
@@ -244,16 +219,6 @@ impl ServerCore {
         })
     }
 
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
-    /// The shared configuration handle (what clients store — one config
-    /// allocation per system, not per participant).
-    pub fn config_shared(&self) -> Arc<SystemConfig> {
-        self.cfg.clone()
-    }
-
     /// This server's partition index (`0` in a single-server system).
     pub fn instance(&self) -> usize {
         self.instance
@@ -330,12 +295,6 @@ impl ServerCore {
         }
     }
 
-    /// The shared metrics registry (histograms + counters). Clients attach
-    /// to this same instance so one snapshot covers the whole system.
-    pub fn metrics(&self) -> Arc<Metrics> {
-        self.metrics.clone()
-    }
-
     /// The `n` pages with the most cumulative lock-wait time (callback
     /// fan-out breaks ties), hottest first.
     pub fn contention_top(&self, n: usize) -> Vec<(PageId, PageContention)> {
@@ -349,94 +308,11 @@ impl ServerCore {
 
     // ---- registration ------------------------------------------------------
 
-    pub fn register_client(&self, peer: Arc<dyn ClientPeer>) {
-        self.net.msg(MsgKind::Control, 16);
-        let id = peer.client_id();
-        self.peers.write().insert(id, peer);
-        self.crashed_clients.lock().remove(&id);
-    }
-
     fn peer(&self, id: ClientId) -> Option<Arc<dyn ClientPeer>> {
         self.peers.read().get(&id).cloned()
     }
 
     // ---- locking -------------------------------------------------------------
-
-    /// Client → server lock request (§3.2). `cached_psn` carries the PSN
-    /// of the client's cached copy for DCT seeding (footnote 4).
-    pub fn lock(
-        &self,
-        client: ClientId,
-        txn: TxnId,
-        target: LockTarget,
-        cached_psn: Option<Psn>,
-    ) -> Result<LockResponse> {
-        self.check_up()?;
-        self.net.msg(MsgKind::LockReq, 40);
-        self.lock_requests.fetch_add(1, Ordering::Relaxed);
-        debug_assert!(self.owns_page(target.page()), "misrouted {target:?}");
-        emit(Event::LockRequest {
-            client,
-            txn,
-            page: target.page(),
-            exclusive: target.mode() == ObjMode::X,
-        });
-        // Hold the waiter registry across the GLM call: once the GLM
-        // queues the request (and releases its mutex), a concurrent
-        // `drive` may already carry the Grant/Victim for this txn, and it
-        // resolves the slot through this same mutex — registering after
-        // releasing it would drop that wake-up and strand the client
-        // until the timeout backstop.
-        let mut parked = self.waiters.lock();
-        let (outcome, effective, events) = self.glm.lock().lock(client, txn, target);
-        match outcome {
-            LockOutcome::Granted {
-                first_exclusive_on_page,
-            } => {
-                drop(parked);
-                if first_exclusive_on_page {
-                    self.dct.lock().insert(effective.page(), client, cached_psn);
-                }
-                self.drive(events);
-                self.net.msg(MsgKind::LockReply, 24);
-                emit(Event::LockGrant {
-                    client,
-                    txn,
-                    page: effective.page(),
-                    queued: false,
-                });
-                let evidence = self.grant_evidence(client, &effective);
-                Ok(LockResponse::Granted {
-                    target: effective,
-                    first_exclusive_on_page,
-                    evidence,
-                })
-            }
-            LockOutcome::Queued => {
-                let (slot, waiter) = grant_pair();
-                parked.insert(txn, (slot, cached_psn));
-                drop(parked);
-                self.contention
-                    .on_queue(txn, &target, self.metrics.now_us());
-                emit(Event::LockQueue {
-                    client,
-                    txn,
-                    page: target.page(),
-                });
-                self.drive(events);
-                Ok(LockResponse::Wait(waiter))
-            }
-        }
-    }
-
-    /// A waiting client gave up (timeout) or aborted.
-    pub fn cancel_wait(&self, _client: ClientId, txn: TxnId) {
-        self.net.msg(MsgKind::Control, 16);
-        self.contention.on_resolve(txn, self.metrics.now_us());
-        self.waiters.lock().remove(&txn);
-        let events = self.glm.lock().cancel_wait(txn);
-        self.drive(events);
-    }
 
     /// Turn GLM events into protocol actions. Runs with no server mutex
     /// held; each step takes exactly the locks it needs.
@@ -537,7 +413,7 @@ impl ServerCore {
             deliveries.push((to, peer, kinds));
         }
         // One concurrent delivery per destination holder.
-        fan_out(deliveries, |(to, peer, kinds)| {
+        fgl_sched::fan_out(deliveries, |(to, peer, kinds)| {
             // One round-trip span per destination batch. A `fanout`
             // subtask inherits the spawner's trace tag, so concurrent
             // deliveries stay parented under the span that triggered the
@@ -631,38 +507,6 @@ impl ServerCore {
             .filter(|(c, _)| *c != grantee)
     }
 
-    /// A client finished a previously deferred callback (its blocking
-    /// transactions ended).
-    pub fn callback_complete(
-        &self,
-        client: ClientId,
-        kind: CallbackKind,
-        retained: Vec<(fgl_common::ObjectId, ObjMode)>,
-        page_copy: Option<std::sync::Arc<[u8]>>,
-    ) -> Result<()> {
-        self.check_up()?;
-        self.net.msg(
-            MsgKind::CallbackComplete,
-            fgl_net::wire::callback_complete(
-                retained.len(),
-                page_copy.as_ref().map(|bytes| bytes.len()),
-            ),
-        );
-        emit(Event::CallbackCompleted {
-            from: client,
-            page: kind.page(),
-        });
-        if let Some(bytes) = page_copy {
-            self.absorb_page(client, &bytes, false)?;
-        }
-        let events = self
-            .glm
-            .lock()
-            .callback_reply(client, kind, CallbackReply::Done { retained });
-        self.drive(events);
-        Ok(())
-    }
-
     // ---- pages ---------------------------------------------------------------
 
     /// Pool-first page read: on a miss, the disk read (and its simulated
@@ -677,69 +521,6 @@ impl ServerCore {
         let (copy, evicted) = self.store.lock().install_clean(from_disk);
         self.flush_images(evicted)?;
         Ok(copy)
-    }
-
-    /// Fetch the current merged copy of a page. Returns the bytes plus the
-    /// PSN remembered in the DCT for this client (§3.2: ignored during
-    /// normal processing, used by rollback-after-replacement and by
-    /// restart recovery).
-    pub fn fetch_page(&self, client: ClientId, page: PageId) -> Result<(Vec<u8>, Option<Psn>)> {
-        self.check_up()?;
-        self.net.msg(MsgKind::FetchPage, 16);
-        self.page_fetches.fetch_add(1, Ordering::Relaxed);
-        debug_assert!(self.owns_page(page), "misrouted page {page:?}");
-        let copy = self.read_page_copy(page)?;
-        let dct_psn = {
-            let mut dct = self.dct.lock();
-            dct.set_psn_if_unset(page, client, copy.psn());
-            dct.psn_of(page, client)
-        };
-        emit(Event::PageShip {
-            client,
-            page,
-            psn: copy.psn(),
-            to_server: false,
-        });
-        self.net.msg(MsgKind::PageShip, copy.size());
-        Ok((copy.into_bytes(), dct_psn))
-    }
-
-    /// Allocate a fresh page on behalf of a client, granting it the page
-    /// exclusively and seeding the DCT entry (creation is a structural
-    /// update, §3.1). The space map hands out ids in this instance's
-    /// residue class.
-    pub fn allocate_page(&self, client: ClientId, _txn: TxnId) -> Result<Vec<u8>> {
-        self.check_up()?;
-        self.net.msg(MsgKind::Control, 16);
-        let (page, evicted) = self.store.lock().allocate()?;
-        self.flush_images(evicted)?;
-        self.glm
-            .lock()
-            .install_holder(client, LockTarget::Page(page.id(), ObjMode::X));
-        self.dct.lock().insert(page.id(), client, Some(page.psn()));
-        self.net.msg(MsgKind::PageShip, page.size());
-        Ok(page.into_bytes())
-    }
-
-    /// A dirty page arrives from a client (cache replacement ships it to
-    /// the server, §2). `replaced` marks cache replacement, which enrolls
-    /// the client for the §3.6 flush notification.
-    pub fn ship_page(
-        &self,
-        client: ClientId,
-        bytes: std::sync::Arc<[u8]>,
-        replaced: bool,
-    ) -> Result<()> {
-        self.check_up()?;
-        self.net.msg(MsgKind::PageShip, bytes.len());
-        let page = self.parse_frame(&bytes)?;
-        emit(Event::PageShip {
-            client,
-            page: page.id(),
-            psn: page.psn(),
-            to_server: true,
-        });
-        self.absorb_parsed(client, page, replaced)
     }
 
     pub(crate) fn absorb_page(&self, client: ClientId, bytes: &[u8], replaced: bool) -> Result<()> {
@@ -792,13 +573,6 @@ impl ServerCore {
         self.flush_images(evicted)?;
         self.bump_recovery_gen();
         Ok(())
-    }
-
-    /// §3.6: a client low on log space asks the server to force a page.
-    pub fn force_page(&self, _client: ClientId, page: PageId) -> Result<()> {
-        self.check_up()?;
-        self.net.msg(MsgKind::ForcePage, 16);
-        self.flush_page(page)
     }
 
     /// Force one page to disk: replacement log record first (§3.1), then
@@ -924,118 +698,7 @@ impl ServerCore {
 
     // ---- server-logging baselines (§4.1) --------------------------------------
 
-    /// ARIES/CSA-shape commit: the client ships its log records; the
-    /// server appends them to its (single, shared) client-log store and
-    /// forces. The shared mutex *is* the bottleneck the paper predicts,
-    /// and the disk sleep deliberately runs under it.
-    pub fn commit_ship_log(&self, client: ClientId, records: Vec<u8>) -> Result<()> {
-        self.check_up()?;
-        let _span = fgl_obs::trace::span(fgl_obs::SpanKind::CommitLogShip, TxnId(0));
-        self.net.msg(MsgKind::CommitLogShip, records.len());
-        self.commit_log_ships.fetch_add(1, Ordering::Relaxed);
-        let mut logs = self.client_logs.lock();
-        logs.entry(client).or_default().extend_from_slice(&records);
-        // Force: one disk write per commit, serialized on this mutex.
-        if !self.cfg.disk_latency.is_zero() {
-            fgl_sched::pause(self.cfg.disk_latency);
-        }
-        Ok(())
-    }
-
-    /// Return the log bytes a client shipped (baseline client-crash
-    /// recovery reads its log from the server).
-    pub fn fetch_client_log(&self, client: ClientId) -> Result<Vec<u8>> {
-        self.check_up()?;
-        self.net.msg(MsgKind::Recovery, 16);
-        let bytes = self
-            .client_logs
-            .lock()
-            .get(&client)
-            .cloned()
-            .unwrap_or_default();
-        self.net.msg(MsgKind::Recovery, bytes.len());
-        Ok(bytes)
-    }
-
-    /// True when running one of the server-logging baselines.
-    pub fn server_logging(&self) -> bool {
-        matches!(
-            self.cfg.commit_policy,
-            CommitPolicy::ServerLog | CommitPolicy::ShipPagesAtCommit
-        )
-    }
-
     // ---- client crash handling (§3.3) ------------------------------------------
-
-    /// A client crashed: release its shared locks, keep its exclusive
-    /// locks, queue callbacks addressed to it.
-    pub fn client_crashed(&self, client: ClientId) {
-        self.crashed_clients.lock().insert(client);
-        self.peers.write().remove(&client);
-        // Its parked waiters die with it.
-        let its: Vec<TxnId> = {
-            let mut waiters = self.waiters.lock();
-            let its: Vec<TxnId> = waiters
-                .keys()
-                .copied()
-                .filter(|t| t.client() == client)
-                .collect();
-            for t in &its {
-                waiters.remove(t);
-            }
-            its
-        };
-        let mut events = Vec::new();
-        {
-            let mut glm = self.glm.lock();
-            for t in its {
-                events.extend(glm.cancel_wait(t));
-            }
-            events.extend(glm.crash_client(client));
-        }
-        self.drive(events);
-    }
-
-    /// Restarting client: hand it the exclusive locks it held (§3.3) and
-    /// the DCT PSNs for its pages (Property 1 filtering).
-    pub fn client_recovery_begin(
-        &self,
-        client: ClientId,
-        peer: Arc<dyn ClientPeer>,
-    ) -> Result<RecoveryHandshake> {
-        self.check_up()?;
-        self.net.msg(MsgKind::Recovery, 16);
-        self.peers.write().insert(client, peer);
-        let locks = self.glm.lock().exclusive_locks(client);
-        let psns: Vec<(PageId, Option<Psn>)> = self
-            .dct
-            .lock()
-            .entries_for_client(client)
-            .into_iter()
-            .map(|e| (e.page, e.psn))
-            .collect();
-        let dct_complete = !self.dct_incomplete.lock().contains(&client);
-        self.net
-            .msg(MsgKind::Recovery, 16 * (locks.len() + psns.len()).max(1));
-        Ok((locks, psns, dct_complete))
-    }
-
-    /// Recovery finished: deliver queued callbacks, then let the client
-    /// release the locks of its (now resolved) pre-crash transactions.
-    pub fn client_recovery_end(&self, client: ClientId) -> Result<()> {
-        self.check_up()?;
-        self.net.msg(MsgKind::Recovery, 16);
-        self.crashed_clients.lock().remove(&client);
-        self.dct_incomplete.lock().remove(&client);
-        let events = {
-            let mut glm = self.glm.lock();
-            glm.client_recovered(client);
-            glm.release_all(client)
-        };
-        self.drive(events);
-        self.bump_recovery_gen();
-        Ok(())
-    }
 
     // ---- server crash plumbing (the restart algorithm lives in recovery.rs) ----
 
@@ -1085,37 +748,6 @@ impl ServerCore {
         self.recovery_cv.notify_all();
     }
 
-    /// §3.4 step 3 of per-client page recovery: a recovering client hit a
-    /// callback log record for an object *not* in its `CallBack_P` list
-    /// and needs the page state of client `cid` at PSN ≥ `psn`. Blocks
-    /// (bounded) until the server's merged copy reflects it.
-    pub fn recovery_fetch(
-        &self,
-        client: ClientId,
-        page: PageId,
-        need: Option<(ClientId, Psn)>,
-    ) -> Result<(Vec<u8>, Option<Psn>)> {
-        self.net.msg(MsgKind::Recovery, 24);
-        if let Some((cid, psn)) = need {
-            // Needs on *operational* clients are already satisfied: their
-            // cached DPT pages were absorbed in step 4 before replay
-            // began, and their flushed state is on disk — the current
-            // merged copy covers them. Only a crashed client recovering
-            // in parallel (§3.5) can still owe state — and only once the
-            // server is up again: until then its recovery cannot begin
-            // (`client_recovery_begin` refuses), so the wait would always
-            // run to its deadline and reach the same merged copy.
-            let provider_recovering = self.crashed_clients.lock().contains(&cid);
-            if provider_recovering && !self.is_down() {
-                self.wait_for_recovery_progress(cid, page, psn);
-            }
-        }
-        let copy = self.read_page_copy(page)?;
-        let dct_psn = self.dct.lock().psn_of(page, client);
-        self.net.msg(MsgKind::PageShip, copy.size());
-        Ok((copy.into_bytes(), dct_psn))
-    }
-
     /// Block (bounded) until `cid`'s recovery of `page` passes `psn`.
     fn wait_for_recovery_progress(&self, cid: ClientId, page: PageId, psn: Psn) {
         {
@@ -1153,12 +785,379 @@ impl ServerCore {
         }
     }
 
+    /// Diagnostics: PSN of the server's current copy (pool else disk).
+    pub fn current_psn(&self, page: PageId) -> Option<Psn> {
+        self.store.lock().current_psn(page).ok().flatten()
+    }
+
+    /// Diagnostics / oracle verification: a copy of the page as the server
+    /// sees it now.
+    pub fn page_copy(&self, page: PageId) -> Result<Page> {
+        self.read_page_copy(page)
+    }
+
+    /// Diagnostics: ids of every allocated page, ascending.
+    pub fn allocated_pages(&self) -> Vec<PageId> {
+        self.store.lock().allocated_pages()
+    }
+
+    /// Server log state: `(last checkpoint, end)` (diagnostics).
+    pub fn slog_bounds(&self) -> (Lsn, Lsn) {
+        let slog = self.slog.lock();
+        (slog.last_checkpoint(), slog.end_lsn())
+    }
+
+    /// Bytes appended to the server log per record kind (non-zero only).
+    pub fn wal_bytes_by_kind(&self) -> Vec<(&'static str, u64)> {
+        self.slog.lock().bytes_by_kind()
+    }
+}
+
+// The typed RPC surface. The sim transport IS this impl — clients hold
+// `Arc<dyn ServerApi>` and the trait object dispatches straight into the
+// runtime, so the direct call path (and its nominal `NetSim` accounting)
+// has no layer in between.
+impl ServerApi for ServerCore {
+    fn register_client(&self, peer: Arc<dyn ClientPeer>) {
+        self.net.msg(MsgKind::Control, 16);
+        let id = peer.client_id();
+        self.peers.write().insert(id, peer);
+        self.crashed_clients.lock().remove(&id);
+    }
+
+    /// Client → server lock request (§3.2). `cached_psn` carries the PSN
+    /// of the client's cached copy for DCT seeding (footnote 4).
+    fn lock(
+        &self,
+        client: ClientId,
+        txn: TxnId,
+        target: LockTarget,
+        cached_psn: Option<Psn>,
+    ) -> Result<LockResponse> {
+        self.check_up()?;
+        self.net.msg(MsgKind::LockReq, 40);
+        self.lock_requests.fetch_add(1, Ordering::Relaxed);
+        debug_assert!(self.owns_page(target.page()), "misrouted {target:?}");
+        emit(Event::LockRequest {
+            client,
+            txn,
+            page: target.page(),
+            exclusive: target.mode() == ObjMode::X,
+        });
+        // Hold the waiter registry across the GLM call: once the GLM
+        // queues the request (and releases its mutex), a concurrent
+        // `drive` may already carry the Grant/Victim for this txn, and it
+        // resolves the slot through this same mutex — registering after
+        // releasing it would drop that wake-up and strand the client
+        // until the timeout backstop.
+        let mut parked = self.waiters.lock();
+        let (outcome, effective, events) = self.glm.lock().lock(client, txn, target);
+        match outcome {
+            LockOutcome::Granted {
+                first_exclusive_on_page,
+            } => {
+                drop(parked);
+                if first_exclusive_on_page {
+                    self.dct.lock().insert(effective.page(), client, cached_psn);
+                }
+                self.drive(events);
+                self.net.msg(MsgKind::LockReply, 24);
+                emit(Event::LockGrant {
+                    client,
+                    txn,
+                    page: effective.page(),
+                    queued: false,
+                });
+                let evidence = self.grant_evidence(client, &effective);
+                Ok(LockResponse::Granted {
+                    target: effective,
+                    first_exclusive_on_page,
+                    evidence,
+                })
+            }
+            LockOutcome::Queued => {
+                let (slot, waiter) = grant_pair();
+                parked.insert(txn, (slot, cached_psn));
+                drop(parked);
+                self.contention
+                    .on_queue(txn, &target, self.metrics.now_us());
+                emit(Event::LockQueue {
+                    client,
+                    txn,
+                    page: target.page(),
+                });
+                self.drive(events);
+                Ok(LockResponse::Wait(waiter))
+            }
+        }
+    }
+
+    /// A waiting client gave up (timeout) or aborted.
+    fn cancel_wait(&self, _client: ClientId, txn: TxnId) {
+        self.net.msg(MsgKind::Control, 16);
+        self.contention.on_resolve(txn, self.metrics.now_us());
+        self.waiters.lock().remove(&txn);
+        let events = self.glm.lock().cancel_wait(txn);
+        self.drive(events);
+    }
+
+    /// A client finished a previously deferred callback (its blocking
+    /// transactions ended).
+    fn callback_complete(
+        &self,
+        client: ClientId,
+        kind: CallbackKind,
+        retained: Vec<(fgl_common::ObjectId, ObjMode)>,
+        page_copy: Option<std::sync::Arc<[u8]>>,
+    ) -> Result<()> {
+        self.check_up()?;
+        self.net.msg(
+            MsgKind::CallbackComplete,
+            fgl_net::wire::callback_complete(
+                retained.len(),
+                page_copy.as_ref().map(|bytes| bytes.len()),
+            ),
+        );
+        emit(Event::CallbackCompleted {
+            from: client,
+            page: kind.page(),
+        });
+        if let Some(bytes) = page_copy {
+            self.absorb_page(client, &bytes, false)?;
+        }
+        let events = self
+            .glm
+            .lock()
+            .callback_reply(client, kind, CallbackReply::Done { retained });
+        self.drive(events);
+        Ok(())
+    }
+
+    /// Fetch the current merged copy of a page. Returns the bytes plus the
+    /// PSN remembered in the DCT for this client (§3.2: ignored during
+    /// normal processing, used by rollback-after-replacement and by
+    /// restart recovery).
+    fn fetch_page(&self, client: ClientId, page: PageId) -> Result<(Vec<u8>, Option<Psn>)> {
+        self.check_up()?;
+        self.net.msg(MsgKind::FetchPage, 16);
+        self.page_fetches.fetch_add(1, Ordering::Relaxed);
+        debug_assert!(self.owns_page(page), "misrouted page {page:?}");
+        let copy = self.read_page_copy(page)?;
+        let dct_psn = {
+            let mut dct = self.dct.lock();
+            dct.set_psn_if_unset(page, client, copy.psn());
+            dct.psn_of(page, client)
+        };
+        emit(Event::PageShip {
+            client,
+            page,
+            psn: copy.psn(),
+            to_server: false,
+        });
+        self.net.msg(MsgKind::PageShip, copy.size());
+        Ok((copy.into_bytes(), dct_psn))
+    }
+
+    /// Allocate a fresh page on behalf of a client, granting it the page
+    /// exclusively and seeding the DCT entry (creation is a structural
+    /// update, §3.1). The space map hands out ids in this instance's
+    /// residue class.
+    fn allocate_page(&self, client: ClientId, _txn: TxnId) -> Result<Vec<u8>> {
+        self.check_up()?;
+        self.net.msg(MsgKind::Control, 16);
+        let (page, evicted) = self.store.lock().allocate()?;
+        self.flush_images(evicted)?;
+        self.glm
+            .lock()
+            .install_holder(client, LockTarget::Page(page.id(), ObjMode::X));
+        self.dct.lock().insert(page.id(), client, Some(page.psn()));
+        self.net.msg(MsgKind::PageShip, page.size());
+        Ok(page.into_bytes())
+    }
+
+    /// A dirty page arrives from a client (cache replacement ships it to
+    /// the server, §2). `replaced` marks cache replacement, which enrolls
+    /// the client for the §3.6 flush notification.
+    fn ship_page(
+        &self,
+        client: ClientId,
+        bytes: std::sync::Arc<[u8]>,
+        replaced: bool,
+    ) -> Result<()> {
+        self.check_up()?;
+        self.net.msg(MsgKind::PageShip, bytes.len());
+        let page = self.parse_frame(&bytes)?;
+        emit(Event::PageShip {
+            client,
+            page: page.id(),
+            psn: page.psn(),
+            to_server: true,
+        });
+        self.absorb_parsed(client, page, replaced)
+    }
+
+    /// §3.6: a client low on log space asks the server to force a page.
+    fn force_page(&self, _client: ClientId, page: PageId) -> Result<()> {
+        self.check_up()?;
+        self.net.msg(MsgKind::ForcePage, 16);
+        self.flush_page(page)
+    }
+
+    /// ARIES/CSA-shape commit: the client ships its log records; the
+    /// server appends them to its (single, shared) client-log store and
+    /// forces. The shared mutex *is* the bottleneck the paper predicts,
+    /// and the disk sleep deliberately runs under it.
+    /// (The `touched` hint routes at the partition layer; a single
+    /// instance logs everything it is handed.)
+    fn commit_ship_log(
+        &self,
+        client: ClientId,
+        records: Vec<u8>,
+        _touched: Vec<PageId>,
+    ) -> Result<()> {
+        self.check_up()?;
+        let _span = fgl_obs::trace::span(fgl_obs::SpanKind::CommitLogShip, TxnId(0));
+        self.net.msg(MsgKind::CommitLogShip, records.len());
+        self.commit_log_ships.fetch_add(1, Ordering::Relaxed);
+        let mut logs = self.client_logs.lock();
+        logs.entry(client).or_default().extend_from_slice(&records);
+        // Force: one disk write per commit, serialized on this mutex.
+        if !self.cfg.disk_latency.is_zero() {
+            fgl_sched::pause(self.cfg.disk_latency);
+        }
+        Ok(())
+    }
+
+    /// Return the log bytes a client shipped (baseline client-crash
+    /// recovery reads its log from the server).
+    fn fetch_client_log(&self, client: ClientId) -> Result<Vec<u8>> {
+        self.check_up()?;
+        self.net.msg(MsgKind::Recovery, 16);
+        let bytes = self
+            .client_logs
+            .lock()
+            .get(&client)
+            .cloned()
+            .unwrap_or_default();
+        self.net.msg(MsgKind::Recovery, bytes.len());
+        Ok(bytes)
+    }
+
+    /// True when running one of the server-logging baselines.
+    fn server_logging(&self) -> bool {
+        matches!(
+            self.cfg.commit_policy,
+            CommitPolicy::ServerLog | CommitPolicy::ShipPagesAtCommit
+        )
+    }
+
+    /// A client crashed: release its shared locks, keep its exclusive
+    /// locks, queue callbacks addressed to it.
+    fn client_crashed(&self, client: ClientId) {
+        self.crashed_clients.lock().insert(client);
+        self.peers.write().remove(&client);
+        // Its parked waiters die with it.
+        let its: Vec<TxnId> = {
+            let mut waiters = self.waiters.lock();
+            let its: Vec<TxnId> = waiters
+                .keys()
+                .copied()
+                .filter(|t| t.client() == client)
+                .collect();
+            for t in &its {
+                waiters.remove(t);
+            }
+            its
+        };
+        let mut events = Vec::new();
+        {
+            let mut glm = self.glm.lock();
+            for t in its {
+                events.extend(glm.cancel_wait(t));
+            }
+            events.extend(glm.crash_client(client));
+        }
+        self.drive(events);
+    }
+
+    /// Restarting client: hand it the exclusive locks it held (§3.3) and
+    /// the DCT PSNs for its pages (Property 1 filtering).
+    fn client_recovery_begin(
+        &self,
+        client: ClientId,
+        peer: Arc<dyn ClientPeer>,
+    ) -> Result<RecoveryHandshake> {
+        self.check_up()?;
+        self.net.msg(MsgKind::Recovery, 16);
+        self.peers.write().insert(client, peer);
+        let locks = self.glm.lock().exclusive_locks(client);
+        let psns: Vec<(PageId, Option<Psn>)> = self
+            .dct
+            .lock()
+            .entries_for_client(client)
+            .into_iter()
+            .map(|e| (e.page, e.psn))
+            .collect();
+        let dct_complete = !self.dct_incomplete.lock().contains(&client);
+        self.net
+            .msg(MsgKind::Recovery, 16 * (locks.len() + psns.len()).max(1));
+        Ok((locks, psns, dct_complete))
+    }
+
+    /// Recovery finished: deliver queued callbacks, then let the client
+    /// release the locks of its (now resolved) pre-crash transactions.
+    fn client_recovery_end(&self, client: ClientId) -> Result<()> {
+        self.check_up()?;
+        self.net.msg(MsgKind::Recovery, 16);
+        self.crashed_clients.lock().remove(&client);
+        self.dct_incomplete.lock().remove(&client);
+        let events = {
+            let mut glm = self.glm.lock();
+            glm.client_recovered(client);
+            glm.release_all(client)
+        };
+        self.drive(events);
+        self.bump_recovery_gen();
+        Ok(())
+    }
+
+    /// §3.4 step 3 of per-client page recovery: a recovering client hit a
+    /// callback log record for an object *not* in its `CallBack_P` list
+    /// and needs the page state of client `cid` at PSN ≥ `psn`. Blocks
+    /// (bounded) until the server's merged copy reflects it.
+    fn recovery_fetch(
+        &self,
+        client: ClientId,
+        page: PageId,
+        need: Option<(ClientId, Psn)>,
+    ) -> Result<(Vec<u8>, Option<Psn>)> {
+        self.net.msg(MsgKind::Recovery, 24);
+        if let Some((cid, psn)) = need {
+            // Needs on *operational* clients are already satisfied: their
+            // cached DPT pages were absorbed in step 4 before replay
+            // began, and their flushed state is on disk — the current
+            // merged copy covers them. Only a crashed client recovering
+            // in parallel (§3.5) can still owe state — and only once the
+            // server is up again: until then its recovery cannot begin
+            // (`client_recovery_begin` refuses), so the wait would always
+            // run to its deadline and reach the same merged copy.
+            let provider_recovering = self.crashed_clients.lock().contains(&cid);
+            if provider_recovering && !self.is_down() {
+                self.wait_for_recovery_progress(cid, page, psn);
+            }
+        }
+        let copy = self.read_page_copy(page)?;
+        let dct_psn = self.dct.lock().psn_of(page, client);
+        self.net.msg(MsgKind::PageShip, copy.size());
+        Ok((copy.into_bytes(), dct_psn))
+    }
+
     /// §3.5: prepare one page for a crashed client's post-server-restart
     /// recovery — the base copy (current merged view, or a fresh format
     /// when the page never reached disk), the PSN the server can vouch
     /// for (rebuilt DCT via Property 2, else zero = replay everything),
     /// and the merged `CallBack_P` list from the operational clients.
-    pub fn recover_client_page(&self, client: ClientId, page: PageId) -> Result<RecoverPagePlan> {
+    fn recover_client_page(&self, client: ClientId, page: PageId) -> Result<RecoverPagePlan> {
         self.net.msg(MsgKind::Recovery, 16);
         let (base, evicted) = self.store.lock().get_or_format(page)?;
         self.flush_images(evicted)?;
@@ -1192,7 +1191,7 @@ impl ServerCore {
     /// processed all log records containing a PSN value that is less than
     /// the PSN value C sent"). Returns pages another recovering client is
     /// waiting on, with the PSN threshold.
-    pub fn poll_recovery_needs(&self, provider: ClientId) -> Vec<(PageId, Psn)> {
+    fn poll_recovery_needs(&self, provider: ClientId) -> Vec<(PageId, Psn)> {
         self.recovery_needs
             .lock()
             .iter()
@@ -1202,158 +1201,24 @@ impl ServerCore {
     }
 
     /// Install a client's recovered copy of a page (final phase of §3.4).
-    pub fn install_recovered(&self, client: ClientId, bytes: Vec<u8>) -> Result<()> {
+    fn install_recovered(&self, client: ClientId, bytes: Vec<u8>) -> Result<()> {
         self.net.msg(MsgKind::PageShip, bytes.len());
         self.absorb_page(client, &bytes, false)
     }
 
-    /// Diagnostics: PSN of the server's current copy (pool else disk).
-    pub fn current_psn(&self, page: PageId) -> Option<Psn> {
-        self.store.lock().current_psn(page).ok().flatten()
-    }
-
-    /// Diagnostics / oracle verification: a copy of the page as the server
-    /// sees it now.
-    pub fn page_copy(&self, page: PageId) -> Result<Page> {
-        self.read_page_copy(page)
-    }
-
-    /// Diagnostics: ids of every allocated page, ascending.
-    pub fn allocated_pages(&self) -> Vec<PageId> {
-        self.store.lock().allocated_pages()
-    }
-
-    /// Server log state: `(last checkpoint, end)` (diagnostics).
-    pub fn slog_bounds(&self) -> (Lsn, Lsn) {
-        let slog = self.slog.lock();
-        (slog.last_checkpoint(), slog.end_lsn())
-    }
-
-    /// Bytes appended to the server log per record kind (non-zero only).
-    pub fn wal_bytes_by_kind(&self) -> Vec<(&'static str, u64)> {
-        self.slog.lock().bytes_by_kind()
-    }
-}
-
-// The typed RPC surface: pure delegation to the inherent methods above.
-// The sim transport IS this impl — clients hold `Arc<dyn ServerApi>` and
-// the trait object dispatches straight into the runtime, so the direct
-// call path (and its nominal `NetSim` accounting) is unchanged.
-impl fgl_net::api::ServerApi for ServerCore {
-    fn register_client(&self, peer: Arc<dyn ClientPeer>) {
-        ServerCore::register_client(self, peer);
-    }
-
-    fn lock(
-        &self,
-        client: ClientId,
-        txn: TxnId,
-        target: LockTarget,
-        cached_psn: Option<Psn>,
-    ) -> Result<LockResponse> {
-        ServerCore::lock(self, client, txn, target, cached_psn)
-    }
-
-    fn cancel_wait(&self, client: ClientId, txn: TxnId) {
-        ServerCore::cancel_wait(self, client, txn);
-    }
-
-    fn callback_complete(
-        &self,
-        client: ClientId,
-        kind: CallbackKind,
-        retained: Vec<(fgl_common::ObjectId, ObjMode)>,
-        page_copy: Option<std::sync::Arc<[u8]>>,
-    ) -> Result<()> {
-        ServerCore::callback_complete(self, client, kind, retained, page_copy)
-    }
-
-    fn fetch_page(&self, client: ClientId, page: PageId) -> Result<(Vec<u8>, Option<Psn>)> {
-        ServerCore::fetch_page(self, client, page)
-    }
-
-    fn allocate_page(&self, client: ClientId, txn: TxnId) -> Result<Vec<u8>> {
-        ServerCore::allocate_page(self, client, txn)
-    }
-
-    fn ship_page(
-        &self,
-        client: ClientId,
-        bytes: std::sync::Arc<[u8]>,
-        replaced: bool,
-    ) -> Result<()> {
-        ServerCore::ship_page(self, client, bytes, replaced)
-    }
-
-    fn force_page(&self, client: ClientId, page: PageId) -> Result<()> {
-        ServerCore::force_page(self, client, page)
-    }
-
-    fn commit_ship_log(
-        &self,
-        client: ClientId,
-        records: Vec<u8>,
-        _touched: Vec<PageId>,
-    ) -> Result<()> {
-        // The hint routes at the partition layer; a single instance logs
-        // everything it is handed.
-        ServerCore::commit_ship_log(self, client, records)
-    }
-
-    fn fetch_client_log(&self, client: ClientId) -> Result<Vec<u8>> {
-        ServerCore::fetch_client_log(self, client)
-    }
-
-    fn server_logging(&self) -> bool {
-        ServerCore::server_logging(self)
-    }
-
-    fn client_crashed(&self, client: ClientId) {
-        ServerCore::client_crashed(self, client);
-    }
-
-    fn client_recovery_begin(
-        &self,
-        client: ClientId,
-        peer: Arc<dyn ClientPeer>,
-    ) -> Result<RecoveryHandshake> {
-        ServerCore::client_recovery_begin(self, client, peer)
-    }
-
-    fn client_recovery_end(&self, client: ClientId) -> Result<()> {
-        ServerCore::client_recovery_end(self, client)
-    }
-
-    fn recovery_fetch(
-        &self,
-        client: ClientId,
-        page: PageId,
-        need: Option<(ClientId, Psn)>,
-    ) -> Result<(Vec<u8>, Option<Psn>)> {
-        ServerCore::recovery_fetch(self, client, page, need)
-    }
-
-    fn recover_client_page(&self, client: ClientId, page: PageId) -> Result<RecoverPagePlan> {
-        ServerCore::recover_client_page(self, client, page)
-    }
-
-    fn poll_recovery_needs(&self, provider: ClientId) -> Vec<(PageId, Psn)> {
-        ServerCore::poll_recovery_needs(self, provider)
-    }
-
-    fn install_recovered(&self, client: ClientId, bytes: Vec<u8>) -> Result<()> {
-        ServerCore::install_recovered(self, client, bytes)
-    }
-
     fn config(&self) -> &SystemConfig {
-        ServerCore::config(self)
+        &self.cfg
     }
 
+    /// The shared configuration handle (what clients store — one config
+    /// allocation per system, not per participant).
     fn config_shared(&self) -> Arc<SystemConfig> {
-        ServerCore::config_shared(self)
+        self.cfg.clone()
     }
 
+    /// The shared metrics registry (histograms + counters). Clients attach
+    /// to this same instance so one snapshot covers the whole system.
     fn metrics(&self) -> Arc<Metrics> {
-        ServerCore::metrics(self)
+        self.metrics.clone()
     }
 }

@@ -7,6 +7,7 @@ use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::{LockTarget, ObjMode};
 use fgl_net::peer::{CallbackOutcome, ClientPeer, ClientStateReport, RecoveredPageOutcome};
 use fgl_net::stats::NetSim;
+use fgl_net::ServerApi;
 use fgl_server::runtime::ServerCore;
 use fgl_storage::disk::MemDisk;
 use fgl_storage::page::Page;

@@ -7,6 +7,7 @@ use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::{LockTarget, ObjMode};
 use fgl_net::peer::{CallbackOutcome, ClientPeer, ClientStateReport, RecoveredPageOutcome};
 use fgl_net::stats::NetSim;
+use fgl_net::ServerApi;
 use fgl_server::runtime::{LockResponse, ServerCore};
 use fgl_storage::disk::MemDisk;
 use fgl_storage::page::Page;
@@ -245,8 +246,9 @@ fn fetch_unknown_page_errors() {
 fn commit_log_ship_accumulates_per_client() {
     let s = server();
     let _p1 = register(&s, 1);
-    s.commit_ship_log(ClientId(1), vec![1, 2, 3]).unwrap();
-    s.commit_ship_log(ClientId(1), vec![4, 5]).unwrap();
+    s.commit_ship_log(ClientId(1), vec![1, 2, 3], vec![])
+        .unwrap();
+    s.commit_ship_log(ClientId(1), vec![4, 5], vec![]).unwrap();
     assert_eq!(
         s.fetch_client_log(ClientId(1)).unwrap(),
         vec![1, 2, 3, 4, 5]

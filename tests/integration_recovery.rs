@@ -3,7 +3,8 @@
 //! oracle.
 
 use fgl::{
-    ClientCore, ClientId, Lsn, MsgKind, ObjectId, PageId, Psn, System, SystemConfig, TransportKind,
+    ClientCore, ClientId, FglError, LoggingStrategyKind, Lsn, MsgKind, ObjectId, PageId, Psn,
+    ServerApi, System, SystemConfig, TransportKind,
 };
 use fgl_client::PeerHandle;
 use fgl_common::rng::DetRng;
@@ -583,4 +584,193 @@ fn server_restart_over_a_socket_replays_in_batches() {
     assert_eq!(report.recovery_units, 2 * (RECOVER_BATCH_PAGES + 8 - 4));
     let v = oracle.verify_via_reads(sys.client(1)).unwrap();
     assert!(v.is_clean(), "{:?}", v.mismatches);
+}
+
+/// What one client restart left behind: the report's winners, losers,
+/// pages recovered, pages fetched and records applied, then the end of
+/// the private log and a hash of every database page as the server holds
+/// it.
+type RestartPin = (usize, usize, usize, usize, usize, u64, u64);
+
+/// A seeded HOTCOLD run driven in turns (no thread ever waits, so every
+/// run leaves the same logs), then client 1 crashes holding two losers —
+/// one in its last checkpoint's transaction table, one begun after it,
+/// both with pages other clients have since called back — alone or
+/// together with the server (§3.5).
+fn restart_pin(strategy: LoggingStrategyKind, complex: bool) -> RestartPin {
+    let cfg = SystemConfig::default().with_logging_strategy(strategy);
+    let sys = System::build(cfg, 3).unwrap();
+    let s = spec(WorkloadKind::HotCold);
+    let layout = populate(sys.client(0), s.pages, s.objects_per_page, 32).unwrap();
+    let oracle = Oracle::new();
+    oracle.seed(sys.client(0), &layout).unwrap();
+    let mut rngs: Vec<DetRng> = (0..3).map(|i| DetRng::new(2400 + i)).collect();
+    let mut rounds = |from: u8, to: u8, busy: &dyn Fn(ObjectId) -> bool| {
+        for round in from..to {
+            for (i, c) in sys.clients.iter().enumerate() {
+                let t = c.begin().unwrap();
+                let mut writes = Vec::new();
+                for op in s.next_txn(i, 3, &mut rngs[i]).ops {
+                    let o = op.object();
+                    if busy(o) {
+                        continue;
+                    }
+                    match op {
+                        Op::Read(_) => drop(c.read(t, o).unwrap()),
+                        Op::Write(_) | Op::Resize(_) => {
+                            // Every third round is structural, and long
+                            // enough to make a hybrid transaction log
+                            // physically.
+                            if round % 3 == 0 {
+                                c.resize(t, o, 72).unwrap();
+                                c.resize(t, o, 32).unwrap();
+                            }
+                            c.write(t, o, &[round; 32]).unwrap();
+                            writes.push((o, Some(vec![round; 32])));
+                        }
+                    }
+                }
+                c.commit_with(t, || oracle.commit_writes(&writes)).unwrap();
+            }
+        }
+    };
+    rounds(0, 27, &|_| false);
+    // Client 1's early pages reach the server's disk: they leave the DCT,
+    // so Property 1 has pages to skip.
+    sys.client(1).harden().unwrap();
+    rounds(27, 30, &|_| false);
+
+    // Two losers at client 1: one small (redo-only under `hybrid`) and in
+    // the checkpoint, one that opens with a resize (physical) after it.
+    let c = sys.client(1);
+    let obj = |page: usize, slot: usize| layout.objects[page * s.objects_per_page + slot];
+    let small = [obj(4, 0), obj(4, 5), obj(5, 2), obj(0, 3)];
+    let large = [obj(6, 1), obj(6, 4)];
+    let l1 = c.begin().unwrap();
+    for (n, o) in small.iter().enumerate() {
+        c.write(l1, *o, &[0xA0 + n as u8; 32]).unwrap();
+    }
+    c.checkpoint().unwrap();
+    let l2 = c.begin().unwrap();
+    c.resize(l2, large[0], 72).unwrap();
+    c.write(l2, large[1], &[0xB1; 32]).unwrap();
+    c.write(l1, small[0], &[0xAF; 32]).unwrap();
+    // The others (and client 1's own later transactions) keep working
+    // around the losers' locks: callbacks ship the losers' pages, the
+    // commits force their records.
+    rounds(30, 42, &|o| small.contains(&o) || o.page == large[0].page);
+
+    c.crash();
+    if complex {
+        sys.server.crash();
+        sys.server.restart_recovery().unwrap();
+    }
+    let rep = c.recover().unwrap();
+    let log_end = c.log_usage().0; // nothing was reclaimed: in use = end
+    let v = oracle.verify_via_reads(sys.client(0)).unwrap();
+    assert!(v.is_clean(), "{strategy:?}: {:?}", v.mismatches);
+    for c in &sys.clients {
+        c.harden().unwrap();
+    }
+    // FNV-1a over every object (slot, PSN, value) of every page as the
+    // server holds it. After a client crash the whole page image goes in
+    // too; after a complex crash it cannot, because server restart merges
+    // the two surviving clients' copies in whichever order they answer
+    // and the page-level PSN lands one apart from run to run.
+    let mut pages_hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut fnv = |bytes: &[u8]| {
+        for b in bytes {
+            pages_hash = (pages_hash ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for &page in &layout.pages {
+        let copy = sys.server.page_copy(page).unwrap();
+        for (slot, psn, value) in copy.snapshot_objects() {
+            fnv(&slot.0.to_le_bytes());
+            fnv(&psn.0.to_le_bytes());
+            fnv(&value);
+        }
+        if !complex {
+            fnv(copy.as_bytes());
+        }
+    }
+    (
+        rep.winners,
+        rep.losers,
+        rep.pages_recovered,
+        rep.pages_fetched,
+        rep.records_applied,
+        log_end,
+        pages_hash,
+    )
+}
+
+/// Client restart, pinned per strategy x {client crash, complex crash}:
+/// the constants are what commit b5cfdb0 (three restart drivers) left.
+/// `client_aries` and `write_behind` log alike, so their rows are equal.
+#[test]
+fn restart_leaves_the_recorded_counts_log_and_pages() {
+    use LoggingStrategyKind::*;
+    #[rustfmt::skip]
+    let want: [(_, _, RestartPin); 8] = [
+        (ClientAries, false, (12, 2, 8, 8, 13, 26824, 2188529311487930427)),
+        (ClientAries, true, (12, 2, 8, 8, 0, 26824, 14833372426372957901)),
+        (RedoOnly, false, (42, 2, 9, 9, 9, 22993, 2959043463736195518)),
+        (RedoOnly, true, (42, 2, 12, 12, 0, 23041, 17150234313638927731)),
+        // The one cell the single driver moves (b5cfdb0: 9 applied, hash
+        // 4254536476712928168): a hybrid loser that logged physically is
+        // now redone before its chain-walk undo, as under the paper's
+        // restart and as §3.5 always did, instead of skipped. Two more
+        // records apply and the PSNs on its pages move; the values do not
+        // (`restart_pin` checks the oracle).
+        (Hybrid, false, (42, 2, 9, 9, 11, 25881, 1550113182983745843)),
+        (Hybrid, true, (42, 2, 12, 12, 0, 25929, 4205255825687857298)),
+        (WriteBehind, false, (12, 2, 8, 8, 13, 26824, 2188529311487930427)),
+        (WriteBehind, true, (12, 2, 8, 8, 0, 26824, 14833372426372957901)),
+    ];
+    let mut moved = Vec::new();
+    for (strategy, complex, want) in want {
+        let got = restart_pin(strategy, complex);
+        if got != want {
+            moved.push(format!(
+                "{strategy:?}, complex crash {complex}:\n  got  {got:?}\n  want {want:?}"
+            ));
+        }
+    }
+    assert!(moved.is_empty(), "{}", moved.join("\n"));
+}
+
+/// ROADMAP fatal path 3, pinned where it stands: a restart whose pages to
+/// redo outnumber the cache frames refuses rather than replace a page
+/// mid-recovery — under the paper's restart, the redo-only restart and
+/// the §3.5 restart alike.
+#[test]
+fn recovery_refuses_when_the_working_set_exceeds_the_cache() {
+    use LoggingStrategyKind::*;
+    for (strategy, complex) in [(ClientAries, false), (RedoOnly, false), (ClientAries, true)] {
+        let cfg = SystemConfig {
+            client_cache_pages: 2,
+            ..SystemConfig::default().with_logging_strategy(strategy)
+        };
+        let sys = System::build(cfg, 1).unwrap();
+        let c = sys.client(0);
+        for _ in 0..4 {
+            let t = c.begin().unwrap();
+            let page = c.create_page(t).unwrap();
+            c.insert(t, page, b"redo me.").unwrap();
+            c.commit(t).unwrap();
+        }
+        c.crash();
+        if complex {
+            sys.server.crash();
+            sys.server.restart_recovery().unwrap();
+        }
+        match c.recover() {
+            Err(FglError::Protocol(why)) => assert!(
+                why.contains("cache too small"),
+                "{strategy:?}, complex crash: {complex}: {why}"
+            ),
+            other => panic!("{strategy:?}, complex crash: {complex}: {other:?}"),
+        }
+    }
 }
