@@ -51,8 +51,8 @@ struct Cell {
 fn run_cell(scheduler: SchedulerKind, traced: bool) -> Cell {
     let mut cfg = experiment_config();
     if traced {
-        // Big rings: the whole run must fit so the assembler sees every
-        // open/close pair (`ring_dropped_events` stays 0).
+        // Big rings: the whole run fits, so `ring_dropped_events` stays 0
+        // (the metrics validator checks it).
         cfg = cfg.with_obs_ring_entries(1 << 16);
     }
     let sys = System::build(cfg, CLIENTS).expect("build");
@@ -62,15 +62,11 @@ fn run_cell(scheduler: SchedulerKind, traced: bool) -> Cell {
     let mut opts = HarnessOptions::new(spec, txns_per_client());
     opts.seed = 0xE15;
     opts.scheduler = scheduler;
-    let watermark = fgl_obs::seq_watermark();
+    // The run's client threads exit, and their flight-recorder rings with
+    // them, before it returns: capture the events while it runs.
+    let capture = traced.then(fgl_obs::CaptureSink::install);
     let report = run_workload(&sys, &layout, None, &opts).expect("run");
-    let trace = traced.then(|| {
-        let events: Vec<_> = fgl_obs::dump()
-            .into_iter()
-            .filter(|s| s.seq >= watermark)
-            .collect();
-        trace::assemble(&events)
-    });
+    let trace = capture.map(|(sink, _guard)| trace::assemble(&sink.drain()));
     trace::set_enabled(false);
     Cell { report, trace }
 }

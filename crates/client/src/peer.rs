@@ -135,13 +135,16 @@ impl ClientCore {
     ) -> Vec<CallbackOutcome> {
         let mut st = self.st.lock();
         if st.crashed {
-            // Lost race with a crash simulation; the server will queue and
-            // re-deliver after recovery.
+            // A wave the server started before it learned of the crash.
+            // Defer: the callback stays outstanding and the locks stay
+            // held until recovery ends (§3.3). `Done` would release an
+            // exclusive lock whose committed update lives only in the log,
+            // and redo — which replays only under retained exclusive
+            // locks — would then skip it: a lost update.
             return kinds
                 .iter()
-                .map(|_| CallbackOutcome::Done {
-                    retained: vec![],
-                    page_copy: None,
+                .map(|_| CallbackOutcome::Deferred {
+                    blockers: Vec::new(),
                 })
                 .collect();
         }

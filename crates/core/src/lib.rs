@@ -1036,6 +1036,20 @@ mod tests {
                 nominal > 0,
                 "{kind:?}: nominal accounting must keep running"
             );
+            assert_no_socket_errors(&sys);
+        }
+    }
+
+    /// Every socket error counter is registered, and none has counted.
+    fn assert_no_socket_errors(sys: &System) {
+        let counters = sys.metrics_snapshot().counters;
+        for name in [
+            "socket_conn_setup_failed",
+            "socket_read_failed",
+            "socket_bad_frame",
+            "socket_register_failed",
+        ] {
+            assert_eq!(counters.get(name), Some(&0), "{name}");
         }
     }
 
@@ -1060,6 +1074,7 @@ mod tests {
         let t = bob.begin().unwrap();
         assert_eq!(bob.read(t, obj).unwrap(), b"committed!");
         bob.commit(t).unwrap();
+        assert_no_socket_errors(&sys);
     }
 
     #[test]
@@ -1196,6 +1211,7 @@ mod tests {
             })
             .sum();
         assert_eq!(merged.total_messages(), per);
+        assert_no_socket_errors(&sys);
     }
 
     /// A deadlock cycle spanning two server instances: each instance's

@@ -332,6 +332,42 @@ pub enum CallbackReplyMsg {
 }
 
 impl Request {
+    /// Whether a socket connection's reader may run this request itself
+    /// instead of handing it to a worker. Only a request whose
+    /// [`ServerApi`] method never waits on a [`ClientPeer`] reply
+    /// qualifies: the reader is what delivers its own client's replies,
+    /// so a reader-run request that waited on one would deadlock the
+    /// connection (debug builds assert it never happens). Add a variant
+    /// here only with that argument written down beside it.
+    pub fn runs_on_reader(&self) -> bool {
+        match self {
+            // Short server mutexes, a disk read or write, and at most the
+            // one-way `notify_page_flushed` of an eviction's flush.
+            Request::FetchPage { .. } | Request::ShipPage { .. } => true,
+            // Lock, cancel and callback completion reach `drive`, which
+            // delivers callbacks; `Register` installs this connection's
+            // peer and the recovery requests wait on peers.
+            // `AllocatePage`, `ForcePage` and `CommitShipLog` wait on no
+            // peer either, but they are rare or hold a §4.1 log force, so
+            // they stay off the reader.
+            Request::Register
+            | Request::Lock { .. }
+            | Request::CancelWait { .. }
+            | Request::CallbackComplete { .. }
+            | Request::AllocatePage { .. }
+            | Request::ForcePage { .. }
+            | Request::CommitShipLog { .. }
+            | Request::FetchClientLog
+            | Request::ClientCrashed
+            | Request::RecoveryBegin
+            | Request::RecoveryEnd
+            | Request::RecoveryFetch { .. }
+            | Request::RecoverClientPage { .. }
+            | Request::PollRecoveryNeeds
+            | Request::InstallRecovered { .. } => false,
+        }
+    }
+
     /// The [`crate::MsgKind`] this request is accounted under on a real
     /// transport — the same classification the sim fabric uses.
     pub fn msg_kind(&self) -> crate::MsgKind {

@@ -12,7 +12,10 @@
 //!   connection per client, with blocking lock waits mapped onto request
 //!   correlation IDs.
 //!
-//! [`frame`] is the codec both socket flavors share.
+//! [`frame`] is the codec both socket flavors share; `pool` is the
+//! cached worker pool that runs the socket backend's blocking requests
+//! and callbacks.
 
 pub mod frame;
+mod pool;
 pub mod socket;

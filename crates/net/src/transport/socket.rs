@@ -6,8 +6,10 @@
 //! * [`SocketServer`] — accept loop over an `Arc<dyn ServerApi>`. Each
 //!   connection starts with a `Hello`/`HelloAck` handshake (the client
 //!   announces its [`ClientId`], the server answers with the full
-//!   [`SystemConfig`] so both sides agree on every policy), then a reader
-//!   thread dispatches each request frame on its own thread — a lock
+//!   [`SystemConfig`] so both sides agree on every policy), then one
+//!   reader thread per connection reads request frames. A page fetch or
+//!   ship ([`Request::runs_on_reader`]) runs on the reader itself; every
+//!   other request goes to the server's cached worker pool — a lock
 //!   request that triggers callbacks to *this* client must not block the
 //!   frame reader that would deliver the callback reply.
 //! * [`RemoteClientPeer`] — the server's [`ClientPeer`] view of a
@@ -21,6 +23,7 @@
 //!   local [`GrantSlot`] *before* sending `Lock`; a `LockQueued` reply
 //!   hands the caller the matching waiter, and the eventual `Grant` frame
 //!   (same correlation ID) fulfils the slot from the reader thread.
+//!   Inbound callbacks run on the stub's own worker pool.
 //!
 //! Real encoded frame sizes are recorded client-side, both directions,
 //! into a transport-owned [`NetStats`] ("wire stats") keyed by the same
@@ -37,13 +40,15 @@ use crate::peer::{
 };
 use crate::stats::{MsgKind, NetStats};
 use crate::transport::frame::{self, FrameKind};
+use crate::transport::pool::Pool;
 use crate::wait::{grant_pair, GrantSlot};
 use fgl_common::config::CommitPolicy;
 use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, Result, SystemConfig, TxnId};
 use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::{LockTarget, ObjMode};
-use fgl_obs::{HistKind, Metrics};
+use fgl_obs::{Counter, HistKind, Metrics};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -116,13 +121,6 @@ enum Listener {
 }
 
 impl Listener {
-    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(on),
-            Listener::Uds(l) => l.set_nonblocking(on),
-        }
-    }
-
     fn accept(&self) -> std::io::Result<ConnStream> {
         Ok(match self {
             Listener::Tcp(l) => {
@@ -143,10 +141,28 @@ impl Listener {
 /// The accepting half: serves an [`ServerApi`] over TCP or UDS until
 /// dropped or [`SocketServer::shutdown`].
 pub struct SocketServer {
-    stop: Arc<AtomicBool>,
+    served: Arc<Served>,
     accept: Option<thread::JoinHandle<()>>,
     addr: Option<SocketAddr>,
     uds_path: Option<PathBuf>,
+}
+
+/// What a [`SocketServer`] shares with its accept loop and connections.
+struct Served {
+    api: Arc<dyn ServerApi>,
+    /// Runs every request its reader may not ([`Request::runs_on_reader`]).
+    pool: Pool,
+    requests: AtomicU64,
+    stop: AtomicBool,
+    setup_failed: Counter,
+    read_failed: Counter,
+    bad_frame: Counter,
+}
+
+thread_local! {
+    /// Set while a connection reader runs a request itself: nothing that
+    /// request calls may wait on a peer (see [`Request::runs_on_reader`]).
+    static ON_READER: Cell<bool> = const { Cell::new(false) };
 }
 
 impl SocketServer {
@@ -171,20 +187,37 @@ impl SocketServer {
         addr: Option<SocketAddr>,
         uds_path: Option<PathBuf>,
     ) -> Result<SocketServer> {
-        // Nonblocking accept + poll keeps shutdown portable: a stop flag
-        // is checked every pass instead of forcing a wakeup connection.
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = stop.clone();
+        let metrics = api.metrics();
+        let served = Arc::new(Served {
+            api,
+            pool: Pool::new("fgl-req"),
+            requests: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            setup_failed: metrics.counter("socket_conn_setup_failed"),
+            read_failed: metrics.counter("socket_read_failed"),
+            bad_frame: metrics.counter("socket_bad_frame"),
+        });
+        let s = served.clone();
         let accept = thread::Builder::new()
             .name("fgl-accept".into())
-            .spawn(move || accept_loop(api, listener, flag))?;
+            .spawn(move || accept_loop(&s, listener))?;
         Ok(SocketServer {
-            stop,
+            served,
             accept: Some(accept),
             addr,
             uds_path,
         })
+    }
+
+    /// Request frames read so far, over every connection.
+    pub fn requests(&self) -> u64 {
+        self.served.requests.load(Ordering::Relaxed)
+    }
+
+    /// Threads the request pool has started: the peak number of requests
+    /// that ran on it at once, not the number it served.
+    pub fn pool_threads(&self) -> usize {
+        self.served.pool.threads_started()
     }
 
     /// The bound TCP address (None for UDS).
@@ -197,12 +230,20 @@ impl SocketServer {
         self.uds_path.as_deref()
     }
 
-    /// Stop accepting and join the accept loop. Existing connections run
-    /// until their clients disconnect.
+    /// Stop accepting and join the accept loop: set `stop`, then wake the
+    /// blocking `accept` with one throw-away connection. Existing
+    /// connections run until their clients disconnect.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            self.served.stop.store(true, Ordering::Release);
+            let woke = match (&self.addr, &self.uds_path) {
+                (Some(addr), _) => TcpStream::connect(addr).is_ok(),
+                (None, Some(path)) => UnixStream::connect(path).is_ok(),
+                (None, None) => false,
+            };
+            if woke {
+                let _ = h.join();
+            }
         }
         if let Some(p) = &self.uds_path {
             let _ = std::fs::remove_file(p);
@@ -216,32 +257,27 @@ impl Drop for SocketServer {
     }
 }
 
-fn accept_loop(api: Arc<dyn ServerApi>, listener: Listener, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok(stream) => {
-                let api = api.clone();
-                let _ = thread::Builder::new()
-                    .name("fgl-conn".into())
-                    .spawn(move || {
-                        if let Err(e) = serve_conn(api, stream) {
-                            // A handshake that never completes is the
-                            // only path here; established connections end
-                            // via the reader loop.
-                            eprintln!("fgl-net: connection setup failed: {e}");
-                        }
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+fn accept_loop(served: &Arc<Served>, listener: Listener) {
+    while let Ok(stream) = listener.accept() {
+        if served.stop.load(Ordering::Acquire) {
+            break;
         }
+        let served = served.clone();
+        let _ = thread::Builder::new()
+            .name("fgl-conn".into())
+            .spawn(move || {
+                if let Err(e) = serve_conn(&served, stream) {
+                    // A handshake that never completes is the only path
+                    // here; established connections end via the reader.
+                    served.setup_failed.add(1);
+                    eprintln!("fgl-net: connection setup failed: {e}");
+                }
+            });
     }
 }
 
 /// Per-connection server state shared between the reader loop, the
-/// request threads and the [`RemoteClientPeer`].
+/// pool workers running its requests and the [`RemoteClientPeer`].
 struct ServerConn {
     client: ClientId,
     writer: Mutex<ConnStream>,
@@ -264,7 +300,7 @@ impl ServerConn {
     }
 }
 
-fn serve_conn(api: Arc<dyn ServerApi>, stream: ConnStream) -> Result<()> {
+fn serve_conn(served: &Served, stream: ConnStream) -> Result<()> {
     stream
         .try_clone()
         .map_err(FglError::Io)
@@ -286,15 +322,15 @@ fn serve_conn(api: Arc<dyn ServerApi>, stream: ConnStream) -> Result<()> {
                 cb_corr: AtomicU64::new(1),
                 alive: AtomicBool::new(true),
             });
-            conn.write(&frame::encode_hello_ack(api.config()))?;
+            conn.write(&frame::encode_hello_ack(served.api.config()))?;
             let peer: Arc<dyn ClientPeer> = Arc::new(RemoteClientPeer { conn: conn.clone() });
-            conn_reader(api, conn, peer, reader);
+            conn_reader(served, conn, peer, reader);
             Ok(())
         })
 }
 
 fn conn_reader(
-    api: Arc<dyn ServerApi>,
+    served: &Served,
     conn: Arc<ServerConn>,
     peer: Arc<dyn ClientPeer>,
     mut reader: ConnStream,
@@ -303,53 +339,52 @@ fn conn_reader(
         let (h, body) = match frame::read_frame(&mut reader) {
             Ok(x) => x,
             Err(FglError::Disconnected(_)) => break,
+            // A client that exits with frames still unread resets the
+            // connection: a disconnect, not a failure.
+            Err(FglError::Io(e)) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
             Err(e) => {
+                served.read_failed.add(1);
                 eprintln!("fgl-net: client {:?} read failed: {e}", conn.client);
                 break;
             }
         };
-        match h.kind {
+        let bad = match h.kind {
             FrameKind::Req => match frame::decode_request(&h, &body) {
                 Ok(req) => {
-                    // One thread per request: dispatch may block on disk,
-                    // on callbacks to other clients, or — for callbacks
-                    // to *this* client — on a CbResp frame that only this
-                    // reader can route. The reader must stay free.
-                    let api = api.clone();
-                    let conn = conn.clone();
-                    let peer = peer.clone();
-                    let corr = h.corr;
-                    let _ = thread::Builder::new()
-                        .name("fgl-req".into())
-                        .spawn(move || handle_request(api, conn, peer, corr, req));
+                    served.requests.fetch_add(1, Ordering::Relaxed);
+                    if req.runs_on_reader() {
+                        ON_READER.set(true);
+                        handle_request(&*served.api, &conn, &peer, h.corr, req);
+                        ON_READER.set(false);
+                    } else {
+                        // Dispatch may block on disk, on callbacks to
+                        // other clients, or — for callbacks to *this*
+                        // client — on a CbResp frame that only this reader
+                        // can route. The reader must stay free.
+                        let (api, conn, peer) = (served.api.clone(), conn.clone(), peer.clone());
+                        let corr = h.corr;
+                        served
+                            .pool
+                            .execute(move || handle_request(&*api, &conn, &peer, corr, req));
+                    }
+                    continue;
                 }
-                Err(e) => {
-                    eprintln!("fgl-net: client {:?} sent bad request: {e}", conn.client);
-                    break;
-                }
+                Err(e) => format!("bad request: {e}"),
             },
             FrameKind::CbResp => match frame::decode_callback_reply(&h, &body) {
                 Ok(reply) => {
                     if let Some(tx) = conn.cb_pending.lock().remove(&h.corr) {
                         let _ = tx.send(reply);
                     }
+                    continue;
                 }
-                Err(e) => {
-                    eprintln!(
-                        "fgl-net: client {:?} sent bad callback reply: {e}",
-                        conn.client
-                    );
-                    break;
-                }
+                Err(e) => format!("bad callback reply: {e}"),
             },
-            other => {
-                eprintln!(
-                    "fgl-net: client {:?} sent unexpected {other:?} frame",
-                    conn.client
-                );
-                break;
-            }
-        }
+            other => format!("unexpected {other:?} frame"),
+        };
+        served.bad_frame.add(1);
+        eprintln!("fgl-net: client {:?} sent {bad}", conn.client);
+        break;
     }
     // Connection gone. Deliberately NOT auto-marking the client crashed:
     // a cleanly exiting client keeps its retained locks resolvable via
@@ -362,13 +397,13 @@ fn conn_reader(
 }
 
 fn handle_request(
-    api: Arc<dyn ServerApi>,
-    conn: Arc<ServerConn>,
-    peer: Arc<dyn ClientPeer>,
+    api: &dyn ServerApi,
+    conn: &ServerConn,
+    peer: &Arc<dyn ClientPeer>,
     corr: u64,
     req: Request,
 ) {
-    match dispatch(&*api, conn.client, req, &peer) {
+    match dispatch(api, conn.client, req, peer) {
         Dispatched::Reply(reply) => {
             let _ = conn.send_reply(corr, &reply);
         }
@@ -376,6 +411,7 @@ fn handle_request(
             // LockQueued first, then the grant under the SAME correlation
             // id — the writer mutex serializes the two frames.
             let _ = conn.send_reply(corr, &Reply::LockQueued);
+            debug_assert!(!ON_READER.get(), "a reader-run request waited on a grant");
             let deadline = api.config().lock_timeout + GRANT_MARGIN;
             if let Some(msg) = waiter.wait(deadline) {
                 let _ = conn.write(&frame::encode_grant(corr, &msg));
@@ -393,6 +429,7 @@ pub struct RemoteClientPeer {
 
 impl RemoteClientPeer {
     fn roundtrip(&self, cb: Callback) -> Option<CallbackReplyMsg> {
+        debug_assert!(!ON_READER.get(), "a reader-run request waited on a peer");
         if !self.conn.alive.load(Ordering::Relaxed) {
             return unreachable_callback_reply(&cb);
         }
@@ -531,7 +568,10 @@ pub struct RemoteServer {
     grants: Mutex<HashMap<u64, (TxnId, GrantSlot)>>,
     next_corr: AtomicU64,
     peer: Mutex<Option<Arc<dyn ClientPeer>>>,
+    /// Runs inbound callbacks.
+    callbacks: Pool,
     metrics: Arc<Metrics>,
+    register_failed: Counter,
     wire: Arc<NetStats>,
     down: AtomicBool,
     rpc_timeout: Duration,
@@ -584,6 +624,7 @@ impl RemoteServer {
         // immediately); the margin covers dispatches that block on
         // callback round trips to contended holders.
         let rpc_timeout = cfg.lock_timeout * 4 + Duration::from_secs(30);
+        let metrics = metrics.unwrap_or_default();
         let server = Arc::new(RemoteServer {
             id,
             cfg: Arc::new(cfg),
@@ -592,7 +633,9 @@ impl RemoteServer {
             grants: Mutex::new(HashMap::new()),
             next_corr: AtomicU64::new(1),
             peer: Mutex::new(None),
-            metrics: metrics.unwrap_or_default(),
+            callbacks: Pool::new("fgl-cb"),
+            register_failed: metrics.counter("socket_register_failed"),
+            metrics,
             wire,
             down: AtomicBool::new(false),
             rpc_timeout,
@@ -645,15 +688,13 @@ impl RemoteServer {
                         Err(_) => break,
                     };
                     self.wire.record(cb.msg_kind(), h.len as usize);
-                    // Callbacks run off-thread: applying one can call
+                    // Callbacks run on a worker: applying one can call
                     // straight back into the server (e.g. shipping a page
                     // with the outcome is a follow-up request on some
                     // paths) and must not starve reply routing.
                     let me = self.clone();
                     let corr = h.corr;
-                    let _ = thread::Builder::new()
-                        .name("fgl-cb".into())
-                        .spawn(move || me.handle_callback(corr, cb));
+                    self.callbacks.execute(move || me.handle_callback(corr, cb));
                 }
                 _ => break,
             }
@@ -695,10 +736,14 @@ impl RemoteServer {
     }
 
     fn call(&self, req: Request) -> Result<Reply> {
+        self.call_as(self.next_corr.fetch_add(1, Ordering::Relaxed), req)
+    }
+
+    /// One round trip under a correlation id the caller drew.
+    fn call_as(&self, corr: u64, req: Request) -> Result<Reply> {
         if self.down.load(Ordering::Relaxed) {
             return Err(FglError::Disconnected("server connection closed".into()));
         }
-        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
         self.pending.lock().insert(corr, tx);
         let t0 = Instant::now();
@@ -747,6 +792,7 @@ impl ServerApi for RemoteServer {
     fn register_client(&self, peer: Arc<dyn ClientPeer>) {
         *self.peer.lock() = Some(peer);
         if let Err(e) = self.call(Request::Register).and_then(expect_unit) {
+            self.register_failed.add(1);
             eprintln!("fgl-net: client {:?} registration failed: {e}", self.id);
         }
     }
@@ -758,65 +804,37 @@ impl ServerApi for RemoteServer {
         target: LockTarget,
         cached_psn: Option<Psn>,
     ) -> Result<LockResponse> {
-        if self.down.load(Ordering::Relaxed) {
-            return Err(FglError::Disconnected("server connection closed".into()));
-        }
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
         // Register the slot BEFORE the request leaves: a grant can race
         // the LockQueued reply and must find its slot.
         let (slot, waiter) = grant_pair();
         self.grants.lock().insert(corr, (txn, slot));
-        let (tx, rx) = mpsc::channel();
-        self.pending.lock().insert(corr, tx);
-        let t0 = Instant::now();
-        let req = Request::Lock {
-            txn,
-            target,
-            cached_psn,
-        };
-        if let Err(e) = self.send(corr, &req) {
-            self.pending.lock().remove(&corr);
+        let reply = self.call_as(
+            corr,
+            Request::Lock {
+                txn,
+                target,
+                cached_psn,
+            },
+        );
+        if !matches!(reply, Ok(Reply::LockQueued)) {
             self.grants.lock().remove(&corr);
-            return Err(e);
         }
-        match rx.recv_timeout(self.rpc_timeout) {
-            Ok(reply) => {
-                self.metrics
-                    .observe(HistKind::WireRtt, t0.elapsed().as_micros() as u64);
-                match reply {
-                    Reply::LockGranted {
-                        target,
-                        first_exclusive_on_page,
-                        evidence,
-                    } => {
-                        self.grants.lock().remove(&corr);
-                        Ok(LockResponse::Granted {
-                            target,
-                            first_exclusive_on_page,
-                            evidence,
-                        })
-                    }
-                    Reply::LockQueued => Ok(LockResponse::Wait(waiter)),
-                    Reply::Err(e) => {
-                        self.grants.lock().remove(&corr);
-                        Err(e.into())
-                    }
-                    other => {
-                        self.grants.lock().remove(&corr);
-                        Err(FglError::Protocol(format!(
-                            "unexpected reply {other:?} to a lock request"
-                        )))
-                    }
-                }
-            }
-            Err(_) => {
-                self.pending.lock().remove(&corr);
-                self.grants.lock().remove(&corr);
-                Err(FglError::Disconnected(format!(
-                    "no reply from server within {:?}",
-                    self.rpc_timeout
-                )))
-            }
+        match reply? {
+            Reply::LockGranted {
+                target,
+                first_exclusive_on_page,
+                evidence,
+            } => Ok(LockResponse::Granted {
+                target,
+                first_exclusive_on_page,
+                evidence,
+            }),
+            Reply::LockQueued => Ok(LockResponse::Wait(waiter)),
+            Reply::Err(e) => Err(e.into()),
+            other => Err(FglError::Protocol(format!(
+                "unexpected reply {other:?} to a lock request"
+            ))),
         }
     }
 

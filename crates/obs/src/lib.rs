@@ -15,7 +15,8 @@
 //!   see it too.
 //! * **Flight recorder** ([`ring`]) — a bounded per-thread ring of the
 //!   most recent events, globally sequence-stamped so a merged dump is
-//!   totally ordered. [`dump`] collects it on demand; the client runtime
+//!   totally ordered. A ring is freed with its thread, so [`dump`]
+//!   collects the live threads' rings on demand; the client runtime
 //!   triggers an automatic dump on deadlock aborts and lock timeouts.
 //! * **Metrics** ([`Metrics`], [`Histogram`], [`Snapshot`]) — atomic
 //!   log2-bucket latency histograms (lock-wait, commit, callback

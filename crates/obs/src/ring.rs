@@ -5,11 +5,16 @@
 //! second thread only during a dump, which is rare by construction).
 //! Events carry a global sequence number, so a dump merged across rings
 //! is totally ordered even though each ring is thread-local.
+//!
+//! A ring lives exactly as long as its thread: the registry holds weak
+//! handles, so an exited thread's ring is freed and [`dump`] covers live
+//! threads only. A run that must see every event of threads that have
+//! exited by the time it looks installs a [`crate::CaptureSink`].
 
 use crate::event::Event;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Default events a single thread's ring retains before overwriting the
 /// oldest (see [`set_capacity`]).
@@ -52,17 +57,22 @@ struct Ring {
     slots: Mutex<VecDeque<Stamped>>,
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
-    static RINGS: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
+/// Every live thread's ring; a dead entry is pruned when a new ring
+/// registers and during [`dump`].
+fn registry() -> &'static Mutex<Vec<Weak<Ring>>> {
+    static RINGS: OnceLock<Mutex<Vec<Weak<Ring>>>> = OnceLock::new();
     RINGS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 thread_local! {
+    /// The only strong handle: the ring is freed when its thread exits.
     static LOCAL: Arc<Ring> = {
         let ring = Arc::new(Ring {
-            slots: Mutex::new(VecDeque::with_capacity(RING_CAPACITY)),
+            slots: Mutex::new(VecDeque::with_capacity(capacity())),
         });
-        registry().lock().unwrap().push(ring.clone());
+        let mut rings = registry().lock().unwrap();
+        rings.retain(|r| r.strong_count() > 0);
+        rings.push(Arc::downgrade(&ring));
         ring
     };
 }
@@ -81,10 +91,14 @@ pub(crate) fn record(stamped: Stamped) {
     });
 }
 
-/// Merge every thread's ring into one sequence-ordered trace of the most
-/// recent events.
+/// Merge every live thread's ring into one sequence-ordered trace of the
+/// most recent events. Threads that have exited are not in it.
 pub fn dump() -> Vec<Stamped> {
-    let rings: Vec<Arc<Ring>> = registry().lock().unwrap().clone();
+    let rings: Vec<Arc<Ring>> = {
+        let mut rings = registry().lock().unwrap();
+        rings.retain(|r| r.strong_count() > 0);
+        rings.iter().filter_map(Weak::upgrade).collect()
+    };
     let mut all: Vec<Stamped> = Vec::new();
     for ring in rings {
         all.extend(ring.slots.lock().unwrap().iter().copied());
@@ -136,5 +150,18 @@ mod tests {
             == Event::DeadlockVictim {
                 txn: TxnId(RING_CAPACITY as u64 + 49)
             }));
+    }
+
+    #[test]
+    fn exited_threads_leave_no_ring_behind() {
+        for i in 0..1_000u64 {
+            std::thread::spawn(move || crate::emit(Event::DeadlockVictim { txn: TxnId(i) }))
+                .join()
+                .unwrap();
+        }
+        dump();
+        // Only live threads (this test harness's) keep a ring.
+        let registered = registry().lock().unwrap().len();
+        assert!(registered < 64, "{registered} rings registered");
     }
 }

@@ -1,6 +1,7 @@
 //! Soak driver for the cross-wave reply-ship race (DESIGN §6.12): loop
 //! the server-crash scenario and, if a post-restart stale object ever
-//! appears again, dump the flight recorder filtered to the stale page.
+//! appears again, print that iteration's events filtered to the stale
+//! page.
 //! Before the fix this fired within ~150-300 iterations; it is the tool
 //! that pinned the root cause, kept as a regression soak
 //! (`cargo run --release -p fgl-sim --example pin_restart_race`).
@@ -53,8 +54,12 @@ fn main() {
         scheduler.name(),
         strategy.name()
     );
+    // The scenario's threads exit, and their flight-recorder rings with
+    // them, before a failure is seen: capture each iteration's events.
+    let (capture, _capture_guard) = fgl_obs::CaptureSink::install();
     for i in 1..=iters {
         let seed = base_seed + (i - 1);
+        capture.drain();
         let r = run_crash_scenario_with(
             cfg.clone(),
             3,
@@ -77,7 +82,7 @@ fn main() {
                 .chain(r.verify_after_recovery.mismatches.iter())
                 .map(|o| format!("{}", o.page))
                 .collect();
-            let all = fgl_obs::dump();
+            let all = capture.drain();
             let start = all.len().saturating_sub(12000);
             for s in &all[start..] {
                 let line = format!("{}", s.event);

@@ -11,6 +11,10 @@
 # across both over one connection per instance, and the verifier
 # merging both layout manifests.
 #
+# Each server prints `socket: requests=N pool_threads=M ...` at exit; every
+# server must have served at least 100 requests on at most 8 pool threads
+# (no thread per request) and counted no socket error.
+#
 # Usage: scripts/two_process_smoke.sh [path-to-fgl_node]
 # Builds the release binary when no path is given.
 set -euo pipefail
@@ -36,7 +40,18 @@ cleanup() {
 }
 trap cleanup EXIT
 
-"$NODE" server --dir "$DIR" --pages 8 --objects 8 --exit-when "$DIR/stop" &
+# check_socket_line LOG: print a server's log, then check its exit line.
+check_socket_line() {
+    local line n m
+    cat "$1" >&2
+    line="$(grep '^socket: ' "$1")" || { echo "$1: no socket line" >&2; return 1; }
+    n="$(sed -E 's/.*requests=([0-9]+).*/\1/' <<<"$line")"
+    m="$(sed -E 's/.*pool_threads=([0-9]+).*/\1/' <<<"$line")"
+    (( n >= 100 && m <= 8 )) || { echo "a thread per request? $line" >&2; return 1; }
+    ! grep -Eq '(failed|bad_frame)=[1-9]' <<<"$line" || { echo "socket errors: $line" >&2; return 1; }
+}
+
+"$NODE" server --dir "$DIR" --pages 8 --objects 8 --exit-when "$DIR/stop" 2>"$DIR/server.log" &
 SERVER_PID=$!
 
 for _ in $(seq 1 300); do
@@ -56,16 +71,17 @@ wait "$C2" || { echo "client 2 failed" >&2; exit 1; }
 "$NODE" verify --dir "$DIR" || { echo "verify failed" >&2; exit 1; }
 
 touch "$DIR/stop"
-wait "$SERVER_PID" || { echo "server exited non-zero" >&2; exit 1; }
+wait "$SERVER_PID" || { cat "$DIR/server.log" >&2; echo "server exited non-zero" >&2; exit 1; }
 SERVER_PID=
+check_socket_line "$DIR/server.log"
 
 echo "two-process smoke: ok"
 
 # ---- multi-server leg: 2 server processes, 2 clients, 1 verifier ----------
 
-"$NODE" server --dir "$DIR2" --pages 6 --objects 8 --partition 0/2 --exit-when "$DIR2/stop" &
+"$NODE" server --dir "$DIR2" --pages 6 --objects 8 --partition 0/2 --exit-when "$DIR2/stop" 2>"$DIR2/server0.log" &
 MS0_PID=$!
-"$NODE" server --dir "$DIR2" --pages 6 --objects 8 --partition 1/2 --exit-when "$DIR2/stop" &
+"$NODE" server --dir "$DIR2" --pages 6 --objects 8 --partition 1/2 --exit-when "$DIR2/stop" 2>"$DIR2/server1.log" &
 MS1_PID=$!
 
 for _ in $(seq 1 300); do
@@ -87,9 +103,11 @@ wait "$M2" || { echo "multi-server client 2 failed" >&2; exit 1; }
 "$NODE" verify --dir "$DIR2" --partitions 2 || { echo "multi-server verify failed" >&2; exit 1; }
 
 touch "$DIR2/stop"
-wait "$MS0_PID" || { echo "partition server 0 exited non-zero" >&2; exit 1; }
+wait "$MS0_PID" || { cat "$DIR2/server0.log" >&2; echo "partition server 0 exited non-zero" >&2; exit 1; }
 MS0_PID=
-wait "$MS1_PID" || { echo "partition server 1 exited non-zero" >&2; exit 1; }
+wait "$MS1_PID" || { cat "$DIR2/server1.log" >&2; echo "partition server 1 exited non-zero" >&2; exit 1; }
 MS1_PID=
+check_socket_line "$DIR2/server0.log"
+check_socket_line "$DIR2/server1.log"
 
 echo "two-process smoke (multi-server): ok"

@@ -177,7 +177,7 @@ fn server_cmd(args: &[String]) -> Result<bool> {
     } else {
         format!("fgl.{part}.sock")
     };
-    let (_sock, endpoint) = match transport {
+    let (sock, endpoint) = match transport {
         TransportKind::Tcp => {
             let s = SocketServer::serve_tcp(api, "127.0.0.1:0")?;
             let addr = s.local_addr().expect("tcp listener has an address");
@@ -214,6 +214,19 @@ fn server_cmd(args: &[String]) -> Result<bool> {
         if let Some(f) = &stop_file {
             if f.exists() {
                 eprintln!("fgl_node server: stop file present, exiting");
+                // Threads the request pool started vs requests served: a
+                // thread per request would make the two equal.
+                let mut line = format!(
+                    "socket: requests={} pool_threads={}",
+                    sock.requests(),
+                    sock.pool_threads()
+                );
+                let counters = server.metrics().snapshot().counters;
+                for e in ["conn_setup_failed", "read_failed", "bad_frame"] {
+                    let n = counters.get(&format!("socket_{e}")).copied().unwrap_or(0);
+                    line.push_str(&format!(" {e}={n}"));
+                }
+                eprintln!("{line}");
                 return Ok(true);
             }
         }

@@ -774,3 +774,87 @@ fn recovery_refuses_when_the_working_set_exceeds_the_cache() {
         }
     }
 }
+
+/// Crashes its client as the first callback arrives, then hands the
+/// callback on: a wave the server issued before it learned of the crash,
+/// whose reply it applies after.
+struct CrashOnCallback {
+    core: Arc<ClientCore>,
+    inner: PeerHandle,
+}
+
+impl ClientPeer for CrashOnCallback {
+    fn client_id(&self) -> ClientId {
+        self.inner.client_id()
+    }
+    fn deliver_callback(&self, kind: CallbackKind) -> CallbackOutcome {
+        self.deliver_callback_batch(&[kind]).remove(0)
+    }
+    fn deliver_callback_batch(&self, kinds: &[CallbackKind]) -> Vec<CallbackOutcome> {
+        if !self.core.is_crashed() {
+            self.core.crash();
+        }
+        self.inner.deliver_callback_batch(kinds)
+    }
+    fn notify_page_flushed(&self, page: PageId) {
+        self.inner.notify_page_flushed(page)
+    }
+    fn report_state(&self) -> ClientStateReport {
+        self.inner.report_state()
+    }
+    fn callback_list_for(&self, page: PageId, c: ClientId, from: Lsn) -> Vec<(ObjectId, Psn)> {
+        self.inner.callback_list_for(page, c, from)
+    }
+    fn ship_cached_page(&self, page: PageId) -> Option<Arc<[u8]>> {
+        self.inner.ship_cached_page(page)
+    }
+    fn recover_page(
+        &self,
+        page: PageId,
+        base: Vec<u8>,
+        psn: Psn,
+        list: Vec<(ObjectId, Psn)>,
+    ) -> RecoveredPageOutcome {
+        self.inner.recover_page(page, base, psn, list)
+    }
+}
+
+/// A callback that reaches a client after it crashed must leave the
+/// client's exclusive locks held: §3.3 redo replays a committed update
+/// that never left the client's cache only under them. The crashed
+/// client used to answer `Done`, so the reader was granted the stale
+/// server copy and recovery skipped the update — the committed write was
+/// lost (the `MISMATCH` after the crash drill of `two_process_uds`).
+#[test]
+fn a_callback_racing_a_client_crash_loses_no_committed_update() {
+    let sys = System::build(SystemConfig::default(), 2).unwrap();
+    let (alice, bob) = (sys.client(0).clone(), sys.client(1).clone());
+    let t = alice.begin().unwrap();
+    let page = alice.create_page(t).unwrap();
+    let obj = alice.insert(t, page, b"loaded").unwrap();
+    alice.commit(t).unwrap();
+    alice.harden().unwrap();
+    // Committed, in alice's log and cache only, under her retained lock.
+    let t = alice.begin().unwrap();
+    alice.write(t, obj, b"update").unwrap();
+    alice.commit(t).unwrap();
+    sys.server.register_client(Arc::new(CrashOnCallback {
+        core: alice.clone(),
+        inner: PeerHandle::new(&alice),
+    }));
+
+    let reader = std::thread::spawn(move || {
+        let t = bob.begin().unwrap();
+        let seen = bob.read(t, obj).unwrap();
+        bob.commit(t).unwrap();
+        seen
+    });
+    while !alice.is_crashed() {
+        std::thread::yield_now();
+    }
+    alice.recover().unwrap();
+    assert_eq!(reader.join().unwrap(), b"update");
+    let t = alice.begin().unwrap();
+    assert_eq!(alice.read(t, obj).unwrap(), b"update");
+    alice.commit(t).unwrap();
+}

@@ -121,7 +121,30 @@ fn two_clients_and_a_crash_over_uds() {
 
     // Ask the server to exit and check it shuts down cleanly.
     std::fs::write(&stop, b"done").expect("write stop file");
-    wait_checked("server", server);
+    let out = server.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    check("server", out);
+    assert_socket_line(&stderr);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The server's exit line `socket: requests=N pool_threads=M ...`: the
+/// requests ran on a handful of reused threads, not one each, and no
+/// socket error was counted.
+fn assert_socket_line(stderr: &str) {
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("socket: "))
+        .expect("the server prints a socket line at exit");
+    let field = |name: &str| -> u64 {
+        line.split_whitespace()
+            .find_map(|kv| kv.strip_prefix(name)?.strip_prefix('=')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in {line:?}"))
+    };
+    assert!(field("requests") >= 100, "{line}");
+    assert!(field("pool_threads") <= 8, "{line}");
+    for counter in ["conn_setup_failed", "read_failed", "bad_frame"] {
+        assert_eq!(field(counter), 0, "{line}");
+    }
 }
