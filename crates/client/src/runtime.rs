@@ -376,7 +376,7 @@ impl ClientCore {
         let _span = fgl_obs::trace::span(fgl_obs::SpanKind::Commit, txn);
         let (shipment, group_force_upto) = {
             let mut st = self.st.lock();
-            let t = st.txns.get(&txn).ok_or(FglError::InvalidTxnState {
+            let t = st.txns.get_mut(&txn).ok_or(FglError::InvalidTxnState {
                 txn,
                 state: "unknown",
             })?;
@@ -387,13 +387,23 @@ impl ClientCore {
                 });
             }
             let prev = t.last_lsn;
-            self.append_critical(
+            // Marked before the append, which can itself trip a checkpoint.
+            t.commit_logged = true;
+            let logged = self.append_critical(
                 &mut st,
                 &LogPayload::Commit {
                     txn,
                     prev_lsn: prev,
                 },
-            )?;
+            );
+            if let Err(e) = logged {
+                // A commit that failed leaves an active transaction for
+                // the caller to abort.
+                if let Some(t) = st.txns.get_mut(&txn) {
+                    t.commit_logged = false;
+                }
+                return Err(e);
+            }
             match self.cfg.commit_policy {
                 CommitPolicy::ClientLog => {
                     // The commit record becomes durable *after* the state
@@ -1382,7 +1392,7 @@ impl ClientCore {
         let active: Vec<(TxnId, Lsn)> = st
             .txns
             .values()
-            .filter(|t| t.is_active())
+            .filter(|t| t.is_active() && !t.commit_logged)
             .map(|t| (t.id, t.last_lsn))
             .collect();
         let dpt: Vec<fgl_wal::records::DptEntry> = st

@@ -74,6 +74,11 @@ pub struct TxnState {
     pub dirtied: IdSet<PageId>,
     /// Logging mode, fixed by the strategy at the first update.
     pub log_mode: Option<TxnLogMode>,
+    /// The `Commit` record is in the log. The transaction stays active
+    /// until the commit is durable, but a checkpoint must no longer list
+    /// it: restart scans from the checkpoint and would never see the
+    /// commit, so it would roll the transaction back.
+    pub commit_logged: bool,
     /// Cold rollback state, allocated on first use.
     cold: Option<Box<TxnCold>>,
 }
@@ -87,6 +92,7 @@ impl TxnState {
             first_lsn: Lsn::NIL,
             dirtied: IdSet::default(),
             log_mode: None,
+            commit_logged: false,
             cold: None,
         }
     }

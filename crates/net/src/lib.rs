@@ -13,13 +13,15 @@
 //!   and measures.
 //! * The **socket backend** ([`transport::socket`]): real TCP or
 //!   Unix-domain sockets speaking the length-prefixed frame codec of
-//!   [`transport::frame`], one connection per client, so server and
-//!   clients run as separate processes.
+//!   [`transport::frame`], two streams per client (requests and replies
+//!   on one, callbacks and grants on the other), so server and clients
+//!   run as separate processes.
 //!
 //! Blocking lock grants are delivered through [`GrantSlot`]s: the server
 //! parks a waiter and fulfils it when the GLM grants (or names the waiter
 //! a deadlock victim). On the socket backend the fulfilment travels as a
-//! `Grant` frame correlated with the original lock request.
+//! `Grant` frame on the client's events stream, correlated with the
+//! original lock request.
 
 pub mod api;
 pub mod partition;

@@ -45,7 +45,7 @@ use fgl_common::{
 use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::{LockTarget, ObjMode};
 use fgl_wal::records::DptEntry;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,14 +54,14 @@ pub const HEADER: usize = wire::HEADER;
 /// Handshake magic: `"FGLW"`.
 pub const MAGIC: u32 = 0x4647_4C57;
 /// Codec version carried in the handshake.
-pub const WIRE_VERSION: u16 = 4;
+pub const WIRE_VERSION: u16 = 5;
 /// Upper bound on a single frame; larger length prefixes are corrupt.
 pub const MAX_FRAME: usize = 64 << 20;
 
 /// Top-level frame discriminant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Client → server connection handshake carrying the [`ClientId`].
+    /// Client → server handshake: the [`ClientId`] and a [`StreamRole`].
     Hello = 1,
     /// Server → client handshake answer carrying the [`SystemConfig`].
     HelloAck = 2,
@@ -137,11 +137,19 @@ pub fn frame_bytes(segs: &[Seg]) -> Vec<u8> {
     out
 }
 
-/// Write one frame. The caller serializes writers per connection (frames
+/// Write one frame in as few vectored writes as the writer takes — one,
+/// on a socket. The caller serializes writers per connection (frames
 /// must not interleave).
 pub fn write_frame<W: Write>(w: &mut W, segs: &[Seg]) -> std::io::Result<()> {
-    for s in segs {
-        w.write_all(s.as_bytes())?;
+    let mut slices: Vec<IoSlice> = segs.iter().map(|s| IoSlice::new(s.as_bytes())).collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     w.flush()
 }
@@ -176,18 +184,23 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(FrameHeader, Vec<u8>)> {
             hdr[8], hdr[9], hdr[10], hdr[11], hdr[12], hdr[13], hdr[14], hdr[15],
         ]),
     };
-    let mut body = vec![0u8; len - HEADER];
-    if let Err(e) = r.read_exact(&mut body) {
-        return Err(if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            corrupt(format!(
-                "truncated frame body (wanted {} bytes)",
-                len - HEADER
-            ))
-        } else {
-            FglError::Io(e)
-        });
+    let want = len - HEADER;
+    let mut body = Vec::with_capacity(want);
+    r.take(want as u64).read_to_end(&mut body)?;
+    if body.len() < want {
+        return Err(corrupt(format!("truncated body (wanted {want} bytes)")));
     }
     Ok((header, body))
+}
+
+/// [`read_frame`], refusing a frame of any kind but `kind`.
+pub(crate) fn read_kind<R: Read>(r: &mut R, kind: FrameKind) -> Result<(FrameHeader, Vec<u8>)> {
+    let (h, body) = read_frame(r)?;
+    if h.kind != kind {
+        let msg = format!("expected {kind:?}, got {:?}", h.kind);
+        return Err(FglError::Protocol(msg));
+    }
+    Ok((h, body))
 }
 
 fn corrupt(msg: String) -> FglError {
@@ -1502,17 +1515,27 @@ pub fn decode_grant(h: &FrameHeader, body: &[u8]) -> Result<GrantMsg> {
 
 // ---- handshake -------------------------------------------------------------
 
-/// Encode the client → server handshake.
-pub fn encode_hello(client: ClientId) -> Vec<Seg> {
+/// Which of a client's two streams a `Hello` opens: **rpc** carries `Req`
+/// and `CbResp` up and `Resp` down, **events** carries `Cb` and `Grant`
+/// down and nothing up.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StreamRole {
+    Rpc = 0,
+    Events = 1,
+}
+
+/// Encode the client → server handshake opening a `role` stream.
+pub fn encode_hello(client: ClientId, role: StreamRole) -> Vec<Seg> {
     let mut b = B::new();
     b.u32(MAGIC);
     b.u16(WIRE_VERSION);
     b.u32(client.0);
+    b.u8(role as u8);
     b.frame(FrameKind::Hello, 0, 0, 0)
 }
 
-/// Decode the handshake; checks magic and version.
-pub fn decode_hello(body: &[u8]) -> Result<ClientId> {
+/// Decode the handshake; checks magic and version first.
+pub fn decode_hello(body: &[u8]) -> Result<(ClientId, StreamRole)> {
     let mut c = Cur::new(body);
     let magic = c.u32()?;
     if magic != MAGIC {
@@ -1525,8 +1548,13 @@ pub fn decode_hello(body: &[u8]) -> Result<ClientId> {
         )));
     }
     let client = ClientId(c.u32()?);
+    let role = match c.u8()? {
+        0 => StreamRole::Rpc,
+        1 => StreamRole::Events,
+        other => return Err(corrupt(format!("bad stream role {other}"))),
+    };
     c.done()?;
-    Ok(client)
+    Ok((client, role))
 }
 
 fn granularity_code(g: LockGranularity) -> u8 {

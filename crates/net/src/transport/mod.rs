@@ -8,9 +8,10 @@
 //!   the deterministic default; it carries no code of its own here
 //!   because the trait object *is* the transport.
 //! * the **socket backend** ([`socket`]) — real TCP or Unix-domain
-//!   sockets speaking the length-prefixed frames of [`frame`], one
-//!   connection per client, with blocking lock waits mapped onto request
-//!   correlation IDs.
+//!   sockets speaking the length-prefixed frames of [`frame`], two
+//!   streams per client (rpc: requests up, replies down; events:
+//!   callbacks and grants down), with blocking lock waits mapped onto
+//!   request correlation IDs.
 //!
 //! [`frame`] is the codec both socket flavors share; `pool` is the
 //! cached worker pool that runs the socket backend's blocking requests

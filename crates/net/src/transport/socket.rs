@@ -1,29 +1,29 @@
 //! The socket backend: TCP and Unix-domain sockets speaking the
 //! [`crate::transport::frame`] codec.
 //!
-//! One connection per client, three moving parts:
+//! Two streams per client ([`StreamRole`]), three moving parts:
 //!
 //! * [`SocketServer`] — accept loop over an `Arc<dyn ServerApi>`. Each
-//!   connection starts with a `Hello`/`HelloAck` handshake (the client
-//!   announces its [`ClientId`], the server answers with the full
-//!   [`SystemConfig`] so both sides agree on every policy), then one
-//!   reader thread per connection reads request frames. A page fetch or
-//!   ship ([`Request::runs_on_reader`]) runs on the reader itself; every
-//!   other request goes to the server's cached worker pool — a lock
-//!   request that triggers callbacks to *this* client must not block the
-//!   frame reader that would deliver the callback reply.
+//!   stream starts with a `Hello`/`HelloAck` handshake (the client
+//!   announces its [`ClientId`] and the stream's role, the server answers
+//!   with the full [`SystemConfig`] so both sides agree on every policy),
+//!   then one reader thread per rpc stream reads request frames. A page
+//!   fetch or ship ([`Request::runs_on_reader`]) runs on the reader
+//!   itself; every other request goes to the server's cached worker pool
+//!   — a lock request that triggers callbacks to *this* client must not
+//!   block the frame reader that would deliver the callback reply.
 //! * [`RemoteClientPeer`] — the server's [`ClientPeer`] view of a
-//!   connected client: reverse RPCs over the same connection, correlated
-//!   like forward requests. When the connection is gone the peer degrades
-//!   to [`unreachable_callback_reply`] — byte-for-byte the answers a
-//!   dropped in-process client gives, so a vanished client behaves
-//!   identically on both transports.
+//!   connected client: reverse RPCs down the events stream, correlated
+//!   like forward requests. When the client is gone the peer degrades to
+//!   [`unreachable_callback_reply`] — byte-for-byte the answers a dropped
+//!   in-process client gives, so a vanished client behaves identically
+//!   on both transports.
 //! * [`RemoteServer`] — the client-side stub implementing [`ServerApi`].
-//!   Blocking lock waits map onto correlation IDs: the stub registers a
-//!   local [`GrantSlot`] *before* sending `Lock`; a `LockQueued` reply
-//!   hands the caller the matching waiter, and the eventual `Grant` frame
-//!   (same correlation ID) fulfils the slot from the reader thread.
-//!   Inbound callbacks run on the stub's own worker pool.
+//!   Each caller reads its own reply from the rpc stream under a shared
+//!   read role. The stub's one reader thread reads the events stream:
+//!   callbacks run on the stub's worker pool, and a `Grant` fulfils the
+//!   [`GrantSlot`] that `lock` registered *before* sending — on its own
+//!   stream a grant can overtake its `LockQueued` reply.
 //!
 //! Real encoded frame sizes are recorded client-side, both directions,
 //! into a transport-owned [`NetStats`] ("wire stats") keyed by the same
@@ -39,7 +39,7 @@ use crate::peer::{
     CallbackOutcome, ClientPeer, ClientStateReport, RecoverJob, RecoveredPageOutcome,
 };
 use crate::stats::{MsgKind, NetStats};
-use crate::transport::frame::{self, FrameKind};
+use crate::transport::frame::{self, FrameKind, StreamRole};
 use crate::transport::pool::Pool;
 use crate::wait::{grant_pair, GrantSlot};
 use fgl_common::config::CommitPolicy;
@@ -47,9 +47,10 @@ use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, Result, SystemC
 use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::{LockTarget, ObjMode};
 use fgl_obs::{Counter, HistKind, Metrics};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -74,6 +75,16 @@ pub enum ConnStream {
     Unix(UnixStream),
 }
 
+/// Evaluate `$body` with `$s` bound to the inner stream of either flavor.
+macro_rules! inner {
+    ($stream:expr, $s:ident => $body:expr) => {
+        match $stream {
+            ConnStream::Tcp($s) => $body,
+            ConnStream::Unix($s) => $body,
+        }
+    };
+}
+
 impl ConnStream {
     fn try_clone(&self) -> std::io::Result<ConnStream> {
         Ok(match self {
@@ -83,35 +94,31 @@ impl ConnStream {
     }
 
     fn shutdown(&self) -> std::io::Result<()> {
-        match self {
-            ConnStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            ConnStream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-        }
+        inner!(self, s => s.shutdown(std::net::Shutdown::Both))
+    }
+
+    fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
+        inner!(self, s => s.set_read_timeout(t))
     }
 }
 
 impl std::io::Read for ConnStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            ConnStream::Tcp(s) => s.read(buf),
-            ConnStream::Unix(s) => s.read(buf),
-        }
+        inner!(self, s => s.read(buf))
     }
 }
 
 impl std::io::Write for ConnStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            ConnStream::Tcp(s) => s.write(buf),
-            ConnStream::Unix(s) => s.write(buf),
-        }
+        inner!(self, s => s.write(buf))
+    }
+
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        inner!(self, s => s.write_vectored(bufs))
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            ConnStream::Tcp(s) => s.flush(),
-            ConnStream::Unix(s) => s.flush(),
-        }
+        inner!(self, s => s.flush())
     }
 }
 
@@ -152,6 +159,8 @@ struct Served {
     api: Arc<dyn ServerApi>,
     /// Runs every request its reader may not ([`Request::runs_on_reader`]).
     pool: Pool,
+    /// Rpc connections whose events stream has not attached yet.
+    awaiting: Mutex<HashMap<ClientId, Arc<ServerConn>>>,
     requests: AtomicU64,
     stop: AtomicBool,
     setup_failed: Counter,
@@ -191,6 +200,7 @@ impl SocketServer {
         let served = Arc::new(Served {
             api,
             pool: Pool::new("fgl-req"),
+            awaiting: Mutex::new(HashMap::new()),
             requests: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             setup_failed: metrics.counter("socket_conn_setup_failed"),
@@ -276,64 +286,86 @@ fn accept_loop(served: &Arc<Served>, listener: Listener) {
     }
 }
 
-/// Per-connection server state shared between the reader loop, the
-/// pool workers running its requests and the [`RemoteClientPeer`].
+/// Per-client server state shared between the rpc reader, the pool
+/// workers running its requests and the [`RemoteClientPeer`].
 struct ServerConn {
     client: ClientId,
+    /// The rpc stream: replies.
     writer: Mutex<ConnStream>,
+    /// The events stream: callbacks and grants. `None` until the client
+    /// attaches it, and again once the rpc stream is gone.
+    events: Mutex<Option<ConnStream>>,
     cb_pending: Mutex<HashMap<u64, mpsc::Sender<CallbackReplyMsg>>>,
     cb_corr: AtomicU64,
     alive: AtomicBool,
 }
 
 impl ServerConn {
-    fn write(&self, segs: &[frame::Seg]) -> Result<()> {
-        let mut w = self.writer.lock();
-        frame::write_frame(&mut *w, segs).map_err(|e| {
+    fn send_reply(&self, corr: u64, reply: &Reply) -> Result<()> {
+        let segs = frame::encode_reply(corr, reply)?;
+        self.sent(frame::write_frame(&mut *self.writer.lock(), &segs))
+    }
+
+    /// Callbacks and grants go down the events stream.
+    fn send_event(&self, segs: &[frame::Seg]) -> Result<()> {
+        match self.events.lock().as_mut() {
+            Some(stream) => self.sent(frame::write_frame(stream, segs)),
+            None => Err(FglError::Disconnected("no events stream".into())),
+        }
+    }
+
+    fn sent(&self, r: std::io::Result<()>) -> Result<()> {
+        r.map_err(|e| {
             self.alive.store(false, Ordering::Relaxed);
             FglError::Io(e)
         })
     }
-
-    fn send_reply(&self, corr: u64, reply: &Reply) -> Result<()> {
-        self.write(&frame::encode_reply(corr, reply)?)
-    }
 }
 
-fn serve_conn(served: &Served, stream: ConnStream) -> Result<()> {
-    stream
-        .try_clone()
-        .map_err(FglError::Io)
-        .and_then(|mut reader| {
-            // Handshake: the client leads with Hello; the config rides
-            // back so both processes agree on every policy knob.
-            let (h, body) = frame::read_frame(&mut reader)?;
-            if h.kind != FrameKind::Hello {
-                return Err(FglError::Protocol(format!(
-                    "expected Hello, got {:?}",
-                    h.kind
-                )));
-            }
-            let client = frame::decode_hello(&body)?;
+/// One accepted stream: the handshake, then an rpc stream's reader.
+fn serve_conn(served: &Served, mut stream: ConnStream) -> Result<()> {
+    let mut reader = BufReader::new(stream.try_clone()?);
+    // Handshake: the client leads with Hello; the config rides back so
+    // both processes agree on every policy knob.
+    let (_, body) = frame::read_kind(&mut reader, FrameKind::Hello)?;
+    let (client, role) = frame::decode_hello(&body)?;
+    let ack = frame::encode_hello_ack(served.api.config());
+    match role {
+        StreamRole::Rpc => {
             let conn = Arc::new(ServerConn {
                 client,
                 writer: Mutex::new(stream),
+                events: Mutex::new(None),
                 cb_pending: Mutex::new(HashMap::new()),
                 cb_corr: AtomicU64::new(1),
                 alive: AtomicBool::new(true),
             });
-            conn.write(&frame::encode_hello_ack(served.api.config()))?;
+            // Listed before the ack: the client opens its events stream
+            // only once it holds the ack. A failed ack ends the reader.
+            served.awaiting.lock().insert(client, conn.clone());
+            let _ = conn.sent(frame::write_frame(&mut *conn.writer.lock(), &ack));
             let peer: Arc<dyn ClientPeer> = Arc::new(RemoteClientPeer { conn: conn.clone() });
             conn_reader(served, conn, peer, reader);
-            Ok(())
-        })
+        }
+        StreamRole::Events => {
+            let awaiting = served.awaiting.lock().remove(&client);
+            let conn = awaiting.ok_or_else(|| {
+                FglError::Protocol(format!("no rpc stream of {client:?} awaits events"))
+            })?;
+            // Attached before the client can send `Register`; never read.
+            let mut events = conn.events.lock();
+            frame::write_frame(&mut stream, &ack)?;
+            *events = Some(stream);
+        }
+    }
+    Ok(())
 }
 
 fn conn_reader(
     served: &Served,
     conn: Arc<ServerConn>,
     peer: Arc<dyn ClientPeer>,
-    mut reader: ConnStream,
+    mut reader: BufReader<ConnStream>,
 ) {
     loop {
         let (h, body) = match frame::read_frame(&mut reader) {
@@ -391,9 +423,12 @@ fn conn_reader(
     // the unreachable-peer callback fallbacks (release-with-no-copy),
     // while an actual crash announces itself through
     // `Request::ClientCrashed` before recovery. Pending reverse RPCs are
-    // failed by dropping their senders.
+    // failed by dropping their senders; closing the events stream ends
+    // the client's events reader.
     conn.alive.store(false, Ordering::Relaxed);
     conn.cb_pending.lock().clear();
+    served.awaiting.lock().retain(|_, c| !Arc::ptr_eq(c, &conn));
+    drop(conn.events.lock().take());
 }
 
 fn handle_request(
@@ -408,13 +443,13 @@ fn handle_request(
             let _ = conn.send_reply(corr, &reply);
         }
         Dispatched::LockWait(waiter) => {
-            // LockQueued first, then the grant under the SAME correlation
-            // id — the writer mutex serializes the two frames.
+            // LockQueued on the rpc stream, then the grant under the SAME
+            // correlation id on the events stream: either may arrive first.
             let _ = conn.send_reply(corr, &Reply::LockQueued);
             debug_assert!(!ON_READER.get(), "a reader-run request waited on a grant");
             let deadline = api.config().lock_timeout + GRANT_MARGIN;
             if let Some(msg) = waiter.wait(deadline) {
-                let _ = conn.write(&frame::encode_grant(corr, &msg));
+                let _ = conn.send_event(&frame::encode_grant(corr, &msg));
             }
             // On None the client timed out on its own waiter long ago and
             // has already sent CancelWait; nothing to deliver.
@@ -443,7 +478,7 @@ impl RemoteClientPeer {
                 return unreachable_callback_reply(&cb);
             }
         };
-        if self.conn.write(&segs).is_err() {
+        if self.conn.send_event(&segs).is_err() {
             self.conn.cb_pending.lock().remove(&corr);
             return unreachable_callback_reply(&cb);
         }
@@ -462,7 +497,7 @@ impl RemoteClientPeer {
         }
         let corr = self.conn.cb_corr.fetch_add(1, Ordering::Relaxed);
         if let Ok(segs) = frame::encode_callback(corr, &cb) {
-            let _ = self.conn.write(&segs);
+            let _ = self.conn.send_event(&segs);
         }
     }
 }
@@ -477,18 +512,15 @@ impl ClientPeer for RemoteClientPeer {
     }
 
     fn deliver_callback_batch(&self, kinds: &[CallbackKind]) -> Vec<CallbackOutcome> {
-        let fallback = |kinds: &[CallbackKind]| {
-            kinds
-                .iter()
-                .map(|_| CallbackOutcome::Done {
-                    retained: Vec::new(),
-                    page_copy: None,
-                })
-                .collect()
-        };
         match self.roundtrip(Callback::DeliverBatch(kinds.to_vec())) {
             Some(CallbackReplyMsg::Outcomes(outcomes)) if outcomes.len() == kinds.len() => outcomes,
-            _ => fallback(kinds),
+            _ => {
+                let done = CallbackOutcome::Done {
+                    retained: Vec::new(),
+                    page_copy: None,
+                };
+                vec![done; kinds.len()]
+            }
         }
     }
 
@@ -554,14 +586,20 @@ impl ClientPeer for RemoteClientPeer {
 
 // ---- client side -----------------------------------------------------------
 
-/// Client-side stub: [`ServerApi`] over one framed connection. The
-/// client runtime holds it as `Arc<dyn ServerApi>` exactly like the
+/// Client-side stub: [`ServerApi`] over one rpc and one events stream.
+/// The client runtime holds it as `Arc<dyn ServerApi>` exactly like the
 /// in-process `ServerCore`.
 pub struct RemoteServer {
     id: ClientId,
     cfg: Arc<SystemConfig>,
+    /// The rpc stream: requests and callback replies.
     writer: Mutex<ConnStream>,
-    pending: Mutex<HashMap<u64, mpsc::Sender<Reply>>>,
+    /// The rpc stream's read side, shared by every caller.
+    replies: Mutex<Replies>,
+    /// Signalled when a reply is filed, the role freed or the stub downed.
+    replied: Condvar,
+    /// The rpc and events streams, kept to shut both down.
+    streams: [ConnStream; 2],
     /// Pre-registered grant slots keyed by the `Lock` request's
     /// correlation id; pruned by `cancel_wait` (by transaction) and by
     /// grant delivery.
@@ -572,24 +610,35 @@ pub struct RemoteServer {
     callbacks: Pool,
     metrics: Arc<Metrics>,
     register_failed: Counter,
+    /// Replies read by a thread other than their caller.
+    handed_off: Counter,
     wire: Arc<NetStats>,
     down: AtomicBool,
-    rpc_timeout: Duration,
+}
+
+/// The read role over the rpc stream and the replies its holder filed.
+struct Replies {
+    /// `None` while a caller holds the read role.
+    reader: Option<BufReader<ConnStream>>,
+    arrived: HashMap<u64, Reply>,
 }
 
 impl RemoteServer {
     /// Connect over TCP. `wire` receives real encoded frame sizes both
     /// directions; `metrics` (the shared registry in in-process tests, a
-    /// fresh one in separate processes) gets `wire_rtt_us` observations.
+    /// fresh one in separate processes) gets `wire_rtt_us` and counters.
     pub fn connect_tcp(
         addr: &str,
         id: ClientId,
         wire: Arc<NetStats>,
         metrics: Option<Arc<Metrics>>,
     ) -> Result<Arc<RemoteServer>> {
-        let s = TcpStream::connect(addr)?;
-        s.set_nodelay(true).ok();
-        RemoteServer::finish(ConnStream::Tcp(s), id, wire, metrics)
+        let open = || {
+            let s = TcpStream::connect(addr)?;
+            s.set_nodelay(true).ok();
+            Ok(ConnStream::Tcp(s))
+        };
+        RemoteServer::connect(open, id, wire, metrics)
     }
 
     /// Connect over a Unix-domain socket.
@@ -599,51 +648,50 @@ impl RemoteServer {
         wire: Arc<NetStats>,
         metrics: Option<Arc<Metrics>>,
     ) -> Result<Arc<RemoteServer>> {
-        let s = UnixStream::connect(path)?;
-        RemoteServer::finish(ConnStream::Unix(s), id, wire, metrics)
+        let open = || Ok(ConnStream::Unix(UnixStream::connect(path)?));
+        RemoteServer::connect(open, id, wire, metrics)
     }
 
-    fn finish(
-        stream: ConnStream,
+    fn connect(
+        open: impl Fn() -> std::io::Result<ConnStream>,
         id: ClientId,
         wire: Arc<NetStats>,
         metrics: Option<Arc<Metrics>>,
     ) -> Result<Arc<RemoteServer>> {
-        let mut reader = stream.try_clone()?;
-        let mut writer = stream;
-        frame::write_frame(&mut writer, &frame::encode_hello(id))?;
-        let (h, body) = frame::read_frame(&mut reader)?;
-        if h.kind != FrameKind::HelloAck {
-            return Err(FglError::Protocol(format!(
-                "expected HelloAck, got {:?}",
-                h.kind
-            )));
-        }
-        let cfg = frame::decode_hello_ack(&body)?;
+        let mut rpc = open()?;
+        let (rpc_reader, cfg) = handshake(&mut rpc, id, StreamRole::Rpc)?;
+        // Attached before `Register`, so no callback precedes its stream.
+        let mut events = open()?;
+        let (events_reader, _) = handshake(&mut events, id, StreamRole::Events)?;
         // Individual RPCs answer fast (queued locks reply LockQueued
         // immediately); the margin covers dispatches that block on
-        // callback round trips to contended holders.
-        let rpc_timeout = cfg.lock_timeout * 4 + Duration::from_secs(30);
+        // callback round trips. A reader that waits longer gives up.
+        rpc.set_read_timeout(Some(cfg.lock_timeout * 4 + Duration::from_secs(30)))?;
         let metrics = metrics.unwrap_or_default();
         let server = Arc::new(RemoteServer {
             id,
             cfg: Arc::new(cfg),
-            writer: Mutex::new(writer),
-            pending: Mutex::new(HashMap::new()),
+            writer: Mutex::new(rpc.try_clone()?),
+            replies: Mutex::new(Replies {
+                reader: Some(rpc_reader),
+                arrived: HashMap::new(),
+            }),
+            replied: Condvar::new(),
+            streams: [rpc, events],
             grants: Mutex::new(HashMap::new()),
             next_corr: AtomicU64::new(1),
             peer: Mutex::new(None),
             callbacks: Pool::new("fgl-cb"),
             register_failed: metrics.counter("socket_register_failed"),
+            handed_off: metrics.counter("socket_replies_handed_off"),
             metrics,
             wire,
             down: AtomicBool::new(false),
-            rpc_timeout,
         });
         let rs = server.clone();
         thread::Builder::new()
             .name(format!("fgl-wire-{}", id.0))
-            .spawn(move || rs.reader_loop(reader))?;
+            .spawn(move || rs.events_loop(events_reader))?;
         Ok(server)
     }
 
@@ -652,30 +700,23 @@ impl RemoteServer {
         self.wire.clone()
     }
 
-    /// Close the connection; the reader thread (which holds an `Arc` to
-    /// this stub) exits on the resulting EOF.
+    /// Mark the stub down, shut both streams and wake every caller; the
+    /// events reader (which holds an `Arc` to this stub) exits on EOF.
     pub fn disconnect(&self) {
         self.down.store(true, Ordering::Relaxed);
-        let _ = self.writer.lock().shutdown();
+        for s in &self.streams {
+            let _ = s.shutdown();
+        }
+        let _replies = self.replies.lock();
+        self.replied.notify_all();
     }
 
-    fn reader_loop(self: Arc<Self>, mut reader: ConnStream) {
+    fn events_loop(self: Arc<Self>, mut reader: BufReader<ConnStream>) {
         while let Ok((h, body)) = frame::read_frame(&mut reader) {
             match h.kind {
-                FrameKind::Resp => {
-                    let reply = match frame::decode_reply(&h, &body) {
-                        Ok(r) => r,
-                        Err(_) => break,
-                    };
-                    self.wire.record(reply.msg_kind(), h.len as usize);
-                    if let Some(tx) = self.pending.lock().remove(&h.corr) {
-                        let _ = tx.send(reply);
-                    }
-                }
                 FrameKind::Grant => {
-                    let msg = match frame::decode_grant(&h, &body) {
-                        Ok(m) => m,
-                        Err(_) => break,
+                    let Ok(msg) = frame::decode_grant(&h, &body) else {
+                        break;
                     };
                     self.wire.record(MsgKind::LockReply, h.len as usize);
                     if let Some((_txn, slot)) = self.grants.lock().remove(&h.corr) {
@@ -683,15 +724,14 @@ impl RemoteServer {
                     }
                 }
                 FrameKind::Cb => {
-                    let cb = match frame::decode_callback(&h, &body) {
-                        Ok(c) => c,
-                        Err(_) => break,
+                    let Ok(cb) = frame::decode_callback(&h, &body) else {
+                        break;
                     };
                     self.wire.record(cb.msg_kind(), h.len as usize);
                     // Callbacks run on a worker: applying one can call
                     // straight back into the server (e.g. shipping a page
                     // with the outcome is a follow-up request on some
-                    // paths) and must not starve reply routing.
+                    // paths) and must not hold up the next grant.
                     let me = self.clone();
                     let corr = h.corr;
                     self.callbacks.execute(move || me.handle_callback(corr, cb));
@@ -699,11 +739,9 @@ impl RemoteServer {
                 _ => break,
             }
         }
-        self.down.store(true, Ordering::Relaxed);
-        // Fail outstanding RPCs and lock waits: dropped senders surface
-        // as Disconnected at the callers; dropped slots leave waiters to
-        // their timeout backstop.
-        self.pending.lock().clear();
+        // Outstanding RPCs fail with Disconnected; dropped slots leave
+        // lock waiters to their timeout backstop.
+        self.disconnect();
         self.grants.lock().clear();
     }
 
@@ -717,9 +755,8 @@ impl RemoteServer {
         if let Some(reply) = reply {
             if let Ok(segs) = frame::encode_callback_reply(corr, &reply) {
                 self.wire.record(reply.msg_kind(), frame::frame_len(&segs));
-                let mut w = self.writer.lock();
-                if frame::write_frame(&mut *w, &segs).is_err() {
-                    self.down.store(true, Ordering::Relaxed);
+                if frame::write_frame(&mut *self.writer.lock(), &segs).is_err() {
+                    self.disconnect();
                 }
             }
         }
@@ -728,9 +765,9 @@ impl RemoteServer {
     fn send(&self, corr: u64, req: &Request) -> Result<()> {
         let segs = frame::encode_request(corr, req)?;
         self.wire.record(req.msg_kind(), frame::frame_len(&segs));
-        let mut w = self.writer.lock();
-        frame::write_frame(&mut *w, &segs).map_err(|e| {
-            self.down.store(true, Ordering::Relaxed);
+        let sent = frame::write_frame(&mut *self.writer.lock(), &segs);
+        sent.map_err(|e| {
+            self.disconnect();
             FglError::Io(e)
         })
     }
@@ -744,48 +781,94 @@ impl RemoteServer {
         if self.down.load(Ordering::Relaxed) {
             return Err(FglError::Disconnected("server connection closed".into()));
         }
-        let (tx, rx) = mpsc::channel();
-        self.pending.lock().insert(corr, tx);
         let t0 = Instant::now();
-        if let Err(e) = self.send(corr, &req) {
-            self.pending.lock().remove(&corr);
-            return Err(e);
-        }
-        match rx.recv_timeout(self.rpc_timeout) {
-            Ok(reply) => {
-                self.metrics
-                    .observe(HistKind::WireRtt, t0.elapsed().as_micros() as u64);
-                Ok(reply)
+        self.send(corr, &req)?;
+        let reply = self.await_reply(corr)?;
+        self.metrics
+            .observe(HistKind::WireRtt, t0.elapsed().as_micros() as u64);
+        Ok(reply)
+    }
+
+    /// Wait for the reply to `corr` (leader/follower). A caller that finds
+    /// the read role free takes it and reads until its own reply; one that
+    /// finds it taken waits until its reply is filed or the role is free.
+    /// A holder files the replies a callback worker's requests get, so its
+    /// own reply may wait on that worker — a plain mutex would deadlock.
+    fn await_reply(&self, corr: u64) -> Result<Reply> {
+        let mut replies = self.replies.lock();
+        loop {
+            if let Some(reply) = replies.arrived.remove(&corr) {
+                self.handed_off.add(1);
+                return Ok(reply);
             }
-            Err(_) => {
-                self.pending.lock().remove(&corr);
-                Err(FglError::Disconnected(format!(
-                    "no reply from server within {:?}",
-                    self.rpc_timeout
-                )))
+            if self.down.load(Ordering::Relaxed) {
+                return Err(FglError::Disconnected("server connection closed".into()));
             }
+            if let Some(mut reader) = replies.reader.take() {
+                drop(replies);
+                let own = self.read_until(&mut reader, corr);
+                self.replies.lock().reader = Some(reader);
+                self.replied.notify_all();
+                return own;
+            }
+            self.replied.wait(&mut replies);
         }
     }
+
+    /// The read role: read replies until `corr`'s, filing the others'.
+    /// Any failure (EOF, the read timeout, a non-reply) downs the stub.
+    fn read_until(&self, reader: &mut BufReader<ConnStream>, corr: u64) -> Result<Reply> {
+        loop {
+            let read = frame::read_kind(reader, FrameKind::Resp)
+                .and_then(|(h, body)| Ok((h, frame::decode_reply(&h, &body)?)));
+            let (h, reply) = read.map_err(|e| {
+                self.disconnect();
+                FglError::Disconnected(format!("rpc stream failed: {e}"))
+            })?;
+            self.wire.record(reply.msg_kind(), h.len as usize);
+            if h.corr == corr {
+                return Ok(reply);
+            }
+            self.replies.lock().arrived.insert(h.corr, reply);
+            self.replied.notify_all();
+        }
+    }
+}
+
+/// Open one stream: send its `Hello`, read the `HelloAck`, and return the
+/// buffered reader the stream is read through from then on.
+fn handshake(
+    stream: &mut ConnStream,
+    id: ClientId,
+    role: StreamRole,
+) -> Result<(BufReader<ConnStream>, SystemConfig)> {
+    let mut reader = BufReader::new(stream.try_clone()?);
+    frame::write_frame(stream, &frame::encode_hello(id, role))?;
+    let (_, body) = frame::read_kind(&mut reader, FrameKind::HelloAck)?;
+    Ok((reader, frame::decode_hello_ack(&body)?))
+}
+
+/// The reply `want` accepts; a `Reply::Err` is the server's error and
+/// any other reply a protocol violation.
+fn expect<T>(reply: Reply, want: impl FnOnce(Reply) -> std::result::Result<T, Reply>) -> Result<T> {
+    want(reply).map_err(|other| match other {
+        Reply::Err(e) => e.into(),
+        other => FglError::Protocol(format!("unexpected reply {other:?}")),
+    })
 }
 
 fn expect_unit(reply: Reply) -> Result<()> {
-    match reply {
+    expect(reply, |r| match r {
         Reply::Unit => Ok(()),
-        Reply::Err(e) => Err(e.into()),
-        other => Err(FglError::Protocol(format!(
-            "unexpected reply {other:?} to a unit request"
-        ))),
-    }
+        r => Err(r),
+    })
 }
 
 fn expect_page(reply: Reply) -> Result<(Vec<u8>, Option<Psn>)> {
-    match reply {
+    expect(reply, |r| match r {
         Reply::Page { bytes, psn } => Ok((bytes, psn)),
-        Reply::Err(e) => Err(e.into()),
-        other => Err(FglError::Protocol(format!(
-            "unexpected reply {other:?} to a page request"
-        ))),
-    }
+        r => Err(r),
+    })
 }
 
 impl ServerApi for RemoteServer {
@@ -805,8 +888,8 @@ impl ServerApi for RemoteServer {
         cached_psn: Option<Psn>,
     ) -> Result<LockResponse> {
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        // Register the slot BEFORE the request leaves: a grant can race
-        // the LockQueued reply and must find its slot.
+        // Register the slot BEFORE the request leaves: the grant travels
+        // on the events stream and can overtake the LockQueued reply.
         let (slot, waiter) = grant_pair();
         self.grants.lock().insert(corr, (txn, slot));
         let reply = self.call_as(
@@ -820,7 +903,7 @@ impl ServerApi for RemoteServer {
         if !matches!(reply, Ok(Reply::LockQueued)) {
             self.grants.lock().remove(&corr);
         }
-        match reply? {
+        expect(reply?, |r| match r {
             Reply::LockGranted {
                 target,
                 first_exclusive_on_page,
@@ -831,11 +914,8 @@ impl ServerApi for RemoteServer {
                 evidence,
             }),
             Reply::LockQueued => Ok(LockResponse::Wait(waiter)),
-            Reply::Err(e) => Err(e.into()),
-            other => Err(FglError::Protocol(format!(
-                "unexpected reply {other:?} to a lock request"
-            ))),
-        }
+            r => Err(r),
+        })
     }
 
     fn cancel_wait(&self, _client: ClientId, txn: TxnId) {
@@ -865,13 +945,10 @@ impl ServerApi for RemoteServer {
     }
 
     fn allocate_page(&self, _client: ClientId, txn: TxnId) -> Result<Vec<u8>> {
-        match self.call(Request::AllocatePage { txn })? {
+        expect(self.call(Request::AllocatePage { txn })?, |r| match r {
             Reply::PageImage(bytes) => Ok(bytes),
-            Reply::Err(e) => Err(e.into()),
-            other => Err(FglError::Protocol(format!(
-                "unexpected reply {other:?} to allocate_page"
-            ))),
-        }
+            r => Err(r),
+        })
     }
 
     fn ship_page(&self, _client: ClientId, bytes: Arc<[u8]>, replaced: bool) -> Result<()> {
@@ -894,13 +971,10 @@ impl ServerApi for RemoteServer {
     }
 
     fn fetch_client_log(&self, _client: ClientId) -> Result<Vec<u8>> {
-        match self.call(Request::FetchClientLog)? {
+        expect(self.call(Request::FetchClientLog)?, |r| match r {
             Reply::Bytes(bytes) => Ok(bytes),
-            Reply::Err(e) => Err(e.into()),
-            other => Err(FglError::Protocol(format!(
-                "unexpected reply {other:?} to fetch_client_log"
-            ))),
-        }
+            r => Err(r),
+        })
     }
 
     fn server_logging(&self) -> bool {
@@ -917,17 +991,14 @@ impl ServerApi for RemoteServer {
         peer: Arc<dyn ClientPeer>,
     ) -> Result<RecoveryHandshake> {
         *self.peer.lock() = Some(peer);
-        match self.call(Request::RecoveryBegin)? {
+        expect(self.call(Request::RecoveryBegin)?, |r| match r {
             Reply::Handshake {
                 locks,
                 pages,
                 dct_complete,
             } => Ok((locks, pages, dct_complete)),
-            Reply::Err(e) => Err(e.into()),
-            other => Err(FglError::Protocol(format!(
-                "unexpected reply {other:?} to client_recovery_begin"
-            ))),
-        }
+            r => Err(r),
+        })
     }
 
     fn client_recovery_end(&self, _client: ClientId) -> Result<()> {
@@ -945,17 +1016,17 @@ impl ServerApi for RemoteServer {
     }
 
     fn recover_client_page(&self, _client: ClientId, page: PageId) -> Result<RecoverPagePlan> {
-        match self.call(Request::RecoverClientPage { page })? {
-            Reply::RecoverPlan {
-                base,
-                install_psn,
-                callback_list,
-            } => Ok((base, install_psn, callback_list)),
-            Reply::Err(e) => Err(e.into()),
-            other => Err(FglError::Protocol(format!(
-                "unexpected reply {other:?} to recover_client_page"
-            ))),
-        }
+        expect(
+            self.call(Request::RecoverClientPage { page })?,
+            |r| match r {
+                Reply::RecoverPlan {
+                    base,
+                    install_psn,
+                    callback_list,
+                } => Ok((base, install_psn, callback_list)),
+                r => Err(r),
+            },
+        )
     }
 
     fn poll_recovery_needs(&self, _provider: ClientId) -> Vec<(PageId, Psn)> {

@@ -13,7 +13,9 @@
 #
 # Each server prints `socket: requests=N pool_threads=M ...` at exit; every
 # server must have served at least 100 requests on at most 8 pool threads
-# (no thread per request) and counted no socket error.
+# (no thread per request) and counted no socket error. Each client prints
+# `socket: replies_handed_off=N` (replies one caller read for another) at
+# exit; the line must be there on both legs.
 #
 # Usage: scripts/two_process_smoke.sh [path-to-fgl_node]
 # Builds the release binary when no path is given.
@@ -51,6 +53,12 @@ check_socket_line() {
     ! grep -Eq '(failed|bad_frame)=[1-9]' <<<"$line" || { echo "socket errors: $line" >&2; return 1; }
 }
 
+# check_client_line LOG: print a client's log, then check its exit line.
+check_client_line() {
+    cat "$1" >&2
+    grep -Eq '^socket: replies_handed_off=[0-9]+$' "$1" || { echo "$1: no replies_handed_off line" >&2; return 1; }
+}
+
 "$NODE" server --dir "$DIR" --pages 8 --objects 8 --exit-when "$DIR/stop" 2>"$DIR/server.log" &
 SERVER_PID=$!
 
@@ -61,12 +69,14 @@ for _ in $(seq 1 300); do
 done
 [[ -f "$DIR/layout" ]] || { echo "server never published layout" >&2; exit 1; }
 
-"$NODE" client --dir "$DIR" --id 1 --clients 2 --txns 30 --crash-at 10 &
+"$NODE" client --dir "$DIR" --id 1 --clients 2 --txns 30 --crash-at 10 2>"$DIR/client1.log" &
 C1=$!
-"$NODE" client --dir "$DIR" --id 2 --clients 2 --txns 30 &
+"$NODE" client --dir "$DIR" --id 2 --clients 2 --txns 30 2>"$DIR/client2.log" &
 C2=$!
-wait "$C1" || { echo "client 1 failed" >&2; exit 1; }
-wait "$C2" || { echo "client 2 failed" >&2; exit 1; }
+wait "$C1" || { cat "$DIR/client1.log" >&2; echo "client 1 failed" >&2; exit 1; }
+wait "$C2" || { cat "$DIR/client2.log" >&2; echo "client 2 failed" >&2; exit 1; }
+check_client_line "$DIR/client1.log"
+check_client_line "$DIR/client2.log"
 
 "$NODE" verify --dir "$DIR" || { echo "verify failed" >&2; exit 1; }
 
@@ -93,12 +103,14 @@ for _ in $(seq 1 300); do
 done
 [[ -f "$DIR2/layout-0" && -f "$DIR2/layout-1" ]] || { echo "partition servers never published layouts" >&2; exit 1; }
 
-"$NODE" client --dir "$DIR2" --id 1 --clients 2 --txns 30 --crash-at 10 --partitions 2 &
+"$NODE" client --dir "$DIR2" --id 1 --clients 2 --txns 30 --crash-at 10 --partitions 2 2>"$DIR2/client1.log" &
 M1=$!
-"$NODE" client --dir "$DIR2" --id 2 --clients 2 --txns 30 --partitions 2 &
+"$NODE" client --dir "$DIR2" --id 2 --clients 2 --txns 30 --partitions 2 2>"$DIR2/client2.log" &
 M2=$!
-wait "$M1" || { echo "multi-server client 1 failed" >&2; exit 1; }
-wait "$M2" || { echo "multi-server client 2 failed" >&2; exit 1; }
+wait "$M1" || { cat "$DIR2/client1.log" >&2; echo "multi-server client 1 failed" >&2; exit 1; }
+wait "$M2" || { cat "$DIR2/client2.log" >&2; echo "multi-server client 2 failed" >&2; exit 1; }
+check_client_line "$DIR2/client1.log"
+check_client_line "$DIR2/client2.log"
 
 "$NODE" verify --dir "$DIR2" --partitions 2 || { echo "multi-server verify failed" >&2; exit 1; }
 

@@ -342,6 +342,13 @@ fn client_cmd(args: &[String]) -> Result<bool> {
         rtt.map_or(0, |h| h.p50()),
         rtt.map_or(0, |h| h.p95()),
     );
+    // Replies one caller read for another: 0 when every RPC was read by
+    // the thread that made it.
+    let handed_off: u64 = remotes
+        .iter()
+        .map(|r| r.metrics().snapshot().counters["socket_replies_handed_off"])
+        .sum();
+    eprintln!("socket: replies_handed_off={handed_off}");
     for r in &remotes {
         r.disconnect();
     }

@@ -367,7 +367,10 @@ fn log_full_inside_a_write_reclaims_and_the_write_succeeds() {
 /// automatic checkpoints. The constants were recorded from this test at
 /// the commit before the operation loop, the fixed hasher and the
 /// reusable log buffer went in: same log bytes per kind, same DPT down to
-/// the LSNs, same lock traffic, same page images.
+/// the LSNs, same lock traffic, same page images. Re-pinned once since:
+/// a checkpoint tripped by a commit record no longer lists the committing
+/// transaction (fatal path 4), which leaves each such checkpoint 16 bytes
+/// shorter (client 0: 3, client 1: 2 of them) and changes nothing else.
 #[test]
 fn seeded_stream_leaves_the_recorded_log_dpt_locks_and_pages() {
     use fgl_common::rng::DetRng;
@@ -452,7 +455,7 @@ fn seeded_stream_leaves_the_recorded_log_dpt_locks_and_pages() {
                 ("commit", 14275),
                 ("abort", 1025),
                 ("callback", 15934),
-                ("client_ckpt", 3753),
+                ("client_ckpt", 3705),
             ],
             0x7d2b_416d_4260_4a86,
             0xe858_ebc8_055d_b04b,
@@ -468,7 +471,7 @@ fn seeded_stream_leaves_the_recorded_log_dpt_locks_and_pages() {
                 ("commit", 15575),
                 ("abort", 975),
                 ("callback", 15500),
-                ("client_ckpt", 3721),
+                ("client_ckpt", 3689),
             ],
             0x2b49_e730_9055_09b3,
             0x638e_1547_3f7a_3c23,

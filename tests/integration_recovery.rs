@@ -858,3 +858,34 @@ fn a_callback_racing_a_client_crash_loses_no_committed_update() {
     assert_eq!(alice.read(t, obj).unwrap(), b"update");
     alice.commit(t).unwrap();
 }
+
+/// Fatal path 4: with a checkpoint every record, a transaction's commit
+/// record trips the checkpoint itself. Its snapshot of active
+/// transactions used to list that transaction, whose commit record then
+/// lay before the checkpoint restart scans from — so §3.3 read it as a
+/// loser and rolled the committed update back.
+#[test]
+fn a_commit_that_trips_a_checkpoint_survives_a_client_crash() {
+    let cfg = SystemConfig {
+        client_checkpoint_every: 1,
+        ..SystemConfig::default()
+    };
+    let sys = System::build(cfg, 2).unwrap();
+    let (a, b) = (sys.client(0), sys.client(1));
+    let t = a.begin().unwrap();
+    let page = a.create_page(t).unwrap();
+    let obj = a.insert(t, page, b"loaded").unwrap();
+    a.commit(t).unwrap();
+    a.harden().unwrap();
+    // Committed, in a's log and cache only.
+    let t = a.begin().unwrap();
+    a.write(t, obj, b"update").unwrap();
+    a.commit(t).unwrap();
+
+    a.crash();
+    let rep = a.recover().unwrap();
+    assert_eq!(rep.losers, 0, "a committed transaction was rolled back");
+    let t = b.begin().unwrap();
+    assert_eq!(b.read(t, obj).unwrap(), b"update");
+    b.commit(t).unwrap();
+}

@@ -25,7 +25,7 @@ use fgl_common::config::{
 use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, SlotId, SystemConfig, TxnId};
 use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::{LockTarget, ObjMode};
-use fgl_net::transport::frame::{self, FrameHeader, FrameKind, Seg, HEADER, MAX_FRAME};
+use fgl_net::transport::frame::{self, FrameHeader, FrameKind, Seg, StreamRole, HEADER, MAX_FRAME};
 use fgl_net::wire;
 use fgl_net::{Callback, CallbackOutcome, CallbackReplyMsg, ClientStateReport, GrantMsg};
 use fgl_net::{RecoverJob, RecoveredPageOutcome, Reply, Request, WireError, RECOVER_BATCH_PAGES};
@@ -389,9 +389,22 @@ fn grants_round_trip() {
 
 #[test]
 fn hello_round_trips() {
-    let segs = frame::encode_hello(ClientId(42));
-    let (_, body) = read_back(&segs, FrameKind::Hello, 0);
-    assert_eq!(frame::decode_hello(&body).expect("decode"), ClientId(42));
+    for role in [StreamRole::Rpc, StreamRole::Events] {
+        let segs = frame::encode_hello(ClientId(42), role);
+        let (_, body) = read_back(&segs, FrameKind::Hello, 0);
+        // Magic, version, client id and the role byte.
+        assert_eq!(body.len(), 4 + 2 + 4 + 1);
+        assert_eq!(
+            frame::decode_hello(&body).expect("decode"),
+            (ClientId(42), role)
+        );
+    }
+    let mut body = frame::frame_bytes(&frame::encode_hello(ClientId(1), StreamRole::Events))
+        [HEADER..]
+        .to_vec();
+    *body.last_mut().unwrap() = 2;
+    let err = frame::decode_hello(&body).unwrap_err();
+    assert!(matches!(err, FglError::Corrupt(_)), "{err:?}");
 }
 
 #[test]
@@ -530,6 +543,103 @@ fn recover_pages_shares_every_base_buffer() {
     assert_eq!(shared.len(), jobs.len());
     for (seg, job) in shared.iter().zip(&jobs) {
         assert!(Arc::ptr_eq(seg, &job.base));
+    }
+}
+
+// ---- the write path --------------------------------------------------------
+
+/// Every sample frame of every family, handshakes included.
+fn every_frame() -> Vec<Vec<Seg>> {
+    let mut frames = vec![
+        frame::encode_hello(ClientId(3), StreamRole::Events),
+        frame::encode_hello_ack(&SystemConfig::default()),
+    ];
+    frames.extend(
+        sample_requests()
+            .iter()
+            .map(|r| frame::encode_request(1, r).unwrap()),
+    );
+    frames.extend(
+        sample_replies()
+            .iter()
+            .map(|r| frame::encode_reply(2, r).unwrap()),
+    );
+    frames.extend(
+        sample_callbacks()
+            .iter()
+            .map(|c| frame::encode_callback(3, c).unwrap()),
+    );
+    frames.extend(
+        sample_callback_replies()
+            .iter()
+            .map(|r| frame::encode_callback_reply(4, r).unwrap()),
+    );
+    frames.extend(sample_grants().iter().map(|g| frame::encode_grant(5, g)));
+    frames
+}
+
+/// A writer that takes at most `per_call` bytes per call (all of them
+/// when `None`), vectored or not, and counts its calls.
+struct Sink {
+    out: Vec<u8>,
+    calls: usize,
+    per_call: Option<usize>,
+}
+
+impl Sink {
+    fn new(per_call: Option<usize>) -> Sink {
+        Sink {
+            out: Vec::new(),
+            calls: 0,
+            per_call,
+        }
+    }
+}
+
+impl std::io::Write for Sink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_vectored(&[std::io::IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        self.calls += 1;
+        let mut budget = self.per_call.unwrap_or(usize::MAX);
+        let mut took = 0;
+        for b in bufs {
+            let n = b.len().min(budget);
+            self.out.extend_from_slice(&b[..n]);
+            (budget, took) = (budget - n, took + n);
+        }
+        Ok(took)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_frame_is_one_write_call() {
+    let frames = every_frame();
+    // The families whose page payloads travel as separate segments are
+    // in the sample: the test would pass trivially without them.
+    assert!(frames.iter().any(|segs| segs.len() > 2));
+    for segs in &frames {
+        let mut w = Sink::new(None);
+        frame::write_frame(&mut w, segs).unwrap();
+        assert_eq!(w.calls, 1, "{} segments", segs.len());
+        assert_eq!(w.out, frame::frame_bytes(segs));
+    }
+}
+
+#[test]
+fn a_writer_that_takes_one_byte_per_call_gets_the_same_bytes() {
+    for segs in every_frame() {
+        let mut w = Sink::new(Some(1));
+        frame::write_frame(&mut w, &segs).unwrap();
+        let bytes = frame::frame_bytes(&segs);
+        assert_eq!(w.calls, bytes.len());
+        assert_eq!(w.out, bytes);
     }
 }
 
@@ -733,15 +843,20 @@ fn batched_recovery_bodies_refuse_truncation_and_trailing_bytes() {
 fn version_3_peers_are_refused() {
     // Version 3 still speaks the per-page `CallbackListFor`/`RecoverPage`
     // frames under the tags the batched ones took over; it is turned away
-    // at the handshake, in both directions.
-    assert_eq!(frame::WIRE_VERSION, 4);
-    let mut hello = frame::frame_bytes(&frame::encode_hello(ClientId(1)))[HEADER..].to_vec();
-    hello[4..6].copy_from_slice(&3u16.to_le_bytes());
-    let err = frame::decode_hello(&hello).unwrap_err();
-    assert!(
-        matches!(&err, FglError::Protocol(m) if m.contains("peer speaks 3")),
-        "{err:?}"
-    );
+    // at the handshake, in both directions. So is version 4, whose Hello
+    // has no role byte: it is refused by version, not misread as short.
+    assert_eq!(frame::WIRE_VERSION, 5);
+    let hello =
+        frame::frame_bytes(&frame::encode_hello(ClientId(1), StreamRole::Rpc))[HEADER..].to_vec();
+    for old in [3u16, 4] {
+        let mut hello = hello[..hello.len() - 1].to_vec();
+        hello[4..6].copy_from_slice(&old.to_le_bytes());
+        let err = frame::decode_hello(&hello).unwrap_err();
+        assert!(
+            matches!(&err, FglError::Protocol(m) if m.contains(&format!("peer speaks {old}"))),
+            "{err:?}"
+        );
+    }
     let ack = frame::encode_hello_ack(&SystemConfig::default());
     let mut ack = frame::frame_bytes(&ack)[HEADER..].to_vec();
     ack[..2].copy_from_slice(&3u16.to_le_bytes());
@@ -754,7 +869,7 @@ fn version_3_peers_are_refused() {
 
 #[test]
 fn hello_rejects_bad_magic_and_version() {
-    let good = frame::frame_bytes(&frame::encode_hello(ClientId(1)));
+    let good = frame::frame_bytes(&frame::encode_hello(ClientId(1), StreamRole::Rpc));
     let body = good[HEADER..].to_vec();
 
     let mut bad_magic = body.clone();
