@@ -459,4 +459,74 @@ mod tests {
             other => panic!("expected a fresh copy: {other:?}"),
         }
     }
+
+    /// DESIGN §6.12 for deferred completions. A completion ships the dirty
+    /// copy and marks the page clean, and the server absorbs that copy
+    /// only when the completion arrives. A callback wave for another
+    /// object of the page, running in between, must ship the same copy:
+    /// answered with none, it lets the server grant on a page without the
+    /// completion's updates. The other order too: a completion that finds
+    /// the page clean re-ships a copy an earlier reply may still carry.
+    #[test]
+    fn a_wave_racing_a_completion_reships_its_copy() {
+        let c = build();
+        let t = c.begin().unwrap();
+        let p = c.create_page(t).unwrap();
+        let a = c.insert(t, p, b"aaaa").unwrap();
+        let b = c.insert(t, p, b"bbbb").unwrap();
+        c.commit(t).unwrap();
+        let t = c.begin().unwrap();
+        c.write(t, a, b"AAAA").unwrap();
+        c.write(t, b, b"BBBB").unwrap();
+        c.commit(t).unwrap();
+        let holds_b = |copy: &[u8]| {
+            Page::from_bytes(copy.to_vec())
+                .unwrap()
+                .read_object(b.slot)
+                .unwrap()
+                == b"BBBB"
+        };
+
+        // The completion for `a` ships the dirty page; `b`'s wave races it.
+        let completion = c
+            .page_copy_for_callback(CallbackKind::ReleaseObject(a))
+            .unwrap()
+            .expect("a dirty page ships with its completion");
+        assert!(!c.st.lock().cache.is_dirty(p));
+        let outcomes = c.handle_server_callback_batch(&[CallbackKind::DowngradeObject(b)]);
+        match &outcomes[0] {
+            CallbackOutcome::Done {
+                page_copy: Some(copy),
+                ..
+            } => {
+                assert!(
+                    holds_b(copy),
+                    "the racing wave shipped a copy without b's update"
+                );
+                assert!(
+                    Arc::ptr_eq(copy, &completion),
+                    "one snapshot, not a second copy"
+                );
+            }
+            other => panic!("a wave racing a completion shipped no copy: {other:?}"),
+        }
+
+        // A reply ships the re-dirtied page; a completion racing it re-ships.
+        let t = c.begin().unwrap();
+        c.write(t, b, b"bBbB").unwrap();
+        c.commit(t).unwrap();
+        let outcomes = c.handle_server_callback_batch(&[CallbackKind::DowngradeObject(b)]);
+        let CallbackOutcome::Done {
+            page_copy: Some(reply),
+            ..
+        } = &outcomes[0]
+        else {
+            panic!("a dirty page ships with the reply: {:?}", outcomes[0]);
+        };
+        let completion = c
+            .page_copy_for_callback(CallbackKind::ReleaseObject(a))
+            .unwrap()
+            .expect("a completion racing a reply shipped no copy");
+        assert!(Arc::ptr_eq(&completion, reply));
+    }
 }

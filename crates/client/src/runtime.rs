@@ -663,24 +663,35 @@ impl ClientCore {
 
     /// When a completed callback sheds a lock on a dirtied page, ship the
     /// copy with the completion (§3.2) — forcing the log first (WAL).
-    fn page_copy_for_callback(&self, kind: CallbackKind) -> Result<Option<Arc<[u8]>>> {
+    ///
+    /// The copy is stashed in `in_transit` exactly as a batch reply's is
+    /// (DESIGN §6.12): until the server absorbs this completion, a
+    /// callback wave racing it finds the page clean, and without the stash
+    /// it would answer with no copy and let the server grant on a page
+    /// that lacks these updates. For the same reason a completion that
+    /// finds the page clean re-ships a stashed copy, which an earlier
+    /// reply may still be carrying.
+    pub(crate) fn page_copy_for_callback(&self, kind: CallbackKind) -> Result<Option<Arc<[u8]>>> {
         let sheds = !matches!(kind, CallbackKind::DeEscalatePage(_));
         let page = kind.page();
         let mut st = self.st.lock();
-        if !st.cache.is_dirty(page) {
-            if sheds {
-                self.drop_if_unlocked(&mut st, page);
+        let bytes = if st.cache.is_dirty(page) {
+            self.strategy.before_ship(self, &mut st, page)?;
+            st.wal.force()?;
+            let bytes: Option<Arc<[u8]>> = st.cache.peek(page).map(|p| Arc::from(p.as_bytes()));
+            if let Some(b) = &bytes {
+                st.cache.mark_clean(page);
+                self.pages_shipped.fetch_add(1, Ordering::Relaxed);
+                self.note_shipped(&mut st, page);
+                st.in_transit.insert(page, Arc::clone(b));
             }
-            return Ok(None);
-        }
-        self.strategy.before_ship(self, &mut st, page)?;
-        st.wal.force()?;
-        let bytes: Option<Arc<[u8]>> = st.cache.peek(page).map(|p| Arc::from(p.as_bytes()));
-        if bytes.is_some() {
-            st.cache.mark_clean(page);
-            self.pages_shipped.fetch_add(1, Ordering::Relaxed);
-            self.note_shipped(&mut st, page);
-        }
+            bytes
+        } else if let Some(b) = st.in_transit.get(&page).cloned() {
+            self.ship_bytes_shared.add(b.len() as u64);
+            Some(b)
+        } else {
+            None
+        };
         if sheds {
             self.drop_if_unlocked(&mut st, page);
         }
@@ -1033,18 +1044,30 @@ impl ClientCore {
                         st.llm.begin_global_request(txn, target);
                         let cached_psn = st.cache.peek(oid.page).map(|p| p.psn());
                         drop(st);
-                        let (granted, evidence) =
+                        let (granted, evidence, page) =
                             self.request_global(txn, oid.page, target, cached_psn)?;
                         st = self.st.lock();
                         st.llm.global_granted(txn, oid, mode, granted);
                         st.llm.end_global_request(txn);
-                        // The cached copy may be stale for the newly locked
-                        // object: refetch before next use (§2).
-                        if st.cache.contains(oid.page) {
-                            st.refetch.insert(oid.page);
-                        }
                         self.on_lock_granted(&mut st, oid, mode, structural, evidence);
                         locked = true;
+                        // The cached copy may be stale for the newly locked
+                        // object (§2): merge the copy the grant carried, or
+                        // refetch before next use when it carried none.
+                        let evicted = match page {
+                            Some(bytes) => self.install_from_server(&mut st, bytes)?,
+                            None => {
+                                if st.cache.contains(oid.page) {
+                                    st.refetch.insert(oid.page);
+                                }
+                                None
+                            }
+                        };
+                        if evicted.is_some() {
+                            drop(st);
+                            self.handle_evicted(evicted)?;
+                            st = self.st.lock();
+                        }
                         continue; // the guard was dropped: look at the txn again
                     }
                 }
@@ -1106,16 +1129,18 @@ impl ClientCore {
 
     /// The global-lock step of [`Self::operate`]: ask the server's GLM for
     /// `target` and wait out its queue, with no client lock held. Returns
-    /// the granted (possibly adaptive-converted) target and the §3.1
-    /// callback evidence. On a deadlock verdict or a timeout the
-    /// transaction is already rolled back when the error returns.
+    /// the granted (possibly adaptive-converted) target, the §3.1
+    /// callback evidence and the page copy the grant carried. On a
+    /// deadlock verdict or a timeout the transaction is already rolled
+    /// back when the error returns.
+    #[allow(clippy::type_complexity)]
     fn request_global(
         &self,
         txn: TxnId,
         page: PageId,
         target: LockTarget,
         cached_psn: Option<Psn>,
-    ) -> Result<(LockTarget, Option<(ClientId, Psn)>)> {
+    ) -> Result<(LockTarget, Option<(ClientId, Psn)>, Option<Vec<u8>>)> {
         self.global_lock_requests.fetch_add(1, Ordering::Relaxed);
         let wait_start = self.metrics.now_us();
         // Dropped on every exit: grant, victim, timeout and transport
@@ -1128,27 +1153,40 @@ impl ClientCore {
                 return Err(e);
             }
         };
-        let granted = match resp {
+        let verdict = match resp {
             LockResponse::Granted {
-                target, evidence, ..
-            } => (target, evidence),
-            LockResponse::Wait(waiter) => match waiter.wait(self.cfg.lock_timeout) {
-                Some(GrantMsg::Granted {
-                    target, evidence, ..
-                }) => (target, evidence),
-                Some(GrantMsg::Victim) => {
-                    self.deadlock_victims.fetch_add(1, Ordering::Relaxed);
-                    self.clear_inflight(txn);
-                    self.abort(txn)?;
-                    fgl_obs::dump_on_anomaly("deadlock-victim");
-                    return Err(FglError::DeadlockVictim(txn));
-                }
-                None => {
-                    self.server.cancel_wait(self.id, txn);
-                    self.clear_inflight(txn);
-                    return Err(self.lock_timed_out(txn, page));
-                }
-            },
+                target,
+                first_exclusive_on_page,
+                evidence,
+            } => Some(GrantMsg::Granted {
+                target,
+                first_exclusive_on_page,
+                evidence,
+                page: None,
+            }),
+            LockResponse::Decided(msg) => Some(msg),
+            LockResponse::Wait(waiter) => waiter.wait(self.cfg.lock_timeout),
+        };
+        let granted = match verdict {
+            Some(GrantMsg::Granted {
+                target,
+                evidence,
+                page: copy,
+                ..
+            }) => (target, evidence, copy),
+            Some(GrantMsg::Victim) => {
+                self.deadlock_victims.fetch_add(1, Ordering::Relaxed);
+                self.clear_inflight(txn);
+                self.abort(txn)?;
+                fgl_obs::dump_on_anomaly("deadlock-victim");
+                return Err(FglError::DeadlockVictim(txn));
+            }
+            // Only a queued request's wait runs out.
+            None => {
+                self.server.cancel_wait(self.id, txn);
+                self.clear_inflight(txn);
+                return Err(self.lock_timed_out(txn, page));
+            }
         };
         self.metrics.observe_since(HistKind::LockWait, wait_start);
         Ok(granted)
@@ -1193,21 +1231,26 @@ impl ClientCore {
     }
 
     /// The page-fetch step: bring `page` from the server and merge it into
-    /// the cache (§2), shipping whatever dirty page that pushed out.
+    /// the cache, shipping whatever dirty page that pushed out.
     fn fetch_page(&self, page: PageId) -> Result<()> {
         let fetch_start = self.metrics.now_us();
         let fetch_span = fgl_obs::trace::span(fgl_obs::SpanKind::PageFetch, TxnId(0));
         let (bytes, _dct_psn) = self.server.fetch_page(self.id, page)?;
         drop(fetch_span);
         self.metrics.observe_since(HistKind::PageFetch, fetch_start);
-        let incoming = Page::from_bytes(bytes)?;
-        let evicted = {
-            let mut st = self.st.lock();
-            st.refetch.remove(&page);
-            let ev = st.cache.install_from_server(incoming)?;
-            self.stash_evicted(&mut st, ev)?
-        };
+        let evicted = self.install_from_server(&mut self.st.lock(), bytes)?;
         self.handle_evicted(evicted)
+    }
+
+    /// Merge a page copy from the server — a fetch's, or the one a lock
+    /// grant carried — into the cache (§2), and stash the dirty page that
+    /// pushed out, if any, for [`Self::handle_evicted`] to ship once the
+    /// guard is gone.
+    fn install_from_server(&self, st: &mut ClientState, bytes: Vec<u8>) -> Result<Option<PageId>> {
+        let incoming = Page::from_bytes(bytes)?;
+        st.refetch.remove(&incoming.id());
+        let ev = st.cache.install_from_server(incoming)?;
+        self.stash_evicted(st, ev)
     }
 
     /// A dirty page fell out of the cache: force the log (WAL), ship it to

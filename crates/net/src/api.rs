@@ -19,7 +19,7 @@
 use crate::peer::{
     CallbackOutcome, ClientPeer, ClientStateReport, RecoverJob, RecoveredPageOutcome,
 };
-use crate::wait::GrantWaiter;
+use crate::wait::{GrantMsg, GrantWaiter};
 use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, Result, SystemConfig, TxnId};
 use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::LockTarget;
@@ -38,7 +38,8 @@ pub type RecoveryHandshake = (Vec<LockTarget>, Vec<(PageId, Option<Psn>)>, bool)
 
 /// Immediate answer to a lock request.
 pub enum LockResponse {
-    /// Granted synchronously.
+    /// Granted synchronously, with no page attached: the grantee fetches
+    /// the page before it uses the lock.
     Granted {
         target: LockTarget,
         first_exclusive_on_page: bool,
@@ -47,6 +48,10 @@ pub enum LockResponse {
         /// grants.
         evidence: Option<(ClientId, Psn)>,
     },
+    /// Decided synchronously, in the shape a queued request's waiter
+    /// receives: a grant carries the server's copy of the page, so the
+    /// grantee needs no fetch.
+    Decided(GrantMsg),
     /// Queued at the GLM; block on the waiter.
     Wait(GrantWaiter),
 }
@@ -179,11 +184,13 @@ pub enum Request {
 pub enum Reply {
     Unit,
     Err(WireError),
-    /// `lock` granted synchronously.
+    /// `lock` granted synchronously, with the page when the server
+    /// attached it.
     LockGranted {
         target: LockTarget,
         first_exclusive_on_page: bool,
         evidence: Option<(ClientId, Psn)>,
+        page: Option<Vec<u8>>,
     },
     /// `lock` queued at the GLM; the grant arrives later as a `Grant`
     /// frame carrying the same correlation ID.
@@ -479,7 +486,22 @@ pub fn dispatch(
                 target,
                 first_exclusive_on_page,
                 evidence,
+                page: None,
             },
+            Ok(LockResponse::Decided(GrantMsg::Granted {
+                target,
+                first_exclusive_on_page,
+                evidence,
+                page,
+            })) => Reply::LockGranted {
+                target,
+                first_exclusive_on_page,
+                evidence,
+                page,
+            },
+            Ok(LockResponse::Decided(GrantMsg::Victim)) => {
+                Reply::Err(WireError::DeadlockVictim(txn))
+            }
             Ok(LockResponse::Wait(w)) => return Dispatched::LockWait(w),
             Err(e) => Reply::Err(WireError::from(&e)),
         },

@@ -11,6 +11,7 @@ pub enum MsgKind {
     /// Client → server lock request.
     LockReq = 0,
     /// Server → client lock reply (grant/abort), including parked grants.
+    /// A grant carries the locked page, counted in its bytes.
     LockReply = 1,
     /// Server → client callback request.
     Callback = 2,
@@ -20,7 +21,9 @@ pub enum MsgKind {
     CallbackComplete = 4,
     /// Client → server page fetch request.
     FetchPage = 5,
-    /// A page copy crossing the wire (either direction).
+    /// A page copy crossing the wire on its own, either direction. A copy
+    /// riding on a callback reply, a completion or a lock grant counts
+    /// with that message.
     PageShip = 6,
     /// Client → server request to force a page to disk (§3.6).
     ForcePage = 7,

@@ -54,7 +54,7 @@ pub const HEADER: usize = wire::HEADER;
 /// Handshake magic: `"FGLW"`.
 pub const MAGIC: u32 = 0x4647_4C57;
 /// Codec version carried in the handshake.
-pub const WIRE_VERSION: u16 = 5;
+pub const WIRE_VERSION: u16 = 6;
 /// Upper bound on a single frame; larger length prefixes are corrupt.
 pub const MAX_FRAME: usize = 64 << 20;
 
@@ -532,6 +532,62 @@ fn get_opt_evidence(c: &mut Cur) -> Result<Option<(ClientId, Psn)>> {
         0 => None,
         _ => Some((ClientId(c.u32()?), Psn(c.u64()?))),
     })
+}
+
+/// A grant's optional page: a u32 length, 0 for no page (a page is never
+/// empty), then the bytes.
+fn opt_page_len(p: &Option<Vec<u8>>) -> usize {
+    4 + p.as_ref().map_or(0, Vec::len)
+}
+
+fn put_opt_page(b: &mut B, p: &Option<Vec<u8>>) {
+    let bytes = p.as_deref().unwrap_or_default();
+    b.u32(bytes.len() as u32);
+    b.bytes(bytes);
+}
+
+fn get_opt_page(c: &mut Cur) -> Result<Option<Vec<u8>>> {
+    // The length is checked against the bytes left before anything is
+    // allocated for it.
+    let n = c.count(1)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    Ok(Some(c.take(n)?.to_vec()))
+}
+
+/// The fields every lock grant carries, in [`Reply::LockGranted`] and in
+/// a `Grant` frame alike.
+fn lock_grant_len(
+    target: &LockTarget,
+    evidence: &Option<(ClientId, Psn)>,
+    page: &Option<Vec<u8>>,
+) -> usize {
+    lock_target_len(target) + 1 + opt_evidence_len(evidence) + opt_page_len(page)
+}
+
+fn put_lock_grant(
+    b: &mut B,
+    target: &LockTarget,
+    first_exclusive_on_page: bool,
+    evidence: &Option<(ClientId, Psn)>,
+    page: &Option<Vec<u8>>,
+) {
+    put_lock_target(b, target);
+    b.u8(first_exclusive_on_page as u8);
+    put_opt_evidence(b, evidence);
+    put_opt_page(b, page);
+}
+
+type LockGrant = (LockTarget, bool, Option<(ClientId, Psn)>, Option<Vec<u8>>);
+
+fn get_lock_grant(c: &mut Cur) -> Result<LockGrant> {
+    Ok((
+        get_lock_target(c)?,
+        c.u8()? != 0,
+        get_opt_evidence(c)?,
+        get_opt_page(c)?,
+    ))
 }
 
 fn callback_kind_code(k: &CallbackKind) -> (u8, PageId, u16) {
@@ -1013,8 +1069,11 @@ pub fn reply_frame_len(r: &Reply) -> usize {
             Reply::Unit | Reply::LockQueued => 0,
             Reply::Err(e) => wire_error_len(e),
             Reply::LockGranted {
-                target, evidence, ..
-            } => lock_target_len(target) + 1 + opt_evidence_len(evidence),
+                target,
+                evidence,
+                page,
+                ..
+            } => lock_grant_len(target, evidence, page),
             Reply::Page { bytes, psn } => opt_psn_len(psn) + bytes.len(),
             Reply::PageImage(bytes) | Reply::Bytes(bytes) => bytes.len(),
             Reply::Handshake { locks, pages, .. } => {
@@ -1042,11 +1101,8 @@ pub fn encode_reply(corr: u64, r: &Reply) -> Result<Vec<Seg>> {
             target,
             first_exclusive_on_page,
             evidence,
-        } => {
-            put_lock_target(&mut b, target);
-            b.u8(*first_exclusive_on_page as u8);
-            put_opt_evidence(&mut b, evidence);
-        }
+            page,
+        } => put_lock_grant(&mut b, target, *first_exclusive_on_page, evidence, page),
         Reply::Page { bytes, psn } => {
             put_opt_psn(&mut b, psn);
             b.bytes(bytes);
@@ -1096,11 +1152,15 @@ pub fn decode_reply(h: &FrameHeader, body: &[u8]) -> Result<Reply> {
     let r = match h.tag {
         1 => Reply::Unit,
         2 => Reply::Err(get_wire_error(&mut c)?),
-        3 => Reply::LockGranted {
-            target: get_lock_target(&mut c)?,
-            first_exclusive_on_page: c.u8()? != 0,
-            evidence: get_opt_evidence(&mut c)?,
-        },
+        3 => {
+            let (target, first_exclusive_on_page, evidence, page) = get_lock_grant(&mut c)?;
+            Reply::LockGranted {
+                target,
+                first_exclusive_on_page,
+                evidence,
+                page,
+            }
+        }
         4 => Reply::LockQueued,
         5 => Reply::Page {
             psn: get_opt_psn(&mut c)?,
@@ -1469,8 +1529,11 @@ pub fn grant_frame_len(g: &GrantMsg) -> usize {
         + match g {
             GrantMsg::Victim => 0,
             GrantMsg::Granted {
-                target, evidence, ..
-            } => lock_target_len(target) + 1 + opt_evidence_len(evidence),
+                target,
+                evidence,
+                page,
+                ..
+            } => lock_grant_len(target, evidence, page),
         }
 }
 
@@ -1485,10 +1548,9 @@ pub fn encode_grant(corr: u64, g: &GrantMsg) -> Vec<Seg> {
             target,
             first_exclusive_on_page,
             evidence,
+            page,
         } => {
-            put_lock_target(&mut b, target);
-            b.u8(*first_exclusive_on_page as u8);
-            put_opt_evidence(&mut b, evidence);
+            put_lock_grant(&mut b, target, *first_exclusive_on_page, evidence, page);
             1
         }
     };
@@ -1502,11 +1564,15 @@ pub fn decode_grant(h: &FrameHeader, body: &[u8]) -> Result<GrantMsg> {
     let mut c = Cur::new(body);
     let g = match h.tag {
         0 => GrantMsg::Victim,
-        1 => GrantMsg::Granted {
-            target: get_lock_target(&mut c)?,
-            first_exclusive_on_page: c.u8()? != 0,
-            evidence: get_opt_evidence(&mut c)?,
-        },
+        1 => {
+            let (target, first_exclusive_on_page, evidence, page) = get_lock_grant(&mut c)?;
+            GrantMsg::Granted {
+                target,
+                first_exclusive_on_page,
+                evidence,
+                page,
+            }
+        }
         other => return Err(corrupt(format!("bad grant tag {other}"))),
     };
     c.done()?;

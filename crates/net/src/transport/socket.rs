@@ -41,7 +41,7 @@ use crate::peer::{
 use crate::stats::{MsgKind, NetStats};
 use crate::transport::frame::{self, FrameKind, StreamRole};
 use crate::transport::pool::Pool;
-use crate::wait::{grant_pair, GrantSlot};
+use crate::wait::{grant_pair, GrantMsg, GrantSlot};
 use fgl_common::config::CommitPolicy;
 use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, Result, SystemConfig, TxnId};
 use fgl_locks::glm::CallbackKind;
@@ -908,11 +908,13 @@ impl ServerApi for RemoteServer {
                 target,
                 first_exclusive_on_page,
                 evidence,
-            } => Ok(LockResponse::Granted {
+                page,
+            } => Ok(LockResponse::Decided(GrantMsg::Granted {
                 target,
                 first_exclusive_on_page,
                 evidence,
-            }),
+                page,
+            })),
             Reply::LockQueued => Ok(LockResponse::Wait(waiter)),
             r => Err(r),
         })

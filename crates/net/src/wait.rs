@@ -22,6 +22,11 @@ pub enum GrantMsg {
         /// PSN the page carried. The grantee logs a callback record from
         /// it when acquiring exclusively.
         evidence: Option<(ClientId, Psn)>,
+        /// The server's copy of the locked page, read after every copy the
+        /// callbacks behind this grant shipped was absorbed. The grantee
+        /// merges it into its cache instead of fetching the page. `None`
+        /// when the server attached none: the grantee fetches it.
+        page: Option<Vec<u8>>,
     },
     /// The waiter's transaction was chosen as a deadlock victim.
     Victim,
@@ -95,6 +100,7 @@ mod tests {
             target: LockTarget::Page(PageId(1), ObjMode::X),
             first_exclusive_on_page: true,
             evidence: None,
+            page: None,
         });
         let got = waiter.wait(Duration::from_millis(10)).unwrap();
         assert!(matches!(got, GrantMsg::Granted { .. }));

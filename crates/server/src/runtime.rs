@@ -356,13 +356,7 @@ impl ServerCore {
                             if first_exclusive_on_page {
                                 self.dct.lock().insert(target.page(), client, cached_psn);
                             }
-                            self.net.msg(MsgKind::LockReply, 24);
-                            let evidence = self.grant_evidence(client, &target);
-                            slot.fulfil(GrantMsg::Granted {
-                                target,
-                                first_exclusive_on_page,
-                                evidence,
-                            });
+                            slot.fulfil(self.grant(client, target, first_exclusive_on_page));
                         }
                     }
                     GlmEvent::AbortTxn { txn, .. } => {
@@ -493,6 +487,33 @@ impl ServerCore {
         queue.extend(evs);
     }
 
+    /// The grant message for `client`'s lock on `target`, counted as one
+    /// `LockReply` that carries the page. It runs once the wave that
+    /// decided the grant has absorbed every copy its callbacks shipped, so
+    /// the attached page holds the released updates and the grantee needs
+    /// no fetch. A page that cannot be read is left off; the grantee then
+    /// fetches it, and meets the error there.
+    fn grant(
+        &self,
+        client: ClientId,
+        target: LockTarget,
+        first_exclusive_on_page: bool,
+    ) -> GrantMsg {
+        let evidence = self.grant_evidence(client, &target);
+        let page = self
+            .hand_out_page(client, target.page())
+            .ok()
+            .map(|(bytes, _)| bytes);
+        self.net
+            .msg(MsgKind::LockReply, 24 + page.as_ref().map_or(0, Vec::len));
+        GrantMsg::Granted {
+            target,
+            first_exclusive_on_page,
+            evidence,
+            page,
+        }
+    }
+
     /// Evidence for the §3.1 callback log record: the last client that
     /// shipped this page (excluding the grantee itself), for exclusive
     /// grants only.
@@ -521,6 +542,27 @@ impl ServerCore {
         let (copy, evicted) = self.store.lock().install_clean(from_disk);
         self.flush_images(evicted)?;
         Ok(copy)
+    }
+
+    /// The current merged copy of `page` as a fetch or a grant hands it to
+    /// `client`, plus the PSN the DCT remembers for the client (§3.2:
+    /// ignored during normal processing, used by rollback-after-
+    /// replacement and by restart recovery). A DCT entry still without a
+    /// PSN takes the copy's.
+    fn hand_out_page(&self, client: ClientId, page: PageId) -> Result<(Vec<u8>, Option<Psn>)> {
+        let copy = self.read_page_copy(page)?;
+        let dct_psn = {
+            let mut dct = self.dct.lock();
+            dct.set_psn_if_unset(page, client, copy.psn());
+            dct.psn_of(page, client)
+        };
+        emit(Event::PageShip {
+            client,
+            page,
+            psn: copy.psn(),
+            to_server: false,
+        });
+        Ok((copy.into_bytes(), dct_psn))
     }
 
     pub(crate) fn absorb_page(&self, client: ClientId, bytes: &[u8], replaced: bool) -> Result<()> {
@@ -861,19 +903,17 @@ impl ServerApi for ServerCore {
                     self.dct.lock().insert(effective.page(), client, cached_psn);
                 }
                 self.drive(events);
-                self.net.msg(MsgKind::LockReply, 24);
                 emit(Event::LockGrant {
                     client,
                     txn,
                     page: effective.page(),
                     queued: false,
                 });
-                let evidence = self.grant_evidence(client, &effective);
-                Ok(LockResponse::Granted {
-                    target: effective,
+                Ok(LockResponse::Decided(self.grant(
+                    client,
+                    effective,
                     first_exclusive_on_page,
-                    evidence,
-                })
+                )))
             }
             LockOutcome::Queued => {
                 let (slot, waiter) = grant_pair();
@@ -933,29 +973,17 @@ impl ServerApi for ServerCore {
         Ok(())
     }
 
-    /// Fetch the current merged copy of a page. Returns the bytes plus the
-    /// PSN remembered in the DCT for this client (§3.2: ignored during
-    /// normal processing, used by rollback-after-replacement and by
-    /// restart recovery).
+    /// Fetch the current merged copy of a page (see `hand_out_page`). A
+    /// lock grant already carries its page, so this serves pages read
+    /// under a cached lock and recovery.
     fn fetch_page(&self, client: ClientId, page: PageId) -> Result<(Vec<u8>, Option<Psn>)> {
         self.check_up()?;
         self.net.msg(MsgKind::FetchPage, 16);
         self.page_fetches.fetch_add(1, Ordering::Relaxed);
         debug_assert!(self.owns_page(page), "misrouted page {page:?}");
-        let copy = self.read_page_copy(page)?;
-        let dct_psn = {
-            let mut dct = self.dct.lock();
-            dct.set_psn_if_unset(page, client, copy.psn());
-            dct.psn_of(page, client)
-        };
-        emit(Event::PageShip {
-            client,
-            page,
-            psn: copy.psn(),
-            to_server: false,
-        });
-        self.net.msg(MsgKind::PageShip, copy.size());
-        Ok((copy.into_bytes(), dct_psn))
+        let (bytes, dct_psn) = self.hand_out_page(client, page)?;
+        self.net.msg(MsgKind::PageShip, bytes.len());
+        Ok((bytes, dct_psn))
     }
 
     /// Allocate a fresh page on behalf of a client, granting it the page

@@ -197,7 +197,8 @@ fn restart_rebuilds_glm_from_reported_lock_tables() {
         )
         .unwrap()
     {
-        fgl_server::runtime::LockResponse::Granted { .. } => {
+        fgl_server::runtime::LockResponse::Granted { .. }
+        | fgl_server::runtime::LockResponse::Decided(_) => {
             // Granted only because ScriptedPeer 1 instantly complied with
             // the release callback — which proves the lock existed.
         }

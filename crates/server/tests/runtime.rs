@@ -96,7 +96,7 @@ fn allocate_grants_page_exclusively_and_seeds_dct() {
     // FakePeer 1 complied instantly, so client 2 may already be granted
     // via the wait path.
     match resp {
-        LockResponse::Granted { .. } => {}
+        LockResponse::Granted { .. } | LockResponse::Decided(_) => {}
         LockResponse::Wait(w) => {
             assert!(w.wait(std::time::Duration::from_secs(1)).is_some());
         }
@@ -209,7 +209,7 @@ fn client_crash_releases_shared_keeps_exclusive() {
         )
         .unwrap()
     {
-        LockResponse::Granted { .. } => {}
+        LockResponse::Granted { .. } | LockResponse::Decided(_) => {}
         LockResponse::Wait(w) => {
             w.wait(std::time::Duration::from_secs(1)).unwrap();
         }
@@ -225,7 +225,7 @@ fn client_crash_releases_shared_keeps_exclusive() {
         )
         .unwrap()
     {
-        LockResponse::Granted { .. } => {}
+        LockResponse::Granted { .. } | LockResponse::Decided(_) => {}
         LockResponse::Wait(w) => {
             assert!(w.wait(std::time::Duration::from_secs(1)).is_some());
         }

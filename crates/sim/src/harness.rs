@@ -323,8 +323,9 @@ pub fn run_workload(
     Ok(report)
 }
 
-/// Execute one transaction template; returns the commit latency. The
-/// committed write set is recorded into the oracle inside the commit's
+/// Execute one transaction template; returns the commit latency. Every
+/// read is checked against the oracle ([`Oracle::check_read`]), and the
+/// committed write set is recorded into it inside the commit's
 /// pre-lock-release window so oracle order equals serialization order.
 fn run_one_txn(
     client: &Arc<fgl::ClientCore>,
@@ -338,7 +339,11 @@ fn run_one_txn(
     for op in &template.ops {
         match op {
             Op::Read(o) => {
-                client.read(txn, *o)?;
+                let got = client.read(txn, *o)?;
+                if let Some(oracle) = oracle {
+                    let own = writes.iter().rev().find(|(w, _)| w == o).map(|(_, v)| v);
+                    oracle.check_read(*o, &got, own);
+                }
             }
             Op::Write(o) => {
                 let mut value = vec![0u8; object_size];

@@ -18,6 +18,9 @@ use std::sync::Arc;
 #[derive(Default)]
 pub struct Oracle {
     committed: Mutex<HashMap<ObjectId, Option<Vec<u8>>>>,
+    /// Objects a read returned something other than [`Oracle::check_read`]
+    /// expects for, in the order seen.
+    stale_reads: Mutex<Vec<ObjectId>>,
 }
 
 /// Result of an oracle verification.
@@ -61,6 +64,32 @@ impl Oracle {
     /// Expected value of one object.
     pub fn expected(&self, o: ObjectId) -> Option<Option<Vec<u8>>> {
         self.committed.lock().get(&o).cloned()
+    }
+
+    /// Check one read at the moment it returns, while the reader still
+    /// holds its lock. Strict two-phase locking means `got` must be the
+    /// reading transaction's own latest write to `o` (`own`), or else
+    /// `o`'s last committed value: a writer records its commit here before
+    /// it releases the lock the reader then took. A read that differs is
+    /// recorded in [`Oracle::stale_reads`]. This catches a stale page at
+    /// the read that used it, not only when the stale state outlives the
+    /// run.
+    pub fn check_read(&self, o: ObjectId, got: &[u8], own: Option<&Option<Vec<u8>>>) {
+        let fresh = match own {
+            Some(v) => v.as_deref() == Some(got),
+            None => match self.committed.lock().get(&o) {
+                Some(v) => v.as_deref() == Some(got),
+                None => true, // not tracked
+            },
+        };
+        if !fresh {
+            self.stale_reads.lock().push(o);
+        }
+    }
+
+    /// Every read [`Oracle::check_read`] found stale, in the order seen.
+    pub fn stale_reads(&self) -> Vec<ObjectId> {
+        self.stale_reads.lock().clone()
     }
 
     pub fn len(&self) -> usize {
@@ -131,6 +160,25 @@ mod tests {
         c.commit(t).unwrap();
         let report = oracle.verify_via_reads(c).unwrap();
         assert_eq!(report.mismatches, vec![layout.objects[0]]);
+    }
+
+    #[test]
+    fn check_read_flags_what_two_phase_locking_forbids() {
+        let sys = System::build(SystemConfig::default(), 1).unwrap();
+        let layout = populate(sys.client(0), 1, 2, 8).unwrap();
+        let oracle = Oracle::new();
+        oracle.seed(sys.client(0), &layout).unwrap();
+        let (a, b) = (layout.objects[0], layout.objects[1]);
+        let loaded = oracle.expected(a).unwrap().unwrap();
+        oracle.check_read(a, &loaded, None);
+        oracle.check_read(b, &[5u8; 8], Some(&Some(vec![5u8; 8])));
+        assert!(oracle.stale_reads().is_empty());
+        // A committed value read after a newer commit, and the committed
+        // value read over the reader's own write.
+        oracle.commit_writes(&[(a, Some(vec![1u8; 8]))]);
+        oracle.check_read(a, &loaded, None);
+        oracle.check_read(b, &loaded, Some(&Some(vec![5u8; 8])));
+        assert_eq!(oracle.stale_reads(), vec![a, b]);
     }
 
     #[test]

@@ -173,7 +173,57 @@ fn message_counters_reflect_traffic() {
         d.count(fgl::MsgKind::Callback) >= 1,
         "S read must call back a's X lock"
     );
-    assert!(d.count(fgl::MsgKind::PageShip) >= 1);
+    // The page rides on the grant: one lock reply carrying it, no fetch.
+    assert_eq!(d.count(fgl::MsgKind::LockReply), 1);
+    let page_size = SystemConfig::default().page_size as u64;
+    assert_eq!(d.bytes[fgl::MsgKind::LockReply as usize], 24 + page_size);
+    assert_eq!(d.count(fgl::MsgKind::FetchPage), 0);
+}
+
+/// A global lock costs one round trip: the grant carries the page, for a
+/// page the client does not cache and for a stale cached copy alike, and
+/// the read sees the updates the callback released. Over UDS the real
+/// frames are counted.
+#[test]
+fn a_global_grant_is_one_round_trip() {
+    use fgl::{MsgKind, TransportKind};
+    for transport in [TransportKind::Sim, TransportKind::Uds] {
+        let sys = System::build(SystemConfig::default().with_transport(transport), 2).unwrap();
+        let (a, b) = (sys.client(0), sys.client(1));
+        let t = a.begin().unwrap();
+        let page = a.create_page(t).unwrap();
+        let o1 = a.insert(t, page, b"one-one-").unwrap();
+        let o2 = a.insert(t, page, b"two-two-").unwrap();
+        a.commit(t).unwrap();
+        let fetches = || {
+            let wire = sys
+                .wire_snapshot()
+                .map_or(0, |w| w.count(MsgKind::FetchPage));
+            sys.net.snapshot().count(MsgKind::FetchPage) + wire
+        };
+
+        // Absent: b has never seen the page.
+        assert!(b.cached_page(page).is_none());
+        let t = b.begin().unwrap();
+        assert_eq!(b.read(t, o1).unwrap(), b"one-one-");
+        b.commit(t).unwrap();
+        assert_eq!(fetches(), 0, "{transport:?}: absent page");
+
+        // Stale: a changes o2 under its retained lock; b's cached copy
+        // still holds the old o2.
+        let t = a.begin().unwrap();
+        a.write(t, o2, b"A-wrote-").unwrap();
+        a.commit(t).unwrap();
+        assert_eq!(
+            b.cached_page(page).unwrap().read_object(o2.slot).unwrap(),
+            b"two-two-"
+        );
+        let t = b.begin().unwrap();
+        assert_eq!(b.read(t, o2).unwrap(), b"A-wrote-");
+        b.commit(t).unwrap();
+        assert_eq!(fetches(), 0, "{transport:?}: stale cached page");
+        assert!(b.stats().global_lock_requests >= 2);
+    }
 }
 
 #[test]

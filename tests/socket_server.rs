@@ -634,6 +634,7 @@ fn a_grant_that_beats_its_lock_queued_reply_finds_its_slot() {
         target,
         first_exclusive_on_page: true,
         evidence: None,
+        page: Some(vec![0xE7; 4096]),
     };
     frame::write_frame(&mut server.events, &frame::encode_grant(corr, &granted)).unwrap();
     // The reply leaves only once the events reader has read the grant.

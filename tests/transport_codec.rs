@@ -155,11 +155,13 @@ fn sample_replies() -> Vec<Reply> {
             target: LockTarget::Object(obj(1, 2), ObjMode::S),
             first_exclusive_on_page: true,
             evidence: Some((ClientId(3), Psn(9))),
+            page: Some(vec![0xA5; 512]),
         },
         Reply::LockGranted {
             target: LockTarget::PageAdaptive(PageId(2), ObjMode::X, obj(2, 4)),
             first_exclusive_on_page: false,
             evidence: None,
+            page: None,
         },
         Reply::LockQueued,
         Reply::Page {
@@ -296,11 +298,13 @@ fn sample_grants() -> Vec<GrantMsg> {
             target: LockTarget::Object(obj(5, 3), ObjMode::X),
             first_exclusive_on_page: true,
             evidence: Some((ClientId(4), Psn(20))),
+            page: Some(vec![0x3C; 256]),
         },
         GrantMsg::Granted {
             target: LockTarget::Page(PageId(6), ObjMode::S),
             first_exclusive_on_page: false,
             evidence: None,
+            page: None,
         },
     ]
 }
@@ -384,6 +388,92 @@ fn grants_round_trip() {
         let (h, body) = read_back(&segs, FrameKind::Grant, corr);
         let back = frame::decode_grant(&h, &body).expect("decode");
         assert_eq!(&back, g);
+    }
+}
+
+/// A lock grant with and without its page, as a `Grant` frame and as a
+/// `LockGranted` reply: the two frames carry the same fields, and the
+/// page adds exactly its bytes.
+fn grant_and_reply(page: Option<Vec<u8>>) -> (GrantMsg, Reply) {
+    let (target, evidence) = (
+        LockTarget::PageAdaptive(PageId(8), ObjMode::X, obj(8, 1)),
+        Some((ClientId(2), Psn(30))),
+    );
+    let grant = GrantMsg::Granted {
+        target,
+        first_exclusive_on_page: true,
+        evidence,
+        page: page.clone(),
+    };
+    let reply = Reply::LockGranted {
+        target,
+        first_exclusive_on_page: true,
+        evidence,
+        page,
+    };
+    (grant, reply)
+}
+
+#[test]
+fn a_grant_carries_its_page_at_the_cost_of_its_bytes() {
+    let (bare_grant, bare_reply) = grant_and_reply(None);
+    let bare = frame::frame_len(&frame::encode_grant(1, &bare_grant));
+    // Target 22, first-exclusive flag 1, evidence 13, page length 4.
+    assert_eq!(bare, HEADER + 22 + 1 + 13 + 4);
+    assert_eq!(
+        frame::frame_len(&frame::encode_reply(1, &bare_reply).unwrap()),
+        bare
+    );
+    for len in [128, 4096, 65_536] {
+        let (grant, reply) = grant_and_reply(Some(vec![0x5A; len]));
+        let segs = frame::encode_grant(7, &grant);
+        assert_eq!(frame::frame_len(&segs), bare + len);
+        assert_eq!(frame::grant_frame_len(&grant), bare + len);
+        let (h, body) = read_back(&segs, FrameKind::Grant, 7);
+        assert_eq!(frame::decode_grant(&h, &body).unwrap(), grant);
+
+        let segs = frame::encode_reply(8, &reply).unwrap();
+        assert_eq!(frame::frame_len(&segs), bare + len);
+        assert_eq!(frame::reply_frame_len(&reply), bare + len);
+        let (h, body) = read_back(&segs, FrameKind::Resp, 8);
+        assert_eq!(frame::decode_reply(&h, &body).unwrap(), reply);
+    }
+}
+
+#[test]
+fn a_hostile_grant_page_length_is_refused() {
+    // The page length is checked against the bytes left in the body
+    // before anything is allocated for it: a length past the body, up to
+    // one far past `MAX_FRAME`, is `Corrupt`, and so is every truncation.
+    let page = vec![0xC3; 300];
+    let (grant, reply) = grant_and_reply(Some(page.clone()));
+    let grant_frame = read_back(&frame::encode_grant(1, &grant), FrameKind::Grant, 1);
+    let reply_frame = read_back(&frame::encode_reply(1, &reply).unwrap(), FrameKind::Resp, 1);
+    type Decode = dyn Fn(&FrameHeader, &[u8]) -> Option<FglError>;
+    let decoders: [(&(FrameHeader, Vec<u8>), &Decode); 2] = [
+        (&grant_frame, &|h, b| frame::decode_grant(h, b).err()),
+        (&reply_frame, &|h, b| frame::decode_reply(h, b).err()),
+    ];
+    for ((h, body), decode) in decoders {
+        let at = body.len() - page.len() - 4;
+        assert_eq!(body[at..at + 4], (page.len() as u32).to_le_bytes());
+        for hostile in [page.len() as u32 + 1, (MAX_FRAME + 1) as u32, u32::MAX] {
+            let mut bad = body.clone();
+            bad[at..at + 4].copy_from_slice(&hostile.to_le_bytes());
+            let err = decode(h, &bad).expect("a page longer than the body must not decode");
+            assert!(
+                matches!(&err, FglError::Corrupt(m) if m.contains("exceeds")),
+                "length {hostile}: {err:?}"
+            );
+        }
+        // A shorter length leaves the rest of the page as trailing bytes.
+        let mut short = body.clone();
+        short[at..at + 4].copy_from_slice(&(page.len() as u32 - 1).to_le_bytes());
+        assert!(matches!(decode(h, &short), Some(FglError::Corrupt(_))));
+        for cut in 0..body.len() {
+            let err = decode(h, &body[..cut]).expect("a strict prefix must not decode");
+            assert!(matches!(err, FglError::Corrupt(_)), "cut {cut}: {err:?}");
+        }
     }
 }
 
@@ -845,11 +935,13 @@ fn version_3_peers_are_refused() {
     // frames under the tags the batched ones took over; it is turned away
     // at the handshake, in both directions. So is version 4, whose Hello
     // has no role byte: it is refused by version, not misread as short.
-    assert_eq!(frame::WIRE_VERSION, 5);
+    // Version 5 has the role byte, but its grants carry no page.
+    assert_eq!(frame::WIRE_VERSION, 6);
     let hello =
         frame::frame_bytes(&frame::encode_hello(ClientId(1), StreamRole::Rpc))[HEADER..].to_vec();
-    for old in [3u16, 4] {
-        let mut hello = hello[..hello.len() - 1].to_vec();
+    for old in [3u16, 4, 5] {
+        let role_bytes = usize::from(old >= 5);
+        let mut hello = hello[..hello.len() - 1 + role_bytes].to_vec();
         hello[4..6].copy_from_slice(&old.to_le_bytes());
         let err = frame::decode_hello(&hello).unwrap_err();
         assert!(
