@@ -89,7 +89,14 @@ impl ClientPeer for PeerHandle {
     }
 
     fn ship_cached_page(&self, page: PageId) -> Option<Arc<[u8]>> {
-        self.core().and_then(|c| c.ship_cached_page_bytes(page))
+        self.ship_cached_pages(&[page]).remove(0)
+    }
+
+    fn ship_cached_pages(&self, pages: &[PageId]) -> Vec<Option<Arc<[u8]>>> {
+        match self.core() {
+            Some(core) => core.ship_cached_pages_bytes(pages),
+            None => vec![None; pages.len()],
+        }
     }
 
     fn recover_page(
@@ -356,19 +363,30 @@ impl ClientCore {
             .collect()
     }
 
-    /// §3.4 step 4: ship the cached copy, forcing the log first (WAL).
-    pub(crate) fn ship_cached_page_bytes(&self, page: PageId) -> Option<Arc<[u8]>> {
+    /// §3.4 step 4: ship the cached copies of `pages`, one copy or `None`
+    /// per page. The state mutex is held for the whole batch, so one log
+    /// force after every page's `before_ship` covers them all (WAL).
+    pub(crate) fn ship_cached_pages_bytes(&self, pages: &[PageId]) -> Vec<Option<Arc<[u8]>>> {
         let mut st = self.st.lock();
-        if !st.cache.contains(page) {
-            return None;
+        let ready: Vec<bool> = pages
+            .iter()
+            .map(|&page| {
+                st.cache.contains(page) && self.strategy.before_ship(self, &mut st, page).is_ok()
+            })
+            .collect();
+        if !ready.contains(&true) || st.wal.force().is_err() {
+            return vec![None; pages.len()];
         }
-        if self.strategy.before_ship(self, &mut st, page).is_err() {
-            return None;
-        }
-        if st.wal.force().is_err() {
-            return None;
-        }
-        st.cache.peek(page).map(|p| Arc::from(p.as_bytes()))
+        pages
+            .iter()
+            .zip(ready)
+            .map(|(&page, ready)| {
+                st.cache
+                    .peek(page)
+                    .filter(|_| ready)
+                    .map(|p| Arc::from(p.as_bytes()))
+            })
+            .collect()
     }
 }
 

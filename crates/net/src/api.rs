@@ -319,8 +319,8 @@ pub enum Callback {
     /// `CallBack_P` evidence (§3.4/§3.5): one `(page, for_client,
     /// from_lsn)` query per list wanted.
     CallbackListsFor(Vec<(PageId, ClientId, Lsn)>),
-    /// §3.4: ship a cached DPT page back to the restarting server.
-    ShipCachedPage(PageId),
+    /// §3.4 step 4: ship cached DPT pages back to the restarting server.
+    ShipCachedPages(Vec<PageId>),
     /// §3.4 per-client page recovery: replay onto each job's base copy.
     RecoverPages(Vec<RecoverJob>),
 }
@@ -333,7 +333,9 @@ pub enum CallbackReplyMsg {
     State(ClientStateReport),
     /// One list per `CallbackListsFor` query, in query order.
     CallbackLists(Vec<Vec<(ObjectId, Psn)>>),
-    CachedPage(Option<Arc<[u8]>>),
+    /// One copy (or `None`: not cached) per `ShipCachedPages` page, in
+    /// page order.
+    CachedPages(Vec<Option<Arc<[u8]>>>),
     /// One outcome per `RecoverPages` job, in job order.
     RecoveredPages(Vec<RecoveredPageOutcome>),
 }
@@ -422,7 +424,7 @@ impl Callback {
             Callback::NotifyFlushed(_) => crate::MsgKind::FlushNotify,
             Callback::ReportState
             | Callback::CallbackListsFor(_)
-            | Callback::ShipCachedPage(_)
+            | Callback::ShipCachedPages(_)
             | Callback::RecoverPages(_) => crate::MsgKind::Recovery,
         }
     }
@@ -433,7 +435,7 @@ impl CallbackReplyMsg {
         use crate::MsgKind::*;
         match self {
             CallbackReplyMsg::Outcomes(_) => CallbackReply,
-            CallbackReplyMsg::CachedPage(_) => PageShip,
+            CallbackReplyMsg::CachedPages(_) => PageShip,
             CallbackReplyMsg::State(_)
             | CallbackReplyMsg::CallbackLists(_)
             | CallbackReplyMsg::RecoveredPages(_) => Recovery,
@@ -577,9 +579,9 @@ pub fn apply_callback(peer: &dyn ClientPeer, cb: Callback) -> Option<CallbackRep
         Callback::CallbackListsFor(queries) => Some(CallbackReplyMsg::CallbackLists(
             peer.callback_lists_for(&queries),
         )),
-        Callback::ShipCachedPage(page) => {
-            Some(CallbackReplyMsg::CachedPage(peer.ship_cached_page(page)))
-        }
+        Callback::ShipCachedPages(pages) => Some(CallbackReplyMsg::CachedPages(
+            peer.ship_cached_pages(&pages),
+        )),
         Callback::RecoverPages(jobs) => {
             Some(CallbackReplyMsg::RecoveredPages(peer.recover_pages(jobs)))
         }
@@ -609,7 +611,9 @@ pub fn unreachable_callback_reply(cb: &Callback) -> Option<CallbackReplyMsg> {
                 queries.len()
             ]))
         }
-        Callback::ShipCachedPage(_) => Some(CallbackReplyMsg::CachedPage(None)),
+        Callback::ShipCachedPages(pages) => {
+            Some(CallbackReplyMsg::CachedPages(vec![None; pages.len()]))
+        }
         Callback::RecoverPages(jobs) => Some(CallbackReplyMsg::RecoveredPages(vec![
             RecoveredPageOutcome::Failed(
                 "client unreachable".into()

@@ -122,6 +122,14 @@ pub trait ClientPeer: Send + Sync {
     /// §3.4 step 4: ship the cached copy of `page` (None if not cached).
     fn ship_cached_page(&self, page: PageId) -> Option<Arc<[u8]>>;
 
+    /// [`ship_cached_page`](Self::ship_cached_page) for many pages in one
+    /// message; one copy (or `None`) per page, parallel to `pages`. A
+    /// batch-aware client forces its log once for the whole batch. The
+    /// default degrades to per-page calls.
+    fn ship_cached_pages(&self, pages: &[PageId]) -> Vec<Option<Arc<[u8]>>> {
+        pages.iter().map(|&p| self.ship_cached_page(p)).collect()
+    }
+
     /// §3.4 final phase: replay the private log against `base` (which the
     /// server sends together with the PSN to install and the merged
     /// `CallBack_P` list) and return the recovered copy.

@@ -54,7 +54,7 @@ pub const HEADER: usize = wire::HEADER;
 /// Handshake magic: `"FGLW"`.
 pub const MAGIC: u32 = 0x4647_4C57;
 /// Codec version carried in the handshake.
-pub const WIRE_VERSION: u16 = 6;
+pub const WIRE_VERSION: u16 = 7;
 /// Upper bound on a single frame; larger length prefixes are corrupt.
 pub const MAX_FRAME: usize = 64 << 20;
 
@@ -1231,7 +1231,7 @@ fn callback_tag(cb: &Callback) -> u16 {
         Callback::NotifyFlushed(_) => 2,
         Callback::ReportState => 3,
         Callback::CallbackListsFor(_) => 4,
-        Callback::ShipCachedPage(_) => 5,
+        Callback::ShipCachedPages(_) => 5,
         Callback::RecoverPages(_) => 6,
     }
 }
@@ -1241,7 +1241,8 @@ fn callback_tag(cb: &Callback) -> u16 {
 pub fn callback_frame_len(cb: &Callback) -> usize {
     match cb {
         Callback::DeliverBatch(kinds) => wire::callback_batch(kinds.len()),
-        Callback::NotifyFlushed(_) | Callback::ShipCachedPage(_) => HEADER + 8,
+        Callback::NotifyFlushed(_) => HEADER + 8,
+        Callback::ShipCachedPages(pages) => HEADER + 4 + pages.len() * 8,
         Callback::ReportState => HEADER,
         Callback::CallbackListsFor(queries) => HEADER + 4 + queries.len() * LIST_QUERY,
         Callback::RecoverPages(jobs) => {
@@ -1265,7 +1266,13 @@ pub fn encode_callback(corr: u64, cb: &Callback) -> Result<Vec<Seg>> {
                 put_callback_kind(&mut b, k);
             }
         }
-        Callback::NotifyFlushed(p) | Callback::ShipCachedPage(p) => b.u64(p.0),
+        Callback::NotifyFlushed(p) => b.u64(p.0),
+        Callback::ShipCachedPages(pages) => {
+            b.u32(pages.len() as u32);
+            for p in pages {
+                b.u64(p.0);
+            }
+        }
         Callback::ReportState => {}
         Callback::CallbackListsFor(queries) => {
             b.u32(queries.len() as u32);
@@ -1320,7 +1327,14 @@ pub fn decode_callback(h: &FrameHeader, body: &[u8]) -> Result<Callback> {
             }
             Callback::CallbackListsFor(queries)
         }
-        5 => Callback::ShipCachedPage(PageId(c.u64()?)),
+        5 => {
+            let n = c.count(8)?;
+            let mut pages = Vec::with_capacity(n);
+            for _ in 0..n {
+                pages.push(PageId(c.u64()?));
+            }
+            Callback::ShipCachedPages(pages)
+        }
         6 => {
             let n = c.count(8 + 8 + 4 + 4)?;
             let mut jobs = Vec::with_capacity(n);
@@ -1351,7 +1365,7 @@ fn callback_reply_tag(r: &CallbackReplyMsg) -> u16 {
         CallbackReplyMsg::Outcomes(_) => 1,
         CallbackReplyMsg::State(_) => 2,
         CallbackReplyMsg::CallbackLists(_) => 3,
-        CallbackReplyMsg::CachedPage(_) => 4,
+        CallbackReplyMsg::CachedPages(_) => 4,
         CallbackReplyMsg::RecoveredPages(_) => 5,
     }
 }
@@ -1373,7 +1387,14 @@ pub fn callback_reply_frame_len(r: &CallbackReplyMsg) -> usize {
         CallbackReplyMsg::CallbackLists(lists) => {
             HEADER + 4 + lists.iter().map(|v| psn_list_len(v)).sum::<usize>()
         }
-        CallbackReplyMsg::CachedPage(p) => HEADER + 1 + p.as_ref().map_or(0, |b| b.len()),
+        CallbackReplyMsg::CachedPages(copies) => {
+            HEADER
+                + 4
+                + copies
+                    .iter()
+                    .map(|p| 1 + p.as_ref().map_or(0, |b| 4 + b.len()))
+                    .sum::<usize>()
+        }
         CallbackReplyMsg::RecoveredPages(outcomes) => {
             HEADER
                 + 4
@@ -1424,13 +1445,19 @@ pub fn encode_callback_reply(corr: u64, r: &CallbackReplyMsg) -> Result<Vec<Seg>
                 put_psn_list(&mut b, v);
             }
         }
-        CallbackReplyMsg::CachedPage(p) => match p {
-            Some(bytes) => {
-                b.u8(1);
-                b.shared(bytes.clone());
+        CallbackReplyMsg::CachedPages(copies) => {
+            b.u32(copies.len() as u32);
+            for p in copies {
+                match p {
+                    Some(bytes) => {
+                        b.u8(1);
+                        b.u32(bytes.len() as u32);
+                        b.shared(bytes.clone());
+                    }
+                    None => b.u8(0),
+                }
             }
-            None => b.u8(0),
-        },
+        }
         CallbackReplyMsg::RecoveredPages(outcomes) => {
             b.u32(outcomes.len() as u32);
             for o in outcomes {
@@ -1493,10 +1520,21 @@ pub fn decode_callback_reply(h: &FrameHeader, body: &[u8]) -> Result<CallbackRep
             }
             CallbackReplyMsg::CallbackLists(lists)
         }
-        4 => match c.u8()? {
-            0 => CallbackReplyMsg::CachedPage(None),
-            _ => CallbackReplyMsg::CachedPage(Some(Arc::<[u8]>::from(c.rest()))),
-        },
+        4 => {
+            let n = c.count(1)?;
+            let mut copies = Vec::with_capacity(n);
+            for _ in 0..n {
+                copies.push(match c.u8()? {
+                    0 => None,
+                    1 => {
+                        let len = c.count(1)?;
+                        Some(Arc::<[u8]>::from(c.take(len)?))
+                    }
+                    other => return Err(corrupt(format!("bad cached-page tag {other}"))),
+                });
+            }
+            CallbackReplyMsg::CachedPages(copies)
+        }
         5 => {
             let n = c.count(1 + 4)?;
             let mut outcomes = Vec::with_capacity(n);

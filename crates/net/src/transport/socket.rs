@@ -553,9 +553,13 @@ impl ClientPeer for RemoteClientPeer {
     }
 
     fn ship_cached_page(&self, page: PageId) -> Option<Arc<[u8]>> {
-        match self.roundtrip(Callback::ShipCachedPage(page)) {
-            Some(CallbackReplyMsg::CachedPage(p)) => p,
-            _ => None,
+        self.ship_cached_pages(&[page]).remove(0)
+    }
+
+    fn ship_cached_pages(&self, pages: &[PageId]) -> Vec<Option<Arc<[u8]>>> {
+        match self.roundtrip(Callback::ShipCachedPages(pages.to_vec())) {
+            Some(CallbackReplyMsg::CachedPages(copies)) if copies.len() == pages.len() => copies,
+            _ => vec![None; pages.len()],
         }
     }
 

@@ -6,7 +6,7 @@
 //! and the runtime logs a replacement record before each one reaches the
 //! disk.
 
-use fgl_common::{FglError, PageId, Psn, Result};
+use fgl_common::{PageId, Psn, Result};
 use fgl_storage::bufferpool::BufferPool;
 use fgl_storage::disk::DiskBackend;
 use fgl_storage::merge::{merge_pages, MergeOutcome};
@@ -82,19 +82,9 @@ impl PageStore {
         }
     }
 
-    /// A copy of the page for shipping to a client. Reads through to disk.
-    pub fn get_copy(&mut self, id: PageId) -> Result<(Page, EvictedDirty)> {
-        if let Some(p) = self.pool.get(id) {
-            return Ok((p.clone(), Vec::new()));
-        }
-        let page = self.disk.read_page(id)?.ok_or(FglError::PageNotFound(id))?;
-        let evicted = self.insert_clean(page.clone());
-        Ok((page, evicted))
-    }
-
     /// The pool-resident copy, if any (counts as an LRU touch). A miss
     /// means the caller should read the disk *without holding the store
-    /// lock* and hand the result to [`install_clean`](Self::install_clean).
+    /// lock* and hand the result to [`install_read`](Self::install_read).
     pub fn pool_copy(&mut self, id: PageId) -> Option<Page> {
         self.pool.get(id).cloned()
     }
@@ -111,32 +101,35 @@ impl PageStore {
         self.disk.clone()
     }
 
-    /// Install a copy the caller read from disk outside the lock. If a
-    /// (necessarily at-least-as-new) pool copy appeared meanwhile, that
-    /// copy wins and the disk read is discarded.
-    pub fn install_clean(&mut self, page: Page) -> (Page, EvictedDirty) {
-        if let Some(p) = self.pool.get(page.id()) {
+    /// Install what the caller's disk read of page `id`, made outside the
+    /// lock, found. If a (necessarily at-least-as-new) pool copy appeared
+    /// meanwhile, that copy wins and the read is discarded. A copy read is
+    /// installed clean. A page absent on disk is formatted (PSN seeded
+    /// from the space map) and installed dirty: a server crash can wipe a
+    /// pool holding a never-flushed allocation (§3.4 restart).
+    pub fn install_read(&mut self, id: PageId, from_disk: Option<Page>) -> (Page, EvictedDirty) {
+        if let Some(p) = self.pool.get(id) {
             return (p.clone(), Vec::new());
         }
-        let evicted = self.insert_clean(page.clone());
-        (page, evicted)
+        match from_disk {
+            Some(page) => {
+                let evicted = self.insert_clean(page.clone());
+                (page, evicted)
+            }
+            None => {
+                let seed = self.spacemap.seed_psn(id).unwrap_or(Psn::ZERO);
+                let page = Page::format(self.page_size, id, seed);
+                let evicted = self.insert_dirty(page.clone());
+                (page, evicted)
+            }
+        }
     }
 
     /// §2 merge-on-receive: merge a copy arriving from a client with the
-    /// resident version (pool, else disk). Returns the PSN carried by the
-    /// incoming copy (DCT refresh) and the merge outcome.
-    pub fn receive(&mut self, incoming: Page) -> Result<(Psn, MergeOutcome, EvictedDirty)> {
-        let disk_copy = if self.pool.get(incoming.id()).is_some() {
-            None
-        } else {
-            self.disk.read_page(incoming.id())?
-        };
-        self.receive_with(incoming, disk_copy)
-    }
-
-    /// [`receive`](Self::receive) with the disk read hoisted out:
-    /// `disk_copy` is the caller's pre-fetched on-disk version, consulted
-    /// only when the pool has no resident copy.
+    /// resident version — the pool's, else `disk_copy`, the on-disk
+    /// version the caller read without holding the store lock. Returns
+    /// the PSN carried by the incoming copy (DCT refresh) and the merge
+    /// outcome.
     pub fn receive_with(
         &mut self,
         incoming: Page,
@@ -166,23 +159,6 @@ impl PageStore {
         self.merges += 1;
         evicted.extend(self.insert_dirty(merged));
         Ok((incoming_psn, outcome, evicted))
-    }
-
-    /// Like [`get_copy`](Self::get_copy) but formats a fresh page (PSN
-    /// seeded from the space map) when the page exists in the space map
-    /// yet never reached disk — possible when a server crash wipes a pool
-    /// holding a never-flushed allocation (§3.4 restart).
-    pub fn get_or_format(&mut self, id: PageId) -> Result<(Page, EvictedDirty)> {
-        match self.get_copy(id) {
-            Ok(r) => Ok(r),
-            Err(FglError::PageNotFound(_)) => {
-                let seed = self.spacemap.seed_psn(id).unwrap_or(Psn::ZERO);
-                let page = Page::format(self.page_size, id, seed);
-                let evicted = self.insert_dirty(page.clone());
-                Ok((page, evicted))
-            }
-            Err(e) => Err(e),
-        }
     }
 
     /// Current PSN of the resident copy (pool, else disk), if any.
@@ -229,16 +205,6 @@ impl PageStore {
         }
     }
 
-    /// Read the on-disk version (restart recovery step 2 of §3.4).
-    pub fn read_disk(&self, id: PageId) -> Result<Option<Page>> {
-        self.disk.read_page(id)
-    }
-
-    /// Install a page into the pool marked dirty (restart recovery merges).
-    pub fn install_dirty(&mut self, page: Page) -> EvictedDirty {
-        self.insert_dirty(page)
-    }
-
     /// Crash: volatile pool contents vanish; disk and space map survive.
     pub fn crash(&mut self) {
         self.pool.clear();
@@ -264,11 +230,28 @@ impl PageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fgl_common::SlotId;
+    use fgl_common::{FglError, SlotId};
     use fgl_storage::disk::MemDisk;
 
     fn store(pool: usize) -> PageStore {
         PageStore::new(Arc::new(MemDisk::new()), pool, 512)
+    }
+
+    /// A pool-first read through to disk, as the runtime's
+    /// `read_page_copy` does it.
+    fn get_copy(s: &mut PageStore, id: PageId) -> Result<(Page, EvictedDirty)> {
+        if let Some(p) = s.pool_copy(id) {
+            return Ok((p, Vec::new()));
+        }
+        let disk = s.disk_handle().read_page(id)?;
+        Ok(s.install_read(id, Some(disk.ok_or(FglError::PageNotFound(id))?)))
+    }
+
+    /// Merge-on-receive after the disk read, as the runtime's
+    /// `absorb_parsed` does it.
+    fn receive(s: &mut PageStore, incoming: Page) -> Result<(Psn, MergeOutcome, EvictedDirty)> {
+        let disk = s.disk_handle().read_page(incoming.id())?;
+        s.receive_with(incoming, disk)
     }
 
     #[test]
@@ -276,7 +259,7 @@ mod tests {
         let mut s = store(4);
         let (p, ev) = s.allocate().unwrap();
         assert!(ev.is_empty());
-        let (copy, _) = s.get_copy(p.id()).unwrap();
+        let (copy, _) = get_copy(&mut s, p.id()).unwrap();
         assert_eq!(copy.id(), p.id());
         assert_eq!(s.pool_len(), 1);
     }
@@ -285,9 +268,34 @@ mod tests {
     fn get_missing_page_fails() {
         let mut s = store(4);
         assert!(matches!(
-            s.get_copy(PageId(42)),
+            get_copy(&mut s, PageId(42)),
             Err(FglError::PageNotFound(_))
         ));
+    }
+
+    #[test]
+    fn install_read_formats_only_what_disk_lacks() {
+        let mut s = store(4);
+        let (p, _) = s.allocate().unwrap();
+        let pid = p.id();
+        let on_disk = s.dirty_copy(pid).unwrap();
+        s.write_to_disk(&on_disk).unwrap();
+        let (never_flushed, _) = s.allocate().unwrap();
+        s.crash();
+
+        // On disk: installed clean, as read.
+        let (copy, _) = s.install_read(pid, Some(on_disk.clone()));
+        assert_eq!(copy.psn(), on_disk.psn());
+        assert!(!s.is_dirty(pid));
+        // A pool copy wins over a later format.
+        let (again, _) = s.install_read(pid, None);
+        assert_eq!(again.psn(), on_disk.psn());
+        // Absent on disk: formatted at the space map's seed, and dirty.
+        let id = never_flushed.id();
+        let (formatted, _) = s.install_read(id, None);
+        assert_eq!(formatted.psn(), never_flushed.psn());
+        assert_eq!(formatted.slot_count(), 0);
+        assert!(s.is_dirty(id));
     }
 
     #[test]
@@ -298,19 +306,19 @@ mod tests {
         // Seed an object via a client-style copy.
         let mut c1 = base.clone();
         let slot = c1.insert_object(b"seed").unwrap();
-        s.receive(c1.clone()).unwrap();
+        receive(&mut s, c1.clone()).unwrap();
         // Two clients update the same object in callback order.
-        let (ship1, _) = s.get_copy(pid).unwrap();
+        let (ship1, _) = get_copy(&mut s, pid).unwrap();
         let mut v1 = ship1.clone();
         v1.write_object(slot, b"aaaa").unwrap();
-        s.receive(v1).unwrap();
-        let (ship2, _) = s.get_copy(pid).unwrap();
+        receive(&mut s, v1).unwrap();
+        let (ship2, _) = get_copy(&mut s, pid).unwrap();
         let mut v2 = ship2.clone();
         v2.write_object(slot, b"bbbb").unwrap();
-        let (psn, outcome, _) = s.receive(v2.clone()).unwrap();
+        let (psn, outcome, _) = receive(&mut s, v2.clone()).unwrap();
         assert_eq!(psn, v2.psn());
         assert!(outcome.merged_psn > v2.psn());
-        let (merged, _) = s.get_copy(pid).unwrap();
+        let (merged, _) = get_copy(&mut s, pid).unwrap();
         assert_eq!(merged.read_object(slot).unwrap(), b"bbbb");
     }
 
@@ -325,7 +333,7 @@ mod tests {
         assert_eq!(ev[0].id(), a.id());
         // Runtime writes it; page later readable from disk.
         s.write_to_disk(&ev[0]).unwrap();
-        let (back, _) = s.get_copy(a.id()).unwrap();
+        let (back, _) = get_copy(&mut s, a.id()).unwrap();
         assert_eq!(back.id(), a.id());
     }
 
@@ -347,7 +355,7 @@ mod tests {
         // Pool copy advances (another client update merged).
         let mut newer = old_copy.clone();
         newer.insert_object(b"x").unwrap();
-        s.receive(newer).unwrap();
+        receive(&mut s, newer).unwrap();
         s.write_to_disk(&old_copy).unwrap();
         assert!(s.is_dirty(p.id()), "newer pool copy must stay dirty");
     }
@@ -360,7 +368,7 @@ mod tests {
         s.write_to_disk(&copy).unwrap();
         s.crash();
         assert_eq!(s.pool_len(), 0);
-        let back = s.read_disk(p.id()).unwrap();
+        let back = s.disk_handle().read_page(p.id()).unwrap();
         assert!(back.is_some());
     }
 
@@ -373,7 +381,7 @@ mod tests {
         let mut c = p.clone();
         c.insert_object(b"zz").unwrap();
         let final_psn = c.psn();
-        s.receive(c).unwrap();
+        receive(&mut s, c).unwrap();
         s.deallocate(pid).unwrap();
         let (p2, _) = s.allocate().unwrap();
         assert_eq!(p2.id(), pid, "freed id reused");
@@ -385,9 +393,9 @@ mod tests {
         let mut s = store(4);
         let mut foreign = Page::format(512, PageId(33), Psn(5));
         foreign.insert_object(b"data").unwrap();
-        let (psn, _, _) = s.receive(foreign.clone()).unwrap();
+        let (psn, _, _) = receive(&mut s, foreign.clone()).unwrap();
         assert_eq!(psn, foreign.psn());
-        let (copy, _) = s.get_copy(PageId(33)).unwrap();
+        let (copy, _) = get_copy(&mut s, PageId(33)).unwrap();
         assert_eq!(copy.read_object(SlotId(0)).unwrap(), b"data");
     }
 }

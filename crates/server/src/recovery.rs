@@ -42,8 +42,13 @@ pub struct RestartReport {
     pub elapsed: Duration,
     /// Phase (a)+(b): gathering client states, rebuilding the GLM.
     pub gather: Duration,
-    /// Phase (c): DCT reconstruction from checkpoint + replacement records.
-    pub dct_rebuild: Duration,
+    /// Phase (c), step 2: reading the DPT pages from disk.
+    pub disk_read: Duration,
+    /// Phase (c), steps 1 and 3: seeding the DCT from the DPTs and the
+    /// checkpoint, and scanning the replacement records.
+    pub scan: Duration,
+    /// Phase (c), step 4: pulling and merging cached DPT pages.
+    pub pull: Duration,
     /// Phase (d): coordinated per-(page, client) log replay.
     pub replay: Duration,
 }
@@ -136,13 +141,38 @@ impl ServerCore {
                 self.dct.lock().insert(*page, *client, None);
             }
         }
-        // Step 2: read candidate pages from disk, remember their PSNs.
+        // Step 2: read every distinct DPT page from disk once, with no
+        // server lock held and in parallel — dealt into one chunk per
+        // client, the width of every other restart round — and install
+        // each copy clean, so the step-4 merges and the replay bases are
+        // pool hits. Candidate pages remember their on-disk PSNs.
+        let read_start = Instant::now();
+        let mut dpt_pages: Vec<PageId> = dpt_by_client
+            .values()
+            .flatten()
+            .map(|(page, _)| *page)
+            .collect();
+        dpt_pages.sort_unstable_by_key(|p| p.0);
+        dpt_pages.dedup();
+        let per_chunk = dpt_pages.len().div_ceil(peers.len().max(1)).max(1);
+        let disk = self.store.lock().disk_handle();
+        let reads = fan_out(dpt_pages.chunks(per_chunk).collect(), |chunk| {
+            chunk
+                .iter()
+                .map(|&page| Ok((page, disk.read_page(page)?)))
+                .collect::<Result<Vec<_>>>()
+        });
         let mut disk_psn: HashMap<PageId, Psn> = HashMap::new();
-        for page in &pages {
-            if let Some(p) = self.store.lock().read_disk(*page)? {
-                disk_psn.insert(*page, p.psn());
+        for chunk in reads {
+            for (page, copy) in chunk? {
+                let Some(copy) = copy else { continue };
+                if pages.contains(&page) {
+                    disk_psn.insert(page, copy.psn());
+                }
+                self.install_read(page, Some(copy))?;
             }
         }
+        let disk_read = read_start.elapsed();
         // Step 3: reload the checkpoint DCT, then scan forward through
         // the shared checkpoint-anchored iterator — the floor is the
         // checkpointed DCT's minimum RedoLSN (or the low-water mark when
@@ -195,25 +225,34 @@ impl ServerCore {
         }
         // Step 4: pull cached DPT pages from operational clients and merge
         // them (their updates are in those copies) — the clients in
-        // parallel, each shipping its pages in turn.
+        // parallel, each shipping its pages [`RECOVER_BATCH_PAGES`] to a
+        // message.
+        let pull_start = Instant::now();
         let pulls = fan_out(peers.iter().collect(), |peer| -> Result<()> {
             let id = peer.client_id();
             let cached = &cached_by_client[&id];
-            for (page, _) in &dpt_by_client[&id] {
-                if cached.contains_key(page) {
-                    self.net.msg(MsgKind::Recovery, 16);
-                    if let Some(bytes) = peer.ship_cached_page(*page) {
-                        self.net.msg(MsgKind::PageShip, bytes.len());
-                        self.absorb_page(id, &bytes, false)?;
-                    }
+            let wanted: Vec<PageId> = dpt_by_client[&id]
+                .iter()
+                .map(|(page, _)| *page)
+                .filter(|page| cached.contains_key(page))
+                .collect();
+            for batch in wanted.chunks(RECOVER_BATCH_PAGES) {
+                self.net.msg(MsgKind::Recovery, 16 + 8 * batch.len());
+                let copies = peer.ship_cached_pages(batch);
+                let shipped = copies.iter().flatten().map(|b| b.len()).sum();
+                self.net.msg(MsgKind::PageShip, shipped);
+                for bytes in copies.iter().flatten() {
+                    self.absorb_page(id, bytes, false)?;
                 }
             }
             Ok(())
         });
         pulls.into_iter().collect::<Result<()>>()?;
+        let pull = pull_start.elapsed();
 
         // ---- (d): coordinate per-client replay -------------------------------
         let dct_rebuild = dct_start.elapsed();
+        let scan = dct_rebuild.saturating_sub(disk_read + pull);
         emit(Event::RecoveryPhase {
             owner: LogOwner::Server,
             phase: RecoveryPhase::Replay,
@@ -295,7 +334,9 @@ impl ServerCore {
             records_scanned,
             elapsed: start.elapsed(),
             gather,
-            dct_rebuild,
+            disk_read,
+            scan,
+            pull,
             replay,
         };
         let metrics = self.metrics();
@@ -311,12 +352,19 @@ impl ServerCore {
             );
         }
         metrics.add("server_restarts", 1);
-        metrics.add("server_recovery_gather_us", gather.as_micros() as u64);
-        metrics.add(
-            "server_recovery_dct_rebuild_us",
-            dct_rebuild.as_micros() as u64,
-        );
-        metrics.add("server_recovery_replay_us", replay.as_micros() as u64);
+        for (phase, took) in [
+            ("gather", gather),
+            ("dct_rebuild", dct_rebuild),
+            ("disk_read", disk_read),
+            ("scan", scan),
+            ("pull", pull),
+            ("replay", replay),
+        ] {
+            metrics.add(
+                &format!("server_recovery_{phase}_us"),
+                took.as_micros() as u64,
+            );
+        }
         metrics.add("server_recovery_records_scanned", records_scanned as u64);
         metrics.add("server_recovery_pages", report.pages_recovered as u64);
         Ok(report)
@@ -332,8 +380,7 @@ impl ServerCore {
             let mut jobs = Vec::with_capacity(batch.len());
             for (page, callback_list) in batch {
                 // Base copy: the server's current merged view.
-                let (base, evicted) = self.store.lock().get_or_format(*page)?;
-                self.flush_images_pub(evicted)?;
+                let base = self.read_or_format_page(*page)?;
                 let install_psn = self.dct.lock().psn_of(*page, c).unwrap_or(base.psn());
                 jobs.push(RecoverJob {
                     page: *page,

@@ -539,7 +539,24 @@ impl ServerCore {
         }
         let disk = self.store.lock().disk_handle();
         let from_disk = disk.read_page(page)?.ok_or(FglError::PageNotFound(page))?;
-        let (copy, evicted) = self.store.lock().install_clean(from_disk);
+        self.install_read(page, Some(from_disk))
+    }
+
+    /// [`read_page_copy`](Self::read_page_copy) for recovery (§3.4 replay
+    /// bases, §3.5): a page absent on disk is formatted, not missing.
+    pub(crate) fn read_or_format_page(&self, page: PageId) -> Result<Page> {
+        if let Some(p) = self.store.lock().pool_copy(page) {
+            return Ok(p);
+        }
+        let disk = self.store.lock().disk_handle();
+        let from_disk = disk.read_page(page)?;
+        self.install_read(page, from_disk)
+    }
+
+    /// Install what a disk read made with no server lock held found
+    /// (`PageStore::install_read`), flushing whatever that evicts.
+    pub(crate) fn install_read(&self, page: PageId, from_disk: Option<Page>) -> Result<Page> {
+        let (copy, evicted) = self.store.lock().install_read(page, from_disk);
         self.flush_images(evicted)?;
         Ok(copy)
     }
@@ -629,10 +646,6 @@ impl ServerCore {
                 Ok(())
             }
         }
-    }
-
-    pub(crate) fn flush_images_pub(&self, images: Vec<Page>) -> Result<()> {
-        self.flush_images(images)
     }
 
     /// Write page images to disk with their replacement records. The
@@ -1187,8 +1200,7 @@ impl ServerApi for ServerCore {
     /// and the merged `CallBack_P` list from the operational clients.
     fn recover_client_page(&self, client: ClientId, page: PageId) -> Result<RecoverPagePlan> {
         self.net.msg(MsgKind::Recovery, 16);
-        let (base, evicted) = self.store.lock().get_or_format(page)?;
-        self.flush_images(evicted)?;
+        let base = self.read_or_format_page(page)?;
         let install_psn = self.dct.lock().psn_of(page, client).unwrap_or(Psn::ZERO);
         // Ensure a DCT entry exists so parallel recoveries can wait on our
         // progress for this page.

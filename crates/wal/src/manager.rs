@@ -207,8 +207,13 @@ impl LogManager {
         self.append_inner(payload, true)
     }
 
-    /// Force the log: everything appended so far becomes durable.
+    /// Force the log: everything appended so far becomes durable. A log
+    /// with nothing pending is durable already: the force is free — no
+    /// device sync, no count, no event.
     pub fn force(&mut self) -> Result<Lsn> {
+        if self.store.durable_len() == self.store.len() {
+            return Ok(self.durable_lsn());
+        }
         let start = self.obs.as_ref().map(|(m, ..)| m.now_us());
         let _span = fgl_obs::trace::span(fgl_obs::SpanKind::WalForce, fgl_common::TxnId(0));
         self.store.sync()?;
@@ -402,8 +407,9 @@ mod tests {
     use super::*;
     use crate::records::UpdateRecord;
     use crate::store::LogStore;
-    use crate::store::MemLogStore;
+    use crate::store::{MemLogStore, SimLogStore};
     use fgl_common::{ClientId, ObjectId, PageId, Psn, SlotId, TxnId};
+    use fgl_obs::{CaptureSink, SinkGuard};
 
     fn mgr() -> LogManager {
         LogManager::new(Box::new(MemLogStore::new()), 64 * 1024)
@@ -682,5 +688,107 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].payload, begin(2));
         assert_eq!(got[1].payload, begin(3));
+    }
+
+    /// A [`SimLogStore`] the test can still read once a manager owns it.
+    #[derive(Clone)]
+    struct SharedSim(Arc<parking_lot::Mutex<SimLogStore>>);
+
+    impl SharedSim {
+        fn new() -> SharedSim {
+            let sim = SimLogStore::new(Box::new(MemLogStore::new()), std::time::Duration::ZERO);
+            SharedSim(Arc::new(parking_lot::Mutex::new(sim)))
+        }
+
+        fn syncs(&self) -> u64 {
+            self.0.lock().syncs()
+        }
+    }
+
+    impl LogStore for SharedSim {
+        fn append(&mut self, bytes: &[u8]) -> Result<()> {
+            self.0.lock().append(bytes)
+        }
+        fn len(&self) -> u64 {
+            self.0.lock().len()
+        }
+        fn durable_len(&self) -> u64 {
+            self.0.lock().durable_len()
+        }
+        fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+            self.0.lock().read(offset, len)
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.0.lock().sync()
+        }
+        fn write_master(&mut self, anchor: MasterAnchor) -> Result<()> {
+            self.0.lock().write_master(anchor)
+        }
+        fn read_master(&self) -> Result<MasterAnchor> {
+            self.0.lock().read_master()
+        }
+        fn crash(&mut self) {
+            self.0.lock().crash()
+        }
+    }
+
+    /// A manager over a [`SharedSim`], observed under a client id no other
+    /// test uses, and a capture of the events it emits.
+    fn observed(client: u32) -> (LogManager, SharedSim, Arc<CaptureSink>, SinkGuard) {
+        let store = SharedSim::new();
+        let (sink, guard) = CaptureSink::install();
+        let mut m = LogManager::new(Box::new(store.clone()), 64 * 1024);
+        m.attach_obs(Arc::new(Metrics::new()), LogOwner::Client(ClientId(client)));
+        (m, store, sink, guard)
+    }
+
+    /// `(device syncs, forces counted, LogForce events)` so far.
+    fn force_costs(m: &LogManager, store: &SharedSim, sink: &CaptureSink) -> (u64, u64, usize) {
+        let (metrics, _, owner) = m.obs.as_ref().expect("observed");
+        let events = sink
+            .events()
+            .iter()
+            .filter(|s| matches!(s.event, Event::LogForce { owner: o, .. } if o == *owner))
+            .count();
+        assert_eq!(metrics.snapshot().counters["log_forces"], m.stats().2);
+        (store.syncs(), m.stats().2, events)
+    }
+
+    #[test]
+    fn force_with_nothing_pending_is_free() {
+        let (mut m, store, sink, _guard) = observed(90_101);
+        // An empty log has nothing to make durable.
+        assert_eq!(m.force().unwrap(), m.durable_lsn());
+        assert_eq!(force_costs(&m, &store, &sink), (0, 0, 0));
+
+        m.append(&begin(1)).unwrap();
+        let end = m.end_lsn();
+        assert_eq!(m.force().unwrap(), end);
+        assert_eq!(force_costs(&m, &store, &sink), (1, 1, 1));
+
+        // Everything is durable: more forces sync nothing and say nothing.
+        assert_eq!(m.force().unwrap(), end);
+        assert_eq!(m.force().unwrap(), end);
+        assert_eq!(force_costs(&m, &store, &sink), (1, 1, 1));
+    }
+
+    /// The WAL rule survives the free force: once an update is pending, the
+    /// force that precedes a page ship pays the sync and makes it durable.
+    #[test]
+    fn force_after_a_pending_update_still_syncs() {
+        let (mut m, store, sink, _guard) = observed(90_102);
+        m.append(&begin(1)).unwrap();
+        m.force().unwrap();
+        m.force().unwrap();
+        assert_eq!(force_costs(&m, &store, &sink), (1, 1, 1));
+
+        let lsn = m.append(&update(1, 7)).unwrap();
+        assert!(m.durable_lsn() <= lsn, "the update is pending");
+        let end = m.force().unwrap();
+        assert_eq!(end, m.end_lsn());
+        assert_eq!(force_costs(&m, &store, &sink), (2, 2, 2));
+        m.crash();
+        let kept = m.collect_from(Lsn::NIL);
+        assert_eq!(kept.last().map(|e| &e.payload), Some(&update(1, 7)));
     }
 }

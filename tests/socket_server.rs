@@ -541,6 +541,44 @@ fn an_idle_client_still_answers_callbacks() {
     assert_eq!(counters["socket_replies_handed_off"], 0);
 }
 
+/// A server restart over UDS with cached DPT pages on two clients: each
+/// client ships all of its pages in one `ShipCachedPages` reply through
+/// the real codec, and the restarted server reads back what both
+/// committed.
+#[test]
+fn a_server_restart_pulls_each_clients_cached_pages_in_one_frame() {
+    let cfg = SystemConfig::default().with_transport(TransportKind::Uds);
+    let sys = fgl::System::build(cfg, 2).unwrap();
+    let mut written = Vec::new();
+    for c in &sys.clients {
+        let t = c.begin().unwrap();
+        for n in 0..3u8 {
+            let page = c.create_page(t).unwrap();
+            let value = [n + 10 * c.id().0 as u8; 16];
+            written.push((c.insert(t, page, &value).unwrap(), value));
+        }
+        c.commit(t).unwrap();
+        assert_eq!(c.dpt_snapshot().len(), 3);
+    }
+
+    let before = sys.wire_snapshot().unwrap();
+    sys.server.crash();
+    let report = sys.server.restart_recovery().unwrap();
+    let wire = sys.wire_snapshot().unwrap().delta_since(&before);
+    assert_eq!(report.recovery_units, 0, "every DPT page is cached");
+    assert_eq!(wire.count(MsgKind::PageShip), 2, "one reply per client");
+
+    // Each client reads the other's pages, as the server merged them.
+    for (reader, other) in [(0, 1), (1, 0)] {
+        let c = sys.client(reader);
+        let t = c.begin().unwrap();
+        for (obj, value) in &written[3 * other..3 * other + 3] {
+            assert_eq!(c.read(t, *obj).unwrap(), value);
+        }
+        c.commit(t).unwrap();
+    }
+}
+
 /// A scripted server over UDS: accepts one client's rpc and events
 /// streams and completes both handshakes, then does what the test says.
 struct Scripted {

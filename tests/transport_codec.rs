@@ -221,7 +221,9 @@ fn sample_callbacks() -> Vec<Callback> {
                 .map(|i| (PageId(i), ClientId(i as u32 % 5), Lsn(i * 7)))
                 .collect(),
         ),
-        Callback::ShipCachedPage(PageId(10)),
+        Callback::ShipCachedPages(vec![]),
+        Callback::ShipCachedPages(vec![PageId(10)]),
+        Callback::ShipCachedPages((0..RECOVER_BATCH_PAGES as u64).map(PageId).collect()),
         Callback::RecoverPages(vec![]),
         Callback::RecoverPages(vec![sample_job(11)]),
         Callback::RecoverPages((0..RECOVER_BATCH_PAGES as u64).map(sample_job).collect()),
@@ -276,8 +278,14 @@ fn sample_callback_replies() -> Vec<CallbackReplyMsg> {
                 .map(|i| (0..i % 3).map(|s| (obj(i, s as u16), Psn(i))).collect())
                 .collect(),
         ),
-        CallbackReplyMsg::CachedPage(Some(page_buf(8, 32))),
-        CallbackReplyMsg::CachedPage(None),
+        CallbackReplyMsg::CachedPages(vec![]),
+        CallbackReplyMsg::CachedPages(vec![Some(page_buf(8, 32))]),
+        CallbackReplyMsg::CachedPages(vec![None]),
+        CallbackReplyMsg::CachedPages(
+            (0..RECOVER_BATCH_PAGES)
+                .map(|i| (i % 5 != 3).then(|| page_buf(i as u8, 64 + i % 3)))
+                .collect(),
+        ),
         CallbackReplyMsg::RecoveredPages(vec![]),
         CallbackReplyMsg::RecoveredPages(vec![RecoveredPageOutcome::Done(vec![1, 2, 3])]),
         CallbackReplyMsg::RecoveredPages(
@@ -901,6 +909,7 @@ fn batched_recovery_bodies_refuse_truncation_and_trailing_bytes() {
             (PageId(4), ClientId(5), Lsn::NIL),
         ]),
         Callback::RecoverPages(vec![sample_job(2), sample_job(7)]),
+        Callback::ShipCachedPages(vec![PageId(3), PageId(1 << 40)]),
     ];
     for cb in &callbacks {
         let segs = frame::encode_callback(1, cb).unwrap();
@@ -913,6 +922,7 @@ fn batched_recovery_bodies_refuse_truncation_and_trailing_bytes() {
             RecoveredPageOutcome::Done(vec![9; 40]),
             RecoveredPageOutcome::Failed("no log".into()),
         ]),
+        CallbackReplyMsg::CachedPages(vec![Some(page_buf(5, 40)), None, Some(page_buf(6, 8))]),
     ];
     for r in &replies {
         let segs = frame::encode_callback_reply(1, r).unwrap();
@@ -929,17 +939,108 @@ fn batched_recovery_bodies_refuse_truncation_and_trailing_bytes() {
     assert!(matches!(err, FglError::Corrupt(_)), "{err:?}");
 }
 
+/// A batched pull costs a u32 count and a u64 per page asked for, and its
+/// reply a u32 count, a presence byte per page and a u32 length before
+/// each copy — one frame each way, whatever the page count.
+#[test]
+fn ship_cached_pages_frames_cost_what_they_carry() {
+    for n in [0usize, 1, 7, RECOVER_BATCH_PAGES] {
+        let pages: Vec<PageId> = (0..n as u64).map(|p| PageId(p * 3)).collect();
+        let cb = Callback::ShipCachedPages(pages);
+        let segs = frame::encode_callback(5, &cb).unwrap();
+        assert_eq!(frame::frame_len(&segs), HEADER + 4 + 8 * n);
+        assert_eq!(frame::callback_frame_len(&cb), HEADER + 4 + 8 * n);
+        let (h, body) = read_back(&segs, FrameKind::Cb, 5);
+        assert_eq!(frame::decode_callback(&h, &body).unwrap(), cb);
+
+        // Every third page is not cached.
+        let copies: Vec<Option<Arc<[u8]>>> = (0..n)
+            .map(|i| (i % 3 != 2).then(|| page_buf(i as u8, 100 + i)))
+            .collect();
+        let expected = HEADER
+            + 4
+            + copies
+                .iter()
+                .map(|c| 1 + c.as_ref().map_or(0, |b| 4 + b.len()))
+                .sum::<usize>();
+        let reply = CallbackReplyMsg::CachedPages(copies);
+        let segs = frame::encode_callback_reply(5, &reply).unwrap();
+        assert_eq!(frame::frame_len(&segs), expected);
+        assert_eq!(frame::callback_reply_frame_len(&reply), expected);
+        let (h, body) = read_back(&segs, FrameKind::CbResp, 5);
+        assert_eq!(frame::decode_callback_reply(&h, &body).unwrap(), reply);
+    }
+}
+
+/// Hostile counts and lengths in a batched pull are refused before they
+/// size an allocation: a page count or a copy length past the body, up to
+/// one far past `MAX_FRAME`, is `Corrupt` and never a panic.
+#[test]
+fn a_hostile_cached_page_count_or_length_is_refused() {
+    let exceeds = |err: FglError| matches!(&err, FglError::Corrupt(m) if m.contains("exceeds"));
+    // The smallest count the body cannot hold, and two far past it.
+    let hostile = |body: &[u8], min_elem: usize| {
+        [
+            ((body.len() - 4) / min_elem + 1) as u32,
+            (MAX_FRAME + 1) as u32,
+            u32::MAX,
+        ]
+    };
+
+    let cb = Callback::ShipCachedPages(vec![PageId(1), PageId(2)]);
+    let (h, body) = read_back(&frame::encode_callback(1, &cb).unwrap(), FrameKind::Cb, 1);
+    for n in hostile(&body, 8) {
+        let mut bad = body.clone();
+        bad[..4].copy_from_slice(&n.to_le_bytes());
+        assert!(
+            exceeds(frame::decode_callback(&h, &bad).unwrap_err()),
+            "count {n}"
+        );
+    }
+
+    let page = page_buf(7, 300);
+    let reply = CallbackReplyMsg::CachedPages(vec![None, Some(page.clone())]);
+    let segs = frame::encode_callback_reply(1, &reply).unwrap();
+    let (h, body) = read_back(&segs, FrameKind::CbResp, 1);
+    for n in hostile(&body, 1) {
+        let mut bad = body.clone();
+        bad[..4].copy_from_slice(&n.to_le_bytes());
+        assert!(
+            exceeds(frame::decode_callback_reply(&h, &bad).unwrap_err()),
+            "count {n}"
+        );
+    }
+    // Count, the absent page's byte, the present page's byte, its length.
+    let at = 4 + 1 + 1;
+    assert_eq!(body[at..at + 4], (page.len() as u32).to_le_bytes());
+    for n in [page.len() as u32 + 1, (MAX_FRAME + 1) as u32, u32::MAX] {
+        let mut bad = body.clone();
+        bad[at..at + 4].copy_from_slice(&n.to_le_bytes());
+        assert!(
+            exceeds(frame::decode_callback_reply(&h, &bad).unwrap_err()),
+            "length {n}"
+        );
+    }
+    // A presence byte other than 0 or 1 is corrupt too.
+    let mut bad = body.clone();
+    bad[4] = 2;
+    let err = frame::decode_callback_reply(&h, &bad).unwrap_err();
+    assert!(matches!(err, FglError::Corrupt(_)), "{err:?}");
+}
+
 #[test]
 fn version_3_peers_are_refused() {
     // Version 3 still speaks the per-page `CallbackListFor`/`RecoverPage`
     // frames under the tags the batched ones took over; it is turned away
     // at the handshake, in both directions. So is version 4, whose Hello
     // has no role byte: it is refused by version, not misread as short.
-    // Version 5 has the role byte, but its grants carry no page.
-    assert_eq!(frame::WIRE_VERSION, 6);
+    // Version 5 has the role byte, but its grants carry no page. Version 6
+    // pulls one cached page per `ShipCachedPage` under the tag the batched
+    // `ShipCachedPages` took over.
+    assert_eq!(frame::WIRE_VERSION, 7);
     let hello =
         frame::frame_bytes(&frame::encode_hello(ClientId(1), StreamRole::Rpc))[HEADER..].to_vec();
-    for old in [3u16, 4, 5] {
+    for old in [3u16, 4, 5, 6] {
         let role_bytes = usize::from(old >= 5);
         let mut hello = hello[..hello.len() - 1 + role_bytes].to_vec();
         hello[4..6].copy_from_slice(&old.to_le_bytes());
