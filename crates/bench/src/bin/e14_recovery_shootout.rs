@@ -47,6 +47,8 @@ fn main() {
         "recovery ms",
         "verify",
         "final",
+        "stale reads",
+        "fetch timeouts",
     ]);
     let mut emitter = MetricsEmitter::new("e14_recovery_shootout");
     let mut seed = 0x0E14;
@@ -62,7 +64,15 @@ fn main() {
             };
             let r =
                 run_crash_scenario(cfg, clients, kind.clone(), spec, txns, seed).expect("scenario");
-            all_clean &= r.is_clean();
+            let timeouts = r.recovery_fetch_timeouts();
+            let clean = r.is_clean();
+            if !clean {
+                eprintln!(
+                    "FAILED CELL: {} seed {seed:#x}: stale reads {:?}, fetch timeouts {timeouts}",
+                    r.kind_name, r.stale_reads
+                );
+            }
+            all_clean &= clean;
             let log_bytes = r
                 .phase1
                 .metrics
@@ -100,6 +110,8 @@ fn main() {
                 } else {
                     format!("{} BAD", r.verify_final.mismatches.len())
                 },
+                r.stale_reads.len().to_string(),
+                timeouts.to_string(),
             ]);
         }
     }

@@ -45,6 +45,8 @@ fn main() {
         "verify",
         "phase2 commits",
         "final",
+        "stale reads",
+        "fetch timeouts",
     ]);
     let mut emitter = MetricsEmitter::new("e8_crash_matrix");
     let mut seed = 0x0E8;
@@ -63,7 +65,15 @@ fn main() {
                 seed,
             )
             .expect("scenario");
-            all_clean &= r.is_clean();
+            let timeouts = r.recovery_fetch_timeouts();
+            let clean = r.is_clean();
+            if !clean {
+                eprintln!(
+                    "FAILED CELL: {} seed {seed:#x}: stale reads {:?}, fetch timeouts {timeouts}",
+                    r.kind_name, r.stale_reads
+                );
+            }
+            all_clean &= clean;
             emitter.row(
                 &[
                     ("crash", r.kind_name.clone()),
@@ -88,6 +98,8 @@ fn main() {
                 } else {
                     format!("{} BAD", r.verify_final.mismatches.len())
                 },
+                r.stale_reads.len().to_string(),
+                timeouts.to_string(),
             ]);
         }
     }

@@ -28,7 +28,7 @@ use crate::runtime::{ClientCore, DptState};
 use crate::txn::TxnState;
 use fgl_common::{FglError, IdMap, Lsn, ObjectId, PageId, Psn, Result, TxnId};
 use fgl_locks::mode::ObjMode;
-use fgl_net::peer::{RecoverJob, RecoveredPageOutcome};
+use fgl_net::peer::{RecoverJob, RecoveredPageOutcome, RECOVER_BATCH_PAGES};
 use fgl_obs::{emit, Event, LogOwner, RecoveryPhase};
 use fgl_storage::merge::merge_pages;
 use fgl_storage::page::Page;
@@ -388,15 +388,31 @@ impl ClientCore {
             .collect();
 
         if dct_complete {
-            for (page, redo_lsn, bucket) in units {
-                let (bytes, fetched_psn) = self.server.fetch_page(self.id(), page)?;
-                let mut work = Page::from_bytes(bytes)?;
-                // Install the PSN the DCT remembers for us (§3.3).
-                if let Some(psn) = dct.get(&page).copied().flatten().or(fetched_psn) {
-                    work.set_psn(psn);
+            // The pages arrive `RECOVER_BATCH_PAGES` to a fetch, so a frame
+            // stays far below the transport's limit at any page size.
+            let mut units = units.into_iter().peekable();
+            while units.peek().is_some() {
+                let batch: Vec<_> = units.by_ref().take(RECOVER_BATCH_PAGES).collect();
+                let ids: Vec<PageId> = batch.iter().map(|(page, ..)| *page).collect();
+                let fetched = self.server.fetch_pages(self.id(), &ids)?;
+                if fetched.len() != ids.len() {
+                    return Err(FglError::Protocol(format!(
+                        "fetched {} of {} pages",
+                        fetched.len(),
+                        ids.len()
+                    )));
                 }
-                report.records_applied += self.redo_records(&mut work, &bucket, &skip)?;
-                self.install_redone(work, redo_lsn)?;
+                for ((page, redo_lsn, bucket), (bytes, fetched_psn)) in
+                    batch.into_iter().zip(fetched)
+                {
+                    let mut work = Page::from_bytes(bytes)?;
+                    // Install the PSN the DCT remembers for us (§3.3).
+                    if let Some(psn) = dct.get(&page).copied().flatten().or(fetched_psn) {
+                        work.set_psn(psn);
+                    }
+                    report.records_applied += self.redo_records(&mut work, &bucket, &skip)?;
+                    self.install_redone(work, redo_lsn)?;
+                }
             }
         } else {
             // Pages replay in parallel: a replay blocked on another
@@ -526,14 +542,15 @@ impl ClientCore {
         Ok(())
     }
 
-    /// Ship and force every recovered page, checkpoint, and tell the
-    /// server we are done: pre-crash transactions are all resolved and
-    /// the server releases our locks — mirror that locally.
+    /// Ship and force every recovered page — one ship and one force per
+    /// `RECOVER_BATCH_PAGES` pages — checkpoint, and tell the server we
+    /// are done: pre-crash transactions are all resolved and the server
+    /// releases our locks — mirror that locally.
     fn harden_and_release(&self) -> Result<()> {
         let dirty: Vec<PageId> = self.st.lock().cache.dirty_ids();
-        for page in dirty {
-            self.ship_page_copy(page, true)?;
-            self.server.force_page(self.id(), page)?;
+        for batch in dirty.chunks(RECOVER_BATCH_PAGES) {
+            self.ship_pages(batch, true)?;
+            self.server.force_pages(self.id(), batch)?;
         }
         self.checkpoint()?;
         self.server.client_recovery_end(self.id())?;

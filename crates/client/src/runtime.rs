@@ -1296,33 +1296,70 @@ impl ClientCore {
 
     fn note_shipped(&self, st: &mut ClientState, page: PageId) {
         let end = st.wal.end_lsn();
+        Self::note_shipped_at(st, page, end);
+    }
+
+    /// Remember `at` as `page`'s §3.6 ship point.
+    fn note_shipped_at(st: &mut ClientState, page: PageId, at: Lsn) {
         if let Some(e) = st.dpt.get_mut(&page) {
-            e.remembered = Some(end);
+            e.remembered = Some(at);
             e.updated_since_ship = false;
         }
     }
 
-    /// Ship a copy of a cached page to the server (commit baselines and
-    /// recovery hardening).
+    /// Ship a copy of a cached page to the server (commit baselines, §3.6
+    /// space reclamation and [`harden`](Self::harden)).
     pub(crate) fn ship_page_copy(&self, page: PageId, replaced: bool) -> Result<()> {
-        let bytes = {
-            let mut st = self.st.lock();
-            if !st.cache.is_dirty(page) {
-                return Ok(());
-            }
-            self.strategy.before_ship(self, &mut st, page)?;
-            st.wal.force()?;
-            let b: Arc<[u8]> = st
-                .cache
-                .peek(page)
-                .map(|p| Arc::from(p.as_bytes()))
-                .ok_or(FglError::PageNotFound(page))?;
-            st.cache.mark_clean(page);
-            self.note_shipped(&mut st, page);
-            b
+        let Some(bytes) = self.frames_to_ship(&[page])?.pop() else {
+            return Ok(());
         };
         self.pages_shipped.fetch_add(1, Ordering::Relaxed);
         self.server.ship_page(self.id, bytes, replaced)
+    }
+
+    /// [`ship_page_copy`](Self::ship_page_copy) for every dirty page of
+    /// `pages` in one message (restart hardening).
+    pub(crate) fn ship_pages(&self, pages: &[PageId], replaced: bool) -> Result<()> {
+        let frames = self.frames_to_ship(pages)?;
+        if frames.is_empty() {
+            return Ok(());
+        }
+        self.pages_shipped
+            .fetch_add(frames.len() as u64, Ordering::Relaxed);
+        self.server.ship_pages(self.id, frames, replaced)
+    }
+
+    /// Snapshot the dirty pages of `pages` for shipping and mark them
+    /// clean, under one hold of the state mutex: one `before_ship` per
+    /// page, then one log force for all of them (WAL rule). Each page's
+    /// §3.6 ship point is the end of log after its own `before_ship`, as
+    /// if it shipped alone.
+    fn frames_to_ship(&self, pages: &[PageId]) -> Result<Vec<Arc<[u8]>>> {
+        let mut st = self.st.lock();
+        let mut shipping = Vec::with_capacity(pages.len());
+        for &page in pages {
+            if st.cache.is_dirty(page) {
+                self.strategy.before_ship(self, &mut st, page)?;
+                shipping.push((page, st.wal.end_lsn()));
+            }
+        }
+        if shipping.is_empty() {
+            return Ok(Vec::new());
+        }
+        st.wal.force()?;
+        shipping
+            .into_iter()
+            .map(|(page, shipped_at)| {
+                let bytes: Arc<[u8]> = st
+                    .cache
+                    .peek(page)
+                    .map(|p| Arc::from(p.as_bytes()))
+                    .ok_or(FglError::PageNotFound(page))?;
+                st.cache.mark_clean(page);
+                Self::note_shipped_at(&mut st, page, shipped_at);
+                Ok(bytes)
+            })
+            .collect()
     }
 
     // ---- logging ------------------------------------------------------------------

@@ -32,6 +32,10 @@ use std::sync::Arc;
 /// list.
 pub type RecoverPagePlan = (Vec<u8>, Psn, Vec<(ObjectId, Psn)>);
 
+/// A fetched page: its bytes plus the PSN the DCT remembers for the
+/// fetching client.
+pub type FetchedPage = (Vec<u8>, Option<Psn>);
+
 /// The §3.3 handshake: the exclusive locks retained for the client and
 /// the DCT view of its pages, plus whether that view is complete.
 pub type RecoveryHandshake = (Vec<LockTarget>, Vec<(PageId, Option<Psn>)>, bool);
@@ -86,6 +90,26 @@ pub trait ServerApi: Send + Sync {
     fn allocate_page(&self, client: ClientId, txn: TxnId) -> Result<Vec<u8>>;
     fn ship_page(&self, client: ClientId, bytes: Arc<[u8]>, replaced: bool) -> Result<()>;
     fn force_page(&self, client: ClientId, page: PageId) -> Result<()>;
+
+    // ---- page batches (client restart, §3.3) ----
+    /// [`fetch_page`](Self::fetch_page) for every page of `pages` in one
+    /// request; the copies come back in input order. The default makes
+    /// one `fetch_page` per page.
+    fn fetch_pages(&self, client: ClientId, pages: &[PageId]) -> Result<Vec<FetchedPage>> {
+        pages.iter().map(|&p| self.fetch_page(client, p)).collect()
+    }
+    /// [`ship_page`](Self::ship_page) for every frame of `pages` in one
+    /// request. The default makes one `ship_page` per page.
+    fn ship_pages(&self, client: ClientId, pages: Vec<Arc<[u8]>>, replaced: bool) -> Result<()> {
+        pages
+            .into_iter()
+            .try_for_each(|bytes| self.ship_page(client, bytes, replaced))
+    }
+    /// [`force_page`](Self::force_page) for every page of `pages` in one
+    /// request. The default makes one `force_page` per page.
+    fn force_pages(&self, client: ClientId, pages: &[PageId]) -> Result<()> {
+        pages.iter().try_for_each(|&p| self.force_page(client, p))
+    }
 
     // ---- server-logging baselines (§4.1) ----
     /// §4.1 commit: force `records` to the server log. `touched` lists the
@@ -157,6 +181,16 @@ pub enum Request {
     ForcePage {
         page: PageId,
     },
+    FetchPages {
+        pages: Vec<PageId>,
+    },
+    ShipPages {
+        pages: Vec<Arc<[u8]>>,
+        replaced: bool,
+    },
+    ForcePages {
+        pages: Vec<PageId>,
+    },
     CommitShipLog {
         records: Vec<u8>,
         /// Pages the committing transaction dirtied (partition routing hint).
@@ -200,6 +234,9 @@ pub enum Reply {
         bytes: Vec<u8>,
         psn: Option<Psn>,
     },
+    /// `fetch_pages`: one page plus its DCT PSN per requested page, in
+    /// request order.
+    Pages(Vec<FetchedPage>),
     /// `allocate_page`: the freshly formatted page image.
     PageImage(Vec<u8>),
     /// `fetch_client_log`: raw log bytes.
@@ -352,19 +389,24 @@ impl Request {
         match self {
             // Short server mutexes, a disk read or write, and at most the
             // one-way `notify_page_flushed` of an eviction's flush.
-            Request::FetchPage { .. } | Request::ShipPage { .. } => true,
+            // A batch does the same per page, so it qualifies as well.
+            Request::FetchPage { .. }
+            | Request::ShipPage { .. }
+            | Request::FetchPages { .. }
+            | Request::ShipPages { .. } => true,
             // Lock, cancel and callback completion reach `drive`, which
             // delivers callbacks; `Register` installs this connection's
             // peer and the recovery requests wait on peers.
-            // `AllocatePage`, `ForcePage` and `CommitShipLog` wait on no
-            // peer either, but they are rare or hold a §4.1 log force, so
-            // they stay off the reader.
+            // `AllocatePage`, `ForcePage`, `ForcePages` and
+            // `CommitShipLog` wait on no peer either, but they are rare or
+            // hold a log force, so they stay off the reader.
             Request::Register
             | Request::Lock { .. }
             | Request::CancelWait { .. }
             | Request::CallbackComplete { .. }
             | Request::AllocatePage { .. }
             | Request::ForcePage { .. }
+            | Request::ForcePages { .. }
             | Request::CommitShipLog { .. }
             | Request::FetchClientLog
             | Request::ClientCrashed
@@ -386,9 +428,11 @@ impl Request {
             Request::AllocatePage { .. } => Control,
             Request::Lock { .. } => LockReq,
             Request::CallbackComplete { .. } => CallbackComplete,
-            Request::FetchPage { .. } => FetchPage,
-            Request::ShipPage { .. } | Request::InstallRecovered { .. } => PageShip,
-            Request::ForcePage { .. } => ForcePage,
+            Request::FetchPage { .. } | Request::FetchPages { .. } => FetchPage,
+            Request::ShipPage { .. }
+            | Request::ShipPages { .. }
+            | Request::InstallRecovered { .. } => PageShip,
+            Request::ForcePage { .. } | Request::ForcePages { .. } => ForcePage,
             Request::CommitShipLog { .. } => CommitLogShip,
             Request::FetchClientLog
             | Request::RecoveryBegin
@@ -408,7 +452,7 @@ impl Reply {
         match self {
             Reply::Unit | Reply::Err(_) => Control,
             Reply::LockGranted { .. } | Reply::LockQueued => LockReply,
-            Reply::Page { .. } | Reply::PageImage(_) => PageShip,
+            Reply::Page { .. } | Reply::Pages(_) | Reply::PageImage(_) => PageShip,
             Reply::Bytes(_)
             | Reply::Handshake { .. }
             | Reply::RecoverPlan { .. }
@@ -526,6 +570,12 @@ pub fn dispatch(
         },
         Request::ShipPage { bytes, replaced } => unit(api.ship_page(client, bytes, replaced)),
         Request::ForcePage { page } => unit(api.force_page(client, page)),
+        Request::FetchPages { pages } => match api.fetch_pages(client, &pages) {
+            Ok(copies) => Reply::Pages(copies),
+            Err(e) => Reply::Err(WireError::from(&e)),
+        },
+        Request::ShipPages { pages, replaced } => unit(api.ship_pages(client, pages, replaced)),
+        Request::ForcePages { pages } => unit(api.force_pages(client, &pages)),
         Request::CommitShipLog { records, touched } => {
             unit(api.commit_ship_log(client, records, touched))
         }

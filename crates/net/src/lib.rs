@@ -32,8 +32,8 @@ pub mod wait;
 pub mod wire;
 
 pub use api::{
-    Callback, CallbackReplyMsg, Dispatched, LockResponse, RecoverPagePlan, RecoveryHandshake,
-    Reply, Request, ServerApi, WireError,
+    Callback, CallbackReplyMsg, Dispatched, FetchedPage, LockResponse, RecoverPagePlan,
+    RecoveryHandshake, Reply, Request, ServerApi, WireError,
 };
 pub use partition::PartitionedServer;
 pub use peer::{

@@ -15,6 +15,10 @@
 //!   `fetch_page`, `force_page`, `recovery_fetch`, `recover_client_page`)
 //!   go to the page's owner. Shipped frames (`ship_page`,
 //!   `install_recovered`) peek the page id out of the frame header.
+//! * **Page batches** (`fetch_pages`, `ship_pages`, `force_pages`) split
+//!   by residue: one call per instance the batch touches, each carrying
+//!   that instance's pages in input order. Fetched copies come back in
+//!   the order the caller asked for them.
 //! * **Allocation** round-robins across partitions; each instance's space
 //!   maps hand out ids in its own residue class, so placement balances
 //!   without coordination.
@@ -38,9 +42,9 @@
 //!   `server_logging`, `fetch_client_log`) resolve at partition 0; the
 //!   configuration and metrics registry are shared system-wide.
 
-use crate::api::{RecoverPagePlan, RecoveryHandshake, ServerApi};
+use crate::api::{FetchedPage, RecoverPagePlan, RecoveryHandshake, ServerApi};
 use crate::peer::ClientPeer;
-use fgl_common::{ClientId, PageId, Psn, Result, SystemConfig, TxnId};
+use fgl_common::{ClientId, FglError, PageId, Psn, Result, SystemConfig, TxnId};
 use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::LockTarget;
 use fgl_obs::Metrics;
@@ -77,6 +81,27 @@ impl PartitionedServer {
 
     fn owner(&self, page: PageId) -> &Arc<dyn ServerApi> {
         &self.parts[self.partition_of(page)]
+    }
+
+    /// Deal a batch to the partitions owning its pages: per partition the
+    /// batch touches, in order of first touch, the input positions and
+    /// the items, both in input order.
+    fn by_owner<T>(
+        &self,
+        items: impl IntoIterator<Item = (PageId, T)>,
+    ) -> Vec<(usize, Vec<usize>, Vec<T>)> {
+        let mut groups: Vec<(usize, Vec<usize>, Vec<T>)> = Vec::new();
+        for (i, (page, item)) in items.into_iter().enumerate() {
+            let k = self.partition_of(page);
+            match groups.iter_mut().find(|(owner, ..)| *owner == k) {
+                Some((_, at, group)) => {
+                    at.push(i);
+                    group.push(item);
+                }
+                None => groups.push((k, vec![i], vec![item])),
+            }
+        }
+        groups
     }
 }
 
@@ -134,6 +159,42 @@ impl ServerApi for PartitionedServer {
 
     fn force_page(&self, client: ClientId, page: PageId) -> Result<()> {
         self.owner(page).force_page(client, page)
+    }
+
+    fn fetch_pages(&self, client: ClientId, pages: &[PageId]) -> Result<Vec<FetchedPage>> {
+        let mut out: Vec<Option<FetchedPage>> = pages.iter().map(|_| None).collect();
+        for (k, at, group) in self.by_owner(pages.iter().map(|&p| (p, p))) {
+            let copies = self.parts[k].fetch_pages(client, &group)?;
+            if copies.len() != group.len() {
+                return Err(FglError::Protocol(format!(
+                    "partition {k} answered {} of {} pages",
+                    copies.len(),
+                    group.len()
+                )));
+            }
+            for (i, copy) in at.into_iter().zip(copies) {
+                out[i] = Some(copy);
+            }
+        }
+        Ok(out.into_iter().flatten().collect())
+    }
+
+    fn ship_pages(&self, client: ClientId, pages: Vec<Arc<[u8]>>, replaced: bool) -> Result<()> {
+        let routed = pages
+            .into_iter()
+            .map(|bytes| Ok((Page::peek_id(&bytes)?, bytes)))
+            .collect::<Result<Vec<_>>>()?;
+        for (k, _, group) in self.by_owner(routed) {
+            self.parts[k].ship_pages(client, group, replaced)?;
+        }
+        Ok(())
+    }
+
+    fn force_pages(&self, client: ClientId, pages: &[PageId]) -> Result<()> {
+        for (k, _, group) in self.by_owner(pages.iter().map(|&p| (p, p))) {
+            self.parts[k].force_pages(client, &group)?;
+        }
+        Ok(())
     }
 
     fn commit_ship_log(
@@ -249,6 +310,8 @@ mod tests {
     /// A stub backend that records which methods reached it.
     struct RecordingServer {
         calls: Mutex<Vec<&'static str>>,
+        /// The pages each batch call carried, in call order.
+        batches: Mutex<Vec<Vec<PageId>>>,
         cfg: Arc<SystemConfig>,
         metrics: Arc<Metrics>,
     }
@@ -257,6 +320,7 @@ mod tests {
         fn new() -> Arc<Self> {
             Arc::new(RecordingServer {
                 calls: Mutex::new(Vec::new()),
+                batches: Mutex::new(Vec::new()),
                 cfg: Arc::new(SystemConfig::default()),
                 metrics: Arc::new(Metrics::new()),
             })
@@ -316,6 +380,31 @@ mod tests {
         }
         fn force_page(&self, _client: ClientId, _page: PageId) -> Result<()> {
             self.note("force_page");
+            Ok(())
+        }
+        /// Each copy is its page id, so the caller can check the order.
+        fn fetch_pages(&self, _client: ClientId, pages: &[PageId]) -> Result<Vec<FetchedPage>> {
+            self.note("fetch_pages");
+            self.batches.lock().push(pages.to_vec());
+            Ok(pages
+                .iter()
+                .map(|p| (p.0.to_le_bytes().to_vec(), Some(Psn(p.0))))
+                .collect())
+        }
+        fn ship_pages(
+            &self,
+            _client: ClientId,
+            pages: Vec<Arc<[u8]>>,
+            _replaced: bool,
+        ) -> Result<()> {
+            self.note("ship_pages");
+            let ids = pages.iter().map(|b| Page::peek_id(b).unwrap()).collect();
+            self.batches.lock().push(ids);
+            Ok(())
+        }
+        fn force_pages(&self, _client: ClientId, pages: &[PageId]) -> Result<()> {
+            self.note("force_pages");
+            self.batches.lock().push(pages.to_vec());
             Ok(())
         }
         fn commit_ship_log(
@@ -498,6 +587,50 @@ mod tests {
         assert_calls(&backends, &[(1, &["ship_page", "install_recovered"])]);
         // A frame too short to carry a header is rejected, not misrouted.
         assert!(router.ship_page(c, Arc::from(&b"xx"[..]), false).is_err());
+        assert_calls(&backends, &[]);
+    }
+
+    /// A batch over pages of every residue makes one call per partition,
+    /// each carrying its own pages in input order, and the fetched copies
+    /// come back in the order they were asked for.
+    #[test]
+    fn a_mixed_residue_batch_makes_one_call_per_partition() {
+        let (router, backends) = routed();
+        let c = ClientId(1);
+        // Residues 1, 0, 2, 1, 0 of three partitions; partition 2 once.
+        let pages: Vec<PageId> = [7, 3, 5, 10, 9].into_iter().map(PageId).collect();
+        let copies = router.fetch_pages(c, &pages).unwrap();
+        let got: Vec<u64> = copies
+            .iter()
+            .map(|(b, _)| u64::from_le_bytes(b[..8].try_into().unwrap()))
+            .collect();
+        assert_eq!(got, vec![7, 3, 5, 10, 9]);
+        router.force_pages(c, &pages).unwrap();
+        let frames: Vec<Arc<[u8]>> = pages
+            .iter()
+            .map(|&p| Arc::from(Page::format(256, p, Psn(1)).as_bytes()))
+            .collect();
+        router.ship_pages(c, frames, true).unwrap();
+        let batch: &[&'static str] = &["fetch_pages", "force_pages", "ship_pages"];
+        assert_calls(&backends, &[(0, batch), (1, batch), (2, batch)]);
+        let want: [&[u64]; 3] = [&[3, 9], &[7, 10], &[5]];
+        for (k, ids) in want.iter().enumerate() {
+            let ids: Vec<PageId> = ids.iter().copied().map(PageId).collect();
+            assert_eq!(
+                *backends[k].batches.lock(),
+                vec![ids.clone(), ids.clone(), ids],
+                "partition {k}"
+            );
+        }
+        // A batch that touches one partition reaches no other, and an
+        // unreadable frame fails the ship before anything is sent.
+        router.force_pages(c, &[PageId(4), PageId(1)]).unwrap();
+        assert_calls(&backends, &[(1, &["force_pages"])]);
+        let bad: Vec<Arc<[u8]>> = vec![
+            Arc::from(Page::format(256, PageId(6), Psn(1)).as_bytes()),
+            Arc::from(&b"xx"[..]),
+        ];
+        assert!(router.ship_pages(c, bad, false).is_err());
         assert_calls(&backends, &[]);
     }
 

@@ -54,7 +54,7 @@ pub const HEADER: usize = wire::HEADER;
 /// Handshake magic: `"FGLW"`.
 pub const MAGIC: u32 = 0x4647_4C57;
 /// Codec version carried in the handshake.
-pub const WIRE_VERSION: u16 = 7;
+pub const WIRE_VERSION: u16 = 8;
 /// Upper bound on a single frame; larger length prefixes are corrupt.
 pub const MAX_FRAME: usize = 64 << 20;
 
@@ -556,6 +556,31 @@ fn get_opt_page(c: &mut Cur) -> Result<Option<Vec<u8>>> {
     Ok(Some(c.take(n)?.to_vec()))
 }
 
+/// A list of page ids: a u32 count, then 8 bytes per id.
+fn page_ids_len(pages: &[PageId]) -> usize {
+    4 + 8 * pages.len()
+}
+
+fn put_page_ids(b: &mut B, pages: &[PageId]) {
+    b.u32(pages.len() as u32);
+    for p in pages {
+        b.u64(p.0);
+    }
+}
+
+fn get_page_ids(c: &mut Cur) -> Result<Vec<PageId>> {
+    let n = c.count(8)?;
+    (0..n).map(|_| Ok(PageId(c.u64()?))).collect()
+}
+
+/// A length-prefixed byte string inside a list: a u32 length, then the
+/// bytes. The length is checked against the bytes left before anything
+/// is allocated for it.
+fn get_sized<'a>(c: &mut Cur<'a>) -> Result<&'a [u8]> {
+    let n = c.count(1)?;
+    c.take(n)
+}
+
 /// The fields every lock grant carries, in [`Reply::LockGranted`] and in
 /// a `Grant` frame alike.
 fn lock_grant_len(
@@ -854,6 +879,9 @@ fn request_tag(req: &Request) -> u16 {
         Request::RecoverClientPage { .. } => 15,
         Request::PollRecoveryNeeds => 16,
         Request::InstallRecovered { .. } => 17,
+        Request::FetchPages { .. } => 18,
+        Request::ShipPages { .. } => 19,
+        Request::ForcePages { .. } => 20,
     }
 }
 
@@ -890,11 +918,16 @@ pub fn request_frame_len(req: &Request) -> usize {
             Request::CommitShipLog { records, touched } => 2 + 8 * touched.len() + records.len(),
             Request::RecoveryFetch { need, .. } => 8 + opt_evidence_len(need),
             Request::InstallRecovered { bytes } => bytes.len(),
+            Request::FetchPages { pages } | Request::ForcePages { pages } => page_ids_len(pages),
+            Request::ShipPages { pages, .. } => {
+                1 + 4 + pages.iter().map(|p| 4 + p.len()).sum::<usize>()
+            }
         }
 }
 
 /// Encode a [`Request`] under correlation id `corr`.
 pub fn encode_request(corr: u64, req: &Request) -> Result<Vec<Seg>> {
+    check_frame_len(request_frame_len(req))?;
     let mut b = B::new();
     let mut aux = 0u8;
     match req {
@@ -963,6 +996,17 @@ pub fn encode_request(corr: u64, req: &Request) -> Result<Vec<Seg>> {
             put_opt_evidence(&mut b, need);
         }
         Request::InstallRecovered { bytes } => b.bytes(bytes),
+        Request::FetchPages { pages } | Request::ForcePages { pages } => {
+            put_page_ids(&mut b, pages)
+        }
+        Request::ShipPages { pages, replaced } => {
+            b.u8(*replaced as u8);
+            b.u32(pages.len() as u32);
+            for p in pages {
+                b.u32(p.len() as u32);
+                b.shared(p.clone());
+            }
+        }
     }
     let segs = b.frame(FrameKind::Req, aux, request_tag(req), corr);
     debug_assert_eq!(frame_len(&segs), request_frame_len(req));
@@ -1039,6 +1083,20 @@ pub fn decode_request(h: &FrameHeader, body: &[u8]) -> Result<Request> {
         17 => Request::InstallRecovered {
             bytes: c.rest().to_vec(),
         },
+        18 => Request::FetchPages {
+            pages: get_page_ids(&mut c)?,
+        },
+        19 => {
+            let replaced = c.u8()? != 0;
+            let n = c.count(4)?;
+            let pages = (0..n)
+                .map(|_| Ok(Arc::<[u8]>::from(get_sized(&mut c)?)))
+                .collect::<Result<_>>()?;
+            Request::ShipPages { pages, replaced }
+        }
+        20 => Request::ForcePages {
+            pages: get_page_ids(&mut c)?,
+        },
         other => return Err(corrupt(format!("bad request tag {other}"))),
     };
     c.done()?;
@@ -1059,6 +1117,7 @@ fn reply_tag(r: &Reply) -> u16 {
         Reply::Handshake { .. } => 8,
         Reply::RecoverPlan { .. } => 9,
         Reply::Needs(_) => 10,
+        Reply::Pages(_) => 11,
     }
 }
 
@@ -1088,11 +1147,18 @@ pub fn reply_frame_len(r: &Reply) -> usize {
                 ..
             } => 8 + psn_list_len(callback_list) + base.len(),
             Reply::Needs(v) => 4 + v.len() * 16,
+            Reply::Pages(copies) => {
+                4 + copies
+                    .iter()
+                    .map(|(bytes, psn)| opt_psn_len(psn) + 4 + bytes.len())
+                    .sum::<usize>()
+            }
         }
 }
 
 /// Encode a [`Reply`] under the originating request's correlation id.
 pub fn encode_reply(corr: u64, r: &Reply) -> Result<Vec<Seg>> {
+    check_frame_len(reply_frame_len(r))?;
     let mut b = B::new();
     match r {
         Reply::Unit | Reply::LockQueued => {}
@@ -1138,6 +1204,14 @@ pub fn encode_reply(corr: u64, r: &Reply) -> Result<Vec<Seg>> {
             for (p, psn) in v {
                 b.u64(p.0);
                 b.u64(psn.0);
+            }
+        }
+        Reply::Pages(copies) => {
+            b.u32(copies.len() as u32);
+            for (bytes, psn) in copies {
+                put_opt_psn(&mut b, psn);
+                b.u32(bytes.len() as u32);
+                b.bytes(bytes);
             }
         }
     }
@@ -1202,6 +1276,16 @@ pub fn decode_reply(h: &FrameHeader, body: &[u8]) -> Result<Reply> {
                 v.push((PageId(c.u64()?), Psn(c.u64()?)));
             }
             Reply::Needs(v)
+        }
+        11 => {
+            let n = c.count(1 + 4)?;
+            let copies = (0..n)
+                .map(|_| {
+                    let psn = get_opt_psn(&mut c)?;
+                    Ok((get_sized(&mut c)?.to_vec(), psn))
+                })
+                .collect::<Result<_>>()?;
+            Reply::Pages(copies)
         }
         other => return Err(corrupt(format!("bad reply tag {other}"))),
     };

@@ -33,7 +33,7 @@
 
 use crate::api::{
     apply_callback, dispatch, unreachable_callback_reply, Callback, CallbackReplyMsg, Dispatched,
-    LockResponse, RecoverPagePlan, RecoveryHandshake, Reply, Request, ServerApi,
+    FetchedPage, LockResponse, RecoverPagePlan, RecoveryHandshake, Reply, Request, ServerApi,
 };
 use crate::peer::{
     CallbackOutcome, ClientPeer, ClientStateReport, RecoverJob, RecoveredPageOutcome,
@@ -964,6 +964,26 @@ impl ServerApi for RemoteServer {
 
     fn force_page(&self, _client: ClientId, page: PageId) -> Result<()> {
         self.call(Request::ForcePage { page }).and_then(expect_unit)
+    }
+
+    fn fetch_pages(&self, _client: ClientId, pages: &[PageId]) -> Result<Vec<FetchedPage>> {
+        let want = pages.len();
+        let pages = pages.to_vec();
+        expect(self.call(Request::FetchPages { pages })?, |r| match r {
+            Reply::Pages(copies) if copies.len() == want => Ok(copies),
+            r => Err(r),
+        })
+    }
+
+    fn ship_pages(&self, _client: ClientId, pages: Vec<Arc<[u8]>>, replaced: bool) -> Result<()> {
+        self.call(Request::ShipPages { pages, replaced })
+            .and_then(expect_unit)
+    }
+
+    fn force_pages(&self, _client: ClientId, pages: &[PageId]) -> Result<()> {
+        let pages = pages.to_vec();
+        self.call(Request::ForcePages { pages })
+            .and_then(expect_unit)
     }
 
     fn commit_ship_log(

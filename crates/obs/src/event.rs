@@ -179,6 +179,14 @@ pub enum Event {
         owner: LogOwner,
         phase: RecoveryPhase,
     },
+    /// A §3.5 `recovery_fetch` stopped waiting for `provider`, a client
+    /// still recovering, to carry `page` past `psn`, and served the
+    /// current merged copy instead.
+    RecoveryFetchTimeout {
+        provider: ClientId,
+        page: PageId,
+        psn: Psn,
+    },
     /// A trace span opened. `parent` is the span id active in the opening
     /// context (0 = root). `txn` is the transaction the span belongs to
     /// (`TxnId(0)` when unknown at open time — the assembler resolves it
@@ -217,6 +225,7 @@ impl Event {
             Event::LockTimeout { .. } => "lock-timeout",
             Event::TxnAbort { .. } => "txn-abort",
             Event::RecoveryPhase { .. } => "recovery-phase",
+            Event::RecoveryFetchTimeout { .. } => "recovery-fetch-timeout",
             Event::SpanOpen { .. } => "span-open",
             Event::SpanClose { .. } => "span-close",
             Event::SchedWait { .. } => "sched-wait",
@@ -304,6 +313,14 @@ impl fmt::Display for Event {
             Event::RecoveryPhase { owner, phase } => {
                 write!(f, "recovery-phase {owner} {phase:?}")
             }
+            Event::RecoveryFetchTimeout {
+                provider,
+                page,
+                psn,
+            } => write!(
+                f,
+                "recovery-fetch-timeout {page} waiting on {provider} psn={psn:?}"
+            ),
             Event::SpanOpen {
                 id,
                 parent,
@@ -348,6 +365,11 @@ mod tests {
             Event::RecoveryPhase {
                 owner: LogOwner::Client(ClientId(1)),
                 phase: RecoveryPhase::Redo,
+            },
+            Event::RecoveryFetchTimeout {
+                provider: ClientId(2),
+                page: PageId(3),
+                psn: Psn(4),
             },
         ];
         for e in evs {

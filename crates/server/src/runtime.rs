@@ -53,7 +53,7 @@ use std::sync::{Arc, OnceLock, Weak};
 // The request/response vocabulary lives with the RPC surface in
 // `fgl-net::api`; re-exported here so server-side callers keep their
 // historical paths.
-use fgl_net::api::ServerApi;
+use fgl_net::api::{FetchedPage, ServerApi};
 pub use fgl_net::api::{LockResponse, RecoverPagePlan, RecoveryHandshake};
 
 /// Aggregate counters exposed for experiments.
@@ -132,6 +132,9 @@ pub struct ServerCore {
     metrics: Arc<Metrics>,
     /// `page_ship_bytes_copied`, resolved once: every absorbed page adds.
     ship_bytes_copied: Counter,
+    /// `server_recovery_fetch_timeouts`: §3.5 waits that ran out and
+    /// served the current merged copy instead.
+    recovery_fetch_timeouts: Counter,
     /// Per-page wait-time / callback fan-out accumulator (top-N hottest
     /// pages; surfaced through [`ServerCore::contention_top`]).
     contention: ContentionProfiler,
@@ -206,6 +209,7 @@ impl ServerCore {
             recovery_needs: Mutex::new(Vec::new()),
             down: AtomicBool::new(false),
             ship_bytes_copied: metrics.counter("page_ship_bytes_copied"),
+            recovery_fetch_timeouts: metrics.counter("server_recovery_fetch_timeouts"),
             metrics,
             contention: ContentionProfiler::new(),
             lock_requests: AtomicU64::new(0),
@@ -637,47 +641,79 @@ impl ServerCore {
     /// Force one page to disk: replacement log record first (§3.1), then
     /// the in-place write, then flush notifications and DCT pruning.
     pub fn flush_page(&self, page: PageId) -> Result<()> {
-        let copy = self.store.lock().dirty_copy(page);
-        match copy {
-            Some(img) => self.flush_images(vec![img]),
-            None => {
-                // Already clean on disk: just notify whoever waited.
-                self.notify_flushed(page);
-                Ok(())
-            }
-        }
+        self.flush_pages(&[page])
     }
 
-    /// Write page images to disk with their replacement records. The
-    /// in-place disk write (and its simulated latency) runs with no server
-    /// lock held; the log force serializes on the log's own mutex, which
-    /// is the nature of a single sequential log device.
+    /// [`flush_page`](Self::flush_page) for several pages at once: the
+    /// dirty ones go through one [`flush_images`](Self::flush_images);
+    /// the clean ones are on disk already and only notify whoever waited.
+    fn flush_pages(&self, pages: &[PageId]) -> Result<()> {
+        let mut images = Vec::with_capacity(pages.len());
+        for &page in pages {
+            let copy = self.store.lock().dirty_copy(page);
+            match copy {
+                Some(img) => images.push(img),
+                None => self.notify_flushed(page),
+            }
+        }
+        self.flush_images(images)
+    }
+
+    /// Write page images to disk with their replacement records: every
+    /// record is appended and the server log forced once, so all of them
+    /// are durable before the first page is written (§3.1); then the
+    /// pages go to disk as one request. The in-place writes (and their
+    /// simulated latency) run with no server lock held; the log force
+    /// serializes on the log's own mutex, which is the nature of a single
+    /// sequential log device.
     fn flush_images(&self, images: Vec<Page>) -> Result<()> {
-        for img in images {
-            let id = img.id();
-            let entries = self.dct.lock().entries_for_page(id);
-            let record = LogPayload::Replacement(ReplacementRecord {
-                page: id,
-                psn: img.psn(),
-                clients: entries
-                    .iter()
-                    .filter_map(|e| e.psn.map(|p| (e.client, p)))
-                    .collect(),
-            });
-            let lsn = {
-                let mut slog = self.slog.lock();
-                let lsn = slog.append_critical(&record)?;
-                slog.force()?;
-                lsn
-            };
-            self.replacement_records.fetch_add(1, Ordering::Relaxed);
-            self.dct.lock().note_replacement_record(id, lsn);
-            let disk = self.store.lock().disk_handle();
-            disk.write_page(&img)?;
-            self.store.lock().mark_clean_if_match(&img);
-            self.pages_flushed.fetch_add(1, Ordering::Relaxed);
-            self.notify_flushed(id);
-            self.prune_dct(id);
+        if images.is_empty() {
+            return Ok(());
+        }
+        let records: Vec<LogPayload> = images
+            .iter()
+            .map(|img| {
+                let entries = self.dct.lock().entries_for_page(img.id());
+                LogPayload::Replacement(ReplacementRecord {
+                    page: img.id(),
+                    psn: img.psn(),
+                    clients: entries
+                        .iter()
+                        .filter_map(|e| e.psn.map(|p| (e.client, p)))
+                        .collect(),
+                })
+            })
+            .collect();
+        let lsns = {
+            let mut slog = self.slog.lock();
+            let lsns = records
+                .iter()
+                .map(|record| slog.append_critical(record))
+                .collect::<Result<Vec<Lsn>>>()?;
+            slog.force()?;
+            lsns
+        };
+        self.replacement_records
+            .fetch_add(images.len() as u64, Ordering::Relaxed);
+        {
+            let mut dct = self.dct.lock();
+            for (img, lsn) in images.iter().zip(lsns) {
+                dct.note_replacement_record(img.id(), lsn);
+            }
+        }
+        let disk = self.store.lock().disk_handle();
+        disk.write_pages(&images)?;
+        {
+            let mut store = self.store.lock();
+            for img in &images {
+                store.mark_clean_if_match(img);
+            }
+        }
+        self.pages_flushed
+            .fetch_add(images.len() as u64, Ordering::Relaxed);
+        for img in &images {
+            self.notify_flushed(img.id());
+            self.prune_dct(img.id());
             self.maybe_checkpoint()?;
         }
         Ok(())
@@ -825,11 +861,12 @@ impl ServerCore {
                 }
                 let timeout = deadline.saturating_duration_since(std::time::Instant::now());
                 if timeout.is_zero() {
-                    if fgl_obs::trace_enabled() {
-                        eprintln!(
-                            "[fgl] recovery_fetch fallback: {cid} has not recovered {page} past {psn:?}"
-                        );
-                    }
+                    self.recovery_fetch_timeouts.add(1);
+                    emit(Event::RecoveryFetchTimeout {
+                        provider: cid,
+                        page,
+                        psn,
+                    });
                     break;
                 }
                 self.recovery_cv.wait_for(&mut gen, timeout);
@@ -988,15 +1025,11 @@ impl ServerApi for ServerCore {
 
     /// Fetch the current merged copy of a page (see `hand_out_page`). A
     /// lock grant already carries its page, so this serves pages read
-    /// under a cached lock and recovery.
+    /// under a cached lock and recovery. A one-page batch of
+    /// [`fetch_pages`](ServerApi::fetch_pages), at the same cost.
     fn fetch_page(&self, client: ClientId, page: PageId) -> Result<(Vec<u8>, Option<Psn>)> {
-        self.check_up()?;
-        self.net.msg(MsgKind::FetchPage, 16);
-        self.page_fetches.fetch_add(1, Ordering::Relaxed);
-        debug_assert!(self.owns_page(page), "misrouted page {page:?}");
-        let (bytes, dct_psn) = self.hand_out_page(client, page)?;
-        self.net.msg(MsgKind::PageShip, bytes.len());
-        Ok((bytes, dct_psn))
+        let mut copies = self.fetch_pages(client, &[page])?;
+        copies.pop().ok_or(FglError::PageNotFound(page))
     }
 
     /// Allocate a fresh page on behalf of a client, granting it the page
@@ -1025,23 +1058,62 @@ impl ServerApi for ServerCore {
         bytes: std::sync::Arc<[u8]>,
         replaced: bool,
     ) -> Result<()> {
-        self.check_up()?;
-        self.net.msg(MsgKind::PageShip, bytes.len());
-        let page = self.parse_frame(&bytes)?;
-        emit(Event::PageShip {
-            client,
-            page: page.id(),
-            psn: page.psn(),
-            to_server: true,
-        });
-        self.absorb_parsed(client, page, replaced)
+        self.ship_pages(client, vec![bytes], replaced)
     }
 
     /// §3.6: a client low on log space asks the server to force a page.
-    fn force_page(&self, _client: ClientId, page: PageId) -> Result<()> {
+    fn force_page(&self, client: ClientId, page: PageId) -> Result<()> {
+        self.force_pages(client, &[page])
+    }
+
+    /// Client restart redo fetches its pages in one request: one message
+    /// of 8 bytes plus 8 per page, and one ship carrying every copy, in
+    /// request order.
+    fn fetch_pages(&self, client: ClientId, pages: &[PageId]) -> Result<Vec<FetchedPage>> {
         self.check_up()?;
-        self.net.msg(MsgKind::ForcePage, 16);
-        self.flush_page(page)
+        self.net.msg(MsgKind::FetchPage, 8 + 8 * pages.len());
+        self.page_fetches
+            .fetch_add(pages.len() as u64, Ordering::Relaxed);
+        let copies = pages
+            .iter()
+            .map(|&page| {
+                debug_assert!(self.owns_page(page), "misrouted page {page:?}");
+                self.hand_out_page(client, page)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        self.net.msg(
+            MsgKind::PageShip,
+            copies.iter().map(|(bytes, _)| bytes.len()).sum(),
+        );
+        Ok(copies)
+    }
+
+    /// Client restart hardening ships its recovered pages in one message
+    /// carrying every frame; a cache replacement ships one.
+    fn ship_pages(&self, client: ClientId, pages: Vec<Arc<[u8]>>, replaced: bool) -> Result<()> {
+        self.check_up()?;
+        self.net
+            .msg(MsgKind::PageShip, pages.iter().map(|b| b.len()).sum());
+        pages.iter().try_for_each(|bytes| {
+            let page = self.parse_frame(bytes)?;
+            emit(Event::PageShip {
+                client,
+                page: page.id(),
+                psn: page.psn(),
+                to_server: true,
+            });
+            self.absorb_parsed(client, page, replaced)
+        })
+    }
+
+    /// Client restart hardening forces its recovered pages in one request
+    /// of 8 bytes plus 8 per page: one server-log force and one disk
+    /// request for all of them (`ServerCore::flush_pages`).
+    /// §3.6 reclamation forces one.
+    fn force_pages(&self, _client: ClientId, pages: &[PageId]) -> Result<()> {
+        self.check_up()?;
+        self.net.msg(MsgKind::ForcePage, 8 + 8 * pages.len());
+        self.flush_pages(pages)
     }
 
     /// ARIES/CSA-shape commit: the client ships its log records; the

@@ -9,10 +9,10 @@ use fgl_net::peer::{CallbackOutcome, ClientPeer, ClientStateReport, RecoveredPag
 use fgl_net::stats::NetSim;
 use fgl_net::ServerApi;
 use fgl_server::runtime::{LockResponse, ServerCore};
-use fgl_storage::disk::MemDisk;
+use fgl_storage::disk::{DiskBackend, MemDisk};
 use fgl_storage::page::Page;
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 /// A peer that always complies with callbacks and records what it saw.
 #[derive(Default)]
@@ -271,4 +271,106 @@ fn checkpoint_snapshots_dct_into_log() {
         "checkpoint anchor advanced"
     );
     assert!(after.1 > before.1, "checkpoint record appended");
+}
+
+/// One disk write request as the server issued it.
+#[derive(Debug)]
+struct WriteRequest {
+    pages: Vec<PageId>,
+    /// Server-log forces by then.
+    log_forces: u64,
+    /// Replacement records the server had logged by then.
+    records: u64,
+}
+
+/// The server's database disk, recording every write request and the
+/// state of the server log when it arrived.
+#[derive(Default)]
+struct RecordingDisk {
+    inner: MemDisk,
+    server: OnceLock<Weak<ServerCore>>,
+    writes: Mutex<Vec<WriteRequest>>,
+}
+
+impl RecordingDisk {
+    fn record(&self, pages: &[Page]) {
+        let s = self.server.get().and_then(Weak::upgrade).unwrap();
+        self.writes.lock().push(WriteRequest {
+            pages: pages.iter().map(Page::id).collect(),
+            log_forces: s.metrics().snapshot().counters["log_forces"],
+            records: s.stats().replacement_records,
+        });
+    }
+}
+
+impl DiskBackend for RecordingDisk {
+    fn read_page(&self, id: PageId) -> fgl_common::Result<Option<Page>> {
+        self.inner.read_page(id)
+    }
+    fn write_page(&self, page: &Page) -> fgl_common::Result<()> {
+        self.record(std::slice::from_ref(page));
+        self.inner.write_page(page)
+    }
+    fn write_pages(&self, pages: &[Page]) -> fgl_common::Result<()> {
+        self.record(pages);
+        self.inner.write_pages(pages)
+    }
+    fn sync(&self) -> fgl_common::Result<()> {
+        self.inner.sync()
+    }
+    fn page_count(&self) -> usize {
+        self.inner.page_count()
+    }
+}
+
+/// Client restart's harden ships its pages in one `ship_pages` and
+/// forces them in one `force_pages`: the server logs one replacement
+/// record per page, forces its log once, and only then writes every page
+/// in one disk request (§3.1: each record is durable before its page is
+/// written). Every replacer hears of every flush.
+#[test]
+fn force_pages_forces_the_log_once_before_any_page_is_written() {
+    const PAGES: usize = 6;
+    let disk = Arc::new(RecordingDisk::default());
+    let net = Arc::new(NetSim::new(std::time::Duration::ZERO));
+    let s = ServerCore::new(SystemConfig::default(), net, disk.clone());
+    disk.server.set(Arc::downgrade(&s)).unwrap();
+    let p1 = register(&s, 1);
+    let mut frames = Vec::new();
+    let mut ids = Vec::new();
+    for n in 0..PAGES {
+        let bytes = s.allocate_page(ClientId(1), txn(1, 1)).unwrap();
+        let mut copy = Page::from_bytes(bytes).unwrap();
+        copy.insert_object(&[n as u8; 24]).unwrap();
+        ids.push(copy.id());
+        frames.push(Arc::from(copy.as_bytes()));
+    }
+    s.ship_pages(ClientId(1), frames, true).unwrap();
+    assert!(disk.writes.lock().is_empty(), "shipping writes nothing");
+
+    let forces = || s.metrics().snapshot().counters["log_forces"];
+    let (before, stats) = (forces(), s.stats());
+    s.force_pages(ClientId(1), &ids).unwrap();
+    assert_eq!(forces() - before, 1, "one server-log force");
+    let after = s.stats();
+    assert_eq!(
+        after.replacement_records - stats.replacement_records,
+        PAGES as u64
+    );
+    assert_eq!(after.pages_flushed - stats.pages_flushed, PAGES as u64);
+    let writes = disk.writes.lock();
+    let [write] = &writes[..] else {
+        panic!("one disk request for every page: {:?}", &writes[..]);
+    };
+    // Every record was counted (which follows the force) and the one
+    // force done before the first page went to disk.
+    assert_eq!(write.pages, ids);
+    assert_eq!(write.log_forces, before + 1, "{write:?}");
+    assert_eq!(write.records, after.replacement_records);
+    drop(writes);
+    assert_eq!(p1.lock().flushes, ids);
+    // Every page is clean now: forcing again writes nothing.
+    s.force_pages(ClientId(1), &ids).unwrap();
+    assert_eq!(disk.writes.lock().len(), 1);
+    assert_eq!(forces() - before, 1);
 }

@@ -72,14 +72,15 @@ fn main() {
         .unwrap();
         if !r.is_clean() {
             println!(
-                "iteration {i} (seed {seed}): after-recovery {:?} / final {:?}",
-                r.verify_after_recovery.mismatches, r.verify_final.mismatches
+                "iteration {i} (seed {seed}): after-recovery {:?} / final {:?} / stale {:?}",
+                r.verify_after_recovery.mismatches, r.verify_final.mismatches, r.stale_reads
             );
             let pages: Vec<String> = r
                 .verify_final
                 .mismatches
                 .iter()
                 .chain(r.verify_after_recovery.mismatches.iter())
+                .chain(r.stale_reads.iter())
                 .map(|o| format!("{}", o.page))
                 .collect();
             let all = capture.drain();

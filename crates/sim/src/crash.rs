@@ -10,7 +10,7 @@ use crate::harness::{run_workload, HarnessOptions, RunReport, SchedulerKind};
 use crate::oracle::{Oracle, VerifyReport};
 use crate::setup::{populate, DatabaseLayout};
 use crate::workload::WorkloadSpec;
-use fgl::{Result, System, SystemConfig};
+use fgl::{ObjectId, Result, System, SystemConfig};
 use std::time::Duration;
 
 /// Which parties crash.
@@ -39,25 +39,52 @@ impl CrashKind {
             CrashKind::PartitionRestart(i) => format!("partition-{i}"),
         }
     }
+
+    /// Only clients crash: the server stays up, so no §3.5 wait on a
+    /// recovering client may run out.
+    pub fn is_client_only(&self) -> bool {
+        matches!(self, CrashKind::Client(_) | CrashKind::MultiClient(_))
+    }
 }
 
 /// Outcome of one crash scenario.
 #[derive(Clone, Debug)]
 pub struct CrashScenarioReport {
+    pub kind: CrashKind,
     pub kind_name: String,
     pub phase1: RunReport,
     pub recovery_elapsed: Duration,
     pub verify_after_recovery: VerifyReport,
     pub phase2: RunReport,
     pub verify_final: VerifyReport,
+    /// Reads of either phase that returned something other than what the
+    /// oracle held at that moment ([`Oracle::stale_reads`]), in the order
+    /// seen.
+    pub stale_reads: Vec<ObjectId>,
     /// Whole-scenario unified metrics snapshot (both phases + recovery);
     /// carries the `*_recovery_*` phase counters.
     pub metrics: fgl::Snapshot,
 }
 
 impl CrashScenarioReport {
+    /// Both read-backs match the oracle, no read of either phase was
+    /// stale when it returned, and a client-only crash ran out no §3.5
+    /// wait: there a timeout is a silent fallback.
     pub fn is_clean(&self) -> bool {
-        self.verify_after_recovery.is_clean() && self.verify_final.is_clean()
+        self.verify_after_recovery.is_clean()
+            && self.verify_final.is_clean()
+            && self.stale_reads.is_empty()
+            && (self.recovery_fetch_timeouts() == 0 || !self.kind.is_client_only())
+    }
+
+    /// `server_recovery_fetch_timeouts` over the scenario: §3.5 waits on a
+    /// recovering client that ran out and served a possibly stale copy.
+    pub fn recovery_fetch_timeouts(&self) -> u64 {
+        self.metrics
+            .counters
+            .get("server_recovery_fetch_timeouts")
+            .copied()
+            .unwrap_or(0)
     }
 }
 
@@ -176,11 +203,13 @@ pub fn run_crash_scenario_with(
     let metrics = sys.metrics_snapshot();
     Ok(CrashScenarioReport {
         kind_name: kind.name(),
+        kind,
         phase1,
         recovery_elapsed,
         verify_after_recovery,
         phase2,
         verify_final,
+        stale_reads: oracle.stale_reads(),
         metrics,
     })
 }
@@ -242,9 +271,11 @@ mod tests {
         .unwrap();
         assert!(
             r.is_clean(),
-            "{:?} / {:?}",
+            "{:?} / {:?} / stale {:?} / fetch timeouts {}",
             r.verify_after_recovery,
-            r.verify_final
+            r.verify_final,
+            r.stale_reads,
+            r.recovery_fetch_timeouts()
         );
         assert!(r.phase2.commits > 0);
     }
@@ -314,9 +345,12 @@ mod tests {
             .unwrap();
             assert!(
                 r.is_clean(),
-                "{name}: {:?} / {:?}",
+                "{name} (seed {}): {:?} / {:?} / stale {:?} / fetch timeouts {}",
+                10 + i,
                 r.verify_after_recovery,
-                r.verify_final
+                r.verify_final,
+                r.stale_reads,
+                r.recovery_fetch_timeouts()
             );
         }
     }

@@ -35,8 +35,7 @@ fn spec(kind: WorkloadKind) -> WorkloadSpec {
 }
 
 fn check(kind: CrashKind, wk: WorkloadKind, seed: u64) {
-    let r =
-        run_crash_scenario(SystemConfig::default(), 3, kind.clone(), spec(wk), 12, seed).unwrap();
+    let r = run_crash_scenario(SystemConfig::default(), 3, kind, spec(wk), 12, seed).unwrap();
     assert!(
         r.verify_after_recovery.is_clean(),
         "{} / {:?}: post-recovery mismatches {:?}",
@@ -50,6 +49,14 @@ fn check(kind: CrashKind, wk: WorkloadKind, seed: u64) {
         r.kind_name,
         wk,
         r.verify_final.mismatches
+    );
+    assert!(
+        r.is_clean(),
+        "{} / {:?} (seed {seed}): stale reads {:?}, fetch timeouts {}",
+        r.kind_name,
+        wk,
+        r.stale_reads,
+        r.recovery_fetch_timeouts()
     );
     assert!(
         r.phase2.commits > 0,
@@ -532,6 +539,57 @@ fn restart_pulls_each_clients_cached_pages_in_one_message() {
     assert_eq!(net.count(MsgKind::PageShip) as usize, CLIENTS);
     let v = oracle.verify_via_reads(sys.client(2)).unwrap();
     assert!(v.is_clean(), "{:?}", v.mismatches);
+}
+
+/// Client restart (§3.3) sends a fixed number of messages per
+/// `RECOVER_BATCH_PAGES` pages it recovers: redo fetches a batch in one
+/// request answered by one ship, and harden ships the batch in one
+/// message and forces it in one request. Everything else it sends does
+/// not depend on the number of pages.
+#[test]
+fn client_restart_sends_a_fixed_number_of_messages() {
+    let mut sent = Vec::new();
+    for pages in [3usize, 12, RECOVER_BATCH_PAGES + 8] {
+        let cfg = SystemConfig {
+            client_cache_pages: 2 * RECOVER_BATCH_PAGES,
+            server_cache_pages: 1024,
+            ..SystemConfig::default()
+        };
+        let sys = System::build(cfg, 1).unwrap();
+        let c = sys.client(0);
+        let layout = populate(c, pages, 4, 32).unwrap();
+        // One committed update per page: each page is in the DPT, the DCT
+        // and dirty in the cache when the client crashes.
+        let mut written = Vec::new();
+        for (i, &page) in layout.pages.iter().enumerate() {
+            let o = *layout.objects.iter().find(|o| o.page == page).unwrap();
+            let value = vec![i as u8 + 1; 32];
+            let t = c.begin().unwrap();
+            c.write(t, o, &value).unwrap();
+            c.commit(t).unwrap();
+            written.push((o, value));
+        }
+
+        c.crash();
+        let before = sys.net.snapshot();
+        let report = c.recover().unwrap();
+        let net = sys.net.snapshot().delta_since(&before);
+        let batches = pages.div_ceil(RECOVER_BATCH_PAGES) as u64;
+        assert_eq!(report.pages_fetched, pages);
+        assert_eq!(net.count(MsgKind::FetchPage), batches, "{pages} pages");
+        assert_eq!(net.count(MsgKind::ForcePage), batches, "{pages} pages");
+        assert_eq!(net.count(MsgKind::PageShip), 2 * batches, "{pages} pages");
+        sent.push(net.total_messages() - 4 * batches);
+        let counters = sys.metrics_snapshot().counters;
+        assert_eq!(counters["server_recovery_fetch_timeouts"], 0);
+
+        let t = c.begin().unwrap();
+        for (o, value) in &written {
+            assert_eq!(&c.read(t, *o).unwrap(), value);
+        }
+        c.commit(t).unwrap();
+    }
+    assert!(sent.iter().all(|&n| n == sent[0]), "{sent:?}");
 }
 
 /// One page, two roles: client A still caches its dirty copy (pulled in

@@ -14,7 +14,7 @@ use fgl_locks::glm::CallbackKind;
 use fgl_net::transport::frame::{self, FrameKind, StreamRole, HEADER};
 use fgl_net::{
     CallbackOutcome, ClientPeer, ClientStateReport, GrantMsg, LockResponse, MsgKind, NetStats,
-    RecoverPagePlan, RecoveredPageOutcome, RecoveryHandshake, Reply, Request,
+    RecoverPagePlan, RecoveredPageOutcome, RecoveryHandshake, Reply, Request, RECOVER_BATCH_PAGES,
 };
 use fgl_obs::Metrics;
 use fgl_sim::crash::prepare;
@@ -331,12 +331,33 @@ fn runs_on_reader_is_pinned_per_variant() {
             Request::CallbackComplete {
                 kind: CallbackKind::ReleaseObject(obj),
                 retained: Vec::new(),
-                page_copy: Some(page),
+                page_copy: Some(page.clone()),
             },
             false,
         ),
         (Request::AllocatePage { txn }, false),
         (Request::ForcePage { page: PageId(1) }, false),
+        // A batch runs where its per-page request runs: fetches and
+        // ships on the reader, forces (a server-log force) off it.
+        (
+            Request::FetchPages {
+                pages: vec![PageId(1), PageId(2)],
+            },
+            true,
+        ),
+        (
+            Request::ShipPages {
+                pages: vec![page.clone(), page],
+                replaced: true,
+            },
+            true,
+        ),
+        (
+            Request::ForcePages {
+                pages: vec![PageId(1), PageId(2)],
+            },
+            false,
+        ),
         (
             Request::CommitShipLog {
                 records: Vec::new(),
@@ -573,6 +594,52 @@ fn a_server_restart_pulls_each_clients_cached_pages_in_one_frame() {
         let c = sys.client(reader);
         let t = c.begin().unwrap();
         for (obj, value) in &written[3 * other..3 * other + 3] {
+            assert_eq!(c.read(t, *obj).unwrap(), value);
+        }
+        c.commit(t).unwrap();
+    }
+}
+
+/// Client restart (§3.3) over UDS fetches, ships and forces its
+/// recovered pages in one frame of each batch kind per
+/// `RECOVER_BATCH_PAGES` pages, through the real codec at the largest
+/// page a socket carries, and reads back what it committed.
+#[test]
+fn a_client_restart_sends_one_frame_of_each_batch_kind_per_batch() {
+    for pages in [6, RECOVER_BATCH_PAGES + 6] {
+        let cfg = SystemConfig {
+            page_size: 32 * 1024,
+            client_cache_pages: 2 * RECOVER_BATCH_PAGES,
+            ..SystemConfig::default()
+        }
+        .with_transport(TransportKind::Uds);
+        let sys = fgl::System::build(cfg, 1).unwrap();
+        let c = sys.client(0);
+        let t = c.begin().unwrap();
+        let mut written = Vec::new();
+        for n in 0..pages {
+            let page = c.create_page(t).unwrap();
+            let value = [n as u8 + 1; 16];
+            written.push((c.insert(t, page, &value).unwrap(), value));
+        }
+        c.commit(t).unwrap();
+
+        c.crash();
+        let before = sys.wire_snapshot().unwrap();
+        let report = c.recover().unwrap();
+        let wire = sys.wire_snapshot().unwrap().delta_since(&before);
+        assert_eq!(report.pages_fetched, pages);
+        // Per batch one `FetchPages` and one `ForcePages` request; the
+        // page ships are the `Pages` reply and one `ShipPages` request.
+        let batches = pages.div_ceil(RECOVER_BATCH_PAGES) as u64;
+        assert_eq!(wire.count(MsgKind::FetchPage), batches, "{pages} pages");
+        assert_eq!(wire.count(MsgKind::ForcePage), batches, "{pages} pages");
+        assert_eq!(wire.count(MsgKind::PageShip), 2 * batches, "{pages} pages");
+        let counters = sys.metrics_snapshot().counters;
+        assert_eq!(counters["server_recovery_fetch_timeouts"], 0);
+
+        let t = c.begin().unwrap();
+        for (obj, value) in &written {
             assert_eq!(c.read(t, *obj).unwrap(), value);
         }
         c.commit(t).unwrap();

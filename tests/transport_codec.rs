@@ -120,6 +120,42 @@ fn sample_requests() -> Vec<Request> {
         Request::PollRecoveryNeeds,
         Request::InstallRecovered { bytes: vec![9; 32] },
     ]
+    .into_iter()
+    .chain(BATCH_SIZES.into_iter().flat_map(sample_page_batches))
+    .collect()
+}
+
+/// Page counts every batch frame is sampled at.
+const BATCH_SIZES: [usize; 3] = [0, 1, 64];
+
+/// The three page-batch requests at `n` pages, with page lengths that
+/// vary with the position.
+fn sample_page_batches(n: usize) -> [Request; 3] {
+    let pages: Vec<PageId> = (0..n as u64).map(|p| PageId(p * 5 + 1)).collect();
+    [
+        Request::FetchPages {
+            pages: pages.clone(),
+        },
+        Request::ShipPages {
+            pages: (0..n).map(|i| page_buf(i as u8, 64 + i % 3)).collect(),
+            replaced: n % 2 == 1,
+        },
+        Request::ForcePages { pages },
+    ]
+}
+
+/// A `fetch_pages` answer of `n` copies; every third has no DCT PSN.
+fn sample_pages_reply(n: usize) -> Reply {
+    Reply::Pages(
+        (0..n)
+            .map(|i| {
+                (
+                    vec![i as u8; 64 + i % 3],
+                    (i % 3 != 2).then_some(Psn(i as u64)),
+                )
+            })
+            .collect(),
+    )
 }
 
 fn sample_wire_errors() -> Vec<WireError> {
@@ -194,6 +230,7 @@ fn sample_replies() -> Vec<Reply> {
         },
         Reply::Needs(vec![(PageId(9), Psn(1)), (PageId(10), Psn(2))]),
     ];
+    replies.extend(BATCH_SIZES.map(sample_pages_reply));
     replies.extend(sample_wire_errors().into_iter().map(Reply::Err));
     replies
 }
@@ -1037,10 +1074,12 @@ fn version_3_peers_are_refused() {
     // Version 5 has the role byte, but its grants carry no page. Version 6
     // pulls one cached page per `ShipCachedPage` under the tag the batched
     // `ShipCachedPages` took over.
-    assert_eq!(frame::WIRE_VERSION, 7);
+    // Version 7 has no page-batch frames: its restart would meet tags it
+    // cannot decode.
+    assert_eq!(frame::WIRE_VERSION, 8);
     let hello =
         frame::frame_bytes(&frame::encode_hello(ClientId(1), StreamRole::Rpc))[HEADER..].to_vec();
-    for old in [3u16, 4, 5, 6] {
+    for old in [3u16, 4, 5, 6, 7] {
         let role_bytes = usize::from(old >= 5);
         let mut hello = hello[..hello.len() - 1 + role_bytes].to_vec();
         hello[4..6].copy_from_slice(&old.to_le_bytes());
@@ -1056,6 +1095,12 @@ fn version_3_peers_are_refused() {
     let err = frame::decode_hello_ack(&ack).unwrap_err();
     assert!(
         matches!(&err, FglError::Protocol(m) if m.contains("server speaks 3")),
+        "{err:?}"
+    );
+    ack[..2].copy_from_slice(&7u16.to_le_bytes());
+    let err = frame::decode_hello_ack(&ack).unwrap_err();
+    assert!(
+        matches!(&err, FglError::Protocol(m) if m.contains("server speaks 7")),
         "{err:?}"
     );
 }
@@ -1120,4 +1165,146 @@ fn encoders_refuse_counts_that_overflow_wire_fields() {
     let err =
         frame::encode_callback_reply(1, &CallbackReplyMsg::RecoveredPages(recovered)).unwrap_err();
     assert!(matches!(err, FglError::Protocol(_)), "{err:?}");
+
+    // So are page batches past `MAX_FRAME`, both ways.
+    let ship = Request::ShipPages {
+        pages: vec![base; (MAX_FRAME >> 20) + 1],
+        replaced: true,
+    };
+    let err = frame::encode_request(1, &ship).unwrap_err();
+    assert!(matches!(err, FglError::Protocol(_)), "{err:?}");
+    let fetched = Reply::Pages(vec![(vec![0; 1 << 20], None); (MAX_FRAME >> 20) + 1]);
+    let err = frame::encode_reply(1, &fetched).unwrap_err();
+    assert!(matches!(err, FglError::Protocol(_)), "{err:?}");
+}
+
+// ---- page batches ----------------------------------------------------------
+
+/// A page batch costs a u32 count and what each page carries: a u64 id
+/// per page asked for or forced; a replaced byte, then a u32 length and
+/// the frame per page shipped; and per copy fetched, its optional PSN, a
+/// u32 length and the bytes — one frame each way, whatever the count.
+#[test]
+fn page_batch_frames_cost_what_they_carry() {
+    for n in BATCH_SIZES {
+        let [fetch, ship, force] = sample_page_batches(n);
+        let shipped: usize = match &ship {
+            Request::ShipPages { pages, .. } => pages.iter().map(|p| 4 + p.len()).sum(),
+            _ => unreachable!(),
+        };
+        for (req, len) in [
+            (&fetch, HEADER + 4 + 8 * n),
+            (&ship, HEADER + 1 + 4 + shipped),
+            (&force, HEADER + 4 + 8 * n),
+        ] {
+            let segs = frame::encode_request(9, req).unwrap();
+            assert_eq!(frame::frame_len(&segs), len, "{req:?}");
+            assert_eq!(frame::request_frame_len(req), len, "{req:?}");
+            let (h, body) = read_back(&segs, FrameKind::Req, 9);
+            assert_eq!(&frame::decode_request(&h, &body).unwrap(), req);
+        }
+        let reply = sample_pages_reply(n);
+        let Reply::Pages(copies) = &reply else {
+            unreachable!()
+        };
+        let len = HEADER
+            + 4
+            + copies
+                .iter()
+                .map(|(b, psn)| if psn.is_some() { 9 } else { 1 } + 4 + b.len())
+                .sum::<usize>();
+        let segs = frame::encode_reply(9, &reply).unwrap();
+        assert_eq!(frame::frame_len(&segs), len);
+        assert_eq!(frame::reply_frame_len(&reply), len);
+        let (h, body) = read_back(&segs, FrameKind::Resp, 9);
+        assert_eq!(frame::decode_reply(&h, &body).unwrap(), reply);
+    }
+}
+
+/// A shipped batch travels as the original page buffers, one shared
+/// segment per page, in order.
+#[test]
+fn ship_pages_shares_every_page_buffer() {
+    let pages: Vec<Arc<[u8]>> = (0..5).map(|i| page_buf(i, 128)).collect();
+    let req = Request::ShipPages {
+        pages: pages.clone(),
+        replaced: true,
+    };
+    let segs = frame::encode_request(3, &req).unwrap();
+    let shared: Vec<&Arc<[u8]>> = segs
+        .iter()
+        .filter_map(|s| match s {
+            Seg::Shared(a) => Some(a),
+            Seg::Owned(_) => None,
+        })
+        .collect();
+    assert_eq!(shared.len(), pages.len());
+    for (seg, page) in shared.iter().zip(&pages) {
+        assert!(Arc::ptr_eq(seg, page));
+    }
+}
+
+/// Hostile counts and lengths in a page batch are `Corrupt` before they
+/// size an allocation, up to one far past `MAX_FRAME`; no strict prefix
+/// of a batch body decodes, and neither does one with a byte to spare.
+#[test]
+fn a_hostile_page_batch_count_or_length_is_refused() {
+    let exceeds = |err: FglError| matches!(&err, FglError::Corrupt(m) if m.contains("exceeds"));
+    // The smallest count the rest of the body cannot hold, and two far
+    // past it; the count sits at `at`.
+    let hostile = |body: &[u8], at: usize, min_elem: usize| {
+        [
+            ((body.len() - at - 4) / min_elem + 1) as u32,
+            (MAX_FRAME + 1) as u32,
+            u32::MAX,
+        ]
+    };
+    let with = |body: &[u8], at: usize, n: u32| {
+        let mut bad = body.to_vec();
+        bad[at..at + 4].copy_from_slice(&n.to_le_bytes());
+        bad
+    };
+    let [fetch, ship, force] = sample_page_batches(3);
+    // Count first for the id lists; after the replaced byte for ships.
+    for (req, at, min_elem) in [(&fetch, 0, 8), (&ship, 1, 4), (&force, 0, 8)] {
+        let (h, body) = read_back(&frame::encode_request(1, req).unwrap(), FrameKind::Req, 1);
+        for n in hostile(&body, at, min_elem) {
+            let err = frame::decode_request(&h, &with(&body, at, n)).unwrap_err();
+            assert!(exceeds(err), "{req:?} count {n}");
+        }
+        for cut in 0..body.len() {
+            let err = frame::decode_request(&h, &body[..cut]).unwrap_err();
+            assert!(matches!(err, FglError::Corrupt(_)), "cut {cut}: {err:?}");
+        }
+        let mut longer = body.clone();
+        longer.push(0);
+        let err = frame::decode_request(&h, &longer).unwrap_err();
+        assert!(matches!(err, FglError::Corrupt(_)), "{err:?}");
+    }
+    // The first shipped page's length follows the count.
+    let (h, body) = read_back(&frame::encode_request(1, &ship).unwrap(), FrameKind::Req, 1);
+    let at = 1 + 4;
+    assert_eq!(body[at..at + 4], 64u32.to_le_bytes());
+    for n in [body.len() as u32, (MAX_FRAME + 1) as u32, u32::MAX] {
+        let err = frame::decode_request(&h, &with(&body, at, n)).unwrap_err();
+        assert!(exceeds(err), "length {n}");
+    }
+
+    let reply = sample_pages_reply(3);
+    let (h, body) = read_back(&frame::encode_reply(1, &reply).unwrap(), FrameKind::Resp, 1);
+    for n in hostile(&body, 0, 5) {
+        let err = frame::decode_reply(&h, &with(&body, 0, n)).unwrap_err();
+        assert!(exceeds(err), "count {n}");
+    }
+    // Count, the first copy's PSN (present), then its length.
+    let at = 4 + 9;
+    assert_eq!(body[at..at + 4], 64u32.to_le_bytes());
+    for n in [body.len() as u32, (MAX_FRAME + 1) as u32, u32::MAX] {
+        let err = frame::decode_reply(&h, &with(&body, at, n)).unwrap_err();
+        assert!(exceeds(err), "length {n}");
+    }
+    for cut in 0..body.len() {
+        let err = frame::decode_reply(&h, &body[..cut]).unwrap_err();
+        assert!(matches!(err, FglError::Corrupt(_)), "cut {cut}: {err:?}");
+    }
 }
