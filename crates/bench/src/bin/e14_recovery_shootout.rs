@@ -1,9 +1,9 @@
 //! **E14 — Logging-strategy recovery shootout.**
 //!
-//! The `LoggingStrategy` seam makes the paper's client-based ARIES one
-//! policy among several: REDO-only logging (Sauer & Härder),
-//! an adaptive command/physical hybrid (Yao et al.), and a no-force
-//! write-behind baseline. This experiment races all four through the
+//! A client transaction logs physically (the paper's client-based ARIES)
+//! or redo-only (Sauer & Härder); the strategy says which: always
+//! physical, always redo-only, or per transaction by payload size (the
+//! hybrid of Yao et al.). This experiment races all three through the
 //! crash matrix and reports, per (strategy, crash) cell:
 //!
 //! * recovery wall time, with the per-phase breakdown captured by the

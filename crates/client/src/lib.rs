@@ -3,16 +3,14 @@
 //! logging), transaction management with savepoints, fuzzy checkpoints,
 //! the §3.6 log-space reclamation protocol, and restart recovery — both
 //! the client-crash procedure of §3.3 and the client half of server
-//! restart (§3.4). The logging policy itself is pluggable: the paper's
-//! client-based ARIES is the default strategy, alongside redo-only,
-//! adaptive-hybrid and write-behind alternatives selected by
-//! `SystemConfig::logging_strategy`.
+//! restart (§3.4). Each transaction logs in one of two modes: the
+//! paper's client-based ARIES (physical records, the default) or
+//! redo-only, as `SystemConfig::logging_strategy` selects.
 
 pub mod cache;
 pub mod peer;
 pub mod recovery;
 pub mod runtime;
-pub(crate) mod strategy;
 pub mod txn;
 
 pub use cache::ClientCache;

@@ -14,14 +14,13 @@ use std::collections::HashSet;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxnStatus {
     Active,
-    Committed,
     Aborted,
 }
 
-/// How a transaction's updates hit the log — decided by the active
-/// `LoggingStrategy` at the transaction's first
-/// update and fixed for its lifetime (the hybrid strategy of Yao et al.,
-/// arXiv 1503.03653, picks per transaction).
+/// How a transaction's updates hit the log — decided from
+/// `SystemConfig::logging_strategy` at the transaction's first update and
+/// fixed for its lifetime (the hybrid strategy of Yao et al., arXiv
+/// 1503.03653, picks per transaction).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxnLogMode {
     /// Full ARIES physical logging: before- and after-images on every
@@ -72,7 +71,7 @@ pub struct TxnState {
     /// Pages this transaction dirtied (read at commit by the ship-log
     /// policies). `begin` swaps in a finished transaction's emptied table.
     pub dirtied: IdSet<PageId>,
-    /// Logging mode, fixed by the strategy at the first update.
+    /// Logging mode, fixed at the first update.
     pub log_mode: Option<TxnLogMode>,
     /// The `Commit` record is in the log. The transaction stays active
     /// until the commit is durable, but a checkpoint must no longer list

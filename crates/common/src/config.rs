@@ -35,10 +35,10 @@ pub enum UpdatePolicy {
     UpdateToken,
 }
 
-/// Which logging/recovery strategy the clients run (the `LoggingStrategy`
-/// seam). Orthogonal to [`CommitPolicy`]: strategies other than the
-/// default require `CommitPolicy::ClientLog`, because they reshape the
-/// private-log record stream that the server-log baselines ship verbatim.
+/// Which log modes the clients' transactions may use. Orthogonal to
+/// [`CommitPolicy`]: strategies other than the default require
+/// `CommitPolicy::ClientLog`, because they reshape the private-log record
+/// stream that the server-log baselines ship verbatim.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LoggingStrategyKind {
     /// The paper's client-based ARIES: physical before/after images,
@@ -55,10 +55,6 @@ pub enum LoggingStrategyKind {
     /// each transaction picks redo-only ("command-sized") or full physical
     /// records at its first update, based on payload size.
     Hybrid,
-    /// No-force write-behind baseline: commit records are not forced
-    /// individually; a deferred batched force makes whole cohorts durable
-    /// at once (commit still blocks until its record is covered).
-    WriteBehind,
 }
 
 impl LoggingStrategyKind {
@@ -68,16 +64,14 @@ impl LoggingStrategyKind {
             LoggingStrategyKind::ClientAries => "client_aries",
             LoggingStrategyKind::RedoOnly => "redo_only",
             LoggingStrategyKind::Hybrid => "hybrid",
-            LoggingStrategyKind::WriteBehind => "write_behind",
         }
     }
 
     /// All strategies, in shootout order.
-    pub const ALL: [LoggingStrategyKind; 4] = [
+    pub const ALL: [LoggingStrategyKind; 3] = [
         LoggingStrategyKind::ClientAries,
         LoggingStrategyKind::RedoOnly,
         LoggingStrategyKind::Hybrid,
-        LoggingStrategyKind::WriteBehind,
     ];
 }
 
@@ -89,10 +83,9 @@ impl std::str::FromStr for LoggingStrategyKind {
             "client_aries" | "aries" => Ok(LoggingStrategyKind::ClientAries),
             "redo_only" => Ok(LoggingStrategyKind::RedoOnly),
             "hybrid" => Ok(LoggingStrategyKind::Hybrid),
-            "write_behind" => Ok(LoggingStrategyKind::WriteBehind),
             other => Err(FglError::Config(format!(
                 "unknown logging strategy {other:?} (expected client_aries, \
-                 redo_only, hybrid, or write_behind)"
+                 redo_only or hybrid)"
             ))),
         }
     }
@@ -180,7 +173,7 @@ pub struct SystemConfig {
     pub update_policy: UpdatePolicy,
     /// Commit/logging policy.
     pub commit_policy: CommitPolicy,
-    /// Client logging/recovery strategy (the `LoggingStrategy` seam).
+    /// Which log modes client transactions may use (DESIGN §9).
     pub logging_strategy: LoggingStrategyKind,
     /// A client takes a fuzzy checkpoint after this many log records.
     pub client_checkpoint_every: u64,
@@ -423,7 +416,7 @@ mod tests {
             .with_logging_strategy(LoggingStrategyKind::RedoOnly)
             .with_commit_policy(CommitPolicy::ServerLog);
         assert!(c.validate().is_err());
-        let c = SystemConfig::default().with_logging_strategy(LoggingStrategyKind::WriteBehind);
+        let c = SystemConfig::default().with_logging_strategy(LoggingStrategyKind::Hybrid);
         c.validate().unwrap();
     }
 

@@ -431,7 +431,7 @@ impl System {
         }
 
         // Per-record-kind WAL byte accounting, summed across every client
-        // log plus the server log (satellite obs for the strategy seam).
+        // log plus the server log.
         let mut by_kind: std::collections::BTreeMap<&'static str, u64> = Default::default();
         for client in self.clients.iter().filter(|c| c.is_touched()) {
             for (kind, bytes) in client.wal_bytes_by_kind() {
@@ -912,7 +912,9 @@ mod tests {
     }
 
     /// The hybrid strategy picks physical (ARIES) logging for large
-    /// payloads and redo-only for small ones, per transaction.
+    /// payloads and redo-only for small ones, per transaction; a redo-only
+    /// transaction whose page ships spills its before-image, counted
+    /// apart from its redo records.
     #[test]
     fn hybrid_mixes_update_and_ext_records() {
         let sys = System::build(strategy_cfg(LoggingStrategyKind::Hybrid), 1).unwrap();
@@ -925,16 +927,36 @@ mod tests {
         for _ in 0..3 {
             let t = c.begin().unwrap();
             c.write(t, small, b"tidy").unwrap();
+            // The page leaves the client mid-transaction: one spill.
+            c.harden().unwrap();
             c.commit(t).unwrap();
             let t = c.begin().unwrap();
             c.write(t, big, &[2u8; 120]).unwrap();
             c.commit(t).unwrap();
         }
         let snap = sys.metrics_snapshot();
-        let ext = snap.counters.get("wal_bytes_ext").copied().unwrap_or(0);
-        let upd = snap.counters.get("wal_bytes_update").copied().unwrap_or(0);
-        assert!(ext > 0, "hybrid must emit ext (redo-only) records");
-        assert!(upd > 0, "hybrid must emit physical update records");
+        let bytes = |kind: &str| {
+            snap.counters
+                .get(&format!("wal_bytes_{kind}"))
+                .copied()
+                .unwrap_or(0)
+        };
+        assert!(
+            bytes("redo_update") > 0,
+            "hybrid must emit redo-only records"
+        );
+        assert!(
+            bytes("update") > 0,
+            "hybrid must emit physical update records"
+        );
+        // Three spills of the 4-byte image "tiny": 24 + 4 payload bytes
+        // each, framed alike.
+        let spill = bytes("undo_spill");
+        assert!(
+            spill > 0 && spill % 3 == 0,
+            "one spill per hardened txn: {spill}"
+        );
+        assert!(!snap.counters.contains_key("wal_bytes_ext"));
     }
 
     /// wal_bytes_<kind> counters fold into the unified snapshot and cover

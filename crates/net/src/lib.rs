@@ -7,8 +7,7 @@
 //!   runtime through `Arc<dyn ServerApi>`, server→client callbacks are
 //!   direct calls through the [`ClientPeer`] trait, and *every* logical
 //!   message passes through a shared [`NetSim`] that counts it (by kind
-//!   and nominal [`wire`] size) and injects the configured one-way
-//!   latency. The algorithms in the paper depend only on message
+//!   and size) and injects the configured one-way latency. The algorithms in the paper depend only on message
 //!   ordering, counts and latency — all of which this fabric reproduces
 //!   and measures.
 //! * The **socket backend** ([`transport::socket`]): real TCP or
@@ -29,7 +28,6 @@ pub mod peer;
 pub mod stats;
 pub mod transport;
 pub mod wait;
-pub mod wire;
 
 pub use api::{
     Callback, CallbackReplyMsg, Dispatched, FetchedPage, LockResponse, RecoverPagePlan,

@@ -1,13 +1,12 @@
 //! The real wire codec: length-prefixed frames for every [`Request`],
 //! [`Reply`], [`Callback`], [`CallbackReplyMsg`] and [`GrantMsg`].
 //!
-//! Grown out of the [`crate::wire`] sizing functions — for the
-//! callback-family messages the encoded frame is **byte-identical** to
-//! the nominal size the sim fabric has always counted
-//! (`wire::callback_batch`, `wire::callback_reply`,
-//! `wire::callback_complete`), and every encoder carries a
-//! `debug_assert` that its analytic `*_frame_len` equals the bytes
-//! actually produced. The codec-alignment tests in
+//! Every encoder carries a `debug_assert` that its analytic `*_frame_len`
+//! equals the bytes actually produced. The sim fabric charges the
+//! callback-family messages through the same formulas
+//! ([`callback_batch_len`], [`callback_reply_len`],
+//! [`callback_complete_len`]), so a simulated run counts exactly the bytes
+//! a socket run sends for them. The codec-alignment tests in
 //! `tests/transport_codec.rs` assert both properties for every variant.
 //!
 //! # Frame layout
@@ -35,7 +34,6 @@
 use crate::api::{Callback, CallbackReplyMsg, Reply, Request, WireError};
 use crate::peer::{CallbackOutcome, ClientStateReport, RecoverJob, RecoveredPageOutcome};
 use crate::wait::GrantMsg;
-use crate::wire;
 use fgl_common::config::{
     CommitPolicy, LockGranularity, LoggingStrategyKind, TransportKind, UpdatePolicy,
 };
@@ -49,12 +47,18 @@ use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Frame header size — identical to the sim fabric's nominal envelope.
-pub const HEADER: usize = wire::HEADER;
+/// Frame header size: kind, aux, tag, correlation id and length.
+pub const HEADER: usize = 16;
+/// One encoded callback kind: discriminant, pad, slot id and page id.
+pub const CALLBACK_KIND: usize = 12;
+/// One `(object, mode)` retained-lock entry in a de-escalation reply.
+pub const RETAINED_ENTRY: usize = 12;
+/// One blocker transaction id in a deferred reply.
+pub const BLOCKER_ENTRY: usize = 8;
 /// Handshake magic: `"FGLW"`.
 pub const MAGIC: u32 = 0x4647_4C57;
 /// Codec version carried in the handshake.
-pub const WIRE_VERSION: u16 = 8;
+pub const WIRE_VERSION: u16 = 9;
 /// Upper bound on a single frame; larger length prefixes are corrupt.
 pub const MAX_FRAME: usize = 64 << 20;
 
@@ -625,7 +629,7 @@ fn callback_kind_code(k: &CallbackKind) -> (u8, PageId, u16) {
     }
 }
 
-/// One callback kind is exactly [`wire::CALLBACK_KIND`] bytes.
+/// One callback kind is exactly [`CALLBACK_KIND`] bytes.
 fn put_callback_kind(b: &mut B, k: &CallbackKind) {
     let (tag, page, slot) = callback_kind_code(k);
     b.u8(tag);
@@ -650,8 +654,8 @@ fn get_callback_kind(c: &mut Cur) -> Result<CallbackKind> {
     })
 }
 
-/// One retained `(object, mode)` entry is exactly
-/// [`wire::RETAINED_ENTRY`] bytes.
+/// One retained `(object, mode)` entry is exactly [`RETAINED_ENTRY`]
+/// bytes.
 fn put_retained(b: &mut B, retained: &[(ObjectId, ObjMode)]) {
     for (o, m) in retained {
         b.u64(o.page.0);
@@ -673,9 +677,9 @@ fn get_retained(c: &mut Cur, n: usize) -> Result<Vec<(ObjectId, ObjMode)>> {
     Ok(out)
 }
 
-/// Encode one [`CallbackOutcome`] body — exactly
-/// [`wire::outcome_body`] bytes (the 4-byte prefix is the variant tag
-/// plus retained/blocker counts and the page length).
+/// Encode one [`CallbackOutcome`] body — exactly [`outcome_len`] bytes
+/// (the 4-byte prefix is the variant tag plus retained/blocker counts and
+/// the page length).
 fn put_outcome(b: &mut B, o: &CallbackOutcome) -> Result<()> {
     match o {
         CallbackOutcome::Done {
@@ -886,8 +890,7 @@ fn request_tag(req: &Request) -> u16 {
 }
 
 /// Analytic frame size of an encoded [`Request`] — asserted equal to the
-/// actual encoding in debug builds and tests. `CallbackComplete` matches
-/// [`wire::callback_complete`] exactly.
+/// actual encoding in debug builds and tests.
 pub fn request_frame_len(req: &Request) -> usize {
     HEADER
         + match req {
@@ -910,9 +913,7 @@ pub fn request_frame_len(req: &Request) -> usize {
                 page_copy,
                 ..
             } => {
-                wire::CALLBACK_KIND
-                    + retained.len() * wire::RETAINED_ENTRY
-                    + page_copy.as_ref().map_or(0, |p| p.len())
+                callback_complete_len(retained.len(), page_copy.as_ref().map(|p| p.len())) - HEADER
             }
             Request::ShipPage { bytes, .. } => 1 + bytes.len(),
             Request::CommitShipLog { records, touched } => 2 + 8 * touched.len() + records.len(),
@@ -1320,11 +1321,38 @@ fn callback_tag(cb: &Callback) -> u16 {
     }
 }
 
-/// Analytic frame size of an encoded [`Callback`]. `DeliverBatch`
-/// matches [`wire::callback_batch`] exactly.
+/// Frame size of a callback batch carrying `n_kinds` callbacks.
+pub fn callback_batch_len(n_kinds: usize) -> usize {
+    HEADER + n_kinds * CALLBACK_KIND
+}
+
+/// Size of one callback outcome within a reply (excluding the shared
+/// header): retained sets, blocker lists and any shipped page image.
+fn outcome_len(outcome: &CallbackOutcome) -> usize {
+    match outcome {
+        CallbackOutcome::Done {
+            retained,
+            page_copy,
+        } => 4 + retained.len() * RETAINED_ENTRY + page_copy.as_ref().map_or(0, |p| p.len()),
+        CallbackOutcome::Deferred { blockers } => 4 + blockers.len() * BLOCKER_ENTRY,
+    }
+}
+
+/// Frame size of a merged callback reply covering `outcomes`.
+pub fn callback_reply_len(outcomes: &[CallbackOutcome]) -> usize {
+    HEADER + outcomes.iter().map(outcome_len).sum::<usize>()
+}
+
+/// Frame size of a deferred-callback completion: the original kind, the
+/// retained set and any shipped page image.
+pub fn callback_complete_len(retained: usize, page_copy: Option<usize>) -> usize {
+    HEADER + CALLBACK_KIND + retained * RETAINED_ENTRY + page_copy.unwrap_or(0)
+}
+
+/// Analytic frame size of an encoded [`Callback`].
 pub fn callback_frame_len(cb: &Callback) -> usize {
     match cb {
-        Callback::DeliverBatch(kinds) => wire::callback_batch(kinds.len()),
+        Callback::DeliverBatch(kinds) => callback_batch_len(kinds.len()),
         Callback::NotifyFlushed(_) => HEADER + 8,
         Callback::ShipCachedPages(pages) => HEADER + 4 + pages.len() * 8,
         Callback::ReportState => HEADER,
@@ -1387,14 +1415,14 @@ pub fn decode_callback(h: &FrameHeader, body: &[u8]) -> Result<Callback> {
     let mut c = Cur::new(body);
     let cb = match h.tag {
         1 => {
-            if !body.len().is_multiple_of(wire::CALLBACK_KIND) {
+            if !body.len().is_multiple_of(CALLBACK_KIND) {
                 return Err(corrupt(format!(
                     "callback batch body of {} bytes is not a multiple of {}",
                     body.len(),
-                    wire::CALLBACK_KIND
+                    CALLBACK_KIND
                 )));
             }
-            let n = body.len() / wire::CALLBACK_KIND;
+            let n = body.len() / CALLBACK_KIND;
             let mut kinds = Vec::with_capacity(n);
             for _ in 0..n {
                 kinds.push(get_callback_kind(&mut c)?);
@@ -1454,11 +1482,10 @@ fn callback_reply_tag(r: &CallbackReplyMsg) -> u16 {
     }
 }
 
-/// Analytic frame size of an encoded [`CallbackReplyMsg`]. `Outcomes`
-/// matches [`wire::callback_reply`] exactly.
+/// Analytic frame size of an encoded [`CallbackReplyMsg`].
 pub fn callback_reply_frame_len(r: &CallbackReplyMsg) -> usize {
     match r {
-        CallbackReplyMsg::Outcomes(outcomes) => wire::callback_reply(outcomes),
+        CallbackReplyMsg::Outcomes(outcomes) => callback_reply_len(outcomes),
         CallbackReplyMsg::State(s) => {
             HEADER
                 + 4
@@ -1773,7 +1800,6 @@ fn strategy_code(s: LoggingStrategyKind) -> u8 {
         LoggingStrategyKind::ClientAries => 0,
         LoggingStrategyKind::RedoOnly => 1,
         LoggingStrategyKind::Hybrid => 2,
-        LoggingStrategyKind::WriteBehind => 3,
     }
 }
 
@@ -1845,7 +1871,6 @@ pub fn decode_hello_ack(body: &[u8]) -> Result<SystemConfig> {
         0 => LoggingStrategyKind::ClientAries,
         1 => LoggingStrategyKind::RedoOnly,
         2 => LoggingStrategyKind::Hybrid,
-        3 => LoggingStrategyKind::WriteBehind,
         other => return Err(corrupt(format!("bad logging strategy code {other}"))),
     };
     let transport = match c.u8()? {

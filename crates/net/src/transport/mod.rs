@@ -4,9 +4,10 @@
 //!
 //! * the **in-process sim fabric** — direct method calls on the server
 //!   runtime through `Arc<dyn ServerApi>`, byte-accounted by
-//!   [`crate::NetSim`] with the nominal [`crate::wire`] sizes. This is
-//!   the deterministic default; it carries no code of its own here
-//!   because the trait object *is* the transport.
+//!   [`crate::NetSim`] (callback-family messages at their [`frame`]
+//!   sizes, the rest at nominal ones). This is the deterministic
+//!   default; it carries no code of its own here because the trait
+//!   object *is* the transport.
 //! * the **socket backend** ([`socket`]) — real TCP or Unix-domain
 //!   sockets speaking the length-prefixed frames of [`frame`], two
 //!   streams per client (rpc: requests up, replies down; events:

@@ -38,6 +38,7 @@ use fgl_locks::mode::{LockTarget, ObjMode};
 use fgl_locks::WaitGraph;
 use fgl_net::peer::{CallbackOutcome, ClientPeer};
 use fgl_net::stats::{MsgKind, NetSim};
+use fgl_net::transport::frame;
 use fgl_net::wait::{grant_pair, GrantMsg, GrantSlot};
 use fgl_obs::{emit, CallbackClass, Counter, Event, HistKind, LogOwner, Metrics};
 use fgl_storage::disk::DiskBackend;
@@ -417,10 +418,8 @@ impl ServerCore {
             // deliveries stay parented under the span that triggered the
             // callbacks.
             let _span = fgl_obs::trace::span(fgl_obs::SpanKind::CallbackRtt, TxnId(0));
-            self.net.msg(
-                MsgKind::Callback,
-                fgl_net::wire::callback_batch(kinds.len()),
-            );
+            self.net
+                .msg(MsgKind::Callback, frame::callback_batch_len(kinds.len()));
             emit(Event::CallbackBatch {
                 to,
                 count: kinds.len() as u32,
@@ -435,10 +434,8 @@ impl ServerCore {
             }
             let issued_at = self.metrics.now_us();
             let outcomes = peer.deliver_callback_batch(&kinds);
-            self.net.msg(
-                MsgKind::CallbackReply,
-                fgl_net::wire::callback_reply(&outcomes),
-            );
+            self.net
+                .msg(MsgKind::CallbackReply, frame::callback_reply_len(&outcomes));
             for (kind, outcome) in kinds.iter().zip(&outcomes) {
                 match outcome {
                     CallbackOutcome::Done { .. } => {
@@ -1003,7 +1000,7 @@ impl ServerApi for ServerCore {
         self.check_up()?;
         self.net.msg(
             MsgKind::CallbackComplete,
-            fgl_net::wire::callback_complete(
+            frame::callback_complete_len(
                 retained.len(),
                 page_copy.as_ref().map(|bytes| bytes.len()),
             ),

@@ -7,10 +7,8 @@
 //! * [`records`] — the typed log records of the paper: updates carrying
 //!   the pre-update PSN, compensation records, commit/abort, **callback
 //!   log records** (§3.1), **replacement log records** (§3.1), and fuzzy
-//!   checkpoints carrying the DPT (clients) or DCT (server).
-//! * [`envelope`] — strategy-owned record semantics: the typed bodies the
-//!   non-default logging strategies carry inside the tagged `Ext` record
-//!   envelope (the transport never interprets them).
+//!   checkpoints carrying the DPT (clients) or DCT (server), plus the
+//!   redo-only update and spilled before-image of redo-only transactions.
 //! * [`store`] — durable byte stores with explicit *pending vs. durable*
 //!   separation so that crash simulations drop exactly the un-forced tail.
 //! * [`manager`] — the log manager: append/force, LSN = byte address
@@ -18,15 +16,13 @@
 //!   and circular-space accounting driving the §3.6 reclamation protocol.
 
 pub mod codec;
-pub mod envelope;
 pub mod manager;
 pub mod records;
 pub mod store;
 
-pub use envelope::{RedoUpdateRecord, StrategyRecord, UndoSpillRecord};
 pub use manager::{LogManager, LogRecordEntry, MasterRecord};
 pub use records::{
-    CallbackRecord, ClrRecord, DctEntry, DptEntry, ExtRecord, LogPayload, ReplacementRecord,
-    UpdateRecord,
+    CallbackRecord, ClrRecord, DctEntry, DptEntry, LogPayload, RedoUpdateRecord, ReplacementRecord,
+    UndoSpillRecord, UpdateRecord,
 };
 pub use store::{FileLogStore, LogStore, MemLogStore, SimLogStore};

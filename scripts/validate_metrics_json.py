@@ -72,7 +72,7 @@ def validate_e13(doc):
 def validate_e14(doc):
     rows = rows_of(doc, "e14_recovery_shootout")
     strategies = {r["params"]["strategy"] for r in rows}
-    assert strategies == {"client_aries", "redo_only", "hybrid", "write_behind"}, strategies
+    assert strategies == {"client_aries", "redo_only", "hybrid"}, strategies
     for row in rows:
         p, m = row["params"], row["metrics"]
         assert m["counters"]["e14_commits_per_s"] > 0, m["counters"]

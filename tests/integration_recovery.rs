@@ -982,27 +982,28 @@ fn restart_pin(strategy: LoggingStrategyKind, complex: bool) -> RestartPin {
 }
 
 /// Client restart, pinned per strategy x {client crash, complex crash}:
-/// the constants are what commit b5cfdb0 (three restart drivers) left.
-/// `client_aries` and `write_behind` log alike, so their rows are equal.
+/// the constants are what commit b5cfdb0 (three restart drivers) left,
+/// except `log_end` of the redo-only and hybrid rows. Those shrank when
+/// redo-only records became native log kinds instead of an envelope
+/// (24 B less per redo-only update, 28 B per spill); every count and
+/// page hash stayed.
 #[test]
 fn restart_leaves_the_recorded_counts_log_and_pages() {
     use LoggingStrategyKind::*;
     #[rustfmt::skip]
-    let want: [(_, _, RestartPin); 8] = [
+    let want: [(_, _, RestartPin); 6] = [
         (ClientAries, false, (12, 2, 8, 8, 13, 26824, 2188529311487930427)),
         (ClientAries, true, (12, 2, 8, 8, 0, 26824, 14833372426372957901)),
-        (RedoOnly, false, (42, 2, 9, 9, 9, 22993, 2959043463736195518)),
-        (RedoOnly, true, (42, 2, 12, 12, 0, 23041, 17150234313638927731)),
+        (RedoOnly, false, (42, 2, 9, 9, 9, 18841, 2959043463736195518)),
+        (RedoOnly, true, (42, 2, 12, 12, 0, 18889, 17150234313638927731)),
         // The one cell the single driver moves (b5cfdb0: 9 applied, hash
         // 4254536476712928168): a hybrid loser that logged physically is
         // now redone before its chain-walk undo, as under the paper's
         // restart and as §3.5 always did, instead of skipped. Two more
         // records apply and the PSNs on its pages move; the values do not
         // (`restart_pin` checks the oracle).
-        (Hybrid, false, (42, 2, 9, 9, 11, 25881, 1550113182983745843)),
-        (Hybrid, true, (42, 2, 12, 12, 0, 25929, 4205255825687857298)),
-        (WriteBehind, false, (12, 2, 8, 8, 13, 26824, 2188529311487930427)),
-        (WriteBehind, true, (12, 2, 8, 8, 0, 26824, 14833372426372957901)),
+        (Hybrid, false, (42, 2, 9, 9, 11, 24225, 1550113182983745843)),
+        (Hybrid, true, (42, 2, 12, 12, 0, 24273, 4205255825687857298)),
     ];
     let mut moved = Vec::new();
     for (strategy, complex, want) in want {
@@ -1163,5 +1164,100 @@ fn a_commit_that_trips_a_checkpoint_survives_a_client_crash() {
     assert_eq!(rep.losers, 0, "a committed transaction was rolled back");
     let t = b.begin().unwrap();
     assert_eq!(b.read(t, obj).unwrap(), b"update");
+    b.commit(t).unwrap();
+}
+
+/// A redo-only transaction logs no before-images; the one undo record it
+/// leaves is the spill written as a dirty page it updated leaves the
+/// client. Here the page leaves in a callback reply: `b`'s write on the
+/// same page calls `a`'s page lock back mid-transaction, and the reply
+/// carries the copy with `a`'s uncommitted update. After `a` crashes,
+/// restart must undo that update from the spill.
+#[test]
+fn a_redo_only_loser_shipped_in_a_callback_reply_is_rolled_back() {
+    let sys = System::build(
+        SystemConfig::default().with_logging_strategy(LoggingStrategyKind::RedoOnly),
+        2,
+    )
+    .unwrap();
+    let (a, b) = (sys.client(0), sys.client(1));
+    let t = a.begin().unwrap();
+    let page = a.create_page(t).unwrap();
+    let mine = a.insert(t, page, b"before").unwrap();
+    let theirs = a.insert(t, page, b"others").unwrap();
+    a.commit(t).unwrap();
+
+    let loser = a.begin().unwrap();
+    a.write(loser, mine, b"uncomm").unwrap();
+    let t = b.begin().unwrap();
+    b.write(t, theirs, b"theirs").unwrap();
+    b.commit(t).unwrap();
+    assert_eq!(
+        sys.server
+            .page_copy(page)
+            .unwrap()
+            .read_object(mine.slot)
+            .unwrap(),
+        b"uncomm",
+        "the callback reply did not carry the uncommitted update"
+    );
+
+    a.crash();
+    let rep = a.recover().unwrap();
+    assert_eq!(rep.losers, 1);
+    let t = b.begin().unwrap();
+    assert_eq!(b.read(t, mine).unwrap(), b"before");
+    assert_eq!(b.read(t, theirs).unwrap(), b"theirs");
+    b.commit(t).unwrap();
+}
+
+/// As above, but the page leaves as a replacement ship: `a`'s cache
+/// holds two pages, so reading two pages `b` created evicts the one the
+/// redo-only transaction dirtied.
+#[test]
+fn a_redo_only_loser_shipped_on_eviction_is_rolled_back() {
+    let cfg = SystemConfig {
+        client_cache_pages: 2,
+        ..SystemConfig::default().with_logging_strategy(LoggingStrategyKind::RedoOnly)
+    };
+    let sys = System::build(cfg, 2).unwrap();
+    let (a, b) = (sys.client(0), sys.client(1));
+    let t = a.begin().unwrap();
+    let page = a.create_page(t).unwrap();
+    let mine = a.insert(t, page, b"before").unwrap();
+    a.commit(t).unwrap();
+    let t = b.begin().unwrap();
+    let elsewhere: Vec<ObjectId> = (0..2)
+        .map(|_| {
+            let p = b.create_page(t).unwrap();
+            b.insert(t, p, b"filler").unwrap()
+        })
+        .collect();
+    b.commit(t).unwrap();
+
+    let loser = a.begin().unwrap();
+    a.write(loser, mine, b"uncomm").unwrap();
+    for &o in &elsewhere {
+        assert_eq!(a.read(loser, o).unwrap(), b"filler");
+    }
+    assert!(
+        a.cached_page(page).is_none(),
+        "the dirty page was not evicted"
+    );
+    assert_eq!(
+        sys.server
+            .page_copy(page)
+            .unwrap()
+            .read_object(mine.slot)
+            .unwrap(),
+        b"uncomm",
+        "the eviction did not ship the uncommitted update"
+    );
+
+    a.crash();
+    let rep = a.recover().unwrap();
+    assert_eq!(rep.losers, 1);
+    let t = b.begin().unwrap();
+    assert_eq!(b.read(t, mine).unwrap(), b"before");
     b.commit(t).unwrap();
 }

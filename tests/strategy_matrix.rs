@@ -1,8 +1,7 @@
-//! Crash matrix × logging strategy: every pluggable [`LoggingStrategy`]
-//! implementation must pass the §3.3–§3.5 crash scenarios against the
-//! committed-state oracle — client crash, server crash, simultaneous
-//! client crashes and the complex crash — not just the default
-//! client-based ARIES path.
+//! Crash matrix × logging strategy: every `LoggingStrategyKind` must pass
+//! the §3.3–§3.5 crash scenarios against the committed-state oracle —
+//! client crash, server crash, simultaneous client crashes and the
+//! complex crash — not just the default client-based ARIES path.
 
 use fgl::{LoggingStrategyKind, SystemConfig};
 use fgl_sim::crash::{run_crash_scenario, CrashKind};

@@ -7,9 +7,8 @@
 //! 2. Analytic sizing: `frame_len(&segs)` equals the `*_frame_len`
 //!    prediction (release builds skip the encoder `debug_assert`s, so the
 //!    suite checks it explicitly).
-//! 3. Nominal-accounting identity: callback-family frames are
-//!    byte-identical to the `wire::` sizes the sim fabric has always
-//!    counted.
+//! 3. Sim-accounting identity: callback-family frames are exactly the
+//!    `frame::callback_*_len` sizes the sim fabric charges.
 //! 4. Loud failure: truncated headers/bodies, bad length prefixes,
 //!    unknown kinds/tags and trailing garbage all surface as
 //!    [`FglError::Corrupt`] (clean EOF alone is `Disconnected`), and
@@ -26,7 +25,6 @@ use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, SlotId, SystemC
 use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::{LockTarget, ObjMode};
 use fgl_net::transport::frame::{self, FrameHeader, FrameKind, Seg, StreamRole, HEADER, MAX_FRAME};
-use fgl_net::wire;
 use fgl_net::{Callback, CallbackOutcome, CallbackReplyMsg, ClientStateReport, GrantMsg};
 use fgl_net::{RecoverJob, RecoveredPageOutcome, Reply, Request, WireError, RECOVER_BATCH_PAGES};
 use fgl_wal::records::DptEntry;
@@ -589,6 +587,15 @@ fn hello_ack_round_trips_config() {
     assert_eq!(back.server_instances, cfg.server_instances);
     assert_eq!(back.obs_ring_entries, cfg.obs_ring_entries);
 
+    // The logging-strategy code follows the version, five 8-byte fields
+    // and three enum codes. Code 3 named the retired write-behind
+    // strategy; it decodes as corrupt, not as some other strategy.
+    let mut retired = body.clone();
+    assert_eq!(retired[2 + 5 * 8 + 3], 2);
+    retired[2 + 5 * 8 + 3] = 3;
+    let err = frame::decode_hello_ack(&retired).unwrap_err();
+    assert!(matches!(err, FglError::Corrupt(_)), "{err:?}");
+
     // A version-2 server still sends a shard count and the three retired
     // switches; its answer is refused by version, never decoded against
     // the shorter layout.
@@ -605,21 +612,27 @@ fn hello_ack_round_trips_config() {
     );
 }
 
-// ---- nominal-accounting identity ------------------------------------------
+// ---- sim-accounting identity ----------------------------------------------
 
 #[test]
 fn callback_family_matches_nominal_accounting() {
     // Callback batch: the real frame is exactly the bytes the sim fabric
-    // has always charged for a batch of n kinds.
+    // charges for a batch of n kinds.
     let kinds = sample_callback_kinds();
     let segs = frame::encode_callback(1, &Callback::DeliverBatch(kinds.clone())).unwrap();
-    assert_eq!(frame::frame_len(&segs), wire::callback_batch(kinds.len()));
+    assert_eq!(
+        frame::frame_len(&segs),
+        frame::callback_batch_len(kinds.len())
+    );
 
-    // Callback reply: per-outcome bodies match `wire::outcome_body`.
+    // Callback reply: the header plus each outcome's body.
     let outcomes = sample_outcomes();
     let segs =
         frame::encode_callback_reply(2, &CallbackReplyMsg::Outcomes(outcomes.clone())).unwrap();
-    assert_eq!(frame::frame_len(&segs), wire::callback_reply(&outcomes));
+    assert_eq!(
+        frame::frame_len(&segs),
+        frame::callback_reply_len(&outcomes)
+    );
 
     // Deferred completion: kind + retentions + optional page copy.
     let retained = vec![(obj(4, 0), ObjMode::S), (obj(4, 3), ObjMode::X)];
@@ -635,7 +648,7 @@ fn callback_family_matches_nominal_accounting() {
     .unwrap();
     assert_eq!(
         frame::frame_len(&segs),
-        wire::callback_complete(retained.len(), Some(page.len()))
+        frame::callback_complete_len(retained.len(), Some(page.len()))
     );
 }
 
@@ -1075,11 +1088,12 @@ fn version_3_peers_are_refused() {
     // pulls one cached page per `ShipCachedPage` under the tag the batched
     // `ShipCachedPages` took over.
     // Version 7 has no page-batch frames: its restart would meet tags it
-    // cannot decode.
-    assert_eq!(frame::WIRE_VERSION, 8);
+    // cannot decode. Version 8 can still name the retired write-behind
+    // strategy (config code 3).
+    assert_eq!(frame::WIRE_VERSION, 9);
     let hello =
         frame::frame_bytes(&frame::encode_hello(ClientId(1), StreamRole::Rpc))[HEADER..].to_vec();
-    for old in [3u16, 4, 5, 6, 7] {
+    for old in [3u16, 4, 5, 6, 7, 8] {
         let role_bytes = usize::from(old >= 5);
         let mut hello = hello[..hello.len() - 1 + role_bytes].to_vec();
         hello[4..6].copy_from_slice(&old.to_le_bytes());
@@ -1097,10 +1111,10 @@ fn version_3_peers_are_refused() {
         matches!(&err, FglError::Protocol(m) if m.contains("server speaks 3")),
         "{err:?}"
     );
-    ack[..2].copy_from_slice(&7u16.to_le_bytes());
+    ack[..2].copy_from_slice(&8u16.to_le_bytes());
     let err = frame::decode_hello_ack(&ack).unwrap_err();
     assert!(
-        matches!(&err, FglError::Protocol(m) if m.contains("server speaks 7")),
+        matches!(&err, FglError::Protocol(m) if m.contains("server speaks 8")),
         "{err:?}"
     );
 }
