@@ -23,8 +23,9 @@ use fgl_sim::table::{f1, Table};
 fn main() {
     banner(
         "E4: client crash recovery vs work since checkpoint",
-        "recovery scans the private log from the last complete checkpoint; \
-         only DCT-listed pages are fetched and redone (Property 1)",
+        "recovery scans the private log once, from the last complete checkpoint \
+         or its DPT's lowest RedoLSN if lower; only DCT-listed pages with \
+         records to redo are fetched (Property 1)",
     );
     let sweep: Vec<usize> = if fgl_bench::quick_mode() {
         vec![50, 200]
@@ -97,8 +98,10 @@ fn main() {
     table.print();
 
     // Ablation: Property 1 (DCT filtering) on vs. off. With the filter
-    // off, every DPT page is fetched and replayed even when its updates
-    // are already safely on the server's disk.
+    // off, pages without a DCT entry are not skipped as pages, but the
+    // restart scan still drops every record on an object the client no
+    // longer holds X: here that leaves the flushed pages nothing to redo,
+    // so they are not fetched either way.
     println!();
     println!("ablation: DCT filter (Property 1) on one 500-update run,");
     println!("followed by a harden (all pages flushed, DPT advanced):");

@@ -294,20 +294,36 @@ impl LogManager {
                 self.end_lsn()
             )));
         }
+        self.read_frame(lsn, &mut Vec::new())
+    }
+
+    /// Read and decode the frame at `lsn`, its body through `body` (a scan
+    /// passes the same buffer for every record). The header lands in a
+    /// stack array; a length running past the end of the log or a body
+    /// whose checksum does not match is a torn record.
+    fn read_frame(&self, lsn: Lsn, body: &mut Vec<u8>) -> Result<LogRecordEntry> {
         let off = Self::offset(lsn);
-        let header = self.store.read(off, FRAME_HEADER)?;
+        let mut header = [0u8; FRAME_HEADER];
+        self.store.read_into(off, &mut header)?;
         let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
         let stored_sum = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let body = self.store.read(off + FRAME_HEADER as u64, len)?;
-        if checksum(&body) != stored_sum {
+        let next = off + FRAME_HEADER as u64 + len as u64;
+        if next > self.store.len() {
+            return Err(FglError::Corrupt(format!(
+                "record at {lsn:?} runs past the end of the log (torn record?)"
+            )));
+        }
+        body.resize(len, 0);
+        self.store.read_into(off + FRAME_HEADER as u64, body)?;
+        if checksum(body) != stored_sum {
             return Err(FglError::Corrupt(format!(
                 "checksum mismatch at {lsn:?} (torn record?)"
             )));
         }
         Ok(LogRecordEntry {
             lsn,
-            next: Self::lsn_at(off + FRAME_HEADER as u64 + len as u64),
-            payload: LogPayload::decode(&body)?,
+            next: Self::lsn_at(next),
+            payload: LogPayload::decode(body)?,
         })
     }
 
@@ -322,6 +338,7 @@ impl LogManager {
         LogScan {
             mgr: self,
             pos: start,
+            body: Vec::new(),
         }
     }
 
@@ -377,10 +394,13 @@ impl LogManager {
     }
 }
 
-/// Forward scan over log records.
+/// Forward scan over log records. Every frame body is read into one
+/// buffer the scan owns, so a scan allocates only for what the decoded
+/// records keep.
 pub struct LogScan<'a> {
     mgr: &'a LogManager,
     pos: Lsn,
+    body: Vec<u8>,
 }
 
 impl Iterator for LogScan<'_> {
@@ -390,7 +410,7 @@ impl Iterator for LogScan<'_> {
         if self.pos >= self.mgr.end_lsn() {
             return None;
         }
-        match self.mgr.read_at(self.pos) {
+        match self.mgr.read_frame(self.pos, &mut self.body) {
             Ok(entry) => {
                 self.pos = entry.next;
                 Some(entry)

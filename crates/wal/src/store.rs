@@ -72,6 +72,14 @@ pub trait LogStore: Send {
     fn durable_len(&self) -> u64;
     /// Read `len` bytes at `offset` from durable or pending regions.
     fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>>;
+    /// Fill `buf` from `offset`: [`read`](Self::read) into a buffer the
+    /// caller owns, so a scan reuses one buffer for every record. The
+    /// default copies out of `read`; a store that holds its bytes in
+    /// memory copies them straight in.
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        buf.copy_from_slice(&self.read(offset, buf.len())?);
+        Ok(())
+    }
     /// Promote all pending bytes to durable.
     fn sync(&mut self) -> Result<()>;
     /// Promote pending bytes up to logical length `upto` to durable,
@@ -111,6 +119,19 @@ impl MemLogStore {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The stored bytes `[offset, offset + len)`.
+    fn range(&self, offset: u64, len: usize) -> Result<&[u8]> {
+        let off = offset as usize;
+        let end = off + len;
+        if end as u64 > self.len() {
+            return Err(FglError::Corrupt(format!(
+                "log read [{off}, {end}) past end {}",
+                self.len()
+            )));
+        }
+        Ok(&self.buf[off..end])
+    }
 }
 
 impl LogStore for MemLogStore {
@@ -128,15 +149,12 @@ impl LogStore for MemLogStore {
     }
 
     fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let off = offset as usize;
-        let end = off + len;
-        if end as u64 > self.len() {
-            return Err(FglError::Corrupt(format!(
-                "log read [{off}, {end}) past end {}",
-                self.len()
-            )));
-        }
-        Ok(self.buf[off..end].to_vec())
+        Ok(self.range(offset, len)?.to_vec())
+    }
+
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        buf.copy_from_slice(self.range(offset, buf.len())?);
+        Ok(())
     }
 
     fn sync(&mut self) -> Result<()> {
@@ -301,6 +319,10 @@ impl LogStore for SimLogStore {
         self.inner.read(offset, len)
     }
 
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.inner.read_into(offset, buf)
+    }
+
     fn sync(&mut self) -> Result<()> {
         self.syncs += 1;
         if !self.latency.is_zero() {
@@ -440,5 +462,37 @@ mod tests {
         s.append(b"xy").unwrap();
         assert!(s.read(0, 3).is_err());
         assert!(s.read(5, 1).is_err());
+        assert!(s.read_into(1, &mut [0; 2]).is_err());
+        assert!(s.read_into(5, &mut [0; 1]).is_err());
+    }
+
+    /// `read_into` fills the caller's buffer with what `read` returns, on
+    /// the in-memory store, through the latency wrapper, and on a file
+    /// (the trait's default, built on `read`).
+    #[test]
+    fn read_into_matches_read() {
+        let dir = std::env::temp_dir().join(format!("fgl-wal-read-into-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("log.wal");
+        let _ = std::fs::remove_file(&path);
+        let stores: [Box<dyn LogStore>; 3] = [
+            Box::new(MemLogStore::new()),
+            Box::new(SimLogStore::new(
+                Box::new(MemLogStore::new()),
+                std::time::Duration::ZERO,
+            )),
+            Box::new(FileLogStore::open(&path).unwrap()),
+        ];
+        for mut s in stores {
+            s.append(b"durable ").unwrap();
+            s.sync().unwrap();
+            s.append(b"pending").unwrap();
+            let mut buf = [0u8; 9];
+            s.read_into(4, &mut buf).unwrap();
+            assert_eq!(&buf, b"ble pendi");
+            assert_eq!(s.read(4, 9).unwrap(), buf);
+            assert!(s.read_into(10, &mut buf).is_err());
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -6,7 +6,8 @@
 use fgl_common::{ClientId, Lsn, ObjectId, PageId, Psn, SlotId, TxnId};
 use fgl_wal::manager::LogManager;
 use fgl_wal::records::{DptEntry, LogPayload, UpdateRecord};
-use fgl_wal::store::{LogStore, MemLogStore};
+use fgl_wal::store::{FileLogStore, LogStore, MemLogStore, SimLogStore};
+use std::path::PathBuf;
 
 const CAPACITY: u64 = 64 * 1024;
 
@@ -56,16 +57,23 @@ fn log_around(victim: &LogPayload) -> (Vec<u8>, std::ops::Range<usize>) {
 }
 
 fn reopen(raw: &[u8]) -> LogManager {
-    let mut store = MemLogStore::new();
+    reopen_on(Box::new(MemLogStore::new()), raw)
+}
+
+/// A manager over `store` once it durably holds `raw`.
+fn reopen_on(mut store: Box<dyn LogStore>, raw: &[u8]) -> LogManager {
     store.append(raw).unwrap();
     store.sync().unwrap();
-    LogManager::recover(Box::new(store), CAPACITY).unwrap()
+    LogManager::recover(store, CAPACITY).unwrap()
 }
 
 /// The damaged log yields the one record in front of the victim, and the
 /// victim itself does not read.
 fn assert_stops_at(raw: &[u8], victim_at: usize, what: &str) {
-    let m = reopen(raw);
+    assert_stops_at_on(&reopen(raw), victim_at, what);
+}
+
+fn assert_stops_at_on(m: &LogManager, victim_at: usize, what: &str) {
     let got = m.collect_from(Lsn::NIL);
     assert_eq!(got.len(), 1, "{what}: scan went past the damage: {got:?}");
     assert_eq!(got[0].next, Lsn(victim_at as u64 + 1), "{what}");
@@ -120,6 +128,76 @@ fn zero_filled_tail_is_rejected() {
             raw[from..].fill(0);
             let what = format!("{} zeroed from byte {}", v.kind_name(), from - at.start);
             assert_stops_at(&raw, at.start, &what);
+        }
+    }
+}
+
+/// An empty log file of its own, removed (with its master record) on drop.
+struct TempLog(PathBuf);
+
+impl TempLog {
+    fn new(name: &str) -> TempLog {
+        let dir = std::env::temp_dir().join(format!("fgl-wal-checksum-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = TempLog(dir.join(name));
+        log.remove();
+        log
+    }
+
+    fn remove(&self) {
+        let _ = std::fs::remove_file(&self.0);
+        let mut master = self.0.clone().into_os_string();
+        master.push(".master");
+        let _ = std::fs::remove_file(master);
+    }
+}
+
+impl Drop for TempLog {
+    fn drop(&mut self) {
+        self.remove();
+    }
+}
+
+/// Scans read each frame through `LogStore::read_into` into one reused
+/// buffer: on every store — in memory, behind the latency wrapper, and in
+/// a file (which reads through the trait's default `read_into`) — a torn
+/// record and a checksum mismatch still end the scan in front of the
+/// victim, and the undamaged log still reads whole.
+#[test]
+fn damage_ends_a_scan_on_every_store() {
+    for v in victims() {
+        let (raw, at) = log_around(&v);
+        let mut flipped = raw.clone();
+        flipped[at.end - 1] ^= 0x10;
+        let torn = &raw[..at.end - 3];
+        for (damage, bytes) in [
+            ("torn", torn),
+            ("checksum", &flipped[..]),
+            ("none", &raw[..]),
+        ] {
+            let file = TempLog::new(&format!("{}-{damage}.wal", v.kind_name()));
+            let stores: [(&str, Box<dyn LogStore>); 3] = [
+                ("mem", Box::new(MemLogStore::new())),
+                (
+                    "sim",
+                    Box::new(SimLogStore::new(
+                        Box::new(MemLogStore::new()),
+                        std::time::Duration::ZERO,
+                    )),
+                ),
+                ("file", Box::new(FileLogStore::open(&file.0).unwrap())),
+            ];
+            for (store_name, store) in stores {
+                let m = reopen_on(store, bytes);
+                let what = format!("{} on {store_name}, damage {damage}", v.kind_name());
+                if damage == "none" {
+                    let got = m.collect_from(Lsn::NIL);
+                    assert_eq!(got.len(), 3, "{what}");
+                    assert_eq!(got[1].payload, v, "{what}");
+                } else {
+                    assert_stops_at_on(&m, at.start, &what);
+                }
+            }
         }
     }
 }
