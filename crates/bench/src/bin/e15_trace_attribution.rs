@@ -10,20 +10,25 @@
 //! the CI latency gate, so any always-on overhead shows up as a
 //! regression.
 //!
-//! Sweep: scheduler {threads, event} × tracing {off, on} at a fixed
-//! client count, PRIVATE workload (abort-free, so every `Commit` root
-//! corresponds to one histogram observation). Untraced cells run first —
-//! span emission is process-wide once enabled.
+//! Sweep: tracing {off, on} at a fixed client count on the harness's
+//! green-task driver, PRIVATE workload (abort-free, so every `Commit`
+//! root corresponds to one histogram observation). The untraced cell runs
+//! first — span emission is process-wide once enabled.
 
 use fgl::System;
 use fgl_bench::{banner, experiment_config, quick_mode, MetricsEmitter};
 use fgl_obs::trace;
-use fgl_sim::harness::{run_workload, HarnessOptions, RunReport, SchedulerKind};
+use fgl_sim::harness::{run_workload, HarnessOptions, RunReport};
 use fgl_sim::setup::populate;
 use fgl_sim::table::{f1, Table};
 use fgl_sim::workload::{WorkloadKind, WorkloadSpec};
 
 const CLIENTS: usize = 4;
+
+/// The driver every row ran on, emitted as the `scheduler` param so the
+/// rows keep their sweep-point keys in `ci/latency_baseline.json` and the
+/// trace file its `e15_event` name.
+const DRIVER: &str = "event";
 
 fn spec_for() -> WorkloadSpec {
     let mut s = WorkloadSpec::new(WorkloadKind::Private);
@@ -48,7 +53,7 @@ struct Cell {
     trace: Option<trace::TraceReport>,
 }
 
-fn run_cell(scheduler: SchedulerKind, traced: bool) -> Cell {
+fn run_cell(traced: bool) -> Cell {
     let mut cfg = experiment_config();
     if traced {
         // Big rings: the whole run fits, so `ring_dropped_events` stays 0
@@ -61,8 +66,7 @@ fn run_cell(scheduler: SchedulerKind, traced: bool) -> Cell {
     let layout = populate(sys.client(0), spec.pages, spec.objects_per_page, 32).expect("populate");
     let mut opts = HarnessOptions::new(spec, txns_per_client());
     opts.seed = 0xE15;
-    opts.scheduler = scheduler;
-    // The run's client threads exit, and their flight-recorder rings with
+    // The run's worker threads exit, and their flight-recorder rings with
     // them, before it returns: capture the events while it runs.
     let capture = traced.then(fgl_obs::CaptureSink::install);
     let report = run_workload(&sys, &layout, None, &opts).expect("run");
@@ -97,16 +101,10 @@ fn main() {
          (PRIVATE workload)",
     );
     // Untraced first: enabling span emission is process-wide.
-    let cells: Vec<(SchedulerKind, bool)> = vec![
-        (SchedulerKind::Threads, false),
-        (SchedulerKind::Event, false),
-        (SchedulerKind::Threads, true),
-        (SchedulerKind::Event, true),
-    ];
+    let cells = [false, true];
 
     let mut emitter = MetricsEmitter::new("e15_trace_attribution");
     let mut table = Table::new(&[
-        "scheduler",
         "traced",
         "commits/s",
         "p50 commit us",
@@ -116,8 +114,8 @@ fn main() {
         "orphans",
     ]);
     let mut worst_gap = 0.0f64;
-    for &(scheduler, traced) in &cells {
-        let mut cell = run_cell(scheduler, traced);
+    for traced in cells {
+        let mut cell = run_cell(traced);
         // Exact median of the harness's per-commit wall-clock timings —
         // the same interval the root `Commit` span wraps (the commit_us
         // histogram would add log2-bucket quantization to the compare).
@@ -156,13 +154,12 @@ fn main() {
         emitter.row(
             &[
                 ("clients", CLIENTS.to_string()),
-                ("scheduler", scheduler.name().to_string()),
+                ("scheduler", DRIVER.to_string()),
                 ("traced", traced.to_string()),
             ],
             &cell.report.metrics,
         );
         table.row(vec![
-            scheduler.name().to_string(),
             traced.to_string(),
             f1(cell.report.throughput()),
             measured_p50.to_string(),
@@ -176,7 +173,7 @@ fn main() {
             orphans.to_string(),
         ]);
         if let Some(tr) = &cell.trace {
-            let label = format!("e15_{}", scheduler.name());
+            let label = format!("e15_{DRIVER}");
             if let Some(path) = trace::write_chrome_trace(tr, &label) {
                 println!("chrome trace written: {}", path.display());
             }

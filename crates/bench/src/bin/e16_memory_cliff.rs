@@ -30,7 +30,7 @@
 use fgl::{System, SystemConfig};
 use fgl_bench::{banner, quick_mode, MetricsEmitter};
 use fgl_obs::{current_rss_bytes, RssSampler};
-use fgl_sim::harness::{run_workload, HarnessOptions, SchedulerKind};
+use fgl_sim::harness::{run_workload, HarnessOptions};
 use fgl_sim::setup::populate_partitioned;
 use fgl_sim::table::{f1, Table};
 use fgl_sim::workload::{WorkloadKind, WorkloadSpec};
@@ -104,7 +104,6 @@ fn run_cell(clients: usize) -> CellOut {
     drop(loaders);
     let mut opts = HarnessOptions::new(spec, txns_for(clients));
     opts.seed = 0xE16;
-    opts.scheduler = SchedulerKind::Event;
     opts.sched_stack_kb = 64;
     let report = run_workload(&sys, &layout, None, &opts).expect("run");
     drop(sys);

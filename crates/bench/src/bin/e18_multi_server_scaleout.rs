@@ -23,7 +23,7 @@ use fgl_bench::{
     banner, experiment_config, policy_name, quick_mode, standard_spec, txns_per_client,
     MetricsEmitter,
 };
-use fgl_sim::harness::{run_workload, HarnessOptions, SchedulerKind};
+use fgl_sim::harness::{run_workload, HarnessOptions};
 use fgl_sim::oracle::Oracle;
 use fgl_sim::setup::populate;
 use fgl_sim::table::{f1, f2, Table};
@@ -83,7 +83,6 @@ fn main() {
 
                 let mut opts = HarnessOptions::new(spec, txns_per_client());
                 opts.seed = 0xE18 ^ (instances as u64) << 8;
-                opts.scheduler = SchedulerKind::Event;
                 let mut report = run_workload(&sys, &layout, Some(&oracle), &opts).expect("run");
                 // Per-client commit deltas, read before the verify pass
                 // commits its own read transaction.

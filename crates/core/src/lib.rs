@@ -63,23 +63,21 @@ use std::sync::Arc;
 /// A wired system: one *or more* page servers plus N clients sharing a
 /// counted message fabric.
 ///
-/// With `transport = sim` (the default) the clients call straight into
-/// the [`ServerCore`] and the wiring is exactly what it always was. With
-/// `transport = tcp` or `uds` the builder additionally stands up a
-/// [`SocketServer`] on a loopback/temp endpoint and hands every client a
-/// connected [`RemoteServer`] stub instead — same process, real frames
-/// on a real socket, so the full codec and correlation machinery is
-/// exercised by ordinary [`System`] tests.
-///
-/// With `cfg.server_instances = N > 1` the builder stands up N
-/// independent server instances (instance `k` owns pages with
-/// `PageId % N == k`, each with its own GLM, store partition, DCT,
-/// server log and checkpoints), joins their wait graphs through a
-/// [`fgl_locks::DeadlockCoordinator`], and hands every client one
-/// [`PartitionedServer`] routing by page residue class — on either
-/// transport. [`System::server`] stays the instance-0 handle so
-/// single-server call sites keep working; [`System::servers`] holds all
-/// of them.
+/// [`System::build`] stands up `cfg.server_instances = N` server instances
+/// (instance `k` owns pages with `PageId % N == k`, each with its own
+/// GLM, store partition, DCT, server log and checkpoints; a multi-server
+/// system joins their wait graphs through a
+/// [`fgl_locks::DeadlockCoordinator`]) and hands every client one
+/// [`PartitionedServer`] routing by page residue class — at `N = 1` too,
+/// so every system runs the one router. With `transport = sim` (the
+/// default) the router calls straight into the [`ServerCore`]s. With
+/// `transport = tcp` or `uds` it additionally stands up one
+/// [`SocketServer`] per instance on a loopback/temp endpoint and routes
+/// to connected [`RemoteServer`] stubs instead — same process, real
+/// frames on a real socket, so the full codec and correlation machinery
+/// is exercised by ordinary [`System`] tests. [`System::server`] stays
+/// the instance-0 handle so single-server call sites keep working;
+/// [`System::servers`] holds all of them.
 pub struct System {
     /// Instance 0 — *the* server of a single-instance system, and the
     /// handle legacy call sites use.
@@ -142,17 +140,6 @@ impl Drop for TransportHandle {
     }
 }
 
-/// Wrap per-partition `ServerApi` handles into the single handle a
-/// client holds: the bare backend for one instance, the router above it
-/// for several.
-fn route_partitions(parts: Vec<Arc<dyn ServerApi>>) -> Arc<dyn ServerApi> {
-    if parts.len() == 1 {
-        parts.into_iter().next().unwrap()
-    } else {
-        PartitionedServer::new(parts)
-    }
-}
-
 /// A collision-free socket path for an in-process UDS system.
 fn fresh_uds_path() -> std::path::PathBuf {
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -190,7 +177,7 @@ impl System {
         let net = Arc::new(NetSim::new(cfg.net_latency));
         let disk_latency = cfg.disk_latency;
         let servers = Self::build_servers(&cfg, net.clone(), disk);
-        let api = route_partitions(
+        let api = PartitionedServer::new(
             servers
                 .iter()
                 .map(|s| s.clone() as Arc<dyn ServerApi>)
@@ -288,7 +275,7 @@ impl System {
         for i in 0..n_clients {
             let id = ClientId(i as u32 + 1);
             let remotes = handle.connect(id, servers[0].metrics())?;
-            let api = route_partitions(
+            let api = PartitionedServer::new(
                 remotes
                     .into_iter()
                     .map(|r| r as Arc<dyn ServerApi>)
@@ -489,29 +476,20 @@ impl System {
     pub fn add_client(&mut self) -> Arc<ClientCore> {
         let id = ClientId(self.clients.len() as u32 + 1);
         let metrics = self.server.metrics();
-        let c = match &mut self.transport {
-            None => {
-                let api = route_partitions(
-                    self.servers
-                        .iter()
-                        .map(|s| s.clone() as Arc<dyn ServerApi>)
-                        .collect(),
-                );
-                ClientCore::new(id, api, self.net.clone())
-            }
-            Some(t) => {
-                let remotes = t
-                    .connect(id, metrics)
-                    .expect("socket transport: connecting a new client failed");
-                let api = route_partitions(
-                    remotes
-                        .into_iter()
-                        .map(|r| r as Arc<dyn ServerApi>)
-                        .collect(),
-                );
-                ClientCore::new(id, api, self.net.clone())
-            }
+        let parts: Vec<Arc<dyn ServerApi>> = match &mut self.transport {
+            None => self
+                .servers
+                .iter()
+                .map(|s| s.clone() as Arc<dyn ServerApi>)
+                .collect(),
+            Some(t) => t
+                .connect(id, metrics)
+                .expect("socket transport: connecting a new client failed")
+                .into_iter()
+                .map(|r| r as Arc<dyn ServerApi>)
+                .collect(),
         };
+        let c = ClientCore::new(id, PartitionedServer::new(parts), self.net.clone());
         self.clients.push(c.clone());
         c
     }

@@ -6,8 +6,8 @@
 //! [`PartitionedServer`] implementing [`ServerApi`] over one inner
 //! `Arc<dyn ServerApi>` per partition — so the client runtime, the sim
 //! fabric and the socket transport all compose unchanged. `N = 1` systems
-//! skip the router entirely (the single `ServerCore`/`RemoteServer` *is*
-//! the `ServerApi`).
+//! route through it too, over their one backend, so there is one client
+//! routing path whatever the instance count.
 //!
 //! Routing rules:
 //!

@@ -20,7 +20,7 @@
 //!   `notify_all` wake both OS-thread waiters and task waiters.
 //!
 //! On a plain OS thread every primitive behaves exactly as before, so
-//! the `threads` scheduler is untouched.
+//! socket threads and other non-task code are untouched.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{self, TryLockError};

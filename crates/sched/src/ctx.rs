@@ -14,8 +14,8 @@
 //! spilled any live ones around the `extern "C"` call.
 //!
 //! On architectures without an implementation here, [`SUPPORTED`] is
-//! `false` and the scheduler falls back to one OS thread per task (the
-//! behavior of the `threads` scheduler), keeping the build portable.
+//! `false` and the scheduler falls back to one OS thread per task,
+//! keeping the build portable.
 
 #[cfg(target_arch = "x86_64")]
 mod imp {

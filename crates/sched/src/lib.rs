@@ -21,18 +21,18 @@
 //! - [`current_unparker`]/[`park_until`] are the primitive the local
 //!   `parking_lot` shim uses to make condition-variable waits park the
 //!   *task*: blocking primitives auto-detect task context, so the same
-//!   protocol code runs unchanged under both the `threads` and `event`
-//!   schedulers.
+//!   protocol code runs unchanged on a green task and on a plain OS
+//!   thread (a server's socket threads, a recovery fan-out).
 //!
 //! Determinism: the scheduler never reorders the *semantics* of the
 //! protocol — message counting happens inside the counted fabric before
 //! any wait — so per-kind message counts for conflict-free workloads are
-//! identical under both schedulers (asserted by the workspace
-//! `scheduler_determinism` test).
+//! identical from run to run and across task stack sizes (asserted by the
+//! workspace `scheduler_determinism` test).
 //!
 //! On architectures without a context-switch implementation (anything
 //! but x86-64 today), [`supported`] is `false` and [`run_scoped`] /
-//! [`fanout`] degrade to one OS thread per job — the `threads` behavior.
+//! [`fanout`] degrade to one OS thread per job.
 
 mod ctx;
 mod stack;

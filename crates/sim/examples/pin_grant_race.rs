@@ -20,7 +20,7 @@
 //! iteration replays alone with `ITERS=1` and its seed.
 
 use fgl::{System, SystemConfig};
-use fgl_sim::harness::{run_workload, HarnessOptions, SchedulerKind};
+use fgl_sim::harness::{run_workload, HarnessOptions};
 use fgl_sim::oracle::Oracle;
 use fgl_sim::setup::populate;
 use fgl_sim::workload::{WorkloadKind, WorkloadSpec};
@@ -56,7 +56,6 @@ fn main() {
         oracle.seed(sys.client(0), &layout).unwrap();
         let mut opts = HarnessOptions::new(spec, 100);
         opts.seed = seed;
-        opts.scheduler = SchedulerKind::Event;
         opts.event_workers = 2;
         run_workload(&sys, &layout, Some(&oracle), &opts).unwrap();
         let read_stale = oracle.stale_reads();

@@ -6,12 +6,12 @@
 //! that pinned the root cause, kept as a regression soak
 //! (`cargo run --release -p fgl-sim --example pin_restart_race`).
 //!
-//! Iteration count, base seed and scheduler are configurable so CI can
-//! run a short leg and a reproduction can replay an exact failure:
+//! Iteration count, base seed and logging strategy are configurable so
+//! CI can run a short leg and a reproduction can replay an exact failure:
 //!
 //! ```text
 //! pin_restart_race [ITERS] [SEED]
-//! FGL_SOAK_ITERS=100 FGL_SOAK_SEED=7 FGL_SOAK_SCHED=event pin_restart_race
+//! FGL_SOAK_ITERS=100 FGL_SOAK_SEED=7 pin_restart_race
 //! FGL_SOAK_STRATEGY=redo-only pin_restart_race   # non-default logging
 //! ```
 //!
@@ -20,8 +20,7 @@
 //! with `ITERS=1` and that iteration's seed.
 
 use fgl::SystemConfig;
-use fgl_sim::crash::{run_crash_scenario_with, CrashKind};
-use fgl_sim::harness::SchedulerKind;
+use fgl_sim::crash::{run_crash_scenario, CrashKind};
 use fgl_sim::workload::{WorkloadKind, WorkloadSpec};
 
 fn arg_or_env(pos: usize, env: &str, default: u64) -> u64 {
@@ -35,9 +34,6 @@ fn arg_or_env(pos: usize, env: &str, default: u64) -> u64 {
 fn main() {
     let iters = arg_or_env(1, "FGL_SOAK_ITERS", 2000);
     let base_seed = arg_or_env(2, "FGL_SOAK_SEED", 2);
-    let scheduler: SchedulerKind = std::env::var("FGL_SOAK_SCHED")
-        .map(|v| v.parse().expect("FGL_SOAK_SCHED"))
-        .unwrap_or_default();
     let strategy: fgl::LoggingStrategyKind = std::env::var("FGL_SOAK_STRATEGY")
         .map(|v| v.parse().expect("FGL_SOAK_STRATEGY"))
         .unwrap_or_default();
@@ -50,8 +46,7 @@ fn main() {
     spec.write_fraction = 0.5;
 
     eprintln!(
-        "soak: {iters} iterations, seeds {base_seed}.., scheduler={}, strategy={}",
-        scheduler.name(),
+        "soak: {iters} iterations, seeds {base_seed}.., strategy={}",
         strategy.name()
     );
     // The scenario's threads exit, and their flight-recorder rings with
@@ -60,16 +55,8 @@ fn main() {
     for i in 1..=iters {
         let seed = base_seed + (i - 1);
         capture.drain();
-        let r = run_crash_scenario_with(
-            cfg.clone(),
-            3,
-            CrashKind::Server,
-            spec.clone(),
-            10,
-            seed,
-            scheduler,
-        )
-        .unwrap();
+        let r =
+            run_crash_scenario(cfg.clone(), 3, CrashKind::Server, spec.clone(), 10, seed).unwrap();
         if !r.is_clean() {
             println!(
                 "iteration {i} (seed {seed}): after-recovery {:?} / final {:?} / stale {:?}",

@@ -6,7 +6,7 @@
 //! oracle, and finally runs a second workload phase to prove the system
 //! is fully operational again.
 
-use crate::harness::{run_workload, HarnessOptions, RunReport, SchedulerKind};
+use crate::harness::{run_workload, HarnessOptions, RunReport};
 use crate::oracle::{Oracle, VerifyReport};
 use crate::setup::{populate, DatabaseLayout};
 use crate::workload::WorkloadSpec;
@@ -89,7 +89,8 @@ impl CrashScenarioReport {
 }
 
 /// Build a fresh system, run `phase` transactions per client, crash per
-/// `kind`, recover, verify, run a second phase, verify again.
+/// `kind`, recover, verify, run a second phase, verify again. Recovery
+/// runs between the phases on the orchestrating thread, not on a task.
 pub fn run_crash_scenario(
     cfg: SystemConfig,
     n_clients: usize,
@@ -98,30 +99,6 @@ pub fn run_crash_scenario(
     txns_per_phase: usize,
     seed: u64,
 ) -> Result<CrashScenarioReport> {
-    run_crash_scenario_with(
-        cfg,
-        n_clients,
-        kind,
-        spec,
-        txns_per_phase,
-        seed,
-        SchedulerKind::Threads,
-    )
-}
-
-/// [`run_crash_scenario`] with an explicit driver scheduler for the two
-/// workload phases. Recovery itself always runs on OS threads — it is
-/// invoked between phases from the orchestrating thread, not from tasks.
-#[allow(clippy::too_many_arguments)]
-pub fn run_crash_scenario_with(
-    cfg: SystemConfig,
-    n_clients: usize,
-    kind: CrashKind,
-    spec: WorkloadSpec,
-    txns_per_phase: usize,
-    seed: u64,
-    scheduler: SchedulerKind,
-) -> Result<CrashScenarioReport> {
     let sys = System::build(cfg, n_clients)?;
     let layout = populate(sys.client(0), spec.pages, spec.objects_per_page, 32)?;
     let oracle = Oracle::new();
@@ -129,7 +106,6 @@ pub fn run_crash_scenario_with(
 
     let mut opts = HarnessOptions::new(spec, txns_per_phase);
     opts.seed = seed;
-    opts.scheduler = scheduler;
     let phase1 = run_workload(&sys, &layout, Some(&oracle), &opts)?;
 
     let recovery_start = std::time::Instant::now();
@@ -217,17 +193,7 @@ pub fn run_crash_scenario_with(
 /// Recover several crashed clients concurrently (their replays may
 /// depend on each other's progress, §3.4/§3.5).
 fn recover_in_parallel(sys: &System, ids: &[usize]) -> Result<()> {
-    let results: Vec<Result<_>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ids
-            .iter()
-            .map(|i| {
-                let client = sys.clients[*i].clone();
-                scope.spawn(move || client.recover())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for r in results {
+    for r in fgl_sched::fan_out(ids.to_vec(), |i| sys.clients[i].recover()) {
         r?;
     }
     Ok(())
@@ -292,32 +258,29 @@ mod tests {
         );
     }
 
-    /// Single-partition restart in a two-instance system, under both
-    /// driver schedulers: the restarting instance re-runs the §3.4 gather
-    /// for its residue class only, the sibling keeps serving, and the
-    /// oracle stays clean across both phases.
+    /// Single-partition restart in a two-instance system: the restarting
+    /// instance re-runs the §3.4 gather for its residue class only, the
+    /// sibling keeps serving, and the oracle stays clean across both
+    /// phases.
     #[test]
-    fn partition_restart_scenario_is_clean_under_both_schedulers() {
-        for scheduler in [SchedulerKind::Threads, SchedulerKind::Event] {
-            for partition in 0..2 {
-                let r = run_crash_scenario_with(
-                    SystemConfig::default().with_server_instances(2),
-                    3,
-                    CrashKind::PartitionRestart(partition),
-                    spec(),
-                    10,
-                    4 + partition as u64,
-                    scheduler,
-                )
-                .unwrap();
-                assert!(
-                    r.is_clean(),
-                    "{scheduler:?}/partition {partition}: {:?} / {:?}",
-                    r.verify_after_recovery,
-                    r.verify_final
-                );
-                assert!(r.phase2.commits > 0);
-            }
+    fn partition_restart_scenario_is_clean() {
+        for partition in 0..2 {
+            let r = run_crash_scenario(
+                SystemConfig::default().with_server_instances(2),
+                3,
+                CrashKind::PartitionRestart(partition),
+                spec(),
+                10,
+                4 + partition as u64,
+            )
+            .unwrap();
+            assert!(
+                r.is_clean(),
+                "partition {partition}: {:?} / {:?}",
+                r.verify_after_recovery,
+                r.verify_final
+            );
+            assert!(r.phase2.commits > 0);
         }
     }
 

@@ -1,4 +1,4 @@
-//! Multi-threaded workload driver.
+//! Workload driver: every committer a green task on one worker pool.
 
 use crate::oracle::Oracle;
 use crate::setup::DatabaseLayout;
@@ -7,39 +7,6 @@ use fgl::{NetSnapshot, ObjectId, Result, Snapshot, System};
 use fgl_common::rng::DetRng;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How the harness multiplexes client transaction drivers onto the host.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// One OS thread per committer — the original driver model.
-    #[default]
-    Threads,
-    /// Green tasks on a fixed `fgl-sched` worker pool: thousands of
-    /// simulated clients multiplex onto a handful of OS threads, with
-    /// simulated disk/network latency parked on a timer wheel instead of
-    /// blocking a thread in `sleep`.
-    Event,
-}
-
-impl SchedulerKind {
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerKind::Threads => "threads",
-            SchedulerKind::Event => "event",
-        }
-    }
-}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-    fn from_str(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "threads" => Ok(SchedulerKind::Threads),
-            "event" => Ok(SchedulerKind::Event),
-            other => Err(format!("unknown scheduler `{other}` (threads|event)")),
-        }
-    }
-}
 
 /// Driver parameters.
 #[derive(Clone, Debug)]
@@ -52,7 +19,7 @@ pub struct HarnessOptions {
     /// Retries after a deadlock/timeout abort before giving up on a
     /// transaction.
     pub max_retries: usize,
-    /// Concurrent committer threads per client (each runs
+    /// Concurrent committers per client (each runs
     /// `txns_per_client` transactions against the same `ClientCore`).
     /// `> 1` exercises group commit: overlapping commits on one private
     /// log coalesce their forces.
@@ -66,21 +33,16 @@ pub struct HarnessOptions {
     /// transactions have disjoint footprints under partitioned workloads
     /// (PRIVATE regions, HICON hot-page slots).
     pub threads_per_client: usize,
-    /// Driver multiplexing model. Defaults to [`SchedulerKind::Threads`];
-    /// [`SchedulerKind::Event`] runs the same per-committer loops as
-    /// green tasks on a fixed worker pool.
-    pub scheduler: SchedulerKind,
-    /// Worker-pool size for [`SchedulerKind::Event`]; `0` picks
-    /// [`fgl_sched::default_workers`]. Ignored under `Threads`.
+    /// Size of the worker pool the committers run on as green tasks;
+    /// `0` picks [`fgl_sched::default_workers`].
     pub event_workers: usize,
-    /// Green-task stack size in KiB for [`SchedulerKind::Event`]; `0`
-    /// keeps the scheduler's current default. Harness workloads have a
-    /// known shallow depth (see the `sched_stack_high_water_bytes`
-    /// metric), so scaling runs shrink this well below the 256 KiB
-    /// general-purpose default. Applied via [`fgl_sched::set_stack_size`]
-    /// (process-wide; the `FGL_SCHED_STACK_KB` env override wins), and
-    /// validated there — sizes below the floor or not page-multiples
-    /// panic. Ignored under `Threads`.
+    /// Green-task stack size in KiB; `0` keeps the scheduler's current
+    /// default. Harness workloads have a known shallow depth (see the
+    /// `sched_stack_high_water_bytes` metric), so scaling runs shrink
+    /// this well below the 256 KiB general-purpose default. Applied via
+    /// [`fgl_sched::set_stack_size`] (process-wide; the
+    /// `FGL_SCHED_STACK_KB` env override wins), and validated there —
+    /// sizes below the floor or not page-multiples panic.
     pub sched_stack_kb: usize,
 }
 
@@ -92,7 +54,6 @@ impl HarnessOptions {
             seed: 42,
             max_retries: 10,
             threads_per_client: 1,
-            scheduler: SchedulerKind::default(),
             event_workers: 0,
             sched_stack_kb: 0,
         }
@@ -113,8 +74,8 @@ pub struct RunReport {
     /// (lock-wait, commit, callback RTT, …) plus every stats surface
     /// folded in as counters (see [`System::metrics_snapshot`]).
     pub metrics: Snapshot,
-    /// OS threads the driver used: committer count under `Threads`,
-    /// worker-pool size under `Event`.
+    /// Worker-pool threads the driver used (`0` where green tasks are
+    /// unsupported and each committer ran on an OS thread of its own).
     pub driver_threads: usize,
 }
 
@@ -156,10 +117,10 @@ impl RunReport {
 /// Per-committer tally: (commits, aborts, commit latencies in µs).
 type DriverResult = Result<(u64, u64, Vec<u64>)>;
 
-/// Run the workload: one committer per client (OS thread or green task
-/// per [`HarnessOptions::scheduler`]), `txns_per_client` transactions
-/// each, deadlock/timeout aborts retried. Committed write sets are
-/// recorded into `oracle` when provided.
+/// Run the workload: `threads_per_client` committers per client, each a
+/// green task on a [`fgl_sched::run_scoped`] worker pool running
+/// `txns_per_client` transactions, deadlock/timeout aborts retried.
+/// Committed write sets are recorded into `oracle` when provided.
 pub fn run_workload(
     sys: &System,
     layout: &DatabaseLayout,
@@ -177,8 +138,7 @@ pub fn run_workload(
         .map(|t| master.fork(t as u64).next_u64())
         .collect();
 
-    // One committer body, shared by both scheduler modes so they stay
-    // semantically identical.
+    // One committer body, run as one green task per committer.
     let oracle = oracle.cloned();
     let drive = |t: usize| -> DriverResult {
         let client = &sys.clients[t % n];
@@ -220,47 +180,29 @@ pub fn run_workload(
         Ok((commits, aborts, latencies))
     };
 
-    let (results, driver_threads): (Vec<DriverResult>, usize) = match opts.scheduler {
-        SchedulerKind::Threads => {
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let drive = &drive;
-                        scope.spawn(move || drive(t))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            (results, threads)
-        }
-        SchedulerKind::Event => {
-            if opts.sched_stack_kb > 0 {
-                fgl_sched::set_stack_size(opts.sched_stack_kb * 1024);
-            }
-            let slots: Vec<Mutex<Option<DriverResult>>> =
-                (0..threads).map(|_| Mutex::new(None)).collect();
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..threads)
-                .map(|t| {
-                    let drive = &drive;
-                    let slot = &slots[t];
-                    Box::new(move || {
-                        *slot.lock().unwrap() = Some(drive(t));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            let workers = if opts.event_workers == 0 {
-                fgl_sched::default_workers()
-            } else {
-                opts.event_workers
-            };
-            let used = fgl_sched::run_scoped(workers, jobs);
-            let results = slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap().expect("committer task ran"))
-                .collect();
-            (results, used)
-        }
+    if opts.sched_stack_kb > 0 {
+        fgl_sched::set_stack_size(opts.sched_stack_kb * 1024);
+    }
+    let slots: Vec<Mutex<Option<DriverResult>>> = (0..threads).map(|_| Mutex::new(None)).collect();
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..threads)
+        .map(|t| {
+            let drive = &drive;
+            let slot = &slots[t];
+            Box::new(move || {
+                *slot.lock().unwrap() = Some(drive(t));
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    let workers = if opts.event_workers == 0 {
+        fgl_sched::default_workers()
+    } else {
+        opts.event_workers
     };
+    let driver_threads = fgl_sched::run_scoped(workers, jobs);
+    let results: Vec<DriverResult> = slots
+        .into_iter()
+        .map(|s| s.into_inner().unwrap().expect("committer task ran"))
+        .collect();
 
     let mut report = RunReport {
         elapsed: start.elapsed(),
@@ -477,9 +419,8 @@ mod tests {
         let layout = populate(sys.client(0), spec.pages, spec.objects_per_page, 32).unwrap();
         let oracle = Oracle::new();
         oracle.seed(sys.client(0), &layout).unwrap();
-        let mut opts = HarnessOptions::new(spec, 5);
-        opts.scheduler = SchedulerKind::Event;
-        let report = run_workload(&sys, &layout, Some(&oracle), &opts).unwrap();
+        let report =
+            run_workload(&sys, &layout, Some(&oracle), &HarnessOptions::new(spec, 5)).unwrap();
         assert_eq!(report.commits, 40);
         assert_eq!(report.aborts, 0);
         // 8 committers multiplexed onto the fixed worker pool.

@@ -11,8 +11,8 @@
 //! * [`oracle`] — a committed-state oracle: the harness records every
 //!   committed write; after any crash/recovery sequence the system state
 //!   must equal the oracle;
-//! * [`harness`] — multi-threaded workload driver with throughput,
-//!   latency and message accounting;
+//! * [`harness`] — workload driver (every committer a green task on one
+//!   worker pool) with throughput, latency and message accounting;
 //! * [`crash`] — crash-matrix orchestration (client / server / complex
 //!   crashes mid-workload);
 //! * [`table`] — plain-text table output for the experiment binaries.
@@ -24,8 +24,8 @@ pub mod setup;
 pub mod table;
 pub mod workload;
 
-pub use crash::{run_crash_scenario, run_crash_scenario_with, CrashKind, CrashScenarioReport};
-pub use harness::{run_workload, HarnessOptions, RunReport, SchedulerKind};
+pub use crash::{run_crash_scenario, CrashKind, CrashScenarioReport};
+pub use harness::{run_workload, HarnessOptions, RunReport};
 pub use oracle::Oracle;
 pub use setup::{populate, DatabaseLayout};
 pub use table::Table;

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Run the full experiment suite (every bin in ci/experiments.txt: E1-E10,
-# E13-E18). Pass --quick for smaller sweeps.
+# E14-E18). Pass --quick for smaller sweeps.
 # Each binary also writes machine-readable metrics JSON (counters +
 # latency histograms per sweep point) to $FGL_METRICS_DIR (default
 # ./metrics).

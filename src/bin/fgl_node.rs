@@ -485,16 +485,12 @@ fn connect(manifest: &Manifest, id: ClientId) -> Result<(Vec<Arc<RemoteServer>>,
         };
         remotes.push(remote);
     }
-    let api: Arc<dyn ServerApi> = if remotes.len() == 1 {
-        remotes[0].clone()
-    } else {
-        PartitionedServer::new(
-            remotes
-                .iter()
-                .map(|r| r.clone() as Arc<dyn ServerApi>)
-                .collect(),
-        )
-    };
+    let api = PartitionedServer::new(
+        remotes
+            .iter()
+            .map(|r| r.clone() as Arc<dyn ServerApi>)
+            .collect(),
+    );
     let core = ClientCore::new(id, api, Arc::new(NetSim::new(Duration::ZERO)));
     Ok((remotes, core))
 }

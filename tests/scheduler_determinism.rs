@@ -1,15 +1,16 @@
-//! The event scheduler is a pure driver substitution: the same seed and
-//! config must produce the same protocol traffic and the same committed
-//! state whether the committers are OS threads or green tasks.
+//! The harness driver is deterministic: the same seed and config must
+//! produce the same protocol traffic, the same spans and the same
+//! committed state on every run, whatever the green-task stack size.
 //!
 //! The PRIVATE workload gives every committer a disjoint footprint, so
 //! the per-kind message/byte counts on the fabric are independent of how
-//! the committers interleave — any divergence between the two schedulers
-//! is a semantic change in the protocol path, not scheduling noise.
+//! the committers interleave on the worker pool — any divergence between
+//! two runs is a semantic change in the protocol path, not scheduling
+//! noise.
 
 use fgl::{NetSnapshot, System, SystemConfig};
 use fgl_obs::{trace, CaptureSink, Event, SpanKind};
-use fgl_sim::harness::{run_workload, HarnessOptions, RunReport, SchedulerKind};
+use fgl_sim::harness::{run_workload, HarnessOptions, RunReport};
 use fgl_sim::oracle::Oracle;
 use fgl_sim::setup::populate;
 use fgl_sim::workload::{WorkloadKind, WorkloadSpec};
@@ -33,13 +34,13 @@ fn spec() -> WorkloadSpec {
     s
 }
 
-fn run(scheduler: SchedulerKind) -> (RunReport, bool) {
-    run_with(scheduler, 0)
+fn run() -> (RunReport, bool) {
+    run_with(0)
 }
 
-/// Like [`run`], with an explicit (for the event driver) task stack size
-/// in KiB — `0` keeps the current process-wide setting.
-fn run_with(scheduler: SchedulerKind, stack_kb: usize) -> (RunReport, bool) {
+/// Like [`run`], with an explicit green-task stack size in KiB — `0`
+/// keeps the current process-wide setting.
+fn run_with(stack_kb: usize) -> (RunReport, bool) {
     let sys = System::build(SystemConfig::default(), 6).unwrap();
     let sp = spec();
     let layout = populate(sys.client(0), sp.pages, sp.objects_per_page, 32).unwrap();
@@ -47,7 +48,6 @@ fn run_with(scheduler: SchedulerKind, stack_kb: usize) -> (RunReport, bool) {
     oracle.seed(sys.client(0), &layout).unwrap();
     let mut opts = HarnessOptions::new(sp, 12);
     opts.seed = 0xD373;
-    opts.scheduler = scheduler;
     opts.sched_stack_kb = stack_kb;
     let report = run_workload(&sys, &layout, Some(&oracle), &opts).unwrap();
     let clean = oracle.verify_via_reads(sys.client(0)).unwrap().is_clean();
@@ -75,7 +75,7 @@ fn assert_same_traffic(a: &NetSnapshot, b: &NetSnapshot) {
         assert_eq!(
             a.counts[i],
             b.counts[i],
-            "per-kind message count diverged for {}: threads={} event={}",
+            "per-kind message count diverged for {}: {} vs {}",
             NetSnapshot::kind_name(i),
             a.counts[i],
             b.counts[i]
@@ -89,48 +89,34 @@ fn assert_same_traffic(a: &NetSnapshot, b: &NetSnapshot) {
     }
 }
 
-/// Same seed + config ⇒ identical per-kind fabric counts, identical
-/// commit/abort totals, and a clean oracle under both schedulers.
-#[test]
-fn event_and_thread_schedulers_produce_identical_traffic() {
-    let _g = serial();
-    let (threads, threads_clean) = run(SchedulerKind::Threads);
-    let (event, event_clean) = run(SchedulerKind::Event);
-    assert!(threads_clean, "threads run diverged from oracle");
-    assert!(event_clean, "event run diverged from oracle");
-    assert_eq!(threads.commits, event.commits);
-    assert_eq!(threads.aborts, event.aborts);
-    assert_same_traffic(&threads.net, &event.net);
-}
-
-/// The event scheduler itself is deterministic: two runs from the same
-/// seed match each other exactly.
+/// Two runs from the same seed match each other exactly: commits,
+/// aborts and per-kind fabric counts, with a clean oracle.
 #[test]
 fn event_scheduler_is_self_deterministic() {
     let _g = serial();
-    let (a, a_clean) = run(SchedulerKind::Event);
-    let (b, b_clean) = run(SchedulerKind::Event);
+    let (a, a_clean) = run();
+    let (b, b_clean) = run();
     assert!(a_clean && b_clean);
     assert_eq!(a.commits, b.commits);
+    assert_eq!(a.aborts, b.aborts);
     assert_same_traffic(&a.net, &b.net);
 }
 
-/// Crash recovery stays correct when the workload phases run on the
-/// event scheduler: the full server-crash scenario (phase 1, crash,
-/// recovery, verify, phase 2, verify) ends clean.
+/// Crash recovery stays correct when the workload phases run on green
+/// tasks: the full server-crash scenario (phase 1, crash, recovery,
+/// verify, phase 2, verify) ends clean.
 #[test]
 fn crash_scenario_oracle_is_clean_under_event_scheduler() {
     let _g = serial();
     let mut s = spec();
     s.pages = 12;
-    let r = fgl_sim::crash::run_crash_scenario_with(
+    let r = fgl_sim::crash::run_crash_scenario(
         SystemConfig::default(),
         3,
         fgl_sim::crash::CrashKind::Server,
         s,
         10,
         0xD373,
-        SchedulerKind::Event,
     )
     .unwrap();
     assert!(
@@ -150,8 +136,8 @@ fn crash_scenario_oracle_is_clean_under_event_scheduler() {
 fn stack_pooling_and_lazy_init_do_not_change_traffic() {
     let _g = serial();
     let _stack = StackSizeGuard::capture();
-    let (default, default_clean) = run(SchedulerKind::Event);
-    let (small, small_clean) = run_with(SchedulerKind::Event, fgl_sched::MIN_STACK / 1024);
+    let (default, default_clean) = run();
+    let (small, small_clean) = run_with(fgl_sched::MIN_STACK / 1024);
     assert!(default_clean, "default-stack run diverged from oracle");
     assert!(small_clean, "small-stack run diverged from oracle");
     assert_eq!(default.commits, small.commits);
@@ -161,12 +147,8 @@ fn stack_pooling_and_lazy_init_do_not_change_traffic() {
 
 /// Per-kind `SpanOpen` counts for one traced run. Scheduler runnable
 /// waits are deliberately excluded — they are reported as `SchedWait`
-/// events, not spans, precisely so this invariant can hold (the two
-/// drivers park differently but traverse the same protocol path).
-fn traced_span_counts(scheduler: SchedulerKind) -> BTreeMap<SpanKind, u64> {
-    traced_span_counts_of(|| run(scheduler))
-}
-
+/// events, not spans, precisely so this invariant can hold (runs park
+/// differently but traverse the same protocol path).
 fn traced_span_counts_of(run_once: impl FnOnce() -> (RunReport, bool)) -> BTreeMap<SpanKind, u64> {
     let (sink, guard) = CaptureSink::install();
     trace::set_enabled(true);
@@ -184,35 +166,24 @@ fn traced_span_counts_of(run_once: impl FnOnce() -> (RunReport, bool)) -> BTreeM
 }
 
 /// Tracing is part of the protocol path, so it must be as deterministic
-/// as the fabric counts: same seed ⇒ identical per-kind span counts
-/// under both drivers. (PRIVATE still emits `LockWait` spans — the
-/// seeding client owns every page at cold start, so first accesses wait
-/// on the ownership hand-off — but deterministically many of them.)
-#[test]
-fn span_counts_are_identical_across_schedulers() {
-    let _g = serial();
-    let threads = traced_span_counts(SchedulerKind::Threads);
-    let event = traced_span_counts(SchedulerKind::Event);
-    assert_eq!(threads, event, "per-kind span counts diverged");
-    assert!(
-        threads[&SpanKind::Commit] > 0,
-        "commits must emit root spans"
-    );
-    assert_eq!(
-        threads.get(&SpanKind::CommitLogShip).copied().unwrap_or(0),
-        0,
-        "client-based logging must never ship log records at commit"
-    );
-}
-
-/// The span invariant also holds across the memory-layout knob: default
-/// vs minimum task stacks trace the same protocol path span for span.
+/// as the fabric counts: default vs minimum task stacks trace the same
+/// protocol path span for span. (PRIVATE still emits `LockWait` spans —
+/// the seeding client owns every page at cold start, so first accesses
+/// wait on the ownership hand-off — but deterministically many of them.)
 #[test]
 fn span_counts_unchanged_by_pooling_and_lazy_init() {
     let _g = serial();
     let _stack = StackSizeGuard::capture();
-    let default = traced_span_counts(SchedulerKind::Event);
-    let small =
-        traced_span_counts_of(|| run_with(SchedulerKind::Event, fgl_sched::MIN_STACK / 1024));
+    let default = traced_span_counts_of(run);
+    let small = traced_span_counts_of(|| run_with(fgl_sched::MIN_STACK / 1024));
     assert_eq!(default, small, "per-kind span counts diverged");
+    assert!(
+        default[&SpanKind::Commit] > 0,
+        "commits must emit root spans"
+    );
+    assert_eq!(
+        default.get(&SpanKind::CommitLogShip).copied().unwrap_or(0),
+        0,
+        "client-based logging must never ship log records at commit"
+    );
 }

@@ -269,10 +269,12 @@ fn pooled_worker_does_not_inherit_a_trace_tag() {
 /// E17's contended cell over UDS in a debug build: the guard that a
 /// reader-run request never waits on a peer is live, so a fetch or ship
 /// that reached a callback or a lock wait would panic the reader and
-/// stall the run into a timeout.
+/// stall the run into a timeout. The last input runs 8 committers on 2
+/// workers: a green task blocks its worker while it reads a socket, so
+/// committers outnumbering workers must still make progress.
 #[test]
 fn reader_inline_requests_never_wait_on_a_peer() {
-    for clients in [2, 4] {
+    for (clients, workers) in [(2, 0), (4, 0), (8, 2)] {
         let cfg = SystemConfig {
             disk_latency: Duration::from_micros(400),
             lock_timeout: Duration::from_secs(2),
@@ -289,6 +291,7 @@ fn reader_inline_requests_never_wait_on_a_peer() {
         let (layout, oracle) = prepare(&sys, &spec).unwrap();
         let mut opts = HarnessOptions::new(spec, 20);
         opts.seed = 0xE17;
+        opts.event_workers = workers;
         let report = run_workload(&sys, &layout, Some(&oracle), &opts).unwrap();
         let verify = oracle.verify_via_reads(sys.client(0)).unwrap();
         assert!(
