@@ -205,7 +205,7 @@ impl ClientCore {
                             // here on: the reply, the stash and any racing
                             // wave all alias this frame.
                             let bytes: Option<Arc<[u8]>> =
-                                st.cache.peek(page).map(|p| Arc::from(p.as_bytes()));
+                                st.cache.peek(page).map(|p| p.to_wire().into());
                             if let Some(b) = &bytes {
                                 st.cache.mark_clean(page);
                                 // Remember the ship point so a later flush
@@ -376,7 +376,7 @@ impl ClientCore {
                 st.cache
                     .peek(page)
                     .filter(|_| ready)
-                    .map(|p| Arc::from(p.as_bytes()))
+                    .map(|p| p.to_wire().into())
             })
             .collect()
     }
@@ -432,7 +432,7 @@ mod tests {
             .map(|o| match o {
                 CallbackOutcome::Done { page_copy, .. } => page_copy
                     .as_ref()
-                    .map(|bytes| Page::from_bytes(bytes.to_vec()).unwrap().psn()),
+                    .map(|bytes| Page::from_wire(bytes, c.config().page_size).unwrap().psn()),
                 CallbackOutcome::Deferred { .. } => panic!("no txn active: {o:?}"),
             })
             .collect();
@@ -463,7 +463,7 @@ mod tests {
                 page_copy: Some(bytes),
                 ..
             } => {
-                let newer = Page::from_bytes(bytes.to_vec()).unwrap().psn();
+                let newer = Page::from_wire(bytes, c.config().page_size).unwrap().psn();
                 assert!(newer > psn2, "re-shipped copy must advance the PSN");
             }
             other => panic!("expected a fresh copy: {other:?}"),
@@ -537,7 +537,7 @@ mod tests {
         c.write(t, b, b"BBBB").unwrap();
         c.commit(t).unwrap();
         let holds_b = |copy: &[u8]| {
-            Page::from_bytes(copy.to_vec())
+            Page::from_wire(copy, c.config().page_size)
                 .unwrap()
                 .read_object(b.slot)
                 .unwrap()

@@ -444,7 +444,7 @@ impl ClientCore {
                 for ((page, redo_lsn, bucket), (bytes, fetched_psn)) in
                     batch.into_iter().zip(fetched)
                 {
-                    let mut work = Page::from_bytes(bytes)?;
+                    let mut work = Page::from_wire(&bytes, self.config().page_size)?;
                     // Install the PSN the DCT remembers for us (§3.3).
                     if let Some(psn) = dct.get(&page).copied().flatten().or(fetched_psn) {
                         work.set_psn(psn);
@@ -460,9 +460,9 @@ impl ClientCore {
                 let replay = |(page, redo_lsn, bucket): RedoUnit| -> Result<(Page, Lsn)> {
                     let (base, install_psn, list) =
                         self.server.recover_client_page(self.id(), page)?;
-                    let bytes =
-                        self.replay_records(page, base, install_psn, list, &bucket, skip)?;
-                    Ok((Page::from_bytes(bytes)?, redo_lsn))
+                    let work =
+                        self.replay_records(page, &base, install_psn, list, &bucket, skip)?;
+                    Ok((work, redo_lsn))
                 };
                 for replayed in fgl_sched::fan_out(batch, replay) {
                     let (page, redo_lsn) = replayed?;
@@ -680,13 +680,13 @@ impl ClientCore {
                 let bucket = records.get(&j.page).map(Vec::as_slice).unwrap_or_default();
                 match self.replay_records(
                     j.page,
-                    j.base.to_vec(),
+                    &j.base,
                     j.install_psn,
                     j.callback_list,
                     bucket,
                     &no_skips,
                 ) {
-                    Ok(bytes) => RecoveredPageOutcome::Done(bytes),
+                    Ok(work) => RecoveredPageOutcome::Done(work.to_wire()),
                     Err(e) => RecoveredPageOutcome::Failed(e.to_string()),
                 }
             })
@@ -694,20 +694,20 @@ impl ClientCore {
     }
 
     /// Replay `records` — one page's bucket from [`bucket_scan`] —
-    /// against `base` (§3.4).
+    /// against `base`, a wire-form copy (§3.4).
     /// Records of transactions in `skip_txns` (redo-only losers) are not
     /// replayed: their updates are either absent from the base copy or
     /// undone afterwards from spilled before-images.
     fn replay_records(
         &self,
         page: PageId,
-        base: Vec<u8>,
+        base: &[u8],
         install_psn: Psn,
         callback_list: Vec<(ObjectId, Psn)>,
         records: &[LogRecordEntry],
         skip_txns: &HashSet<TxnId>,
-    ) -> Result<Vec<u8>> {
-        let mut work = Page::from_bytes(base)?;
+    ) -> Result<Page> {
+        let mut work = Page::from_wire(base, self.config().page_size)?;
         work.set_psn(install_psn);
         let thresholds: HashMap<ObjectId, Psn> = callback_list.into_iter().collect();
 
@@ -720,14 +720,13 @@ impl ClientCore {
                 // partial progress first (breaks mutual-wait cycles),
                 // then fetch the merged copy.
                 if !thresholds.contains_key(&cb.object) {
-                    self.server
-                        .install_recovered(self.id(), work.as_bytes().to_vec())?;
+                    self.server.install_recovered(self.id(), work.to_wire())?;
                     let (bytes, _) = self.server.recovery_fetch(
                         self.id(),
                         page,
                         Some((cb.from_client, cb.psn)),
                     )?;
-                    let incoming = Page::from_bytes(bytes)?;
+                    let incoming = Page::from_wire(&bytes, self.config().page_size)?;
                     let (merged, _) = merge_pages(&work, &incoming)?;
                     work = merged;
                 }
@@ -751,13 +750,12 @@ impl ClientCore {
                 // Serve partial-state needs from parallel recoveries.
                 for (npage, _psn) in self.server.poll_recovery_needs(self.id()) {
                     if npage == page {
-                        self.server
-                            .install_recovered(self.id(), work.as_bytes().to_vec())?;
+                        self.server.install_recovered(self.id(), work.to_wire())?;
                     }
                 }
             }
         }
-        Ok(work.into_bytes())
+        Ok(work)
     }
 }
 

@@ -68,7 +68,8 @@ pub(crate) struct ClientState {
     /// ServerLog baseline: log bytes below this LSN were shipped.
     pub shipped_upto: Lsn,
     /// Dirty pages evicted from the cache whose ship to the server has
-    /// not completed yet. A callback racing that window must answer with
+    /// not completed yet, as the wire frames being shipped
+    /// (`Page::to_wire`). A callback racing that window must answer with
     /// this copy — otherwise the requester can fetch a stale server
     /// version and cache it under its fresh lock.
     pub in_transit: IdMap<PageId, Arc<[u8]>>,
@@ -677,7 +678,7 @@ impl ClientCore {
         let bytes = if st.cache.is_dirty(page) {
             self.spill_undo_for_page(&mut st, page)?;
             st.force_for_pages(&[page])?;
-            let bytes: Option<Arc<[u8]>> = st.cache.peek(page).map(|p| Arc::from(p.as_bytes()));
+            let bytes: Option<Arc<[u8]>> = st.cache.peek(page).map(|p| p.to_wire().into());
             if let Some(b) = &bytes {
                 st.cache.mark_clean(page);
                 self.pages_shipped.fetch_add(1, Ordering::Relaxed);
@@ -806,7 +807,7 @@ impl ClientCore {
             }
         }
         let bytes = self.server.allocate_page(self.id, txn)?;
-        let page = Page::from_bytes(bytes)?;
+        let page = Page::from_wire(&bytes, self.cfg.page_size)?;
         let pid = page.id();
         let evicted = {
             let mut st = self.st.lock();
@@ -1248,7 +1249,7 @@ impl ClientCore {
     /// pushed out, if any, for [`Self::handle_evicted`] to ship once the
     /// guard is gone.
     fn install_from_server(&self, st: &mut ClientState, bytes: Vec<u8>) -> Result<Option<PageId>> {
-        let incoming = Page::from_bytes(bytes)?;
+        let incoming = Page::from_wire(&bytes, self.cfg.page_size)?;
         st.refetch.remove(&incoming.id());
         let ev = st.cache.install_from_server(incoming)?;
         self.stash_evicted(st, ev)
@@ -1291,7 +1292,7 @@ impl ClientCore {
         self.spill_undo_for_page(st, pid)?;
         st.force_for_pages(&[pid])?;
         self.note_shipped(st, pid);
-        st.in_transit.insert(pid, ev.page.into_bytes().into());
+        st.in_transit.insert(pid, ev.page.to_wire().into());
         Ok(Some(pid))
     }
 
@@ -1401,7 +1402,7 @@ impl ClientCore {
                 let bytes: Arc<[u8]> = st
                     .cache
                     .peek(page)
-                    .map(|p| Arc::from(p.as_bytes()))
+                    .map(|p| p.to_wire().into())
                     .ok_or(FglError::PageNotFound(page))?;
                 st.cache.mark_clean(page);
                 Self::note_shipped_at(&mut st, page, shipped_at);

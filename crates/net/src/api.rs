@@ -11,6 +11,11 @@
 //! this one module: the enums, [`dispatch`]/[`apply_callback`], and the
 //! codec in [`crate::transport::frame`] all match exhaustively.
 //!
+//! Every page byte buffer on this surface and on
+//! [`crate::peer::ClientPeer`], in both directions, is a page's wire form
+//! (`fgl_storage::page::Page::to_wire`: header, slot table and data, no
+//! free gap); the receiver rebuilds the page with `Page::from_wire`.
+//!
 //! Lock waits are the one request that must not block the transport:
 //! [`dispatch`] returns [`Dispatched::LockWait`] instead of a reply, and
 //! the socket backend maps the eventual grant onto the request's

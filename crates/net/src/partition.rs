@@ -581,7 +581,7 @@ mod tests {
         let (router, backends) = routed();
         let c = ClientId(1);
         let page = Page::format(256, PageId(7), Psn(1)); // 7 % 3 == 1
-        let bytes: Arc<[u8]> = Arc::from(page.as_bytes());
+        let bytes: Arc<[u8]> = Arc::from(page.to_wire());
         router.ship_page(c, bytes.clone(), false).unwrap();
         router.install_recovered(c, bytes.to_vec()).unwrap();
         assert_calls(&backends, &[(1, &["ship_page", "install_recovered"])]);
@@ -608,7 +608,7 @@ mod tests {
         router.force_pages(c, &pages).unwrap();
         let frames: Vec<Arc<[u8]>> = pages
             .iter()
-            .map(|&p| Arc::from(Page::format(256, p, Psn(1)).as_bytes()))
+            .map(|&p| Arc::from(Page::format(256, p, Psn(1)).to_wire()))
             .collect();
         router.ship_pages(c, frames, true).unwrap();
         let batch: &[&'static str] = &["fetch_pages", "force_pages", "ship_pages"];
@@ -627,7 +627,7 @@ mod tests {
         router.force_pages(c, &[PageId(4), PageId(1)]).unwrap();
         assert_calls(&backends, &[(1, &["force_pages"])]);
         let bad: Vec<Arc<[u8]>> = vec![
-            Arc::from(Page::format(256, PageId(6), Psn(1)).as_bytes()),
+            Arc::from(Page::format(256, PageId(6), Psn(1)).to_wire()),
             Arc::from(&b"xx"[..]),
         ];
         assert!(router.ship_pages(c, bad, false).is_err());

@@ -11,7 +11,8 @@ pub enum MsgKind {
     /// Client → server lock request.
     LockReq = 0,
     /// Server → client lock reply (grant/abort), including parked grants.
-    /// A grant carries the locked page, counted in its bytes.
+    /// A grant carries the locked page in its wire form (`Page::to_wire`:
+    /// no free gap), counted in its bytes: 24 plus the page's `wire_len`.
     LockReply = 1,
     /// Server → client callback request.
     Callback = 2,
@@ -21,9 +22,10 @@ pub enum MsgKind {
     CallbackComplete = 4,
     /// Client → server page fetch request.
     FetchPage = 5,
-    /// A page copy crossing the wire on its own, either direction. A copy
-    /// riding on a callback reply, a completion or a lock grant counts
-    /// with that message.
+    /// A page copy crossing the wire on its own, either direction,
+    /// counted at the length of its wire form (`Page::to_wire`), not the
+    /// page size. A copy riding on a callback reply, a completion or a
+    /// lock grant counts with that message.
     PageShip = 6,
     /// Client → server request to force a page to disk (§3.6).
     ForcePage = 7,

@@ -58,7 +58,7 @@ pub const BLOCKER_ENTRY: usize = 8;
 /// Handshake magic: `"FGLW"`.
 pub const MAGIC: u32 = 0x4647_4C57;
 /// Codec version carried in the handshake.
-pub const WIRE_VERSION: u16 = 9;
+pub const WIRE_VERSION: u16 = 10;
 /// Upper bound on a single frame; larger length prefixes are corrupt.
 pub const MAX_FRAME: usize = 64 << 20;
 

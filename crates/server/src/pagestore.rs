@@ -82,11 +82,11 @@ impl PageStore {
         }
     }
 
-    /// The pool-resident copy, if any (counts as an LRU touch). A miss
+    /// The pool-resident page, if any (counts as an LRU touch). A miss
     /// means the caller should read the disk *without holding the store
     /// lock* and hand the result to [`install_read`](Self::install_read).
-    pub fn pool_copy(&mut self, id: PageId) -> Option<Page> {
-        self.pool.get(id).cloned()
+    pub fn pooled(&mut self, id: PageId) -> Option<&Page> {
+        self.pool.get(id)
     }
 
     /// Is the page pool-resident? (LRU touch on hit.)
@@ -237,11 +237,11 @@ mod tests {
         PageStore::new(Arc::new(MemDisk::new()), pool, 512)
     }
 
-    /// A pool-first read through to disk, as the runtime's
-    /// `read_page_copy` does it.
+    /// A pool-first read through to disk, as the runtime's `with_page`
+    /// does it.
     fn get_copy(s: &mut PageStore, id: PageId) -> Result<(Page, EvictedDirty)> {
-        if let Some(p) = s.pool_copy(id) {
-            return Ok((p, Vec::new()));
+        if let Some(p) = s.pooled(id) {
+            return Ok((p.clone(), Vec::new()));
         }
         let disk = s.disk_handle().read_page(id)?;
         Ok(s.install_read(id, Some(disk.ok_or(FglError::PageNotFound(id))?)))

@@ -380,11 +380,11 @@ impl ServerCore {
             let mut jobs = Vec::with_capacity(batch.len());
             for (page, callback_list) in batch {
                 // Base copy: the server's current merged view.
-                let base = self.read_or_format_page(*page)?;
-                let install_psn = self.dct.lock().psn_of(*page, c).unwrap_or(base.psn());
+                let (base, psn) = self.with_page(*page, true, |p| (p.to_wire(), p.psn()))?;
+                let install_psn = self.dct.lock().psn_of(*page, c).unwrap_or(psn);
                 jobs.push(RecoverJob {
                     page: *page,
-                    base: base.into_bytes().into(),
+                    base: base.into(),
                     install_psn,
                     callback_list: callback_list.clone(),
                 });

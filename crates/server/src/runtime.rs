@@ -131,7 +131,8 @@ pub struct ServerCore {
     /// Shared metrics registry: histograms + counters for the whole
     /// system. Clients and WAL managers clone this handle.
     metrics: Arc<Metrics>,
-    /// `page_ship_bytes_copied`, resolved once: every absorbed page adds.
+    /// `page_ship_bytes_copied`, resolved once: every absorbed page adds
+    /// the length of its wire frame (`parse_frame`).
     ship_bytes_copied: Counter,
     /// `server_recovery_fetch_timeouts`: §3.5 waits that ran out and
     /// served the current merged copy instead.
@@ -531,27 +532,27 @@ impl ServerCore {
 
     // ---- pages ---------------------------------------------------------------
 
-    /// Pool-first page read: on a miss, the disk read (and its simulated
-    /// latency) runs with **no server lock held**, then the copy is
-    /// installed unless a newer one appeared meanwhile.
-    fn read_page_copy(&self, page: PageId) -> Result<Page> {
-        if let Some(p) = self.store.lock().pool_copy(page) {
-            return Ok(p);
-        }
-        let disk = self.store.lock().disk_handle();
-        let from_disk = disk.read_page(page)?.ok_or(FglError::PageNotFound(page))?;
-        self.install_read(page, Some(from_disk))
-    }
-
-    /// [`read_page_copy`](Self::read_page_copy) for recovery (§3.4 replay
-    /// bases, §3.5): a page absent on disk is formatted, not missing.
-    pub(crate) fn read_or_format_page(&self, page: PageId) -> Result<Page> {
-        if let Some(p) = self.store.lock().pool_copy(page) {
-            return Ok(p);
+    /// Pool-first page read that hands `f` the page. A hit runs `f` on
+    /// the pooled page under the store lock, so nothing is cloned; on a
+    /// miss the disk read (and its simulated latency) runs with **no
+    /// server lock held**, then the copy is installed unless a newer one
+    /// appeared meanwhile. A page absent on disk is `PageNotFound`, or,
+    /// with `or_format` (recovery: §3.4 replay bases, §3.5), formatted.
+    pub(crate) fn with_page<R>(
+        &self,
+        page: PageId,
+        or_format: bool,
+        f: impl FnOnce(&Page) -> R,
+    ) -> Result<R> {
+        if let Some(p) = self.store.lock().pooled(page) {
+            return Ok(f(p));
         }
         let disk = self.store.lock().disk_handle();
         let from_disk = disk.read_page(page)?;
-        self.install_read(page, from_disk)
+        if from_disk.is_none() && !or_format {
+            return Err(FglError::PageNotFound(page));
+        }
+        Ok(f(&self.install_read(page, from_disk)?))
     }
 
     /// Install what a disk read made with no server lock held found
@@ -563,24 +564,24 @@ impl ServerCore {
     }
 
     /// The current merged copy of `page` as a fetch or a grant hands it to
-    /// `client`, plus the PSN the DCT remembers for the client (§3.2:
-    /// ignored during normal processing, used by rollback-after-
-    /// replacement and by restart recovery). A DCT entry still without a
-    /// PSN takes the copy's.
+    /// `client`, in its wire form, plus the PSN the DCT remembers for the
+    /// client (§3.2: ignored during normal processing, used by
+    /// rollback-after-replacement and by restart recovery). A DCT entry
+    /// still without a PSN takes the copy's.
     fn hand_out_page(&self, client: ClientId, page: PageId) -> Result<(Vec<u8>, Option<Psn>)> {
-        let copy = self.read_page_copy(page)?;
+        let (wire, psn) = self.with_page(page, false, |p| (p.to_wire(), p.psn()))?;
         let dct_psn = {
             let mut dct = self.dct.lock();
-            dct.set_psn_if_unset(page, client, copy.psn());
+            dct.set_psn_if_unset(page, client, psn);
             dct.psn_of(page, client)
         };
         emit(Event::PageShip {
             client,
             page,
-            psn: copy.psn(),
+            psn,
             to_server: false,
         });
-        Ok((copy.into_bytes(), dct_psn))
+        Ok((wire, dct_psn))
     }
 
     pub(crate) fn absorb_page(&self, client: ClientId, bytes: &[u8], replaced: bool) -> Result<()> {
@@ -588,11 +589,15 @@ impl ServerCore {
         self.absorb_parsed(client, page, replaced)
     }
 
-    /// The ship path's single copy: materialize an owned page from a
-    /// shared frame, accounting the copied bytes.
+    /// The ship path's single copy: materialize an owned page of the
+    /// configured size from a shipped wire frame ([`Page::from_wire`]),
+    /// accounting the frame's bytes to `page_ship_bytes_copied`. Shipped
+    /// copies travel as shared `Arc<[u8]>` frames, so the shipping
+    /// client's `in_transit` stash and every racing callback wave alias
+    /// one snapshot; this is where the receiving side first owns one.
     fn parse_frame(&self, bytes: &[u8]) -> Result<Page> {
         self.ship_bytes_copied.add(bytes.len() as u64);
-        fgl_storage::merge::parse_incoming(bytes)
+        Page::from_wire(bytes, self.cfg.page_size)
     }
 
     fn absorb_parsed(&self, client: ClientId, page: Page, replaced: bool) -> Result<()> {
@@ -882,7 +887,7 @@ impl ServerCore {
     /// Diagnostics / oracle verification: a copy of the page as the server
     /// sees it now.
     pub fn page_copy(&self, page: PageId) -> Result<Page> {
-        self.read_page_copy(page)
+        self.with_page(page, false, Page::clone)
     }
 
     /// Diagnostics: ids of every allocated page, ascending.
@@ -1042,8 +1047,9 @@ impl ServerApi for ServerCore {
             .lock()
             .install_holder(client, LockTarget::Page(page.id(), ObjMode::X));
         self.dct.lock().insert(page.id(), client, Some(page.psn()));
-        self.net.msg(MsgKind::PageShip, page.size());
-        Ok(page.into_bytes())
+        let wire = page.to_wire();
+        self.net.msg(MsgKind::PageShip, wire.len());
+        Ok(wire)
     }
 
     /// A dirty page arrives from a client (cache replacement ships it to
@@ -1256,10 +1262,10 @@ impl ServerApi for ServerCore {
                 self.wait_for_recovery_progress(cid, page, psn);
             }
         }
-        let copy = self.read_page_copy(page)?;
+        let wire = self.with_page(page, false, Page::to_wire)?;
         let dct_psn = self.dct.lock().psn_of(page, client);
-        self.net.msg(MsgKind::PageShip, copy.size());
-        Ok((copy.into_bytes(), dct_psn))
+        self.net.msg(MsgKind::PageShip, wire.len());
+        Ok((wire, dct_psn))
     }
 
     /// §3.5: prepare one page for a crashed client's post-server-restart
@@ -1269,7 +1275,7 @@ impl ServerApi for ServerCore {
     /// and the merged `CallBack_P` list from the operational clients.
     fn recover_client_page(&self, client: ClientId, page: PageId) -> Result<RecoverPagePlan> {
         self.net.msg(MsgKind::Recovery, 16);
-        let base = self.read_or_format_page(page)?;
+        let base = self.with_page(page, true, Page::to_wire)?;
         let install_psn = self.dct.lock().psn_of(page, client).unwrap_or(Psn::ZERO);
         // Ensure a DCT entry exists so parallel recoveries can wait on our
         // progress for this page.
@@ -1291,8 +1297,8 @@ impl ServerApi for ServerCore {
         }
         let mut list: Vec<_> = merged.into_iter().collect();
         list.sort_by_key(|(o, _)| (o.page.0, o.slot.0));
-        self.net.msg(MsgKind::PageShip, base.size());
-        Ok((base.into_bytes(), install_psn, list))
+        self.net.msg(MsgKind::PageShip, base.len());
+        Ok((base, install_psn, list))
     }
 
     /// A recovering client polls for partial-state needs addressed to it

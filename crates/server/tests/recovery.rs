@@ -82,11 +82,11 @@ fn property2_dct_psns_rebuilt_from_matching_replacement_record() {
     let bytes = s
         .allocate_page(ClientId(1), TxnId::compose(ClientId(1), 1))
         .unwrap();
-    let mut copy = Page::from_bytes(bytes).unwrap();
+    let mut copy = Page::from_wire(&bytes, s.config().page_size).unwrap();
     let slot = copy.insert_object(b"prop2-payload").unwrap();
     let shipped_psn = copy.psn();
     let pid = copy.id();
-    s.ship_page(ClientId(1), copy.as_bytes().into(), true)
+    s.ship_page(ClientId(1), copy.to_wire().into(), true)
         .unwrap();
     s.flush_page(pid).unwrap();
 
@@ -109,7 +109,7 @@ fn property2_dct_psns_rebuilt_from_matching_replacement_record() {
     // PSN identifies the client updates present on disk — the rebuilt DCT
     // must vouch for client 1 at (at least) the shipped/merged PSN.
     let (bytes, dct_psn) = s.fetch_page(ClientId(1), pid).unwrap();
-    let disk = Page::from_bytes(bytes).unwrap();
+    let disk = Page::from_wire(&bytes, s.config().page_size).unwrap();
     assert_eq!(disk.read_object(slot).unwrap(), b"prop2-payload");
     let vouched = dct_psn.expect("rebuilt DCT must have a PSN for client 1");
     assert!(
@@ -132,7 +132,7 @@ fn restart_pulls_cached_dpt_pages_from_operational_clients() {
     let bytes = s
         .allocate_page(ClientId(1), TxnId::compose(ClientId(1), 1))
         .unwrap();
-    let mut copy = Page::from_bytes(bytes).unwrap();
+    let mut copy = Page::from_wire(&bytes, s.config().page_size).unwrap();
     let slot = copy.insert_object(b"cached-state").unwrap();
     let pid = copy.id();
     // The client never ships; the server crashes with a virgin pool copy.
@@ -145,13 +145,11 @@ fn restart_pulls_cached_dpt_pages_from_operational_clients() {
         cached_pages: vec![(pid, copy.psn())],
         locks: vec![LockTarget::Object(ObjectId::new(pid, slot), ObjMode::X)],
     };
-    peer.cached_copies
-        .lock()
-        .push((pid, copy.as_bytes().to_vec()));
+    peer.cached_copies.lock().push((pid, copy.to_wire()));
     let report = s.restart_recovery().unwrap();
     assert_eq!(report.recovery_units, 0, "cached pages need no replay");
     let (bytes, _) = s.fetch_page(ClientId(1), pid).unwrap();
-    let merged = Page::from_bytes(bytes).unwrap();
+    let merged = Page::from_wire(&bytes, s.config().page_size).unwrap();
     assert_eq!(merged.read_object(slot).unwrap(), b"cached-state");
 }
 
@@ -167,9 +165,9 @@ fn restart_rebuilds_glm_from_reported_lock_tables() {
     let bytes = s
         .allocate_page(ClientId(1), TxnId::compose(ClientId(1), 1))
         .unwrap();
-    let page = Page::from_bytes(bytes).unwrap();
+    let page = Page::from_wire(&bytes, s.config().page_size).unwrap();
     let pid = page.id();
-    s.ship_page(ClientId(1), page.as_bytes().into(), true)
+    s.ship_page(ClientId(1), page.to_wire().into(), true)
         .unwrap();
     s.flush_page(pid).unwrap();
     s.crash();

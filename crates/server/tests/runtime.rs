@@ -83,7 +83,7 @@ fn allocate_grants_page_exclusively_and_seeds_dct() {
     let s = server();
     let _p1 = register(&s, 1);
     let bytes = s.allocate_page(ClientId(1), txn(1, 1)).unwrap();
-    let page = Page::from_bytes(bytes).unwrap();
+    let page = Page::from_wire(&bytes, s.config().page_size).unwrap();
     // A second client's object request triggers a de-escalation callback.
     let resp = s
         .lock(
@@ -108,10 +108,10 @@ fn ship_page_merges_and_updates_dct_psn() {
     let s = server();
     let _p1 = register(&s, 1);
     let bytes = s.allocate_page(ClientId(1), txn(1, 1)).unwrap();
-    let mut copy = Page::from_bytes(bytes).unwrap();
+    let mut copy = Page::from_wire(&bytes, s.config().page_size).unwrap();
     let slot = copy.insert_object(b"hello-dct").unwrap();
     let pid = copy.id();
-    s.ship_page(ClientId(1), copy.as_bytes().into(), true)
+    s.ship_page(ClientId(1), copy.to_wire().into(), true)
         .unwrap();
     // The server's merged copy carries the update.
     let merged = s.page_copy(pid).unwrap();
@@ -120,7 +120,7 @@ fn ship_page_merges_and_updates_dct_psn() {
     // Shipped frames travel shared; the parse into an owned Page is the
     // single copy of the path and is accounted per byte.
     let copied = s.metrics().snapshot().counters["page_ship_bytes_copied"];
-    assert_eq!(copied, copy.as_bytes().len() as u64);
+    assert_eq!(copied, copy.wire_len() as u64);
 }
 
 #[test]
@@ -128,10 +128,10 @@ fn force_page_notifies_replacers_once() {
     let s = server();
     let p1 = register(&s, 1);
     let bytes = s.allocate_page(ClientId(1), txn(1, 1)).unwrap();
-    let mut copy = Page::from_bytes(bytes).unwrap();
+    let mut copy = Page::from_wire(&bytes, s.config().page_size).unwrap();
     copy.insert_object(b"dirty").unwrap();
     let pid = copy.id();
-    s.ship_page(ClientId(1), copy.as_bytes().into(), true)
+    s.ship_page(ClientId(1), copy.to_wire().into(), true)
         .unwrap();
     s.force_page(ClientId(1), pid).unwrap();
     assert_eq!(p1.lock().flushes, vec![pid]);
@@ -145,10 +145,10 @@ fn replacement_records_written_before_page_force() {
     let s = server();
     let _p1 = register(&s, 1);
     let bytes = s.allocate_page(ClientId(1), txn(1, 1)).unwrap();
-    let mut copy = Page::from_bytes(bytes).unwrap();
+    let mut copy = Page::from_wire(&bytes, s.config().page_size).unwrap();
     copy.insert_object(b"payload").unwrap();
     let pid = copy.id();
-    s.ship_page(ClientId(1), copy.as_bytes().into(), true)
+    s.ship_page(ClientId(1), copy.to_wire().into(), true)
         .unwrap();
     let before = s.stats();
     s.force_page(ClientId(1), pid).unwrap();
@@ -162,10 +162,10 @@ fn crash_drops_volatile_state_but_disk_survives() {
     let s = server();
     let _p1 = register(&s, 1);
     let bytes = s.allocate_page(ClientId(1), txn(1, 1)).unwrap();
-    let mut copy = Page::from_bytes(bytes).unwrap();
+    let mut copy = Page::from_wire(&bytes, s.config().page_size).unwrap();
     copy.insert_object(b"durable-bytes").unwrap();
     let pid = copy.id();
-    s.ship_page(ClientId(1), copy.as_bytes().into(), true)
+    s.ship_page(ClientId(1), copy.to_wire().into(), true)
         .unwrap();
     s.force_page(ClientId(1), pid).unwrap();
     s.crash();
@@ -196,7 +196,7 @@ fn client_crash_releases_shared_keeps_exclusive() {
     let _p1 = register(&s, 1);
     let _p2 = register(&s, 2);
     let bytes = s.allocate_page(ClientId(1), txn(1, 1)).unwrap();
-    let page = Page::from_bytes(bytes).unwrap().id();
+    let page = Page::from_wire(&bytes, s.config().page_size).unwrap().id();
     // Client 2 gets an S lock on an object (forces de-escalation of 1's
     // page lock).
     let obj = ObjectId::new(page, fgl_common::SlotId(0));
@@ -262,7 +262,7 @@ fn checkpoint_snapshots_dct_into_log() {
     let s = server();
     let _p1 = register(&s, 1);
     let bytes = s.allocate_page(ClientId(1), txn(1, 1)).unwrap();
-    let _pid = Page::from_bytes(bytes).unwrap().id();
+    let _pid = Page::from_wire(&bytes, s.config().page_size).unwrap().id();
     let before = s.slog_bounds();
     s.checkpoint().unwrap();
     let after = s.slog_bounds();
@@ -340,10 +340,10 @@ fn force_pages_forces_the_log_once_before_any_page_is_written() {
     let mut ids = Vec::new();
     for n in 0..PAGES {
         let bytes = s.allocate_page(ClientId(1), txn(1, 1)).unwrap();
-        let mut copy = Page::from_bytes(bytes).unwrap();
+        let mut copy = Page::from_wire(&bytes, s.config().page_size).unwrap();
         copy.insert_object(&[n as u8; 24]).unwrap();
         ids.push(copy.id());
-        frames.push(Arc::from(copy.as_bytes()));
+        frames.push(Arc::from(copy.to_wire()));
     }
     s.ship_pages(ClientId(1), frames, true).unwrap();
     assert!(disk.writes.lock().is_empty(), "shipping writes nothing");

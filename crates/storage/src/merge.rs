@@ -26,19 +26,6 @@ pub struct MergeOutcome {
     pub kept_from_resident: usize,
 }
 
-/// Parse an incoming shipped frame into an owned [`Page`] for merging.
-///
-/// Shipped copies travel the fabric as shared `Arc<[u8]>` frames: the
-/// shipping client's `in_transit` stash and every racing callback wave
-/// alias one snapshot instead of deep-copying per wave. This is the ship
-/// path's single unavoidable copy — the one place the receiving side
-/// materializes an owned page from the frame (a `Page` owns its bytes).
-/// Callers account the copied bytes to the obs registry
-/// (`page_ship_bytes_copied`).
-pub fn parse_incoming(bytes: &[u8]) -> Result<Page> {
-    Page::from_bytes(bytes.to_vec())
-}
-
 /// Merge `incoming` into `resident`, returning the merged page.
 ///
 /// Both copies must be copies of the same page. The merge is symmetric in
@@ -211,13 +198,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_incoming_round_trips_a_shared_frame() {
+    fn shipped_wire_frame_parses_and_merges() {
         let page = base_page();
-        let frame: std::sync::Arc<[u8]> = std::sync::Arc::from(page.as_bytes());
-        let parsed = parse_incoming(&frame).unwrap();
+        let frame: std::sync::Arc<[u8]> = page.to_wire().into();
+        assert!(frame.len() < page.size());
+        let parsed = Page::from_wire(&frame, page.size()).unwrap();
         assert_eq!(parsed.id(), page.id());
         assert_eq!(parsed.psn(), page.psn());
         assert_eq!(parsed.read_object(SlotId(0)).unwrap(), b"AAAA");
+        let (m, _) = merge_pages(&page, &parsed).unwrap();
+        assert_eq!(m.snapshot_all_slots(), page.snapshot_all_slots());
     }
 
     #[test]

@@ -35,6 +35,34 @@
 //!
 //! Slot entry layout (16 bytes): `data_off u16 | len u16 | flags u16 |
 //! pad u16 | slot_psn u64`. Bit 0 of `flags` = live.
+//!
+//! `data_start` is a u16, so a 64 KiB page with an empty data region
+//! stores 0 there (the header makes 0 impossible otherwise); a zero-length
+//! object on such a page likewise records `data_off` 0.
+//!
+//! # Disk and wire forms
+//!
+//! A page has two byte forms. On disk it is the whole `page_size` buffer
+//! above ([`as_bytes`](Page::as_bytes) / [`from_bytes`](Page::from_bytes)),
+//! so a page fills a fixed-size slot. Every page copy that crosses the
+//! server/client API (grants, fetches, callback and completion copies,
+//! replacement ships, recovery pulls and bases) leaves the free gap out
+//! ([`to_wire`](Page::to_wire) / [`from_wire`](Page::from_wire)):
+//!
+//! ```text
+//! +---------------------------+ 0
+//! | header (32 bytes)         |
+//! +---------------------------+ 32
+//! | slot table (16 B / slot)  |
+//! +---------------------------+ slots_end
+//! | object data               |   buf[data_start..page_size]
+//! +---------------------------+ slots_end + page_size - data_start
+//! ```
+//!
+//! The header is unchanged, so `data_start` and every slot's `data_off`
+//! still name offsets in the whole page: the receiver, which knows its
+//! configured `page_size`, puts the data region back at `data_start` and
+//! zeroes the gap. The body must imply exactly that `page_size`.
 
 use fgl_common::{FglError, ObjectId, PageId, Psn, Result, SlotId};
 
@@ -91,7 +119,7 @@ impl Page {
         p.set_slot_count(0);
         p.set_id(id);
         p.set_psn(psn);
-        p.set_data_start(page_size as u16);
+        p.set_data_start(page_size);
         p
     }
 
@@ -99,67 +127,111 @@ impl Page {
     /// materializing (or validating) the whole page — what a partition
     /// router needs to pick the owning server for a shipped copy.
     pub fn peek_id(bytes: &[u8]) -> Result<PageId> {
-        if bytes.len() < PAGE_HEADER_SIZE {
-            return Err(FglError::Corrupt(
-                "page frame shorter than its header".into(),
-            ));
-        }
-        let magic = u32::from_le_bytes(bytes[OFF_MAGIC..OFF_MAGIC + 4].try_into().unwrap());
-        if magic != MAGIC {
-            return Err(FglError::Corrupt(format!("bad page magic {magic:#x}")));
-        }
+        check_header(bytes)?;
         Ok(PageId(u64::from_le_bytes(
             bytes[OFF_PAGE_ID..OFF_PAGE_ID + 8].try_into().unwrap(),
         )))
     }
 
-    /// Reconstruct a page from raw bytes (e.g. read from disk or received
-    /// over the network), validating the header.
+    /// Reconstruct a page from its disk form (the whole `page_size`
+    /// buffer), validating the header and every live slot's extent.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Page> {
         if bytes.len() < 128 {
             return Err(FglError::Corrupt(
                 "page buffer shorter than 128 bytes".into(),
             ));
         }
+        check_header(&bytes)?;
         let p = Page {
             buf: bytes.into_boxed_slice(),
         };
-        let magic = u32::from_le_bytes(p.buf[OFF_MAGIC..OFF_MAGIC + 4].try_into().unwrap());
-        if magic != MAGIC {
-            return Err(FglError::Corrupt(format!("bad page magic {magic:#x}")));
-        }
-        let ver = u16::from_le_bytes(p.buf[OFF_VERSION..OFF_VERSION + 2].try_into().unwrap());
-        if ver != FORMAT_VERSION {
-            return Err(FglError::Corrupt(format!("unsupported page format {ver}")));
-        }
-        let slots_end = PAGE_HEADER_SIZE + p.slot_count() as usize * SLOT_ENTRY_SIZE;
-        if slots_end > p.buf.len() || (p.data_start() as usize) > p.buf.len() {
+        if p.slots_end() > p.data_start() || p.data_start() > p.size() {
             return Err(FglError::Corrupt("page extents out of range".into()));
         }
-        // Validate every live slot's extent so later reads cannot slice
-        // out of bounds on a corrupted page.
-        for i in 0..p.slot_count() {
-            if let Some(slot) = p.read_slot(SlotId(i)) {
-                if slot.live() {
-                    let end = slot.data_off as usize + slot.len as usize;
-                    if (slot.data_off as usize) < slots_end || end > p.buf.len() {
-                        return Err(FglError::Corrupt(format!(
-                            "slot {i} extent [{}, {end}) out of range",
-                            slot.data_off
-                        )));
-                    }
-                }
-            }
-        }
+        p.check_slots()?;
         Ok(p)
     }
 
-    /// The raw bytes of the page (what gets written to disk / the wire).
+    /// The page's wire form: header and slot table, then the data region,
+    /// with the free gap between them left out (module docs).
+    pub fn to_wire(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len());
+        out.extend_from_slice(&self.buf[..self.slots_end()]);
+        out.extend_from_slice(&self.buf[self.data_start()..]);
+        out
+    }
+
+    /// Length of [`to_wire`](Self::to_wire)'s output: `size()` less the
+    /// free gap.
+    pub fn wire_len(&self) -> usize {
+        self.size() - self.contiguous_free()
+    }
+
+    /// Rebuild a page of the receiver's `page_size` from its wire form,
+    /// with a zeroed gap. A body whose header, slot table, `data_start`,
+    /// implied page size or live-slot extents do not fit is refused as
+    /// [`FglError::Corrupt`]; hostile bytes never panic.
+    pub fn from_wire(bytes: &[u8], page_size: usize) -> Result<Page> {
+        if !(128..=1 << 16).contains(&page_size) {
+            return Err(FglError::Corrupt(format!(
+                "page size {page_size} out of range"
+            )));
+        }
+        check_header(bytes)?;
+        let mut p = Page {
+            buf: vec![0u8; page_size].into_boxed_slice(),
+        };
+        p.buf[..PAGE_HEADER_SIZE].copy_from_slice(&bytes[..PAGE_HEADER_SIZE]);
+        let (slots_end, data_start) = (p.slots_end(), p.data_start());
+        if slots_end > bytes.len() || slots_end > data_start || data_start > page_size {
+            return Err(FglError::Corrupt(
+                "page body's slot table or data start out of range".into(),
+            ));
+        }
+        let implied = data_start + (bytes.len() - slots_end);
+        if implied != page_size {
+            return Err(FglError::Corrupt(format!(
+                "page body implies a {implied} B page, expected {page_size} B"
+            )));
+        }
+        p.buf[PAGE_HEADER_SIZE..slots_end].copy_from_slice(&bytes[PAGE_HEADER_SIZE..slots_end]);
+        p.buf[data_start..].copy_from_slice(&bytes[slots_end..]);
+        p.check_slots()?;
+        Ok(p)
+    }
+
+    /// Every live slot's extent lies in the data region, and together
+    /// they fit in it — so later reads cannot slice out of bounds and the
+    /// free-space arithmetic cannot underflow on a corrupted page.
+    fn check_slots(&self) -> Result<()> {
+        let mut live = 0usize;
+        for (i, slot) in self.iter_slots() {
+            let (off, end) = (
+                slot.data_off as usize,
+                slot.data_off as usize + slot.len as usize,
+            );
+            if end > self.size() || (slot.len > 0 && off < self.data_start()) {
+                return Err(FglError::Corrupt(format!(
+                    "slot {} extent [{off}, {end}) out of range",
+                    i.0
+                )));
+            }
+            live += slot.len as usize;
+        }
+        if live > self.size() - self.data_start() {
+            return Err(FglError::Corrupt(format!(
+                "live objects total {live} B, more than the data region"
+            )));
+        }
+        Ok(())
+    }
+
+    /// The page's disk form: all `page_size` bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
     }
 
-    /// Consume the page into its backing byte vector.
+    /// Consume the page into its disk form.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf.into_vec()
     }
@@ -204,16 +276,26 @@ impl Page {
         self.buf[OFF_SLOT_COUNT..OFF_SLOT_COUNT + 2].copy_from_slice(&n.to_le_bytes());
     }
 
-    fn data_start(&self) -> u16 {
-        u16::from_le_bytes(
+    /// Offset of the data region; a stored 0 is a 64 KiB page's empty
+    /// region (module docs).
+    fn data_start(&self) -> usize {
+        match u16::from_le_bytes(
             self.buf[OFF_DATA_START..OFF_DATA_START + 2]
                 .try_into()
                 .unwrap(),
-        )
+        ) {
+            0 => 1 << 16,
+            v => v as usize,
+        }
     }
 
-    fn set_data_start(&mut self, v: u16) {
-        self.buf[OFF_DATA_START..OFF_DATA_START + 2].copy_from_slice(&v.to_le_bytes());
+    fn set_data_start(&mut self, v: usize) {
+        self.buf[OFF_DATA_START..OFF_DATA_START + 2].copy_from_slice(&(v as u16).to_le_bytes());
+    }
+
+    /// End of the slot table.
+    fn slots_end(&self) -> usize {
+        PAGE_HEADER_SIZE + self.slot_count() as usize * SLOT_ENTRY_SIZE
     }
 
     fn slot_entry_off(&self, slot: SlotId) -> usize {
@@ -247,15 +329,13 @@ impl Page {
     /// Bytes of contiguous free space between the slot table and the data
     /// region (not counting reclaimable dead-object space).
     pub fn contiguous_free(&self) -> usize {
-        let slots_end = PAGE_HEADER_SIZE + self.slot_count() as usize * SLOT_ENTRY_SIZE;
-        self.data_start() as usize - slots_end
+        self.data_start() - self.slots_end()
     }
 
     /// Total free space assuming compaction (dead objects reclaimed).
     pub fn total_free(&self) -> usize {
-        let slots_end = PAGE_HEADER_SIZE + self.slot_count() as usize * SLOT_ENTRY_SIZE;
         let live: usize = self.iter_slots().map(|(_, s)| s.len as usize).sum();
-        self.size() - slots_end - live
+        self.size() - self.slots_end() - live
     }
 
     fn iter_slots(&self) -> impl Iterator<Item = (SlotId, Slot)> + '_ {
@@ -389,14 +469,14 @@ impl Page {
         if new_entry {
             self.set_slot_count(self.slot_count() + 1);
         }
-        let new_start = self.data_start() - data.len() as u16;
-        self.buf[new_start as usize..new_start as usize + data.len()].copy_from_slice(data);
+        let new_start = self.data_start() - data.len();
+        self.buf[new_start..new_start + data.len()].copy_from_slice(data);
         self.set_data_start(new_start);
         let psn = self.bump_psn();
         self.write_slot(
             slot,
             Slot {
-                data_off: new_start,
+                data_off: new_start as u16,
                 len: data.len() as u16,
                 flags: FLAG_LIVE,
                 psn,
@@ -544,9 +624,11 @@ impl Page {
                     self.write_slot(slot, Slot { psn, ..cur });
                     return Ok(());
                 }
-                // Mark dead, then re-place with the explicit PSN.
+                // Mark dead, then re-place with the explicit PSN. Compact
+                // only when that makes room: the rollback below restores
+                // `cur`'s extent, which a compaction would have moved.
                 self.write_slot(slot, Slot { flags: 0, ..cur });
-                if self.contiguous_free() < bytes.len() {
+                if self.contiguous_free() < bytes.len() && self.total_free() >= bytes.len() {
                     self.compact();
                 }
                 if self.contiguous_free() < bytes.len() {
@@ -557,14 +639,13 @@ impl Page {
                         free: self.contiguous_free(),
                     });
                 }
-                let new_start = self.data_start() - bytes.len() as u16;
-                self.buf[new_start as usize..new_start as usize + bytes.len()]
-                    .copy_from_slice(bytes);
+                let new_start = self.data_start() - bytes.len();
+                self.buf[new_start..new_start + bytes.len()].copy_from_slice(bytes);
                 self.set_data_start(new_start);
                 self.write_slot(
                     slot,
                     Slot {
-                        data_off: new_start,
+                        data_off: new_start as u16,
                         len: bytes.len() as u16,
                         flags: FLAG_LIVE,
                         psn,
@@ -586,14 +667,14 @@ impl Page {
                 (id, s, d)
             })
             .collect();
-        let mut cursor = self.size() as u16;
+        let mut cursor = self.size();
         for (id, s, data) in live {
-            cursor -= s.len;
-            self.buf[cursor as usize..cursor as usize + s.len as usize].copy_from_slice(&data);
+            cursor -= data.len();
+            self.buf[cursor..cursor + data.len()].copy_from_slice(&data);
             self.write_slot(
                 id,
                 Slot {
-                    data_off: cursor,
+                    data_off: cursor as u16,
                     ..s
                 },
             );
@@ -633,6 +714,25 @@ impl Page {
     }
 }
 
+/// A header's length, magic and format version, shared by the disk and
+/// wire forms.
+fn check_header(bytes: &[u8]) -> Result<()> {
+    if bytes.len() < PAGE_HEADER_SIZE {
+        return Err(FglError::Corrupt(
+            "page bytes shorter than their header".into(),
+        ));
+    }
+    let magic = u32::from_le_bytes(bytes[OFF_MAGIC..OFF_MAGIC + 4].try_into().unwrap());
+    if magic != MAGIC {
+        return Err(FglError::Corrupt(format!("bad page magic {magic:#x}")));
+    }
+    let ver = u16::from_le_bytes(bytes[OFF_VERSION..OFF_VERSION + 2].try_into().unwrap());
+    if ver != FORMAT_VERSION {
+        return Err(FglError::Corrupt(format!("unsupported page format {ver}")));
+    }
+    Ok(())
+}
+
 impl std::fmt::Debug for Page {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Page")
@@ -648,6 +748,7 @@ impl std::fmt::Debug for Page {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fgl_common::rng::DetRng;
 
     fn page() -> Page {
         Page::format(4096, PageId(7), Psn::ZERO)
@@ -791,6 +892,130 @@ mod tests {
         assert!(!*live_b);
         // The dead slot's PSN reflects the free, for merge ordering.
         assert_eq!(*psn_b, p.psn());
+    }
+
+    /// One random mutation of `p`, as the protocol could apply it.
+    fn mutate(p: &mut Page, rng: &mut DetRng) {
+        let slots = p.slot_count().max(1) as u64;
+        let slot = SlotId(rng.gen_range(slots + 2) as u16);
+        let mut data = vec![0u8; rng.range_usize(0, 96)];
+        rng.fill_bytes(&mut data);
+        let _ = match rng.gen_range(6) {
+            0 => p.insert_object(&data).map(drop),
+            1 => p.write_object(slot, &data).or_else(|_| {
+                let len = p.read_object(slot).map(<[u8]>::len).unwrap_or(0);
+                p.write_object(slot, &data[..len.min(data.len())])
+            }),
+            2 => p.resize_object(slot, data.len()),
+            3 => p.free_object(slot).map(drop),
+            4 => {
+                p.compact();
+                Ok(())
+            }
+            _ => {
+                let psn = p.psn().next();
+                let live = rng.chance(0.8).then_some(data.as_slice());
+                p.install_object(slot, live, psn).map(|()| p.set_psn(psn))
+            }
+        };
+    }
+
+    /// `p` round-trips through its wire form, which is `size()` less the
+    /// gap, and merging the shipped copy equals merging the whole one.
+    fn assert_wire_round_trip(p: &Page, resident: &Page) {
+        let wire = p.to_wire();
+        assert_eq!(wire.len(), p.wire_len());
+        assert_eq!(p.wire_len(), p.size() - p.contiguous_free());
+        let back = Page::from_wire(&wire, p.size()).unwrap();
+        assert_eq!(back.id(), p.id());
+        assert_eq!(back.psn(), p.psn());
+        assert_eq!(back.slot_count(), p.slot_count());
+        assert_eq!(back.data_start(), p.data_start());
+        assert_eq!(back.snapshot_all_slots(), p.snapshot_all_slots());
+        assert_eq!(back.to_wire(), wire);
+        let (via_wire, _) = crate::merge::merge_pages(resident, &back).unwrap();
+        let (whole, _) = crate::merge::merge_pages(resident, p).unwrap();
+        assert_eq!(via_wire.as_bytes(), whole.as_bytes());
+    }
+
+    #[test]
+    fn wire_form_round_trips_random_pages() {
+        let mut rng = DetRng::new(0x3417_E000);
+        for case in 0..400u64 {
+            let size = [128, 512, 4096, 1 << 16][case as usize % 4];
+            let mut p = Page::format(size, PageId(case), Psn(case));
+            let steps = rng.range_usize(0, 80);
+            let split = rng.range_usize(0, steps + 1);
+            let mut resident = p.clone();
+            for step in 0..steps {
+                if step == split {
+                    resident = p.clone();
+                }
+                mutate(&mut p, &mut rng);
+            }
+            assert_wire_round_trip(&p, &resident);
+        }
+    }
+
+    #[test]
+    fn wire_form_of_empty_and_gapless_pages() {
+        for size in [128, 4096, 1 << 16] {
+            let empty = Page::format(size, PageId(1), Psn(3));
+            assert_eq!(empty.wire_len(), PAGE_HEADER_SIZE);
+            assert_wire_round_trip(&empty, &empty);
+
+            let mut full = empty.clone();
+            while full.insert_object(&[0x5A; 40]).is_ok() {}
+            let last = full.contiguous_free() - SLOT_ENTRY_SIZE;
+            full.insert_object(&vec![0xA5; last]).unwrap();
+            assert_eq!(full.contiguous_free(), 0, "{size} B page keeps a gap");
+            assert_eq!(full.wire_len(), size);
+            assert_wire_round_trip(&full, &empty);
+        }
+    }
+
+    /// A decoded hostile body must be a page every accessor handles.
+    fn exercise(p: &Page) {
+        for i in 0..p.slot_count() {
+            let _ = p.read_object(SlotId(i));
+        }
+        let _ = (p.snapshot_all_slots(), p.total_free(), p.live_count());
+        let again = Page::from_wire(&p.to_wire(), p.size()).unwrap();
+        assert_eq!(again.snapshot_all_slots(), p.snapshot_all_slots());
+        let mut q = p.clone();
+        q.compact();
+        let _ = q.insert_object(b"after");
+    }
+
+    #[test]
+    fn hostile_wire_bodies_are_refused_or_valid() {
+        let mut p = Page::format(512, PageId(9), Psn(4));
+        for obj in [&b"first"[..], b"second", b"third!"] {
+            p.insert_object(obj).unwrap();
+        }
+        p.free_object(SlotId(1)).unwrap();
+        let wire = p.to_wire();
+        let check = |bytes: &[u8], size: usize| match Page::from_wire(bytes, size) {
+            Ok(q) => exercise(&q),
+            Err(FglError::Corrupt(_)) => {}
+            Err(e) => panic!("hostile body gave {e}, not Corrupt"),
+        };
+        for len in 0..wire.len() {
+            assert!(Page::from_wire(&wire[..len], 512).is_err(), "len {len}");
+        }
+        for byte in 0..p.slots_end() {
+            for bit in 0..8 {
+                let mut bad = wire.clone();
+                bad[byte] ^= 1 << bit;
+                check(&bad, 512);
+            }
+        }
+        for size in [256, 1024, 4096, 1 << 16, 64, 1 << 20] {
+            assert!(Page::from_wire(&wire, size).is_err(), "size {size}");
+        }
+        let mut longer = wire.clone();
+        longer.push(0);
+        assert!(Page::from_wire(&longer, 512).is_err());
     }
 
     #[test]

@@ -173,22 +173,26 @@ fn message_counters_reflect_traffic() {
         d.count(fgl::MsgKind::Callback) >= 1,
         "S read must call back a's X lock"
     );
-    // The page rides on the grant: one lock reply carrying it, no fetch.
+    // The page rides on the grant: one lock reply carrying the server's
+    // copy in its wire form (no free gap), no fetch.
     assert_eq!(d.count(fgl::MsgKind::LockReply), 1);
-    let page_size = SystemConfig::default().page_size as u64;
-    assert_eq!(d.bytes[fgl::MsgKind::LockReply as usize], 24 + page_size);
+    let granted = sys.server.page_copy(page).unwrap().wire_len() as u64;
+    assert_eq!(d.bytes[fgl::MsgKind::LockReply as usize], 24 + granted);
     assert_eq!(d.count(fgl::MsgKind::FetchPage), 0);
 }
 
 /// A global lock costs one round trip: the grant carries the page, for a
 /// page the client does not cache and for a stale cached copy alike, and
 /// the read sees the updates the callback released. Over UDS the real
-/// frames are counted.
+/// frames are counted: the grant's page crosses the socket in its wire
+/// form, below a page in size, and the nominal count is 24 B plus that
+/// form's length — the bytes sent, not an estimate.
 #[test]
 fn a_global_grant_is_one_round_trip() {
-    use fgl::{MsgKind, TransportKind};
+    use fgl::{MsgKind, NetSnapshot, TransportKind};
     for transport in [TransportKind::Sim, TransportKind::Uds] {
         let sys = System::build(SystemConfig::default().with_transport(transport), 2).unwrap();
+        let page_size = SystemConfig::default().page_size as u64;
         let (a, b) = (sys.client(0), sys.client(1));
         let t = a.begin().unwrap();
         let page = a.create_page(t).unwrap();
@@ -201,11 +205,32 @@ fn a_global_grant_is_one_round_trip() {
                 .map_or(0, |w| w.count(MsgKind::FetchPage));
             sys.net.snapshot().count(MsgKind::FetchPage) + wire
         };
+        let snapshots = || (sys.net.snapshot(), sys.wire_snapshot());
+        let grant_carried_wire_form = |(net, wire): (NetSnapshot, Option<NetSnapshot>)| {
+            let live = sys.server.page_copy(page).unwrap().wire_len() as u64;
+            let nominal = sys.net.snapshot().delta_since(&net);
+            assert_eq!(nominal.count(MsgKind::LockReply), 1, "{transport:?}");
+            assert_eq!(
+                nominal.bytes[MsgKind::LockReply as usize],
+                24 + live,
+                "{transport:?}"
+            );
+            if let Some(wire) = wire {
+                let sent = sys.wire_snapshot().unwrap().delta_since(&wire).bytes
+                    [MsgKind::LockReply as usize];
+                assert!(
+                    sent > live && sent < page_size,
+                    "{sent} B of lock replies crossed the socket for a {live} B page body"
+                );
+            }
+        };
 
         // Absent: b has never seen the page.
         assert!(b.cached_page(page).is_none());
+        let before = snapshots();
         let t = b.begin().unwrap();
         assert_eq!(b.read(t, o1).unwrap(), b"one-one-");
+        grant_carried_wire_form(before);
         b.commit(t).unwrap();
         assert_eq!(fetches(), 0, "{transport:?}: absent page");
 
@@ -218,8 +243,10 @@ fn a_global_grant_is_one_round_trip() {
             b.cached_page(page).unwrap().read_object(o2.slot).unwrap(),
             b"two-two-"
         );
+        let before = snapshots();
         let t = b.begin().unwrap();
         assert_eq!(b.read(t, o2).unwrap(), b"A-wrote-");
+        grant_carried_wire_form(before);
         b.commit(t).unwrap();
         assert_eq!(fetches(), 0, "{transport:?}: stale cached page");
         assert!(b.stats().global_lock_requests >= 2);

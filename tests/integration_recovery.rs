@@ -736,7 +736,7 @@ fn batched_recovery_services_equal_the_per_page_ones() {
                 RecoverJob {
                     page,
                     install_psn: base.psn(),
-                    base: base.into_bytes().into(),
+                    base: base.to_wire().into(),
                     callback_list,
                 }
             })

@@ -21,6 +21,7 @@ use fgl_sim::crash::prepare;
 use fgl_sim::harness::{run_workload, HarnessOptions};
 use fgl_sim::workload::{WorkloadKind, WorkloadSpec};
 use fgl_storage::disk::MemDisk;
+use fgl_storage::page::{Page, PAGE_HEADER_SIZE};
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -769,6 +770,46 @@ fn refused(path: &Path, bytes: &[u8]) {
         Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
         other => panic!("a hostile handshake was answered: {other:?}"),
     }
+}
+
+/// Well-framed `ShipPage` requests whose page body is hostile each get a
+/// `Corrupt` reply, and the server keeps serving: a whole page with its
+/// free gap (what a version-9 peer sent), truncated wire bodies, a slot
+/// pointing past the page and a body implying another page size. The
+/// page is left as it was, and the same connection still fetches and
+/// ships it.
+#[test]
+fn hostile_shipped_page_bodies_get_an_error_reply() {
+    let core = server();
+    let path = socket_path("hostile-page");
+    let _sock = SocketServer::serve_uds(core.clone(), &path).unwrap();
+    let page = loaded_page(&core, 3);
+    let remote = connect(&path, 1);
+    let (wire, _) = remote.fetch_page(ClientId(1), page).unwrap();
+    let size = core.config().page_size;
+    let whole = Page::from_wire(&wire, size).unwrap();
+    let mut far_slot = wire.clone();
+    far_slot[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+    let hostile = [
+        whole.as_bytes().to_vec(),
+        wire[..wire.len() - 1].to_vec(),
+        wire[..PAGE_HEADER_SIZE - 1].to_vec(),
+        far_slot,
+        Page::format(size / 2, page, whole.psn()).to_wire(),
+    ];
+    for body in hostile {
+        let len = body.len();
+        let err = remote
+            .ship_page(ClientId(1), body.into(), false)
+            .unwrap_err();
+        assert!(matches!(err, FglError::Corrupt(_)), "{len} B body: {err:?}");
+    }
+    assert_eq!(core.metrics().snapshot().counters["socket_bad_frame"], 0);
+    assert_eq!(core.page_copy(page).unwrap().as_bytes(), whole.as_bytes());
+    let (again, _) = remote.fetch_page(ClientId(1), page).unwrap();
+    assert_eq!(again, wire);
+    remote.ship_page(ClientId(1), wire.into(), false).unwrap();
+    remote.disconnect();
 }
 
 /// Handshakes that misuse the second stream are refused and counted,

@@ -1089,11 +1089,13 @@ fn version_3_peers_are_refused() {
     // `ShipCachedPages` took over.
     // Version 7 has no page-batch frames: its restart would meet tags it
     // cannot decode. Version 8 can still name the retired write-behind
-    // strategy (config code 3).
-    assert_eq!(frame::WIRE_VERSION, 9);
+    // strategy (config code 3). Version 9 ships whole pages, free gap
+    // and all, where version 10 sends a page's wire form: its page
+    // bodies would be refused as corrupt.
+    assert_eq!(frame::WIRE_VERSION, 10);
     let hello =
         frame::frame_bytes(&frame::encode_hello(ClientId(1), StreamRole::Rpc))[HEADER..].to_vec();
-    for old in [3u16, 4, 5, 6, 7, 8] {
+    for old in [3u16, 4, 5, 6, 7, 8, 9] {
         let role_bytes = usize::from(old >= 5);
         let mut hello = hello[..hello.len() - 1 + role_bytes].to_vec();
         hello[4..6].copy_from_slice(&old.to_le_bytes());
