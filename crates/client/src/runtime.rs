@@ -158,9 +158,7 @@ pub struct ClientCore {
     log_stall_events: AtomicU64,
     commits_forced: AtomicU64,
     commits_piggybacked: AtomicU64,
-    /// Registry counters on the commit and callback paths, resolved once.
-    group_commit_forced: Counter,
-    group_commit_piggybacked: Counter,
+    /// Registry counter on the page-ship paths, resolved once.
     pub(crate) ship_bytes_shared: Counter,
 }
 
@@ -242,8 +240,6 @@ impl ClientCore {
             cv: Condvar::new(),
             force_state: Mutex::new(None),
             force_cv: Condvar::new(),
-            group_commit_forced: metrics.counter("group_commit_forced"),
-            group_commit_piggybacked: metrics.counter("group_commit_piggybacked"),
             ship_bytes_shared: metrics.counter("page_ship_bytes_shared"),
             metrics,
             touched: AtomicBool::new(crashed),
@@ -530,10 +526,8 @@ impl ClientCore {
             .observe_since(HistKind::GroupCommit, wait_start);
         if forced {
             self.commits_forced.fetch_add(1, Ordering::Relaxed);
-            self.group_commit_forced.add(1);
         } else {
             self.commits_piggybacked.fetch_add(1, Ordering::Relaxed);
-            self.group_commit_piggybacked.add(1);
         }
         emit(Event::GroupCommit {
             client: self.id,

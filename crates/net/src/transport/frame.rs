@@ -1,13 +1,15 @@
 //! The real wire codec: length-prefixed frames for every [`Request`],
 //! [`Reply`], [`Callback`], [`CallbackReplyMsg`] and [`GrantMsg`].
 //!
-//! Every encoder carries a `debug_assert` that its analytic `*_frame_len`
-//! equals the bytes actually produced. The sim fabric charges the
-//! callback-family messages through the same formulas
-//! ([`callback_batch_len`], [`callback_reply_len`],
-//! [`callback_complete_len`]), so a simulated run counts exactly the bytes
-//! a socket run sends for them. The codec-alignment tests in
-//! `tests/transport_codec.rs` assert both properties for every variant.
+//! The encoder is the one description of a frame: a frame's size is the
+//! length of what it builds ([`frame_len`]). The sim fabric, which does
+//! not encode, charges the callback-family messages through
+//! [`callback_batch_len`], [`callback_reply_len`] and
+//! [`callback_complete_len`]; `tests/transport_codec.rs` pins each to the
+//! encoder, so a simulated run counts exactly the bytes a socket run
+//! sends for them. Decoders read with [`fgl_wal::codec::Reader`], whose
+//! `list` bounds every u32 count by the bytes left before it sizes
+//! anything.
 //!
 //! # Frame layout
 //!
@@ -37,11 +39,10 @@ use crate::wait::GrantMsg;
 use fgl_common::config::{
     CommitPolicy, LockGranularity, LoggingStrategyKind, TransportKind, UpdatePolicy,
 };
-use fgl_common::{
-    ClientId, FglError, Lsn, ObjectId, PageId, Psn, Result, SlotId, SystemConfig, TxnId,
-};
+use fgl_common::{ClientId, FglError, ObjectId, PageId, Psn, Result, SlotId, SystemConfig};
 use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::{LockTarget, ObjMode};
+use fgl_wal::codec::Reader;
 use fgl_wal::records::DptEntry;
 use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
@@ -293,94 +294,6 @@ impl B {
     }
 }
 
-// ---- cursor ----------------------------------------------------------------
-
-struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(b: &'a [u8]) -> Cur<'a> {
-        Cur { b, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.b.len() {
-            return Err(corrupt(format!(
-                "truncated frame body: wanted {n} bytes at offset {} of {}",
-                self.pos,
-                self.b.len()
-            )));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        let s = self.take(2)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let s = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec()).map_err(|_| corrupt("invalid utf-8 string".into()))
-    }
-
-    /// A u32 element count, refused when the rest of the body cannot
-    /// hold that many elements of at least `min_elem` bytes — so a
-    /// corrupt count never sizes an allocation.
-    fn count(&mut self, min_elem: usize) -> Result<usize> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem) > self.b.len() - self.pos {
-            return Err(corrupt(format!(
-                "count {n} exceeds the {} bytes left in the frame body",
-                self.b.len() - self.pos
-            )));
-        }
-        Ok(n)
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.b[self.pos..];
-        self.pos = self.b.len();
-        s
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos == self.b.len()
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.is_empty() {
-            Ok(())
-        } else {
-            Err(corrupt(format!(
-                "{} trailing bytes after frame body",
-                self.b.len() - self.pos
-            )))
-        }
-    }
-}
-
 // ---- shared sub-encodings --------------------------------------------------
 
 fn obj_mode_code(m: ObjMode) -> u8 {
@@ -400,10 +313,8 @@ fn obj_mode(v: u8) -> Result<ObjMode> {
 
 /// Bytes of one `(object, psn)` `CallBack_P` entry.
 const LIST_ENTRY: usize = 18;
-
-fn psn_list_len(v: &[(ObjectId, Psn)]) -> usize {
-    4 + v.len() * LIST_ENTRY
-}
+/// Bytes of the shortest lock target (an object or page lock).
+const LOCK_TARGET: usize = 12;
 
 fn put_psn_list(b: &mut B, v: &[(ObjectId, Psn)]) {
     b.u32(v.len() as u32);
@@ -414,22 +325,8 @@ fn put_psn_list(b: &mut B, v: &[(ObjectId, Psn)]) {
     }
 }
 
-fn get_psn_list(c: &mut Cur) -> Result<Vec<(ObjectId, Psn)>> {
-    let n = c.count(LIST_ENTRY)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        let page = PageId(c.u64()?);
-        let slot = SlotId(c.u16()?);
-        v.push((ObjectId { page, slot }, Psn(c.u64()?)));
-    }
-    Ok(v)
-}
-
-fn lock_target_len(t: &LockTarget) -> usize {
-    match t {
-        LockTarget::Object(..) | LockTarget::Page(..) => 12,
-        LockTarget::PageAdaptive(..) => 22,
-    }
+fn get_psn_list(c: &mut Reader) -> Result<Vec<(ObjectId, Psn)>> {
+    c.list(LIST_ENTRY, |c| Ok((c.object()?, c.psn()?)))
 }
 
 fn put_lock_target(b: &mut B, t: &LockTarget) {
@@ -457,42 +354,17 @@ fn put_lock_target(b: &mut B, t: &LockTarget) {
     }
 }
 
-fn get_lock_target(c: &mut Cur) -> Result<LockTarget> {
+fn get_lock_target(c: &mut Reader) -> Result<LockTarget> {
     let tag = c.u8()?;
     let mode = obj_mode(c.u8()?)?;
-    let page = PageId(c.u64()?);
-    let slot = c.u16()?;
+    let page = c.page()?;
+    let slot = SlotId(c.u16()?);
     Ok(match tag {
-        0 => LockTarget::Object(
-            ObjectId {
-                page,
-                slot: SlotId(slot),
-            },
-            mode,
-        ),
+        0 => LockTarget::Object(ObjectId::new(page, slot), mode),
         1 => LockTarget::Page(page, mode),
-        2 => {
-            let opage = PageId(c.u64()?);
-            let oslot = SlotId(c.u16()?);
-            LockTarget::PageAdaptive(
-                page,
-                mode,
-                ObjectId {
-                    page: opage,
-                    slot: oslot,
-                },
-            )
-        }
+        2 => LockTarget::PageAdaptive(page, mode, c.object()?),
         other => return Err(corrupt(format!("bad lock target tag {other}"))),
     })
-}
-
-fn opt_psn_len(p: &Option<Psn>) -> usize {
-    if p.is_some() {
-        9
-    } else {
-        1
-    }
 }
 
 fn put_opt_psn(b: &mut B, p: &Option<Psn>) {
@@ -502,21 +374,6 @@ fn put_opt_psn(b: &mut B, p: &Option<Psn>) {
             b.u64(p.0);
         }
         None => b.u8(0),
-    }
-}
-
-fn get_opt_psn(c: &mut Cur) -> Result<Option<Psn>> {
-    Ok(match c.u8()? {
-        0 => None,
-        _ => Some(Psn(c.u64()?)),
-    })
-}
-
-fn opt_evidence_len(e: &Option<(ClientId, Psn)>) -> usize {
-    if e.is_some() {
-        13
-    } else {
-        1
     }
 }
 
@@ -531,40 +388,28 @@ fn put_opt_evidence(b: &mut B, e: &Option<(ClientId, Psn)>) {
     }
 }
 
-fn get_opt_evidence(c: &mut Cur) -> Result<Option<(ClientId, Psn)>> {
-    Ok(match c.u8()? {
-        0 => None,
-        _ => Some((ClientId(c.u32()?), Psn(c.u64()?))),
-    })
+fn get_opt_evidence(c: &mut Reader) -> Result<Option<(ClientId, Psn)>> {
+    match c.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some((c.client()?, c.psn()?))),
+        other => Err(corrupt(format!("bad option tag {other}"))),
+    }
 }
 
 /// A grant's optional page: a u32 length, 0 for no page (a page is never
 /// empty), then the bytes.
-fn opt_page_len(p: &Option<Vec<u8>>) -> usize {
-    4 + p.as_ref().map_or(0, Vec::len)
-}
-
 fn put_opt_page(b: &mut B, p: &Option<Vec<u8>>) {
     let bytes = p.as_deref().unwrap_or_default();
     b.u32(bytes.len() as u32);
     b.bytes(bytes);
 }
 
-fn get_opt_page(c: &mut Cur) -> Result<Option<Vec<u8>>> {
-    // The length is checked against the bytes left before anything is
-    // allocated for it.
-    let n = c.count(1)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    Ok(Some(c.take(n)?.to_vec()))
+fn get_opt_page(c: &mut Reader) -> Result<Option<Vec<u8>>> {
+    let page = c.sized()?;
+    Ok((!page.is_empty()).then(|| page.to_vec()))
 }
 
 /// A list of page ids: a u32 count, then 8 bytes per id.
-fn page_ids_len(pages: &[PageId]) -> usize {
-    4 + 8 * pages.len()
-}
-
 fn put_page_ids(b: &mut B, pages: &[PageId]) {
     b.u32(pages.len() as u32);
     for p in pages {
@@ -572,29 +417,16 @@ fn put_page_ids(b: &mut B, pages: &[PageId]) {
     }
 }
 
-fn get_page_ids(c: &mut Cur) -> Result<Vec<PageId>> {
-    let n = c.count(8)?;
-    (0..n).map(|_| Ok(PageId(c.u64()?))).collect()
+fn get_page_ids(c: &mut Reader) -> Result<Vec<PageId>> {
+    c.list(8, Reader::page)
 }
 
-/// A length-prefixed byte string inside a list: a u32 length, then the
-/// bytes. The length is checked against the bytes left before anything
-/// is allocated for it.
-fn get_sized<'a>(c: &mut Cur<'a>) -> Result<&'a [u8]> {
-    let n = c.count(1)?;
-    c.take(n)
+fn get_str(c: &mut Reader) -> Result<String> {
+    String::from_utf8(c.sized()?.to_vec()).map_err(|_| corrupt("invalid utf-8 string".into()))
 }
 
 /// The fields every lock grant carries, in [`Reply::LockGranted`] and in
 /// a `Grant` frame alike.
-fn lock_grant_len(
-    target: &LockTarget,
-    evidence: &Option<(ClientId, Psn)>,
-    page: &Option<Vec<u8>>,
-) -> usize {
-    lock_target_len(target) + 1 + opt_evidence_len(evidence) + opt_page_len(page)
-}
-
 fn put_lock_grant(
     b: &mut B,
     target: &LockTarget,
@@ -610,10 +442,10 @@ fn put_lock_grant(
 
 type LockGrant = (LockTarget, bool, Option<(ClientId, Psn)>, Option<Vec<u8>>);
 
-fn get_lock_grant(c: &mut Cur) -> Result<LockGrant> {
+fn get_lock_grant(c: &mut Reader) -> Result<LockGrant> {
     Ok((
         get_lock_target(c)?,
-        c.u8()? != 0,
+        c.bool()?,
         get_opt_evidence(c)?,
         get_opt_page(c)?,
     ))
@@ -638,12 +470,12 @@ fn put_callback_kind(b: &mut B, k: &CallbackKind) {
     b.u64(page.0);
 }
 
-fn get_callback_kind(c: &mut Cur) -> Result<CallbackKind> {
+fn get_callback_kind(c: &mut Reader) -> Result<CallbackKind> {
     let tag = c.u8()?;
     let _pad = c.u8()?;
     let slot = SlotId(c.u16()?);
-    let page = PageId(c.u64()?);
-    let obj = ObjectId { page, slot };
+    let page = c.page()?;
+    let obj = ObjectId::new(page, slot);
     Ok(match tag {
         0 => CallbackKind::ReleaseObject(obj),
         1 => CallbackKind::DowngradeObject(obj),
@@ -665,16 +497,17 @@ fn put_retained(b: &mut B, retained: &[(ObjectId, ObjMode)]) {
     }
 }
 
-fn get_retained(c: &mut Cur, n: usize) -> Result<Vec<(ObjectId, ObjMode)>> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let page = PageId(c.u64()?);
-        let slot = SlotId(c.u16()?);
-        let mode = obj_mode(c.u8()?)?;
-        let _pad = c.u8()?;
-        out.push((ObjectId { page, slot }, mode));
-    }
-    Ok(out)
+/// `n` retained entries; `n` is a u8 from the frame, so it cannot size
+/// a large allocation.
+fn get_retained(c: &mut Reader, n: u8) -> Result<Vec<(ObjectId, ObjMode)>> {
+    (0..n)
+        .map(|_| {
+            let o = c.object()?;
+            let mode = obj_mode(c.u8()?)?;
+            let _pad = c.u8()?;
+            Ok((o, mode))
+        })
+        .collect()
 }
 
 /// Encode one [`CallbackOutcome`] body — exactly [`outcome_len`] bytes
@@ -724,10 +557,10 @@ fn put_outcome(b: &mut B, o: &CallbackOutcome) -> Result<()> {
     Ok(())
 }
 
-fn get_outcome(c: &mut Cur) -> Result<CallbackOutcome> {
+fn get_outcome(c: &mut Reader) -> Result<CallbackOutcome> {
     match c.u8()? {
         0 => {
-            let n = c.u8()? as usize;
+            let n = c.u8()?;
             let page_len = c.u16()? as usize;
             let retained = get_retained(c, n)?;
             let page_copy = if page_len == 0 {
@@ -742,31 +575,11 @@ fn get_outcome(c: &mut Cur) -> Result<CallbackOutcome> {
         }
         1 => {
             let _pad = c.u8()?;
-            let n = c.u16()? as usize;
-            let mut blockers = Vec::with_capacity(n);
-            for _ in 0..n {
-                blockers.push(TxnId(c.u64()?));
-            }
+            let n = c.u16()?;
+            let blockers = (0..n).map(|_| c.txn()).collect::<Result<_>>()?;
             Ok(CallbackOutcome::Deferred { blockers })
         }
         other => Err(corrupt(format!("bad callback outcome tag {other}"))),
-    }
-}
-
-fn wire_error_len(e: &WireError) -> usize {
-    1 + match e {
-        WireError::Io(s)
-        | WireError::UnknownSavepoint(s)
-        | WireError::Corrupt(s)
-        | WireError::Disconnected(s)
-        | WireError::Protocol(s)
-        | WireError::Config(s) => 4 + s.len(),
-        WireError::PageNotFound(_) => 8,
-        WireError::ObjectNotFound(_) => 10,
-        WireError::PageFull { .. } => 24,
-        WireError::DeadlockVictim(_) | WireError::LockTimeout(_) | WireError::TxnAborted(_) => 8,
-        WireError::InvalidTxnState { state, .. } => 8 + 4 + state.len(),
-        WireError::LogFull => 0,
     }
 }
 
@@ -832,34 +645,43 @@ fn put_wire_error(b: &mut B, e: &WireError) {
     }
 }
 
-fn get_wire_error(c: &mut Cur) -> Result<WireError> {
+fn get_wire_error(c: &mut Reader) -> Result<WireError> {
     Ok(match c.u8()? {
-        1 => WireError::Io(c.str()?),
-        2 => WireError::PageNotFound(PageId(c.u64()?)),
-        3 => WireError::ObjectNotFound(ObjectId {
-            page: PageId(c.u64()?),
-            slot: SlotId(c.u16()?),
-        }),
+        1 => WireError::Io(get_str(c)?),
+        2 => WireError::PageNotFound(c.page()?),
+        3 => WireError::ObjectNotFound(c.object()?),
         4 => WireError::PageFull {
-            page: PageId(c.u64()?),
+            page: c.page()?,
             needed: c.u64()?,
             free: c.u64()?,
         },
-        5 => WireError::DeadlockVictim(TxnId(c.u64()?)),
-        6 => WireError::LockTimeout(TxnId(c.u64()?)),
-        7 => WireError::TxnAborted(TxnId(c.u64()?)),
+        5 => WireError::DeadlockVictim(c.txn()?),
+        6 => WireError::LockTimeout(c.txn()?),
+        7 => WireError::TxnAborted(c.txn()?),
         8 => WireError::InvalidTxnState {
-            txn: TxnId(c.u64()?),
-            state: c.str()?,
+            txn: c.txn()?,
+            state: get_str(c)?,
         },
-        9 => WireError::UnknownSavepoint(c.str()?),
+        9 => WireError::UnknownSavepoint(get_str(c)?),
         10 => WireError::LogFull,
-        11 => WireError::Corrupt(c.str()?),
-        12 => WireError::Disconnected(c.str()?),
-        13 => WireError::Protocol(c.str()?),
-        14 => WireError::Config(c.str()?),
+        11 => WireError::Corrupt(get_str(c)?),
+        12 => WireError::Disconnected(get_str(c)?),
+        13 => WireError::Protocol(get_str(c)?),
+        14 => WireError::Config(get_str(c)?),
         other => return Err(corrupt(format!("bad wire error tag {other}"))),
     })
+}
+
+/// A frame the reader would refuse as out of range is refused by the
+/// encoder that built it.
+fn checked(segs: Vec<Seg>) -> Result<Vec<Seg>> {
+    let len = frame_len(&segs);
+    if len > MAX_FRAME {
+        return Err(FglError::Protocol(format!(
+            "frame of {len} bytes exceeds the {MAX_FRAME}-byte frame limit"
+        )));
+    }
+    Ok(segs)
 }
 
 // ---- requests --------------------------------------------------------------
@@ -889,46 +711,8 @@ fn request_tag(req: &Request) -> u16 {
     }
 }
 
-/// Analytic frame size of an encoded [`Request`] — asserted equal to the
-/// actual encoding in debug builds and tests.
-pub fn request_frame_len(req: &Request) -> usize {
-    HEADER
-        + match req {
-            Request::Register
-            | Request::FetchClientLog
-            | Request::ClientCrashed
-            | Request::RecoveryBegin
-            | Request::RecoveryEnd
-            | Request::PollRecoveryNeeds => 0,
-            Request::Lock {
-                target, cached_psn, ..
-            } => 8 + lock_target_len(target) + opt_psn_len(cached_psn),
-            Request::CancelWait { .. }
-            | Request::FetchPage { .. }
-            | Request::AllocatePage { .. }
-            | Request::ForcePage { .. }
-            | Request::RecoverClientPage { .. } => 8,
-            Request::CallbackComplete {
-                retained,
-                page_copy,
-                ..
-            } => {
-                callback_complete_len(retained.len(), page_copy.as_ref().map(|p| p.len())) - HEADER
-            }
-            Request::ShipPage { bytes, .. } => 1 + bytes.len(),
-            Request::CommitShipLog { records, touched } => 2 + 8 * touched.len() + records.len(),
-            Request::RecoveryFetch { need, .. } => 8 + opt_evidence_len(need),
-            Request::InstallRecovered { bytes } => bytes.len(),
-            Request::FetchPages { pages } | Request::ForcePages { pages } => page_ids_len(pages),
-            Request::ShipPages { pages, .. } => {
-                1 + 4 + pages.iter().map(|p| 4 + p.len()).sum::<usize>()
-            }
-        }
-}
-
 /// Encode a [`Request`] under correlation id `corr`.
 pub fn encode_request(corr: u64, req: &Request) -> Result<Vec<Seg>> {
-    check_frame_len(request_frame_len(req))?;
     let mut b = B::new();
     let mut aux = 0u8;
     match req {
@@ -1009,64 +793,44 @@ pub fn encode_request(corr: u64, req: &Request) -> Result<Vec<Seg>> {
             }
         }
     }
-    let segs = b.frame(FrameKind::Req, aux, request_tag(req), corr);
-    debug_assert_eq!(frame_len(&segs), request_frame_len(req));
-    Ok(segs)
+    checked(b.frame(FrameKind::Req, aux, request_tag(req), corr))
 }
 
 /// Decode a [`Request`] frame body.
 pub fn decode_request(h: &FrameHeader, body: &[u8]) -> Result<Request> {
-    let mut c = Cur::new(body);
+    let mut c = Reader::new(body);
     let req = match h.tag {
         1 => Request::Register,
         2 => Request::Lock {
-            txn: TxnId(c.u64()?),
+            txn: c.txn()?,
             target: get_lock_target(&mut c)?,
-            cached_psn: get_opt_psn(&mut c)?,
+            cached_psn: c.opt_psn()?,
         },
-        3 => Request::CancelWait {
-            txn: TxnId(c.u64()?),
-        },
+        3 => Request::CancelWait { txn: c.txn()? },
         4 => {
             let kind = get_callback_kind(&mut c)?;
-            let retained = get_retained(&mut c, h.aux as usize)?;
+            let retained = get_retained(&mut c, h.aux)?;
             let rest = c.rest();
-            let page_copy = if rest.is_empty() {
-                None
-            } else {
-                Some(Arc::<[u8]>::from(rest))
-            };
+            let page_copy = (!rest.is_empty()).then(|| Arc::<[u8]>::from(rest));
             Request::CallbackComplete {
                 kind,
                 retained,
                 page_copy,
             }
         }
-        5 => Request::FetchPage {
-            page: PageId(c.u64()?),
+        5 => Request::FetchPage { page: c.page()? },
+        6 => Request::AllocatePage { txn: c.txn()? },
+        7 => Request::ShipPage {
+            replaced: c.bool()?,
+            bytes: Arc::<[u8]>::from(c.rest()),
         },
-        6 => Request::AllocatePage {
-            txn: TxnId(c.u64()?),
-        },
-        7 => {
-            let replaced = c.u8()? != 0;
-            Request::ShipPage {
-                bytes: Arc::<[u8]>::from(c.rest()),
-                replaced,
-            }
-        }
-        8 => Request::ForcePage {
-            page: PageId(c.u64()?),
-        },
+        8 => Request::ForcePage { page: c.page()? },
         9 => {
-            let n = c.u16()? as usize;
-            let mut touched = Vec::with_capacity(n);
-            for _ in 0..n {
-                touched.push(PageId(c.u64()?));
-            }
+            // A u16 count: it cannot size a large allocation.
+            let n = c.u16()?;
             Request::CommitShipLog {
+                touched: (0..n).map(|_| c.page()).collect::<Result<_>>()?,
                 records: c.rest().to_vec(),
-                touched,
             }
         }
         10 => Request::FetchClientLog,
@@ -1074,12 +838,10 @@ pub fn decode_request(h: &FrameHeader, body: &[u8]) -> Result<Request> {
         12 => Request::RecoveryBegin,
         13 => Request::RecoveryEnd,
         14 => Request::RecoveryFetch {
-            page: PageId(c.u64()?),
+            page: c.page()?,
             need: get_opt_evidence(&mut c)?,
         },
-        15 => Request::RecoverClientPage {
-            page: PageId(c.u64()?),
-        },
+        15 => Request::RecoverClientPage { page: c.page()? },
         16 => Request::PollRecoveryNeeds,
         17 => Request::InstallRecovered {
             bytes: c.rest().to_vec(),
@@ -1087,14 +849,10 @@ pub fn decode_request(h: &FrameHeader, body: &[u8]) -> Result<Request> {
         18 => Request::FetchPages {
             pages: get_page_ids(&mut c)?,
         },
-        19 => {
-            let replaced = c.u8()? != 0;
-            let n = c.count(4)?;
-            let pages = (0..n)
-                .map(|_| Ok(Arc::<[u8]>::from(get_sized(&mut c)?)))
-                .collect::<Result<_>>()?;
-            Request::ShipPages { pages, replaced }
-        }
+        19 => Request::ShipPages {
+            replaced: c.bool()?,
+            pages: c.list(4, |c| Ok(Arc::<[u8]>::from(c.sized()?)))?,
+        },
         20 => Request::ForcePages {
             pages: get_page_ids(&mut c)?,
         },
@@ -1122,44 +880,8 @@ fn reply_tag(r: &Reply) -> u16 {
     }
 }
 
-/// Analytic frame size of an encoded [`Reply`].
-pub fn reply_frame_len(r: &Reply) -> usize {
-    HEADER
-        + match r {
-            Reply::Unit | Reply::LockQueued => 0,
-            Reply::Err(e) => wire_error_len(e),
-            Reply::LockGranted {
-                target,
-                evidence,
-                page,
-                ..
-            } => lock_grant_len(target, evidence, page),
-            Reply::Page { bytes, psn } => opt_psn_len(psn) + bytes.len(),
-            Reply::PageImage(bytes) | Reply::Bytes(bytes) => bytes.len(),
-            Reply::Handshake { locks, pages, .. } => {
-                4 + locks.iter().map(lock_target_len).sum::<usize>()
-                    + 4
-                    + pages.iter().map(|(_, p)| 8 + opt_psn_len(p)).sum::<usize>()
-                    + 1
-            }
-            Reply::RecoverPlan {
-                base,
-                callback_list,
-                ..
-            } => 8 + psn_list_len(callback_list) + base.len(),
-            Reply::Needs(v) => 4 + v.len() * 16,
-            Reply::Pages(copies) => {
-                4 + copies
-                    .iter()
-                    .map(|(bytes, psn)| opt_psn_len(psn) + 4 + bytes.len())
-                    .sum::<usize>()
-            }
-        }
-}
-
 /// Encode a [`Reply`] under the originating request's correlation id.
 pub fn encode_reply(corr: u64, r: &Reply) -> Result<Vec<Seg>> {
-    check_frame_len(reply_frame_len(r))?;
     let mut b = B::new();
     match r {
         Reply::Unit | Reply::LockQueued => {}
@@ -1216,14 +938,12 @@ pub fn encode_reply(corr: u64, r: &Reply) -> Result<Vec<Seg>> {
             }
         }
     }
-    let segs = b.frame(FrameKind::Resp, 0, reply_tag(r), corr);
-    debug_assert_eq!(frame_len(&segs), reply_frame_len(r));
-    Ok(segs)
+    checked(b.frame(FrameKind::Resp, 0, reply_tag(r), corr))
 }
 
 /// Decode a [`Reply`] frame body.
 pub fn decode_reply(h: &FrameHeader, body: &[u8]) -> Result<Reply> {
-    let mut c = Cur::new(body);
+    let mut c = Reader::new(body);
     let r = match h.tag {
         1 => Reply::Unit,
         2 => Reply::Err(get_wire_error(&mut c)?),
@@ -1238,56 +958,26 @@ pub fn decode_reply(h: &FrameHeader, body: &[u8]) -> Result<Reply> {
         }
         4 => Reply::LockQueued,
         5 => Reply::Page {
-            psn: get_opt_psn(&mut c)?,
+            psn: c.opt_psn()?,
             bytes: c.rest().to_vec(),
         },
         6 => Reply::PageImage(c.rest().to_vec()),
         7 => Reply::Bytes(c.rest().to_vec()),
-        8 => {
-            let n = c.u32()? as usize;
-            let mut locks = Vec::with_capacity(n);
-            for _ in 0..n {
-                locks.push(get_lock_target(&mut c)?);
-            }
-            let n = c.u32()? as usize;
-            let mut pages = Vec::with_capacity(n);
-            for _ in 0..n {
-                let p = PageId(c.u64()?);
-                pages.push((p, get_opt_psn(&mut c)?));
-            }
-            Reply::Handshake {
-                locks,
-                pages,
-                dct_complete: c.u8()? != 0,
-            }
-        }
-        9 => {
-            let install_psn = Psn(c.u64()?);
-            let callback_list = get_psn_list(&mut c)?;
-            Reply::RecoverPlan {
-                install_psn,
-                callback_list,
-                base: c.rest().to_vec(),
-            }
-        }
-        10 => {
-            let n = c.u32()? as usize;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push((PageId(c.u64()?), Psn(c.u64()?)));
-            }
-            Reply::Needs(v)
-        }
-        11 => {
-            let n = c.count(1 + 4)?;
-            let copies = (0..n)
-                .map(|_| {
-                    let psn = get_opt_psn(&mut c)?;
-                    Ok((get_sized(&mut c)?.to_vec(), psn))
-                })
-                .collect::<Result<_>>()?;
-            Reply::Pages(copies)
-        }
+        8 => Reply::Handshake {
+            locks: c.list(LOCK_TARGET, get_lock_target)?,
+            pages: c.list(8 + 1, |c| Ok((c.page()?, c.opt_psn()?)))?,
+            dct_complete: c.bool()?,
+        },
+        9 => Reply::RecoverPlan {
+            install_psn: c.psn()?,
+            callback_list: get_psn_list(&mut c)?,
+            base: c.rest().to_vec(),
+        },
+        10 => Reply::Needs(c.list(16, |c| Ok((c.page()?, c.psn()?)))?),
+        11 => Reply::Pages(c.list(1 + 4, |c| {
+            let psn = c.opt_psn()?;
+            Ok((c.sized()?.to_vec(), psn))
+        })?),
         other => return Err(corrupt(format!("bad reply tag {other}"))),
     };
     c.done()?;
@@ -1298,17 +988,6 @@ pub fn decode_reply(h: &FrameHeader, body: &[u8]) -> Result<Reply> {
 
 /// Bytes of one `(page, for_client, from_lsn)` query.
 const LIST_QUERY: usize = 20;
-
-/// A frame the reader would refuse as out of range is refused by the
-/// encoder, before it is built.
-fn check_frame_len(len: usize) -> Result<()> {
-    if len > MAX_FRAME {
-        return Err(FglError::Protocol(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME}-byte frame limit"
-        )));
-    }
-    Ok(())
-}
 
 fn callback_tag(cb: &Callback) -> u16 {
     match cb {
@@ -1349,28 +1028,8 @@ pub fn callback_complete_len(retained: usize, page_copy: Option<usize>) -> usize
     HEADER + CALLBACK_KIND + retained * RETAINED_ENTRY + page_copy.unwrap_or(0)
 }
 
-/// Analytic frame size of an encoded [`Callback`].
-pub fn callback_frame_len(cb: &Callback) -> usize {
-    match cb {
-        Callback::DeliverBatch(kinds) => callback_batch_len(kinds.len()),
-        Callback::NotifyFlushed(_) => HEADER + 8,
-        Callback::ShipCachedPages(pages) => HEADER + 4 + pages.len() * 8,
-        Callback::ReportState => HEADER,
-        Callback::CallbackListsFor(queries) => HEADER + 4 + queries.len() * LIST_QUERY,
-        Callback::RecoverPages(jobs) => {
-            HEADER
-                + 4
-                + jobs
-                    .iter()
-                    .map(|j| 8 + 8 + psn_list_len(&j.callback_list) + 4 + j.base.len())
-                    .sum::<usize>()
-        }
-    }
-}
-
 /// Encode a [`Callback`] under a fresh server-side correlation id.
 pub fn encode_callback(corr: u64, cb: &Callback) -> Result<Vec<Seg>> {
-    check_frame_len(callback_frame_len(cb))?;
     let mut b = B::new();
     match cb {
         Callback::DeliverBatch(kinds) => {
@@ -1379,12 +1038,7 @@ pub fn encode_callback(corr: u64, cb: &Callback) -> Result<Vec<Seg>> {
             }
         }
         Callback::NotifyFlushed(p) => b.u64(p.0),
-        Callback::ShipCachedPages(pages) => {
-            b.u32(pages.len() as u32);
-            for p in pages {
-                b.u64(p.0);
-            }
-        }
+        Callback::ShipCachedPages(pages) => put_page_ids(&mut b, pages),
         Callback::ReportState => {}
         Callback::CallbackListsFor(queries) => {
             b.u32(queries.len() as u32);
@@ -1405,14 +1059,12 @@ pub fn encode_callback(corr: u64, cb: &Callback) -> Result<Vec<Seg>> {
             }
         }
     }
-    let segs = b.frame(FrameKind::Cb, 0, callback_tag(cb), corr);
-    debug_assert_eq!(frame_len(&segs), callback_frame_len(cb));
-    Ok(segs)
+    checked(b.frame(FrameKind::Cb, 0, callback_tag(cb), corr))
 }
 
 /// Decode a [`Callback`] frame body.
 pub fn decode_callback(h: &FrameHeader, body: &[u8]) -> Result<Callback> {
-    let mut c = Cur::new(body);
+    let mut c = Reader::new(body);
     let cb = match h.tag {
         1 => {
             if !body.len().is_multiple_of(CALLBACK_KIND) {
@@ -1423,47 +1075,23 @@ pub fn decode_callback(h: &FrameHeader, body: &[u8]) -> Result<Callback> {
                 )));
             }
             let n = body.len() / CALLBACK_KIND;
-            let mut kinds = Vec::with_capacity(n);
-            for _ in 0..n {
-                kinds.push(get_callback_kind(&mut c)?);
-            }
-            Callback::DeliverBatch(kinds)
+            let kinds = (0..n).map(|_| get_callback_kind(&mut c));
+            Callback::DeliverBatch(kinds.collect::<Result<_>>()?)
         }
-        2 => Callback::NotifyFlushed(PageId(c.u64()?)),
+        2 => Callback::NotifyFlushed(c.page()?),
         3 => Callback::ReportState,
-        4 => {
-            let n = c.count(LIST_QUERY)?;
-            let mut queries = Vec::with_capacity(n);
-            for _ in 0..n {
-                queries.push((PageId(c.u64()?), ClientId(c.u32()?), Lsn(c.u64()?)));
-            }
-            Callback::CallbackListsFor(queries)
-        }
-        5 => {
-            let n = c.count(8)?;
-            let mut pages = Vec::with_capacity(n);
-            for _ in 0..n {
-                pages.push(PageId(c.u64()?));
-            }
-            Callback::ShipCachedPages(pages)
-        }
-        6 => {
-            let n = c.count(8 + 8 + 4 + 4)?;
-            let mut jobs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let page = PageId(c.u64()?);
-                let install_psn = Psn(c.u64()?);
-                let callback_list = get_psn_list(&mut c)?;
-                let base_len = c.u32()? as usize;
-                jobs.push(RecoverJob {
-                    page,
-                    base: Arc::from(c.take(base_len)?),
-                    install_psn,
-                    callback_list,
-                });
-            }
-            Callback::RecoverPages(jobs)
-        }
+        4 => Callback::CallbackListsFor(
+            c.list(LIST_QUERY, |c| Ok((c.page()?, c.client()?, c.lsn()?)))?,
+        ),
+        5 => Callback::ShipCachedPages(get_page_ids(&mut c)?),
+        6 => Callback::RecoverPages(c.list(8 + 8 + 4 + 4, |c| {
+            Ok(RecoverJob {
+                page: c.page()?,
+                install_psn: c.psn()?,
+                callback_list: get_psn_list(c)?,
+                base: Arc::from(c.sized()?),
+            })
+        })?),
         other => return Err(corrupt(format!("bad callback tag {other}"))),
     };
     c.done()?;
@@ -1482,51 +1110,9 @@ fn callback_reply_tag(r: &CallbackReplyMsg) -> u16 {
     }
 }
 
-/// Analytic frame size of an encoded [`CallbackReplyMsg`].
-pub fn callback_reply_frame_len(r: &CallbackReplyMsg) -> usize {
-    match r {
-        CallbackReplyMsg::Outcomes(outcomes) => callback_reply_len(outcomes),
-        CallbackReplyMsg::State(s) => {
-            HEADER
-                + 4
-                + s.dpt.len() * 16
-                + 4
-                + s.cached_pages.len() * 16
-                + 4
-                + s.locks.iter().map(lock_target_len).sum::<usize>()
-        }
-        CallbackReplyMsg::CallbackLists(lists) => {
-            HEADER + 4 + lists.iter().map(|v| psn_list_len(v)).sum::<usize>()
-        }
-        CallbackReplyMsg::CachedPages(copies) => {
-            HEADER
-                + 4
-                + copies
-                    .iter()
-                    .map(|p| 1 + p.as_ref().map_or(0, |b| 4 + b.len()))
-                    .sum::<usize>()
-        }
-        CallbackReplyMsg::RecoveredPages(outcomes) => {
-            HEADER
-                + 4
-                + outcomes
-                    .iter()
-                    .map(|o| {
-                        1 + 4
-                            + match o {
-                                RecoveredPageOutcome::Done(bytes) => bytes.len(),
-                                RecoveredPageOutcome::Failed(msg) => msg.len(),
-                            }
-                    })
-                    .sum::<usize>()
-        }
-    }
-}
-
 /// Encode a [`CallbackReplyMsg`] under the originating callback's
 /// correlation id.
 pub fn encode_callback_reply(corr: u64, r: &CallbackReplyMsg) -> Result<Vec<Seg>> {
-    check_frame_len(callback_reply_frame_len(r))?;
     let mut b = B::new();
     match r {
         CallbackReplyMsg::Outcomes(outcomes) => {
@@ -1582,88 +1168,48 @@ pub fn encode_callback_reply(corr: u64, r: &CallbackReplyMsg) -> Result<Vec<Seg>
             }
         }
     }
-    let segs = b.frame(FrameKind::CbResp, 0, callback_reply_tag(r), corr);
-    debug_assert_eq!(frame_len(&segs), callback_reply_frame_len(r));
-    Ok(segs)
+    checked(b.frame(FrameKind::CbResp, 0, callback_reply_tag(r), corr))
 }
 
 /// Decode a [`CallbackReplyMsg`] frame body.
 pub fn decode_callback_reply(h: &FrameHeader, body: &[u8]) -> Result<CallbackReplyMsg> {
-    let mut c = Cur::new(body);
+    let mut c = Reader::new(body);
     let r = match h.tag {
         1 => {
             let mut outcomes = Vec::new();
-            while !c.is_empty() {
+            while c.remaining() > 0 {
                 outcomes.push(get_outcome(&mut c)?);
             }
             CallbackReplyMsg::Outcomes(outcomes)
         }
-        2 => {
-            let n = c.u32()? as usize;
-            let mut dpt = Vec::with_capacity(n);
-            for _ in 0..n {
-                dpt.push(DptEntry {
-                    page: PageId(c.u64()?),
-                    redo_lsn: Lsn(c.u64()?),
-                });
-            }
-            let n = c.u32()? as usize;
-            let mut cached_pages = Vec::with_capacity(n);
-            for _ in 0..n {
-                cached_pages.push((PageId(c.u64()?), Psn(c.u64()?)));
-            }
-            let n = c.u32()? as usize;
-            let mut locks = Vec::with_capacity(n);
-            for _ in 0..n {
-                locks.push(get_lock_target(&mut c)?);
-            }
-            CallbackReplyMsg::State(ClientStateReport {
-                dpt,
-                cached_pages,
-                locks,
+        2 => CallbackReplyMsg::State(ClientStateReport {
+            dpt: c.list(16, |c| {
+                Ok(DptEntry {
+                    page: c.page()?,
+                    redo_lsn: c.lsn()?,
+                })
+            })?,
+            cached_pages: c.list(16, |c| Ok((c.page()?, c.psn()?)))?,
+            locks: c.list(LOCK_TARGET, get_lock_target)?,
+        }),
+        3 => CallbackReplyMsg::CallbackLists(c.list(4, get_psn_list)?),
+        4 => CallbackReplyMsg::CachedPages(c.list(1, |c| match c.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(Arc::<[u8]>::from(c.sized()?))),
+            other => Err(corrupt(format!("bad cached-page tag {other}"))),
+        })?),
+        5 => CallbackReplyMsg::RecoveredPages(c.list(1 + 4, |c| {
+            let tag = c.u8()?;
+            let bytes = c.sized()?.to_vec();
+            Ok(match tag {
+                0 => RecoveredPageOutcome::Done(bytes),
+                1 => RecoveredPageOutcome::Failed(
+                    String::from_utf8(bytes)
+                        .map_err(|_| corrupt("invalid utf-8 failure message".into()))?,
+                ),
+                other => return Err(corrupt(format!("bad recovered-page tag {other}"))),
             })
-        }
-        3 => {
-            let n = c.count(4)?;
-            let mut lists = Vec::with_capacity(n);
-            for _ in 0..n {
-                lists.push(get_psn_list(&mut c)?);
-            }
-            CallbackReplyMsg::CallbackLists(lists)
-        }
-        4 => {
-            let n = c.count(1)?;
-            let mut copies = Vec::with_capacity(n);
-            for _ in 0..n {
-                copies.push(match c.u8()? {
-                    0 => None,
-                    1 => {
-                        let len = c.count(1)?;
-                        Some(Arc::<[u8]>::from(c.take(len)?))
-                    }
-                    other => return Err(corrupt(format!("bad cached-page tag {other}"))),
-                });
-            }
-            CallbackReplyMsg::CachedPages(copies)
-        }
-        5 => {
-            let n = c.count(1 + 4)?;
-            let mut outcomes = Vec::with_capacity(n);
-            for _ in 0..n {
-                let tag = c.u8()?;
-                let len = c.u32()? as usize;
-                let bytes = c.take(len)?.to_vec();
-                outcomes.push(match tag {
-                    0 => RecoveredPageOutcome::Done(bytes),
-                    1 => RecoveredPageOutcome::Failed(
-                        String::from_utf8(bytes)
-                            .map_err(|_| corrupt("invalid utf-8 failure message".into()))?,
-                    ),
-                    other => return Err(corrupt(format!("bad recovered-page tag {other}"))),
-                });
-            }
-            CallbackReplyMsg::RecoveredPages(outcomes)
-        }
+        })?),
         other => return Err(corrupt(format!("bad callback reply tag {other}"))),
     };
     c.done()?;
@@ -1671,20 +1217,6 @@ pub fn decode_callback_reply(h: &FrameHeader, body: &[u8]) -> Result<CallbackRep
 }
 
 // ---- grants ----------------------------------------------------------------
-
-/// Analytic frame size of an encoded [`GrantMsg`].
-pub fn grant_frame_len(g: &GrantMsg) -> usize {
-    HEADER
-        + match g {
-            GrantMsg::Victim => 0,
-            GrantMsg::Granted {
-                target,
-                evidence,
-                page,
-                ..
-            } => lock_grant_len(target, evidence, page),
-        }
-}
 
 /// Encode a [`GrantMsg`] under the original `Lock` request's correlation
 /// id — this is how a blocking [`crate::GrantSlot`] wait crosses the
@@ -1703,14 +1235,12 @@ pub fn encode_grant(corr: u64, g: &GrantMsg) -> Vec<Seg> {
             1
         }
     };
-    let segs = b.frame(FrameKind::Grant, 0, tag, corr);
-    debug_assert_eq!(frame_len(&segs), grant_frame_len(g));
-    segs
+    b.frame(FrameKind::Grant, 0, tag, corr)
 }
 
 /// Decode a [`GrantMsg`] frame body.
 pub fn decode_grant(h: &FrameHeader, body: &[u8]) -> Result<GrantMsg> {
-    let mut c = Cur::new(body);
+    let mut c = Reader::new(body);
     let g = match h.tag {
         0 => GrantMsg::Victim,
         1 => {
@@ -1751,7 +1281,7 @@ pub fn encode_hello(client: ClientId, role: StreamRole) -> Vec<Seg> {
 
 /// Decode the handshake; checks magic and version first.
 pub fn decode_hello(body: &[u8]) -> Result<(ClientId, StreamRole)> {
-    let mut c = Cur::new(body);
+    let mut c = Reader::new(body);
     let magic = c.u32()?;
     if magic != MAGIC {
         return Err(corrupt(format!("bad handshake magic {magic:#x}")));
@@ -1762,7 +1292,7 @@ pub fn decode_hello(body: &[u8]) -> Result<(ClientId, StreamRole)> {
             "wire version mismatch: peer speaks {version}, this build speaks {WIRE_VERSION}"
         )));
     }
-    let client = ClientId(c.u32()?);
+    let client = c.client()?;
     let role = match c.u8()? {
         0 => StreamRole::Rpc,
         1 => StreamRole::Events,
@@ -1838,7 +1368,7 @@ pub fn encode_hello_ack(cfg: &SystemConfig) -> Vec<Seg> {
 
 /// Decode the handshake answer into a [`SystemConfig`].
 pub fn decode_hello_ack(body: &[u8]) -> Result<SystemConfig> {
-    let mut c = Cur::new(body);
+    let mut c = Reader::new(body);
     let version = c.u16()?;
     if version != WIRE_VERSION {
         return Err(FglError::Protocol(format!(

@@ -46,7 +46,7 @@ use fgl_common::config::CommitPolicy;
 use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, Result, SystemConfig, TxnId};
 use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::{LockTarget, ObjMode};
-use fgl_obs::{Counter, HistKind, Metrics};
+use fgl_obs::{emit, Counter, Event, HistKind, Metrics, SocketSite};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -276,11 +276,14 @@ fn accept_loop(served: &Arc<Served>, listener: Listener) {
         let _ = thread::Builder::new()
             .name("fgl-conn".into())
             .spawn(move || {
-                if let Err(e) = serve_conn(&served, stream) {
+                if serve_conn(&served, stream).is_err() {
                     // A handshake that never completes is the only path
                     // here; established connections end via the reader.
                     served.setup_failed.add(1);
-                    eprintln!("fgl-net: connection setup failed: {e}");
+                    emit(Event::SocketFault {
+                        client: None,
+                        site: SocketSite::Setup,
+                    });
                 }
             });
     }
@@ -374,15 +377,18 @@ fn conn_reader(
             // A client that exits with frames still unread resets the
             // connection: a disconnect, not a failure.
             Err(FglError::Io(e)) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
-            Err(e) => {
+            Err(_) => {
                 served.read_failed.add(1);
-                eprintln!("fgl-net: client {:?} read failed: {e}", conn.client);
+                emit(Event::SocketFault {
+                    client: Some(conn.client),
+                    site: SocketSite::Read,
+                });
                 break;
             }
         };
-        let bad = match h.kind {
-            FrameKind::Req => match frame::decode_request(&h, &body) {
-                Ok(req) => {
+        match h.kind {
+            FrameKind::Req => {
+                if let Ok(req) = frame::decode_request(&h, &body) {
                     served.requests.fetch_add(1, Ordering::Relaxed);
                     if req.runs_on_reader() {
                         ON_READER.set(true);
@@ -401,21 +407,24 @@ fn conn_reader(
                     }
                     continue;
                 }
-                Err(e) => format!("bad request: {e}"),
-            },
-            FrameKind::CbResp => match frame::decode_callback_reply(&h, &body) {
-                Ok(reply) => {
+            }
+            FrameKind::CbResp => {
+                if let Ok(reply) = frame::decode_callback_reply(&h, &body) {
                     if let Some(tx) = conn.cb_pending.lock().remove(&h.corr) {
                         let _ = tx.send(reply);
                     }
                     continue;
                 }
-                Err(e) => format!("bad callback reply: {e}"),
-            },
-            other => format!("unexpected {other:?} frame"),
-        };
+            }
+            _ => {}
+        }
+        // A frame that does not decode, or of a kind the rpc stream never
+        // carries: the connection is dropped.
         served.bad_frame.add(1);
-        eprintln!("fgl-net: client {:?} sent {bad}", conn.client);
+        emit(Event::SocketFault {
+            client: Some(conn.client),
+            site: SocketSite::BadFrame,
+        });
         break;
     }
     // Connection gone. Deliberately NOT auto-marking the client crashed:
@@ -878,9 +887,12 @@ fn expect_page(reply: Reply) -> Result<(Vec<u8>, Option<Psn>)> {
 impl ServerApi for RemoteServer {
     fn register_client(&self, peer: Arc<dyn ClientPeer>) {
         *self.peer.lock() = Some(peer);
-        if let Err(e) = self.call(Request::Register).and_then(expect_unit) {
+        if self.call(Request::Register).and_then(expect_unit).is_err() {
             self.register_failed.add(1);
-            eprintln!("fgl-net: client {:?} registration failed: {e}", self.id);
+            emit(Event::SocketFault {
+                client: Some(self.id),
+                site: SocketSite::Register,
+            });
         }
     }
 

@@ -46,6 +46,19 @@ pub enum RecoveryPhase {
     Done,
 }
 
+/// Where a socket endpoint gave up on a connection.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SocketSite {
+    /// The handshake of an accepted connection failed.
+    Setup,
+    /// Reading a frame failed mid-frame or on an I/O error.
+    Read,
+    /// A frame did not decode, or is of a kind its stream never carries.
+    BadFrame,
+    /// A client stub's `Register` request failed.
+    Register,
+}
+
 /// What a trace span measures. Each kind is one bucket of the
 /// critical-path breakdown the trace assembler computes (see
 /// `crate::trace`).
@@ -187,6 +200,14 @@ pub enum Event {
         page: PageId,
         psn: Psn,
     },
+    /// A socket connection failed at `site` and was dropped (the server)
+    /// or left unregistered (a client stub). `client` is `None` when the
+    /// handshake failed before naming one. Each site has its `socket_*`
+    /// counter.
+    SocketFault {
+        client: Option<ClientId>,
+        site: SocketSite,
+    },
     /// A trace span opened. `parent` is the span id active in the opening
     /// context (0 = root). `txn` is the transaction the span belongs to
     /// (`TxnId(0)` when unknown at open time — the assembler resolves it
@@ -226,6 +247,7 @@ impl Event {
             Event::TxnAbort { .. } => "txn-abort",
             Event::RecoveryPhase { .. } => "recovery-phase",
             Event::RecoveryFetchTimeout { .. } => "recovery-fetch-timeout",
+            Event::SocketFault { .. } => "socket-fault",
             Event::SpanOpen { .. } => "span-open",
             Event::SpanClose { .. } => "span-close",
             Event::SchedWait { .. } => "sched-wait",
@@ -321,6 +343,10 @@ impl fmt::Display for Event {
                 f,
                 "recovery-fetch-timeout {page} waiting on {provider} psn={psn:?}"
             ),
+            Event::SocketFault { client, site } => match client {
+                Some(c) => write!(f, "socket-fault {site:?} {c}"),
+                None => write!(f, "socket-fault {site:?} before hello"),
+            },
             Event::SpanOpen {
                 id,
                 parent,
@@ -370,6 +396,10 @@ mod tests {
                 provider: ClientId(2),
                 page: PageId(3),
                 psn: Psn(4),
+            },
+            Event::SocketFault {
+                client: None,
+                site: SocketSite::Setup,
             },
         ];
         for e in evs {

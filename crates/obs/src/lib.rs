@@ -32,7 +32,7 @@ pub mod ring;
 pub mod sink;
 pub mod trace;
 
-pub use event::{CallbackClass, Event, LogOwner, RecoveryPhase, SpanKind};
+pub use event::{CallbackClass, Event, LogOwner, RecoveryPhase, SocketSite, SpanKind};
 pub use hist::{HistSnapshot, Histogram};
 pub use procstat::{current_rss_bytes, current_threads, RssSampler};
 pub use registry::{Clock, Counter, HistKind, ManualClock, Metrics, Snapshot};

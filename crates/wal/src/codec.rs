@@ -1,5 +1,6 @@
 //! Minimal binary codec for log records: a cursor-based writer/reader pair
-//! plus the checksum guarding each record on disk.
+//! plus the checksum guarding each record on disk. [`Reader`] is also how
+//! `fgl-net` decodes its wire frames: one byte reader for every format.
 //!
 //! All integers are little-endian; variable-length byte strings are
 //! u32-length-prefixed. The codec is hand-rolled (rather than serde) so
@@ -157,16 +158,68 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    /// The next `n` bytes, borrowed.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(FglError::Corrupt(format!(
-                "log record truncated: wanted {n} bytes, {} left",
+                "truncated: wanted {n} bytes, {} left",
                 self.remaining()
             )));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// A u32 element count, refused when the bytes left cannot hold that
+    /// many elements of at least `min_elem` bytes each — so a corrupt
+    /// count never sizes an allocation.
+    pub fn count(&mut self, min_elem: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_elem) > self.remaining() {
+            return Err(FglError::Corrupt(format!(
+                "count {n} exceeds the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// A u32-counted list of elements of at least `min_elem` bytes each,
+    /// each read by `elem`. The count passes [`Self::count`] before it
+    /// sizes the list: every counted list is read here.
+    pub fn list<T>(
+        &mut self,
+        min_elem: usize,
+        mut elem: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let n = self.count(min_elem)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(elem(self)?);
+        }
+        Ok(v)
+    }
+
+    /// A u32-length-prefixed byte string, borrowed.
+    pub fn sized(&mut self) -> Result<&'a [u8]> {
+        let n = self.count(1)?;
+        self.take(n)
+    }
+
+    /// Every byte left.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
+    }
+
+    /// Refuse bytes left over after a complete decode.
+    pub fn done(&self) -> Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(FglError::Corrupt(format!("{n} trailing bytes"))),
+        }
     }
 
     pub fn u8(&mut self) -> Result<u8> {
@@ -186,8 +239,7 @@ impl<'a> Reader<'a> {
     }
 
     pub fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
+        Ok(self.sized()?.to_vec())
     }
 
     pub fn opt_bytes(&mut self) -> Result<Option<Vec<u8>>> {

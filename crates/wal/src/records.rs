@@ -384,45 +384,30 @@ impl LogPayload {
                 from_client: r.client()?,
                 psn: r.psn()?,
             }),
-            TAG_CLIENT_CKPT => {
-                let n = r.u32()? as usize;
-                let mut active_txns = Vec::with_capacity(n);
-                for _ in 0..n {
-                    active_txns.push((r.txn()?, r.lsn()?));
-                }
-                let m = r.u32()? as usize;
-                let mut dpt = Vec::with_capacity(m);
-                for _ in 0..m {
-                    dpt.push(DptEntry {
+            TAG_CLIENT_CKPT => LogPayload::ClientCheckpoint {
+                active_txns: r.list(16, |r| Ok((r.txn()?, r.lsn()?)))?,
+                dpt: r.list(16, |r| {
+                    Ok(DptEntry {
                         page: r.page()?,
                         redo_lsn: r.lsn()?,
-                    });
-                }
-                LogPayload::ClientCheckpoint { active_txns, dpt }
-            }
-            TAG_REPLACEMENT => {
-                let page = r.page()?;
-                let psn = r.psn()?;
-                let n = r.u32()? as usize;
-                let mut clients = Vec::with_capacity(n);
-                for _ in 0..n {
-                    clients.push((r.client()?, r.psn()?));
-                }
-                LogPayload::Replacement(ReplacementRecord { page, psn, clients })
-            }
-            TAG_SERVER_CKPT => {
-                let n = r.u32()? as usize;
-                let mut dct = Vec::with_capacity(n);
-                for _ in 0..n {
-                    dct.push(DctEntry {
+                    })
+                })?,
+            },
+            TAG_REPLACEMENT => LogPayload::Replacement(ReplacementRecord {
+                page: r.page()?,
+                psn: r.psn()?,
+                clients: r.list(12, |r| Ok((r.client()?, r.psn()?)))?,
+            }),
+            TAG_SERVER_CKPT => LogPayload::ServerCheckpoint {
+                dct: r.list(14, |r| {
+                    Ok(DctEntry {
                         page: r.page()?,
                         client: r.client()?,
                         psn: r.opt_psn()?,
                         redo_lsn: r.opt_lsn()?,
-                    });
-                }
-                LogPayload::ServerCheckpoint { dct }
-            }
+                    })
+                })?,
+            },
             TAG_REDO_UPDATE => LogPayload::RedoUpdate(RedoUpdateRecord {
                 txn: r.txn()?,
                 prev_lsn: r.lsn()?,
@@ -438,12 +423,7 @@ impl LogPayload {
             }),
             t => return Err(FglError::Corrupt(format!("unknown log record tag {t}"))),
         };
-        if r.remaining() != 0 {
-            return Err(FglError::Corrupt(format!(
-                "{} trailing bytes after log record",
-                r.remaining()
-            )));
-        }
+        r.done()?;
         Ok(payload)
     }
 }
@@ -751,6 +731,44 @@ mod tests {
         .encode();
         bytes.push(0xFF);
         assert!(LogPayload::decode(&bytes).is_err());
+    }
+
+    /// A list count the record cannot hold is `Corrupt` before it sizes
+    /// an allocation: each list of every record kind that has one, with
+    /// its count (after the tag, and a page and PSN for a replacement
+    /// record) set to `u32::MAX`.
+    #[test]
+    fn hostile_list_counts_are_corrupt() {
+        let lists = [
+            (
+                LogPayload::ClientCheckpoint {
+                    active_txns: vec![],
+                    dpt: vec![],
+                },
+                vec![1, 1 + 4],
+            ),
+            (
+                LogPayload::Replacement(ReplacementRecord {
+                    page: PageId(1),
+                    psn: Psn(2),
+                    clients: vec![],
+                }),
+                vec![1 + 16],
+            ),
+            (LogPayload::ServerCheckpoint { dct: vec![] }, vec![1]),
+        ];
+        for (record, counts) in lists {
+            let bytes = record.encode();
+            for at in counts {
+                let mut bad = bytes.clone();
+                bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                let err = LogPayload::decode(&bad).unwrap_err();
+                assert!(
+                    matches!(&err, FglError::Corrupt(m) if m.contains("exceeds")),
+                    "{record:?} count at {at}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use fgl_net::{
     CallbackOutcome, ClientPeer, ClientStateReport, GrantMsg, LockResponse, MsgKind, NetStats,
     RecoverPagePlan, RecoveredPageOutcome, RecoveryHandshake, Reply, Request, RECOVER_BATCH_PAGES,
 };
-use fgl_obs::Metrics;
+use fgl_obs::{CaptureSink, Event, Metrics, SocketSite};
 use fgl_sim::crash::prepare;
 use fgl_sim::harness::{run_workload, HarnessOptions};
 use fgl_sim::workload::{WorkloadKind, WorkloadSpec};
@@ -762,7 +762,11 @@ fn a_grant_that_beats_its_lock_queued_reply_finds_its_slot() {
 /// Send `bytes` on a fresh connection and wait for the server to close it
 /// unanswered.
 fn refused(path: &Path, bytes: &[u8]) {
-    let mut s = UnixStream::connect(path).unwrap();
+    sent_and_dropped(&mut UnixStream::connect(path).unwrap(), bytes);
+}
+
+/// Send `bytes` on `s` and wait for the server to close it unanswered.
+fn sent_and_dropped(s: &mut UnixStream, bytes: &[u8]) {
     s.write_all(bytes).unwrap();
     let mut buf = [0u8; 1];
     match s.read(&mut buf) {
@@ -854,4 +858,46 @@ fn hostile_second_stream_handshakes_are_refused_and_counted() {
     // The refusals broke nothing: client 1 is still served.
     remote.fetch_page(ClientId(1), page).unwrap();
     remote.disconnect();
+}
+
+/// A client that completes `Hello` and then sends an unsolicited 20-byte
+/// `CbResp` frame — a state report whose DPT count is `u32::MAX` — costs
+/// only its own connection: the server counts one bad frame, reports it
+/// as a typed event naming the client, drops the connection and still
+/// serves another client. (That count once sized a 64 GiB allocation,
+/// and the server process aborted.)
+#[test]
+fn a_hostile_callback_reply_drops_only_its_connection() {
+    let (sink, _guard) = CaptureSink::install();
+    let core = server();
+    let path = socket_path("hostile-cbresp");
+    let _sock = SocketServer::serve_uds(core.clone(), &path).unwrap();
+    let page = loaded_page(&core, 4);
+    let bad_frames = || core.metrics().snapshot().counters["socket_bad_frame"];
+
+    let mut rpc = UnixStream::connect(&path).unwrap();
+    let hello = frame::encode_hello(ClientId(9), StreamRole::Rpc);
+    rpc.write_all(&frame::frame_bytes(&hello)).unwrap();
+    let (h, _) = frame::read_frame(&mut rpc).unwrap();
+    assert_eq!(h.kind, FrameKind::HelloAck);
+    // The header — length 20, `CbResp`, aux 0, tag 2 (`State`), corr 1 —
+    // then the DPT count.
+    let mut hostile = 20u32.to_le_bytes().to_vec();
+    hostile.extend_from_slice(&[FrameKind::CbResp as u8, 0, 2, 0]);
+    hostile.extend_from_slice(&1u64.to_le_bytes());
+    hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(hostile.len(), HEADER + 4);
+    // The server counts and reports the frame before it drops the
+    // connection.
+    sent_and_dropped(&mut rpc, &hostile);
+    assert_eq!(bad_frames(), 1);
+    let fault = Event::SocketFault {
+        client: Some(ClientId(9)),
+        site: SocketSite::BadFrame,
+    };
+    assert_eq!(sink.events().iter().filter(|s| s.event == fault).count(), 1);
+    let remote = connect(&path, 1);
+    remote.fetch_page(ClientId(1), page).unwrap();
+    remote.disconnect();
+    assert_eq!(bad_frames(), 1);
 }

@@ -1,18 +1,21 @@
 //! Codec conformance for the `fgl-net` frame transport.
 //!
-//! Four properties, each over **every** protocol variant:
+//! Five properties, each over **every** protocol variant:
 //!
 //! 1. Round-trip fidelity: encode → `write_frame` bytes → `read_frame` →
 //!    decode reproduces the message exactly.
-//! 2. Analytic sizing: `frame_len(&segs)` equals the `*_frame_len`
-//!    prediction (release builds skip the encoder `debug_assert`s, so the
-//!    suite checks it explicitly).
+//! 2. Byte identity: the concatenated bytes of every sample frame hash
+//!    to a pinned checksum, and sizes are checked against explicit byte
+//!    counts — the encoder is the one description of a frame.
 //! 3. Sim-accounting identity: callback-family frames are exactly the
 //!    `frame::callback_*_len` sizes the sim fabric charges.
 //! 4. Loud failure: truncated headers/bodies, bad length prefixes,
-//!    unknown kinds/tags and trailing garbage all surface as
+//!    unknown kinds/tags, option bytes other than 0 and 1, counts the
+//!    body cannot hold and trailing garbage all surface as
 //!    [`FglError::Corrupt`] (clean EOF alone is `Disconnected`), and
 //!    encoders refuse messages whose counts overflow their wire fields.
+//! 5. No mutant of any sample body — flipped bytes, `0xFFFF_FFFF`
+//!    windows, truncations, drawn from a seed — panics its decoder.
 
 use std::io::Read;
 use std::sync::Arc;
@@ -21,6 +24,7 @@ use std::time::Duration;
 use fgl_common::config::{
     CommitPolicy, LockGranularity, LoggingStrategyKind, TransportKind, UpdatePolicy,
 };
+use fgl_common::rng::DetRng;
 use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, SlotId, SystemConfig, TxnId};
 use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::{LockTarget, ObjMode};
@@ -352,18 +356,13 @@ fn sample_grants() -> Vec<GrantMsg> {
     ]
 }
 
-// ---- round trips + analytic sizing ----------------------------------------
+// ---- round trips -----------------------------------------------------------
 
 #[test]
 fn requests_round_trip() {
     for (i, req) in sample_requests().iter().enumerate() {
         let corr = 100 + i as u64;
         let segs = frame::encode_request(corr, req).expect("encode");
-        assert_eq!(
-            frame::frame_len(&segs),
-            frame::request_frame_len(req),
-            "analytic size for {req:?}"
-        );
         let (h, body) = read_back(&segs, FrameKind::Req, corr);
         let back = frame::decode_request(&h, &body).expect("decode");
         assert_eq!(&back, req);
@@ -375,11 +374,6 @@ fn replies_round_trip() {
     for (i, reply) in sample_replies().iter().enumerate() {
         let corr = 200 + i as u64;
         let segs = frame::encode_reply(corr, reply).expect("encode");
-        assert_eq!(
-            frame::frame_len(&segs),
-            frame::reply_frame_len(reply),
-            "analytic size for {reply:?}"
-        );
         let (h, body) = read_back(&segs, FrameKind::Resp, corr);
         let back = frame::decode_reply(&h, &body).expect("decode");
         assert_eq!(&back, reply);
@@ -391,11 +385,6 @@ fn callbacks_round_trip() {
     for (i, cb) in sample_callbacks().iter().enumerate() {
         let corr = 300 + i as u64;
         let segs = frame::encode_callback(corr, cb).expect("encode");
-        assert_eq!(
-            frame::frame_len(&segs),
-            frame::callback_frame_len(cb),
-            "analytic size for {cb:?}"
-        );
         let (h, body) = read_back(&segs, FrameKind::Cb, corr);
         let back = frame::decode_callback(&h, &body).expect("decode");
         assert_eq!(&back, cb);
@@ -407,11 +396,6 @@ fn callback_replies_round_trip() {
     for (i, r) in sample_callback_replies().iter().enumerate() {
         let corr = 400 + i as u64;
         let segs = frame::encode_callback_reply(corr, r).expect("encode");
-        assert_eq!(
-            frame::frame_len(&segs),
-            frame::callback_reply_frame_len(r),
-            "analytic size for {r:?}"
-        );
         let (h, body) = read_back(&segs, FrameKind::CbResp, corr);
         let back = frame::decode_callback_reply(&h, &body).expect("decode");
         assert_eq!(&back, r);
@@ -423,11 +407,6 @@ fn grants_round_trip() {
     for (i, g) in sample_grants().iter().enumerate() {
         let corr = 500 + i as u64;
         let segs = frame::encode_grant(corr, g);
-        assert_eq!(
-            frame::frame_len(&segs),
-            frame::grant_frame_len(g),
-            "analytic size for {g:?}"
-        );
         let (h, body) = read_back(&segs, FrameKind::Grant, corr);
         let back = frame::decode_grant(&h, &body).expect("decode");
         assert_eq!(&back, g);
@@ -471,13 +450,11 @@ fn a_grant_carries_its_page_at_the_cost_of_its_bytes() {
         let (grant, reply) = grant_and_reply(Some(vec![0x5A; len]));
         let segs = frame::encode_grant(7, &grant);
         assert_eq!(frame::frame_len(&segs), bare + len);
-        assert_eq!(frame::grant_frame_len(&grant), bare + len);
         let (h, body) = read_back(&segs, FrameKind::Grant, 7);
         assert_eq!(frame::decode_grant(&h, &body).unwrap(), grant);
 
         let segs = frame::encode_reply(8, &reply).unwrap();
         assert_eq!(frame::frame_len(&segs), bare + len);
-        assert_eq!(frame::reply_frame_len(&reply), bare + len);
         let (h, body) = read_back(&segs, FrameKind::Resp, 8);
         assert_eq!(frame::decode_reply(&h, &body).unwrap(), reply);
     }
@@ -910,6 +887,21 @@ fn unknown_variant_tags_are_corrupt() {
         frame::decode_grant(&h, &body).unwrap_err(),
         FglError::Corrupt(_)
     ));
+
+    // An option byte other than 0 or 1 is no variant either: the cached
+    // PSN of a lock request and the evidence of a recovery fetch.
+    let fetch = Request::RecoveryFetch {
+        page: PageId(15),
+        need: Some((ClientId(2), Psn(77))),
+    };
+    let fetch = frame::frame_bytes(&frame::encode_request(1, &fetch).unwrap());
+    for (bytes, at) in [(&bytes, 8 + 12), (&fetch, 8)] {
+        let (h, mut body) = frame::read_frame(&mut &bytes[..]).unwrap();
+        assert_eq!(body[at], 1);
+        body[at] = 2;
+        let err = frame::decode_request(&h, &body).unwrap_err();
+        assert!(matches!(err, FglError::Corrupt(_)), "{err:?}");
+    }
 }
 
 #[test]
@@ -999,7 +991,6 @@ fn ship_cached_pages_frames_cost_what_they_carry() {
         let cb = Callback::ShipCachedPages(pages);
         let segs = frame::encode_callback(5, &cb).unwrap();
         assert_eq!(frame::frame_len(&segs), HEADER + 4 + 8 * n);
-        assert_eq!(frame::callback_frame_len(&cb), HEADER + 4 + 8 * n);
         let (h, body) = read_back(&segs, FrameKind::Cb, 5);
         assert_eq!(frame::decode_callback(&h, &body).unwrap(), cb);
 
@@ -1016,10 +1007,32 @@ fn ship_cached_pages_frames_cost_what_they_carry() {
         let reply = CallbackReplyMsg::CachedPages(copies);
         let segs = frame::encode_callback_reply(5, &reply).unwrap();
         assert_eq!(frame::frame_len(&segs), expected);
-        assert_eq!(frame::callback_reply_frame_len(&reply), expected);
         let (h, body) = read_back(&segs, FrameKind::CbResp, 5);
         assert_eq!(frame::decode_callback_reply(&h, &body).unwrap(), reply);
     }
+}
+
+/// A hostile count is refused before it sizes an allocation, naming the
+/// excess.
+fn exceeds(err: FglError) -> bool {
+    matches!(&err, FglError::Corrupt(m) if m.contains("exceeds"))
+}
+
+/// For a u32 count at `at` in `body`: the smallest count the rest of the
+/// body cannot hold in elements of `min_elem` bytes, and two far past it.
+fn hostile(body: &[u8], at: usize, min_elem: usize) -> [u32; 3] {
+    [
+        ((body.len() - at - 4) / min_elem + 1) as u32,
+        (MAX_FRAME + 1) as u32,
+        u32::MAX,
+    ]
+}
+
+/// `body` with the u32 at `at` set to `n`.
+fn with(body: &[u8], at: usize, n: u32) -> Vec<u8> {
+    let mut bad = body.to_vec();
+    bad[at..at + 4].copy_from_slice(&n.to_le_bytes());
+    bad
 }
 
 /// Hostile counts and lengths in a batched pull are refused before they
@@ -1027,49 +1040,27 @@ fn ship_cached_pages_frames_cost_what_they_carry() {
 /// one far past `MAX_FRAME`, is `Corrupt` and never a panic.
 #[test]
 fn a_hostile_cached_page_count_or_length_is_refused() {
-    let exceeds = |err: FglError| matches!(&err, FglError::Corrupt(m) if m.contains("exceeds"));
-    // The smallest count the body cannot hold, and two far past it.
-    let hostile = |body: &[u8], min_elem: usize| {
-        [
-            ((body.len() - 4) / min_elem + 1) as u32,
-            (MAX_FRAME + 1) as u32,
-            u32::MAX,
-        ]
-    };
-
     let cb = Callback::ShipCachedPages(vec![PageId(1), PageId(2)]);
     let (h, body) = read_back(&frame::encode_callback(1, &cb).unwrap(), FrameKind::Cb, 1);
-    for n in hostile(&body, 8) {
-        let mut bad = body.clone();
-        bad[..4].copy_from_slice(&n.to_le_bytes());
-        assert!(
-            exceeds(frame::decode_callback(&h, &bad).unwrap_err()),
-            "count {n}"
-        );
+    for n in hostile(&body, 0, 8) {
+        let err = frame::decode_callback(&h, &with(&body, 0, n)).unwrap_err();
+        assert!(exceeds(err), "count {n}");
     }
 
     let page = page_buf(7, 300);
     let reply = CallbackReplyMsg::CachedPages(vec![None, Some(page.clone())]);
     let segs = frame::encode_callback_reply(1, &reply).unwrap();
     let (h, body) = read_back(&segs, FrameKind::CbResp, 1);
-    for n in hostile(&body, 1) {
-        let mut bad = body.clone();
-        bad[..4].copy_from_slice(&n.to_le_bytes());
-        assert!(
-            exceeds(frame::decode_callback_reply(&h, &bad).unwrap_err()),
-            "count {n}"
-        );
+    for n in hostile(&body, 0, 1) {
+        let err = frame::decode_callback_reply(&h, &with(&body, 0, n)).unwrap_err();
+        assert!(exceeds(err), "count {n}");
     }
     // Count, the absent page's byte, the present page's byte, its length.
     let at = 4 + 1 + 1;
     assert_eq!(body[at..at + 4], (page.len() as u32).to_le_bytes());
-    for n in [page.len() as u32 + 1, (MAX_FRAME + 1) as u32, u32::MAX] {
-        let mut bad = body.clone();
-        bad[at..at + 4].copy_from_slice(&n.to_le_bytes());
-        assert!(
-            exceeds(frame::decode_callback_reply(&h, &bad).unwrap_err()),
-            "length {n}"
-        );
+    for n in hostile(&body, at, 1) {
+        let err = frame::decode_callback_reply(&h, &with(&body, at, n)).unwrap_err();
+        assert!(exceeds(err), "length {n}");
     }
     // A presence byte other than 0 or 1 is corrupt too.
     let mut bad = body.clone();
@@ -1215,7 +1206,6 @@ fn page_batch_frames_cost_what_they_carry() {
         ] {
             let segs = frame::encode_request(9, req).unwrap();
             assert_eq!(frame::frame_len(&segs), len, "{req:?}");
-            assert_eq!(frame::request_frame_len(req), len, "{req:?}");
             let (h, body) = read_back(&segs, FrameKind::Req, 9);
             assert_eq!(&frame::decode_request(&h, &body).unwrap(), req);
         }
@@ -1231,7 +1221,6 @@ fn page_batch_frames_cost_what_they_carry() {
                 .sum::<usize>();
         let segs = frame::encode_reply(9, &reply).unwrap();
         assert_eq!(frame::frame_len(&segs), len);
-        assert_eq!(frame::reply_frame_len(&reply), len);
         let (h, body) = read_back(&segs, FrameKind::Resp, 9);
         assert_eq!(frame::decode_reply(&h, &body).unwrap(), reply);
     }
@@ -1265,21 +1254,6 @@ fn ship_pages_shares_every_page_buffer() {
 /// of a batch body decodes, and neither does one with a byte to spare.
 #[test]
 fn a_hostile_page_batch_count_or_length_is_refused() {
-    let exceeds = |err: FglError| matches!(&err, FglError::Corrupt(m) if m.contains("exceeds"));
-    // The smallest count the rest of the body cannot hold, and two far
-    // past it; the count sits at `at`.
-    let hostile = |body: &[u8], at: usize, min_elem: usize| {
-        [
-            ((body.len() - at - 4) / min_elem + 1) as u32,
-            (MAX_FRAME + 1) as u32,
-            u32::MAX,
-        ]
-    };
-    let with = |body: &[u8], at: usize, n: u32| {
-        let mut bad = body.to_vec();
-        bad[at..at + 4].copy_from_slice(&n.to_le_bytes());
-        bad
-    };
     let [fetch, ship, force] = sample_page_batches(3);
     // Count first for the id lists; after the replaced byte for ships.
     for (req, at, min_elem) in [(&fetch, 0, 8), (&ship, 1, 4), (&force, 0, 8)] {
@@ -1323,4 +1297,186 @@ fn a_hostile_page_batch_count_or_length_is_refused() {
         let err = frame::decode_reply(&h, &body[..cut]).unwrap_err();
         assert!(matches!(err, FglError::Corrupt(_)), "cut {cut}: {err:?}");
     }
+}
+
+/// Every other u32 count and length of every decoder, set past what the
+/// rest of its body can hold — up to `u32::MAX` — is `Corrupt` naming the
+/// excess, never an allocation sized by the wire. Each field is
+/// `(offset in the body, the count it holds, its smallest element)`.
+#[test]
+fn a_hostile_count_in_any_list_is_refused() {
+    type Decode<'a> = &'a dyn Fn(&[u8]) -> Result<(), FglError>;
+    let check = |body: &[u8], decode: Decode, fields: &[(usize, u32, usize)]| {
+        assert!(decode(body).is_ok());
+        for &(at, count, min_elem) in fields {
+            assert_eq!(body[at..at + 4], count.to_le_bytes(), "field at {at}");
+            for n in hostile(body, at, min_elem) {
+                let err = decode(&with(body, at, n)).unwrap_err();
+                assert!(exceeds(err), "field at {at}: count {n}");
+            }
+        }
+    };
+    let replies = [
+        // Two lock targets of 12 bytes, then two pages with their PSNs.
+        (
+            Reply::Handshake {
+                locks: vec![
+                    LockTarget::Page(PageId(1), ObjMode::X),
+                    LockTarget::Object(obj(2, 0), ObjMode::S),
+                ],
+                pages: vec![(PageId(1), Some(Psn(2))), (PageId(3), None)],
+                dct_complete: true,
+            },
+            vec![(0, 2, 12), (4 + 24, 2, 9)],
+        ),
+        (
+            Reply::RecoverPlan {
+                base: vec![7; 32],
+                install_psn: Psn(10),
+                callback_list: vec![(obj(1, 1), Psn(4)), (obj(1, 2), Psn(6))],
+            },
+            vec![(8, 2, 18)],
+        ),
+        (
+            Reply::Needs(vec![(PageId(9), Psn(1)), (PageId(10), Psn(2))]),
+            vec![(0, 2, 16)],
+        ),
+        (
+            Reply::Err(WireError::Io("disk on fire".into())),
+            vec![(1, 12, 1)],
+        ),
+        (
+            Reply::Err(WireError::InvalidTxnState {
+                txn: TxnId(8),
+                state: "Committed".into(),
+            }),
+            vec![(1 + 8, 9, 1)],
+        ),
+    ];
+    for (reply, fields) in &replies {
+        let (h, body) = read_back(&frame::encode_reply(1, reply).unwrap(), FrameKind::Resp, 1);
+        check(&body, &|b| frame::decode_reply(&h, b).map(drop), fields);
+    }
+    // The job count, then a job: page, install PSN, its two-entry list
+    // and its 66-byte base.
+    let callbacks = [
+        (
+            Callback::CallbackListsFor(vec![(PageId(9), ClientId(2), Lsn(100))]),
+            vec![(0, 1, 20)],
+        ),
+        (
+            Callback::RecoverPages(vec![sample_job(2)]),
+            vec![(0, 1, 24), (4 + 16, 2, 18), (8 + 16 + 2 * 18, 66, 1)],
+        ),
+    ];
+    for (cb, fields) in &callbacks {
+        let (h, body) = read_back(&frame::encode_callback(1, cb).unwrap(), FrameKind::Cb, 1);
+        check(&body, &|b| frame::decode_callback(&h, b).map(drop), fields);
+    }
+    let callback_replies = [
+        // A DPT entry, two cached pages, one lock: the report the server
+        // gathers from every client at restart.
+        (
+            CallbackReplyMsg::State(ClientStateReport {
+                dpt: vec![DptEntry {
+                    page: PageId(1),
+                    redo_lsn: Lsn(5),
+                }],
+                cached_pages: vec![(PageId(1), Psn(6)), (PageId(2), Psn(7))],
+                locks: vec![LockTarget::Object(obj(1, 0), ObjMode::X)],
+            }),
+            vec![(0, 1, 16), (4 + 16, 2, 16), (8 + 3 * 16, 1, 12)],
+        ),
+        (
+            CallbackReplyMsg::CallbackLists(vec![vec![(obj(1, 2), Psn(3))], vec![]]),
+            vec![(0, 2, 4), (4, 1, 18), (8 + 18, 0, 18)],
+        ),
+        (
+            CallbackReplyMsg::RecoveredPages(vec![
+                RecoveredPageOutcome::Done(vec![9; 40]),
+                RecoveredPageOutcome::Failed("no log".into()),
+            ]),
+            vec![(0, 2, 5), (5, 40, 1), (5 + 4 + 40 + 1, 6, 1)],
+        ),
+    ];
+    for (r, fields) in &callback_replies {
+        let segs = frame::encode_callback_reply(1, r).unwrap();
+        let (h, body) = read_back(&segs, FrameKind::CbResp, 1);
+        check(
+            &body,
+            &|b| frame::decode_callback_reply(&h, b).map(drop),
+            fields,
+        );
+    }
+}
+
+// ---- byte identity and mutants ---------------------------------------------
+
+/// The concatenated bytes of every sample frame (the `HelloAck` carries
+/// `SystemConfig::default()`), pinned: a change that moves any byte of
+/// any frame is a wire-format change and shows here.
+#[test]
+fn every_frame_keeps_its_pinned_bytes() {
+    let all: Vec<u8> = every_frame()
+        .iter()
+        .flat_map(|s| frame::frame_bytes(s))
+        .collect();
+    assert_eq!(all.len(), 38_689);
+    assert_eq!(fgl_wal::codec::checksum(&all), 0x6c9a_fb9d);
+}
+
+/// Decode `body` with the decoder of its frame's kind.
+fn decode_any(h: &FrameHeader, body: &[u8]) -> Result<(), FglError> {
+    match h.kind {
+        FrameKind::Hello => frame::decode_hello(body).map(drop),
+        FrameKind::HelloAck => frame::decode_hello_ack(body).map(drop),
+        FrameKind::Req => frame::decode_request(h, body).map(drop),
+        FrameKind::Resp => frame::decode_reply(h, body).map(drop),
+        FrameKind::Cb => frame::decode_callback(h, body).map(drop),
+        FrameKind::CbResp => frame::decode_callback_reply(h, body).map(drop),
+        FrameKind::Grant => frame::decode_grant(h, body).map(drop),
+    }
+}
+
+/// Feed `n` mutants of the sample bodies, drawn from `seed`, to their
+/// decoders: one byte flipped, one 4-byte window set to `0xFFFF_FFFF`,
+/// or the body cut short. Each decode must return, `Ok` or `Err`; a
+/// panic, or an abort on an allocation sized by a hostile count, fails
+/// the test. Returns how many were refused.
+fn decode_mutants(seed: u64, n: usize) -> usize {
+    let frames: Vec<(FrameHeader, Vec<u8>)> = every_frame()
+        .iter()
+        .map(|segs| frame::read_frame(&mut &frame::frame_bytes(segs)[..]).unwrap())
+        .collect();
+    let mut rng = DetRng::new(seed);
+    let mut refused = 0;
+    for i in 0..n {
+        let (h, body) = &frames[i % frames.len()];
+        let mut m = body.clone();
+        match rng.gen_range(3) {
+            0 if !m.is_empty() => {
+                let at = rng.range_usize(0, m.len());
+                m[at] ^= rng.range_usize(1, 256) as u8;
+            }
+            1 if m.len() >= 4 => {
+                let at = rng.range_usize(0, m.len() - 3);
+                m[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            }
+            _ => m.truncate(rng.range_usize(0, m.len() + 1)),
+        }
+        refused += usize::from(decode_any(h, &m).is_err());
+    }
+    refused
+}
+
+#[test]
+fn no_mutant_body_panics_its_decoder() {
+    assert!(decode_mutants(35, 12_000) > 0);
+}
+
+/// The soak: a hundred times as many mutants (`--ignored`, in release).
+#[test]
+#[ignore]
+fn no_mutant_body_panics_its_decoder_soak() {
+    assert!(decode_mutants(3_500, 1_200_000) > 0);
 }
