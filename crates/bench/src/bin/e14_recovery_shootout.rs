@@ -1,10 +1,9 @@
 //! **E14 — Logging-strategy recovery shootout.**
 //!
 //! A client transaction logs physically (the paper's client-based ARIES)
-//! or redo-only (Sauer & Härder); the strategy says which: always
-//! physical, always redo-only, or per transaction by payload size (the
-//! hybrid of Yao et al.). This experiment races all three through the
-//! crash matrix and reports, per (strategy, crash) cell:
+//! or redo-only (Sauer & Härder), as the strategy says. This experiment
+//! races both through the crash matrix and reports, per (strategy, crash)
+//! cell:
 //!
 //! * recovery wall time, with the per-phase breakdown captured by the
 //!   `recovery_phase_us_<strategy>_*` histograms,

@@ -224,9 +224,7 @@ impl ClientCore {
                         }
                     } else if let Some(bytes) = st.in_transit.get(&page).cloned() {
                         // Racing wave: re-ship the stashed frame. The clone
-                        // is an Arc bump, not a page copy — account the
-                        // bytes we did NOT re-allocate.
-                        self.ship_bytes_shared.add(bytes.len() as u64);
+                        // is an Arc bump, not a page copy.
                         shipped.push(page);
                         Some(bytes)
                     } else {

@@ -613,9 +613,8 @@ impl ClientCore {
         Ok(())
     }
 
-    /// Emit the terminal recovery event and fold the phase timings into
-    /// the shared metrics registry — both the flat counters and the
-    /// per-strategy phase histograms (`recovery_phase_us_<strategy>_*`).
+    /// Emit the terminal recovery event and record the phase timings into
+    /// the per-strategy phase histograms (`recovery_phase_us_<strategy>_*`).
     fn finish_recovery_report(&self, report: &ClientRecoveryReport) {
         emit(Event::RecoveryPhase {
             owner: LogOwner::Client(self.id()),
@@ -628,19 +627,11 @@ impl ClientCore {
             ("undo", report.undo),
             ("harden", report.harden),
         ] {
-            let micros = took.as_micros() as u64;
-            self.metrics
-                .observe_named(&format!("recovery_phase_us_{strategy}_{phase}"), micros);
-            self.metrics
-                .add(&format!("client_recovery_{phase}_us"), micros);
+            self.metrics.observe_named(
+                &format!("recovery_phase_us_{strategy}_{phase}"),
+                took.as_micros() as u64,
+            );
         }
-        self.metrics.add("client_recoveries", 1);
-        self.metrics.add(
-            "client_recovery_records_scanned",
-            report.records_scanned as u64,
-        );
-        self.metrics
-            .add("client_recovery_pages", report.pages_recovered as u64);
     }
 
     /// §3.4, client side: replay the private log against the base copies

@@ -24,7 +24,7 @@ use fgl_locks::mode::{LockTarget, ObjMode};
 use fgl_net::api::{LockResponse, ServerApi};
 use fgl_net::stats::NetSim;
 use fgl_net::wait::GrantMsg;
-use fgl_obs::{emit, Counter, Event, HistKind, LogOwner, Metrics};
+use fgl_obs::{emit, Event, HistKind, LogOwner, Metrics};
 use fgl_storage::page::Page;
 use fgl_wal::manager::LogManager;
 use fgl_wal::records::{LogPayload, RedoUpdateRecord, UndoSpillRecord, UpdateRecord};
@@ -34,11 +34,6 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Hybrid strategy boundary (after-image bytes): a transaction whose
-/// first update is at most this large logs redo-only, a larger one
-/// physically.
-const HYBRID_THRESHOLD: usize = 48;
 
 /// Client-side DPT entry (§3.2 + the §3.6 remembered-LSN refinement).
 #[derive(Clone, Copy, Debug)]
@@ -123,6 +118,29 @@ pub struct ClientStats {
     pub commits_piggybacked: u64,
 }
 
+impl ClientStats {
+    /// Every count as a `(name, value)` pair; the unified snapshot
+    /// reports each as `client_<name>`, summed over the clients.
+    pub fn counts(&self) -> [(&'static str, u64); 14] {
+        [
+            ("commits", self.commits),
+            ("aborts", self.aborts),
+            ("deadlock_victims", self.deadlock_victims),
+            ("lock_timeouts", self.lock_timeouts),
+            ("local_grants", self.local_grants),
+            ("global_lock_requests", self.global_lock_requests),
+            ("pages_shipped", self.pages_shipped),
+            ("forced_flush_requests", self.forced_flush_requests),
+            ("checkpoints", self.checkpoints),
+            ("log_forces", self.log_forces),
+            ("log_bytes", self.log_bytes),
+            ("log_stall_events", self.log_stall_events),
+            ("commits_forced", self.commits_forced),
+            ("commits_piggybacked", self.commits_piggybacked),
+        ]
+    }
+}
+
 /// The client runtime.
 pub struct ClientCore {
     id: ClientId,
@@ -158,8 +176,6 @@ pub struct ClientCore {
     log_stall_events: AtomicU64,
     commits_forced: AtomicU64,
     commits_piggybacked: AtomicU64,
-    /// Registry counter on the page-ship paths, resolved once.
-    pub(crate) ship_bytes_shared: Counter,
 }
 
 /// Where a transaction's log chain stands, read under the state mutex by
@@ -240,7 +256,6 @@ impl ClientCore {
             cv: Condvar::new(),
             force_state: Mutex::new(None),
             force_cv: Condvar::new(),
-            ship_bytes_shared: metrics.counter("page_ship_bytes_shared"),
             metrics,
             touched: AtomicBool::new(crashed),
             commits: AtomicU64::new(0),
@@ -680,11 +695,8 @@ impl ClientCore {
                 st.in_transit.insert(page, Arc::clone(b));
             }
             bytes
-        } else if let Some(b) = st.in_transit.get(&page).cloned() {
-            self.ship_bytes_shared.add(b.len() as u64);
-            Some(b)
         } else {
-            None
+            st.in_transit.get(&page).cloned()
         };
         if sheds {
             self.drop_if_unlocked(&mut st, page);
@@ -868,10 +880,8 @@ impl ClientCore {
     /// Append the log record of one object update (WAL: before the page
     /// changes); returns the transaction's log mode and the record's LSN.
     /// The mode is fixed at the transaction's first update by the
-    /// configured strategy, the size of that update's after-image deciding
-    /// under `hybrid`: redo-only is Sauer & Härder's mode (arXiv
-    /// 1409.3682), the per-transaction choice Yao et al.'s (arXiv
-    /// 1503.03653). The record is lent the images it carries — both for a
+    /// configured strategy; redo-only is Sauer & Härder's mode (arXiv
+    /// 1409.3682). The record is lent the images it carries — both for a
     /// physical record, the after-image for a redo-only one, whose
     /// before-image goes on the in-memory undo stack instead — and hands
     /// them back after the append.
@@ -891,12 +901,6 @@ impl ClientCore {
             let mode = match self.cfg.logging_strategy {
                 LoggingStrategyKind::ClientAries => TxnLogMode::Physical,
                 LoggingStrategyKind::RedoOnly => TxnLogMode::RedoOnly,
-                LoggingStrategyKind::Hybrid
-                    if after.as_ref().map_or(0, Vec::len) <= HYBRID_THRESHOLD =>
-                {
-                    TxnLogMode::RedoOnly
-                }
-                LoggingStrategyKind::Hybrid => TxnLogMode::Physical,
             };
             if let Some(t) = st.txns.get_mut(&txn) {
                 t.log_mode = Some(mode);
@@ -1540,7 +1544,6 @@ impl ClientCore {
             lsn,
         });
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.metrics.add("client_checkpoints", 1);
         Ok(())
     }
 
@@ -1750,11 +1753,6 @@ impl ClientCore {
     /// Copy of a cached page (diagnostics).
     pub fn cached_page(&self, page: PageId) -> Option<Page> {
         self.st.lock().cache.peek(page).cloned()
-    }
-
-    /// Number of cached pages.
-    pub fn cache_len(&self) -> usize {
-        self.st.lock().cache.len()
     }
 
     /// Client DPT snapshot.

@@ -19,8 +19,7 @@ pub enum TxnStatus {
 
 /// How a transaction's updates hit the log — decided from
 /// `SystemConfig::logging_strategy` at the transaction's first update and
-/// fixed for its lifetime (the hybrid strategy of Yao et al., arXiv
-/// 1503.03653, picks per transaction).
+/// fixed for its lifetime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxnLogMode {
     /// Full ARIES physical logging: before- and after-images on every

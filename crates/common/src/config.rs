@@ -51,10 +51,6 @@ pub enum LoggingStrategyKind {
     /// leaves the client. Restart skips losers in redo and undoes them
     /// from the spills.
     RedoOnly,
-    /// Adaptive command/physical hybrid (Yao et al., arXiv 1503.03653):
-    /// each transaction picks redo-only ("command-sized") or full physical
-    /// records at its first update, based on payload size.
-    Hybrid,
 }
 
 impl LoggingStrategyKind {
@@ -63,15 +59,13 @@ impl LoggingStrategyKind {
         match self {
             LoggingStrategyKind::ClientAries => "client_aries",
             LoggingStrategyKind::RedoOnly => "redo_only",
-            LoggingStrategyKind::Hybrid => "hybrid",
         }
     }
 
     /// All strategies, in shootout order.
-    pub const ALL: [LoggingStrategyKind; 3] = [
+    pub const ALL: [LoggingStrategyKind; 2] = [
         LoggingStrategyKind::ClientAries,
         LoggingStrategyKind::RedoOnly,
-        LoggingStrategyKind::Hybrid,
     ];
 }
 
@@ -82,10 +76,8 @@ impl std::str::FromStr for LoggingStrategyKind {
         match s.replace('-', "_").as_str() {
             "client_aries" | "aries" => Ok(LoggingStrategyKind::ClientAries),
             "redo_only" => Ok(LoggingStrategyKind::RedoOnly),
-            "hybrid" => Ok(LoggingStrategyKind::Hybrid),
             other => Err(FglError::Config(format!(
-                "unknown logging strategy {other:?} (expected client_aries, \
-                 redo_only or hybrid)"
+                "unknown logging strategy {other:?} (expected client_aries or redo_only)"
             ))),
         }
     }
@@ -408,6 +400,7 @@ mod tests {
             LoggingStrategyKind::RedoOnly
         );
         assert!("paranoid".parse::<LoggingStrategyKind>().is_err());
+        assert!("hybrid".parse::<LoggingStrategyKind>().is_err());
     }
 
     #[test]
@@ -416,7 +409,7 @@ mod tests {
             .with_logging_strategy(LoggingStrategyKind::RedoOnly)
             .with_commit_policy(CommitPolicy::ServerLog);
         assert!(c.validate().is_err());
-        let c = SystemConfig::default().with_logging_strategy(LoggingStrategyKind::Hybrid);
+        let c = SystemConfig::default().with_logging_strategy(LoggingStrategyKind::RedoOnly);
         c.validate().unwrap();
     }
 

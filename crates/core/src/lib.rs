@@ -87,9 +87,6 @@ pub struct System {
     pub servers: Vec<Arc<ServerCore>>,
     pub clients: Vec<Arc<ClientCore>>,
     pub net: Arc<NetSim>,
-    /// Present when [`System::build`] wired the latency-injecting disk —
-    /// lets [`metrics_snapshot`](System::metrics_snapshot) fold I/O counts in.
-    sim_disk: Option<Arc<SimDisk>>,
     /// Present under the socket transports.
     transport: Option<TransportHandle>,
 }
@@ -156,10 +153,8 @@ impl System {
     /// private logs with exact crash semantics.
     pub fn build(cfg: SystemConfig, n_clients: usize) -> Result<System> {
         cfg.validate()?;
-        let sim = Arc::new(SimDisk::new(Arc::new(MemDisk::new()), cfg.disk_latency));
-        let mut sys = Self::build_with_disk(cfg, n_clients, sim.clone())?;
-        sys.sim_disk = Some(sim);
-        Ok(sys)
+        let disk = Arc::new(SimDisk::new(Arc::new(MemDisk::new()), cfg.disk_latency));
+        Self::build_with_disk(cfg, n_clients, disk)
     }
 
     /// Build over a caller-provided server disk backend (e.g. a
@@ -201,7 +196,6 @@ impl System {
             servers,
             clients,
             net,
-            sim_disk: None,
             transport: None,
         })
     }
@@ -296,7 +290,6 @@ impl System {
             servers,
             clients,
             net,
-            sim_disk: None,
             transport: Some(handle),
         })
     }
@@ -312,152 +305,52 @@ impl System {
     }
 
     /// One unified [`Snapshot`]: the registry's histograms and counters
-    /// plus the four legacy stats surfaces — [`ServerStats`] (summed and
-    /// per instance), the summed [`ClientStats`], the per-kind
-    /// [`NetSnapshot`] and the simulated-disk I/O counts — folded in as
-    /// named counters. Two of these subtract cleanly via
-    /// [`Snapshot::delta_since`] to measure an interval.
+    /// plus every stats type's counts — [`ServerStats`] (summed and per
+    /// instance), [`ClientStats`] (summed) and the WAL bytes per record
+    /// kind — and the fabric's byte totals. A count has one home: a stats
+    /// type or the registry, never both, so no name is folded twice. Two
+    /// snapshots subtract cleanly via [`Snapshot::delta_since`] to measure
+    /// an interval.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut snap = self.server.metrics().snapshot();
-
-        // Server counters sum across instances; each instance also
-        // reports under its own `srv{k}_*` namespace.
-        let per_instance: Vec<ServerStats> = self.servers.iter().map(|s| s.stats()).collect();
-        let sum = |f: fn(&ServerStats) -> u64| per_instance.iter().map(f).sum::<u64>();
-        snap.set_counter("server_lock_requests", sum(|s| s.lock_requests));
-        snap.set_counter("server_page_fetches", sum(|s| s.page_fetches));
-        snap.set_counter("server_pages_received", sum(|s| s.pages_received));
-        snap.set_counter("server_pages_flushed", sum(|s| s.pages_flushed));
-        snap.set_counter("server_replacement_records", sum(|s| s.replacement_records));
-        snap.set_counter("server_checkpoints", sum(|s| s.server_checkpoints));
-        snap.set_counter("server_commit_log_ships", sum(|s| s.commit_log_ships));
-        snap.set_counter("server_merges", sum(|s| s.merges));
-        for (k, s) in per_instance.iter().enumerate() {
-            snap.set_counter(&format!("srv{k}_lock_requests"), s.lock_requests);
-            snap.set_counter(&format!("srv{k}_page_fetches"), s.page_fetches);
-            snap.set_counter(&format!("srv{k}_pages_received"), s.pages_received);
-            snap.set_counter(&format!("srv{k}_commit_log_ships"), s.commit_log_ships);
-            snap.set_counter(&format!("srv{k}_merges"), s.merges);
+        for (k, server) in self.servers.iter().enumerate() {
+            let counts = server.stats().counts();
+            snap.fold("server_", counts);
+            snap.fold(&format!("srv{k}_"), counts);
+            snap.fold("wal_bytes_", server.wal_bytes_by_kind());
         }
-
         // Active-client set: clients that never ran a transaction report
-        // all-zero stats and an empty WAL, so the population scans below
-        // skip them with one relaxed atomic load instead of taking each
-        // client's state mutex — at 100k mostly-idle simulated clients
-        // the snapshot cost tracks the *active* count.
-        let mut c = ClientStats::default();
+        // all-zero stats and an empty WAL, so the scan skips them with one
+        // relaxed atomic load instead of taking each client's state mutex —
+        // at 100k mostly-idle simulated clients the snapshot cost tracks
+        // the *active* count. The default stats make every name present.
+        snap.fold("client_", ClientStats::default().counts());
         for client in self.clients.iter().filter(|c| c.is_touched()) {
-            let cs = client.stats();
-            c.commits += cs.commits;
-            c.aborts += cs.aborts;
-            c.deadlock_victims += cs.deadlock_victims;
-            c.lock_timeouts += cs.lock_timeouts;
-            c.local_grants += cs.local_grants;
-            c.global_lock_requests += cs.global_lock_requests;
-            c.pages_shipped += cs.pages_shipped;
-            c.forced_flush_requests += cs.forced_flush_requests;
-            c.checkpoints += cs.checkpoints;
-            c.log_forces += cs.log_forces;
-            c.log_bytes += cs.log_bytes;
-            c.log_stall_events += cs.log_stall_events;
-            c.commits_forced += cs.commits_forced;
-            c.commits_piggybacked += cs.commits_piggybacked;
+            snap.fold("client_", client.stats().counts());
+            snap.fold("wal_bytes_", client.wal_bytes_by_kind());
         }
-        snap.set_counter("client_commits", c.commits);
-        snap.set_counter("client_aborts", c.aborts);
-        snap.set_counter("client_deadlock_victims", c.deadlock_victims);
-        snap.set_counter("client_lock_timeouts", c.lock_timeouts);
-        snap.set_counter("client_local_grants", c.local_grants);
-        snap.set_counter("client_global_lock_requests", c.global_lock_requests);
-        snap.set_counter("client_pages_shipped", c.pages_shipped);
-        snap.set_counter("client_forced_flush_requests", c.forced_flush_requests);
-        snap.set_counter("client_checkpoints", c.checkpoints);
-        snap.set_counter("client_log_forces", c.log_forces);
-        snap.set_counter("client_log_bytes", c.log_bytes);
-        snap.set_counter("client_log_stall_events", c.log_stall_events);
-        snap.set_counter("client_commits_forced", c.commits_forced);
-        snap.set_counter("client_commits_piggybacked", c.commits_piggybacked);
 
-        let n = self.net.snapshot();
-        for (i, (&count, &bytes)) in n.counts.iter().zip(n.bytes.iter()).enumerate() {
-            let name = NetSnapshot::kind_name(i);
-            snap.set_counter(&format!("msg_{name}"), count);
-            snap.set_counter(&format!("msg_{name}_bytes"), bytes);
-        }
-        snap.set_counter("net_total_messages", n.total_messages());
-        snap.set_counter("net_total_bytes", n.total_bytes());
-
-        // Socket transports additionally report REAL encoded frame
-        // traffic next to the nominal accounting, same kind names under
-        // a `wire_` prefix — E17 reads the ratio straight off these.
+        snap.fold("net_", [("total_bytes", self.net.snapshot().total_bytes())]);
+        // Socket transports additionally report the real encoded frame
+        // traffic next to the nominal accounting — E17 reads the ratio
+        // straight off these.
         if let Some(t) = &self.transport {
-            let per_wire: Vec<NetSnapshot> = t.wires.iter().map(|w| w.snapshot()).collect();
-            let w = per_wire
-                .iter()
-                .fold(NetSnapshot::default(), |acc, s| acc.merge(s));
-            for (i, (&count, &bytes)) in w.counts.iter().zip(w.bytes.iter()).enumerate() {
-                let name = NetSnapshot::kind_name(i);
-                snap.set_counter(&format!("wire_{name}"), count);
-                snap.set_counter(&format!("wire_{name}_bytes"), bytes);
-            }
-            snap.set_counter("wire_total_messages", w.total_messages());
-            snap.set_counter("wire_total_bytes", w.total_bytes());
-            if per_wire.len() > 1 {
-                for (k, w) in per_wire.iter().enumerate() {
-                    snap.set_counter(&format!("srv{k}_wire_total_messages"), w.total_messages());
-                    snap.set_counter(&format!("srv{k}_wire_total_bytes"), w.total_bytes());
-                }
+            for (k, wire) in t.wires.iter().enumerate() {
+                let w = wire.snapshot();
+                snap.fold(
+                    "wire_",
+                    [
+                        ("total_messages", w.total_messages()),
+                        ("total_bytes", w.total_bytes()),
+                    ],
+                );
+                snap.fold(
+                    &format!("srv{k}_wire_"),
+                    [("total_messages", w.total_messages())],
+                );
             }
         }
-
-        if let Some(disk) = &self.sim_disk {
-            let (reads, writes, syncs) = disk.stats.snapshot();
-            snap.set_counter("disk_reads", reads);
-            snap.set_counter("disk_writes", writes);
-            snap.set_counter("disk_syncs", syncs);
-        }
-
-        // Per-record-kind WAL byte accounting, summed across every client
-        // log plus the server log.
-        let mut by_kind: std::collections::BTreeMap<&'static str, u64> = Default::default();
-        for client in self.clients.iter().filter(|c| c.is_touched()) {
-            for (kind, bytes) in client.wal_bytes_by_kind() {
-                *by_kind.entry(kind).or_insert(0) += bytes;
-            }
-        }
-        for server in &self.servers {
-            for (kind, bytes) in server.wal_bytes_by_kind() {
-                *by_kind.entry(kind).or_insert(0) += bytes;
-            }
-        }
-        for (kind, bytes) in by_kind {
-            snap.set_counter(&format!("wal_bytes_{kind}"), bytes);
-        }
-
-        // Flight-recorder pressure and the GLM contention profile: the
-        // top-4 hottest pages by cumulative wait time, flattened into
-        // rank-indexed counters so JSON consumers need no new schema.
         snap.set_counter("ring_dropped_events", fgl_obs::ring::dropped_events());
-        snap.set_counter(
-            "contention_pages_tracked",
-            self.servers
-                .iter()
-                .map(|s| s.contention_pages_tracked() as u64)
-                .sum(),
-        );
-        let mut hot: Vec<_> = self
-            .servers
-            .iter()
-            .flat_map(|s| s.contention_top(4))
-            .collect();
-        hot.sort_by_key(|e| std::cmp::Reverse(e.1.wait_us));
-        hot.truncate(4);
-        for (rank, (page, c)) in hot.into_iter().enumerate() {
-            snap.set_counter(&format!("hot_page_rank{rank}_page"), page.0);
-            snap.set_counter(&format!("hot_page_rank{rank}_wait_us"), c.wait_us);
-            snap.set_counter(&format!("hot_page_rank{rank}_waits"), c.waits);
-            snap.set_counter(&format!("hot_page_rank{rank}_callbacks"), c.callbacks);
-        }
         snap
     }
 
@@ -470,28 +363,6 @@ impl System {
                 .map(|w| w.snapshot())
                 .fold(NetSnapshot::default(), |acc, s| acc.merge(&s))
         })
-    }
-
-    /// Attach one more client to a running system.
-    pub fn add_client(&mut self) -> Arc<ClientCore> {
-        let id = ClientId(self.clients.len() as u32 + 1);
-        let metrics = self.server.metrics();
-        let parts: Vec<Arc<dyn ServerApi>> = match &mut self.transport {
-            None => self
-                .servers
-                .iter()
-                .map(|s| s.clone() as Arc<dyn ServerApi>)
-                .collect(),
-            Some(t) => t
-                .connect(id, metrics)
-                .expect("socket transport: connecting a new client failed")
-                .into_iter()
-                .map(|r| r as Arc<dyn ServerApi>)
-                .collect(),
-        };
-        let c = ClientCore::new(id, PartitionedServer::new(parts), self.net.clone());
-        self.clients.push(c.clone());
-        c
     }
 }
 
@@ -839,28 +710,26 @@ mod tests {
     }
 
     /// Rollback without a crash (plain abort) must work under the
-    /// redo-only strategies, which undo from the in-memory stack rather
+    /// redo-only strategy, which undoes from the in-memory stack rather
     /// than the log's undo chain.
     #[test]
     fn redo_only_abort_uses_memory_undo() {
-        for kind in [LoggingStrategyKind::RedoOnly, LoggingStrategyKind::Hybrid] {
-            let sys = System::build(strategy_cfg(kind), 1).unwrap();
-            let c = sys.client(0);
-            let t = c.begin().unwrap();
-            let page = c.create_page(t).unwrap();
-            let a = c.insert(t, page, b"keep").unwrap();
-            c.commit(t).unwrap();
+        let sys = System::build(strategy_cfg(LoggingStrategyKind::RedoOnly), 1).unwrap();
+        let c = sys.client(0);
+        let t = c.begin().unwrap();
+        let page = c.create_page(t).unwrap();
+        let a = c.insert(t, page, b"keep").unwrap();
+        c.commit(t).unwrap();
 
-            let t = c.begin().unwrap();
-            c.write(t, a, b"temp").unwrap();
-            let b = c.insert(t, page, b"gone").unwrap();
-            c.abort(t).unwrap();
+        let t = c.begin().unwrap();
+        c.write(t, a, b"temp").unwrap();
+        let b = c.insert(t, page, b"gone").unwrap();
+        c.abort(t).unwrap();
 
-            let t = c.begin().unwrap();
-            assert_eq!(c.read(t, a).unwrap(), b"keep", "strategy {kind:?}");
-            assert!(c.read(t, b).is_err(), "strategy {kind:?}: insert survived");
-            c.commit(t).unwrap();
-        }
+        let t = c.begin().unwrap();
+        assert_eq!(c.read(t, a).unwrap(), b"keep");
+        assert!(c.read(t, b).is_err(), "insert survived");
+        c.commit(t).unwrap();
     }
 
     /// REDO-only logging writes no before-images, so the same committed
@@ -889,52 +758,64 @@ mod tests {
         );
     }
 
-    /// The hybrid strategy picks physical (ARIES) logging for large
-    /// payloads and redo-only for small ones, per transaction; a redo-only
-    /// transaction whose page ships spills its before-image, counted
-    /// apart from its redo records.
+    /// One home per count: after checkpoints on both sides, a deadlock
+    /// victim, a client crash with recovery and a server restart, no name
+    /// the registry holds is also a stats count, and each stats count
+    /// reads the events driven once, not once per home.
     #[test]
-    fn hybrid_mixes_update_and_ext_records() {
-        let sys = System::build(strategy_cfg(LoggingStrategyKind::Hybrid), 1).unwrap();
-        let c = sys.client(0);
-        let t = c.begin().unwrap();
-        let page = c.create_page(t).unwrap();
-        let small = c.insert(t, page, b"tiny").unwrap(); // <= threshold → redo-only
-        let big = c.insert(t, page, &[1u8; 120]).unwrap(); // > threshold → physical
-        c.commit(t).unwrap();
-        for _ in 0..3 {
-            let t = c.begin().unwrap();
-            c.write(t, small, b"tidy").unwrap();
-            // The page leaves the client mid-transaction: one spill.
-            c.harden().unwrap();
-            c.commit(t).unwrap();
-            let t = c.begin().unwrap();
-            c.write(t, big, &[2u8; 120]).unwrap();
-            c.commit(t).unwrap();
-        }
-        let snap = sys.metrics_snapshot();
-        let bytes = |kind: &str| {
-            snap.counters
-                .get(&format!("wal_bytes_{kind}"))
-                .copied()
-                .unwrap_or(0)
+    fn every_count_has_one_home() {
+        let sys = System::build(quiet_cfg(), 2).unwrap();
+        let (a, b) = (sys.client(0), sys.client(1));
+        let t = a.begin().unwrap();
+        let page = a.create_page(t).unwrap();
+        let o1 = a.insert(t, page, b"one!").unwrap();
+        let o2 = a.insert(t, page, b"two!").unwrap();
+        a.commit(t).unwrap();
+
+        let before = sys.metrics_snapshot();
+        a.checkpoint().unwrap();
+        b.checkpoint().unwrap();
+        sys.server.checkpoint().unwrap();
+        // Each holds one object and asks for the other's: one dies.
+        let barrier = std::sync::Barrier::new(2);
+        let cross = |c: &Arc<ClientCore>, mine, theirs| -> Result<()> {
+            let t = c.begin()?;
+            c.write(t, mine, b"mine")?;
+            barrier.wait();
+            c.write(t, theirs, b"them")?;
+            c.commit(t)
         };
-        assert!(
-            bytes("redo_update") > 0,
-            "hybrid must emit redo-only records"
+        let (ra, rb) = std::thread::scope(|s| {
+            let ha = s.spawn(|| cross(a, o1, o2));
+            let hb = s.spawn(|| cross(b, o2, o1));
+            (ha.join().unwrap(), hb.join().unwrap())
+        });
+        assert!(ra.is_err() != rb.is_err(), "{ra:?} {rb:?}");
+        let driven = sys.metrics_snapshot().delta_since(&before).counters;
+        assert_eq!(driven["client_checkpoints"], 2);
+        assert_eq!(driven["client_deadlock_victims"], 1);
+
+        b.crash();
+        b.recover().unwrap();
+        sys.server.crash();
+        sys.server.restart_recovery().unwrap();
+
+        let registry = sys.metrics().snapshot();
+        let client = ClientStats::default()
+            .counts()
+            .map(|(n, _)| format!("client_{n}"));
+        let server = ServerStats::default().counts().map(|(n, _)| n);
+        let stats = client.into_iter().chain(
+            server
+                .iter()
+                .flat_map(|n| [format!("server_{n}"), format!("srv0_{n}")]),
         );
-        assert!(
-            bytes("update") > 0,
-            "hybrid must emit physical update records"
-        );
-        // Three spills of the 4-byte image "tiny": 24 + 4 payload bytes
-        // each, framed alike.
-        let spill = bytes("undo_spill");
-        assert!(
-            spill > 0 && spill % 3 == 0,
-            "one spill per hardened txn: {spill}"
-        );
-        assert!(!snap.counters.contains_key("wal_bytes_ext"));
+        for name in stats {
+            assert!(
+                !registry.counters.contains_key(&name),
+                "{name} is both a registry counter and a stats count"
+            );
+        }
     }
 
     /// wal_bytes_<kind> counters fold into the unified snapshot and cover

@@ -18,14 +18,12 @@
 //! and client runtimes drive them and ship the produced actions over the
 //! network layer, which keeps every protocol rule unit-testable.
 
-pub mod contention;
 pub mod coordinator;
 pub mod glm;
 pub mod llm;
 pub mod mode;
 pub mod waitgraph;
 
-pub use contention::{ContentionProfiler, PageContention};
 pub use coordinator::{AbortHook, DeadlockCoordinator};
 pub use glm::{CallbackAction, CallbackKind, CallbackReply, GlmCore, GlmEvent, LockOutcome};
 pub use llm::{LlmCore, LocalDecision};

@@ -82,11 +82,6 @@ impl Mode {
     pub fn covers(self, req: Mode) -> bool {
         self.lub(req) == self
     }
-
-    /// True for the non-intent modes that actually read/write the page.
-    pub fn is_real(self) -> bool {
-        matches!(self, Mode::S | Mode::X)
-    }
 }
 
 /// What a client asks the global lock manager for.

@@ -177,13 +177,6 @@ impl WaitGraph {
             coord.bump_epoch();
         }
     }
-
-    /// Diagnostics: number of distinct waiting transactions with stored
-    /// deferral edges plus pages contributing queue edges.
-    pub fn edge_sources(&self) -> (usize, usize) {
-        let inner = self.inner.lock();
-        (inner.deferral.len(), inner.queue.len())
-    }
 }
 
 #[cfg(test)]

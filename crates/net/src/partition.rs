@@ -69,11 +69,6 @@ impl PartitionedServer {
         })
     }
 
-    /// Number of partitions routed across.
-    pub fn partition_count(&self) -> usize {
-        self.parts.len()
-    }
-
     /// The partition index owning `page`.
     pub fn partition_of(&self, page: PageId) -> usize {
         (page.0 % self.parts.len() as u64) as usize

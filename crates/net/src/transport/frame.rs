@@ -42,7 +42,7 @@ use fgl_common::config::{
 use fgl_common::{ClientId, FglError, ObjectId, PageId, Psn, Result, SlotId, SystemConfig};
 use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::{LockTarget, ObjMode};
-use fgl_wal::codec::Reader;
+use fgl_wal::codec::{Reader, Writer};
 use fgl_wal::records::DptEntry;
 use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
@@ -214,59 +214,47 @@ fn corrupt(msg: String) -> FglError {
 
 // ---- segment builder -------------------------------------------------------
 
-/// Accumulates a frame body: contiguous fixed-layout bytes coalesce into
-/// `Owned` segments; shared page payloads are spliced in as `Shared`
-/// segments without copying.
+/// Accumulates a frame body: contiguous fixed-layout bytes, written
+/// through the WAL codec's [`Writer`], coalesce into `Owned` segments;
+/// shared page payloads are spliced in as `Shared` segments without
+/// copying.
+#[derive(Default)]
 struct B {
     segs: Vec<Seg>,
-    cur: Vec<u8>,
+    cur: Writer,
+}
+
+impl std::ops::Deref for B {
+    type Target = Writer;
+
+    fn deref(&self) -> &Writer {
+        &self.cur
+    }
+}
+
+impl std::ops::DerefMut for B {
+    fn deref_mut(&mut self) -> &mut Writer {
+        &mut self.cur
+    }
 }
 
 impl B {
-    fn new() -> B {
-        B {
-            segs: Vec::new(),
-            cur: Vec::new(),
+    /// Close the owned run written so far into a segment.
+    fn cut(&mut self) {
+        let run = std::mem::take(&mut self.cur).into_bytes();
+        if !run.is_empty() {
+            self.segs.push(Seg::Owned(run));
         }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.cur.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.cur.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.cur.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.cur.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn bytes(&mut self, v: &[u8]) {
-        self.cur.extend_from_slice(v);
     }
 
     fn shared(&mut self, a: Arc<[u8]>) {
-        if !self.cur.is_empty() {
-            self.segs.push(Seg::Owned(std::mem::take(&mut self.cur)));
-        }
+        self.cut();
         self.segs.push(Seg::Shared(a));
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.bytes(s.as_bytes());
     }
 
     /// Prefix the accumulated body with a header and return the segments.
     fn frame(mut self, kind: FrameKind, aux: u8, tag: u16, corr: u64) -> Vec<Seg> {
-        if !self.cur.is_empty() {
-            self.segs.push(Seg::Owned(std::mem::take(&mut self.cur)));
-        }
+        self.cut();
         let total = HEADER + self.segs.iter().map(|s| s.as_bytes().len()).sum::<usize>();
         let mut hdr = Vec::with_capacity(HEADER + 64);
         hdr.extend_from_slice(&(total as u32).to_le_bytes());
@@ -319,8 +307,7 @@ const LOCK_TARGET: usize = 12;
 fn put_psn_list(b: &mut B, v: &[(ObjectId, Psn)]) {
     b.u32(v.len() as u32);
     for (o, p) in v {
-        b.u64(o.page.0);
-        b.u16(o.slot.0);
+        b.object(*o);
         b.u64(p.0);
     }
 }
@@ -334,8 +321,7 @@ fn put_lock_target(b: &mut B, t: &LockTarget) {
         LockTarget::Object(o, m) => {
             b.u8(0);
             b.u8(obj_mode_code(*m));
-            b.u64(o.page.0);
-            b.u16(o.slot.0);
+            b.object(*o);
         }
         LockTarget::Page(p, m) => {
             b.u8(1);
@@ -348,8 +334,7 @@ fn put_lock_target(b: &mut B, t: &LockTarget) {
             b.u8(obj_mode_code(*m));
             b.u64(p.0);
             b.u16(0);
-            b.u64(o.page.0);
-            b.u16(o.slot.0);
+            b.object(*o);
         }
     }
 }
@@ -365,16 +350,6 @@ fn get_lock_target(c: &mut Reader) -> Result<LockTarget> {
         2 => LockTarget::PageAdaptive(page, mode, c.object()?),
         other => return Err(corrupt(format!("bad lock target tag {other}"))),
     })
-}
-
-fn put_opt_psn(b: &mut B, p: &Option<Psn>) {
-    match p {
-        Some(p) => {
-            b.u8(1);
-            b.u64(p.0);
-        }
-        None => b.u8(0),
-    }
 }
 
 fn put_opt_evidence(b: &mut B, e: &Option<(ClientId, Psn)>) {
@@ -400,7 +375,6 @@ fn get_opt_evidence(c: &mut Reader) -> Result<Option<(ClientId, Psn)>> {
 /// empty), then the bytes.
 fn put_opt_page(b: &mut B, p: &Option<Vec<u8>>) {
     let bytes = p.as_deref().unwrap_or_default();
-    b.u32(bytes.len() as u32);
     b.bytes(bytes);
 }
 
@@ -490,8 +464,7 @@ fn get_callback_kind(c: &mut Reader) -> Result<CallbackKind> {
 /// bytes.
 fn put_retained(b: &mut B, retained: &[(ObjectId, ObjMode)]) {
     for (o, m) in retained {
-        b.u64(o.page.0);
-        b.u16(o.slot.0);
+        b.object(*o);
         b.u8(obj_mode_code(*m));
         b.u8(0);
     }
@@ -587,7 +560,7 @@ fn put_wire_error(b: &mut B, e: &WireError) {
     match e {
         WireError::Io(s) => {
             b.u8(1);
-            b.str(s);
+            b.bytes(s.as_bytes());
         }
         WireError::PageNotFound(p) => {
             b.u8(2);
@@ -595,8 +568,7 @@ fn put_wire_error(b: &mut B, e: &WireError) {
         }
         WireError::ObjectNotFound(o) => {
             b.u8(3);
-            b.u64(o.page.0);
-            b.u16(o.slot.0);
+            b.object(*o);
         }
         WireError::PageFull { page, needed, free } => {
             b.u8(4);
@@ -619,28 +591,28 @@ fn put_wire_error(b: &mut B, e: &WireError) {
         WireError::InvalidTxnState { txn, state } => {
             b.u8(8);
             b.u64(txn.0);
-            b.str(state);
+            b.bytes(state.as_bytes());
         }
         WireError::UnknownSavepoint(s) => {
             b.u8(9);
-            b.str(s);
+            b.bytes(s.as_bytes());
         }
         WireError::LogFull => b.u8(10),
         WireError::Corrupt(s) => {
             b.u8(11);
-            b.str(s);
+            b.bytes(s.as_bytes());
         }
         WireError::Disconnected(s) => {
             b.u8(12);
-            b.str(s);
+            b.bytes(s.as_bytes());
         }
         WireError::Protocol(s) => {
             b.u8(13);
-            b.str(s);
+            b.bytes(s.as_bytes());
         }
         WireError::Config(s) => {
             b.u8(14);
-            b.str(s);
+            b.bytes(s.as_bytes());
         }
     }
 }
@@ -713,7 +685,7 @@ fn request_tag(req: &Request) -> u16 {
 
 /// Encode a [`Request`] under correlation id `corr`.
 pub fn encode_request(corr: u64, req: &Request) -> Result<Vec<Seg>> {
-    let mut b = B::new();
+    let mut b = B::default();
     let mut aux = 0u8;
     match req {
         Request::Register
@@ -729,7 +701,7 @@ pub fn encode_request(corr: u64, req: &Request) -> Result<Vec<Seg>> {
         } => {
             b.u64(txn.0);
             put_lock_target(&mut b, target);
-            put_opt_psn(&mut b, cached_psn);
+            b.opt_psn(*cached_psn);
         }
         Request::CancelWait { txn } | Request::AllocatePage { txn } => b.u64(txn.0),
         Request::FetchPage { page }
@@ -774,13 +746,13 @@ pub fn encode_request(corr: u64, req: &Request) -> Result<Vec<Seg>> {
             for p in touched {
                 b.u64(p.0);
             }
-            b.bytes(records);
+            b.raw(records);
         }
         Request::RecoveryFetch { page, need } => {
             b.u64(page.0);
             put_opt_evidence(&mut b, need);
         }
-        Request::InstallRecovered { bytes } => b.bytes(bytes),
+        Request::InstallRecovered { bytes } => b.raw(bytes),
         Request::FetchPages { pages } | Request::ForcePages { pages } => {
             put_page_ids(&mut b, pages)
         }
@@ -882,7 +854,7 @@ fn reply_tag(r: &Reply) -> u16 {
 
 /// Encode a [`Reply`] under the originating request's correlation id.
 pub fn encode_reply(corr: u64, r: &Reply) -> Result<Vec<Seg>> {
-    let mut b = B::new();
+    let mut b = B::default();
     match r {
         Reply::Unit | Reply::LockQueued => {}
         Reply::Err(e) => put_wire_error(&mut b, e),
@@ -893,10 +865,10 @@ pub fn encode_reply(corr: u64, r: &Reply) -> Result<Vec<Seg>> {
             page,
         } => put_lock_grant(&mut b, target, *first_exclusive_on_page, evidence, page),
         Reply::Page { bytes, psn } => {
-            put_opt_psn(&mut b, psn);
-            b.bytes(bytes);
+            b.opt_psn(*psn);
+            b.raw(bytes);
         }
-        Reply::PageImage(bytes) | Reply::Bytes(bytes) => b.bytes(bytes),
+        Reply::PageImage(bytes) | Reply::Bytes(bytes) => b.raw(bytes),
         Reply::Handshake {
             locks,
             pages,
@@ -909,7 +881,7 @@ pub fn encode_reply(corr: u64, r: &Reply) -> Result<Vec<Seg>> {
             b.u32(pages.len() as u32);
             for (p, psn) in pages {
                 b.u64(p.0);
-                put_opt_psn(&mut b, psn);
+                b.opt_psn(*psn);
             }
             b.u8(*dct_complete as u8);
         }
@@ -920,7 +892,7 @@ pub fn encode_reply(corr: u64, r: &Reply) -> Result<Vec<Seg>> {
         } => {
             b.u64(install_psn.0);
             put_psn_list(&mut b, callback_list);
-            b.bytes(base);
+            b.raw(base);
         }
         Reply::Needs(v) => {
             b.u32(v.len() as u32);
@@ -932,8 +904,7 @@ pub fn encode_reply(corr: u64, r: &Reply) -> Result<Vec<Seg>> {
         Reply::Pages(copies) => {
             b.u32(copies.len() as u32);
             for (bytes, psn) in copies {
-                put_opt_psn(&mut b, psn);
-                b.u32(bytes.len() as u32);
+                b.opt_psn(*psn);
                 b.bytes(bytes);
             }
         }
@@ -1030,7 +1001,7 @@ pub fn callback_complete_len(retained: usize, page_copy: Option<usize>) -> usize
 
 /// Encode a [`Callback`] under a fresh server-side correlation id.
 pub fn encode_callback(corr: u64, cb: &Callback) -> Result<Vec<Seg>> {
-    let mut b = B::new();
+    let mut b = B::default();
     match cb {
         Callback::DeliverBatch(kinds) => {
             for k in kinds {
@@ -1113,7 +1084,7 @@ fn callback_reply_tag(r: &CallbackReplyMsg) -> u16 {
 /// Encode a [`CallbackReplyMsg`] under the originating callback's
 /// correlation id.
 pub fn encode_callback_reply(corr: u64, r: &CallbackReplyMsg) -> Result<Vec<Seg>> {
-    let mut b = B::new();
+    let mut b = B::default();
     match r {
         CallbackReplyMsg::Outcomes(outcomes) => {
             for o in outcomes {
@@ -1163,7 +1134,6 @@ pub fn encode_callback_reply(corr: u64, r: &CallbackReplyMsg) -> Result<Vec<Seg>
                     RecoveredPageOutcome::Failed(msg) => (1, msg.as_bytes()),
                 };
                 b.u8(tag);
-                b.u32(bytes.len() as u32);
                 b.bytes(bytes);
             }
         }
@@ -1222,7 +1192,7 @@ pub fn decode_callback_reply(h: &FrameHeader, body: &[u8]) -> Result<CallbackRep
 /// id — this is how a blocking [`crate::GrantSlot`] wait crosses the
 /// wire.
 pub fn encode_grant(corr: u64, g: &GrantMsg) -> Vec<Seg> {
-    let mut b = B::new();
+    let mut b = B::default();
     let tag = match g {
         GrantMsg::Victim => 0,
         GrantMsg::Granted {
@@ -1271,7 +1241,7 @@ pub enum StreamRole {
 
 /// Encode the client → server handshake opening a `role` stream.
 pub fn encode_hello(client: ClientId, role: StreamRole) -> Vec<Seg> {
-    let mut b = B::new();
+    let mut b = B::default();
     b.u32(MAGIC);
     b.u16(WIRE_VERSION);
     b.u32(client.0);
@@ -1329,7 +1299,6 @@ fn strategy_code(s: LoggingStrategyKind) -> u8 {
     match s {
         LoggingStrategyKind::ClientAries => 0,
         LoggingStrategyKind::RedoOnly => 1,
-        LoggingStrategyKind::Hybrid => 2,
     }
 }
 
@@ -1344,7 +1313,7 @@ fn transport_code(t: TransportKind) -> u8 {
 /// Encode the server → client handshake answer: the full
 /// [`SystemConfig`], durations as nanoseconds, enums as byte codes.
 pub fn encode_hello_ack(cfg: &SystemConfig) -> Vec<Seg> {
-    let mut b = B::new();
+    let mut b = B::default();
     b.u16(WIRE_VERSION);
     b.u64(cfg.page_size as u64);
     b.u64(cfg.client_cache_pages as u64);
@@ -1400,7 +1369,6 @@ pub fn decode_hello_ack(body: &[u8]) -> Result<SystemConfig> {
     let logging_strategy = match c.u8()? {
         0 => LoggingStrategyKind::ClientAries,
         1 => LoggingStrategyKind::RedoOnly,
-        2 => LoggingStrategyKind::Hybrid,
         other => return Err(corrupt(format!("bad logging strategy code {other}"))),
     };
     let transport = match c.u8()? {

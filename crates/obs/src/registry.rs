@@ -278,10 +278,18 @@ impl Snapshot {
         Snapshot { counters, hists }
     }
 
-    /// Set (or overwrite) a counter — used when folding the legacy stats
-    /// structs into a snapshot.
+    /// Set (or overwrite) a counter: a value derived outside any stats
+    /// type or the registry, such as an experiment's own figure.
     pub fn set_counter(&mut self, name: &str, value: u64) {
         self.counters.insert(name.to_string(), value);
+    }
+
+    /// Add a stats type's `(name, value)` counts as `<prefix><name>`
+    /// counters; a name folded again sums (clients, server instances).
+    pub fn fold<'a>(&mut self, prefix: &str, counts: impl IntoIterator<Item = (&'a str, u64)>) {
+        for (name, value) in counts {
+            *self.counters.entry(format!("{prefix}{name}")).or_default() += value;
+        }
     }
 
     /// One histogram by [`HistKind`], if recorded.
@@ -350,46 +358,6 @@ impl Snapshot {
             out.push_str("]}");
         }
         out.push_str(if first { "}\n}" } else { "\n  }\n}" });
-        out
-    }
-
-    /// Aligned human-readable table: counters first, then one row per
-    /// non-empty histogram with count/mean/p50/p95/p99/max.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let kw = self
-            .counters
-            .keys()
-            .map(|k| k.len())
-            .chain(self.hists.keys().map(|k| k.len()))
-            .max()
-            .unwrap_or(8)
-            .max(8);
-        for (k, v) in &self.counters {
-            out.push_str(&format!("  {k:<kw$}  {v:>12}\n"));
-        }
-        let any_hist = self.hists.values().any(|h| h.count > 0);
-        if any_hist {
-            out.push_str(&format!(
-                "  {:<kw$}  {:>8} {:>10} {:>8} {:>8} {:>8} {:>10}\n",
-                "latency", "count", "mean_us", "p50", "p95", "p99", "max_us"
-            ));
-            for (k, h) in &self.hists {
-                if h.count == 0 {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "  {:<kw$}  {:>8} {:>10.1} {:>8} {:>8} {:>8} {:>10}\n",
-                    k,
-                    h.count,
-                    h.mean(),
-                    h.p50(),
-                    h.p95(),
-                    h.p99(),
-                    h.max
-                ));
-            }
-        }
         out
     }
 }

@@ -53,15 +53,11 @@ use std::time::{Duration, Instant};
 
 static TASKS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 static CONTEXT_SWITCHES: AtomicU64 = AtomicU64::new(0);
-static MAX_RUN_QUEUE_DEPTH: AtomicU64 = AtomicU64::new(0);
-static WORKER_PARKS: AtomicU64 = AtomicU64::new(0);
-static STACK_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
 static RUNNABLE_WAIT_US: AtomicU64 = AtomicU64::new(0);
-static RUNNABLE_WAITS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide scheduler instrumentation counters (see [`sched_stats`]).
 ///
-/// All fields except the two high-water marks are cumulative for the
+/// All fields except the stack-size gauge are cumulative for the
 /// process; scope them to a run with [`SchedStats::delta_since`].
 /// `runnable_wait_*` are only tracked while a trace hook is installed
 /// (see [`set_trace_hook`]) so the untraced hot path never reads the
@@ -72,24 +68,11 @@ pub struct SchedStats {
     pub tasks_spawned: u64,
     /// Worker → task context switches (task activations).
     pub context_switches: u64,
-    /// Deepest run queue observed at any push (high-water mark).
-    pub max_run_queue_depth: u64,
-    /// Idle condvar waits by workers with an empty run queue.
-    pub worker_parks: u64,
-    /// Timer-wheel entries visited but not yet due (later rotation).
-    pub timer_cascades: u64,
     /// Timer-wheel entries fired.
     pub timer_fires: u64,
-    /// Deepest task-stack use observed at any switch point, in bytes
-    /// (high-water mark; an underestimate — only suspension points are
-    /// sampled, not the deepest frame between them).
-    pub stack_high_water_bytes: u64,
     /// Total µs tasks spent queued runnable before a worker picked them
     /// up (only while a trace hook is installed).
     pub runnable_wait_us_total: u64,
-    /// Number of queued→running transitions timed into
-    /// `runnable_wait_us_total`.
-    pub runnable_wait_count: u64,
     /// Effective task stack size in bytes (gauge — the size new stacks
     /// are allocated with, after env/API overrides).
     pub stack_size_bytes: u64,
@@ -108,25 +91,35 @@ pub struct SchedStats {
 
 impl SchedStats {
     /// Counters accumulated since `base` was captured. Monotonic fields
-    /// subtract; the high-water marks keep their current value (they are
-    /// gauges, not counters).
+    /// subtract; the stack-size gauge keeps its current value.
     pub fn delta_since(&self, base: &SchedStats) -> SchedStats {
         SchedStats {
             tasks_spawned: self.tasks_spawned - base.tasks_spawned,
             context_switches: self.context_switches - base.context_switches,
-            max_run_queue_depth: self.max_run_queue_depth,
-            worker_parks: self.worker_parks - base.worker_parks,
-            timer_cascades: self.timer_cascades - base.timer_cascades,
             timer_fires: self.timer_fires - base.timer_fires,
-            stack_high_water_bytes: self.stack_high_water_bytes,
             runnable_wait_us_total: self.runnable_wait_us_total - base.runnable_wait_us_total,
-            runnable_wait_count: self.runnable_wait_count - base.runnable_wait_count,
             stack_size_bytes: self.stack_size_bytes,
             stacks_allocated: self.stacks_allocated - base.stacks_allocated,
             stacks_pooled: self.stacks_pooled - base.stacks_pooled,
             stacks_reused: self.stacks_reused - base.stacks_reused,
             stacks_madvised: self.stacks_madvised - base.stacks_madvised,
         }
+    }
+
+    /// Every count as a `(name, value)` pair; a harness run reports each
+    /// as `sched_<name>`.
+    pub fn counts(&self) -> [(&'static str, u64); 9] {
+        [
+            ("tasks_spawned", self.tasks_spawned),
+            ("context_switches", self.context_switches),
+            ("timer_fires", self.timer_fires),
+            ("runnable_wait_us", self.runnable_wait_us_total),
+            ("stack_size_bytes", self.stack_size_bytes),
+            ("stacks_allocated", self.stacks_allocated),
+            ("stacks_pooled", self.stacks_pooled),
+            ("stacks_reused", self.stacks_reused),
+            ("stacks_madvised", self.stacks_madvised),
+        ]
     }
 }
 
@@ -135,13 +128,8 @@ pub fn sched_stats() -> SchedStats {
     SchedStats {
         tasks_spawned: TASKS_SPAWNED.load(Ordering::Relaxed),
         context_switches: CONTEXT_SWITCHES.load(Ordering::Relaxed),
-        max_run_queue_depth: MAX_RUN_QUEUE_DEPTH.load(Ordering::Relaxed),
-        worker_parks: WORKER_PARKS.load(Ordering::Relaxed),
-        timer_cascades: timer::TIMER_CASCADES.load(Ordering::Relaxed),
         timer_fires: timer::TIMER_FIRES.load(Ordering::Relaxed),
-        stack_high_water_bytes: STACK_HIGH_WATER.load(Ordering::Relaxed),
         runnable_wait_us_total: RUNNABLE_WAIT_US.load(Ordering::Relaxed),
-        runnable_wait_count: RUNNABLE_WAITS.load(Ordering::Relaxed),
         stack_size_bytes: stack_size() as u64,
         stacks_allocated: stack_pool().stats.allocated.load(Ordering::Relaxed),
         stacks_pooled: stack_pool().stats.pooled.load(Ordering::Relaxed),
@@ -226,8 +214,8 @@ enum Intent {
 /// Default task stack: 256 KiB reserved. Allocations this size are
 /// served by `mmap` and only the touched pages become resident, so a
 /// thousand mostly-idle tasks stay cheap. Harness workloads with a known
-/// shallow `stack_high_water_bytes` can shrink it via [`set_stack_size`]
-/// or `FGL_SCHED_STACK_KB`.
+/// shallow depth can shrink it via [`set_stack_size`] or
+/// `FGL_SCHED_STACK_KB`.
 const DEFAULT_STACK: usize = 256 * 1024;
 
 /// Smallest stack accepted: the protocol's deepest observed paths stay
@@ -301,13 +289,6 @@ fn stack_pool() -> &'static StackPool {
     })
 }
 
-/// Pooled stacks kept fully resident per size class; stacks released
-/// beyond this have their pages returned to the kernel (`MADV_FREE`)
-/// while staying reusable. Also settable via `FGL_SCHED_STACK_POOL_WARM`.
-pub fn set_stack_pool_warm_limit(n: usize) {
-    stack_pool().set_warm_limit(n);
-}
-
 // ---- the shared scheduler ---------------------------------------------------
 
 struct TimerTarget {
@@ -339,9 +320,6 @@ struct TaskCore {
     /// µs timestamp of the last queue push, `u64::MAX` when not stamped.
     /// Only written while a trace hook is installed.
     queued_at_us: AtomicU64,
-    /// Highest address of the task stack, for high-water accounting
-    /// (null until the stack is acquired).
-    stack_top: Cell<*mut u8>,
     /// Acquired from the pool at first activation, returned on `Done`.
     stack: Cell<Option<Stack>>,
     shared: Arc<Shared>,
@@ -351,7 +329,7 @@ struct TaskCore {
     wg: Option<Arc<WaitGroup>>,
 }
 
-// SAFETY: `sp`, `intent`, `entry`, `stack` and `stack_top` are only
+// SAFETY: `sp`, `intent`, `entry` and `stack` are only
 // touched by the worker currently running the task (or holding it
 // freshly popped from the run queue); cross-worker handoff is
 // synchronized by the queue mutex and the `state` atomic.
@@ -507,18 +485,14 @@ pub fn park_until(deadline: Option<Instant>) {
     switch_out(Intent::Park(deadline));
 }
 
-/// Push a runnable task onto the shared queue, maintaining the
-/// queue-depth high-water mark and (when a trace hook is installed) the
-/// queued-at stamp used for runnable-wait attribution.
+/// Push a runnable task onto the shared queue, stamping (when a trace
+/// hook is installed) the queued-at time used for runnable-wait
+/// attribution.
 fn push_runnable(shared: &Shared, task: Arc<TaskCore>) {
     if TRACE_HOOK_SET.load(Ordering::Acquire) {
         task.queued_at_us.store(sched_now_us(), Ordering::Relaxed);
     }
-    let mut queue = shared.queue.lock().unwrap();
-    queue.push_back(task);
-    let depth = queue.len() as u64;
-    drop(queue);
-    MAX_RUN_QUEUE_DEPTH.fetch_max(depth, Ordering::Relaxed);
+    shared.queue.lock().unwrap().push_back(task);
     shared.queue_cv.notify_one();
 }
 
@@ -697,7 +671,6 @@ fn spawn_onto(
         entry: Cell::new(Some(job)),
         trace_tag: AtomicU64::new(trace_tag()),
         queued_at_us: AtomicU64::new(u64::MAX),
-        stack_top: Cell::new(std::ptr::null_mut()),
         stack: Cell::new(None),
         shared: shared.clone(),
         seed,
@@ -779,7 +752,6 @@ fn worker_loop(shared: &Arc<Shared>) {
             .min(IDLE_POLL);
         let queue = shared.queue.lock().unwrap();
         if queue.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
-            WORKER_PARKS.fetch_add(1, Ordering::Relaxed);
             let _ = shared
                 .queue_cv
                 .wait_timeout(queue, wait.max(Duration::from_micros(1)))
@@ -808,7 +780,6 @@ fn run_task(tls: &Rc<WorkerTls>, task: Arc<TaskCore>) {
         if queued_at != u64::MAX {
             let wait = sched_now_us().saturating_sub(queued_at);
             RUNNABLE_WAIT_US.fetch_add(wait, Ordering::Relaxed);
-            RUNNABLE_WAITS.fetch_add(1, Ordering::Relaxed);
             let tag = task.trace_tag.load(Ordering::Relaxed);
             if tag != 0 {
                 if let Some(hook) = TRACE_HOOK.get() {
@@ -826,7 +797,6 @@ fn run_task(tls: &Rc<WorkerTls>, task: Arc<TaskCore>) {
         // SAFETY: `top` is one past a freshly acquired, writable stack
         // region of at least MIN_STACK bytes.
         task.sp.set(unsafe { ctx::bootstrap(top, trampoline) });
-        task.stack_top.set(top);
         task.stack.set(Some(stack));
     }
     tls.current.borrow_mut().replace(task.clone());
@@ -835,10 +805,6 @@ fn run_task(tls: &Rc<WorkerTls>, task: Arc<TaskCore>) {
     // hand-off ordered that write before this read.
     unsafe { ctx::fgl_sched_switch(tls.worker_sp.as_ptr(), task.sp.get()) };
     tls.current.borrow_mut().take();
-    // `task.sp` now holds the stack pointer saved at the switch-out; the
-    // distance from the stack top is this activation's depth.
-    let used = (task.stack_top.get() as usize).saturating_sub(task.sp.get() as usize) as u64;
-    STACK_HIGH_WATER.fetch_max(used, Ordering::Relaxed);
     let shared = &tls.shared;
     match task.intent.replace(Intent::None) {
         Intent::Done => {

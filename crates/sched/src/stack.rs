@@ -24,7 +24,7 @@
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Stack sizes must be multiples of this (and the allocation is aligned
@@ -133,7 +133,7 @@ struct Class {
 pub struct StackPool {
     classes: Mutex<HashMap<usize, Class>>,
     /// Per-size-class count of pooled stacks kept fully resident.
-    warm_limit: AtomicUsize,
+    warm_limit: usize,
     pub stats: PoolStats,
 }
 
@@ -143,17 +143,9 @@ impl StackPool {
     pub fn new(warm_limit: usize) -> StackPool {
         StackPool {
             classes: Mutex::new(HashMap::new()),
-            warm_limit: AtomicUsize::new(warm_limit),
+            warm_limit,
             stats: PoolStats::default(),
         }
-    }
-
-    pub fn warm_limit(&self) -> usize {
-        self.warm_limit.load(Ordering::Relaxed)
-    }
-
-    pub fn set_warm_limit(&self, n: usize) {
-        self.warm_limit.store(n, Ordering::Relaxed);
     }
 
     /// A stack of exactly `size` bytes: pooled (warm preferred) or fresh.
@@ -180,7 +172,7 @@ impl StackPool {
     /// are released to the kernel but the stack stays reusable.
     pub fn release(&self, stack: Stack) {
         self.stats.pooled.fetch_add(1, Ordering::Relaxed);
-        let limit = self.warm_limit();
+        let limit = self.warm_limit;
         let mut classes = self.classes.lock().unwrap();
         let class = classes.entry(stack.size()).or_default();
         if class.warm.len() < limit {

@@ -15,10 +15,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Entries visited by a slot sweep that were *not* due yet (they belong
-/// to a later rotation of the wheel). A hot cascade counter means the
-/// ring is too small for the deadline spread.
-pub(crate) static TIMER_CASCADES: AtomicU64 = AtomicU64::new(0);
 /// Entries actually fired by [`TimerWheel::advance`].
 pub(crate) static TIMER_FIRES: AtomicU64 = AtomicU64::new(0);
 
@@ -126,7 +122,6 @@ impl<T> TimerWheel<T> {
                 if v[j].at_tick <= target {
                     fired.push(v.swap_remove(j));
                 } else {
-                    TIMER_CASCADES.fetch_add(1, Ordering::Relaxed);
                     j += 1;
                 }
             }

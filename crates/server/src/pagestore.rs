@@ -182,10 +182,6 @@ impl PageStore {
         self.pool.is_dirty(id)
     }
 
-    pub fn dirty_pages(&self) -> Vec<PageId> {
-        self.pool.dirty_ids()
-    }
-
     /// Write a page image in place on disk and mark the pool copy clean if
     /// it still matches. The caller has already logged the replacement
     /// record (§3.1).

@@ -351,22 +351,6 @@ impl ServerCore {
                 took.as_micros() as u64,
             );
         }
-        metrics.add("server_restarts", 1);
-        for (phase, took) in [
-            ("gather", gather),
-            ("dct_rebuild", dct_rebuild),
-            ("disk_read", disk_read),
-            ("scan", scan),
-            ("pull", pull),
-            ("replay", replay),
-        ] {
-            metrics.add(
-                &format!("server_recovery_{phase}_us"),
-                took.as_micros() as u64,
-            );
-        }
-        metrics.add("server_recovery_records_scanned", records_scanned as u64);
-        metrics.add("server_recovery_pages", report.pages_recovered as u64);
         Ok(report)
     }
 

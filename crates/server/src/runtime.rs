@@ -31,7 +31,6 @@ use crate::dct::Dct;
 use crate::pagestore::PageStore;
 use fgl_common::config::CommitPolicy;
 use fgl_common::{ClientId, FglError, Lsn, PageId, Psn, Result, SystemConfig, TxnId};
-use fgl_locks::contention::{ContentionProfiler, PageContention};
 use fgl_locks::coordinator::DeadlockCoordinator;
 use fgl_locks::glm::{CallbackKind, CallbackReply, GlmCore, GlmEvent, LockOutcome};
 use fgl_locks::mode::{LockTarget, ObjMode};
@@ -62,12 +61,26 @@ pub use fgl_net::api::{LockResponse, RecoverPagePlan, RecoveryHandshake};
 pub struct ServerStats {
     pub lock_requests: u64,
     pub page_fetches: u64,
-    pub pages_received: u64,
     pub pages_flushed: u64,
     pub replacement_records: u64,
-    pub server_checkpoints: u64,
     pub commit_log_ships: u64,
     pub merges: u64,
+}
+
+impl ServerStats {
+    /// Every count as a `(name, value)` pair; the unified snapshot
+    /// reports each as `server_<name>`, summed over the instances, and as
+    /// `srv<k>_<name>` for instance `k`.
+    pub fn counts(&self) -> [(&'static str, u64); 6] {
+        [
+            ("lock_requests", self.lock_requests),
+            ("page_fetches", self.page_fetches),
+            ("pages_flushed", self.pages_flushed),
+            ("replacement_records", self.replacement_records),
+            ("commit_log_ships", self.commit_log_ships),
+            ("merges", self.merges),
+        ]
+    }
 }
 
 /// Map a GLM callback to its observability class.
@@ -137,15 +150,10 @@ pub struct ServerCore {
     /// `server_recovery_fetch_timeouts`: §3.5 waits that ran out and
     /// served the current merged copy instead.
     recovery_fetch_timeouts: Counter,
-    /// Per-page wait-time / callback fan-out accumulator (top-N hottest
-    /// pages; surfaced through [`ServerCore::contention_top`]).
-    contention: ContentionProfiler,
     lock_requests: AtomicU64,
     page_fetches: AtomicU64,
-    pages_received: AtomicU64,
     pages_flushed: AtomicU64,
     replacement_records: AtomicU64,
-    server_checkpoints: AtomicU64,
     commit_log_ships: AtomicU64,
     slog_appends_since_ckpt: AtomicU64,
 }
@@ -213,13 +221,10 @@ impl ServerCore {
             ship_bytes_copied: metrics.counter("page_ship_bytes_copied"),
             recovery_fetch_timeouts: metrics.counter("server_recovery_fetch_timeouts"),
             metrics,
-            contention: ContentionProfiler::new(),
             lock_requests: AtomicU64::new(0),
             page_fetches: AtomicU64::new(0),
-            pages_received: AtomicU64::new(0),
             pages_flushed: AtomicU64::new(0),
             replacement_records: AtomicU64::new(0),
-            server_checkpoints: AtomicU64::new(0),
             commit_log_ships: AtomicU64::new(0),
             slog_appends_since_ckpt: AtomicU64::new(0),
         })
@@ -228,11 +233,6 @@ impl ServerCore {
     /// This server's partition index (`0` in a single-server system).
     pub fn instance(&self) -> usize {
         self.instance
-    }
-
-    /// Total server instances in the system this server belongs to.
-    pub fn instance_count(&self) -> usize {
-        self.instances
     }
 
     /// Whether `page` belongs to this instance's residue class. Requests
@@ -292,24 +292,11 @@ impl ServerCore {
         ServerStats {
             lock_requests: self.lock_requests.load(Ordering::Relaxed),
             page_fetches: self.page_fetches.load(Ordering::Relaxed),
-            pages_received: self.pages_received.load(Ordering::Relaxed),
             pages_flushed: self.pages_flushed.load(Ordering::Relaxed),
             replacement_records: self.replacement_records.load(Ordering::Relaxed),
-            server_checkpoints: self.server_checkpoints.load(Ordering::Relaxed),
             commit_log_ships: self.commit_log_ships.load(Ordering::Relaxed),
             merges: self.store.lock().merges(),
         }
-    }
-
-    /// The `n` pages with the most cumulative lock-wait time (callback
-    /// fan-out breaks ties), hottest first.
-    pub fn contention_top(&self, n: usize) -> Vec<(PageId, PageContention)> {
-        self.contention.top_n(n)
-    }
-
-    /// Distinct pages that ever saw a queued wait or a callback.
-    pub fn contention_pages_tracked(&self) -> usize {
-        self.contention.pages_tracked()
     }
 
     // ---- registration ------------------------------------------------------
@@ -356,7 +343,6 @@ impl ServerCore {
                             page: target.page(),
                             queued: true,
                         });
-                        self.contention.on_resolve(txn, self.metrics.now_us());
                         let slot = self.waiters.lock().remove(&txn);
                         if let Some((slot, cached_psn)) = slot {
                             if first_exclusive_on_page {
@@ -367,8 +353,6 @@ impl ServerCore {
                     }
                     GlmEvent::AbortTxn { txn, .. } => {
                         emit(Event::DeadlockVictim { txn });
-                        self.metrics.add("deadlock_victims", 1);
-                        self.contention.on_resolve(txn, self.metrics.now_us());
                         queue.extend(self.abort_waiter(txn));
                         // A cross-*server* cycle's victim may be parked on
                         // another instance entirely: broadcast so every
@@ -426,7 +410,6 @@ impl ServerCore {
                 count: kinds.len() as u32,
             });
             for kind in &kinds {
-                self.contention.on_callback(kind.page());
                 emit(Event::CallbackIssued {
                     to,
                     page: kind.page(),
@@ -602,7 +585,6 @@ impl ServerCore {
 
     fn absorb_parsed(&self, client: ClientId, page: Page, replaced: bool) -> Result<()> {
         let id = page.id();
-        self.pages_received.fetch_add(1, Ordering::Relaxed);
         debug_assert!(self.owns_page(id), "misrouted page {id:?}");
         let merge_start = self.metrics.now_us();
         // Pool-first merge; on a miss the disk read runs unlocked and the
@@ -784,8 +766,6 @@ impl ServerCore {
             owner: LogOwner::Server,
             lsn,
         });
-        self.server_checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.metrics.add("server_checkpoints", 1);
         Ok(())
     }
 
@@ -971,8 +951,6 @@ impl ServerApi for ServerCore {
                 let (slot, waiter) = grant_pair();
                 parked.insert(txn, (slot, cached_psn));
                 drop(parked);
-                self.contention
-                    .on_queue(txn, &target, self.metrics.now_us());
                 emit(Event::LockQueue {
                     client,
                     txn,
@@ -987,7 +965,6 @@ impl ServerApi for ServerCore {
     /// A waiting client gave up (timeout) or aborted.
     fn cancel_wait(&self, _client: ClientId, txn: TxnId) {
         self.net.msg(MsgKind::Control, 16);
-        self.contention.on_resolve(txn, self.metrics.now_us());
         self.waiters.lock().remove(&txn);
         let events = self.glm.lock().cancel_wait(txn);
         self.drive(events);

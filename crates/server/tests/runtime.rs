@@ -8,6 +8,7 @@ use fgl_locks::mode::{LockTarget, ObjMode};
 use fgl_net::peer::{CallbackOutcome, ClientPeer, ClientStateReport, RecoveredPageOutcome};
 use fgl_net::stats::NetSim;
 use fgl_net::ServerApi;
+use fgl_obs::HistKind;
 use fgl_server::runtime::{LockResponse, ServerCore};
 use fgl_storage::disk::{DiskBackend, MemDisk};
 use fgl_storage::page::Page;
@@ -283,6 +284,16 @@ struct WriteRequest {
     records: u64,
 }
 
+/// Server-log forces so far: each is timed once into the registry's
+/// log-force histogram.
+fn log_forces(s: &ServerCore) -> u64 {
+    s.metrics()
+        .snapshot()
+        .hist(HistKind::LogForce)
+        .unwrap()
+        .count
+}
+
 /// The server's database disk, recording every write request and the
 /// state of the server log when it arrived.
 #[derive(Default)]
@@ -297,7 +308,7 @@ impl RecordingDisk {
         let s = self.server.get().and_then(Weak::upgrade).unwrap();
         self.writes.lock().push(WriteRequest {
             pages: pages.iter().map(Page::id).collect(),
-            log_forces: s.metrics().snapshot().counters["log_forces"],
+            log_forces: log_forces(&s),
             records: s.stats().replacement_records,
         });
     }
@@ -348,10 +359,9 @@ fn force_pages_forces_the_log_once_before_any_page_is_written() {
     s.ship_pages(ClientId(1), frames, true).unwrap();
     assert!(disk.writes.lock().is_empty(), "shipping writes nothing");
 
-    let forces = || s.metrics().snapshot().counters["log_forces"];
-    let (before, stats) = (forces(), s.stats());
+    let (before, stats) = (log_forces(&s), s.stats());
     s.force_pages(ClientId(1), &ids).unwrap();
-    assert_eq!(forces() - before, 1, "one server-log force");
+    assert_eq!(log_forces(&s) - before, 1, "one server-log force");
     let after = s.stats();
     assert_eq!(
         after.replacement_records - stats.replacement_records,
@@ -372,5 +382,5 @@ fn force_pages_forces_the_log_once_before_any_page_is_written() {
     // Every page is clean now: forcing again writes nothing.
     s.force_pages(ClientId(1), &ids).unwrap();
     assert_eq!(disk.writes.lock().len(), 1);
-    assert_eq!(forces() - before, 1);
+    assert_eq!(log_forces(&s) - before, 1);
 }

@@ -37,9 +37,9 @@ pub struct HarnessOptions {
     /// `0` picks [`fgl_sched::default_workers`].
     pub event_workers: usize,
     /// Green-task stack size in KiB; `0` keeps the scheduler's current
-    /// default. Harness workloads have a known shallow depth (see the
-    /// `sched_stack_high_water_bytes` metric), so scaling runs shrink
-    /// this well below the 256 KiB general-purpose default. Applied via
+    /// default. Harness workloads have a known shallow depth, so scaling
+    /// runs shrink this well below the 256 KiB general-purpose default.
+    /// Applied via
     /// [`fgl_sched::set_stack_size`] (process-wide; the
     /// `FGL_SCHED_STACK_KB` env override wins), and validated there —
     /// sizes below the floor or not page-multiples panic.
@@ -217,51 +217,10 @@ pub fn run_workload(
     }
     report.net = sys.net.snapshot().delta_since(&before);
     report.metrics = sys.metrics_snapshot().delta_since(&metrics_before);
-    // Scheduler profile for the interval (counters are deltas; the two
-    // high-water marks are process-lifetime gauges).
+    // Scheduler profile for the interval (counters are deltas; the stack
+    // size is a gauge).
     let sched = fgl_sched::sched_stats().delta_since(&sched_before);
-    report
-        .metrics
-        .set_counter("sched_tasks_spawned", sched.tasks_spawned);
-    report
-        .metrics
-        .set_counter("sched_context_switches", sched.context_switches);
-    report
-        .metrics
-        .set_counter("sched_max_run_queue_depth", sched.max_run_queue_depth);
-    report
-        .metrics
-        .set_counter("sched_worker_parks", sched.worker_parks);
-    report
-        .metrics
-        .set_counter("sched_timer_cascades", sched.timer_cascades);
-    report
-        .metrics
-        .set_counter("sched_timer_fires", sched.timer_fires);
-    report
-        .metrics
-        .set_counter("sched_stack_high_water_bytes", sched.stack_high_water_bytes);
-    report
-        .metrics
-        .set_counter("sched_runnable_wait_us", sched.runnable_wait_us_total);
-    report
-        .metrics
-        .set_counter("sched_runnable_waits", sched.runnable_wait_count);
-    report
-        .metrics
-        .set_counter("sched_stack_size_bytes", sched.stack_size_bytes);
-    report
-        .metrics
-        .set_counter("sched_stacks_allocated", sched.stacks_allocated);
-    report
-        .metrics
-        .set_counter("sched_stacks_pooled", sched.stacks_pooled);
-    report
-        .metrics
-        .set_counter("sched_stacks_reused", sched.stacks_reused);
-    report
-        .metrics
-        .set_counter("sched_stacks_madvised", sched.stacks_madvised);
+    report.metrics.fold("sched_", sched.counts());
     Ok(report)
 }
 

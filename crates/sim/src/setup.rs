@@ -12,12 +12,6 @@ pub struct DatabaseLayout {
     pub object_size: usize,
 }
 
-impl DatabaseLayout {
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-}
-
 /// Populate `pages × objects_per_page` objects of `object_size` bytes via
 /// `loader`, committing in batches. All caches are then warm only at the
 /// loader; other clients start cold, as in a freshly loaded database.

@@ -41,15 +41,14 @@ pub trait DiskBackend: Send + Sync {
 pub struct DiskStats {
     pub reads: AtomicU64,
     pub writes: AtomicU64,
-    pub syncs: AtomicU64,
 }
 
 impl DiskStats {
-    pub fn snapshot(&self) -> (u64, u64, u64) {
+    /// `(reads, writes)` so far.
+    pub fn snapshot(&self) -> (u64, u64) {
         (
             self.reads.load(Ordering::Relaxed),
             self.writes.load(Ordering::Relaxed),
-            self.syncs.load(Ordering::Relaxed),
         )
     }
 }
@@ -233,7 +232,6 @@ impl DiskBackend for SimDisk {
     }
 
     fn sync(&self) -> Result<()> {
-        self.stats.syncs.fetch_add(1, Ordering::Relaxed);
         self.pause();
         self.inner.sync()
     }
@@ -311,7 +309,7 @@ mod tests {
         d.read_page(PageId(1)).unwrap();
         d.read_page(PageId(2)).unwrap();
         d.sync().unwrap();
-        assert_eq!(d.stats.snapshot(), (2, 1, 1));
+        assert_eq!(d.stats.snapshot(), (2, 1));
     }
 
     /// A batch of eight writes counts eight and waits one latency, where
@@ -324,7 +322,7 @@ mod tests {
         let t = std::time::Instant::now();
         d.write_pages(&pages).unwrap();
         let took = t.elapsed();
-        assert_eq!(d.stats.snapshot(), (0, 8, 0));
+        assert_eq!(d.stats.snapshot(), (0, 8));
         assert!(took >= latency, "{took:?}");
         assert!(
             took < latency * 4,

@@ -78,8 +78,15 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// `v` behind its u32 length.
     pub fn bytes(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
+        self.raw(v);
+    }
+
+    /// `v` as it is, with no length: bytes whose extent the reader knows
+    /// otherwise, such as the rest of a frame body.
+    pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 

@@ -23,7 +23,7 @@ use crate::codec::checksum;
 use crate::records::{LogPayload, KIND_NAMES};
 use crate::store::{LogStore, MasterAnchor};
 use fgl_common::{FglError, Lsn, Result};
-use fgl_obs::{Counter, Event, HistKind, LogOwner, Metrics};
+use fgl_obs::{Event, HistKind, LogOwner, Metrics};
 use std::sync::Arc;
 
 const FRAME_HEADER: usize = 8;
@@ -57,9 +57,8 @@ pub struct LogManager {
     /// Number of force (sync) calls (informational).
     forces: u64,
     /// Observability hook: when attached, forces are timed into the
-    /// registry's log-force histogram, counted in its `log_forces` counter
-    /// and emitted as typed events.
-    obs: Option<(Arc<Metrics>, Counter, LogOwner)>,
+    /// registry's log-force histogram and emitted as typed events.
+    obs: Option<(Arc<Metrics>, LogOwner)>,
     /// The frame being appended, header first; reused so an append
     /// allocates nothing once the largest record has been seen.
     scratch: Vec<u8>,
@@ -88,8 +87,7 @@ impl LogManager {
     /// are timed into the log-force histogram and emit [`Event::LogForce`]
     /// tagged with `owner` (the server log or one client's private log).
     pub fn attach_obs(&mut self, metrics: Arc<Metrics>, owner: LogOwner) {
-        let forces = metrics.counter("log_forces");
-        self.obs = Some((metrics, forces, owner));
+        self.obs = Some((metrics, owner));
     }
 
     /// Reopen a store after a crash: read the master anchor and validate
@@ -219,9 +217,8 @@ impl LogManager {
         self.store.sync()?;
         self.forces += 1;
         let durable = self.durable_lsn();
-        if let Some((metrics, forces, owner)) = &self.obs {
+        if let Some((metrics, owner)) = &self.obs {
             metrics.observe_since(HistKind::LogForce, start.unwrap());
-            forces.add(1);
             fgl_obs::emit(Event::LogForce {
                 owner: *owner,
                 lsn: durable,
@@ -243,10 +240,9 @@ impl LogManager {
         self.store.sync_range(Self::offset(upto))?;
         self.forces += 1;
         let durable = self.durable_lsn();
-        if let Some((metrics, forces, owner)) = &self.obs {
+        if let Some((metrics, owner)) = &self.obs {
             let start = started_us.unwrap_or_else(|| metrics.now_us());
             metrics.observe_since(HistKind::LogForce, start);
-            forces.add(1);
             fgl_obs::emit(Event::LogForce {
                 owner: *owner,
                 lsn: durable,
@@ -764,13 +760,17 @@ mod tests {
 
     /// `(device syncs, forces counted, LogForce events)` so far.
     fn force_costs(m: &LogManager, store: &SharedSim, sink: &CaptureSink) -> (u64, u64, usize) {
-        let (metrics, _, owner) = m.obs.as_ref().expect("observed");
+        let (metrics, owner) = m.obs.as_ref().expect("observed");
         let events = sink
             .events()
             .iter()
             .filter(|s| matches!(s.event, Event::LogForce { owner: o, .. } if o == *owner))
             .count();
-        assert_eq!(metrics.snapshot().counters["log_forces"], m.stats().2);
+        let timed = metrics
+            .snapshot()
+            .hist(HistKind::LogForce)
+            .map_or(0, |h| h.count);
+        assert_eq!(timed, m.stats().2);
         (store.syncs(), m.stats().2, events)
     }
 

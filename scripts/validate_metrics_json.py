@@ -58,7 +58,7 @@ def check_commit_hist(m):
 def validate_e14(doc):
     rows = rows_of(doc, "e14_recovery_shootout")
     strategies = {r["params"]["strategy"] for r in rows}
-    assert strategies == {"client_aries", "redo_only", "hybrid"}, strategies
+    assert strategies == {"client_aries", "redo_only"}, strategies
     for row in rows:
         p, m = row["params"], row["metrics"]
         assert m["counters"]["e14_commits_per_s"] > 0, m["counters"]

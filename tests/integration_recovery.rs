@@ -894,9 +894,7 @@ fn restart_pin(strategy: LoggingStrategyKind, complex: bool) -> RestartPin {
                     match op {
                         Op::Read(_) => drop(c.read(t, o).unwrap()),
                         Op::Write(_) | Op::Resize(_) => {
-                            // Every third round is structural, and long
-                            // enough to make a hybrid transaction log
-                            // physically.
+                            // Every third round is structural.
                             if round % 3 == 0 {
                                 c.resize(t, o, 72).unwrap();
                                 c.resize(t, o, 32).unwrap();
@@ -916,8 +914,8 @@ fn restart_pin(strategy: LoggingStrategyKind, complex: bool) -> RestartPin {
     sys.client(1).harden().unwrap();
     rounds(27, 30, &|_| false);
 
-    // Two losers at client 1: one small (redo-only under `hybrid`) and in
-    // the checkpoint, one that opens with a resize (physical) after it.
+    // Two losers at client 1: one small and in the checkpoint, one that
+    // opens with a resize after it.
     let c = sys.client(1);
     let obj = |page: usize, slot: usize| layout.objects[page * s.objects_per_page + slot];
     let small = [obj(4, 0), obj(4, 5), obj(5, 2), obj(0, 3)];
@@ -984,7 +982,7 @@ fn restart_pin(strategy: LoggingStrategyKind, complex: bool) -> RestartPin {
 
 /// Client restart, pinned per strategy x {client crash, complex crash}:
 /// the constants are what commit b5cfdb0 (three restart drivers) left,
-/// except `log_end` of the redo-only and hybrid rows. Those shrank when
+/// except `log_end` of the redo-only rows. Those shrank when
 /// redo-only records became native log kinds instead of an envelope
 /// (24 B less per redo-only update, 28 B per spill); every count and
 /// page hash stayed.
@@ -1002,19 +1000,11 @@ fn restart_pin(strategy: LoggingStrategyKind, complex: bool) -> RestartPin {
 fn restart_leaves_the_recorded_counts_log_and_pages() {
     use LoggingStrategyKind::*;
     #[rustfmt::skip]
-    let want: [(_, _, RestartPin); 6] = [
+    let want: [(_, _, RestartPin); 4] = [
         (ClientAries, false, (12, 2, 8, 5, 85, 13, 26824, 2188529311487930427)),
         (ClientAries, true, (12, 2, 8, 8, 85, 0, 26824, 14833372426372957901)),
         (RedoOnly, false, (42, 2, 9, 5, 298, 9, 18841, 2959043463736195518)),
         (RedoOnly, true, (42, 2, 12, 12, 298, 0, 18889, 17150234313638927731)),
-        // The one cell the single driver moves (b5cfdb0: 9 applied, hash
-        // 4254536476712928168): a hybrid loser that logged physically is
-        // now redone before its chain-walk undo, as under the paper's
-        // restart and as §3.5 always did, instead of skipped. Two more
-        // records apply and the PSNs on its pages move; the values do not
-        // (`restart_pin` checks the oracle).
-        (Hybrid, false, (42, 2, 9, 5, 298, 11, 24225, 1550113182983745843)),
-        (Hybrid, true, (42, 2, 12, 12, 298, 0, 24273, 4205255825687857298)),
     ];
     let mut moved = Vec::new();
     for (strategy, complex, want) in want {

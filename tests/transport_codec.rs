@@ -530,7 +530,7 @@ fn hello_ack_round_trips_config() {
         granularity: LockGranularity::Adaptive,
         update_policy: UpdatePolicy::UpdateToken,
         commit_policy: CommitPolicy::ShipPagesAtCommit,
-        logging_strategy: LoggingStrategyKind::Hybrid,
+        logging_strategy: LoggingStrategyKind::RedoOnly,
         client_checkpoint_every: 123,
         server_checkpoint_every: 456,
         lock_timeout: Duration::from_millis(2500),
@@ -565,13 +565,16 @@ fn hello_ack_round_trips_config() {
     assert_eq!(back.obs_ring_entries, cfg.obs_ring_entries);
 
     // The logging-strategy code follows the version, five 8-byte fields
-    // and three enum codes. Code 3 named the retired write-behind
-    // strategy; it decodes as corrupt, not as some other strategy.
+    // and three enum codes. Codes 2 and 3 named the retired hybrid and
+    // write-behind strategies; each decodes as corrupt, not as some other
+    // strategy.
     let mut retired = body.clone();
-    assert_eq!(retired[2 + 5 * 8 + 3], 2);
-    retired[2 + 5 * 8 + 3] = 3;
-    let err = frame::decode_hello_ack(&retired).unwrap_err();
-    assert!(matches!(err, FglError::Corrupt(_)), "{err:?}");
+    assert_eq!(retired[2 + 5 * 8 + 3], 1);
+    for code in [2, 3] {
+        retired[2 + 5 * 8 + 3] = code;
+        let err = frame::decode_hello_ack(&retired).unwrap_err();
+        assert!(matches!(err, FglError::Corrupt(_)), "{code}: {err:?}");
+    }
 
     // A version-2 server still sends a shard count and the three retired
     // switches; its answer is refused by version, never decoded against
