@@ -8,7 +8,7 @@ use fgl_locks::glm::{CallbackKind, CallbackReply};
 use fgl_net::peer::{
     CallbackOutcome, ClientPeer, ClientStateReport, RecoverJob, RecoveredPageOutcome,
 };
-use fgl_wal::records::{DptEntry, LogPayload};
+use fgl_wal::records::{DptEntry, RecordKind};
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
@@ -326,19 +326,23 @@ impl ClientCore {
             asked.entry((page, for_client)).or_default().push(i);
         }
         let mut maps: Vec<HashMap<ObjectId, Psn>> = vec![HashMap::new(); queries.len()];
-        for entry in st.wal.scan_from(start) {
-            if let LogPayload::Callback(cb) = entry.payload {
-                for &i in asked
-                    .get(&(cb.object.page, cb.from_client))
-                    .into_iter()
-                    .flatten()
-                {
-                    if entry.lsn >= floors[i] {
-                        // Forward scan: later records overwrite earlier
-                        // ones ("the PSN stored in the most recent one",
-                        // §3.4).
-                        maps[i].insert(cb.object, cb.psn);
-                    }
+        // A callback record is all header. A record that does not parse
+        // ends the answer (this client's own restart refuses the log).
+        let mut scan = st.wal.scan_from(start);
+        while let Ok(Some(rec)) = scan.next_header() {
+            let cb = rec.header;
+            if cb.kind != RecordKind::Callback {
+                continue;
+            }
+            for &i in asked
+                .get(&(cb.object.page, cb.from_client))
+                .into_iter()
+                .flatten()
+            {
+                if rec.lsn >= floors[i] {
+                    // Forward scan: later records overwrite earlier ones
+                    // ("the PSN stored in the most recent one", §3.4).
+                    maps[i].insert(cb.object, cb.psn);
                 }
             }
         }

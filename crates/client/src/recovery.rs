@@ -36,7 +36,7 @@ use fgl_net::peer::{RecoverJob, RecoveredPageOutcome, RECOVER_BATCH_PAGES};
 use fgl_obs::{emit, Event, LogOwner, RecoveryPhase};
 use fgl_storage::merge::merge_pages;
 use fgl_storage::page::Page;
-use fgl_wal::records::LogPayload;
+use fgl_wal::records::{LogPayload, RecordHeader, RecordKind};
 use fgl_wal::{LogManager, LogRecordEntry};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -61,6 +61,9 @@ pub struct ClientRecoveryReport {
     pub pages_fetched: usize,
     /// Log records the one restart scan read.
     pub records_scanned: usize,
+    /// Log records decoded past their header: those the buckets kept, the
+    /// spills undo reads and the records read back along losers' chains.
+    pub records_decoded: usize,
     /// Update/CLR records actually re-applied.
     pub records_applied: usize,
     pub elapsed: Duration,
@@ -171,43 +174,6 @@ impl Analysis {
     }
 }
 
-/// The redo half of a log record: the image `txn` left in `object` when
-/// the page stood at `psn_before`.
-struct RedoImage<'a> {
-    txn: TxnId,
-    object: ObjectId,
-    psn_before: Psn,
-    /// `None` means "object deleted".
-    after: Option<&'a [u8]>,
-}
-
-impl<'a> RedoImage<'a> {
-    /// `None` for a record that carries no redo work.
-    fn of(payload: &'a LogPayload) -> Option<Self> {
-        match payload {
-            LogPayload::Update(u) => Some(RedoImage {
-                txn: u.txn,
-                object: u.object,
-                psn_before: u.psn_before,
-                after: u.after.as_deref(),
-            }),
-            LogPayload::Clr(c) => Some(RedoImage {
-                txn: c.txn,
-                object: c.object,
-                psn_before: c.psn_before,
-                after: c.after.as_deref(),
-            }),
-            LogPayload::RedoUpdate(u) => Some(RedoImage {
-                txn: u.txn,
-                object: u.object,
-                psn_before: u.psn_before,
-                after: u.after.as_deref(),
-            }),
-            _ => None,
-        }
-    }
-}
-
 /// Knobs for [`ClientCore::recover`] — the ablation surface of E4.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryOptions {
@@ -250,7 +216,7 @@ impl ClientCore {
         let (dct, dct_complete) = self.handshake()?;
 
         let phase = self.enter(RecoveryPhase::Analysis);
-        let mut log = self.analyse(&dct, dct_complete, options, &mut report);
+        let mut log = self.analyse(&dct, dct_complete, options, &mut report)?;
         report.analysis = phase.elapsed();
 
         let phase = self.enter(if dct_complete {
@@ -263,7 +229,7 @@ impl ClientCore {
         report.redo = phase.elapsed().saturating_sub(report.harden);
 
         let phase = self.enter(RecoveryPhase::Undo);
-        report.losers = self.undo_losers(&log)?;
+        report.losers = self.undo_losers(&log, &mut report.records_decoded)?;
         report.undo = phase.elapsed();
 
         let phase = self.enter(RecoveryPhase::Harden);
@@ -319,7 +285,7 @@ impl ClientCore {
         dct_complete: bool,
         options: RecoveryOptions,
         report: &mut ClientRecoveryReport,
-    ) -> Analysis {
+    ) -> Result<Analysis> {
         let st = self.st.lock();
         let mut log = Analysis::default();
         let (mut ckpt, mut from) = (Lsn::NIL, Lsn::NIL);
@@ -340,61 +306,54 @@ impl ClientCore {
                     .extend(dpt.into_iter().map(|e| (e.page, e.redo_lsn)));
             }
         }
-        let (buckets, scanned) = bucket_scan(&st.wal, from, |entry| {
-            let lsn = entry.lsn;
+        let (buckets, scanned) = bucket_scan(&st.wal, from, |lsn, h| {
             let current = lsn >= ckpt;
-            match &mut entry.payload {
-                LogPayload::Begin { txn } if current => {
-                    log.max_seq = log.max_seq.max(txn.local_seq());
-                    log.att.insert(*txn, AttEntry::at(lsn));
+            match h.kind {
+                RecordKind::Begin if current => {
+                    log.max_seq = log.max_seq.max(h.txn.local_seq());
+                    log.att.insert(h.txn, AttEntry::at(lsn));
                 }
-                LogPayload::Update(u) => drop(log.update(u.txn, u.object.page, lsn, current)),
-                LogPayload::Clr(c) => drop(log.update(c.txn, c.object.page, lsn, current)),
-                LogPayload::RedoUpdate(u) => {
-                    if let Some(e) = log.update(u.txn, u.object.page, lsn, current) {
-                        e.redo_only = true;
+                RecordKind::Update | RecordKind::Clr | RecordKind::RedoUpdate => {
+                    if let Some(e) = log.update(h.txn, h.object.page, lsn, current) {
+                        e.redo_only |= h.kind == RecordKind::RedoUpdate;
                     }
                 }
-                LogPayload::UndoSpill(s) if current => {
-                    log.dpt.entry(s.object.page).or_insert(lsn);
+                RecordKind::UndoSpill if current => {
+                    log.dpt.entry(h.object.page).or_insert(lsn);
                     log.spills
-                        .entry(s.txn)
+                        .entry(h.txn)
                         .or_default()
-                        .push((s.object, s.before.take()));
+                        .push((h.object, h.before.map(<[u8]>::to_vec)));
+                    report.records_decoded += 1;
                 }
-                LogPayload::Commit { txn, .. } if current => {
-                    if let Some(e) = log.att.get_mut(txn) {
-                        e.end(true);
-                    }
-                }
-                LogPayload::Abort { txn, .. } if current => {
-                    if let Some(e) = log.att.get_mut(txn) {
-                        e.end(false);
+                RecordKind::Commit | RecordKind::Abort if current => {
+                    if let Some(e) = log.att.get_mut(&h.txn) {
+                        e.end(h.kind == RecordKind::Commit);
                     }
                 }
                 _ => {}
             }
-            let page = entry.payload.page()?;
+            let page = h.page()?;
             if lsn < *log.dpt.get(&page)? {
                 return None;
             }
             if !dct_complete {
                 return Some(page);
             }
-            let r = RedoImage::of(&entry.payload)?;
+            if !h.kind.redoes() {
+                return None;
+            }
             let remembered = dct.get(&page);
             let redoable = (remembered.is_some() || !options.use_dct_filter)
-                && st.llm.cached_mode(r.object) == Some(ObjMode::X)
-                && remembered
-                    .copied()
-                    .flatten()
-                    .is_none_or(|psn| r.psn_before >= psn);
+                && st.llm.cached_mode(h.object) == Some(ObjMode::X)
+                && remembered.copied().flatten().is_none_or(|psn| h.psn >= psn);
             redoable.then_some(page)
-        });
+        })?;
+        report.records_decoded += buckets.values().map(Vec::len).sum::<usize>();
         log.buckets = buckets;
         report.records_scanned = scanned;
         report.winners = log.att.values().filter(|e| e.committed).count();
-        log
+        Ok(log)
     }
 
     /// Recover the planned pages, each from its own bucket, in windows of
@@ -503,8 +462,8 @@ impl ClientCore {
     /// pass over its log chain (§3.3). A page an earlier window hardened
     /// and let go is fetched again, as forward processing would, and its
     /// CLRs reach the log before it ships again (WAL). Returns the number
-    /// of losers.
-    fn undo_losers(&self, log: &Analysis) -> Result<usize> {
+    /// of losers, and adds the records undo read back to `decoded`.
+    fn undo_losers(&self, log: &Analysis, decoded: &mut usize) -> Result<usize> {
         let losers = log.losers();
         {
             let mut st = self.st.lock();
@@ -520,7 +479,7 @@ impl ClientCore {
             if e.redo_only {
                 self.undo_from_spills(txn, log.spills.get(&txn).map_or(&[], Vec::as_slice))?;
             } else {
-                self.rollback_chain_public(txn)?;
+                *decoded += self.rollback_chain_public(txn)?;
             }
             let mut st = self.st.lock();
             let prev_lsn = st.txns.get(&txn).map_or(Lsn::NIL, |t| t.last_lsn);
@@ -658,12 +617,19 @@ impl ClientCore {
                 })
                 .collect();
             let from = floors.values().copied().min().unwrap_or(st.wal.end_lsn());
-            bucket_scan(&st.wal, from, |e| {
-                e.payload
-                    .page()
-                    .filter(|p| floors.get(p).is_some_and(|floor| e.lsn >= *floor))
+            bucket_scan(&st.wal, from, |lsn, h| {
+                h.page()
+                    .filter(|p| floors.get(p).is_some_and(|floor| lsn >= *floor))
             })
-            .0
+        };
+        let records = match records {
+            Ok((records, _)) => records,
+            Err(e) => {
+                return jobs
+                    .iter()
+                    .map(|_| RecoveredPageOutcome::Failed(e.to_string()))
+                    .collect()
+            }
         };
         let no_skips = HashSet::new();
         jobs.into_iter()
@@ -704,32 +670,33 @@ impl ClientCore {
 
         let mut processed = 0usize;
         for entry in records {
-            if let LogPayload::Callback(cb) = &entry.payload {
+            let r = entry.payload.header();
+            if r.kind == RecordKind::Callback {
                 // §3.4 step 3: a callback for an object in the list is
                 // skipped. A foreign one needs the state of the
                 // responding client up to the recorded PSN: ship our
                 // partial progress first (breaks mutual-wait cycles),
                 // then fetch the merged copy.
-                if !thresholds.contains_key(&cb.object) {
+                if !thresholds.contains_key(&r.object) {
                     self.server.install_recovered(self.id(), work.to_wire())?;
                     let (bytes, _) = self.server.recovery_fetch(
                         self.id(),
                         page,
-                        Some((cb.from_client, cb.psn)),
+                        Some((r.from_client, r.psn)),
                     )?;
                     let incoming = Page::from_wire(&bytes, self.config().page_size)?;
                     let (merged, _) = merge_pages(&work, &incoming)?;
                     work = merged;
                 }
-            } else if let Some(r) = RedoImage::of(&entry.payload) {
+            } else if r.kind.redoes() {
                 // Apply only when the record's PSN is >= the object's
                 // `CallBack_P` threshold: older updates were superseded
                 // by the other client's state already in the base copy.
                 let superseded = thresholds
                     .get(&r.object)
-                    .is_some_and(|thresh| r.psn_before < *thresh);
+                    .is_some_and(|thresh| r.psn < *thresh);
                 if !superseded && !skip_txns.contains(&r.txn) {
-                    let psn = r.psn_before.next();
+                    let psn = r.psn.next();
                     work.install_object(r.object.slot, r.after, psn)?;
                     if psn > work.psn() {
                         work.set_psn(psn);
@@ -828,12 +795,10 @@ fn redo_records(
 ) -> Result<usize> {
     let mut applied = 0;
     for entry in records {
-        let Some(r) = RedoImage::of(&entry.payload) else {
-            continue;
-        };
-        if !skip_txns.contains(&r.txn) && r.psn_before >= work.psn() {
-            work.install_object(r.object.slot, r.after, r.psn_before.next())?;
-            work.set_psn(r.psn_before.next());
+        let r = entry.payload.header();
+        if r.kind.redoes() && !skip_txns.contains(&r.txn) && r.psn >= work.psn() {
+            work.install_object(r.object.slot, r.after, r.psn.next())?;
+            work.set_psn(r.psn.next());
             applied += 1;
         }
     }
@@ -841,26 +806,24 @@ fn redo_records(
 }
 
 /// The forward scan both restarts bucket the private log with: every
-/// record from `from` to the end goes to `visit`, and one it files under a
-/// page joins that page's bucket, in log order, without its before-image
-/// (neither redo nor replay reads one, so the buckets hold, and later
-/// free, half as much). Returns the buckets and the number of records
-/// read.
+/// record's header from `from` to the end goes to `visit`, and a record it
+/// files under a page joins that page's bucket, in log order, decoded
+/// without its before-image (neither redo nor replay reads one). Returns
+/// the buckets and the number of records read.
 fn bucket_scan(
     wal: &LogManager,
     from: Lsn,
-    mut visit: impl FnMut(&mut LogRecordEntry) -> Option<PageId>,
-) -> (IdMap<PageId, Vec<LogRecordEntry>>, usize) {
+    mut visit: impl FnMut(Lsn, &RecordHeader) -> Option<PageId>,
+) -> Result<(IdMap<PageId, Vec<LogRecordEntry>>, usize)> {
     let mut buckets: IdMap<PageId, Vec<LogRecordEntry>> = IdMap::default();
     let mut scanned = 0;
-    for mut entry in wal.scan_from(from) {
+    let mut scan = wal.scan_from(from);
+    while let Some(mut rec) = scan.next_header()? {
         scanned += 1;
-        if let Some(page) = visit(&mut entry) {
-            if let LogPayload::Update(u) = &mut entry.payload {
-                u.before = None;
-            }
-            buckets.entry(page).or_default().push(entry);
+        if let Some(page) = visit(rec.lsn, &rec.header) {
+            rec.header.before = None;
+            buckets.entry(page).or_default().push(rec.entry()?);
         }
     }
-    (buckets, scanned)
+    Ok((buckets, scanned))
 }

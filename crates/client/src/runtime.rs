@@ -1550,19 +1550,21 @@ impl ClientCore {
     // ---- rollback ------------------------------------------------------------------
 
     /// Full rollback entry point for restart recovery.
-    pub(crate) fn rollback_chain_public(&self, txn: TxnId) -> Result<()> {
+    pub(crate) fn rollback_chain_public(&self, txn: TxnId) -> Result<usize> {
         self.rollback_chain(txn, Lsn::NIL)
     }
 
     /// Walk the transaction's log chain backwards, undoing updates and
-    /// writing CLRs, until reaching `upto` (NIL = full rollback).
+    /// writing CLRs, until reaching `upto` (NIL = full rollback). Returns
+    /// the number of log records read back.
     /// RedoOnly-mode transactions have no before-images on the log; their
     /// rollback pops the in-memory undo stack instead.
-    fn rollback_chain(&self, txn: TxnId, upto: Lsn) -> Result<()> {
+    fn rollback_chain(&self, txn: TxnId, upto: Lsn) -> Result<usize> {
         let mode = self.st.lock().txns.get(&txn).and_then(|t| t.log_mode);
         if mode == Some(TxnLogMode::RedoOnly) {
-            return self.rollback_mem(txn, upto);
+            return self.rollback_mem(txn, upto).map(|()| 0);
         }
+        let mut read = 0;
         loop {
             // Find the next record to undo.
             let entry = {
@@ -1578,6 +1580,7 @@ impl ClientCore {
                         break None;
                     }
                     let e = st.wal.read_at(cur)?;
+                    read += 1;
                     match &e.payload {
                         LogPayload::Clr(c) => {
                             cur = c.undo_next;
@@ -1594,7 +1597,7 @@ impl ClientCore {
                 rec
             };
             let Some((_lsn, u)) = entry else {
-                return Ok(());
+                return Ok(read);
             };
             // Undo needs the page; it may have been replaced.
             self.ensure_page_present(u.object.page)?;

@@ -13,31 +13,31 @@
 use std::fmt;
 
 /// Identifier of a database page.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageId(pub u64);
 
 /// Slot index of an object within its page.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SlotId(pub u16);
 
 /// Identifier of an object: the page holding it plus the slot inside that
 /// page. Page-server systems ship whole pages, so the page component is the
 /// unit of transfer while the object is the unit of locking.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObjectId {
     pub page: PageId,
     pub slot: SlotId,
 }
 
 /// Identifier of a client workstation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(pub u32);
 
 /// Globally unique transaction identifier.
 ///
 /// Transactions execute entirely at the client that started them (§2), so
 /// uniqueness is achieved by embedding the client id in the high bits.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxnId(pub u64);
 
 /// Log sequence number: the address of a log record in a private log file.

@@ -22,7 +22,7 @@ use fgl_net::peer::{ClientPeer, RecoverJob, RecoveredPageOutcome, RECOVER_BATCH_
 use fgl_net::stats::MsgKind;
 use fgl_obs::{emit, Event, LogOwner, RecoveryPhase};
 use fgl_sched::fan_out;
-use fgl_wal::records::LogPayload;
+use fgl_wal::records::{LogPayload, RecordKind};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -199,27 +199,33 @@ impl ServerCore {
         for e in ckpt_dct {
             self.dct.lock().install(e);
         }
-        let replacement_records: Vec<(Lsn, LogPayload)> = {
+        // Only replacement records are decoded: the scan reads the
+        // checkpoints' DCTs no further than their headers.
+        let (replacement_records, records_scanned) = {
             let slog = self.slog_mut();
-            slog.scan_from_checkpoint(scan_floor)
-                .map(|e| (e.lsn, e.payload))
-                .collect()
-        };
-        let records_scanned = replacement_records.len();
-        for (lsn, payload) in replacement_records {
-            if let LogPayload::Replacement(r) = payload {
-                let mut dct = self.dct.lock();
-                for (cid, _) in &r.clients {
-                    dct.insert(r.page, *cid, None);
-                }
-                dct.note_replacement_record(r.page, lsn);
-                // Property 2: the replacement record matching the
-                // on-disk PSN tells exactly which client updates the
-                // disk copy holds.
-                if disk_psn.get(&r.page) == Some(&r.psn) {
-                    for (cid, psn) in &r.clients {
-                        dct.set_psn(r.page, *cid, *psn);
+            let mut scan = slog.scan_from_checkpoint(scan_floor);
+            let (mut kept, mut scanned) = (Vec::new(), 0);
+            while let Some(rec) = scan.next_header()? {
+                scanned += 1;
+                if rec.header.kind == RecordKind::Replacement {
+                    if let LogPayload::Replacement(r) = rec.header.decode()? {
+                        kept.push((rec.lsn, r));
                     }
+                }
+            }
+            (kept, scanned)
+        };
+        for (lsn, r) in replacement_records {
+            let mut dct = self.dct.lock();
+            for (cid, _) in &r.clients {
+                dct.insert(r.page, *cid, None);
+            }
+            dct.note_replacement_record(r.page, lsn);
+            // Property 2: the replacement record matching the on-disk PSN
+            // tells exactly which client updates the disk copy holds.
+            if disk_psn.get(&r.page) == Some(&r.psn) {
+                for (cid, psn) in &r.clients {
+                    dct.set_psn(r.page, *cid, *psn);
                 }
             }
         }

@@ -2,10 +2,12 @@
 //! plus the checksum guarding each record on disk. [`Reader`] is also how
 //! `fgl-net` decodes its wire frames: one byte reader for every format.
 //!
-//! All integers are little-endian; variable-length byte strings are
-//! u32-length-prefixed. The codec is hand-rolled (rather than serde) so
-//! that LSNs remain *byte addresses* (§2) with a stable, inspectable
-//! on-disk format.
+//! Log record scalars (ids, LSNs, PSNs, image lengths) are unsigned
+//! LEB128 varints ([`Writer::varint`]); frame integers — the log frame's
+//! `[len][checksum]`, list counts and every wire-frame field — stay
+//! fixed-width little-endian, and byte strings u32-length-prefixed. The
+//! codec is hand-rolled (rather than serde) so that LSNs remain *byte
+//! addresses* (§2) with a stable, inspectable on-disk format.
 
 use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, Result, SlotId, TxnId};
 
@@ -84,24 +86,20 @@ impl Writer {
         self.raw(v);
     }
 
+    /// `v` as an unsigned LEB128 varint: seven bits a byte, the low
+    /// group first, the high bit set on every byte but the last.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// `v` as it is, with no length: bytes whose extent the reader knows
     /// otherwise, such as the rest of a frame body.
     pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
-    }
-
-    pub fn opt_bytes(&mut self, v: Option<&[u8]>) {
-        match v {
-            None => self.u8(0),
-            Some(b) => {
-                self.u8(1);
-                self.bytes(b);
-            }
-        }
-    }
-
-    pub fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
     }
 
     pub fn lsn(&mut self, v: Lsn) {
@@ -122,25 +120,7 @@ impl Writer {
         }
     }
 
-    pub fn opt_lsn(&mut self, v: Option<Lsn>) {
-        match v {
-            None => self.u8(0),
-            Some(l) => {
-                self.u8(1);
-                self.lsn(l);
-            }
-        }
-    }
-
     pub fn page(&mut self, v: PageId) {
-        self.u64(v.0);
-    }
-
-    pub fn client(&mut self, v: ClientId) {
-        self.u32(v.0);
-    }
-
-    pub fn txn(&mut self, v: TxnId) {
         self.u64(v.0);
     }
 
@@ -245,16 +225,33 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn bytes(&mut self) -> Result<Vec<u8>> {
-        Ok(self.sized()?.to_vec())
+    /// An unsigned LEB128 varint ([`Writer::varint`]). One that runs past
+    /// ten bytes or overflows 64 bits is `Corrupt`.
+    pub fn varint(&mut self) -> Result<u64> {
+        let mut v = 0u64;
+        for (i, &b) in self.buf[self.pos..].iter().take(10).enumerate() {
+            // The tenth byte holds bit 63 alone, and ends the varint.
+            if i == 9 && b > 1 {
+                break;
+            }
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b < 0x80 {
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        Err(FglError::Corrupt("varint cut short or past 64 bits".into()))
     }
 
-    pub fn opt_bytes(&mut self) -> Result<Option<Vec<u8>>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.bytes()?)),
-            t => Err(FglError::Corrupt(format!("bad option tag {t}"))),
-        }
+    /// A varint that must fit `T`; a larger one is `Corrupt`.
+    pub fn varint_as<T: TryFrom<u64>>(&mut self) -> Result<T> {
+        let v = self.varint()?;
+        T::try_from(v).map_err(|_| {
+            FglError::Corrupt(format!(
+                "varint {v} overflows {}",
+                std::any::type_name::<T>()
+            ))
+        })
     }
 
     pub fn bool(&mut self) -> Result<bool> {
@@ -277,14 +274,6 @@ impl<'a> Reader<'a> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.psn()?)),
-            t => Err(FglError::Corrupt(format!("bad option tag {t}"))),
-        }
-    }
-
-    pub fn opt_lsn(&mut self) -> Result<Option<Lsn>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.lsn()?)),
             t => Err(FglError::Corrupt(format!("bad option tag {t}"))),
         }
     }
@@ -317,7 +306,7 @@ mod tests {
         w.u16(300);
         w.u32(70_000);
         w.u64(u64::MAX);
-        w.bool(true);
+        w.u8(1);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
@@ -332,19 +321,52 @@ mod tests {
     fn bytes_and_options_roundtrip() {
         let mut w = Writer::new();
         w.bytes(b"hello");
-        w.opt_bytes(None);
-        w.opt_bytes(Some(b"there"));
         w.opt_psn(Some(Psn(9)));
         w.opt_psn(None);
-        w.opt_lsn(Some(Lsn(4)));
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert_eq!(r.bytes().unwrap(), b"hello");
-        assert_eq!(r.opt_bytes().unwrap(), None);
-        assert_eq!(r.opt_bytes().unwrap(), Some(b"there".to_vec()));
+        assert_eq!(r.sized().unwrap(), b"hello");
         assert_eq!(r.opt_psn().unwrap(), Some(Psn(9)));
         assert_eq!(r.opt_psn().unwrap(), None);
-        assert_eq!(r.opt_lsn().unwrap(), Some(Lsn(4)));
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_width() {
+        let values = [0, 1, 127, 128, 300, 1 << 21, (1 << 28) - 1, u64::MAX];
+        let widths = [1, 1, 1, 2, 2, 4, 4, 10];
+        for (v, width) in values.into_iter().zip(widths) {
+            let mut w = Writer::new();
+            w.varint(v);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), width, "{v}");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.varint().unwrap(), v);
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    /// Eleven bytes, a tenth byte past bit 63, a value too wide for its
+    /// target type and a cut varint are all `Corrupt`.
+    #[test]
+    fn hostile_varints_are_corrupt() {
+        let corrupt = |bytes: &[u8], narrow: bool| {
+            let mut r = Reader::new(bytes);
+            let got = if narrow {
+                r.varint_as::<u16>().map(u64::from)
+            } else {
+                r.varint()
+            };
+            assert!(matches!(got, Err(FglError::Corrupt(_))), "{bytes:?}");
+        };
+        corrupt(&[0xFF; 11], false);
+        corrupt(
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+            false,
+        );
+        corrupt(&[0x80, 0x80, 0x04], true);
+        corrupt(&[0x80], false);
+        let mut r = Reader::new(&[0xFF, 0xFF, 0x03]);
+        assert_eq!(r.varint_as::<u16>().unwrap(), u16::MAX);
     }
 
     #[test]
@@ -352,8 +374,8 @@ mod tests {
         let mut w = Writer::new();
         let obj = ObjectId::new(PageId(77), SlotId(3));
         w.object(obj);
-        w.txn(TxnId::compose(ClientId(2), 9));
-        w.client(ClientId(5));
+        w.u64(TxnId::compose(ClientId(2), 9).0);
+        w.u32(5);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.object().unwrap(), obj);
@@ -367,7 +389,7 @@ mod tests {
         w.bytes(b"full payload");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes[..bytes.len() - 3]);
-        assert!(r.bytes().is_err());
+        assert!(r.sized().is_err());
     }
 
     /// Pinned against an independent implementation of the definition in

@@ -9,6 +9,8 @@
 //!   log records** (§3.1), **replacement log records** (§3.1), and fuzzy
 //!   checkpoints carrying the DPT (clients) or DCT (server), plus the
 //!   redo-only update and spilled before-image of redo-only transactions.
+//!   Each record opens with a fixed-order varint header that a scan
+//!   reads in place ([`RecordHeader`]), ahead of its images.
 //! * [`store`] — durable byte stores with explicit *pending vs. durable*
 //!   separation so that crash simulations drop exactly the un-forced tail.
 //! * [`manager`] — the log manager: append/force, LSN = byte address
@@ -20,9 +22,9 @@ pub mod manager;
 pub mod records;
 pub mod store;
 
-pub use manager::{LogManager, LogRecordEntry, MasterRecord};
+pub use manager::{LogManager, LogRecordEntry, MasterRecord, ScannedRecord};
 pub use records::{
-    CallbackRecord, ClrRecord, DctEntry, DptEntry, LogPayload, RedoUpdateRecord, ReplacementRecord,
-    UndoSpillRecord, UpdateRecord,
+    CallbackRecord, ClrRecord, DctEntry, DptEntry, LogPayload, RecordHeader, RecordKind,
+    RedoUpdateRecord, ReplacementRecord, UndoSpillRecord, UpdateRecord,
 };
 pub use store::{FileLogStore, LogStore, MemLogStore, SimLogStore};

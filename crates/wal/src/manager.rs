@@ -9,7 +9,8 @@
 //!
 //! Record framing on disk: `[len: u32][checksum: u32][payload]`. The
 //! checksum lets restart recovery detect a torn tail record and stop the
-//! scan there.
+//! scan there; a body whose checksum holds but which does not decode is
+//! an error, never the end of the log.
 //!
 //! **Circular space** (§3.6): the physical store is append-only, but the
 //! manager enforces `end - low_water <= capacity`, which is the exact
@@ -20,7 +21,7 @@
 //! back — the standard way WAL systems avoid deadlocking on their own log.
 
 use crate::codec::checksum;
-use crate::records::{LogPayload, KIND_NAMES};
+use crate::records::{LogPayload, RecordHeader, KIND_NAMES};
 use crate::store::{LogStore, MasterAnchor};
 use fgl_common::{FglError, Lsn, Result};
 use fgl_obs::{Event, HistKind, LogOwner, Metrics};
@@ -290,41 +291,35 @@ impl LogManager {
                 self.end_lsn()
             )));
         }
-        self.read_frame(lsn, &mut Vec::new())
+        self.scan_from(lsn)
+            .next_header()?
+            .ok_or_else(|| FglError::Corrupt(format!("torn record at {lsn:?}")))?
+            .entry()
     }
 
-    /// Read and decode the frame at `lsn`, its body through `body` (a scan
-    /// passes the same buffer for every record). The header lands in a
-    /// stack array; a length running past the end of the log or a body
-    /// whose checksum does not match is a torn record.
-    fn read_frame(&self, lsn: Lsn, body: &mut Vec<u8>) -> Result<LogRecordEntry> {
+    /// Read the body of the frame at `lsn` into `body` (a scan reuses one)
+    /// and return the LSN behind it; `None` for a torn frame: a header or
+    /// length past the end of the log, or a checksum mismatch.
+    fn read_frame(&self, lsn: Lsn, body: &mut Vec<u8>) -> Result<Option<Lsn>> {
         let off = Self::offset(lsn);
+        if off + FRAME_HEADER as u64 > self.store.len() {
+            return Ok(None);
+        }
         let mut header = [0u8; FRAME_HEADER];
         self.store.read_into(off, &mut header)?;
         let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
         let stored_sum = u32::from_le_bytes(header[4..8].try_into().unwrap());
         let next = off + FRAME_HEADER as u64 + len as u64;
         if next > self.store.len() {
-            return Err(FglError::Corrupt(format!(
-                "record at {lsn:?} runs past the end of the log (torn record?)"
-            )));
+            return Ok(None);
         }
         body.resize(len, 0);
         self.store.read_into(off + FRAME_HEADER as u64, body)?;
-        if checksum(body) != stored_sum {
-            return Err(FglError::Corrupt(format!(
-                "checksum mismatch at {lsn:?} (torn record?)"
-            )));
-        }
-        Ok(LogRecordEntry {
-            lsn,
-            next: Self::lsn_at(next),
-            payload: LogPayload::decode(body)?,
-        })
+        Ok((checksum(body) == stored_sum).then(|| Self::lsn_at(next)))
     }
 
-    /// Iterate records from `from` (or the low-water mark when `from` is
-    /// nil) to the end; stops early at a torn/corrupt record.
+    /// Scan records from `from` (or the low-water mark when `from` is
+    /// nil) to the end or to the first torn frame.
     pub fn scan_from(&self, from: Lsn) -> LogScan<'_> {
         let start = if from.is_nil() || from < self.low_water {
             self.low_water
@@ -338,9 +333,9 @@ impl LogManager {
         }
     }
 
-    /// Collect all records from `from` into a vector (testing/recovery
+    /// Collect all records from `from` into a vector (testing
     /// convenience).
-    pub fn collect_from(&self, from: Lsn) -> Vec<LogRecordEntry> {
+    pub fn collect_from(&self, from: Lsn) -> Result<Vec<LogRecordEntry>> {
         self.scan_from(from).collect()
     }
 
@@ -391,30 +386,56 @@ impl LogManager {
 }
 
 /// Forward scan over log records. Every frame body is read into one
-/// buffer the scan owns, so a scan allocates only for what the decoded
-/// records keep.
+/// buffer the scan owns, and [`next_header`](Self::next_header) parses
+/// the header there: a scan allocates only for the records it decodes.
 pub struct LogScan<'a> {
     mgr: &'a LogManager,
     pos: Lsn,
     body: Vec<u8>,
 }
 
-impl Iterator for LogScan<'_> {
-    type Item = LogRecordEntry;
+/// A record a scan reached, its header borrowed from the scan's buffer.
+pub struct ScannedRecord<'s> {
+    pub lsn: Lsn,
+    pub next: Lsn,
+    pub header: RecordHeader<'s>,
+}
 
-    fn next(&mut self) -> Option<LogRecordEntry> {
+impl ScannedRecord<'_> {
+    /// The whole record, images copied.
+    pub fn entry(&self) -> Result<LogRecordEntry> {
+        Ok(LogRecordEntry {
+            lsn: self.lsn,
+            next: self.next,
+            payload: self.header.decode()?,
+        })
+    }
+}
+
+impl LogScan<'_> {
+    /// The next record, undecoded; `Ok(None)` at the end of the log and
+    /// in front of a torn frame (what lies beyond is garbage). A frame
+    /// whose checksum holds but whose header does not parse is `Corrupt`.
+    pub fn next_header(&mut self) -> Result<Option<ScannedRecord<'_>>> {
         if self.pos >= self.mgr.end_lsn() {
-            return None;
+            return Ok(None);
         }
-        match self.mgr.read_frame(self.pos, &mut self.body) {
-            Ok(entry) => {
-                self.pos = entry.next;
-                Some(entry)
-            }
-            // A torn or corrupt record ends the scan — everything beyond
-            // it is unreachable garbage (restart semantics).
-            Err(_) => None,
-        }
+        let Some(next) = self.mgr.read_frame(self.pos, &mut self.body)? else {
+            return Ok(None);
+        };
+        let lsn = std::mem::replace(&mut self.pos, next);
+        let header = RecordHeader::parse(&self.body)?;
+        Ok(Some(ScannedRecord { lsn, next, header }))
+    }
+}
+
+impl Iterator for LogScan<'_> {
+    type Item = Result<LogRecordEntry>;
+
+    fn next(&mut self) -> Option<Result<LogRecordEntry>> {
+        self.next_header()
+            .and_then(|rec| rec.map(|rec| rec.entry()).transpose())
+            .transpose()
     }
 }
 
@@ -473,7 +494,7 @@ mod tests {
         for p in &payloads {
             lsns.push(m.append(p).unwrap());
         }
-        let got = m.collect_from(Lsn::NIL);
+        let got = m.collect_from(Lsn::NIL).unwrap();
         assert_eq!(got.len(), 4);
         for (i, e) in got.iter().enumerate() {
             assert_eq!(e.lsn, lsns[i]);
@@ -502,9 +523,9 @@ mod tests {
         m.append(&begin(1)).unwrap();
         m.force().unwrap();
         m.append(&begin(2)).unwrap();
-        assert_eq!(m.collect_from(Lsn::NIL).len(), 2);
+        assert_eq!(m.collect_from(Lsn::NIL).unwrap().len(), 2);
         m.crash();
-        let got = m.collect_from(Lsn::NIL);
+        let got = m.collect_from(Lsn::NIL).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].payload, begin(1));
     }
@@ -557,7 +578,7 @@ mod tests {
         assert!(m.free_bytes() > 0);
         assert!(m.append(&update(1, 0)).is_ok());
         // Scans now start at the low-water mark.
-        let first = m.scan_from(Lsn::NIL).next().unwrap();
+        let first = m.scan_from(Lsn::NIL).next().unwrap().unwrap();
         assert_eq!(first.lsn, last);
     }
 
@@ -613,7 +634,7 @@ mod tests {
         store.append(&bytes).unwrap();
         store.sync().unwrap();
         let rebuilt = LogManager::new(Box::new(store), 64 * 1024);
-        let got = rebuilt.collect_from(Lsn::NIL);
+        let got = rebuilt.collect_from(Lsn::NIL).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].payload, begin(1));
         assert_eq!(got[1].payload, update(1, 3));
@@ -633,7 +654,7 @@ mod tests {
         store.append(&torn[..torn.len() - 5]).unwrap();
         store.sync().unwrap();
         let m = LogManager::recover(Box::new(store), 64 * 1024).unwrap();
-        let got = m.collect_from(Lsn::NIL);
+        let got = m.collect_from(Lsn::NIL).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].payload, begin(1));
         assert_eq!(got[1].payload, update(1, 2));
@@ -644,7 +665,57 @@ mod tests {
         store.append(&[0xAB, 0xCD]).unwrap();
         store.sync().unwrap();
         let m = LogManager::recover(Box::new(store), 64 * 1024).unwrap();
-        assert_eq!(m.collect_from(Lsn::NIL).len(), 1);
+        assert_eq!(m.collect_from(Lsn::NIL).unwrap().len(), 1);
+    }
+
+    /// A begin, an update (4 B images) and a commit of one transaction
+    /// as the fixed-width record layout framed them: every integer
+    /// fixed-width, tags 1–12. The frames are intact, so the scan does not
+    /// end at them as at a torn tail: the first is `Corrupt`, and says
+    /// it is of another record format.
+    const FIXED_WIDTH_LOG: [u8; 104] = [
+        0x09, 0x00, 0x00, 0x00, 0xf2, 0x77, 0xa5, 0x2f, 0x01, 0x07, 0x00, 0x00, 0x00, 0x01, 0x00,
+        0x00, 0x00, 0x36, 0x00, 0x00, 0x00, 0x27, 0xe9, 0x72, 0x4c, 0x02, 0x07, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x04, 0x00, 0x00, 0x00, 0xaa, 0xaa, 0xaa, 0xaa, 0x01, 0x04, 0x00, 0x00, 0x00, 0x55,
+        0x55, 0x55, 0x55, 0x00, 0x11, 0x00, 0x00, 0x00, 0x23, 0xd3, 0xa2, 0x1e, 0x04, 0x07, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    ];
+
+    #[test]
+    fn a_log_of_the_fixed_width_layout_is_refused() {
+        let mut store = MemLogStore::new();
+        store.append(&FIXED_WIDTH_LOG).unwrap();
+        store.sync().unwrap();
+        let m = LogManager::recover(Box::new(store), 64 * 1024).unwrap();
+        let format_error =
+            |e: FglError| matches!(&e, FglError::Corrupt(m) if m.contains("record format"));
+        let mut scan = m.scan_from(Lsn::NIL);
+        assert!(scan.next_header().err().is_some_and(format_error));
+        assert!(m.collect_from(Lsn::NIL).err().is_some_and(format_error));
+        for at in [1, 18, 80] {
+            assert!(m.read_at(Lsn(at)).err().is_some_and(format_error), "{at}");
+        }
+    }
+
+    /// A scan hands out headers before any image is copied, and a record
+    /// decodes from its header alone.
+    #[test]
+    fn scanned_headers_decode_to_their_records() {
+        let mut m = mgr();
+        let payloads = [begin(1), update(1, 4), begin(2)];
+        for p in &payloads {
+            m.append(p).unwrap();
+        }
+        let mut scan = m.scan_from(Lsn::NIL);
+        let mut seen = 0;
+        while let Some(rec) = scan.next_header().unwrap() {
+            assert_eq!(rec.header, payloads[seen].header());
+            assert_eq!(rec.entry().unwrap().payload, payloads[seen]);
+            seen += 1;
+        }
+        assert_eq!(seen, payloads.len());
     }
 
     #[test]
@@ -670,11 +741,17 @@ mod tests {
         assert_eq!(entry.lsn, ck);
         assert!(matches!(entry.payload, LogPayload::ClientCheckpoint { .. }));
         // Anchored scan starts at the checkpoint...
-        let got: Vec<_> = m.scan_from_checkpoint(Lsn::NIL).collect();
+        let got = m
+            .scan_from_checkpoint(Lsn::NIL)
+            .collect::<Result<Vec<_>>>()
+            .unwrap();
         assert_eq!(got[0].lsn, ck);
         assert_eq!(got.len(), 2);
         // ...unless a floor (a DPT minimum RedoLSN) reaches further back.
-        let got: Vec<_> = m.scan_from_checkpoint(early).collect();
+        let got = m
+            .scan_from_checkpoint(early)
+            .collect::<Result<Vec<_>>>()
+            .unwrap();
         assert_eq!(got[0].lsn, early);
         assert_eq!(got.len(), 3);
     }
@@ -700,7 +777,7 @@ mod tests {
         m.append(&begin(1)).unwrap();
         let l2 = m.append(&begin(2)).unwrap();
         m.append(&begin(3)).unwrap();
-        let got: Vec<_> = m.scan_from(l2).collect();
+        let got = m.scan_from(l2).collect::<Result<Vec<_>>>().unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].payload, begin(2));
         assert_eq!(got[1].payload, begin(3));
@@ -808,7 +885,7 @@ mod tests {
         assert_eq!(end, m.end_lsn());
         assert_eq!(force_costs(&m, &store, &sink), (2, 2, 2));
         m.crash();
-        let kept = m.collect_from(Lsn::NIL);
+        let kept = m.collect_from(Lsn::NIL).unwrap();
         assert_eq!(kept.last().map(|e| &e.payload), Some(&update(1, 7)));
     }
 }

@@ -9,7 +9,7 @@
 //! shared.
 
 use crate::codec::{Reader, Writer};
-use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, Result, TxnId};
+use fgl_common::{ClientId, FglError, Lsn, ObjectId, PageId, Psn, Result, SlotId, TxnId};
 
 /// An object update (or its redo image). §2: *"Log records describing an
 /// update on a page contain among other fields the page id and the PSN the
@@ -161,23 +161,32 @@ pub enum LogPayload {
     UndoSpill(UndoSpillRecord),
 }
 
-const TAG_BEGIN: u8 = 1;
-const TAG_UPDATE: u8 = 2;
-const TAG_CLR: u8 = 3;
-const TAG_COMMIT: u8 = 4;
-const TAG_ABORT: u8 = 5;
-const TAG_CALLBACK: u8 = 6;
-const TAG_CLIENT_CKPT: u8 = 7;
-const TAG_REPLACEMENT: u8 = 8;
-const TAG_SERVER_CKPT: u8 = 9;
-// Tag 10 stays unassigned: it framed the strategy envelope that the two
-// redo-only kinds replaced, so a log written with it decodes as corrupt
-// instead of being misread.
-const TAG_REDO_UPDATE: u8 = 11;
-const TAG_UNDO_SPILL: u8 = 12;
+/// The [`LogPayload`] variant a record encodes; indexes [`KIND_NAMES`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum RecordKind {
+    #[default]
+    Begin,
+    Update,
+    Clr,
+    Commit,
+    Abort,
+    Callback,
+    ClientCheckpoint,
+    Replacement,
+    ServerCheckpoint,
+    RedoUpdate,
+    UndoSpill,
+}
 
-/// Per-kind names, indexed by [`LogPayload::kind_index`]; used for the
-/// per-kind appended-byte accounting in the log manager.
+impl RecordKind {
+    /// An update, CLR or redo-only update: a record redo applies.
+    pub fn redoes(self) -> bool {
+        matches!(self, Self::Update | Self::Clr | Self::RedoUpdate)
+    }
+}
+
+/// Per-kind names, indexed by [`RecordKind`]; used for the per-kind
+/// appended-byte accounting in the log manager.
 pub const KIND_NAMES: [&str; 11] = [
     "begin",
     "update",
@@ -192,49 +201,331 @@ pub const KIND_NAMES: [&str; 11] = [
     "undo_spill",
 ];
 
-impl LogPayload {
-    /// The transaction this record belongs to, if any.
+// The tag byte is `1kkk_kfff`: the format bit, the kind, the flags. The
+// fixed-width layout before it opened every record with a tag 1–12, so
+// such a record is refused as of another format, not misread.
+const FORMAT: u8 = 0x80;
+const STRUCTURAL: u8 = 1;
+const BEFORE: u8 = 1 << 1;
+const AFTER: u8 = 1 << 2;
+
+// The header's varint fields, in the order they are written.
+const TXN: u8 = 1; // two varints: client, then local sequence number
+const PREV: u8 = 1 << 1;
+const UNDO_NEXT: u8 = 1 << 2;
+const PAGE: u8 = 1 << 3;
+const SLOT: u8 = 1 << 4;
+const PSN: u8 = 1 << 5;
+const CLIENT: u8 = 1 << 6; // a callback's responding client
+/// Not a field: u32-counted lists follow the header.
+const LISTS: u8 = 1 << 7;
+
+/// The fields of an update and of a redo-only update.
+const UPDATE: u8 = TXN | PREV | PAGE | SLOT | PSN;
+
+/// Per kind, in [`KIND_NAMES`] order: the header fields it carries and
+/// the flags it may set.
+const LAYOUT: [(RecordKind, u8, u8); 11] = [
+    (RecordKind::Begin, TXN, 0),
+    (RecordKind::Update, UPDATE, STRUCTURAL | BEFORE | AFTER),
+    (RecordKind::Clr, UPDATE | UNDO_NEXT, AFTER),
+    (RecordKind::Commit, TXN | PREV, 0),
+    (RecordKind::Abort, TXN | PREV, 0),
+    (RecordKind::Callback, PAGE | SLOT | PSN | CLIENT, 0),
+    (RecordKind::ClientCheckpoint, LISTS, 0),
+    (RecordKind::Replacement, PAGE | PSN | LISTS, 0),
+    (RecordKind::ServerCheckpoint, LISTS, 0),
+    (RecordKind::RedoUpdate, UPDATE, STRUCTURAL | AFTER),
+    (RecordKind::UndoSpill, TXN | PAGE | SLOT, BEFORE),
+];
+
+/// A record's fixed-order header (tag, its kind's fields, image lengths)
+/// and its images, borrowed in place; a field the kind lacks reads as
+/// zero. A scan filters on it and decodes only what it keeps.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecordHeader<'a> {
+    pub kind: RecordKind,
+    pub structural: bool,
+    pub txn: TxnId,
+    pub prev_lsn: Lsn,
+    pub undo_next: Lsn,
+    /// The object; a replacement record's page, at slot 0.
+    pub object: ObjectId,
+    /// `psn_before`; a callback's or replacement record's PSN.
+    pub psn: Psn,
+    /// A callback's responding client.
+    pub from_client: ClientId,
+    pub before: Option<&'a [u8]>,
+    pub after: Option<&'a [u8]>,
+    /// A checkpoint's or replacement record's lists, still encoded.
+    lists: &'a [u8],
+}
+
+fn read_txn(r: &mut Reader) -> Result<TxnId> {
+    Ok(TxnId::compose(ClientId(r.varint_as()?), r.varint_as()?))
+}
+
+/// The varint of field `bit`, or zero when `fields` leaves it out.
+fn field<T: TryFrom<u64> + Default>(r: &mut Reader, fields: u8, bit: u8) -> Result<T> {
+    if fields & bit == 0 {
+        return Ok(T::default());
+    }
+    r.varint_as()
+}
+
+impl<'a> RecordHeader<'a> {
+    /// Parse one whole record body up to its lists (if any): another
+    /// format's tag, a flag the kind lacks, an overlong varint, an image
+    /// past the end or a byte after the last image is `Corrupt`.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self> {
+        let mut r = Reader::new(bytes);
+        let tag = r.u8()?;
+        let &(kind, f, allowed) = LAYOUT
+            .get(usize::from(tag >> 3 & 0xF))
+            .filter(|_| tag & FORMAT != 0)
+            .ok_or_else(|| {
+                FglError::Corrupt(format!(
+                    "log record tag {tag:#04x} is not of the varint record format \
+                     (a record of the older fixed-width layout?)"
+                ))
+            })?;
+        let flags = tag & 7;
+        if flags & !allowed != 0 {
+            let what = format!("{kind:?} record with flags {flags:#05b}");
+            return Err(FglError::Corrupt(what));
+        }
+        // Struct fields evaluate in the order written: the wire order.
+        let mut h = RecordHeader {
+            kind,
+            structural: flags & STRUCTURAL != 0,
+            txn: TxnId::compose(ClientId(field(&mut r, f, TXN)?), field(&mut r, f, TXN)?),
+            prev_lsn: Lsn(field(&mut r, f, PREV)?),
+            undo_next: Lsn(field(&mut r, f, UNDO_NEXT)?),
+            object: ObjectId::new(
+                PageId(field(&mut r, f, PAGE)?),
+                SlotId(field(&mut r, f, SLOT)?),
+            ),
+            psn: Psn(field(&mut r, f, PSN)?),
+            from_client: ClientId(field(&mut r, f, CLIENT)?),
+            ..Default::default()
+        };
+        let lens: [usize; 2] = [field(&mut r, flags, BEFORE)?, field(&mut r, flags, AFTER)?];
+        h.before = (flags & BEFORE != 0).then(|| r.take(lens[0])).transpose()?;
+        h.after = (flags & AFTER != 0).then(|| r.take(lens[1])).transpose()?;
+        if f & LISTS == 0 {
+            r.done()?;
+        }
+        h.lists = r.rest();
+        Ok(h)
+    }
+
+    fn write(&self, w: &mut Writer) {
+        let f = LAYOUT[self.kind as usize].1;
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        w.u8(FORMAT
+            | (self.kind as u8) << 3
+            | flag(self.structural, STRUCTURAL)
+            | flag(self.before.is_some(), BEFORE)
+            | flag(self.after.is_some(), AFTER));
+        for (bit, v) in [
+            (TXN, self.txn.client().0.into()),
+            (TXN, self.txn.local_seq().into()),
+            (PREV, self.prev_lsn.0),
+            (UNDO_NEXT, self.undo_next.0),
+            (PAGE, self.object.page.0),
+            (SLOT, self.object.slot.0.into()),
+            (PSN, self.psn.0),
+            (CLIENT, self.from_client.0.into()),
+        ] {
+            if f & bit != 0 {
+                w.varint(v);
+            }
+        }
+        let images = [self.before, self.after];
+        for image in images.iter().flatten() {
+            w.varint(image.len() as u64);
+        }
+        for image in images.iter().flatten() {
+            w.raw(image);
+        }
+    }
+
+    /// The transaction the record belongs to, if its kind has one.
     pub fn txn(&self) -> Option<TxnId> {
+        (LAYOUT[self.kind as usize].1 & TXN != 0).then_some(self.txn)
+    }
+
+    /// The page the record concerns, if its kind names one.
+    pub fn page(&self) -> Option<PageId> {
+        (LAYOUT[self.kind as usize].1 & PAGE != 0).then_some(self.object.page)
+    }
+
+    /// The whole record, images copied and lists read.
+    pub fn decode(&self) -> Result<LogPayload> {
+        use RecordKind as K;
+        let image = |b: Option<&[u8]>| b.map(<[u8]>::to_vec);
+        let (txn, prev_lsn, object, psn) = (self.txn, self.prev_lsn, self.object, self.psn);
+        let mut r = Reader::new(self.lists);
+        let payload = match self.kind {
+            K::Begin => LogPayload::Begin { txn },
+            K::Update => LogPayload::Update(UpdateRecord {
+                txn,
+                prev_lsn,
+                object,
+                psn_before: psn,
+                before: image(self.before),
+                after: image(self.after),
+                structural: self.structural,
+            }),
+            K::Clr => LogPayload::Clr(ClrRecord {
+                txn,
+                prev_lsn,
+                undo_next: self.undo_next,
+                object,
+                psn_before: psn,
+                after: image(self.after),
+            }),
+            K::Commit => LogPayload::Commit { txn, prev_lsn },
+            K::Abort => LogPayload::Abort { txn, prev_lsn },
+            K::Callback => LogPayload::Callback(CallbackRecord {
+                object,
+                from_client: self.from_client,
+                psn,
+            }),
+            K::ClientCheckpoint => LogPayload::ClientCheckpoint {
+                active_txns: r.list(3, |r| Ok((read_txn(r)?, Lsn(r.varint()?))))?,
+                dpt: r.list(2, |r| {
+                    let page = PageId(r.varint()?);
+                    Ok(DptEntry {
+                        page,
+                        redo_lsn: Lsn(r.varint()?),
+                    })
+                })?,
+            },
+            K::Replacement => LogPayload::Replacement(ReplacementRecord {
+                page: object.page,
+                psn,
+                clients: r.list(2, |r| Ok((ClientId(r.varint_as()?), Psn(r.varint()?))))?,
+            }),
+            K::ServerCheckpoint => LogPayload::ServerCheckpoint {
+                dct: r.list(3, |r| {
+                    let (page, client) = (PageId(r.varint()?), ClientId(r.varint_as()?));
+                    let present = r.u8()?;
+                    if present > 3 {
+                        return Err(FglError::Corrupt(format!("bad DCT entry flags {present}")));
+                    }
+                    let mut opt = |bit: u8| (present & bit != 0).then(|| r.varint()).transpose();
+                    let psn = opt(1)?.map(Psn);
+                    Ok(DctEntry {
+                        page,
+                        client,
+                        psn,
+                        redo_lsn: opt(2)?.map(Lsn),
+                    })
+                })?,
+            },
+            K::RedoUpdate => LogPayload::RedoUpdate(RedoUpdateRecord {
+                txn,
+                prev_lsn,
+                object,
+                psn_before: psn,
+                after: image(self.after),
+                structural: self.structural,
+            }),
+            K::UndoSpill => LogPayload::UndoSpill(UndoSpillRecord {
+                txn,
+                object,
+                before: image(self.before),
+            }),
+        };
+        r.done()?;
+        Ok(payload)
+    }
+}
+
+impl LogPayload {
+    /// This record's header, borrowing its images. Always inlined, so a
+    /// caller that reads one field (`page`, `kind_index`) builds no other.
+    #[inline(always)]
+    pub fn header(&self) -> RecordHeader<'_> {
+        use RecordKind as K;
+        let h = |kind| RecordHeader {
+            kind,
+            ..Default::default()
+        };
         match self {
-            LogPayload::Begin { txn } => Some(*txn),
-            LogPayload::Update(u) => Some(u.txn),
-            LogPayload::Clr(c) => Some(c.txn),
-            LogPayload::Commit { txn, .. } => Some(*txn),
-            LogPayload::Abort { txn, .. } => Some(*txn),
-            LogPayload::RedoUpdate(u) => Some(u.txn),
-            LogPayload::UndoSpill(s) => Some(s.txn),
-            _ => None,
+            LogPayload::Begin { txn } => RecordHeader {
+                txn: *txn,
+                ..h(K::Begin)
+            },
+            LogPayload::Update(u) => RecordHeader {
+                structural: u.structural,
+                txn: u.txn,
+                prev_lsn: u.prev_lsn,
+                object: u.object,
+                psn: u.psn_before,
+                before: u.before.as_deref(),
+                after: u.after.as_deref(),
+                ..h(K::Update)
+            },
+            LogPayload::Clr(c) => RecordHeader {
+                txn: c.txn,
+                prev_lsn: c.prev_lsn,
+                undo_next: c.undo_next,
+                object: c.object,
+                psn: c.psn_before,
+                after: c.after.as_deref(),
+                ..h(K::Clr)
+            },
+            LogPayload::Commit { txn, prev_lsn } => RecordHeader {
+                txn: *txn,
+                prev_lsn: *prev_lsn,
+                ..h(K::Commit)
+            },
+            LogPayload::Abort { txn, prev_lsn } => RecordHeader {
+                txn: *txn,
+                prev_lsn: *prev_lsn,
+                ..h(K::Abort)
+            },
+            LogPayload::Callback(c) => RecordHeader {
+                object: c.object,
+                psn: c.psn,
+                from_client: c.from_client,
+                ..h(K::Callback)
+            },
+            LogPayload::ClientCheckpoint { .. } => h(K::ClientCheckpoint),
+            LogPayload::Replacement(r) => RecordHeader {
+                object: ObjectId::new(r.page, SlotId(0)),
+                psn: r.psn,
+                ..h(K::Replacement)
+            },
+            LogPayload::ServerCheckpoint { .. } => h(K::ServerCheckpoint),
+            LogPayload::RedoUpdate(u) => RecordHeader {
+                structural: u.structural,
+                txn: u.txn,
+                prev_lsn: u.prev_lsn,
+                object: u.object,
+                psn: u.psn_before,
+                after: u.after.as_deref(),
+                ..h(K::RedoUpdate)
+            },
+            LogPayload::UndoSpill(s) => RecordHeader {
+                txn: s.txn,
+                object: s.object,
+                before: s.before.as_deref(),
+                ..h(K::UndoSpill)
+            },
         }
     }
 
     /// The page this record concerns, if any.
     pub fn page(&self) -> Option<PageId> {
-        match self {
-            LogPayload::Update(u) => Some(u.object.page),
-            LogPayload::Clr(c) => Some(c.object.page),
-            LogPayload::Callback(c) => Some(c.object.page),
-            LogPayload::Replacement(r) => Some(r.page),
-            LogPayload::RedoUpdate(u) => Some(u.object.page),
-            LogPayload::UndoSpill(s) => Some(s.object.page),
-            _ => None,
-        }
+        self.header().page()
     }
 
     /// Index into [`KIND_NAMES`] for this record's kind.
     pub fn kind_index(&self) -> usize {
-        match self {
-            LogPayload::Begin { .. } => 0,
-            LogPayload::Update(_) => 1,
-            LogPayload::Clr(_) => 2,
-            LogPayload::Commit { .. } => 3,
-            LogPayload::Abort { .. } => 4,
-            LogPayload::Callback(_) => 5,
-            LogPayload::ClientCheckpoint { .. } => 6,
-            LogPayload::Replacement(_) => 7,
-            LogPayload::ServerCheckpoint { .. } => 8,
-            LogPayload::RedoUpdate(_) => 9,
-            LogPayload::UndoSpill(_) => 10,
-        }
+        self.header().kind as usize
     }
 
     /// Stable snake_case name of this record's kind.
@@ -247,7 +538,7 @@ impl LogPayload {
     pub fn encode(&self) -> Vec<u8> {
         // Room for the common record, an update of two 64-byte images,
         // without regrowth.
-        let mut out = Vec::with_capacity(192);
+        let mut out = Vec::with_capacity(160);
         self.encode_into(&mut out);
         out
     }
@@ -256,182 +547,53 @@ impl LogPayload {
     /// (the log manager frames records in a buffer it reuses).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let mut w = Writer::onto(std::mem::take(out));
+        self.header().write(&mut w);
+        let varints = |w: &mut Writer, vs: &[u64]| vs.iter().for_each(|&v| w.varint(v));
         match self {
-            LogPayload::Begin { txn } => {
-                w.u8(TAG_BEGIN);
-                w.txn(*txn);
-            }
-            LogPayload::Update(u) => {
-                w.u8(TAG_UPDATE);
-                w.txn(u.txn);
-                w.lsn(u.prev_lsn);
-                w.object(u.object);
-                w.psn(u.psn_before);
-                w.opt_bytes(u.before.as_deref());
-                w.opt_bytes(u.after.as_deref());
-                w.bool(u.structural);
-            }
-            LogPayload::Clr(c) => {
-                w.u8(TAG_CLR);
-                w.txn(c.txn);
-                w.lsn(c.prev_lsn);
-                w.lsn(c.undo_next);
-                w.object(c.object);
-                w.psn(c.psn_before);
-                w.opt_bytes(c.after.as_deref());
-            }
-            LogPayload::Commit { txn, prev_lsn } => {
-                w.u8(TAG_COMMIT);
-                w.txn(*txn);
-                w.lsn(*prev_lsn);
-            }
-            LogPayload::Abort { txn, prev_lsn } => {
-                w.u8(TAG_ABORT);
-                w.txn(*txn);
-                w.lsn(*prev_lsn);
-            }
-            LogPayload::Callback(c) => {
-                w.u8(TAG_CALLBACK);
-                w.object(c.object);
-                w.client(c.from_client);
-                w.psn(c.psn);
-            }
             LogPayload::ClientCheckpoint { active_txns, dpt } => {
-                w.u8(TAG_CLIENT_CKPT);
                 w.u32(active_txns.len() as u32);
                 for (t, l) in active_txns {
-                    w.txn(*t);
-                    w.lsn(*l);
+                    varints(&mut w, &[t.client().0.into(), t.local_seq().into(), l.0]);
                 }
                 w.u32(dpt.len() as u32);
                 for e in dpt {
-                    w.page(e.page);
-                    w.lsn(e.redo_lsn);
+                    varints(&mut w, &[e.page.0, e.redo_lsn.0]);
                 }
             }
             LogPayload::Replacement(r) => {
-                w.u8(TAG_REPLACEMENT);
-                w.page(r.page);
-                w.psn(r.psn);
                 w.u32(r.clients.len() as u32);
                 for (c, p) in &r.clients {
-                    w.client(*c);
-                    w.psn(*p);
+                    varints(&mut w, &[c.0.into(), p.0]);
                 }
             }
             LogPayload::ServerCheckpoint { dct } => {
-                w.u8(TAG_SERVER_CKPT);
                 w.u32(dct.len() as u32);
                 for e in dct {
-                    w.page(e.page);
-                    w.client(e.client);
-                    w.opt_psn(e.psn);
-                    w.opt_lsn(e.redo_lsn);
+                    varints(&mut w, &[e.page.0, e.client.0.into()]);
+                    w.u8(u8::from(e.psn.is_some()) | u8::from(e.redo_lsn.is_some()) << 1);
+                    for v in [e.psn.map(|p| p.0), e.redo_lsn.map(|l| l.0)]
+                        .into_iter()
+                        .flatten()
+                    {
+                        w.varint(v);
+                    }
                 }
             }
-            LogPayload::RedoUpdate(u) => {
-                w.u8(TAG_REDO_UPDATE);
-                w.txn(u.txn);
-                w.lsn(u.prev_lsn);
-                w.object(u.object);
-                w.psn(u.psn_before);
-                w.opt_bytes(u.after.as_deref());
-                w.bool(u.structural);
-            }
-            LogPayload::UndoSpill(s) => {
-                w.u8(TAG_UNDO_SPILL);
-                w.txn(s.txn);
-                w.object(s.object);
-                w.opt_bytes(s.before.as_deref());
-            }
+            _ => {}
         }
         *out = w.into_bytes();
     }
 
     /// Decode from bytes produced by [`encode`](Self::encode).
     pub fn decode(bytes: &[u8]) -> Result<LogPayload> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        let payload = match tag {
-            TAG_BEGIN => LogPayload::Begin { txn: r.txn()? },
-            TAG_UPDATE => LogPayload::Update(UpdateRecord {
-                txn: r.txn()?,
-                prev_lsn: r.lsn()?,
-                object: r.object()?,
-                psn_before: r.psn()?,
-                before: r.opt_bytes()?,
-                after: r.opt_bytes()?,
-                structural: r.bool()?,
-            }),
-            TAG_CLR => LogPayload::Clr(ClrRecord {
-                txn: r.txn()?,
-                prev_lsn: r.lsn()?,
-                undo_next: r.lsn()?,
-                object: r.object()?,
-                psn_before: r.psn()?,
-                after: r.opt_bytes()?,
-            }),
-            TAG_COMMIT => LogPayload::Commit {
-                txn: r.txn()?,
-                prev_lsn: r.lsn()?,
-            },
-            TAG_ABORT => LogPayload::Abort {
-                txn: r.txn()?,
-                prev_lsn: r.lsn()?,
-            },
-            TAG_CALLBACK => LogPayload::Callback(CallbackRecord {
-                object: r.object()?,
-                from_client: r.client()?,
-                psn: r.psn()?,
-            }),
-            TAG_CLIENT_CKPT => LogPayload::ClientCheckpoint {
-                active_txns: r.list(16, |r| Ok((r.txn()?, r.lsn()?)))?,
-                dpt: r.list(16, |r| {
-                    Ok(DptEntry {
-                        page: r.page()?,
-                        redo_lsn: r.lsn()?,
-                    })
-                })?,
-            },
-            TAG_REPLACEMENT => LogPayload::Replacement(ReplacementRecord {
-                page: r.page()?,
-                psn: r.psn()?,
-                clients: r.list(12, |r| Ok((r.client()?, r.psn()?)))?,
-            }),
-            TAG_SERVER_CKPT => LogPayload::ServerCheckpoint {
-                dct: r.list(14, |r| {
-                    Ok(DctEntry {
-                        page: r.page()?,
-                        client: r.client()?,
-                        psn: r.opt_psn()?,
-                        redo_lsn: r.opt_lsn()?,
-                    })
-                })?,
-            },
-            TAG_REDO_UPDATE => LogPayload::RedoUpdate(RedoUpdateRecord {
-                txn: r.txn()?,
-                prev_lsn: r.lsn()?,
-                object: r.object()?,
-                psn_before: r.psn()?,
-                after: r.opt_bytes()?,
-                structural: r.bool()?,
-            }),
-            TAG_UNDO_SPILL => LogPayload::UndoSpill(UndoSpillRecord {
-                txn: r.txn()?,
-                object: r.object()?,
-                before: r.opt_bytes()?,
-            }),
-            t => return Err(FglError::Corrupt(format!("unknown log record tag {t}"))),
-        };
-        r.done()?;
-        Ok(payload)
+        RecordHeader::parse(bytes)?.decode()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fgl_common::SlotId;
+    use fgl_common::rng::DetRng;
 
     fn obj(p: u64, s: u16) -> ObjectId {
         ObjectId::new(PageId(p), SlotId(s))
@@ -519,17 +681,17 @@ mod tests {
         });
     }
 
-    /// Each redo-only kind is framed under its own tag, not wrapped in an
+    /// Each redo-only kind is framed under its own kind, not wrapped in an
     /// envelope, and decodes back to the record it was.
     #[test]
     fn redo_only_records_roundtrip_as_native_kinds() {
         let txn = TxnId::compose(ClientId(3), 11);
         for rec in redo_only_records(txn) {
-            let tag = match rec {
-                LogPayload::RedoUpdate(_) => TAG_REDO_UPDATE,
-                _ => TAG_UNDO_SPILL,
+            let kind = match rec {
+                LogPayload::RedoUpdate(_) => RecordKind::RedoUpdate,
+                _ => RecordKind::UndoSpill,
             };
-            assert_eq!(rec.encode()[0], tag, "{rec:?}");
+            assert_eq!(rec.encode()[0] >> 3 & 0xF, kind as u8, "{rec:?}");
             roundtrip(rec);
         }
     }
@@ -566,17 +728,45 @@ mod tests {
         ]
     }
 
+    /// Bytes of `v` as a varint.
+    fn varint_len(v: u64) -> usize {
+        (64 - v.max(1).leading_zeros() as usize).div_ceil(7)
+    }
+
+    /// An optional image: its varint length and its bytes, or nothing.
+    fn image_len(b: &Option<Vec<u8>>) -> usize {
+        b.as_ref()
+            .map_or(0, |b| varint_len(b.len() as u64) + b.len())
+    }
+
+    /// A transaction id: its client and its local sequence number.
+    fn txn_len(txn: TxnId) -> usize {
+        varint_len(txn.client().0.into()) + varint_len(txn.local_seq().into())
+    }
+
+    /// An object: its page and its slot.
+    fn object_len(o: ObjectId) -> usize {
+        varint_len(o.page.0) + varint_len(o.slot.0.into())
+    }
+
     /// The encoded size of each redo-only kind, counted field by field:
-    /// tag 1, txn 8, LSN 8, object 10, PSN 8, an optional image 1 (+ 4 +
-    /// its length) and a flag 1.
+    /// tag 1, txn, prev-LSN, object and PSN as varints, then each image
+    /// present as its varint length and its bytes.
     #[test]
     fn redo_only_records_have_their_analytic_size() {
         let txn = TxnId::compose(ClientId(3), 11);
-        let image = |b: &Option<Vec<u8>>| 1 + b.as_ref().map_or(0, |b| 4 + b.len());
         for rec in redo_only_records(txn) {
             let want = match &rec {
-                LogPayload::RedoUpdate(u) => 1 + 8 + 8 + 10 + 8 + image(&u.after) + 1,
-                LogPayload::UndoSpill(s) => 1 + 8 + 10 + image(&s.before),
+                LogPayload::RedoUpdate(u) => {
+                    1 + txn_len(u.txn)
+                        + varint_len(u.prev_lsn.0)
+                        + object_len(u.object)
+                        + varint_len(u.psn_before.0)
+                        + image_len(&u.after)
+                }
+                LogPayload::UndoSpill(s) => {
+                    1 + txn_len(s.txn) + object_len(s.object) + image_len(&s.before)
+                }
                 _ => unreachable!(),
             };
             assert_eq!(rec.encode().len(), want, "{rec:?}");
@@ -592,7 +782,48 @@ mod tests {
             structural: false,
         });
         let redo = &redo_only_records(txn)[0];
-        assert_eq!(physical.encode().len() - redo.encode().len(), 1 + 4 + 3);
+        assert_eq!(physical.encode().len() - redo.encode().len(), 1 + 3);
+    }
+
+    /// The records of one `private_commit` transaction, at ids that run
+    /// reaches (a fresh system per burst: LSNs below 2^28, local sequence
+    /// numbers below 2^21, page ids and PSNs below 2^14), counted field by
+    /// field and framed (`[len][checksum]`, 8 B): a begin is 13 B, a
+    /// commit 17 B and an overwrite of a 64 B object 152 B, so a commit
+    /// of 2.4 updates logs under 400 B.
+    #[test]
+    fn commit_records_have_their_analytic_size() {
+        const FRAME: usize = 8;
+        let txn = TxnId::compose(ClientId(1), (1 << 21) - 1);
+        let prev_lsn = Lsn((1 << 28) - 1);
+        let object = obj((1 << 14) - 1, 15);
+        let update = UpdateRecord {
+            txn,
+            prev_lsn,
+            object,
+            psn_before: Psn((1 << 14) - 1),
+            before: Some(vec![0xAA; 64]),
+            after: Some(vec![0x55; 64]),
+            structural: false,
+        };
+        let want_update = 1
+            + txn_len(txn)
+            + varint_len(prev_lsn.0)
+            + object_len(object)
+            + varint_len(update.psn_before.0)
+            + image_len(&update.before)
+            + image_len(&update.after);
+        assert_eq!(
+            (txn_len(txn), varint_len(prev_lsn.0), object_len(object)),
+            (4, 4, 3)
+        );
+        let framed = |p: &LogPayload| FRAME + p.encode().len();
+        let begin = framed(&LogPayload::Begin { txn });
+        let commit = framed(&LogPayload::Commit { txn, prev_lsn });
+        let update = framed(&LogPayload::Update(update));
+        assert_eq!(update, FRAME + want_update);
+        assert_eq!((begin, commit, update), (13, 17, 152));
+        assert!((begin + commit) as f64 + 2.4 * (update as f64) < 400.0);
     }
 
     #[test]
@@ -618,18 +849,23 @@ mod tests {
         }
     }
 
-    /// Tag 10 framed the strategy envelope the redo-only kinds replaced;
-    /// such a record must fail loudly, not decode as something else.
+    /// Tag 10 framed the strategy envelope the redo-only kinds replaced,
+    /// and tags 1–12 opened every record of the fixed-width layout: no
+    /// record of this format starts with one, and each is refused as of
+    /// another format, not decoded as something else.
     #[test]
     fn the_retired_envelope_tag_is_corrupt() {
         let txn = TxnId::compose(ClientId(1), 2);
         for rec in redo_only_records(txn) {
             let mut bytes = rec.encode();
-            bytes[0] = 10;
-            assert!(matches!(
-                LogPayload::decode(&bytes),
-                Err(FglError::Corrupt(_))
-            ));
+            assert!(bytes[0] > 12, "{rec:?}");
+            for old in 1..=12 {
+                bytes[0] = old;
+                assert!(
+                    matches!(LogPayload::decode(&bytes), Err(FglError::Corrupt(m)) if m.contains("record format")),
+                    "tag {old}"
+                );
+            }
         }
         assert!(matches!(
             LogPayload::decode(&[10]),
@@ -721,6 +957,14 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         assert!(LogPayload::decode(&[99, 0, 0]).is_err());
+        // Kinds 11–15 and a flag the kind does not have.
+        assert!(LogPayload::decode(&[0x80 | 11 << 3, 0, 0]).is_err());
+        let begin = LogPayload::Begin {
+            txn: TxnId::compose(ClientId(0), 1),
+        };
+        let mut bytes = begin.encode();
+        bytes[0] |= 1;
+        assert!(LogPayload::decode(&bytes).is_err());
     }
 
     #[test]
@@ -735,8 +979,8 @@ mod tests {
 
     /// A list count the record cannot hold is `Corrupt` before it sizes
     /// an allocation: each list of every record kind that has one, with
-    /// its count (after the tag, and a page and PSN for a replacement
-    /// record) set to `u32::MAX`.
+    /// its count (after the tag, and a one-byte page and PSN for a
+    /// replacement record) set to `u32::MAX`.
     #[test]
     fn hostile_list_counts_are_corrupt() {
         let lists = [
@@ -753,7 +997,7 @@ mod tests {
                     psn: Psn(2),
                     clients: vec![],
                 }),
-                vec![1 + 16],
+                vec![1 + 2],
             ),
             (LogPayload::ServerCheckpoint { dct: vec![] }, vec![1]),
         ];
@@ -783,10 +1027,10 @@ mod tests {
             after: None,
             structural: true,
         });
-        assert_eq!(u.txn(), Some(txn));
+        assert_eq!(u.header().txn(), Some(txn));
         assert_eq!(u.page(), Some(PageId(5)));
         let ck = LogPayload::ServerCheckpoint { dct: vec![] };
-        assert_eq!(ck.txn(), None);
+        assert_eq!(ck.header().txn(), None);
         assert_eq!(ck.page(), None);
     }
 
@@ -798,11 +1042,127 @@ mod tests {
         let pages: Vec<_> = redo_only_records(txn)
             .iter()
             .map(|rec| {
-                assert_eq!(rec.txn(), Some(txn), "{rec:?}");
+                assert_eq!(rec.header().txn(), Some(txn), "{rec:?}");
                 rec.page()
             })
             .collect();
         let want = [7, 7, 7, 9].map(|p| Some(PageId(p)));
         assert_eq!(pages, want);
+    }
+
+    /// One record of every kind, with small and large ids alike.
+    fn sample_records() -> Vec<LogPayload> {
+        let txn = TxnId::compose(ClientId(1), 5);
+        let far = TxnId::compose(ClientId(u32::MAX), u32::MAX);
+        let mut all = vec![
+            LogPayload::Begin { txn: far },
+            LogPayload::Update(UpdateRecord {
+                txn,
+                prev_lsn: Lsn(u64::MAX),
+                object: obj(u64::MAX, u16::MAX),
+                psn_before: Psn(300),
+                before: Some(vec![0xAA; 64]),
+                after: Some(vec![0x55; 64]),
+                structural: true,
+            }),
+            LogPayload::Clr(ClrRecord {
+                txn,
+                prev_lsn: Lsn(30),
+                undo_next: Lsn(10),
+                object: obj(3, 2),
+                psn_before: Psn(7),
+                after: Some(b"undone".to_vec()),
+            }),
+            LogPayload::Commit {
+                txn,
+                prev_lsn: Lsn(1 << 40),
+            },
+            LogPayload::Abort {
+                txn,
+                prev_lsn: Lsn(44),
+            },
+            LogPayload::Callback(CallbackRecord {
+                object: obj(9, 0),
+                from_client: ClientId(2),
+                psn: Psn(12),
+            }),
+            LogPayload::ClientCheckpoint {
+                active_txns: vec![(txn, Lsn(50)), (far, Lsn(1 << 33))],
+                dpt: vec![DptEntry {
+                    page: PageId(1),
+                    redo_lsn: Lsn(5),
+                }],
+            },
+            LogPayload::Replacement(ReplacementRecord {
+                page: PageId(4),
+                psn: Psn(22),
+                clients: vec![(ClientId(1), Psn(20)), (ClientId(2), Psn(1 << 50))],
+            }),
+            LogPayload::ServerCheckpoint {
+                dct: vec![
+                    DctEntry {
+                        page: PageId(4),
+                        client: ClientId(1),
+                        psn: Some(Psn(20)),
+                        redo_lsn: None,
+                    },
+                    DctEntry {
+                        page: PageId(5),
+                        client: ClientId(2),
+                        psn: None,
+                        redo_lsn: Some(Lsn(900)),
+                    },
+                ],
+            },
+        ];
+        all.extend(redo_only_records(txn));
+        all
+    }
+
+    /// Feed `n` mutants of the sample records, drawn from `seed`, to
+    /// [`LogPayload::decode`]: one byte flipped, one 4-byte window set to
+    /// `0xFF`, or the body cut short. Each decode must return, `Ok` or
+    /// `Err`; a panic, or an abort on an allocation sized by a hostile
+    /// count or length, fails the test. Returns how many were refused.
+    fn decode_mutants(seed: u64, n: usize) -> usize {
+        let bodies: Vec<Vec<u8>> = sample_records().iter().map(LogPayload::encode).collect();
+        let mut rng = DetRng::new(seed);
+        let mut refused = 0;
+        for i in 0..n {
+            let mut m = bodies[i % bodies.len()].clone();
+            match rng.gen_range(3) {
+                0 => {
+                    let at = rng.range_usize(0, m.len());
+                    m[at] ^= rng.range_usize(1, 256) as u8;
+                }
+                1 if m.len() >= 4 => {
+                    let at = rng.range_usize(0, m.len() - 3);
+                    m[at..at + 4].fill(0xFF);
+                }
+                _ => m.truncate(rng.range_usize(0, m.len() + 1)),
+            }
+            refused += usize::from(LogPayload::decode(&m).is_err());
+        }
+        refused
+    }
+
+    #[test]
+    fn sample_records_roundtrip() {
+        for rec in sample_records() {
+            roundtrip(rec);
+        }
+    }
+
+    #[test]
+    fn no_mutant_log_body_panics_its_decoder() {
+        assert!(decode_mutants(37, 12_000) > 0);
+    }
+
+    /// The soak: about a hundred times as many mutants (`--ignored`, in
+    /// release).
+    #[test]
+    #[ignore]
+    fn no_mutant_log_body_panics_its_decoder_soak() {
+        assert!(decode_mutants(3_700, 1_000_000) > 0);
     }
 }

@@ -74,7 +74,7 @@ fn assert_stops_at(raw: &[u8], victim_at: usize, what: &str) {
 }
 
 fn assert_stops_at_on(m: &LogManager, victim_at: usize, what: &str) {
-    let got = m.collect_from(Lsn::NIL);
+    let got = m.collect_from(Lsn::NIL).unwrap();
     assert_eq!(got.len(), 1, "{what}: scan went past the damage: {got:?}");
     assert_eq!(got[0].next, Lsn(victim_at as u64 + 1), "{what}");
     assert!(m.read_at(Lsn(victim_at as u64 + 1)).is_err(), "{what}");
@@ -85,7 +85,7 @@ fn undamaged_log_reads_whole() {
     for v in victims() {
         let (raw, at) = log_around(&v);
         let m = reopen(&raw);
-        let got = m.collect_from(Lsn::NIL);
+        let got = m.collect_from(Lsn::NIL).unwrap();
         assert_eq!(got.len(), 3);
         assert_eq!(got[1].payload, v);
         assert_eq!(m.read_at(Lsn(at.start as u64 + 1)).unwrap().payload, v);
@@ -191,7 +191,7 @@ fn damage_ends_a_scan_on_every_store() {
                 let m = reopen_on(store, bytes);
                 let what = format!("{} on {store_name}, damage {damage}", v.kind_name());
                 if damage == "none" {
-                    let got = m.collect_from(Lsn::NIL);
+                    let got = m.collect_from(Lsn::NIL).unwrap();
                     assert_eq!(got.len(), 3, "{what}");
                     assert_eq!(got[1].payload, v, "{what}");
                 } else {

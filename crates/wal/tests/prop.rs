@@ -81,7 +81,7 @@ fn append_scan_roundtrip() {
         for p in &payloads {
             lsns.push(wal.append(p).unwrap());
         }
-        let got = wal.collect_from(Lsn::NIL);
+        let got = wal.collect_from(Lsn::NIL).unwrap();
         assert_eq!(got.len(), payloads.len());
         for (i, entry) in got.iter().enumerate() {
             assert_eq!(entry.lsn, lsns[i]);
@@ -109,7 +109,7 @@ fn crash_keeps_exactly_forced_prefix() {
             }
         }
         wal.crash();
-        let got = wal.collect_from(Lsn::NIL);
+        let got = wal.collect_from(Lsn::NIL).unwrap();
         assert_eq!(got.len(), cut + 1, "case {case}");
         for (i, entry) in got.iter().enumerate() {
             assert_eq!(&entry.payload, &payloads[i]);
@@ -143,7 +143,7 @@ fn low_water_preserves_suffix() {
         let lsns: Vec<Lsn> = payloads.iter().map(|p| wal.append(p).unwrap()).collect();
         let i = rng.range_usize(0, lsns.len());
         wal.advance_low_water(lsns[i]).unwrap();
-        let got = wal.collect_from(Lsn::NIL);
+        let got = wal.collect_from(Lsn::NIL).unwrap();
         assert_eq!(got.len(), payloads.len() - i);
         for (k, entry) in got.iter().enumerate() {
             assert_eq!(&entry.payload, &payloads[i + k]);
@@ -171,14 +171,14 @@ fn torn_tail_record_is_ignored_on_reopen() {
     // torn prefix of record B.
     let bytes = wal.read_raw(Lsn::NIL, wal.end_lsn()).unwrap();
     let a_len = {
-        let first = wal.collect_from(Lsn::NIL)[0].clone();
+        let first = wal.collect_from(Lsn::NIL).unwrap()[0].clone();
         (first.next.0 - first.lsn.0) as usize
     };
     let mut torn = MemLogStore::new();
     torn.append(&bytes[..a_len + 5]).unwrap(); // 5 bytes of B's frame
     torn.sync().unwrap();
     let reopened = LogManager::recover(Box::new(torn), 1 << 20).unwrap();
-    let got = reopened.collect_from(Lsn::NIL);
+    let got = reopened.collect_from(Lsn::NIL).unwrap();
     assert_eq!(got.len(), 1, "scan must stop at the torn record");
     assert_eq!(got[0].payload, a);
 }
@@ -194,7 +194,7 @@ fn flipped_byte_in_payload_stops_scan_at_corruption() {
         .unwrap();
     }
     wal.force().unwrap();
-    let entries = wal.collect_from(Lsn::NIL);
+    let entries = wal.collect_from(Lsn::NIL).unwrap();
     let bytes = wal.read_raw(Lsn::NIL, wal.end_lsn()).unwrap();
     // Corrupt a byte inside record #2's payload.
     let mut corrupted = bytes.clone();
@@ -204,7 +204,7 @@ fn flipped_byte_in_payload_stops_scan_at_corruption() {
     store.append(&corrupted).unwrap();
     store.sync().unwrap();
     let reopened = LogManager::recover(Box::new(store), 1 << 20).unwrap();
-    let got = reopened.collect_from(Lsn::NIL);
+    let got = reopened.collect_from(Lsn::NIL).unwrap();
     assert_eq!(got.len(), 1, "scan stops before the corrupted record");
     assert_eq!(got[0].payload, entries[0].payload);
 }

@@ -414,14 +414,15 @@ fn log_full_inside_a_write_reclaims_and_the_write_succeeds() {
         .collect();
     c.commit(t).unwrap();
 
-    // Three transactions of ~22 KiB of log each against 56 KiB of usable
-    // space: the first two leave more than the proactive-reclamation
-    // threshold free, so the third runs out *inside* a write and must
-    // reclaim (§3.6) while it stays active.
-    let value = |round: usize, i: usize| [(round * 120 + i) as u8; 64];
+    // Three transactions of ~21 KiB of log each (144 updates of about
+    // 148 B) against 56 KiB of usable space: the first two leave more
+    // than the proactive-reclamation threshold free, so the third runs
+    // out *inside* a write and must reclaim (§3.6) while it stays active.
+    const WRITES: usize = 144;
+    let value = |round: usize, i: usize| [(round * WRITES + i) as u8; 64];
     for round in 0..3 {
         let t = c.begin().unwrap();
-        for i in 0..120 {
+        for i in 0..WRITES {
             c.write(t, objs[i % 8], &value(round, i)).unwrap();
         }
         c.commit(t).unwrap();
@@ -431,8 +432,8 @@ fn log_full_inside_a_write_reclaims_and_the_write_succeeds() {
     assert!(s.forced_flush_requests >= 1, "{s:?}");
     let t = c.begin().unwrap();
     for (i, o) in objs.iter().enumerate() {
-        // The last write to objs[i] in round 2 was iteration 112 + i.
-        assert_eq!(c.read(t, *o).unwrap(), value(2, 112 + i));
+        // The last write to objs[i] in round 2 was iteration 136 + i.
+        assert_eq!(c.read(t, *o).unwrap(), value(2, WRITES - 8 + i));
     }
     c.commit(t).unwrap();
 }
@@ -448,6 +449,11 @@ fn log_full_inside_a_write_reclaims_and_the_write_succeeds() {
 /// a checkpoint tripped by a commit record no longer lists the committing
 /// transaction (fatal path 4), which leaves each such checkpoint 16 bytes
 /// shorter (client 0: 3, client 1: 2 of them) and changes nothing else.
+/// Re-pinned again when records became varint-headed: every kind's log
+/// bytes shrank (client 0 from 376 101 to 255 790 in all, client 1 from
+/// 373 679 to 257 284), so the RedoLSNs, which are byte addresses, moved
+/// and the DPT hashes with them (each DPT still holds 24 pages); the
+/// lock traffic, the ships and every page image stayed.
 #[test]
 fn seeded_stream_leaves_the_recorded_log_dpt_locks_and_pages() {
     use fgl_common::rng::DetRng;
@@ -526,15 +532,15 @@ fn seeded_stream_leaves_the_recorded_log_dpt_locks_and_pages() {
             1496,
             1413,
             [
-                ("begin", 10404),
-                ("update", 315446),
-                ("clr", 15312),
-                ("commit", 14275),
-                ("abort", 1025),
-                ("callback", 15934),
-                ("client_ckpt", 3705),
+                ("begin", 7217),
+                ("update", 222127),
+                ("clr", 9515),
+                ("commit", 8423),
+                ("abort", 610),
+                ("callback", 7043),
+                ("client_ckpt", 855),
             ],
-            0x7d2b_416d_4260_4a86,
+            0x2791_628d_7488_c2e2,
             0xe858_ebc8_055d_b04b,
         ),
         (
@@ -542,15 +548,15 @@ fn seeded_stream_leaves_the_recorded_log_dpt_locks_and_pages() {
             1497,
             1608,
             [
-                ("begin", 11254),
-                ("update", 312570),
-                ("clr", 14116),
-                ("commit", 15575),
-                ("abort", 975),
-                ("callback", 15500),
-                ("client_ckpt", 3689),
+                ("begin", 7817),
+                ("update", 223387),
+                ("clr", 8650),
+                ("commit", 9198),
+                ("abort", 567),
+                ("callback", 6843),
+                ("client_ckpt", 822),
             ],
-            0x2b49_e730_9055_09b3,
+            0xf3d9_534c_84d2_b4b5,
             0x638e_1547_3f7a_3c23,
         ),
     ];

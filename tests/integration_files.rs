@@ -5,10 +5,11 @@
 //! client"*: here a brand-new client process (same identity, same log
 //! file) performs the recovery.
 
-use fgl::{ClientId, System, SystemConfig};
+use fgl::{ClientId, FglError, System, SystemConfig};
 use fgl_client::ClientCore;
 use fgl_storage::disk::FileDisk;
-use fgl_wal::store::FileLogStore;
+use fgl_wal::codec::checksum;
+use fgl_wal::store::{FileLogStore, LogStore, MemLogStore};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -131,4 +132,33 @@ fn server_database_survives_process_style_reopen() {
     }
     let _ = page;
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A private log whose record is intact (its checksum holds) but of the
+/// fixed-width record layout: restart refuses it as `Corrupt`, naming the
+/// record format, where it once read the log as empty and recovered
+/// nothing.
+#[test]
+fn restart_refuses_a_log_of_another_record_format() {
+    let sys = System::build(SystemConfig::default(), 1).unwrap();
+    // A begin of transaction 7 of client 2 as the fixed-width layout
+    // encoded it: tag 1, then the u64 transaction id.
+    let body = [1, 7, 0, 0, 0, 2, 0, 0, 0];
+    let mut store = MemLogStore::new();
+    store.append(&(body.len() as u32).to_le_bytes()).unwrap();
+    store.append(&checksum(&body).to_le_bytes()).unwrap();
+    store.append(&body).unwrap();
+    store.sync().unwrap();
+    let c = ClientCore::reopen_with_log_store(
+        ClientId(2),
+        sys.server.clone(),
+        sys.net.clone(),
+        Box::new(store),
+    )
+    .unwrap();
+    let err = c.recover().unwrap_err();
+    assert!(
+        matches!(&err, FglError::Corrupt(m) if m.contains("record format")),
+        "{err:?}"
+    );
 }

@@ -863,10 +863,10 @@ fn server_restart_over_a_socket_replays_in_batches() {
 }
 
 /// What one client restart left behind: the report's winners, losers,
-/// pages recovered, pages fetched, records scanned and records applied,
-/// then the end of the private log and a hash of every database page as
-/// the server holds it.
-type RestartPin = (usize, usize, usize, usize, usize, usize, u64, u64);
+/// pages recovered, pages fetched, records scanned, records applied and
+/// records decoded, then the end of the private log and a hash of every
+/// database page as the server holds it.
+type RestartPin = (usize, usize, usize, usize, usize, usize, usize, u64, u64);
 
 /// A seeded HOTCOLD run driven in turns (no thread ever waits, so every
 /// run leaves the same logs), then client 1 crashes holding two losers —
@@ -975,6 +975,7 @@ fn restart_pin(strategy: LoggingStrategyKind, complex: bool) -> RestartPin {
         rep.pages_fetched,
         rep.records_scanned,
         rep.records_applied,
+        rep.records_decoded,
         log_end,
         pages_hash,
     )
@@ -996,15 +997,26 @@ fn restart_pin(strategy: LoggingStrategyKind, complex: bool) -> RestartPin {
 ///   and no loser: the server's buffer already holds them, so restart
 ///   forces them without a fetch or a ship. The §3.5 rows still replay
 ///   every page.
+///
+/// Varint-headed records moved `log_end` and nothing else: 26 824 →
+/// 18 804 (`client_aries`), 18 841 → 11 601 and 18 889 → 11 610
+/// (`redo_only`). `records_decoded` is the records the buckets kept plus
+/// those undo read; the scan read every other record's header only:
+/// - `client_aries`: 13 kept (all applied) or 50 (the §3.5 replay keeps
+///   every record of its pages), plus 16 read back along the two losers'
+///   chains (5 and 2 updates: 2 × 5 + 1 and 2 × 2 + 1 reads);
+/// - `redo_only`: 13 kept (9 applied, 4 of the skipped losers) or 198,
+///   plus the 2 spilled before-images undo restores; its losers' chains
+///   are not read.
 #[test]
 fn restart_leaves_the_recorded_counts_log_and_pages() {
     use LoggingStrategyKind::*;
     #[rustfmt::skip]
     let want: [(_, _, RestartPin); 4] = [
-        (ClientAries, false, (12, 2, 8, 5, 85, 13, 26824, 2188529311487930427)),
-        (ClientAries, true, (12, 2, 8, 8, 85, 0, 26824, 14833372426372957901)),
-        (RedoOnly, false, (42, 2, 9, 5, 298, 9, 18841, 2959043463736195518)),
-        (RedoOnly, true, (42, 2, 12, 12, 298, 0, 18889, 17150234313638927731)),
+        (ClientAries, false, (12, 2, 8, 5, 85, 13, 29, 18804, 2188529311487930427)),
+        (ClientAries, true, (12, 2, 8, 8, 85, 0, 66, 18804, 14833372426372957901)),
+        (RedoOnly, false, (42, 2, 9, 5, 298, 9, 15, 11601, 2959043463736195518)),
+        (RedoOnly, true, (42, 2, 12, 12, 298, 0, 200, 11610, 17150234313638927731)),
     ];
     let mut moved = Vec::new();
     for (strategy, complex, want) in want {
