@@ -2,7 +2,7 @@
 //! ([`ClientPeer`]): lock callbacks (§3.2), flush notifications (§3.6)
 //! and the restart-recovery services of §3.4.
 
-use crate::runtime::ClientCore;
+use crate::runtime::{ClientCore, Exit, Leaving};
 use fgl_common::{ClientId, Lsn, ObjectId, PageId, Psn};
 use fgl_locks::glm::{CallbackKind, CallbackReply};
 use fgl_net::peer::{
@@ -155,92 +155,67 @@ impl ClientCore {
                 })
                 .collect();
         }
-        // §2: the log covering shipped state must be durable before the
-        // page leaves. Each ship forces only when its page's own records
-        // (undo spilled at the steal point included) are not durable yet;
-        // the st mutex is held for the whole batch, so one force covers
-        // every later page the batch ships.
-        let mut shipped: Vec<PageId> = Vec::new();
-        let mut outcomes = Vec::with_capacity(kinds.len());
-        for &kind in kinds {
-            let reply = st.llm.handle_callback(kind);
-            let outcome = match reply {
+        // Any complied callback that leaves the page visible to a
+        // competitor ships the dirty copy: the requester's fetch must
+        // observe our (committed or steal-protected) updates. The pages
+        // leave through the gate together, under one log force.
+        //
+        // A copy travels in the reply, and the server absorbs it only when
+        // the delivering wave applies that reply. A second wave's callback
+        // for the same page can run here first, find the page clean, and
+        // reply with no copy — letting the server grant + ship its stale
+        // store copy before the first wave's reply lands. So the gate
+        // *retains* the stash in `in_transit` after a reply-ship: any
+        // racing wave re-ships the same bytes and the server absorbs them
+        // before it grants (absorption is a per-slot PSN-max merge, so the
+        // re-ship is idempotent). A freshly dirty cache copy always wins
+        // over the stash.
+        let mut leaving: Vec<Leaving> = Vec::new();
+        let mut dropping: Vec<PageId> = Vec::new();
+        let mut outcomes: Vec<CallbackOutcome> = kinds
+            .iter()
+            .map(|&kind| match st.llm.handle_callback(kind) {
                 CallbackReply::Done { retained } => {
                     // A complied de-escalation replaced our page lock with
                     // object locks (§3.2) — the adaptive scheme's signature
                     // moment, so it gets its own event.
-                    if matches!(kind, CallbackKind::DeEscalatePage(_)) {
+                    if let CallbackKind::DeEscalatePage(page) = kind {
                         fgl_obs::emit(fgl_obs::Event::DeEscalate {
                             client: self.id(),
-                            page: kind.page(),
+                            page,
                         });
                     }
-                    let sheds = !matches!(kind, CallbackKind::DeEscalatePage(_));
                     let page = kind.page();
-                    // Any complied callback that leaves the page visible
-                    // to a competitor ships the dirty copy: the
-                    // requester's fetch must observe our (committed or
-                    // steal-protected) updates. A page already shipped by
-                    // this batch is clean by construction.
-                    //
-                    // A copy travels in the reply, and the server absorbs
-                    // it only when the delivering wave applies that reply.
-                    // A second wave's callback for the same page can run
-                    // here first, find the page clean, and reply with no
-                    // copy — letting the server grant + ship its stale
-                    // store copy before the first wave's reply lands. So
-                    // the stash in `in_transit` is *retained* after a
-                    // reply-ship: any racing wave re-ships the same bytes
-                    // and the server absorbs them before it grants
-                    // (absorption is a per-slot PSN-max merge, so the
-                    // re-ship is idempotent). A freshly dirty cache copy
-                    // always wins over the stash.
-                    let page_copy = if shipped.contains(&page) {
-                        None
-                    } else if st.cache.is_dirty(page) {
-                        let log_durable = self.spill_undo_for_page(&mut st, page).is_ok()
-                            && st.force_for_pages(&[page]).is_ok();
-                        if log_durable {
-                            // One snapshot of the cache copy, shared from
-                            // here on: the reply, the stash and any racing
-                            // wave all alias this frame.
-                            let bytes: Option<Arc<[u8]>> =
-                                st.cache.peek(page).map(|p| p.to_wire().into());
-                            if let Some(b) = &bytes {
-                                st.cache.mark_clean(page);
-                                // Remember the ship point so a later flush
-                                // advances our DPT RedoLSN (§3.6).
-                                let end = st.wal.end_lsn();
-                                if let Some(e) = st.dpt.get_mut(&page) {
-                                    e.remembered = Some(end);
-                                    e.updated_since_ship = false;
-                                }
-                                st.in_transit.insert(page, Arc::clone(b));
-                                shipped.push(page);
-                            }
-                            bytes
-                        } else {
-                            None
-                        }
-                    } else if let Some(bytes) = st.in_transit.get(&page).cloned() {
-                        // Racing wave: re-ship the stashed frame. The clone
-                        // is an Arc bump, not a page copy.
-                        shipped.push(page);
-                        Some(bytes)
-                    } else {
-                        None
-                    };
-                    if sheds {
-                        self.drop_if_unlocked(&mut st, page);
+                    if !leaving.iter().any(|p| p.page == page) {
+                        leaving.push(Leaving::new(page));
+                    }
+                    // §3.2: a callback that sheds the last lock on the page
+                    // drops the page, once its copy has left.
+                    if !matches!(kind, CallbackKind::DeEscalatePage(_))
+                        && !st.llm.holds_any_on_page(page)
+                    {
+                        dropping.push(page);
                     }
                     CallbackOutcome::Done {
                         retained,
-                        page_copy,
+                        page_copy: None,
                     }
                 }
                 CallbackReply::Deferred { blockers } => CallbackOutcome::Deferred { blockers },
-            };
-            outcomes.push(outcome);
+            })
+            .collect();
+        // A gate that fails fills in no copy: the batch answers with none.
+        let _ = self.gate(&mut st, Exit::Callback, &mut leaving);
+        for (&kind, outcome) in kinds.iter().zip(&mut outcomes) {
+            if let CallbackOutcome::Done { page_copy, .. } = outcome {
+                // The first callback on a page carries its one copy.
+                if let Some(p) = leaving.iter_mut().find(|p| p.page == kind.page()) {
+                    *page_copy = p.copy.take();
+                }
+            }
+        }
+        for page in dropping {
+            st.cache.remove(page);
         }
         drop(st);
         self.cv.notify_all();
@@ -355,39 +330,21 @@ impl ClientCore {
             .collect()
     }
 
-    /// §3.4 step 4: ship the cached copies of `pages`, one copy or `None`
-    /// per page. The state mutex is held for the whole batch, so at most
-    /// one log force after every page's undo spill covers them all (WAL).
+    /// §3.4 step 4: ship the cached copies of `pages` through the gate,
+    /// one copy or `None` per page, all of them `None` when the log could
+    /// not be made durable for them.
     pub(crate) fn ship_cached_pages_bytes(&self, pages: &[PageId]) -> Vec<Option<Arc<[u8]>>> {
-        let mut st = self.st.lock();
-        let ready: Vec<bool> = pages
-            .iter()
-            .map(|&page| st.cache.contains(page) && self.spill_undo_for_page(&mut st, page).is_ok())
-            .collect();
-        let shipping = pages
-            .iter()
-            .zip(&ready)
-            .filter_map(|(p, &r)| r.then_some(p));
-        if !ready.contains(&true) || st.force_for_pages(shipping).is_err() {
-            return vec![None; pages.len()];
-        }
-        pages
-            .iter()
-            .zip(ready)
-            .map(|(&page, ready)| {
-                st.cache
-                    .peek(page)
-                    .filter(|_| ready)
-                    .map(|p| p.to_wire().into())
-            })
-            .collect()
+        let mut leaving: Vec<Leaving> = pages.iter().map(|&page| Leaving::new(page)).collect();
+        let _ = self.gate(&mut self.st.lock(), Exit::Restart, &mut leaving);
+        leaving.into_iter().map(|p| p.copy).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fgl_common::SystemConfig;
+    use fgl_common::config::LoggingStrategyKind;
+    use fgl_common::{SystemConfig, TxnId};
     use fgl_net::peer::CallbackOutcome;
     use fgl_net::stats::NetSim;
     use fgl_server::runtime::ServerCore;
@@ -395,7 +352,10 @@ mod tests {
     use fgl_storage::page::Page;
 
     fn build() -> Arc<ClientCore> {
-        let cfg = SystemConfig::default();
+        build_with(SystemConfig::default())
+    }
+
+    fn build_with(cfg: SystemConfig) -> Arc<ClientCore> {
         let net = Arc::new(NetSim::new(cfg.net_latency));
         let server = ServerCore::new(cfg, net.clone(), Arc::new(MemDisk::new()));
         ClientCore::new(ClientId(1), server, net)
@@ -587,5 +547,170 @@ mod tests {
             .unwrap()
             .expect("a completion racing a reply shipped no copy");
         assert!(Arc::ptr_eq(&completion, reply));
+    }
+
+    /// The copy `ship_pages` takes through the gate before it ships it.
+    fn sync_copy(c: &ClientCore, page: PageId) -> Arc<[u8]> {
+        let mut one = [Leaving::new(page)];
+        c.gate(&mut c.st.lock(), Exit::Sync, &mut one).unwrap();
+        let [Leaving { copy, .. }] = one;
+        copy.expect("a dirty page leaves through the synchronous exit")
+    }
+
+    /// The copy a synchronous exit (§3.6 reclamation, `harden`,
+    /// ship-at-commit, restart hardening) takes is stashed like a reply's:
+    /// a callback for another object of the page, running after the copy
+    /// left and before the server absorbed it, answers with that same
+    /// frame. Answered with none, it lets the server grant on a page that
+    /// lacks the shipped updates.
+    #[test]
+    fn a_wave_racing_a_synchronous_ship_reships_its_copy() {
+        let c = build();
+        let t = c.begin().unwrap();
+        let p = c.create_page(t).unwrap();
+        let a = c.insert(t, p, b"aaaa").unwrap();
+        let b = c.insert(t, p, b"bbbb").unwrap();
+        c.commit(t).unwrap();
+        let t = c.begin().unwrap();
+        c.write(t, a, b"AAAA").unwrap();
+        c.write(t, b, b"BBBB").unwrap();
+        c.commit(t).unwrap();
+
+        // `ship_pages` takes its copy through the gate, then ships it.
+        let shipping = sync_copy(&c, p);
+        assert!(!c.st.lock().cache.is_dirty(p));
+        let outcomes = c.handle_server_callback_batch(&[CallbackKind::DowngradeObject(b)]);
+        match &outcomes[0] {
+            CallbackOutcome::Done {
+                page_copy: Some(copy),
+                ..
+            } => assert!(
+                Arc::ptr_eq(copy, &shipping),
+                "one snapshot, not a second copy"
+            ),
+            other => panic!("a wave racing a synchronous ship shipped no copy: {other:?}"),
+        }
+        // The ship lands: its own stash goes with it.
+        c.ship_stashed(vec![(p, shipping)], true).unwrap();
+        assert!(!c.st.lock().in_transit.contains_key(&p));
+    }
+
+    /// A synchronous exit drops its stash on return only while the stash is
+    /// still its own frame: a newer copy stashed by a reply while the ship
+    /// was in flight must keep answering callbacks until it lands itself.
+    #[test]
+    fn a_newer_stash_survives_an_earlier_ships_return() {
+        let c = build();
+        let t = c.begin().unwrap();
+        let p = c.create_page(t).unwrap();
+        let a = c.insert(t, p, b"aaaa").unwrap();
+        let b = c.insert(t, p, b"bbbb").unwrap();
+        c.commit(t).unwrap();
+        let t = c.begin().unwrap();
+        c.write(t, a, b"AAAA").unwrap();
+        c.commit(t).unwrap();
+
+        let earlier = sync_copy(&c, p);
+        // While that ship is in flight the page is dirtied again and a
+        // callback reply ships (and stashes) the newer copy.
+        let t = c.begin().unwrap();
+        c.write(t, b, b"BBBB").unwrap();
+        c.commit(t).unwrap();
+        let outcomes = c.handle_server_callback_batch(&[CallbackKind::DowngradeObject(a)]);
+        let CallbackOutcome::Done {
+            page_copy: Some(newer),
+            ..
+        } = &outcomes[0]
+        else {
+            panic!("a dirty page ships with the reply: {:?}", outcomes[0]);
+        };
+        assert!(!Arc::ptr_eq(newer, &earlier));
+
+        c.ship_stashed(vec![(p, earlier)], true).unwrap();
+        let stash = c.st.lock().in_transit.get(&p).cloned();
+        assert!(
+            stash.is_some_and(|s| Arc::ptr_eq(&s, newer)),
+            "the earlier ship's return removed a newer stash"
+        );
+    }
+
+    /// The WAL rule at every exit a page copy has. An active transaction's
+    /// uncommitted update is on the page when it leaves. Under redo-only
+    /// logging the update's `UndoSpill` record must be durable by then;
+    /// under client ARIES the log must be durable through the page's last
+    /// record. Every exit counts its copy once in `pages_shipped`.
+    #[test]
+    fn every_exit_makes_the_log_durable_before_the_copy_leaves() {
+        type Drive = fn(&ClientCore, TxnId, PageId, ObjectId);
+        let exits: [(&str, Drive); 5] = [
+            ("eviction", |c, t, _, _| {
+                // A cache of two pages: two new pages push `p` out.
+                c.create_page(t).unwrap();
+                c.create_page(t).unwrap();
+            }),
+            ("callback reply", |c, _, _, other| {
+                c.handle_server_callback_batch(&[CallbackKind::ReleaseObject(other)]);
+            }),
+            ("deferred completion", |c, _, _, other| {
+                c.page_copy_for_callback(CallbackKind::ReleaseObject(other))
+                    .unwrap()
+                    .expect("a dirty page ships with its completion");
+            }),
+            ("synchronous ship", |c, _, p, _| {
+                c.ship_pages(&[p], true).unwrap()
+            }),
+            ("restart step 4", |c, _, p, _| {
+                c.ship_cached_pages_bytes(&[p])[0]
+                    .as_ref()
+                    .expect("a cached page ships at restart");
+            }),
+        ];
+        for strategy in [
+            LoggingStrategyKind::ClientAries,
+            LoggingStrategyKind::RedoOnly,
+        ] {
+            for (name, drive) in exits {
+                let mut cfg = SystemConfig::default().with_logging_strategy(strategy);
+                cfg.client_cache_pages = 2;
+                let c = build_with(cfg);
+                let t = c.begin().unwrap();
+                let p = c.create_page(t).unwrap();
+                let a = c.insert(t, p, b"aaaa").unwrap();
+                let other = c.insert(t, p, b"bbbb").unwrap();
+                c.commit(t).unwrap();
+                let t = c.begin().unwrap();
+                c.write(t, a, b"AAAA").unwrap();
+                let last = c.st.lock().dpt[&p].last_lsn;
+                let shipped = c.stats().pages_shipped;
+
+                drive(&c, t, p, other);
+
+                let st = c.st.lock();
+                let durable = st.wal.durable_lsn();
+                assert!(
+                    durable > last,
+                    "{name}/{strategy:?}: the update is not durable"
+                );
+                let mut spills = Vec::new();
+                let mut scan = st.wal.scan_from(Lsn::NIL);
+                while let Some(rec) = scan.next_header().unwrap() {
+                    if rec.header.kind == RecordKind::UndoSpill {
+                        spills.push((rec.lsn, rec.header.txn, rec.header.object));
+                    }
+                }
+                match strategy {
+                    LoggingStrategyKind::ClientAries => assert!(spills.is_empty(), "{name}"),
+                    LoggingStrategyKind::RedoOnly => {
+                        assert!(
+                            matches!(spills[..], [(lsn, txn, object)]
+                                if txn == t && object == a && lsn < durable),
+                            "{name}: one durable spill for the pending update: {spills:?}"
+                        );
+                    }
+                }
+                drop(st);
+                assert_eq!(c.stats().pages_shipped, shipped + 1, "{name}/{strategy:?}");
+            }
+        }
     }
 }

@@ -97,6 +97,44 @@ impl ClientState {
     }
 }
 
+/// How a page copy leaves the client through [`ClientCore::gate`].
+#[derive(Clone, Copy)]
+pub(crate) enum Exit<'a> {
+    /// A callback's batch reply or deferred completion (§3.2). A clean
+    /// page answers with its stash: a copy an earlier exit may still have
+    /// in flight. The stash stays until a synchronous exit replaces it.
+    Callback,
+    /// A synchronous ship ([`ClientCore::ship_pages`]); its stash goes
+    /// when the server's reply comes back.
+    Sync,
+    /// The dirty page the cache just evicted: the copy is taken from it.
+    /// Its stash goes once the ship returns, as a synchronous one's.
+    Evicted(&'a Page),
+    /// §3.4 step 4: every cached page ships, clean or dirty, and stays as
+    /// it is: dirty, with no ship point and no stash.
+    Restart,
+}
+
+/// One page through [`ClientCore::gate`]: the page goes in, and the gate
+/// fills in the copy that leaves, if any.
+pub(crate) struct Leaving {
+    pub page: PageId,
+    pub copy: Option<Arc<[u8]>>,
+    /// The page's §3.6 ship point, set between the gate's spills and its
+    /// force.
+    at: Option<Lsn>,
+}
+
+impl Leaving {
+    pub(crate) fn new(page: PageId) -> Self {
+        Leaving {
+            page,
+            copy: None,
+            at: None,
+        }
+    }
+}
+
 /// Per-client counters reported by experiments.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClientStats {
@@ -472,7 +510,7 @@ impl ClientCore {
                 .commit_ship_log(self.id, bytes, dirtied.clone())?;
             if self.cfg.commit_policy == CommitPolicy::ShipPagesAtCommit {
                 for page in dirtied {
-                    self.ship_page_copy(page, false)?;
+                    self.ship_pages(&[page], false)?;
                 }
             }
         }
@@ -671,42 +709,26 @@ impl ClientCore {
     }
 
     /// When a completed callback sheds a lock on a dirtied page, ship the
-    /// copy with the completion (§3.2) — forcing the log first (WAL).
-    ///
-    /// The copy is stashed in `in_transit` exactly as a batch reply's is
-    /// (DESIGN §6.12): until the server absorbs this completion, a
-    /// callback wave racing it finds the page clean, and without the stash
-    /// it would answer with no copy and let the server grant on a page
-    /// that lacks these updates. For the same reason a completion that
-    /// finds the page clean re-ships a stashed copy, which an earlier
-    /// reply may still be carrying.
+    /// copy with the completion (§3.2) through the gate, exactly as a
+    /// batch reply does (DESIGN §6.12): until the server absorbs this
+    /// completion, a callback wave racing it finds the page clean and
+    /// answers with the stashed copy. For the same reason a completion
+    /// that finds the page clean re-ships a stashed copy, which an earlier
+    /// exit may still be carrying.
     pub(crate) fn page_copy_for_callback(&self, kind: CallbackKind) -> Result<Option<Arc<[u8]>>> {
-        let sheds = !matches!(kind, CallbackKind::DeEscalatePage(_));
-        let page = kind.page();
         let mut st = self.st.lock();
-        let bytes = if st.cache.is_dirty(page) {
-            self.spill_undo_for_page(&mut st, page)?;
-            st.force_for_pages(&[page])?;
-            let bytes: Option<Arc<[u8]>> = st.cache.peek(page).map(|p| p.to_wire().into());
-            if let Some(b) = &bytes {
-                st.cache.mark_clean(page);
-                self.pages_shipped.fetch_add(1, Ordering::Relaxed);
-                self.note_shipped(&mut st, page);
-                st.in_transit.insert(page, Arc::clone(b));
-            }
-            bytes
-        } else {
-            st.in_transit.get(&page).cloned()
-        };
-        if sheds {
-            self.drop_if_unlocked(&mut st, page);
+        let mut one = [Leaving::new(kind.page())];
+        self.gate(&mut st, Exit::Callback, &mut one)?;
+        if !matches!(kind, CallbackKind::DeEscalatePage(_)) {
+            self.drop_if_unlocked(&mut st, kind.page());
         }
-        Ok(bytes)
+        let [Leaving { copy, .. }] = one;
+        Ok(copy)
     }
 
     /// §3.2: after releasing locks, drop the page from the cache when no
     /// lock on it remains.
-    pub(crate) fn drop_if_unlocked(&self, st: &mut ClientState, page: PageId) {
+    fn drop_if_unlocked(&self, st: &mut ClientState, page: PageId) {
         if !st.llm.holds_any_on_page(page) {
             st.cache.remove(page);
         }
@@ -820,7 +842,7 @@ impl ClientCore {
             st.llm.grant_page_lock(txn, pid, ObjMode::X);
             Self::ensure_dpt(&mut st, pid);
             let ev = st.cache.install_exact(page, false);
-            self.stash_evicted(&mut st, ev)?
+            self.gate_evicted(&mut st, ev)?
         };
         self.handle_evicted(evicted)?;
         Ok(pid)
@@ -1243,55 +1265,109 @@ impl ClientCore {
     }
 
     /// Merge a page copy from the server — a fetch's, or the one a lock
-    /// grant carried — into the cache (§2), and stash the dirty page that
-    /// pushed out, if any, for [`Self::handle_evicted`] to ship once the
-    /// guard is gone.
-    fn install_from_server(&self, st: &mut ClientState, bytes: Vec<u8>) -> Result<Option<PageId>> {
+    /// grant carried — into the cache (§2), and pass the dirty page that
+    /// pushed out, if any, through the gate, for [`Self::handle_evicted`]
+    /// to ship once the guard is gone.
+    fn install_from_server(
+        &self,
+        st: &mut ClientState,
+        bytes: Vec<u8>,
+    ) -> Result<Option<(PageId, Arc<[u8]>)>> {
         let incoming = Page::from_wire(&bytes, self.cfg.page_size)?;
         st.refetch.remove(&incoming.id());
         let ev = st.cache.install_from_server(incoming)?;
-        self.stash_evicted(st, ev)
+        self.gate_evicted(st, ev)
     }
 
-    /// A dirty page fell out of the cache: force the log (WAL), ship it to
-    /// the server, and remember the end of log for the §3.6 RedoLSN
-    /// advance. The page must already be stashed in `in_transit` (by the
-    /// same critical section that evicted it) so callbacks racing the
-    /// ship can still produce the copy.
-    fn handle_evicted(&self, evicted: Option<PageId>) -> Result<()> {
-        let Some(pid) = evicted else { return Ok(()) };
-        let bytes = {
-            let st = self.st.lock();
-            match st.in_transit.get(&pid) {
-                // Arc bump — the stash and the ship share one frame.
-                Some(b) => Arc::clone(b),
-                None => return Ok(()), // a callback already shipped it
-            }
+    /// Ship the dirty page an eviction pushed out (§2). The gate stashed
+    /// it in the critical section that evicted it, so a callback racing
+    /// this ship still answers with the copy. A stash that no longer holds
+    /// this frame means a crash cleared it, or a newer copy of the page
+    /// took its place and leaves by its own exit: this frame then stays.
+    fn handle_evicted(&self, evicted: Option<(PageId, Arc<[u8]>)>) -> Result<()> {
+        let Some((page, frame)) = evicted else {
+            return Ok(());
         };
-        self.pages_shipped.fetch_add(1, Ordering::Relaxed);
-        let result = self.server.ship_page(self.id, bytes, true);
-        self.st.lock().in_transit.remove(&pid);
-        result
+        if !Self::stashes(&self.st.lock(), page, &frame) {
+            return Ok(());
+        }
+        self.ship_stashed(vec![(page, frame)], true)
     }
 
-    /// Stash an evicted dirty page for shipping; runs inside the same
-    /// lock scope as the eviction (no window where the page exists
-    /// nowhere). Forces the log first (WAL rule) and remembers the §3.6
-    /// ship point.
-    fn stash_evicted(
+    /// Pass the dirty page the cache just evicted, if any, through the
+    /// gate, inside the critical section that evicted it: there is no
+    /// window in which the page exists nowhere.
+    fn gate_evicted(
         &self,
         st: &mut ClientState,
         evicted: Option<fgl_storage::bufferpool::EvictedPage>,
-    ) -> Result<Option<PageId>> {
-        let Some(ev) = evicted.filter(|e| e.dirty) else {
-            return Ok(None);
-        };
-        let pid = ev.page.id();
-        self.spill_undo_for_page(st, pid)?;
-        st.force_for_pages(&[pid])?;
-        self.note_shipped(st, pid);
-        st.in_transit.insert(pid, ev.page.to_wire().into());
-        Ok(Some(pid))
+    ) -> Result<Option<(PageId, Arc<[u8]>)>> {
+        let Some(ev) = evicted else { return Ok(None) };
+        let mut one = [Leaving::new(ev.page.id())];
+        self.gate(st, Exit::Evicted(&ev.page), &mut one)?;
+        let [Leaving { page, copy, .. }] = one;
+        Ok(copy.map(|frame| (page, frame)))
+    }
+
+    /// The one way a page copy leaves the client (§2, §3.2, §3.6). Under
+    /// the state mutex, for every page of `pages` that leaves by `exit`:
+    /// append the redo-only undo spills for it (the steal point), force
+    /// the log once through the last records of all of them (the WAL
+    /// rule), take one wire snapshot and count it in `pages_shipped`.
+    /// Unless the exit is [`Exit::Restart`], the page is then marked
+    /// clean, the end of log after its own spills is remembered as its
+    /// §3.6 ship point, and the frame is stashed in `in_transit`: until
+    /// the server absorbs it, a callback racing the ship answers with
+    /// that frame (DESIGN §6.12). Copies are filled in only once the
+    /// force succeeded, so a gate that fails fills in none.
+    pub(crate) fn gate(
+        &self,
+        st: &mut ClientState,
+        exit: Exit,
+        pages: &mut [Leaving],
+    ) -> Result<()> {
+        for p in pages.iter_mut() {
+            let leaves = match exit {
+                Exit::Callback | Exit::Sync => st.cache.is_dirty(p.page),
+                Exit::Evicted(_) => true,
+                Exit::Restart => st.cache.contains(p.page),
+            };
+            if leaves {
+                self.spill_undo_for_page(st, p.page)?;
+                p.at = Some(st.wal.end_lsn());
+            }
+        }
+        let mut leaving = pages.iter().filter(|p| p.at.is_some()).peekable();
+        if leaving.peek().is_some() {
+            st.force_for_pages(leaving.map(|p| &p.page))?;
+        }
+        for p in pages.iter_mut() {
+            let Some(at) = p.at else {
+                // A callback finding the page clean re-ships the stashed
+                // frame an earlier exit may still have in flight (an Arc
+                // bump, not a page copy).
+                if let Exit::Callback = exit {
+                    p.copy = st.in_transit.get(&p.page).cloned();
+                }
+                continue;
+            };
+            let source = match exit {
+                Exit::Evicted(evicted) => evicted,
+                _ => st.cache.peek(p.page).expect("a leaving page is cached"),
+            };
+            let frame: Arc<[u8]> = source.to_wire().into();
+            self.pages_shipped.fetch_add(1, Ordering::Relaxed);
+            if !matches!(exit, Exit::Restart) {
+                st.cache.mark_clean(p.page);
+                if let Some(e) = st.dpt.get_mut(&p.page) {
+                    e.remembered = Some(at);
+                    e.updated_since_ship = false;
+                }
+                st.in_transit.insert(p.page, Arc::clone(&frame));
+            }
+            p.copy = Some(frame);
+        }
+        Ok(())
     }
 
     /// The steal point, called under the state mutex right before a
@@ -1301,9 +1377,8 @@ impl ClientCore {
     /// spilled yet. The caller's force then makes them durable before the
     /// page ships, so a crash can still roll those transactions back from
     /// the log alone. Finds nothing unless an active transaction logs
-    /// redo-only; returns whether it appended anything (so a caller that
-    /// believed the log durable must force again).
-    pub(crate) fn spill_undo_for_page(&self, st: &mut ClientState, page: PageId) -> Result<bool> {
+    /// redo-only.
+    fn spill_undo_for_page(&self, st: &mut ClientState, page: PageId) -> Result<()> {
         let mut spills: Vec<UndoSpillRecord> = Vec::new();
         for t in st.txns.values() {
             if !t.is_active() || t.log_mode != Some(TxnLogMode::RedoOnly) {
@@ -1329,7 +1404,6 @@ impl ClientCore {
                 });
             }
         }
-        let spilled = !spills.is_empty();
         for rec in spills {
             let (txn, object) = (rec.txn, rec.object);
             self.append(st, &LogPayload::UndoSpill(rec), true)?;
@@ -1337,76 +1411,63 @@ impl ClientCore {
                 t.cold_mut().spilled.insert(object);
             }
         }
-        Ok(spilled)
+        Ok(())
     }
 
-    fn note_shipped(&self, st: &mut ClientState, page: PageId) {
-        let end = st.wal.end_lsn();
-        Self::note_shipped_at(st, page, end);
-    }
-
-    /// Remember `at` as `page`'s §3.6 ship point.
-    fn note_shipped_at(st: &mut ClientState, page: PageId, at: Lsn) {
-        if let Some(e) = st.dpt.get_mut(&page) {
-            e.remembered = Some(at);
-            e.updated_since_ship = false;
-        }
-    }
-
-    /// Ship a copy of a cached page to the server (commit baselines, §3.6
-    /// space reclamation and [`harden`](Self::harden)).
-    pub(crate) fn ship_page_copy(&self, page: PageId, replaced: bool) -> Result<()> {
-        let Some(bytes) = self.frames_to_ship(&[page])?.pop() else {
-            return Ok(());
-        };
-        self.pages_shipped.fetch_add(1, Ordering::Relaxed);
-        self.server.ship_page(self.id, bytes, replaced)
-    }
-
-    /// [`ship_page_copy`](Self::ship_page_copy) for every dirty page of
-    /// `pages` in one message (restart hardening).
+    /// The synchronous exits (§3.6 reclamation, [`harden`](Self::harden),
+    /// ship-at-commit, restart hardening): ship the dirty pages among
+    /// `pages` through the gate, in one message.
     pub(crate) fn ship_pages(&self, pages: &[PageId], replaced: bool) -> Result<()> {
-        let frames = self.frames_to_ship(pages)?;
-        if frames.is_empty() {
-            return Ok(());
-        }
-        self.pages_shipped
-            .fetch_add(frames.len() as u64, Ordering::Relaxed);
-        self.server.ship_pages(self.id, frames, replaced)
+        let mut leaving: Vec<Leaving> = pages.iter().map(|&page| Leaving::new(page)).collect();
+        self.gate(&mut self.st.lock(), Exit::Sync, &mut leaving)?;
+        let frames = leaving
+            .into_iter()
+            .filter_map(|p| Some((p.page, p.copy?)))
+            .collect();
+        self.ship_stashed(frames, replaced)
     }
 
-    /// Snapshot the dirty pages of `pages` for shipping and mark them
-    /// clean, under one hold of the state mutex: one
-    /// [`spill_undo_for_page`](Self::spill_undo_for_page) per page, then
-    /// one log force for all of them (WAL rule). Each page's §3.6 ship
-    /// point is the end of log after its own spills, as if it shipped
-    /// alone.
-    fn frames_to_ship(&self, pages: &[PageId]) -> Result<Vec<Arc<[u8]>>> {
+    /// Ship frames the gate stashed, then drop each stash that still holds
+    /// this ship's own frame. A newer copy stashed while the ship was in
+    /// flight stays: it must answer callbacks until its own ship lands.
+    pub(crate) fn ship_stashed(
+        &self,
+        frames: Vec<(PageId, Arc<[u8]>)>,
+        replaced: bool,
+    ) -> Result<()> {
+        let result = match frames.as_slice() {
+            [] => return Ok(()),
+            [(_, frame)] => self.server.ship_page(self.id, Arc::clone(frame), replaced),
+            _ => {
+                let copies = frames.iter().map(|(_, frame)| Arc::clone(frame)).collect();
+                self.server.ship_pages(self.id, copies, replaced)
+            }
+        };
         let mut st = self.st.lock();
-        let mut shipping = Vec::with_capacity(pages.len());
-        for &page in pages {
-            if st.cache.is_dirty(page) {
-                self.spill_undo_for_page(&mut st, page)?;
-                shipping.push((page, st.wal.end_lsn()));
+        for (page, frame) in &frames {
+            if Self::stashes(&st, *page, frame) {
+                st.in_transit.remove(page);
             }
         }
-        if shipping.is_empty() {
-            return Ok(Vec::new());
-        }
-        st.force_for_pages(shipping.iter().map(|(page, _)| page))?;
-        shipping
-            .into_iter()
-            .map(|(page, shipped_at)| {
-                let bytes: Arc<[u8]> = st
-                    .cache
-                    .peek(page)
-                    .map(|p| p.to_wire().into())
-                    .ok_or(FglError::PageNotFound(page))?;
-                st.cache.mark_clean(page);
-                Self::note_shipped_at(&mut st, page, shipped_at);
-                Ok(bytes)
-            })
-            .collect()
+        result
+    }
+
+    /// Is `frame` the copy of `page` stashed in `in_transit`?
+    fn stashes(st: &ClientState, page: PageId, frame: &Arc<[u8]>) -> bool {
+        st.in_transit
+            .get(&page)
+            .is_some_and(|stash| Arc::ptr_eq(stash, frame))
+    }
+
+    /// Ship our dirty copy of `page` if we still cache one, then have the
+    /// server force the page (§3.6). The `force_page` reply is itself the
+    /// flush acknowledgment (the broadcast notification additionally
+    /// reaches other clients that replaced the page).
+    fn ship_and_force(&self, page: PageId) -> Result<()> {
+        self.ship_pages(&[page], true)?;
+        self.server.force_page(self.id, page)?;
+        self.handle_flush_notification(page);
+        Ok(())
     }
 
     // ---- logging ------------------------------------------------------------------
@@ -1479,14 +1540,8 @@ impl ClientCore {
                 }
                 return Ok(());
             };
-            // Ship our dirty copy if we still cache it, then ask the
-            // server to force the page (§3.6). The force_page reply is
-            // itself the flush acknowledgment (the broadcast notification
-            // additionally reaches other clients that replaced the page).
-            self.ship_page_copy(page, true)?;
             self.forced_flush_requests.fetch_add(1, Ordering::Relaxed);
-            self.server.force_page(self.id, page)?;
-            self.handle_flush_notification(page);
+            self.ship_and_force(page)?;
         }
         Err(FglError::LogFull)
     }
@@ -1704,23 +1759,14 @@ impl ClientCore {
     /// DPT is empty). Used by experiment setup and by operators before
     /// planned downtime.
     pub fn harden(&self) -> Result<()> {
-        let dirty: Vec<PageId> = {
-            let st = self.st.lock();
-            st.cache.dirty_ids()
-        };
+        let dirty = self.st.lock().cache.dirty_ids();
         for page in dirty {
-            self.ship_page_copy(page, true)?;
-            self.server.force_page(self.id, page)?;
-            self.handle_flush_notification(page);
+            self.ship_and_force(page)?;
         }
         // Pages updated and replaced earlier may still hold DPT entries.
-        let remaining: Vec<PageId> = {
-            let st = self.st.lock();
-            st.dpt.keys().copied().collect()
-        };
+        let remaining: Vec<PageId> = self.st.lock().dpt.keys().copied().collect();
         for page in remaining {
-            self.server.force_page(self.id, page)?;
-            self.handle_flush_notification(page);
+            self.ship_and_force(page)?;
         }
         self.checkpoint()
     }

@@ -214,8 +214,7 @@ enum Intent {
 /// Default task stack: 256 KiB reserved. Allocations this size are
 /// served by `mmap` and only the touched pages become resident, so a
 /// thousand mostly-idle tasks stay cheap. Harness workloads with a known
-/// shallow depth can shrink it via [`set_stack_size`] or
-/// `FGL_SCHED_STACK_KB`.
+/// shallow depth can shrink it via [`set_stack_size`].
 const DEFAULT_STACK: usize = 256 * 1024;
 
 /// Smallest stack accepted: the protocol's deepest observed paths stay
@@ -244,29 +243,11 @@ fn validate_stack_size(bytes: usize, origin: &str) {
     }
 }
 
-/// `FGL_SCHED_STACK_KB` override, parsed and validated once. An invalid
-/// value is a configuration error and panics with the offending value.
-fn env_stack_size() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("FGL_SCHED_STACK_KB").ok()?;
-        let kb: usize = raw
-            .parse()
-            .unwrap_or_else(|_| panic!("FGL_SCHED_STACK_KB must be an integer, got {raw:?}"));
-        let bytes = kb
-            .checked_mul(1024)
-            .unwrap_or_else(|| panic!("FGL_SCHED_STACK_KB={kb} overflows"));
-        validate_stack_size(bytes, "FGL_SCHED_STACK_KB");
-        Some(bytes)
-    })
-}
-
 static CONFIGURED_STACK: AtomicUsize = AtomicUsize::new(DEFAULT_STACK);
 
 /// Set the task stack size for stacks allocated from now on (pooled
-/// stacks of other sizes stay in their own size class). The
-/// `FGL_SCHED_STACK_KB` environment override, when present, wins over
-/// this. Panics on sizes below [`MIN_STACK`] or not page-multiples.
+/// stacks of other sizes stay in their own size class). Panics on sizes
+/// below [`MIN_STACK`] or not page-multiples.
 pub fn set_stack_size(bytes: usize) {
     validate_stack_size(bytes, "set_stack_size");
     CONFIGURED_STACK.store(bytes, Ordering::Relaxed);
@@ -274,19 +255,13 @@ pub fn set_stack_size(bytes: usize) {
 
 /// The size new task stacks are allocated with.
 pub fn stack_size() -> usize {
-    env_stack_size().unwrap_or_else(|| CONFIGURED_STACK.load(Ordering::Relaxed))
+    CONFIGURED_STACK.load(Ordering::Relaxed)
 }
 
 /// The process-wide stack free list (see the `stack` module).
 fn stack_pool() -> &'static StackPool {
     static POOL: OnceLock<StackPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let limit = std::env::var("FGL_SCHED_STACK_POOL_WARM")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(StackPool::DEFAULT_WARM_LIMIT);
-        StackPool::new(limit)
-    })
+    POOL.get_or_init(|| StackPool::new(StackPool::WARM_LIMIT))
 }
 
 // ---- the shared scheduler ---------------------------------------------------
@@ -1073,9 +1048,6 @@ mod tests {
     fn effective_stack_size_is_surfaced_and_settable() {
         let base = sched_stats().stack_size_bytes;
         assert!(base as usize >= MIN_STACK);
-        if std::env::var("FGL_SCHED_STACK_KB").is_ok() {
-            return; // env override wins; nothing to set
-        }
         set_stack_size(MIN_STACK);
         assert_eq!(sched_stats().stack_size_bytes as usize, MIN_STACK);
         set_stack_size(base as usize);

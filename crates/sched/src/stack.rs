@@ -138,7 +138,8 @@ pub struct StackPool {
 }
 
 impl StackPool {
-    pub const DEFAULT_WARM_LIMIT: usize = 128;
+    /// The warm limit of the process-wide pool.
+    pub const WARM_LIMIT: usize = 128;
 
     pub fn new(warm_limit: usize) -> StackPool {
         StackPool {
@@ -204,7 +205,7 @@ mod tests {
 
     #[test]
     fn reuse_across_task_generations() {
-        let pool = StackPool::new(StackPool::DEFAULT_WARM_LIMIT);
+        let pool = StackPool::new(StackPool::WARM_LIMIT);
         let size = 13 * PAGE;
         // Generation 1: nothing pooled, both acquisitions allocate.
         let a = pool.acquire(size);
@@ -226,7 +227,7 @@ mod tests {
 
     #[test]
     fn size_classes_do_not_mix() {
-        let pool = StackPool::new(StackPool::DEFAULT_WARM_LIMIT);
+        let pool = StackPool::new(StackPool::WARM_LIMIT);
         let small = 9 * PAGE;
         let big = 17 * PAGE;
         pool.release(Stack::alloc(small));

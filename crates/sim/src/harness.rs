@@ -40,8 +40,7 @@ pub struct HarnessOptions {
     /// default. Harness workloads have a known shallow depth, so scaling
     /// runs shrink this well below the 256 KiB general-purpose default.
     /// Applied via
-    /// [`fgl_sched::set_stack_size`] (process-wide; the
-    /// `FGL_SCHED_STACK_KB` env override wins), and validated there —
+    /// [`fgl_sched::set_stack_size`] (process-wide), and validated there —
     /// sizes below the floor or not page-multiples panic.
     pub sched_stack_kb: usize,
 }
