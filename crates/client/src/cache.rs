@@ -5,11 +5,13 @@
 //! client *installs the updates present on the incoming copy onto its
 //! cached version* — the same per-slot-PSN merge the server uses — so the
 //! client's own locked (possibly uncommitted) updates survive while
-//! missing remote updates arrive.
+//! missing remote updates arrive. The merge runs in place in the cached
+//! frame ([`merge_into`]), so the frame keeps its dirty flag and takes one
+//! LRU touch, as an install would give it.
 
 use fgl_common::{PageId, Result};
 use fgl_storage::bufferpool::{BufferPool, EvictedPage};
-use fgl_storage::merge::merge_pages;
+use fgl_storage::merge::merge_into;
 use fgl_storage::page::Page;
 
 /// Client page cache. Not internally synchronized (lives inside the
@@ -31,21 +33,15 @@ impl ClientCache {
         self.pool.warm();
     }
 
-    /// Install a copy arriving from the server. Merges with a resident
-    /// copy when present (keeping the dirtiness of the resident state);
-    /// returns any evicted dirty page that must be shipped to the server.
+    /// Install a copy arriving from the server. Merges into a resident
+    /// copy in place when present (its dirty flag unchanged); returns any
+    /// evicted dirty page that must be shipped to the server.
     pub fn install_from_server(&mut self, incoming: Page) -> Result<Option<EvictedPage>> {
-        let id = incoming.id();
-        let (merged, dirty) = match self.pool.peek(id) {
-            Some(resident) => {
-                let was_dirty = self.pool.is_dirty(id);
-                let (m, _) = merge_pages(resident, &incoming)?;
-                (m, was_dirty)
-            }
-            None => (incoming, false),
-        };
-        let evicted = self.pool.insert(merged, dirty);
-        Ok(evicted.filter(|e| e.dirty))
+        if let Some(resident) = self.pool.get_mut_clean(incoming.id()) {
+            merge_into(resident, &incoming)?;
+            return Ok(None);
+        }
+        Ok(self.pool.insert(incoming, false).filter(|e| e.dirty))
     }
 
     /// Install a page the client knows to be authoritative (allocation,

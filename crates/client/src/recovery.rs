@@ -34,7 +34,7 @@ use fgl_common::{FglError, IdMap, LoggingStrategyKind, Lsn, ObjectId, PageId, Ps
 use fgl_locks::mode::ObjMode;
 use fgl_net::peer::{RecoverJob, RecoveredPageOutcome, RECOVER_BATCH_PAGES};
 use fgl_obs::{emit, Event, LogOwner, RecoveryPhase};
-use fgl_storage::merge::merge_pages;
+use fgl_storage::merge::merge_into;
 use fgl_storage::page::Page;
 use fgl_wal::records::{LogPayload, RecordHeader, RecordKind};
 use fgl_wal::{LogManager, LogRecordEntry};
@@ -685,8 +685,7 @@ impl ClientCore {
                         Some((r.from_client, r.psn)),
                     )?;
                     let incoming = Page::from_wire(&bytes, self.config().page_size)?;
-                    let (merged, _) = merge_pages(&work, &incoming)?;
-                    work = merged;
+                    merge_into(&mut work, &incoming)?;
                 }
             } else if r.kind.redoes() {
                 // Apply only when the record's PSN is >= the object's

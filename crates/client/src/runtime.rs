@@ -1355,7 +1355,7 @@ impl ClientCore {
                 Exit::Evicted(evicted) => evicted,
                 _ => st.cache.peek(p.page).expect("a leaving page is cached"),
             };
-            let frame: Arc<[u8]> = source.to_wire().into();
+            let frame = source.wire_frame();
             self.pages_shipped.fetch_add(1, Ordering::Relaxed);
             if !matches!(exit, Exit::Restart) {
                 st.cache.mark_clean(p.page);

@@ -9,7 +9,7 @@
 use fgl_common::{PageId, Psn, Result};
 use fgl_storage::bufferpool::BufferPool;
 use fgl_storage::disk::DiskBackend;
-use fgl_storage::merge::{merge_pages, MergeOutcome};
+use fgl_storage::merge::merge_into;
 use fgl_storage::page::Page;
 use fgl_storage::spacemap::SpaceMap;
 use std::sync::Arc;
@@ -125,40 +125,31 @@ impl PageStore {
         }
     }
 
-    /// §2 merge-on-receive: merge a copy arriving from a client with the
-    /// resident version — the pool's, else `disk_copy`, the on-disk
-    /// version the caller read without holding the store lock. Returns
-    /// the PSN carried by the incoming copy (DCT refresh) and the merge
-    /// outcome.
+    /// §2 merge-on-receive: merge a copy arriving from a client into the
+    /// resident version in place — the pool frame, else `disk_copy`, the
+    /// on-disk version the caller read without holding the store lock.
+    /// Returns the PSN carried by the incoming copy (DCT refresh).
     pub fn receive_with(
         &mut self,
         incoming: Page,
         disk_copy: Option<Page>,
-    ) -> Result<(Psn, MergeOutcome, EvictedDirty)> {
+    ) -> Result<(Psn, EvictedDirty)> {
         let id = incoming.id();
         let incoming_psn = incoming.psn();
-        let mut evicted = Vec::new();
-        let resident = match self.pool.get(id) {
-            Some(p) => Some(p.clone()),
-            None => disk_copy,
-        };
-        let (merged, outcome) = match resident {
-            Some(res) => merge_pages(&res, &incoming)?,
-            None => {
-                // First sighting of this page (allocated by the client via
-                // the server, so normally resident; tolerate disk-less
-                // arrival by treating the incoming copy as authoritative).
-                let out = MergeOutcome {
-                    merged_psn: incoming.psn(),
-                    taken_from_incoming: incoming.slot_count() as usize,
-                    kept_from_resident: 0,
-                };
-                (incoming, out)
-            }
+        let evicted = if let Some(frame) = self.pool.get_mut(id) {
+            merge_into(frame, &incoming)?;
+            Vec::new()
+        } else if let Some(mut resident) = disk_copy {
+            merge_into(&mut resident, &incoming)?;
+            self.insert_dirty(resident)
+        } else {
+            // First sighting of this page (allocated by the client via
+            // the server, so normally resident; tolerate disk-less
+            // arrival by treating the incoming copy as authoritative).
+            self.insert_dirty(incoming)
         };
         self.merges += 1;
-        evicted.extend(self.insert_dirty(merged));
-        Ok((incoming_psn, outcome, evicted))
+        Ok((incoming_psn, evicted))
     }
 
     /// Current PSN of the resident copy (pool, else disk), if any.
@@ -245,7 +236,7 @@ mod tests {
 
     /// Merge-on-receive after the disk read, as the runtime's
     /// `absorb_parsed` does it.
-    fn receive(s: &mut PageStore, incoming: Page) -> Result<(Psn, MergeOutcome, EvictedDirty)> {
+    fn receive(s: &mut PageStore, incoming: Page) -> Result<(Psn, EvictedDirty)> {
         let disk = s.disk_handle().read_page(incoming.id())?;
         s.receive_with(incoming, disk)
     }
@@ -311,10 +302,10 @@ mod tests {
         let (ship2, _) = get_copy(&mut s, pid).unwrap();
         let mut v2 = ship2.clone();
         v2.write_object(slot, b"bbbb").unwrap();
-        let (psn, outcome, _) = receive(&mut s, v2.clone()).unwrap();
+        let (psn, _) = receive(&mut s, v2.clone()).unwrap();
         assert_eq!(psn, v2.psn());
-        assert!(outcome.merged_psn > v2.psn());
         let (merged, _) = get_copy(&mut s, pid).unwrap();
+        assert!(merged.psn() > v2.psn());
         assert_eq!(merged.read_object(slot).unwrap(), b"bbbb");
     }
 
@@ -389,7 +380,7 @@ mod tests {
         let mut s = store(4);
         let mut foreign = Page::format(512, PageId(33), Psn(5));
         foreign.insert_object(b"data").unwrap();
-        let (psn, _, _) = receive(&mut s, foreign.clone()).unwrap();
+        let (psn, _) = receive(&mut s, foreign.clone()).unwrap();
         assert_eq!(psn, foreign.psn());
         let (copy, _) = get_copy(&mut s, PageId(33)).unwrap();
         assert_eq!(copy.read_object(SlotId(0)).unwrap(), b"data");

@@ -591,7 +591,7 @@ impl ServerCore {
         // merge re-checks the pool (a copy that slipped in wins as the
         // resident side).
         let store = self.store.lock();
-        let (incoming_psn, _outcome, evicted) = {
+        let (incoming_psn, evicted) = {
             let mut store = store;
             if store.pool_has(id) {
                 store.receive_with(page, None)?

@@ -12,6 +12,6 @@ pub mod spacemap;
 
 pub use bufferpool::{BufferPool, EvictedPage};
 pub use disk::{DiskBackend, DiskStats, FileDisk, MemDisk, SimDisk};
-pub use merge::{merge_pages, MergeOutcome};
+pub use merge::{merge_into, merge_pages};
 pub use page::{Page, PAGE_HEADER_SIZE, SLOT_ENTRY_SIZE};
 pub use spacemap::SpaceMap;

@@ -6,33 +6,33 @@
 //! [`crate::page`]: every object (slot) carries the page PSN it was last
 //! modified at, and the callback protocol guarantees that PSNs written for
 //! the *same object* by different clients are monotone (§2). Hence for
-//! each slot the copy with the larger slot PSN holds the newer state, and
-//! the merged page takes each object from its winning copy.
+//! each slot the copy with the larger slot PSN holds the newer state.
+//!
+//! [`merge_into`] merges in place: the resident copy (a server pool frame,
+//! a client cache frame, a recovery work page) takes the incoming copy's
+//! newer slots where they lie. A same-size object is overwritten in its
+//! extent, a freed one becomes a dead entry, and only an object that
+//! changed size or is new to the resident slot table is re-placed
+//! (compacting the page if its free gap is short). Objects the resident
+//! copy wins stay untouched, so the common merge — a few same-size
+//! overwrites — copies just those bytes and allocates nothing.
 //!
 //! The merged page PSN is `max(PSN_ours, PSN_theirs) + 1` (§2), strictly
 //! greater than both inputs even on ties.
 
-use crate::page::Page;
+use crate::page::{Page, Slot, PAGE_HEADER_SIZE, SLOT_ENTRY_SIZE};
 use fgl_common::{FglError, Psn, Result, SlotId};
 
-/// Statistics describing what a merge did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MergeOutcome {
-    /// PSN installed on the merged page.
-    pub merged_psn: Psn,
-    /// Slots whose state was taken from the incoming copy.
-    pub taken_from_incoming: usize,
-    /// Slots whose state was kept from the resident copy.
-    pub kept_from_resident: usize,
-}
-
-/// Merge `incoming` into `resident`, returning the merged page.
+/// Merge `incoming` into `resident` in place and return the merged page
+/// PSN.
 ///
-/// Both copies must be copies of the same page. The merge is symmetric in
-/// content (the higher slot PSN wins regardless of direction); on a slot
-/// PSN tie the resident state is kept — the protocol guarantees tied
-/// versions are identical updates observed via different paths.
-pub fn merge_pages(resident: &Page, incoming: &Page) -> Result<(Page, MergeOutcome)> {
+/// Both copies must be copies of the same page. For every slot the higher
+/// slot PSN wins regardless of direction; a slot only one copy has comes
+/// from that copy. On a slot PSN tie the resident state is kept — the
+/// protocol guarantees tied versions are identical updates observed via
+/// different paths. A merge that returns `Err` (different pages, or a
+/// merged page that would not fit) leaves `resident` byte-identical.
+pub fn merge_into(resident: &mut Page, incoming: &Page) -> Result<Psn> {
     if resident.id() != incoming.id() {
         return Err(FglError::Protocol(format!(
             "merge of different pages: {} vs {}",
@@ -48,57 +48,108 @@ pub fn merge_pages(resident: &Page, incoming: &Page) -> Result<(Page, MergeOutco
             incoming.size()
         )));
     }
+    let ours = resident.slot_count();
+    let theirs = incoming.slot_count();
+    let slots = ours.max(theirs);
 
-    let ours = resident.snapshot_all_slots();
-    let theirs = incoming.snapshot_all_slots();
-    let max_slots = ours.len().max(theirs.len());
-
-    let merged_psn = Psn::merge(resident.psn(), incoming.psn());
-    let mut out = Page::format(resident.size(), resident.id(), Psn::ZERO);
-    let mut outcome = MergeOutcome {
-        merged_psn,
-        taken_from_incoming: 0,
-        kept_from_resident: 0,
-    };
-
-    for i in 0..max_slots {
-        let slot = SlotId(i as u16);
-        let a = ours.get(i);
-        let b = theirs.get(i);
-        // (psn, live, bytes) winner selection; resident wins ties.
-        let (winner_psn, live, bytes, from_incoming) = match (a, b) {
-            (Some((_, pa, la, da)), Some((_, pb, lb, db))) => {
+    // Size the merged page before touching it: its slot table plus every
+    // winning live object must fit.
+    let mut live_bytes = 0usize;
+    for i in 0..slots {
+        let slot = SlotId(i);
+        let won = match (resident.read_slot(slot), incoming.read_slot(slot)) {
+            (Some(a), Some(b)) => {
                 // Protocol invariant (§2): PSNs written for the same
                 // object are monotone across clients, so two copies
                 // carrying the same slot PSN must carry the same state.
                 debug_assert!(
-                    pa != pb || (la == lb && da == db) || pa == &Psn::ZERO,
+                    a.psn != b.psn || a.psn == Psn::ZERO || same_state(resident, a, incoming, b),
                     "PSN monotonicity violated on {} slot {:?}: psn {:?} with diverging content",
                     resident.id(),
                     slot,
-                    pa
+                    a.psn
                 );
-                if pb > pa {
-                    (*pb, *lb, db, true)
+                if b.psn > a.psn {
+                    b
                 } else {
-                    (*pa, *la, da, false)
+                    a
                 }
             }
-            (Some((_, pa, la, da)), None) => (*pa, *la, da, false),
-            (None, Some((_, pb, lb, db))) => (*pb, *lb, db, true),
-            (None, None) => unreachable!("i < max_slots"),
+            (Some(s), None) | (None, Some(s)) => s,
+            (None, None) => unreachable!("i < slots"),
         };
-        if from_incoming {
-            outcome.taken_from_incoming += 1;
-        } else {
-            outcome.kept_from_resident += 1;
+        if won.live() {
+            live_bytes += won.len as usize;
         }
-        let data = if live { Some(bytes.as_slice()) } else { None };
-        out.install_object(slot, data, winner_psn)?;
     }
+    let (needed, room) = (
+        slots as usize * SLOT_ENTRY_SIZE + live_bytes,
+        resident.size() - PAGE_HEADER_SIZE,
+    );
+    if needed > room {
+        return Err(FglError::PageFull {
+            page: resident.id(),
+            needed,
+            free: room,
+        });
+    }
+    let merged_psn = Psn::merge(resident.psn(), incoming.psn());
 
-    out.set_psn(merged_psn);
-    Ok((out, outcome))
+    // Frees, shrinks and same-size overwrites first: none needs room. An
+    // object that changed size is freed here and re-placed below, its
+    // entry keeping the resident PSN so that pass still sees it lose.
+    for i in 0..ours.min(theirs) {
+        let slot = SlotId(i);
+        let a = resident.read_slot(slot).expect("i < ours");
+        let b = incoming.read_slot(slot).expect("i < theirs");
+        if b.psn <= a.psn {
+            continue;
+        }
+        if !b.live() {
+            resident.write_slot(slot, Slot::dead(b.psn));
+        } else if a.live() && a.len == b.len {
+            resident.extent_mut(a).copy_from_slice(incoming.extent(b));
+            resident.write_slot(slot, Slot { psn: b.psn, ..a });
+        } else {
+            resident.write_slot(slot, Slot::dead(a.psn));
+        }
+    }
+    // Then the growths: the slots new to the resident table, then every
+    // winning object still to place. The sizing above makes each
+    // reservation succeed.
+    if theirs > ours {
+        resident.reserve((theirs - ours) as usize * SLOT_ENTRY_SIZE)?;
+        resident.set_slot_count(theirs);
+        for i in ours..theirs {
+            let b = incoming.read_slot(SlotId(i)).expect("i < theirs");
+            resident.write_slot(SlotId(i), Slot::dead(b.psn));
+        }
+    }
+    for i in 0..theirs {
+        let slot = SlotId(i);
+        let b = incoming.read_slot(slot).expect("i < theirs");
+        let a = resident.read_slot(slot).expect("the table covers theirs");
+        if b.live() && (i >= ours || (!a.live() && b.psn > a.psn)) {
+            resident.reserve(b.len as usize)?;
+            resident.put_object(slot, incoming.extent(b), b.psn);
+        }
+    }
+    resident.set_psn(merged_psn);
+    Ok(merged_psn)
+}
+
+/// Do two slot entries hold the same state (both dead, or both live with
+/// equal bytes)?
+fn same_state(pa: &Page, a: Slot, pb: &Page, b: Slot) -> bool {
+    a.live() == b.live() && (!a.live() || pa.extent(a) == pb.extent(b))
+}
+
+/// Merge `incoming` into a copy of `resident`: [`merge_into`] on a clone,
+/// for callers that keep both inputs.
+pub fn merge_pages(resident: &Page, incoming: &Page) -> Result<Page> {
+    let mut merged = resident.clone();
+    merge_into(&mut merged, incoming)?;
+    Ok(merged)
 }
 
 #[cfg(test)]
@@ -123,14 +174,11 @@ mod tests {
         let mut c2 = base.clone();
         c2.write_object(SlotId(1), b"bbbb").unwrap(); // psn 3, slot1 psn 3
 
-        let (m, out) = merge_pages(&c1, &c2).unwrap();
+        let m = merge_pages(&c1, &c2).unwrap();
         assert_eq!(m.read_object(SlotId(0)).unwrap(), b"aaaa");
         assert_eq!(m.read_object(SlotId(1)).unwrap(), b"bbbb");
         // Both copies had PSN 3 -> merged PSN 4 (strictly increasing).
         assert_eq!(m.psn(), Psn(4));
-        assert_eq!(out.merged_psn, Psn(4));
-        assert_eq!(out.taken_from_incoming, 1);
-        assert_eq!(out.kept_from_resident, 1);
     }
 
     #[test]
@@ -141,8 +189,8 @@ mod tests {
         let mut c2 = base.clone();
         c2.write_object(SlotId(1), b"bbbb").unwrap();
 
-        let (m12, _) = merge_pages(&c1, &c2).unwrap();
-        let (m21, _) = merge_pages(&c2, &c1).unwrap();
+        let m12 = merge_pages(&c1, &c2).unwrap();
+        let m21 = merge_pages(&c2, &c1).unwrap();
         assert_eq!(
             m12.read_object(SlotId(0)).unwrap(),
             m21.read_object(SlotId(0)).unwrap()
@@ -163,9 +211,9 @@ mod tests {
         fresh.write_object(SlotId(0), b"x1x1").unwrap();
         fresh.write_object(SlotId(0), b"x2x2").unwrap();
 
-        let (m, _) = merge_pages(&base, &fresh).unwrap();
+        let m = merge_pages(&base, &fresh).unwrap();
         assert_eq!(m.read_object(SlotId(0)).unwrap(), b"x2x2");
-        let (m2, _) = merge_pages(&fresh, &base).unwrap();
+        let m2 = merge_pages(&fresh, &base).unwrap();
         assert_eq!(m2.read_object(SlotId(0)).unwrap(), b"x2x2");
     }
 
@@ -174,7 +222,7 @@ mod tests {
         let base = base_page();
         let mut deleter = base.clone();
         deleter.free_object(SlotId(0)).unwrap(); // dead at psn 3
-        let (m, _) = merge_pages(&base, &deleter).unwrap();
+        let m = merge_pages(&base, &deleter).unwrap();
         assert!(!m.slot_is_live(SlotId(0)));
         assert!(m.slot_is_live(SlotId(1)));
     }
@@ -184,7 +232,7 @@ mod tests {
         let base = base_page();
         let mut inserter = base.clone();
         let s = inserter.insert_object(b"new!").unwrap();
-        let (m, _) = merge_pages(&base, &inserter).unwrap();
+        let m = merge_pages(&base, &inserter).unwrap();
         assert_eq!(m.read_object(s).unwrap(), b"new!");
         assert_eq!(m.live_count(), 3);
     }
@@ -192,7 +240,7 @@ mod tests {
     #[test]
     fn merge_same_copy_still_bumps_psn() {
         let base = base_page();
-        let (m, _) = merge_pages(&base, &base.clone()).unwrap();
+        let m = merge_pages(&base, &base.clone()).unwrap();
         assert_eq!(m.psn(), Psn(base.psn().as_u64() + 1));
         assert_eq!(m.read_object(SlotId(0)).unwrap(), b"AAAA");
     }
@@ -206,7 +254,7 @@ mod tests {
         assert_eq!(parsed.id(), page.id());
         assert_eq!(parsed.psn(), page.psn());
         assert_eq!(parsed.read_object(SlotId(0)).unwrap(), b"AAAA");
-        let (m, _) = merge_pages(&page, &parsed).unwrap();
+        let m = merge_pages(&page, &parsed).unwrap();
         assert_eq!(m.snapshot_all_slots(), page.snapshot_all_slots());
     }
 
@@ -228,7 +276,7 @@ mod tests {
         for i in 0..20u8 {
             let mut other = cur.clone();
             other.write_object(SlotId((i % 2) as u16), &[i; 4]).unwrap();
-            let (m, _) = merge_pages(&cur, &other).unwrap();
+            let m = merge_pages(&cur, &other).unwrap();
             assert!(m.psn() > last);
             last = m.psn();
             cur = m;

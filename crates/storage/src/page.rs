@@ -65,6 +65,7 @@
 //! zeroes the gap. The body must imply exactly that `page_size`.
 
 use fgl_common::{FglError, ObjectId, PageId, Psn, Result, SlotId};
+use std::sync::Arc;
 
 /// Size of the fixed page header in bytes.
 pub const PAGE_HEADER_SIZE: usize = 32;
@@ -89,16 +90,28 @@ pub struct Page {
     buf: Box<[u8]>,
 }
 
+/// One slot-table entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Slot {
-    data_off: u16,
-    len: u16,
-    flags: u16,
-    psn: Psn,
+pub(crate) struct Slot {
+    pub(crate) data_off: u16,
+    pub(crate) len: u16,
+    pub(crate) flags: u16,
+    pub(crate) psn: Psn,
 }
 
 impl Slot {
-    fn live(&self) -> bool {
+    /// The entry of a dead (freed or never used) slot last modified at
+    /// `psn`.
+    pub(crate) fn dead(psn: Psn) -> Slot {
+        Slot {
+            data_off: 0,
+            len: 0,
+            flags: 0,
+            psn,
+        }
+    }
+
+    pub(crate) fn live(&self) -> bool {
         self.flags & FLAG_LIVE != 0
     }
 }
@@ -159,6 +172,19 @@ impl Page {
         out.extend_from_slice(&self.buf[..self.slots_end()]);
         out.extend_from_slice(&self.buf[self.data_start()..]);
         out
+    }
+
+    /// [`to_wire`](Self::to_wire) as a shared frame, written straight into
+    /// its one allocation.
+    pub fn wire_frame(&self) -> Arc<[u8]> {
+        let head = &self.buf[..self.slots_end()];
+        let data = &self.buf[self.data_start()..];
+        let mut frame = Arc::<[u8]>::new_uninit_slice(head.len() + data.len());
+        let out = Arc::get_mut(&mut frame).expect("a fresh Arc is unique");
+        out[..head.len()].write_copy_of_slice(head);
+        out[head.len()..].write_copy_of_slice(data);
+        // SAFETY: the two copies above wrote every byte of the frame.
+        unsafe { frame.assume_init() }
     }
 
     /// Length of [`to_wire`](Self::to_wire)'s output: `size()` less the
@@ -272,7 +298,7 @@ impl Page {
         )
     }
 
-    fn set_slot_count(&mut self, n: u16) {
+    pub(crate) fn set_slot_count(&mut self, n: u16) {
         self.buf[OFF_SLOT_COUNT..OFF_SLOT_COUNT + 2].copy_from_slice(&n.to_le_bytes());
     }
 
@@ -302,7 +328,7 @@ impl Page {
         PAGE_HEADER_SIZE + slot.0 as usize * SLOT_ENTRY_SIZE
     }
 
-    fn read_slot(&self, slot: SlotId) -> Option<Slot> {
+    pub(crate) fn read_slot(&self, slot: SlotId) -> Option<Slot> {
         if slot.0 >= self.slot_count() {
             return None;
         }
@@ -316,7 +342,7 @@ impl Page {
         })
     }
 
-    fn write_slot(&mut self, slot: SlotId, s: Slot) {
+    pub(crate) fn write_slot(&mut self, slot: SlotId, s: Slot) {
         let off = self.slot_entry_off(slot);
         let e = &mut self.buf[off..off + SLOT_ENTRY_SIZE];
         e[0..2].copy_from_slice(&s.data_off.to_le_bytes());
@@ -324,6 +350,16 @@ impl Page {
         e[4..6].copy_from_slice(&s.flags.to_le_bytes());
         e[6..8].copy_from_slice(&0u16.to_le_bytes());
         e[8..16].copy_from_slice(&s.psn.0.to_le_bytes());
+    }
+
+    /// The bytes of a live slot entry's object.
+    pub(crate) fn extent(&self, s: Slot) -> &[u8] {
+        &self.buf[s.data_off as usize..s.data_off as usize + s.len as usize]
+    }
+
+    /// Mutable [`extent`](Self::extent).
+    pub(crate) fn extent_mut(&mut self, s: Slot) -> &mut [u8] {
+        &mut self.buf[s.data_off as usize..s.data_off as usize + s.len as usize]
     }
 
     /// Bytes of contiguous free space between the slot table and the data
@@ -372,7 +408,7 @@ impl Page {
             .read_slot(slot)
             .filter(|s| s.live())
             .ok_or(FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
-        Ok(&self.buf[s.data_off as usize..s.data_off as usize + s.len as usize])
+        Ok(self.extent(s))
     }
 
     /// Bump the page PSN by one (a transaction modified the page, §2) and
@@ -409,8 +445,8 @@ impl Page {
         Ok(slot)
     }
 
-    /// Allocate a new object at a specific slot (used by redo and by the
-    /// merge rebuild). Extends the slot table as needed.
+    /// Allocate a new object at a specific slot (used when a logged update
+    /// is applied or rolled back). Extends the slot table as needed.
     pub fn insert_object_at(&mut self, slot: SlotId, data: &[u8]) -> Result<()> {
         if self.slot_is_live(slot) {
             return Err(FglError::Protocol(format!(
@@ -421,31 +457,13 @@ impl Page {
         let new_entry = slot.0 >= self.slot_count();
         if new_entry && slot.0 > self.slot_count() {
             // Create intermediate dead slots so the table stays dense.
-            let needed =
-                (slot.0 as usize + 1 - self.slot_count() as usize) * SLOT_ENTRY_SIZE + data.len();
-            if self.contiguous_free() < needed && self.total_free() >= needed {
-                self.compact();
-            }
-            if self.contiguous_free() < needed {
-                return Err(FglError::PageFull {
-                    page: self.id(),
-                    needed,
-                    free: self.contiguous_free(),
-                });
-            }
+            let added = slot.0 as usize + 1 - self.slot_count() as usize;
+            self.reserve(added * SLOT_ENTRY_SIZE + data.len())?;
             let cur_psn = self.psn();
             while self.slot_count() <= slot.0 {
                 let s = SlotId(self.slot_count());
                 self.set_slot_count(self.slot_count() + 1);
-                self.write_slot(
-                    s,
-                    Slot {
-                        data_off: 0,
-                        len: 0,
-                        flags: 0,
-                        psn: cur_psn,
-                    },
-                );
+                self.write_slot(s, Slot::dead(cur_psn));
             }
             return self.place_object(slot, false, data);
         }
@@ -453,26 +471,38 @@ impl Page {
     }
 
     fn place_object(&mut self, slot: SlotId, new_entry: bool, data: &[u8]) -> Result<()> {
-        let needed = data.len() + if new_entry { SLOT_ENTRY_SIZE } else { 0 };
-        if self.contiguous_free() < needed {
-            if self.total_free() >= needed {
-                self.compact();
-            }
-            if self.contiguous_free() < needed {
-                return Err(FglError::PageFull {
-                    page: self.id(),
-                    needed,
-                    free: self.contiguous_free(),
-                });
-            }
-        }
+        self.reserve(data.len() + if new_entry { SLOT_ENTRY_SIZE } else { 0 })?;
         if new_entry {
             self.set_slot_count(self.slot_count() + 1);
         }
+        let psn = self.bump_psn();
+        self.put_object(slot, data, psn);
+        Ok(())
+    }
+
+    /// Make `needed` bytes of contiguous free space, compacting when the
+    /// dead-object space allows it; a page that cannot is left untouched.
+    pub(crate) fn reserve(&mut self, needed: usize) -> Result<()> {
+        if self.contiguous_free() < needed && self.total_free() >= needed {
+            self.compact();
+        }
+        if self.contiguous_free() < needed {
+            return Err(FglError::PageFull {
+                page: self.id(),
+                needed,
+                free: self.contiguous_free(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Copy `data` to the low end of the data region as the live object of
+    /// the existing slot entry `slot`, with slot PSN `psn`. The caller has
+    /// [`reserve`](Self::reserve)d the room.
+    pub(crate) fn put_object(&mut self, slot: SlotId, data: &[u8], psn: Psn) {
         let new_start = self.data_start() - data.len();
         self.buf[new_start..new_start + data.len()].copy_from_slice(data);
         self.set_data_start(new_start);
-        let psn = self.bump_psn();
         self.write_slot(
             slot,
             Slot {
@@ -482,7 +512,6 @@ impl Page {
                 psn,
             },
         );
-        Ok(())
     }
 
     /// Overwrite the full contents of a live object **without changing its
@@ -500,7 +529,7 @@ impl Page {
                 ObjectId::new(self.id(), slot)
             )));
         }
-        self.buf[s.data_off as usize..s.data_off as usize + s.len as usize].copy_from_slice(data);
+        self.extent_mut(s).copy_from_slice(data);
         let psn = self.bump_psn();
         self.write_slot(slot, Slot { psn, ..s });
         Ok(())
@@ -535,7 +564,7 @@ impl Page {
             .read_slot(slot)
             .filter(|s| s.live())
             .ok_or(FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
-        let old = self.buf[s.data_off as usize..s.data_off as usize + s.len as usize].to_vec();
+        let old = self.extent(s).to_vec();
         let mut data = old.clone();
         data.resize(new_len, 0);
         // Free the old extent (mark dead), then re-place. Keep the psn
@@ -557,120 +586,69 @@ impl Page {
             .read_slot(slot)
             .filter(|s| s.live())
             .ok_or(FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
-        let old = self.buf[s.data_off as usize..s.data_off as usize + s.len as usize].to_vec();
+        let old = self.extent(s).to_vec();
         let psn = self.bump_psn();
-        self.write_slot(
-            slot,
-            Slot {
-                data_off: 0,
-                len: 0,
-                flags: 0,
-                psn,
-            },
-        );
+        self.write_slot(slot, Slot::dead(psn));
         Ok(old)
     }
 
     /// Install an exact object state at `slot` with an explicit slot PSN,
     /// without bumping the page PSN. `None` installs the *dead* state
-    /// (object freed). This is the primitive behind the merge procedure and
-    /// behind recovery redo/undo, which must reproduce historical PSNs
-    /// rather than mint new ones.
+    /// (object freed). This is the primitive behind recovery redo/undo,
+    /// which must reproduce historical PSNs rather than mint new ones.
     pub fn install_object(&mut self, slot: SlotId, data: Option<&[u8]>, psn: Psn) -> Result<()> {
         // Extend the slot table with dead entries up to `slot`.
         while self.slot_count() <= slot.0 {
-            let needed = SLOT_ENTRY_SIZE;
-            if self.contiguous_free() < needed {
-                self.compact();
-            }
-            if self.contiguous_free() < needed {
-                return Err(FglError::PageFull {
-                    page: self.id(),
-                    needed,
-                    free: self.contiguous_free(),
-                });
-            }
+            self.reserve(SLOT_ENTRY_SIZE)?;
             let s = SlotId(self.slot_count());
             self.set_slot_count(self.slot_count() + 1);
-            self.write_slot(
-                s,
-                Slot {
-                    data_off: 0,
-                    len: 0,
-                    flags: 0,
-                    psn: Psn::ZERO,
-                },
-            );
+            self.write_slot(s, Slot::dead(Psn::ZERO));
         }
         let cur = self.read_slot(slot).expect("slot exists after extension");
         match data {
             None => {
-                self.write_slot(
-                    slot,
-                    Slot {
-                        data_off: 0,
-                        len: 0,
-                        flags: 0,
-                        psn,
-                    },
-                );
+                self.write_slot(slot, Slot::dead(psn));
                 Ok(())
             }
             Some(bytes) => {
                 if cur.live() && cur.len as usize == bytes.len() {
                     // Overwrite in place.
-                    self.buf[cur.data_off as usize..cur.data_off as usize + bytes.len()]
-                        .copy_from_slice(bytes);
+                    self.extent_mut(cur).copy_from_slice(bytes);
                     self.write_slot(slot, Slot { psn, ..cur });
                     return Ok(());
                 }
-                // Mark dead, then re-place with the explicit PSN. Compact
-                // only when that makes room: the rollback below restores
-                // `cur`'s extent, which a compaction would have moved.
+                // Mark dead, then re-place with the explicit PSN. A failed
+                // reservation has not compacted, so the rollback restores
+                // `cur`'s extent where it still lies.
                 self.write_slot(slot, Slot { flags: 0, ..cur });
-                if self.contiguous_free() < bytes.len() && self.total_free() >= bytes.len() {
-                    self.compact();
-                }
-                if self.contiguous_free() < bytes.len() {
+                if let Err(e) = self.reserve(bytes.len()) {
                     self.write_slot(slot, cur);
-                    return Err(FglError::PageFull {
-                        page: self.id(),
-                        needed: bytes.len(),
-                        free: self.contiguous_free(),
-                    });
+                    return Err(e);
                 }
-                let new_start = self.data_start() - bytes.len();
-                self.buf[new_start..new_start + bytes.len()].copy_from_slice(bytes);
-                self.set_data_start(new_start);
-                self.write_slot(
-                    slot,
-                    Slot {
-                        data_off: new_start as u16,
-                        len: bytes.len() as u16,
-                        flags: FLAG_LIVE,
-                        psn,
-                    },
-                );
+                self.put_object(slot, bytes, psn);
                 Ok(())
             }
         }
     }
 
     /// Compact the data region, squeezing out dead-object space. Slot ids
-    /// and PSNs are unaffected.
+    /// and PSNs are unaffected. Objects keep their order: each moves up
+    /// with `copy_within`, the highest first, so none overwrites one that
+    /// has not moved yet. The only allocation is the sort order, one `u32`
+    /// per live object.
     pub fn compact(&mut self) {
-        let live: Vec<(SlotId, Slot, Vec<u8>)> = self
+        let mut order: Vec<u32> = self
             .iter_slots()
-            .map(|(id, s)| {
-                let d =
-                    self.buf[s.data_off as usize..s.data_off as usize + s.len as usize].to_vec();
-                (id, s, d)
-            })
+            .map(|(id, s)| u32::from(s.data_off) << 16 | u32::from(id.0))
             .collect();
+        order.sort_unstable_by(|a, b| b.cmp(a));
         let mut cursor = self.size();
-        for (id, s, data) in live {
-            cursor -= data.len();
-            self.buf[cursor..cursor + data.len()].copy_from_slice(&data);
+        for key in order {
+            let id = SlotId(key as u16);
+            let s = self.read_slot(id).expect("a live slot");
+            let off = s.data_off as usize;
+            cursor -= s.len as usize;
+            self.buf.copy_within(off..off + s.len as usize, cursor);
             self.write_slot(
                 id,
                 Slot {
@@ -683,28 +661,23 @@ impl Page {
     }
 
     /// Snapshot of the page's live objects: `(slot, slot_psn, bytes)`.
-    /// Used by the merge procedure and the verification oracle.
+    /// Used by the verification oracle.
     pub fn snapshot_objects(&self) -> Vec<(SlotId, Psn, Vec<u8>)> {
         self.iter_slots()
-            .map(|(id, s)| {
-                (
-                    id,
-                    s.psn,
-                    self.buf[s.data_off as usize..s.data_off as usize + s.len as usize].to_vec(),
-                )
-            })
+            .map(|(id, s)| (id, s.psn, self.extent(s).to_vec()))
             .collect()
     }
 
-    /// Snapshot including dead slots (needed by merge to propagate
-    /// deletions): `(slot, slot_psn, live, bytes-if-live)`.
+    /// Snapshot of every slot, dead ones included: `(slot, slot_psn, live,
+    /// bytes-if-live)` — a page's per-slot content, whatever its layout.
+    /// Tests compare pages by it.
     pub fn snapshot_all_slots(&self) -> Vec<(SlotId, Psn, bool, Vec<u8>)> {
         (0..self.slot_count())
             .map(SlotId)
             .filter_map(|id| self.read_slot(id).map(|s| (id, s)))
             .map(|(id, s)| {
                 let bytes = if s.live() {
-                    self.buf[s.data_off as usize..s.data_off as usize + s.len as usize].to_vec()
+                    self.extent(s).to_vec()
                 } else {
                     Vec::new()
                 };
@@ -866,6 +839,26 @@ mod tests {
     }
 
     #[test]
+    fn compaction_after_interleaved_resizes_keeps_every_slot() {
+        let mut rng = DetRng::new(0xC0_4AC7);
+        for case in 0..200 {
+            let mut p = Page::format(2048, PageId(case), Psn::ZERO);
+            let slots: Vec<SlotId> = (0..rng.range_usize(1, 24))
+                .map(|i| p.insert_object(&[i as u8; 20]).unwrap())
+                .collect();
+            for _ in 0..rng.range_usize(0, 40) {
+                let s = slots[rng.range_usize(0, slots.len())];
+                let _ = p.resize_object(s, rng.range_usize(0, 60));
+            }
+            let before = p.snapshot_all_slots();
+            p.compact();
+            assert_eq!(p.snapshot_all_slots(), before, "case {case}");
+            assert_eq!(p.total_free(), p.contiguous_free(), "case {case}");
+            Page::from_bytes(p.as_bytes().to_vec()).unwrap();
+        }
+    }
+
+    #[test]
     fn insert_at_specific_slot_extends_table() {
         let mut p = page();
         p.insert_object_at(SlotId(3), b"x").unwrap();
@@ -933,8 +926,8 @@ mod tests {
         assert_eq!(back.data_start(), p.data_start());
         assert_eq!(back.snapshot_all_slots(), p.snapshot_all_slots());
         assert_eq!(back.to_wire(), wire);
-        let (via_wire, _) = crate::merge::merge_pages(resident, &back).unwrap();
-        let (whole, _) = crate::merge::merge_pages(resident, p).unwrap();
+        let via_wire = crate::merge::merge_pages(resident, &back).unwrap();
+        let whole = crate::merge::merge_pages(resident, p).unwrap();
         assert_eq!(via_wire.as_bytes(), whole.as_bytes());
     }
 

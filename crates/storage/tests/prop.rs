@@ -2,8 +2,8 @@
 //! by the in-tree deterministic PRNG so each case replays from its seed.
 
 use fgl_common::rng::DetRng;
-use fgl_common::{PageId, Psn, SlotId};
-use fgl_storage::merge::merge_pages;
+use fgl_common::{PageId, Psn, Result, SlotId};
+use fgl_storage::merge::{merge_into, merge_pages};
 use fgl_storage::page::Page;
 
 /// A random page operation.
@@ -185,8 +185,8 @@ fn merge_symmetric() {
             dd.resize(b.read_object(s).unwrap().len(), 0);
             b.write_object(s, &dd).unwrap();
         }
-        let (m1, _) = merge_pages(&a, &b).unwrap();
-        let (m2, _) = merge_pages(&b, &a).unwrap();
+        let m1 = merge_pages(&a, &b).unwrap();
+        let m2 = merge_pages(&b, &a).unwrap();
         for s in &slots {
             assert_eq!(m1.read_object(*s).unwrap(), m2.read_object(*s).unwrap());
         }
@@ -219,9 +219,228 @@ fn merge_with_stale_ancestor_keeps_newest() {
             dd.resize(base.read_object(s).unwrap().len(), 0);
             base.write_object(s, &dd).unwrap();
         }
-        let (m, _) = merge_pages(&base, &ancestor).unwrap();
+        let m = merge_pages(&base, &ancestor).unwrap();
         for s in &slots {
             assert_eq!(m.read_object(*s).unwrap(), base.read_object(*s).unwrap());
+        }
+    }
+}
+
+/// The reference merge: snapshot both copies slot by slot and rebuild the
+/// winner of every slot, in slot order, on a freshly formatted page. The
+/// in-place [`merge_into`] must agree with it on every slot's state and on
+/// the page PSN, and must fail exactly where it does.
+fn rebuild_merge(resident: &Page, incoming: &Page) -> Result<Page> {
+    let ours = resident.snapshot_all_slots();
+    let theirs = incoming.snapshot_all_slots();
+    let mut out = Page::format(resident.size(), resident.id(), Psn::ZERO);
+    for i in 0..ours.len().max(theirs.len()) {
+        let (_, psn, live, bytes) = match (ours.get(i), theirs.get(i)) {
+            (Some(a), Some(b)) => {
+                if b.1 > a.1 {
+                    b
+                } else {
+                    a
+                }
+            }
+            (Some(s), None) | (None, Some(s)) => s,
+            (None, None) => unreachable!("i < max"),
+        };
+        out.install_object(SlotId(i as u16), live.then_some(bytes.as_slice()), *psn)?;
+    }
+    out.set_psn(Psn::merge(resident.psn(), incoming.psn()));
+    Ok(out)
+}
+
+/// A random page laid out by the page's own operations, so inserts,
+/// resizes and frees leave holes and out-of-slot-order objects.
+fn random_base(rng: &mut DetRng) -> Page {
+    let size = [256, 512, 1024, 4096][rng.gen_range(4) as usize];
+    let max_obj = size / 8;
+    let mut base = Page::format(size, PageId(5), Psn(rng.gen_range(4)));
+    for _ in 0..rng.range_usize(0, 24) {
+        let slot = SlotId(rng.gen_range(base.slot_count().max(1) as u64) as u16);
+        let _ = match rng.gen_range(8) {
+            0..=3 => base.insert_object(&random_bytes(rng, 0, max_obj)).map(drop),
+            4 => {
+                let len = base.read_object(slot).map(<[u8]>::len).unwrap_or(0);
+                base.write_object(slot, &random_bytes(rng, len, len + 1))
+            }
+            5 => base.resize_object(slot, rng.range_usize(0, max_obj)),
+            6 => base.free_object(slot).map(drop),
+            _ => {
+                base.compact();
+                Ok(())
+            }
+        };
+    }
+    base
+}
+
+/// Install one random slot state on `p` at `psn` — a same-size overwrite,
+/// a resize, a free, or an insert into a dead or new slot — and raise the
+/// page PSN to it. A state that does not fit is skipped.
+fn random_edit(p: &mut Page, rng: &mut DetRng, psn: Psn) -> Option<(SlotId, Option<Vec<u8>>)> {
+    let slot = SlotId(rng.gen_range(p.slot_count() as u64 + 3) as u16);
+    let max_obj = p.size() / 8;
+    let state = rng.chance(0.8).then(|| match p.read_object(slot) {
+        Ok(cur) if rng.chance(0.5) => random_bytes(rng, cur.len(), cur.len() + 1),
+        _ => random_bytes(rng, 0, max_obj),
+    });
+    p.install_object(slot, state.as_deref(), psn).ok()?;
+    p.set_psn(p.psn().max(psn));
+    Some((slot, state))
+}
+
+/// Two copies of a random base edited independently. Each edit mints a
+/// fresh PSN, even on the first copy and odd on the second, so no slot
+/// ties by accident; one edit in six is applied to both copies at one
+/// PSN, the identical-content tie the protocol allows.
+fn random_pair(rng: &mut DetRng) -> (Page, Page) {
+    let base = random_base(rng);
+    let (mut a, mut b) = (base.clone(), base.clone());
+    let mut tick = base.psn().as_u64() + 1;
+    for _ in 0..rng.range_usize(0, 12) {
+        tick += 1;
+        match rng.gen_range(6) {
+            0..=1 => drop(random_edit(&mut a, rng, Psn(2 * tick))),
+            2..=4 => drop(random_edit(&mut b, rng, Psn(2 * tick + 1))),
+            _ => {
+                let psn = Psn(2 * tick);
+                if let Some((slot, state)) = random_edit(&mut a, rng, psn) {
+                    if b.install_object(slot, state.as_deref(), psn).is_ok() {
+                        b.set_psn(b.psn().max(psn));
+                    }
+                }
+            }
+        }
+    }
+    (a, b)
+}
+
+/// Merge a random pair both ways, in place and by the reference. Returns
+/// how many of the two merges fit.
+fn check_merge_case(case: u64) -> usize {
+    let mut rng = DetRng::new(0x3E_4A11 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let (a, b) = random_pair(&mut rng);
+    let mut fitted = 0;
+    for (resident, incoming) in [(&a, &b), (&b, &a)] {
+        let mut got = resident.clone();
+        let result = merge_into(&mut got, incoming);
+        match (rebuild_merge(resident, incoming), result) {
+            (Ok(want), Ok(psn)) => {
+                assert_eq!(
+                    got.snapshot_all_slots(),
+                    want.snapshot_all_slots(),
+                    "case {case}"
+                );
+                assert_eq!((psn, got.psn()), (want.psn(), want.psn()), "case {case}");
+                assert_eq!(got.total_free(), want.total_free(), "case {case}");
+                Page::from_bytes(got.as_bytes().to_vec()).expect("merged page is valid");
+                fitted += 1;
+            }
+            (Err(_), Err(_)) => {
+                assert_eq!(got.as_bytes(), resident.as_bytes(), "case {case}");
+            }
+            (want, got) => panic!(
+                "case {case}: reference fits {}, in place returned {got:?}",
+                want.is_ok()
+            ),
+        }
+    }
+    fitted
+}
+
+/// The in-place merge equals the rebuild on random pairs from a common
+/// base, in both directions, and fails where the rebuild fails.
+#[test]
+fn merge_into_matches_the_rebuild() {
+    let merges = 2 * 3000;
+    let fitted: usize = (0..3000u64).map(check_merge_case).sum();
+    // Both outcomes must occur, or one branch goes unchecked.
+    assert!(
+        fitted > merges / 2 && fitted < merges,
+        "{fitted} of {merges} fit"
+    );
+}
+
+/// The same comparison over 200 000 cases: `cargo test --release -q -p
+/// fgl-storage -- --ignored`.
+#[test]
+#[ignore]
+fn merge_into_matches_the_rebuild_soak() {
+    for case in 0..200_000u64 {
+        check_merge_case(case);
+    }
+}
+
+/// A merge that does not fit returns `Err` and leaves the resident copy
+/// byte-identical, in either direction. Each copy grew a different object;
+/// either growth fits on its own, both do not.
+#[test]
+fn a_merge_that_does_not_fit_leaves_the_resident_untouched() {
+    let mut base = Page::format(512, PageId(2), Psn::ZERO);
+    let slots: Vec<SlotId> = (1..=3u8)
+        .map(|i| base.insert_object(&[i; 100]).unwrap())
+        .collect();
+    let (mut a, mut b) = (base.clone(), base.clone());
+    a.resize_object(slots[0], 180).unwrap();
+    b.resize_object(slots[1], 180).unwrap();
+    for (resident, incoming) in [(&a, &b), (&b, &a)] {
+        assert!(rebuild_merge(resident, incoming).is_err());
+        let mut got = resident.clone();
+        assert!(merge_into(&mut got, incoming).is_err());
+        assert_eq!(got.as_bytes(), resident.as_bytes());
+    }
+}
+
+/// Frees run before growths: an incoming copy that freed one object and
+/// grew another merges into a resident copy whose free gap alone could
+/// not hold the growth.
+#[test]
+fn frees_make_room_for_growths_in_the_same_merge() {
+    let mut base = Page::format(512, PageId(2), Psn::ZERO);
+    let slots: Vec<SlotId> = (1..=3u8)
+        .map(|i| base.insert_object(&[i; 100]).unwrap())
+        .collect();
+    let mut grown = base.clone();
+    grown.free_object(slots[2]).unwrap();
+    grown.resize_object(slots[1], 200).unwrap();
+    assert!(base.contiguous_free() < 200);
+    let mut merged = base.clone();
+    merge_into(&mut merged, &grown).unwrap();
+    let want = rebuild_merge(&base, &grown).unwrap();
+    assert_eq!(merged.snapshot_all_slots(), want.snapshot_all_slots());
+    assert_eq!(merged.read_object(slots[1]).unwrap().len(), 200);
+    assert!(!merged.slot_is_live(slots[2]));
+}
+
+/// On a page laid out in slot order, same-size overwrites merge to the
+/// rebuild's very bytes: the layout is kept, not just the content.
+#[test]
+fn same_size_merges_of_slot_ordered_pages_equal_the_rebuild_bytes() {
+    for case in 0..256u64 {
+        let mut rng = DetRng::new(0x5A3E_0000 ^ case);
+        let mut base = Page::format(4096, PageId(4), Psn::ZERO);
+        let slots: Vec<SlotId> = (0..rng.range_usize(1, 20))
+            .map(|_| base.insert_object(&random_bytes(&mut rng, 0, 64)).unwrap())
+            .collect();
+        // The two copies' PSNs start far apart so no slot ties.
+        let (mut a, mut b) = (base.clone(), base.clone());
+        a.set_psn(Psn(base.psn().as_u64() + 1000));
+        b.set_psn(Psn(base.psn().as_u64() + 2000));
+        for _ in 0..rng.range_usize(0, 10) {
+            let side = if rng.chance(0.5) { &mut a } else { &mut b };
+            let s = slots[rng.range_usize(0, slots.len())];
+            let len = side.read_object(s).unwrap().len();
+            side.write_object(s, &random_bytes(&mut rng, len, len + 1))
+                .unwrap();
+        }
+        for (resident, incoming) in [(&a, &b), (&b, &a)] {
+            let mut got = resident.clone();
+            merge_into(&mut got, incoming).unwrap();
+            let want = rebuild_merge(resident, incoming).unwrap();
+            assert_eq!(got.as_bytes(), want.as_bytes(), "case {case}");
         }
     }
 }
