@@ -64,10 +64,13 @@ pub fn merge_into(resident: &mut Page, incoming: &Page) -> Result<Psn> {
                 // carrying the same slot PSN must carry the same state.
                 debug_assert!(
                     a.psn != b.psn || a.psn == Psn::ZERO || same_state(resident, a, incoming, b),
-                    "PSN monotonicity violated on {} slot {:?}: psn {:?} with diverging content",
+                    "PSN monotonicity violated on {} slot {:?}: psn {:?} with diverging content; \
+                     resident {}; incoming {}",
                     resident.id(),
                     slot,
-                    a.psn
+                    a.psn,
+                    describe(resident, a),
+                    describe(incoming, b)
                 );
                 if b.psn > a.psn {
                     b
@@ -144,6 +147,20 @@ fn same_state(pa: &Page, a: Slot, pb: &Page, b: Slot) -> bool {
     a.live() == b.live() && (!a.live() || pa.extent(a) == pb.extent(b))
 }
 
+/// One copy's side of a diverging PSN tie: its page PSN, and the slot's
+/// length and first 16 bytes.
+fn describe(page: &Page, s: Slot) -> String {
+    if !s.live() {
+        return format!("page {:?}, dead", page.psn());
+    }
+    let bytes = page.extent(s);
+    let hex: String = bytes[..bytes.len().min(16)]
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    format!("page {:?}, {} B [{hex}]", page.psn(), s.len)
+}
+
 /// Merge `incoming` into a copy of `resident`: [`merge_into`] on a clone,
 /// for callers that keep both inputs.
 pub fn merge_pages(resident: &Page, incoming: &Page) -> Result<Page> {
@@ -179,6 +196,21 @@ mod tests {
         assert_eq!(m.read_object(SlotId(1)).unwrap(), b"bbbb");
         // Both copies had PSN 3 -> merged PSN 4 (strictly increasing).
         assert_eq!(m.psn(), Psn(4));
+    }
+
+    /// The debug tie check names what diverged, and which copy was the
+    /// resident one.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "resident page PSN(3), 4 B [61616161]; incoming page PSN(3), 4 B [7a7a7a7a]"
+    )]
+    fn a_diverging_psn_tie_names_both_copies() {
+        let mut c1 = base_page();
+        c1.write_object(SlotId(0), b"aaaa").unwrap();
+        let mut c2 = base_page();
+        c2.write_object(SlotId(0), b"zzzz").unwrap();
+        let _ = merge_into(&mut c1, &c2);
     }
 
     #[test]

@@ -372,8 +372,10 @@ impl LogManager {
 
     /// Raw framed bytes of the interval `[from, to)` — what the
     /// server-logging baseline ships at commit (§4.1, ARIES/CSA shape).
+    /// Like a scan, it starts no lower than the low-water mark: the
+    /// records below it are not needed, and the store may have freed them.
     pub fn read_raw(&self, from: Lsn, to: Lsn) -> Result<Vec<u8>> {
-        let from = if from.is_nil() { Lsn(1) } else { from };
+        let from = from.max(self.low_water);
         if to < from || to > self.end_lsn() {
             return Err(FglError::Corrupt(format!(
                 "read_raw [{from:?}, {to:?}) out of range (end {:?})",
@@ -638,6 +640,17 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].payload, begin(1));
         assert_eq!(got[1].payload, update(1, 3));
+    }
+
+    /// A server-logging ship from before the mark starts at the mark: the
+    /// records below it may be freed.
+    #[test]
+    fn read_raw_starts_at_the_low_water_mark() {
+        let mut m = mgr();
+        m.append(&begin(1)).unwrap();
+        let l2 = m.append(&begin(2)).unwrap();
+        m.advance_low_water(l2).unwrap();
+        assert_eq!(m.read_raw(Lsn(1), m.end_lsn()).unwrap(), framed(&begin(2)));
     }
 
     #[test]

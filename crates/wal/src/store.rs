@@ -12,6 +12,12 @@
 //! The store also keeps a tiny **master record** (last complete checkpoint
 //! LSN + low-water mark), the classical side anchor restart recovery reads
 //! first.
+//!
+//! Offsets are logical and never move: byte `n` of the log is at offset
+//! `n` for the life of the store. The low-water mark in the master record
+//! is also what makes the in-memory log circular (§3.6): nothing below it
+//! is ever read again, so [`MemLogStore`] gives those bytes back when the
+//! anchor that carries the mark is written.
 
 use crate::codec::{checksum, Reader, Writer};
 use fgl_common::{FglError, Lsn, Result};
@@ -101,36 +107,59 @@ pub trait LogStore: Send {
 
 /// Heap-backed log store with exact crash semantics.
 ///
-/// One buffer plus a durable watermark: bytes below `durable_len` have
-/// "reached the device", bytes above are the pending tail. Promoting
-/// pending to durable just advances the watermark — no copy, no
-/// reallocation. (An earlier two-`Vec` layout moved every synced byte
-/// between exact-sized vectors; with tens of thousands of client logs
-/// forcing small commit records, those per-force reallocations
-/// fragmented the allocator badly enough to dominate the E16 sweep.)
+/// One buffer holds the live bytes `[base, len)` plus a durable
+/// watermark: bytes below `durable_len` have "reached the device", bytes
+/// above are the pending tail. Promoting pending to durable just advances
+/// the watermark — no copy, no reallocation. (An earlier two-`Vec` layout
+/// moved every synced byte between exact-sized vectors; with tens of
+/// thousands of client logs forcing small commit records, those per-force
+/// reallocations fragmented the allocator badly enough to dominate the
+/// E16 sweep.)
+///
+/// [`write_master`](LogStore::write_master) frees the durable bytes below
+/// the anchor's low-water mark, once they are at least [`FREE_FLOOR`] and
+/// at least as many as the bytes that stay: the survivors move to the
+/// front of the same allocation, so each byte moves at most once, the
+/// buffer holds at most `2 × (len − low-water offset) + FREE_FLOOR` bytes
+/// after every anchor whose mark is durable, and appends reuse pages
+/// already touched. Reads below `base` are `Corrupt`, like reads past the
+/// end.
 #[derive(Default)]
 pub struct MemLogStore {
     buf: Vec<u8>,
-    durable_len: usize,
+    /// Logical offset of `buf[0]`: everything below it was freed.
+    base: u64,
+    durable_len: u64,
     master: MasterAnchor,
 }
+
+/// The least dead prefix [`MemLogStore`] frees at once: below it, moving
+/// the live bytes costs more than the memory is worth.
+pub const FREE_FLOOR: u64 = 1 << 20;
 
 impl MemLogStore {
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Bytes the store holds: the live log from the first byte not yet
+    /// freed to the end, pending tail included.
+    pub fn resident_bytes(&self) -> u64 {
+        self.buf.len() as u64
+    }
+
     /// The stored bytes `[offset, offset + len)`.
     fn range(&self, offset: u64, len: usize) -> Result<&[u8]> {
-        let off = offset as usize;
-        let end = off + len;
-        if end as u64 > self.len() {
+        let end = offset + len as u64;
+        if offset < self.base || end > self.len() {
             return Err(FglError::Corrupt(format!(
-                "log read [{off}, {end}) past end {}",
+                "log read [{offset}, {end}) outside the stored [{}, {})",
+                self.base,
                 self.len()
             )));
         }
-        Ok(&self.buf[off..end])
+        let off = (offset - self.base) as usize;
+        Ok(&self.buf[off..off + len])
     }
 }
 
@@ -141,11 +170,11 @@ impl LogStore for MemLogStore {
     }
 
     fn len(&self) -> u64 {
-        self.buf.len() as u64
+        self.base + self.buf.len() as u64
     }
 
     fn durable_len(&self) -> u64 {
-        self.durable_len as u64
+        self.durable_len
     }
 
     fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
@@ -158,18 +187,24 @@ impl LogStore for MemLogStore {
     }
 
     fn sync(&mut self) -> Result<()> {
-        self.durable_len = self.buf.len();
+        self.durable_len = self.len();
         Ok(())
     }
 
     fn sync_range(&mut self, upto: u64) -> Result<()> {
-        let upto = upto.min(self.len()) as usize;
-        self.durable_len = self.durable_len.max(upto);
+        self.durable_len = self.durable_len.max(upto.min(self.len()));
         Ok(())
     }
 
     fn write_master(&mut self, anchor: MasterAnchor) -> Result<()> {
         self.master = anchor;
+        // LSN = offset + 1; a nil mark frees nothing, nor does a pending byte.
+        let keep_from = anchor.low_water.0.saturating_sub(1).min(self.durable_len);
+        let dead = keep_from.saturating_sub(self.base);
+        if dead >= FREE_FLOOR && dead >= self.buf.len() as u64 - dead {
+            self.buf.drain(..dead as usize);
+            self.base = keep_from;
+        }
         Ok(())
     }
 
@@ -178,12 +213,14 @@ impl LogStore for MemLogStore {
     }
 
     fn crash(&mut self) {
-        self.buf.truncate(self.durable_len);
+        self.buf.truncate((self.durable_len - self.base) as usize);
     }
 }
 
 /// File-backed log store. The log lives in `<path>`; the master anchor in
-/// `<path>.master`, rewritten atomically via a temp file.
+/// `<path>.master`, rewritten atomically via a temp file. The file keeps
+/// every byte ever appended: the low-water mark bounds what restart reads,
+/// not the file's size (punching holes below it is not implemented).
 pub struct FileLogStore {
     file: File,
     path: PathBuf,
@@ -395,6 +432,51 @@ mod tests {
         s.crash();
         assert_eq!(s.read(0, 4).unwrap(), b"keep");
         assert_eq!(s.len(), 4);
+    }
+
+    /// Offsets survive a free; the freed prefix and nothing else stops
+    /// reading, and neither a pending byte nor a small prefix is freed.
+    #[test]
+    fn mem_store_frees_the_durable_prefix_below_the_low_water_mark() {
+        let floor = FREE_FLOOR as usize;
+        let mut s = MemLogStore::new();
+        for fill in 1..=3u8 {
+            s.append(&vec![fill; floor]).unwrap();
+        }
+        s.sync().unwrap();
+        s.append(b"pending").unwrap();
+        let mark = |offset: usize| MasterAnchor {
+            last_checkpoint: Lsn::NIL,
+            low_water: Lsn(offset as u64 + 1),
+        };
+        // Dead prefix below the floor: kept.
+        s.write_master(mark(floor - 1)).unwrap();
+        assert_eq!(s.resident_bytes(), 3 * floor as u64 + 7);
+        s.write_master(mark(2 * floor)).unwrap();
+        assert_eq!(s.resident_bytes(), floor as u64 + 7);
+        assert_eq!(s.len(), 3 * floor as u64 + 7);
+        assert_eq!(s.read(2 * floor as u64, 2).unwrap(), [3, 3]);
+        assert_eq!(s.read(3 * floor as u64, 7).unwrap(), b"pending");
+        assert!(matches!(
+            s.read(2 * floor as u64 - 1, 2),
+            Err(FglError::Corrupt(_))
+        ));
+        assert!(s.read_into(0, &mut [0; 1]).is_err());
+        // A mark past the durable prefix frees up to it, and the crash
+        // still drops exactly the pending tail.
+        s.append(&vec![4; floor]).unwrap();
+        s.sync().unwrap();
+        s.append(b"lost").unwrap();
+        s.write_master(mark(s.len() as usize)).unwrap();
+        assert_eq!(s.resident_bytes(), 4);
+        s.crash();
+        assert_eq!(
+            (s.len(), s.durable_len()),
+            (4 * floor as u64 + 7, 4 * floor as u64 + 7)
+        );
+        assert_eq!(s.resident_bytes(), 0);
+        s.append(b"next").unwrap();
+        assert_eq!(s.read(4 * floor as u64 + 7, 4).unwrap(), b"next");
     }
 
     #[test]

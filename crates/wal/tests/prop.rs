@@ -4,10 +4,11 @@
 //! the in-tree deterministic PRNG so each case replays from its seed.
 
 use fgl_common::rng::DetRng;
-use fgl_common::{ClientId, Lsn, ObjectId, PageId, Psn, SlotId, TxnId};
+use fgl_common::{ClientId, Lsn, ObjectId, PageId, Psn, Result, SlotId, TxnId};
+use fgl_wal::codec::checksum;
 use fgl_wal::manager::LogManager;
 use fgl_wal::records::{CallbackRecord, ClrRecord, LogPayload, UpdateRecord};
-use fgl_wal::store::MemLogStore;
+use fgl_wal::store::{LogStore, MasterAnchor, MemLogStore, FREE_FLOOR};
 
 fn random_bytes(rng: &mut DetRng, lo: usize, hi: usize) -> Vec<u8> {
     let mut buf = vec![0u8; rng.range_usize(lo, hi)];
@@ -155,7 +156,6 @@ fn low_water_preserves_suffix() {
 fn torn_tail_record_is_ignored_on_reopen() {
     // A crash can tear the final record; the checksum stops the scan
     // exactly at the last intact record.
-    use fgl_wal::store::{LogStore, MemLogStore};
     let mut wal = LogManager::new(Box::new(MemLogStore::new()), 1 << 20);
     let a = LogPayload::Begin {
         txn: TxnId::compose(ClientId(1), 1),
@@ -185,7 +185,6 @@ fn torn_tail_record_is_ignored_on_reopen() {
 
 #[test]
 fn flipped_byte_in_payload_stops_scan_at_corruption() {
-    use fgl_wal::store::{LogStore, MemLogStore};
     let mut wal = LogManager::new(Box::new(MemLogStore::new()), 1 << 20);
     for i in 1..=3u32 {
         wal.append(&LogPayload::Begin {
@@ -207,4 +206,246 @@ fn flipped_byte_in_payload_stops_scan_at_corruption() {
     let got = reopened.collect_from(Lsn::NIL).unwrap();
     assert_eq!(got.len(), 1, "scan stops before the corrupted record");
     assert_eq!(got[0].payload, entries[0].payload);
+}
+
+/// A [`MemLogStore`] the test can still inspect once a manager owns it.
+#[derive(Clone, Default)]
+struct SharedMem(std::sync::Arc<parking_lot::Mutex<MemLogStore>>);
+
+impl LogStore for SharedMem {
+    fn append(&mut self, bytes: &[u8]) -> Result<()> {
+        self.0.lock().append(bytes)
+    }
+    fn len(&self) -> u64 {
+        self.0.lock().len()
+    }
+    fn durable_len(&self) -> u64 {
+        self.0.lock().durable_len()
+    }
+    fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        self.0.lock().read(offset, len)
+    }
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.0.lock().read_into(offset, buf)
+    }
+    fn sync(&mut self) -> Result<()> {
+        self.0.lock().sync()
+    }
+    fn sync_range(&mut self, upto: u64) -> Result<()> {
+        self.0.lock().sync_range(upto)
+    }
+    fn write_master(&mut self, anchor: MasterAnchor) -> Result<()> {
+        self.0.lock().write_master(anchor)
+    }
+    fn read_master(&self) -> Result<MasterAnchor> {
+        self.0.lock().read_master()
+    }
+    fn crash(&mut self) {
+        self.0.lock().crash()
+    }
+}
+
+/// `payload` framed as the log stores it: `[len][checksum][body]`.
+fn reference_frame(payload: &LogPayload) -> Vec<u8> {
+    let body = payload.encode();
+    let mut out = (body.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&checksum(&body).to_le_bytes());
+    out.extend_from_slice(&body);
+    out
+}
+
+/// An update with images of up to 1 KiB, so a case crosses the store's
+/// free floor several times in a few thousand appends.
+fn large_update(rng: &mut DetRng) -> LogPayload {
+    let image = |rng: &mut DetRng| Some(random_bytes(rng, 0, 1024));
+    LogPayload::Update(UpdateRecord {
+        txn: TxnId::compose(ClientId(1), 1),
+        prev_lsn: Lsn::NIL,
+        object: ObjectId::new(PageId(rng.gen_range(16)), SlotId(0)),
+        psn_before: Psn(rng.next_u64()),
+        before: image(rng),
+        after: image(rng),
+        structural: false,
+    })
+}
+
+/// One case of the freed-prefix property: random appends, forces, range
+/// syncs, crashes, checkpoints and low-water advances drive a manager
+/// over a [`MemLogStore`], checked against a reference that keeps every
+/// byte. Returns how many times the store freed bytes.
+fn freed_prefix_case(seed: u64, steps: usize) -> usize {
+    const CAPACITY: u64 = 2 << 20;
+    let mut rng = DetRng::new(seed);
+    let store = SharedMem::default();
+    let mut wal = LogManager::new(Box::new(store.clone()), CAPACITY);
+    let mut reference: Vec<u8> = Vec::new();
+    let mut durable = 0u64;
+    let mut records: Vec<Lsn> = Vec::new();
+    let mut frees = 0;
+    let mut freed_below = 0u64;
+    let offset = |lsn: Lsn| lsn.0 - 1;
+    // A durable record at or above the low-water mark, late ones likelier.
+    let durable_record = |rng: &mut DetRng, records: &[Lsn], wal: &LogManager, durable: u64| {
+        let lo = records.partition_point(|l| *l < wal.low_water());
+        let hi = records.partition_point(|l| offset(*l) < durable);
+        (lo < hi)
+            .then(|| records[hi - 1 - rng.range_usize(0, hi - lo).min(rng.range_usize(0, hi - lo))])
+    };
+    for step in 0..steps {
+        let mut master_written = false;
+        match rng.gen_range(100) {
+            0..=69 => {
+                let payload = if rng.chance(0.7) {
+                    large_update(&mut rng)
+                } else {
+                    random_payload(&mut rng)
+                };
+                match wal.append(&payload) {
+                    Ok(lsn) => {
+                        assert_eq!(offset(lsn), reference.len() as u64);
+                        records.push(lsn);
+                        reference.extend_from_slice(&reference_frame(&payload));
+                    }
+                    Err(fgl_common::FglError::LogFull) => {
+                        // §3.6: make the log durable, then give space back.
+                        wal.force().unwrap();
+                        durable = reference.len() as u64;
+                        if let Some(lsn) = durable_record(&mut rng, &records, &wal, durable) {
+                            wal.advance_low_water(lsn).unwrap();
+                            master_written = true;
+                        }
+                    }
+                    Err(e) => panic!("seed {seed} step {step}: {e}"),
+                }
+            }
+            70..=77 => {
+                wal.force().unwrap();
+                durable = reference.len() as u64;
+            }
+            78..=82 => {
+                // The second half of a group force, up to a record or the end.
+                let pending = records.partition_point(|l| offset(*l) < durable);
+                let upto = match records.get(rng.range_usize(pending, records.len() + 1)) {
+                    Some(lsn) => *lsn,
+                    None => wal.end_lsn(),
+                };
+                wal.complete_force(upto, None).unwrap();
+                durable = durable.max(offset(upto));
+            }
+            // A mark past the durable end would outlive the crash; the
+            // product never sets one (it forces before advancing).
+            83..=85 if offset(wal.low_water()) <= durable => {
+                wal.crash();
+                reference.truncate(durable as usize);
+                records.retain(|l| offset(*l) < durable);
+            }
+            86..=92 => {
+                let ck = LogPayload::ClientCheckpoint {
+                    active_txns: vec![],
+                    dpt: vec![],
+                };
+                let lsn = wal.append_critical(&ck).unwrap();
+                records.push(lsn);
+                reference.extend_from_slice(&reference_frame(&ck));
+                wal.force().unwrap();
+                durable = reference.len() as u64;
+                wal.set_checkpoint(lsn).unwrap();
+                master_written = true;
+            }
+            96..=99 if records.last() > Some(&wal.low_water()) => {
+                // Callers force first, but the manager takes a mark up to
+                // the end: the store must still keep the pending tail.
+                let from = records.partition_point(|l| *l <= wal.low_water());
+                let lsn = records[rng.range_usize(from, records.len())];
+                wal.advance_low_water(lsn).unwrap();
+                master_written = true;
+            }
+            _ => {
+                if let Some(lsn) = durable_record(&mut rng, &records, &wal, durable) {
+                    wal.advance_low_water(lsn).unwrap();
+                    master_written = true;
+                }
+            }
+        }
+        let s = store.0.lock();
+        let end = reference.len() as u64;
+        assert_eq!(s.len(), end, "seed {seed} step {step}");
+        assert_eq!(s.durable_len(), durable, "seed {seed} step {step}");
+        let low = offset(wal.low_water());
+        let base = end - s.resident_bytes();
+        assert!(
+            base <= low.min(durable),
+            "seed {seed} step {step}: freed past the mark"
+        );
+        if master_written {
+            let live = end - low.min(durable);
+            assert!(
+                s.resident_bytes() <= 2 * live + FREE_FLOOR,
+                "seed {seed} step {step}: {} resident for {live} live",
+                s.resident_bytes(),
+            );
+        }
+        if base > freed_below {
+            frees += 1;
+            freed_below = base;
+            // Every live byte survived the move.
+            let live = s.read(low, (end - low) as usize).unwrap();
+            assert_eq!(live, reference[low as usize..], "seed {seed} step {step}");
+        }
+        // A random window at or above the mark reads as the reference...
+        if low < end {
+            let at = low + rng.gen_range(end - low);
+            let len = rng.range_usize(1, 256).min((end - at) as usize);
+            let got = s.read(at, len).unwrap();
+            assert_eq!(
+                got,
+                reference[at as usize..at as usize + len],
+                "seed {seed} step {step}"
+            );
+        }
+        // ...and nothing below the freed point reads at all.
+        if base > 0 {
+            let at = rng.gen_range(base);
+            let corrupt = |r: Result<Vec<u8>>| matches!(r, Err(fgl_common::FglError::Corrupt(_)));
+            assert!(
+                corrupt(s.read(at, 1)),
+                "seed {seed} step {step}: read below {base}"
+            );
+            assert!(corrupt(s.read(base - 1, 2)), "seed {seed} step {step}");
+        }
+    }
+    // The whole live log still scans, record for record.
+    let live: Vec<Lsn> = records
+        .iter()
+        .copied()
+        .filter(|l| *l >= wal.low_water())
+        .collect();
+    let scanned: Vec<Lsn> = wal
+        .collect_from(Lsn::NIL)
+        .unwrap()
+        .iter()
+        .map(|e| e.lsn)
+        .collect();
+    assert_eq!(scanned, live, "seed {seed}");
+    frees
+}
+
+/// The in-memory log frees the bytes below the low-water mark without
+/// moving an offset, losing a live byte or reading a freed one, and holds
+/// at most `2 × live + FREE_FLOOR` bytes after every master write.
+#[test]
+fn freed_prefix_store_matches_a_log_that_keeps_every_byte() {
+    for case in 0..3u64 {
+        let frees = freed_prefix_case(0x0A1_0005 ^ (case << 32), 12_000);
+        assert!(frees >= 3, "case {case}: freed only {frees} times");
+    }
+}
+
+#[test]
+#[ignore = "soak: run with --ignored (release)"]
+fn freed_prefix_store_soak() {
+    for case in 0..40u64 {
+        let frees = freed_prefix_case(0x50A_0005 ^ (case << 32), 60_000);
+        assert!(frees >= 10, "case {case}: freed only {frees} times");
+    }
 }

@@ -3,8 +3,8 @@
 //! oracle.
 
 use fgl::{
-    ClientCore, ClientId, LoggingStrategyKind, Lsn, MsgKind, ObjectId, PageId, Psn, ServerApi,
-    System, SystemConfig, TransportKind,
+    ClientCore, ClientId, CommitPolicy, LoggingStrategyKind, Lsn, MsgKind, ObjectId, PageId, Psn,
+    ServerApi, System, SystemConfig, TransportKind,
 };
 use fgl_client::PeerHandle;
 use fgl_common::rng::DetRng;
@@ -20,6 +20,7 @@ use fgl_sim::setup::{populate, populate_partitioned};
 use fgl_sim::workload::{Op, WorkloadKind, WorkloadSpec};
 use fgl_storage::disk::{DiskBackend, MemDisk};
 use fgl_storage::page::Page;
+use fgl_wal::store::{LogStore, MasterAnchor, MemLogStore, FREE_FLOOR};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -1385,4 +1386,148 @@ fn a_redo_only_loser_shipped_on_eviction_is_rolled_back() {
     let t = b.begin().unwrap();
     assert_eq!(b.read(t, mine).unwrap(), b"before");
     b.commit(t).unwrap();
+}
+
+/// A private log the test can still inspect once its client owns it:
+/// counts the low-water advances (§3.6 reclamations) it is told of.
+#[derive(Clone, Default)]
+struct WatchedLog(Arc<Mutex<(MemLogStore, u32)>>);
+
+impl LogStore for WatchedLog {
+    fn append(&mut self, bytes: &[u8]) -> fgl::Result<()> {
+        self.0.lock().unwrap().0.append(bytes)
+    }
+    fn len(&self) -> u64 {
+        self.0.lock().unwrap().0.len()
+    }
+    fn durable_len(&self) -> u64 {
+        self.0.lock().unwrap().0.durable_len()
+    }
+    fn read(&self, offset: u64, len: usize) -> fgl::Result<Vec<u8>> {
+        self.0.lock().unwrap().0.read(offset, len)
+    }
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> fgl::Result<()> {
+        self.0.lock().unwrap().0.read_into(offset, buf)
+    }
+    fn sync(&mut self) -> fgl::Result<()> {
+        self.0.lock().unwrap().0.sync()
+    }
+    fn sync_range(&mut self, upto: u64) -> fgl::Result<()> {
+        self.0.lock().unwrap().0.sync_range(upto)
+    }
+    fn write_master(&mut self, anchor: MasterAnchor) -> fgl::Result<()> {
+        let mut guard = self.0.lock().unwrap();
+        let (store, advances) = &mut *guard;
+        if anchor.low_water > store.read_master()?.low_water {
+            *advances += 1;
+        }
+        store.write_master(anchor)
+    }
+    fn read_master(&self) -> fgl::Result<MasterAnchor> {
+        self.0.lock().unwrap().0.read_master()
+    }
+    fn crash(&mut self) {
+        self.0.lock().unwrap().0.crash()
+    }
+}
+
+/// Restart reads nothing below a low-water mark: a client whose 2 MiB
+/// private log went around several times, its in-memory store holding
+/// only the live part, crashes and recovers; then the server, whose log
+/// has moved its low-water mark past several MiB, crashes and restarts.
+/// Every committed write reads back after each.
+fn restart_after_logs_freed_their_prefix(policy: CommitPolicy, strategy: LoggingStrategyKind) {
+    let cfg = SystemConfig {
+        client_log_bytes: 2 << 20,
+        client_cache_pages: 12,
+        server_checkpoint_every: 2,
+        commit_policy: policy,
+        ..SystemConfig::default().with_logging_strategy(strategy)
+    };
+    let mut sys = System::build(cfg, 1).unwrap();
+    let log = WatchedLog::default();
+    let server: Arc<dyn ServerApi> = sys.server.clone();
+    let watched =
+        ClientCore::with_log_store(ClientId(2), server, sys.net.clone(), Box::new(log.clone()));
+    sys.clients.push(watched.clone());
+    let mut s = WorkloadSpec::new(WorkloadKind::Private);
+    s.pages = 24;
+    s.objects_per_page = 6;
+    s.ops_per_txn = 4;
+    s.write_fraction = 0.8;
+    let layout = populate(sys.client(0), s.pages, s.objects_per_page, 480).unwrap();
+    let oracle = Oracle::new();
+    oracle.seed(sys.client(0), &layout).unwrap();
+    let mut round = 0;
+    while log.0.lock().unwrap().1 < 5 || sys.server.slog_bounds().1 .0 < 3 * FREE_FLOOR {
+        assert!(
+            round < 40,
+            "{policy:?}/{strategy:?}: the logs never went around"
+        );
+        let mut opts = HarnessOptions::new(s.clone(), 200);
+        opts.seed = 4300 + round;
+        run_workload(&sys, &layout, Some(&oracle), &opts).unwrap();
+        // Checkpoints the DCT pins below: the server log only grows.
+        for _ in 0..2000 {
+            sys.server.checkpoint().unwrap();
+        }
+        // Reading every object through each client calls back the
+        // other's exclusive locks; hardened, the pages leave the DCT, and
+        // the next checkpoint moves the server's low-water mark to itself.
+        for c in &sys.clients {
+            let v = oracle.verify_via_reads(c).unwrap();
+            assert!(v.is_clean(), "{policy:?}/{strategy:?}: {:?}", v.mismatches);
+        }
+        for c in &sys.clients {
+            c.harden().unwrap();
+        }
+        sys.server.checkpoint().unwrap();
+        round += 1;
+    }
+    {
+        let (store, _) = &*log.0.lock().unwrap();
+        let freed = store.len() - store.resident_bytes();
+        assert!(freed > 0, "{policy:?}/{strategy:?}: nothing freed");
+        let low = store.read_master().unwrap().low_water.0 - 1;
+        assert!(
+            store.resident_bytes() <= 2 * (store.len() - low) + FREE_FLOOR,
+            "{policy:?}/{strategy:?}"
+        );
+    }
+    watched.crash();
+    watched.recover().unwrap();
+    let v = oracle.verify_via_reads(sys.client(0)).unwrap();
+    assert!(
+        v.is_clean(),
+        "{policy:?}/{strategy:?} client: {:?}",
+        v.mismatches
+    );
+    sys.server.crash();
+    sys.server.restart_recovery().unwrap();
+    let v = oracle.verify_via_reads(&watched).unwrap();
+    assert!(
+        v.is_clean(),
+        "{policy:?}/{strategy:?} server: {:?}",
+        v.mismatches
+    );
+}
+
+#[test]
+fn restart_after_logs_freed_their_prefix_client_log() {
+    for strategy in [
+        LoggingStrategyKind::ClientAries,
+        LoggingStrategyKind::RedoOnly,
+    ] {
+        restart_after_logs_freed_their_prefix(CommitPolicy::ClientLog, strategy);
+    }
+}
+
+/// Server logging ships each commit's records from the last ship on: a
+/// ship never reaches below the low-water mark into freed bytes.
+#[test]
+fn restart_after_logs_freed_their_prefix_server_log() {
+    restart_after_logs_freed_their_prefix(
+        CommitPolicy::ServerLog,
+        LoggingStrategyKind::ClientAries,
+    );
 }
