@@ -4,8 +4,9 @@
 //! or already validated, so the keyed SipHash behind `std`'s default
 //! `RandomState` buys nothing for them and costs most of a look-up.
 //! [`IdMap`]/[`IdSet`] hash with one multiply per word instead. Tables
-//! whose keys arrive raw from the wire (the server's GLM and DCT) keep the
-//! default hasher: a fixed hash lets a peer craft colliding keys.
+//! whose keys arrive raw from the wire (the GLM's page table and the DCT)
+//! keep the default hasher: a fixed hash lets a peer craft colliding keys.
+//! The GLM's per-page tables do not hash at all: they are sorted vectors.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -25,6 +25,7 @@
 use crate::mode::{LockTarget, Mode, ObjMode};
 use crate::waitgraph::WaitGraph;
 use fgl_common::{ClientId, ObjectId, PageId, SlotId, TxnId};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -106,24 +107,356 @@ struct Waiter {
     target: LockTarget,
 }
 
+/// One page's lock state. A page has a handful of holders, so the tables
+/// are vectors kept sorted for binary search rather than hash tables;
+/// look-ups stay O(log n) however many locks one client piles onto a page.
 #[derive(Default)]
 struct PageLocks {
     /// One page-level mode per client (lub of page lock and object
-    /// intents).
-    page_holders: HashMap<ClientId, Mode>,
-    /// Object-level holders per slot.
-    object_holders: HashMap<SlotId, HashMap<ClientId, ObjMode>>,
+    /// intents), sorted by client.
+    page_holders: Vec<(ClientId, Mode)>,
+    /// Object-level holders, sorted by (slot, client).
+    object_holders: Vec<(SlotId, ClientId, ObjMode)>,
+    /// How many X object locks each client holds here (sorted by client,
+    /// no zero counts), so `has_exclusive` needs no walk over the slots.
+    x_objects: Vec<(ClientId, u32)>,
     waiters: VecDeque<Waiter>,
-    /// Callbacks already sent and not yet answered (dedup).
-    outstanding: HashSet<CallbackAction>,
+    /// Callbacks already sent and not yet answered (dedup), sorted by
+    /// [`callback_key`].
+    outstanding: Vec<CallbackAction>,
+}
+
+/// Orders one page's callbacks: by client, then kind, then slot.
+fn callback_key(a: &CallbackAction) -> (ClientId, u8, u16) {
+    let (rank, slot) = match a.kind {
+        CallbackKind::DeEscalatePage(_) => (0, 0),
+        CallbackKind::DowngradeObject(o) => (1, o.slot.0),
+        CallbackKind::DowngradePage(_) => (2, 0),
+        CallbackKind::ReleaseObject(o) => (3, o.slot.0),
+        CallbackKind::ReleasePage(_) => (4, 0),
+    };
+    (a.to, rank, slot)
 }
 
 impl PageLocks {
     fn is_empty(&self) -> bool {
         self.page_holders.is_empty()
-            && self.object_holders.values().all(|m| m.is_empty())
+            && self.object_holders.is_empty()
             && self.waiters.is_empty()
             && self.outstanding.is_empty()
+    }
+
+    // ---- holder tables ----------------------------------------------------
+
+    fn page_mode(&self, client: ClientId) -> Option<Mode> {
+        let i = self.page_holders.binary_search_by_key(&client, |h| h.0);
+        i.ok().map(|i| self.page_holders[i].1)
+    }
+
+    fn set_page_mode(&mut self, client: ClientId, mode: Option<Mode>) {
+        match (
+            self.page_holders.binary_search_by_key(&client, |h| h.0),
+            mode,
+        ) {
+            (Ok(i), Some(m)) => self.page_holders[i].1 = m,
+            (Ok(i), None) => {
+                self.page_holders.remove(i);
+            }
+            (Err(i), Some(m)) => self.page_holders.insert(i, (client, m)),
+            (Err(_), None) => {}
+        }
+    }
+
+    /// The holders of one slot.
+    fn slot_holders(&self, slot: SlotId) -> &[(SlotId, ClientId, ObjMode)] {
+        let lo = self.object_holders.partition_point(|h| h.0 < slot);
+        let len = self.object_holders[lo..].partition_point(|h| h.0 == slot);
+        &self.object_holders[lo..lo + len]
+    }
+
+    /// A client's object locks here, in slot order.
+    fn objects_of(&self, client: ClientId) -> impl Iterator<Item = (SlotId, ObjMode)> + '_ {
+        self.object_holders
+            .iter()
+            .filter(move |h| h.1 == client)
+            .map(|h| (h.0, h.2))
+    }
+
+    fn holds_x_object(&self, client: ClientId) -> bool {
+        self.x_objects
+            .binary_search_by_key(&client, |e| e.0)
+            .is_ok()
+    }
+
+    fn count_x(&mut self, client: ClientId, gained: bool) {
+        match self.x_objects.binary_search_by_key(&client, |e| e.0) {
+            Ok(i) if gained => self.x_objects[i].1 += 1,
+            Ok(i) => {
+                self.x_objects[i].1 -= 1;
+                if self.x_objects[i].1 == 0 {
+                    self.x_objects.remove(i);
+                }
+            }
+            Err(i) => self.x_objects.insert(i, (client, 1)),
+        }
+    }
+
+    /// Set a client's object mode on `slot` (`None` drops the lock).
+    fn set_object_mode(&mut self, slot: SlotId, client: ClientId, mode: Option<ObjMode>) {
+        let found = self
+            .object_holders
+            .binary_search_by_key(&(slot, client), |h| (h.0, h.1));
+        let old = found.ok().map(|i| self.object_holders[i].2);
+        match (found, mode) {
+            (Ok(i), Some(m)) => self.object_holders[i].2 = m,
+            (Ok(i), None) => {
+                self.object_holders.remove(i);
+            }
+            (Err(i), Some(m)) => self.object_holders.insert(i, (slot, client, m)),
+            (Err(_), None) => {}
+        }
+        match (old == Some(ObjMode::X), mode == Some(ObjMode::X)) {
+            (false, true) => self.count_x(client, true),
+            (true, false) => self.count_x(client, false),
+            _ => {}
+        }
+    }
+
+    fn object_mode(&self, slot: SlotId, client: ClientId) -> Option<ObjMode> {
+        let i = self
+            .object_holders
+            .binary_search_by_key(&(slot, client), |h| (h.0, h.1));
+        i.ok().map(|i| self.object_holders[i].2)
+    }
+
+    /// Grant `mode` on `slot`, or raise a weaker held lock to it.
+    fn raise_object(&mut self, slot: SlotId, client: ClientId, mode: ObjMode) {
+        if self
+            .object_mode(slot, client)
+            .is_none_or(|held| held < mode)
+        {
+            self.set_object_mode(slot, client, Some(mode));
+        }
+    }
+
+    /// Drop a client's object locks here: all of them, or those in `only`.
+    fn remove_objects(&mut self, client: ClientId, only: Option<ObjMode>) {
+        self.object_holders
+            .retain(|h| h.1 != client || only.is_some_and(|m| h.2 != m));
+        if only != Some(ObjMode::S) {
+            if let Ok(i) = self.x_objects.binary_search_by_key(&client, |e| e.0) {
+                self.x_objects.remove(i);
+            }
+        }
+    }
+
+    /// Does the client hold any exclusive lock touching the page (object X
+    /// or page X)?
+    fn has_exclusive(&self, client: ClientId) -> bool {
+        self.page_mode(client) == Some(Mode::X) || self.holds_x_object(client)
+    }
+
+    /// Record a callback as sent; false if it already was.
+    fn note_outstanding(&mut self, cb: CallbackAction) -> bool {
+        match self
+            .outstanding
+            .binary_search_by_key(&callback_key(&cb), callback_key)
+        {
+            Ok(_) => false,
+            Err(i) => {
+                self.outstanding.insert(i, cb);
+                true
+            }
+        }
+    }
+
+    fn answered(&mut self, cb: &CallbackAction) {
+        if let Ok(i) = self
+            .outstanding
+            .binary_search_by_key(&callback_key(cb), callback_key)
+        {
+            self.outstanding.remove(i);
+        }
+    }
+
+    // ---- conflict computation -------------------------------------------
+
+    fn conflicts_for(&self, client: ClientId, target: &LockTarget) -> Vec<Conflict> {
+        let mut out = Vec::new();
+        // The mode the client's page entry would take if granted: its
+        // current holding folded with the request (e.g. IX + page-S =
+        // SIX). Conflicts are judged against this effective mode.
+        let own = self.page_mode(client);
+        match target {
+            LockTarget::Object(o, m) => {
+                let intent = match own {
+                    Some(pm) => pm.lub(m.intent()),
+                    None => m.intent(),
+                };
+                for &(h, pm) in &self.page_holders {
+                    if h != client && !pm.compatible(intent) {
+                        out.push(Conflict::PageLevel(h, pm));
+                    }
+                }
+                for &(slot, h, om) in self.slot_holders(o.slot) {
+                    if h != client && !om.compatible(*m) {
+                        out.push(Conflict::ObjLevel(h, slot, om));
+                    }
+                }
+            }
+            LockTarget::Page(_, m) | LockTarget::PageAdaptive(_, m, _) => {
+                let pm_req = match own {
+                    Some(pm) => pm.lub(m.as_page_mode()),
+                    None => m.as_page_mode(),
+                };
+                for &(h, pm) in &self.page_holders {
+                    if h != client && !pm.compatible(pm_req) {
+                        out.push(Conflict::PageLevel(h, pm));
+                    }
+                }
+                for &(slot, h, om) in &self.object_holders {
+                    if h != client && !pm_req.compatible(om.intent()) {
+                        out.push(Conflict::ObjLevel(h, slot, om));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    // ---- state changes ------------------------------------------------------
+
+    /// Record a grant. True when it is the client's first exclusive lock
+    /// touching the page — §3.2's trigger for inserting a DCT entry.
+    fn grant(&mut self, client: ClientId, target: &LockTarget) -> bool {
+        let had_exclusive = self.has_exclusive(client);
+        let page_mode = match target {
+            LockTarget::Object(o, m) => {
+                self.raise_object(o.slot, client, *m);
+                m.intent()
+            }
+            LockTarget::Page(_, m) | LockTarget::PageAdaptive(_, m, _) => m.as_page_mode(),
+        };
+        let pm = self.page_mode(client).unwrap_or(Mode::IS).lub(page_mode);
+        self.set_page_mode(client, Some(pm));
+        !had_exclusive && self.has_exclusive(client)
+    }
+
+    fn apply_done(&mut self, from: ClientId, kind: CallbackKind, retained: &[(ObjectId, ObjMode)]) {
+        match kind {
+            CallbackKind::ReleaseObject(o) => self.set_object_mode(o.slot, from, None),
+            CallbackKind::DowngradeObject(o) => {
+                // Precondition-checked: a stale reply (the holder lost or
+                // changed the lock since the callback was sent) must not
+                // rewrite the current state.
+                if self.object_mode(o.slot, from) == Some(ObjMode::X) {
+                    self.set_object_mode(o.slot, from, Some(ObjMode::S));
+                }
+            }
+            CallbackKind::ReleasePage(_) => {
+                self.set_page_mode(from, None);
+                self.remove_objects(from, None);
+            }
+            CallbackKind::DowngradePage(_) => {
+                // Same precondition rule: only a real page X downgrades.
+                if self.page_mode(from) == Some(Mode::X) {
+                    self.set_page_mode(from, Some(Mode::S));
+                }
+            }
+            CallbackKind::DeEscalatePage(_) => {
+                // Only the page-level lock de-escalates. Object locks the
+                // client acquired explicitly (and still caches in its LLM)
+                // must survive, or the two lock tables diverge — the
+                // client would keep granting locally against locks the
+                // server no longer tracks. `retained` adds the object
+                // locks that had been covered implicitly by the page lock.
+                self.set_page_mode(from, None);
+                for (o, m) in retained {
+                    self.raise_object(o.slot, from, *m);
+                }
+            }
+        }
+        self.recompute_intent(from);
+    }
+
+    /// Recompute a client's page-holder mode from its object locks (after
+    /// releases/downgrades), unless it holds a real page lock.
+    fn recompute_intent(&mut self, client: ClientId) {
+        if matches!(self.page_mode(client), Some(Mode::S) | Some(Mode::X)) {
+            return;
+        }
+        let intent = if self.holds_x_object(client) {
+            Some(Mode::IX)
+        } else {
+            self.objects_of(client).next().map(|_| Mode::IS)
+        };
+        self.set_page_mode(client, intent);
+    }
+
+    /// The first waiter that conflicts with no holder and no earlier
+    /// waiter (FIFO fairness).
+    fn first_grantable(&self) -> Option<usize> {
+        (0..self.waiters.len()).find(|&i| {
+            let w = &self.waiters[i];
+            self.conflicts_for(w.client, &w.target).is_empty()
+                && !self
+                    .waiters
+                    .iter()
+                    .take(i)
+                    .any(|w2| GlmCore::targets_conflict(&w2.target, &w.target))
+        })
+    }
+
+    /// Re-check the waiters after any state change: grant what can be
+    /// granted, send the callbacks the rest still need, and republish the
+    /// queue edges. An empty entry has nothing to re-check.
+    fn re_evaluate(&mut self, page: PageId, graph: &WaitGraph) -> Vec<GlmEvent> {
+        let mut events = Vec::new();
+        if self.is_empty() {
+            return events;
+        }
+        while let Some(i) = self.first_grantable() {
+            let w = self.waiters.remove(i).expect("a grantable waiter's index");
+            graph.remove_waiter_row(w.txn);
+            let first_x = self.grant(w.client, &w.target);
+            events.push(GlmEvent::Grant {
+                client: w.client,
+                txn: w.txn,
+                target: w.target,
+                first_exclusive_on_page: first_x,
+            });
+        }
+        let mut to_send = Vec::new();
+        for w in &self.waiters {
+            let conflicts = self.conflicts_for(w.client, &w.target);
+            to_send.extend(GlmCore::callbacks_for(&w.target, &conflicts));
+        }
+        for cb in to_send {
+            if self.note_outstanding(cb) {
+                events.push(GlmEvent::SendCallback(cb));
+            }
+        }
+        graph.publish_queue_edges(page, self.queue_edges());
+        events
+    }
+
+    /// The page's **queue edges**: a waiter behind an earlier conflicting
+    /// waiter waits for that waiter's transaction. Without them, cycles
+    /// that thread through FIFO ordering are invisible until the timeout
+    /// backstop fires. Republished after every waiter-queue change; a page
+    /// belongs to exactly one server instance, so publications never race.
+    fn queue_edges(&self) -> Vec<(TxnId, TxnId)> {
+        let mut out = Vec::new();
+        for (i, w) in self.waiters.iter().enumerate() {
+            for earlier in self.waiters.iter().take(i) {
+                if earlier.client != w.client
+                    && GlmCore::targets_conflict(&earlier.target, &w.target)
+                {
+                    out.push((w.txn, earlier.txn));
+                }
+            }
+        }
+        out
     }
 }
 
@@ -138,6 +471,8 @@ enum Conflict {
 /// The global lock manager — one per server instance.
 #[derive(Default)]
 pub struct GlmCore {
+    /// Keyed by ids that arrive off the wire, so the table keeps the
+    /// default (keyed SipHash) hasher; see `fgl_common::idmap`.
     pages: HashMap<PageId, PageLocks>,
     /// Waits-for graph (deferral + queue edges). The server hands in the
     /// graph its cross-instance coordinator reads; a standalone
@@ -162,6 +497,23 @@ impl GlmCore {
         }
     }
 
+    /// Run `f` on a tracked page's entry, then stop tracking the page if
+    /// that left it empty: one look-up in the page table for the change.
+    fn with_page<R: Default>(
+        &mut self,
+        page: PageId,
+        f: impl FnOnce(&mut PageLocks, &WaitGraph) -> R,
+    ) -> R {
+        let Entry::Occupied(mut e) = self.pages.entry(page) else {
+            return R::default();
+        };
+        let r = f(e.get_mut(), &self.graph);
+        if e.get().is_empty() {
+            e.remove();
+        }
+        r
+    }
+
     // ---- conflict computation -------------------------------------------
 
     /// The page-level mode a target occupies while *held*.
@@ -170,58 +522,6 @@ impl GlmCore {
             LockTarget::Object(_, m) => m.intent(),
             LockTarget::Page(_, m) | LockTarget::PageAdaptive(_, m, _) => m.as_page_mode(),
         }
-    }
-
-    fn conflicts_for(
-        &self,
-        entry: &PageLocks,
-        client: ClientId,
-        target: &LockTarget,
-    ) -> Vec<Conflict> {
-        let mut out = Vec::new();
-        // The mode the client's page entry would take if granted: its
-        // current holding folded with the request (e.g. IX + page-S =
-        // SIX). Conflicts are judged against this effective mode.
-        let own = entry.page_holders.get(&client).copied();
-        match target {
-            LockTarget::Object(o, m) => {
-                let intent = match own {
-                    Some(pm) => pm.lub(m.intent()),
-                    None => m.intent(),
-                };
-                for (&h, &pm) in &entry.page_holders {
-                    if h != client && !pm.compatible(intent) {
-                        out.push(Conflict::PageLevel(h, pm));
-                    }
-                }
-                if let Some(holders) = entry.object_holders.get(&o.slot) {
-                    for (&h, &om) in holders {
-                        if h != client && !om.compatible(*m) {
-                            out.push(Conflict::ObjLevel(h, o.slot, om));
-                        }
-                    }
-                }
-            }
-            LockTarget::Page(_, m) | LockTarget::PageAdaptive(_, m, _) => {
-                let pm_req = match own {
-                    Some(pm) => pm.lub(m.as_page_mode()),
-                    None => m.as_page_mode(),
-                };
-                for (&h, &pm) in &entry.page_holders {
-                    if h != client && !pm.compatible(pm_req) {
-                        out.push(Conflict::PageLevel(h, pm));
-                    }
-                }
-                for (&slot, holders) in &entry.object_holders {
-                    for (&h, &om) in holders {
-                        if h != client && !pm_req.compatible(om.intent()) {
-                            out.push(Conflict::ObjLevel(h, slot, om));
-                        }
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Map conflicts to the callback actions that would clear them.
@@ -273,51 +573,17 @@ impl GlmCore {
             };
             out.push(action);
         }
-        out.sort_by_key(|a| (a.to.0, format!("{:?}", a.kind)));
+        out.sort_unstable_by_key(callback_key);
         out.dedup();
         out
-    }
-
-    // ---- grants ----------------------------------------------------------
-
-    fn do_grant(&mut self, client: ClientId, target: &LockTarget) -> bool {
-        let page_id = target.page();
-        let had_exclusive = self.client_has_exclusive_on_page(client, page_id);
-        let entry = self.pages.entry(page_id).or_default();
-        match target {
-            LockTarget::Object(o, m) => {
-                let holders = entry.object_holders.entry(o.slot).or_default();
-                let cur = holders.get(&client).copied();
-                let newm = match cur {
-                    Some(existing) if existing.covers(*m) => existing,
-                    _ => *m,
-                };
-                holders.insert(client, newm);
-                let pm = entry.page_holders.entry(client).or_insert(Mode::IS);
-                *pm = pm.lub(m.intent());
-            }
-            LockTarget::Page(_, m) | LockTarget::PageAdaptive(_, m, _) => {
-                let pm = entry.page_holders.entry(client).or_insert(Mode::IS);
-                *pm = pm.lub(m.as_page_mode());
-            }
-        }
-        let has_exclusive = self.client_has_exclusive_on_page(client, page_id);
-        !had_exclusive && has_exclusive
     }
 
     /// Does the client hold any exclusive lock touching the page (object X
     /// or page X)? §3.2 uses this for DCT insertion/removal.
     pub fn client_has_exclusive_on_page(&self, client: ClientId, page: PageId) -> bool {
-        let Some(entry) = self.pages.get(&page) else {
-            return false;
-        };
-        if entry.page_holders.get(&client) == Some(&Mode::X) {
-            return true;
-        }
-        entry
-            .object_holders
-            .values()
-            .any(|h| h.get(&client) == Some(&ObjMode::X))
+        self.pages
+            .get(&page)
+            .is_some_and(|e| e.has_exclusive(client))
     }
 
     // ---- public entry points ----------------------------------------------
@@ -332,31 +598,25 @@ impl GlmCore {
         target: LockTarget,
     ) -> (LockOutcome, LockTarget, Vec<GlmEvent>) {
         let page = target.page();
-        self.pages.entry(page).or_default();
-        let conflicts = {
-            let e = self.pages.get(&page).unwrap();
-            self.conflicts_for(e, client, &target)
-        };
+        let entry = self.pages.entry(page).or_default();
+        let mut conflicts = entry.conflicts_for(client, &target);
         // Adaptive: fall back to the embedded object lock on any conflict.
         let effective = match (&target, conflicts.is_empty()) {
-            (LockTarget::PageAdaptive(_, m, o), false) => LockTarget::Object(*o, *m),
+            (LockTarget::PageAdaptive(_, m, o), false) => {
+                let object = LockTarget::Object(*o, *m);
+                conflicts = entry.conflicts_for(client, &object);
+                object
+            }
             _ => target,
-        };
-        let conflicts = {
-            let e = self.pages.get(&page).unwrap();
-            self.conflicts_for(e, client, &effective)
         };
         // FIFO fairness: do not overtake an earlier queued waiter whose
         // target conflicts with ours.
-        let blocked_by_waiter = self
-            .pages
-            .get(&page)
-            .unwrap()
+        let blocked_by_waiter = entry
             .waiters
             .iter()
             .any(|w| w.client != client && Self::targets_conflict(&w.target, &effective));
         if conflicts.is_empty() && !blocked_by_waiter {
-            let first_x = self.do_grant(client, &effective);
+            let first_x = entry.grant(client, &effective);
             return (
                 LockOutcome::Granted {
                     first_exclusive_on_page: first_x,
@@ -365,20 +625,18 @@ impl GlmCore {
                 Vec::new(),
             );
         }
-        let callbacks = Self::callbacks_for(&effective, &conflicts);
-        let entry = self.pages.get_mut(&page).unwrap();
         entry.waiters.push_back(Waiter {
             client,
             txn,
             target: effective,
         });
         let mut events = Vec::new();
-        for cb in callbacks {
-            if entry.outstanding.insert(cb) {
+        for cb in Self::callbacks_for(&effective, &conflicts) {
+            if entry.note_outstanding(cb) {
                 events.push(GlmEvent::SendCallback(cb));
             }
         }
-        self.publish_queue_edges(page);
+        self.graph.publish_queue_edges(page, entry.queue_edges());
         // Queue-order edges may have closed a cycle right away.
         if let Some(victim) = self.find_deadlock_victim(txn) {
             events.push(GlmEvent::AbortTxn {
@@ -386,13 +644,6 @@ impl GlmCore {
                 txn: victim,
             });
             events.extend(self.cancel_wait(victim));
-            if victim == txn {
-                return (
-                    LockOutcome::Queued,
-                    effective,
-                    self.suppress_crashed(events),
-                );
-            }
         }
         (
             LockOutcome::Queued,
@@ -445,17 +696,17 @@ impl GlmCore {
         let mut events = Vec::new();
         match reply {
             CallbackReply::Done { retained } => {
-                if let Some(entry) = self.pages.get_mut(&page) {
-                    entry.outstanding.remove(&action);
-                }
-                self.apply_done(from, kind, &retained);
-                events.extend(self.re_evaluate(page));
+                events = self.with_page(page, |entry, graph| {
+                    entry.answered(&action);
+                    entry.apply_done(from, kind, &retained);
+                    entry.re_evaluate(page, graph)
+                });
             }
             CallbackReply::Deferred { blockers } => {
                 // The callback stays outstanding; record waits-for edges
                 // for every waiter whose pending callback set contains
                 // this action, then look for cycles.
-                let waiting: Vec<(TxnId, ClientId)> = {
+                let waiting: Vec<TxnId> = {
                     let Some(entry) = self.pages.get(&page) else {
                         return events;
                     };
@@ -463,16 +714,16 @@ impl GlmCore {
                         .waiters
                         .iter()
                         .filter(|w| {
-                            let conflicts = self.conflicts_for(entry, w.client, &w.target);
+                            let conflicts = entry.conflicts_for(w.client, &w.target);
                             Self::callbacks_for(&w.target, &conflicts).contains(&action)
                         })
-                        .map(|w| (w.txn, w.client))
+                        .map(|w| w.txn)
                         .collect()
                 };
-                for (wtxn, _) in &waiting {
+                for wtxn in &waiting {
                     self.graph.add_deferrals(*wtxn, &blockers);
                 }
-                for (wtxn, _) in &waiting {
+                for wtxn in &waiting {
                     if let Some(victim) = self.find_deadlock_victim(*wtxn) {
                         let victim_client = victim.client();
                         events.push(GlmEvent::AbortTxn {
@@ -505,11 +756,10 @@ impl GlmCore {
             match reply {
                 CallbackReply::Done { retained } => {
                     let page = kind.page();
-                    let action = CallbackAction { to: from, kind };
-                    if let Some(entry) = self.pages.get_mut(&page) {
-                        entry.outstanding.remove(&action);
-                    }
-                    self.apply_done(from, kind, &retained);
+                    self.with_page(page, |entry, _| {
+                        entry.answered(&CallbackAction { to: from, kind });
+                        entry.apply_done(from, kind, &retained);
+                    });
                     if !touched.contains(&page) {
                         touched.push(page);
                     }
@@ -518,7 +768,7 @@ impl GlmCore {
             }
         }
         for page in touched {
-            events.extend(self.re_evaluate(page));
+            events.extend(self.with_page(page, |entry, graph| entry.re_evaluate(page, graph)));
         }
         for (kind, blockers) in deferred {
             events.extend(self.callback_reply(from, kind, CallbackReply::Deferred { blockers }));
@@ -526,215 +776,23 @@ impl GlmCore {
         self.suppress_crashed(events)
     }
 
-    fn apply_done(&mut self, from: ClientId, kind: CallbackKind, retained: &[(ObjectId, ObjMode)]) {
-        let page = kind.page();
-        let Some(entry) = self.pages.get_mut(&page) else {
-            return;
-        };
-        match kind {
-            CallbackKind::ReleaseObject(o) => {
-                if let Some(h) = entry.object_holders.get_mut(&o.slot) {
-                    h.remove(&from);
-                }
-            }
-            CallbackKind::DowngradeObject(o) => {
-                // Precondition-checked: a stale reply (the holder lost or
-                // changed the lock since the callback was sent) must not
-                // rewrite the current state.
-                if let Some(h) = entry.object_holders.get_mut(&o.slot) {
-                    if let Some(m) = h.get_mut(&from) {
-                        if *m == ObjMode::X {
-                            *m = ObjMode::S;
-                        }
-                    }
-                }
-            }
-            CallbackKind::ReleasePage(_) => {
-                entry.page_holders.remove(&from);
-                for h in entry.object_holders.values_mut() {
-                    h.remove(&from);
-                }
-            }
-            CallbackKind::DowngradePage(_) => {
-                // Same precondition rule: only a real page X downgrades.
-                if let Some(m) = entry.page_holders.get_mut(&from) {
-                    if *m == Mode::X {
-                        *m = Mode::S;
-                    }
-                }
-            }
-            CallbackKind::DeEscalatePage(_) => {
-                // Only the page-level lock de-escalates. Object locks the
-                // client acquired explicitly (and still caches in its LLM)
-                // must survive, or the two lock tables diverge — the
-                // client would keep granting locally against locks the
-                // server no longer tracks. `retained` adds the object
-                // locks that had been covered implicitly by the page lock.
-                entry.page_holders.remove(&from);
-                for (o, m) in retained {
-                    let e = entry
-                        .object_holders
-                        .entry(o.slot)
-                        .or_default()
-                        .entry(from)
-                        .or_insert(*m);
-                    if *m > *e {
-                        *e = *m;
-                    }
-                }
-            }
-        }
-        self.recompute_intent(page, from);
-    }
-
-    /// Recompute a client's page-holder mode from its object locks (after
-    /// releases/downgrades), unless it holds a real page lock.
-    fn recompute_intent(&mut self, page: PageId, client: ClientId) {
-        let Some(entry) = self.pages.get_mut(&page) else {
-            return;
-        };
-        let real = matches!(
-            entry.page_holders.get(&client),
-            Some(Mode::S) | Some(Mode::X)
-        );
-        if real {
-            return;
-        }
-        let mut intent: Option<Mode> = None;
-        for holders in entry.object_holders.values() {
-            if let Some(m) = holders.get(&client) {
-                let i = m.intent();
-                intent = Some(match intent {
-                    None => i,
-                    Some(prev) => prev.lub(i),
-                });
-            }
-        }
-        match intent {
-            Some(i) => {
-                entry.page_holders.insert(client, i);
-            }
-            None => {
-                entry.page_holders.remove(&client);
-            }
-        }
-        if self.pages.get(&page).map(|e| e.is_empty()).unwrap_or(false) {
-            self.pages.remove(&page);
-        }
-    }
-
-    /// Re-check waiters of a page after any state change.
-    fn re_evaluate(&mut self, page: PageId) -> Vec<GlmEvent> {
-        let mut events = Vec::new();
-        loop {
-            let Some(entry) = self.pages.get(&page) else {
-                return events;
-            };
-            // Find the first grantable waiter respecting FIFO fairness.
-            let mut grant_idx = None;
-            for (i, w) in entry.waiters.iter().enumerate() {
-                let conflicts = self.conflicts_for(entry, w.client, &w.target);
-                let blocked_by_earlier = entry
-                    .waiters
-                    .iter()
-                    .take(i)
-                    .any(|w2| Self::targets_conflict(&w2.target, &w.target));
-                if conflicts.is_empty() && !blocked_by_earlier {
-                    grant_idx = Some(i);
-                    break;
-                }
-            }
-            match grant_idx {
-                Some(i) => {
-                    let w = self
-                        .pages
-                        .get_mut(&page)
-                        .unwrap()
-                        .waiters
-                        .remove(i)
-                        .unwrap();
-                    self.graph.remove_waiter_row(w.txn);
-                    let first_x = self.do_grant(w.client, &w.target);
-                    events.push(GlmEvent::Grant {
-                        client: w.client,
-                        txn: w.txn,
-                        target: w.target,
-                        first_exclusive_on_page: first_x,
-                    });
-                }
-                None => break,
-            }
-        }
-        // Send any callbacks still needed by the remaining waiters.
-        let Some(entry) = self.pages.get(&page) else {
-            return events;
-        };
-        let mut to_send = Vec::new();
-        for w in &entry.waiters {
-            let conflicts = self.conflicts_for(entry, w.client, &w.target);
-            for cb in Self::callbacks_for(&w.target, &conflicts) {
-                to_send.push(cb);
-            }
-        }
-        let entry = self.pages.get_mut(&page).unwrap();
-        for cb in to_send {
-            if entry.outstanding.insert(cb) {
-                events.push(GlmEvent::SendCallback(cb));
-            }
-        }
-        if entry.is_empty() {
-            self.pages.remove(&page);
-        }
-        self.publish_queue_edges(page);
-        events
-    }
-
     /// Remove a waiter (timeout, abort, deadlock victim).
     pub fn cancel_wait(&mut self, txn: TxnId) -> Vec<GlmEvent> {
         self.graph.forget_txn(txn);
-        let mut touched = Vec::new();
-        for (pid, entry) in self.pages.iter_mut() {
+        let mut events = Vec::new();
+        let graph = &self.graph;
+        self.pages.retain(|&page, entry| {
             let before = entry.waiters.len();
             entry.waiters.retain(|w| w.txn != txn);
             if entry.waiters.len() != before {
-                touched.push(*pid);
+                events.extend(entry.re_evaluate(page, graph));
             }
-        }
-        let mut events = Vec::new();
-        for pid in touched {
-            events.extend(self.re_evaluate(pid));
-        }
+            !entry.is_empty()
+        });
         self.suppress_crashed(events)
     }
 
     // ---- deadlock detection ------------------------------------------------
-
-    /// Republish this page's **queue edges** to the shared waits-for
-    /// graph: a waiter behind an earlier conflicting waiter waits for
-    /// that waiter's transaction. Without the queue edges, cycles that
-    /// thread through FIFO ordering are invisible until the timeout
-    /// backstop fires. Called after every waiter-queue change; a page
-    /// belongs to exactly one server instance, so publications never race.
-    fn publish_queue_edges(&self, page: PageId) {
-        let edges = match self.pages.get(&page) {
-            Some(entry) => {
-                let ws: Vec<&Waiter> = entry.waiters.iter().collect();
-                let mut out = Vec::new();
-                for (i, w) in ws.iter().enumerate() {
-                    for earlier in ws.iter().take(i) {
-                        if earlier.client != w.client
-                            && Self::targets_conflict(&earlier.target, &w.target)
-                        {
-                            out.push((w.txn, earlier.txn));
-                        }
-                    }
-                }
-                out
-            }
-            None => Vec::new(),
-        };
-        self.graph.publish_queue_edges(page, edges);
-    }
 
     /// Cycle search over the graph (deferral edges plus the republished
     /// queue edges); the youngest cycle member
@@ -747,31 +805,25 @@ impl GlmCore {
 
     /// Release one object lock held by a client (e.g. after recovery).
     pub fn release_object(&mut self, client: ClientId, o: ObjectId) -> Vec<GlmEvent> {
-        if let Some(entry) = self.pages.get_mut(&o.page) {
-            if let Some(h) = entry.object_holders.get_mut(&o.slot) {
-                h.remove(&client);
-            }
-        }
-        self.recompute_intent(o.page, client);
-        let events = self.re_evaluate(o.page);
+        let events = self.with_page(o.page, |entry, graph| {
+            entry.set_object_mode(o.slot, client, None);
+            entry.recompute_intent(client);
+            entry.re_evaluate(o.page, graph)
+        });
         self.suppress_crashed(events)
     }
 
     /// Release every lock the client holds (clean disconnect / tests).
     pub fn release_all(&mut self, client: ClientId) -> Vec<GlmEvent> {
-        let pages: Vec<PageId> = self.pages.keys().copied().collect();
         let mut events = Vec::new();
-        for p in pages {
-            if let Some(entry) = self.pages.get_mut(&p) {
-                entry.page_holders.remove(&client);
-                for h in entry.object_holders.values_mut() {
-                    h.remove(&client);
-                }
-                entry.object_holders.retain(|_, h| !h.is_empty());
-                entry.outstanding.retain(|cb| cb.to != client);
-            }
-            events.extend(self.re_evaluate(p));
-        }
+        let graph = &self.graph;
+        self.pages.retain(|&page, entry| {
+            entry.set_page_mode(client, None);
+            entry.remove_objects(client, None);
+            entry.outstanding.retain(|cb| cb.to != client);
+            events.extend(entry.re_evaluate(page, graph));
+            !entry.is_empty()
+        });
         self.suppress_crashed(events)
     }
 
@@ -780,7 +832,6 @@ impl GlmCore {
     /// completes. Its waiters disappear with it.
     pub fn crash_client(&mut self, client: ClientId) -> Vec<GlmEvent> {
         self.crashed.insert(client);
-        let pages: Vec<PageId> = self.pages.keys().copied().collect();
         let mut events = Vec::new();
         // Drop its waiters and their edges first.
         let its_txns: Vec<TxnId> = self
@@ -793,29 +844,21 @@ impl GlmCore {
         for t in its_txns {
             events.extend(self.cancel_wait(t));
         }
-        for p in pages {
-            if let Some(entry) = self.pages.get_mut(&p) {
-                // Shared locks go; X stays. Page S released; page X stays.
-                match entry.page_holders.get(&client) {
-                    Some(Mode::S) | Some(Mode::IS) => {
-                        entry.page_holders.remove(&client);
-                    }
-                    _ => {}
-                }
-                for h in entry.object_holders.values_mut() {
-                    if h.get(&client) == Some(&ObjMode::S) {
-                        h.remove(&client);
-                    }
-                }
-                // Outstanding callbacks to the crashed client will be
-                // re-issued (queued by the server runtime) once it
-                // recovers; forget that they were sent.
-                entry.outstanding.retain(|cb| cb.to != client);
+        let graph = &self.graph;
+        self.pages.retain(|&page, entry| {
+            // Shared locks go; X stays. Page S released; page X stays.
+            if matches!(entry.page_mode(client), Some(Mode::S) | Some(Mode::IS)) {
+                entry.set_page_mode(client, None);
             }
-            self.recompute_intent(p, client);
-            let evs = self.re_evaluate(p);
-            events.extend(evs);
-        }
+            entry.remove_objects(client, Some(ObjMode::S));
+            // Outstanding callbacks to the crashed client will be
+            // re-issued (queued by the server runtime) once it
+            // recovers; forget that they were sent.
+            entry.outstanding.retain(|cb| cb.to != client);
+            entry.recompute_intent(client);
+            events.extend(entry.re_evaluate(page, graph));
+            !entry.is_empty()
+        });
         self.suppress_crashed(events)
     }
 
@@ -836,27 +879,33 @@ impl GlmCore {
     }
 
     /// Every exclusive lock a client holds (page X and object X) — what a
-    /// recovering client reinstalls in its LLM (§3.3).
+    /// recovering client reinstalls in its LLM (§3.3). Ordered by page,
+    /// then object locks in slot order before the page lock.
     pub fn exclusive_locks(&self, client: ClientId) -> Vec<LockTarget> {
         let mut out = Vec::new();
         for (&pid, entry) in &self.pages {
-            if entry.page_holders.get(&client) == Some(&Mode::X) {
+            out.extend(
+                entry
+                    .objects_of(client)
+                    .filter(|(_, m)| *m == ObjMode::X)
+                    .map(|(slot, m)| LockTarget::Object(ObjectId::new(pid, slot), m)),
+            );
+            if entry.page_mode(client) == Some(Mode::X) {
                 out.push(LockTarget::Page(pid, ObjMode::X));
             }
-            for (&slot, holders) in &entry.object_holders {
-                if holders.get(&client) == Some(&ObjMode::X) {
-                    out.push(LockTarget::Object(ObjectId::new(pid, slot), ObjMode::X));
-                }
-            }
         }
-        out.sort_by_key(|t| (t.page().0, format!("{t:?}")));
+        // Stable: keeps each page's slot order.
+        out.sort_by_key(|t| t.page());
         out
     }
 
     /// Rebuild a holder entry from a client's reported LLM table (server
     /// restart recovery, §3.4).
     pub fn install_holder(&mut self, client: ClientId, target: LockTarget) {
-        self.do_grant(client, &target);
+        self.pages
+            .entry(target.page())
+            .or_default()
+            .grant(client, &target);
     }
 
     /// Number of pages with any lock state (diagnostics).
@@ -870,17 +919,10 @@ impl GlmCore {
         client: ClientId,
         page: PageId,
     ) -> (Option<Mode>, Vec<(SlotId, ObjMode)>) {
-        let Some(entry) = self.pages.get(&page) else {
-            return (None, Vec::new());
-        };
-        let pm = entry.page_holders.get(&client).copied();
-        let mut objs: Vec<(SlotId, ObjMode)> = entry
-            .object_holders
-            .iter()
-            .filter_map(|(&s, h)| h.get(&client).map(|&m| (s, m)))
-            .collect();
-        objs.sort_by_key(|(s, _)| s.0);
-        (pm, objs)
+        match self.pages.get(&page) {
+            Some(entry) => (entry.page_mode(client), entry.objects_of(client).collect()),
+            None => (None, Vec::new()),
+        }
     }
 }
 
@@ -1370,6 +1412,33 @@ mod tests {
             victims.contains(&t(C1, 900)),
             "youngest (local seq 900) must be the victim: {victims:?}"
         );
+    }
+
+    #[test]
+    fn page_s_request_over_4096_x_objects_calls_back_each_in_slot_order() {
+        // One client piles X locks onto 4 096 slots of a page; another's
+        // page-S request must downgrade every one of them (in numeric slot
+        // order) and release the holder's IX page entry.
+        let mut g = GlmCore::new();
+        for s in 0..4096 {
+            let (o, _t, _) = g.lock(C1, t(C1, 1), LockTarget::Object(obj(1, s), ObjMode::X));
+            assert!(granted(o));
+        }
+        assert!(g.client_has_exclusive_on_page(C1, PageId(1)));
+        let (o, _t, ev) = g.lock(C2, t(C2, 1), LockTarget::Page(PageId(1), ObjMode::S));
+        assert_eq!(o, LockOutcome::Queued);
+        let want: Vec<GlmEvent> = (0..4096)
+            .map(|s| CallbackKind::DowngradeObject(obj(1, s)))
+            .chain([CallbackKind::ReleasePage(PageId(1))])
+            .map(|kind| GlmEvent::SendCallback(CallbackAction { to: C1, kind }))
+            .collect();
+        assert_eq!(ev, want);
+        // A second reader queues without repeating any callback: all
+        // 4 097 are already outstanding.
+        let (o, _t, ev) = g.lock(C3, t(C3, 1), LockTarget::Page(PageId(1), ObjMode::S));
+        assert_eq!(o, LockOutcome::Queued);
+        assert!(ev.is_empty(), "{} callbacks sent twice", ev.len());
+        assert_eq!(g.pending_callbacks_for(C1).len(), 4097);
     }
 
     #[test]

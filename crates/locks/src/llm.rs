@@ -24,7 +24,7 @@
 use crate::glm::{CallbackKind, CallbackReply};
 use crate::mode::{LockTarget, ObjMode};
 use fgl_common::config::{LockGranularity, UpdatePolicy};
-use fgl_common::{IdMap, ObjectId, PageId, TxnId};
+use fgl_common::{IdMap, ObjectId, PageId, SlotId, TxnId};
 use std::collections::hash_map::Entry;
 
 /// Outcome of a local acquisition attempt.
@@ -55,6 +55,9 @@ pub struct LlmCore {
     page_locks: IdMap<PageId, ObjMode>,
     /// Cached object-level locks.
     object_locks: IdMap<ObjectId, ObjMode>,
+    /// The slots of `object_locks` per page (no empty lists), so a
+    /// question about one page costs what that page holds.
+    page_objects: IdMap<PageId, Vec<SlotId>>,
     /// Per active transaction: resources in use with the max mode used.
     txn_use: IdMap<TxnId, IdMap<Res, ObjMode>>,
     /// Emptied usage tables of finished transactions; the next
@@ -77,6 +80,7 @@ impl LlmCore {
             update_policy,
             page_locks: IdMap::default(),
             object_locks: IdMap::default(),
+            page_objects: IdMap::default(),
             txn_use: IdMap::default(),
             spare_uses: Vec::new(),
             deferred: Vec::new(),
@@ -98,12 +102,7 @@ impl LlmCore {
     /// Transactions with an in-flight global request overlapping the
     /// called-back resource. `min` filters downgrades (only X-mode
     /// requests block a downgrade).
-    fn inflight_blockers(
-        &self,
-        page: PageId,
-        slot: Option<fgl_common::SlotId>,
-        min: ObjMode,
-    ) -> Vec<TxnId> {
+    fn inflight_blockers(&self, page: PageId, slot: Option<SlotId>, min: ObjMode) -> Vec<TxnId> {
         let mut out: Vec<TxnId> = self
             .inflight
             .iter()
@@ -136,6 +135,34 @@ impl LlmCore {
             LockGranularity::Object => LockTarget::Object(object, mode),
             LockGranularity::Page => LockTarget::Page(object.page, mode),
             LockGranularity::Adaptive => LockTarget::PageAdaptive(object.page, mode, object),
+        }
+    }
+
+    /// Cache an object lock, or raise a cached one to `mode`.
+    fn raise_object_lock(&mut self, o: ObjectId, mode: ObjMode) {
+        match self.object_locks.entry(o) {
+            Entry::Occupied(mut e) => {
+                if mode > *e.get() {
+                    e.insert(mode);
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert(mode);
+                self.page_objects.entry(o.page).or_default().push(o.slot);
+            }
+        }
+    }
+
+    fn drop_object_lock(&mut self, o: ObjectId) {
+        if self.object_locks.remove(&o).is_none() {
+            return;
+        }
+        if let Entry::Occupied(mut e) = self.page_objects.entry(o.page) {
+            let slots = e.get_mut();
+            slots.retain(|s| *s != o.slot);
+            if slots.is_empty() {
+                e.remove();
+            }
         }
     }
 
@@ -262,12 +289,7 @@ impl LlmCore {
         granted: LockTarget,
     ) {
         match granted {
-            LockTarget::Object(o, m) => {
-                let e = self.object_locks.entry(o).or_insert(m);
-                if m > *e {
-                    *e = m;
-                }
-            }
+            LockTarget::Object(o, m) => self.raise_object_lock(o, m),
             LockTarget::Page(p, m) | LockTarget::PageAdaptive(p, m, _) => {
                 let e = self.page_locks.entry(p).or_insert(m);
                 if m > *e {
@@ -361,7 +383,7 @@ impl LlmCore {
                 blockers.sort();
                 blockers.dedup();
                 if blockers.is_empty() {
-                    self.object_locks.remove(&o);
+                    self.drop_object_lock(o);
                     CallbackReply::Done { retained: vec![] }
                 } else {
                     self.deferred.push(kind);
@@ -390,7 +412,9 @@ impl LlmCore {
                 blockers.dedup();
                 if blockers.is_empty() {
                     self.page_locks.remove(&p);
-                    self.object_locks.retain(|o, _| o.page != p);
+                    for slot in self.page_objects.remove(&p).unwrap_or_default() {
+                        self.object_locks.remove(&ObjectId::new(p, slot));
+                    }
                     CallbackReply::Done { retained: vec![] }
                 } else {
                     self.deferred.push(kind);
@@ -431,10 +455,7 @@ impl LlmCore {
                     }
                 }
                 for (o, m) in &retained {
-                    let e = self.object_locks.entry(*o).or_insert(*m);
-                    if *m > *e {
-                        *e = *m;
-                    }
+                    self.raise_object_lock(*o, *m);
                 }
                 CallbackReply::Done { retained }
             }
@@ -505,7 +526,7 @@ impl LlmCore {
 
     /// Does the client hold any lock touching `page`?
     pub fn holds_any_on_page(&self, page: PageId) -> bool {
-        self.page_locks.contains_key(&page) || self.object_locks.keys().any(|o| o.page == page)
+        self.page_locks.contains_key(&page) || self.page_objects.contains_key(&page)
     }
 
     /// All cached locks, as GLM targets (reported to the server during its
@@ -531,6 +552,7 @@ impl LlmCore {
     pub fn clear(&mut self) {
         self.page_locks.clear();
         self.object_locks.clear();
+        self.page_objects.clear();
         self.txn_use.clear();
         self.deferred.clear();
         self.inflight.clear();
@@ -541,9 +563,7 @@ impl LlmCore {
     pub fn reinstall_exclusive(&mut self, locks: &[LockTarget]) {
         for l in locks {
             match l {
-                LockTarget::Object(o, ObjMode::X) => {
-                    self.object_locks.insert(*o, ObjMode::X);
-                }
+                LockTarget::Object(o, ObjMode::X) => self.raise_object_lock(*o, ObjMode::X),
                 LockTarget::Page(p, ObjMode::X) => {
                     self.page_locks.insert(*p, ObjMode::X);
                 }
@@ -563,7 +583,7 @@ impl LlmCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fgl_common::{ClientId, SlotId};
+    use fgl_common::ClientId;
 
     const C: ClientId = ClientId(1);
 
@@ -587,7 +607,7 @@ mod tests {
         let mut l = llm();
         for (p, s) in [(3, 2), (3, 10), (3, 1), (12, 0), (2, 7), (3, 100), (12, 11)] {
             let mode = if s % 2 == 0 { ObjMode::X } else { ObjMode::S };
-            l.object_locks.insert(obj(p, s), mode);
+            l.raise_object_lock(obj(p, s), mode);
         }
         l.page_locks.insert(PageId(3), ObjMode::S);
         l.page_locks.insert(PageId(7), ObjMode::X);

@@ -6,7 +6,7 @@
 //! asserting exact event sequences.
 
 use crate::ring::Stamped;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// An observer of emitted events. Implementations must be cheap: they run
@@ -24,6 +24,12 @@ fn sinks() -> &'static SinkList {
 
 static SINK_IDS: AtomicU64 = AtomicU64::new(0);
 
+/// How many sinks are installed: `broadcast` reads it to skip the list's
+/// lock in the usual case of none. Stored with `Release` under the list's
+/// write lock and loaded with `Acquire`, so an emit that follows
+/// `install_sink` sees the count and then takes the lock.
+static SINK_COUNT: AtomicUsize = AtomicUsize::new(0);
+
 /// Uninstalls its sink on drop, so tests can scope capture windows.
 pub struct SinkGuard {
     id: u64,
@@ -31,18 +37,25 @@ pub struct SinkGuard {
 
 impl Drop for SinkGuard {
     fn drop(&mut self) {
-        sinks().write().unwrap().retain(|(id, _)| *id != self.id);
+        let mut list = sinks().write().unwrap();
+        list.retain(|(id, _)| *id != self.id);
+        SINK_COUNT.store(list.len(), Ordering::Release);
     }
 }
 
 /// Install a sink; it observes every event until the guard drops.
 pub fn install_sink(sink: Arc<dyn EventSink>) -> SinkGuard {
     let id = SINK_IDS.fetch_add(1, Ordering::Relaxed);
-    sinks().write().unwrap().push((id, sink));
+    let mut list = sinks().write().unwrap();
+    list.push((id, sink));
+    SINK_COUNT.store(list.len(), Ordering::Release);
     SinkGuard { id }
 }
 
 pub(crate) fn broadcast(stamped: &Stamped) {
+    if SINK_COUNT.load(Ordering::Acquire) == 0 {
+        return;
+    }
     for (_, sink) in sinks().read().unwrap().iter() {
         sink.record(stamped);
     }

@@ -127,3 +127,37 @@ fn deadlock_victim_leaves_ordered_flight_recorder_dump() {
         assert!(w[0].seq < w[1].seq);
     }
 }
+
+#[test]
+fn capture_sink_installed_after_events_sees_every_later_one() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let victim = |n: u64| Event::DeadlockVictim {
+        txn: TxnId(0xB0B_0000 + n),
+    };
+    // With no sink installed, `emit` skips the sink list entirely.
+    for n in 0..100 {
+        fgl_obs::emit(victim(n));
+    }
+    let (sink, guard) = CaptureSink::install();
+    for n in 100..150 {
+        fgl_obs::emit(victim(n));
+    }
+    std::thread::spawn(move || {
+        for n in 150..200 {
+            fgl_obs::emit(victim(n));
+        }
+    })
+    .join()
+    .unwrap();
+    drop(guard);
+    fgl_obs::emit(victim(200));
+    let seen: Vec<u64> = sink
+        .events()
+        .into_iter()
+        .filter_map(|s| match s.event {
+            Event::DeadlockVictim { txn } if txn.0 >> 16 == 0xB0B => Some(txn.0 - 0xB0B_0000),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(seen, (100..200).collect::<Vec<u64>>());
+}
