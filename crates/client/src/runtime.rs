@@ -33,7 +33,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Client-side DPT entry (§3.2 + the §3.6 remembered-LSN refinement).
 #[derive(Clone, Copy, Debug)]
@@ -1048,14 +1048,16 @@ impl ClientCore {
                         locked = true;
                     }
                     LocalDecision::BlockedByCallback => {
-                        // Wait for local callback resolution, then retry.
+                        // Wait for local callback resolution, then retry: whatever
+                        // clears a deferred callback notifies `cv`.
                         let deadline =
                             *deadline.get_or_insert_with(|| Instant::now() + self.cfg.lock_timeout);
-                        if Instant::now() >= deadline {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
                             drop(st);
                             return Err(self.lock_timed_out(txn, oid.page));
                         }
-                        self.cv.wait_for(&mut st, Duration::from_millis(20));
+                        self.cv.wait_for(&mut st, left);
                         continue;
                     }
                     LocalDecision::NeedGlobal(target) => {

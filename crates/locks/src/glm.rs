@@ -107,19 +107,40 @@ struct Waiter {
     target: LockTarget,
 }
 
+/// One client's locks on one page as granted: its page lock and how many
+/// object locks (and how many X ones) it holds here. The page-level mode
+/// it occupies is derived from them ([`Holder::mode`]), never stored, so
+/// it cannot drift from the locks.
+#[derive(Clone, Copy, Default)]
+struct Holder {
+    /// An explicit page lock (page granularity, structural updates, an
+    /// adaptive grant).
+    page: Option<ObjMode>,
+    objects: u32,
+    x_objects: u32,
+}
+
+impl Holder {
+    /// The page lock folded with the intent of the object locks: IX with
+    /// any X object, else IS with any object. Page S with an X object is
+    /// SIX.
+    fn mode(&self) -> Option<Mode> {
+        let x = self.x_objects > 0;
+        let intent = (self.objects > 0).then_some(if x { Mode::IX } else { Mode::IS });
+        let page = self.page.map(ObjMode::as_page_mode);
+        page.into_iter().chain(intent).reduce(Mode::lub)
+    }
+}
+
 /// One page's lock state. A page has a handful of holders, so the tables
 /// are vectors kept sorted for binary search rather than hash tables;
 /// look-ups stay O(log n) however many locks one client piles onto a page.
 #[derive(Default)]
 struct PageLocks {
-    /// One page-level mode per client (lub of page lock and object
-    /// intents), sorted by client.
-    page_holders: Vec<(ClientId, Mode)>,
+    /// One row per client holding any lock here, sorted by client.
+    holders: Vec<(ClientId, Holder)>,
     /// Object-level holders, sorted by (slot, client).
     object_holders: Vec<(SlotId, ClientId, ObjMode)>,
-    /// How many X object locks each client holds here (sorted by client,
-    /// no zero counts), so `has_exclusive` needs no walk over the slots.
-    x_objects: Vec<(ClientId, u32)>,
     waiters: VecDeque<Waiter>,
     /// Callbacks already sent and not yet answered (dedup), sorted by
     /// [`callback_key`].
@@ -140,7 +161,7 @@ fn callback_key(a: &CallbackAction) -> (ClientId, u8, u16) {
 
 impl PageLocks {
     fn is_empty(&self) -> bool {
-        self.page_holders.is_empty()
+        self.holders.is_empty()
             && self.object_holders.is_empty()
             && self.waiters.is_empty()
             && self.outstanding.is_empty()
@@ -148,22 +169,30 @@ impl PageLocks {
 
     // ---- holder tables ----------------------------------------------------
 
-    fn page_mode(&self, client: ClientId) -> Option<Mode> {
-        let i = self.page_holders.binary_search_by_key(&client, |h| h.0);
-        i.ok().map(|i| self.page_holders[i].1)
+    fn holder(&self, client: ClientId) -> Option<&Holder> {
+        let i = self.holders.binary_search_by_key(&client, |h| h.0);
+        i.ok().map(|i| &self.holders[i].1)
     }
 
-    fn set_page_mode(&mut self, client: ClientId, mode: Option<Mode>) {
-        match (
-            self.page_holders.binary_search_by_key(&client, |h| h.0),
-            mode,
-        ) {
-            (Ok(i), Some(m)) => self.page_holders[i].1 = m,
-            (Ok(i), None) => {
-                self.page_holders.remove(i);
+    /// The page-level mode the client occupies (see [`Holder::mode`]).
+    fn page_mode(&self, client: ClientId) -> Option<Mode> {
+        self.holder(client).and_then(Holder::mode)
+    }
+
+    /// Change a client's row, adding it if absent and dropping it once it
+    /// holds nothing.
+    fn update_holder(&mut self, client: ClientId, f: impl FnOnce(&mut Holder)) {
+        let i = match self.holders.binary_search_by_key(&client, |h| h.0) {
+            Ok(i) => i,
+            Err(i) => {
+                self.holders.insert(i, (client, Holder::default()));
+                i
             }
-            (Err(i), Some(m)) => self.page_holders.insert(i, (client, m)),
-            (Err(_), None) => {}
+        };
+        let h = &mut self.holders[i].1;
+        f(h);
+        if h.page.is_none() && h.objects == 0 {
+            self.holders.remove(i);
         }
     }
 
@@ -182,31 +211,15 @@ impl PageLocks {
             .map(|h| (h.0, h.2))
     }
 
-    fn holds_x_object(&self, client: ClientId) -> bool {
-        self.x_objects
-            .binary_search_by_key(&client, |e| e.0)
-            .is_ok()
-    }
-
-    fn count_x(&mut self, client: ClientId, gained: bool) {
-        match self.x_objects.binary_search_by_key(&client, |e| e.0) {
-            Ok(i) if gained => self.x_objects[i].1 += 1,
-            Ok(i) => {
-                self.x_objects[i].1 -= 1;
-                if self.x_objects[i].1 == 0 {
-                    self.x_objects.remove(i);
-                }
-            }
-            Err(i) => self.x_objects.insert(i, (client, 1)),
-        }
-    }
-
     /// Set a client's object mode on `slot` (`None` drops the lock).
     fn set_object_mode(&mut self, slot: SlotId, client: ClientId, mode: Option<ObjMode>) {
         let found = self
             .object_holders
             .binary_search_by_key(&(slot, client), |h| (h.0, h.1));
         let old = found.ok().map(|i| self.object_holders[i].2);
+        if old == mode {
+            return;
+        }
         match (found, mode) {
             (Ok(i), Some(m)) => self.object_holders[i].2 = m,
             (Ok(i), None) => {
@@ -215,11 +228,11 @@ impl PageLocks {
             (Err(i), Some(m)) => self.object_holders.insert(i, (slot, client, m)),
             (Err(_), None) => {}
         }
-        match (old == Some(ObjMode::X), mode == Some(ObjMode::X)) {
-            (false, true) => self.count_x(client, true),
-            (true, false) => self.count_x(client, false),
-            _ => {}
-        }
+        let x = |m: Option<ObjMode>| (m == Some(ObjMode::X)) as u32;
+        self.update_holder(client, |h| {
+            h.objects = h.objects + mode.is_some() as u32 - old.is_some() as u32;
+            h.x_objects = h.x_objects + x(mode) - x(old);
+        });
     }
 
     fn object_mode(&self, slot: SlotId, client: ClientId) -> Option<ObjMode> {
@@ -239,21 +252,31 @@ impl PageLocks {
         }
     }
 
-    /// Drop a client's object locks here: all of them, or those in `only`.
-    fn remove_objects(&mut self, client: ClientId, only: Option<ObjMode>) {
-        self.object_holders
-            .retain(|h| h.1 != client || only.is_some_and(|m| h.2 != m));
-        if only != Some(ObjMode::S) {
-            if let Ok(i) = self.x_objects.binary_search_by_key(&client, |e| e.0) {
-                self.x_objects.remove(i);
-            }
+    /// Drop a client's locks here: all of them, or (a crash, §3.3) only
+    /// the shared ones.
+    fn drop_locks(&mut self, client: ClientId, shared_only: bool) {
+        if self.holder(client).is_some() {
+            self.object_holders
+                .retain(|h| h.1 != client || (shared_only && h.2 == ObjMode::X));
+            self.update_holder(client, |h| {
+                h.page = h.page.filter(|m| shared_only && *m == ObjMode::X);
+                if !shared_only {
+                    h.x_objects = 0;
+                }
+                h.objects = h.x_objects;
+            });
         }
+    }
+
+    fn page_lock(&self, client: ClientId) -> Option<ObjMode> {
+        self.holder(client).and_then(|h| h.page)
     }
 
     /// Does the client hold any exclusive lock touching the page (object X
     /// or page X)?
     fn has_exclusive(&self, client: ClientId) -> bool {
-        self.page_mode(client) == Some(Mode::X) || self.holds_x_object(client)
+        self.holder(client)
+            .is_some_and(|h| h.page == Some(ObjMode::X) || h.x_objects > 0)
     }
 
     /// Record a callback as sent; false if it already was.
@@ -287,14 +310,19 @@ impl PageLocks {
         // current holding folded with the request (e.g. IX + page-S =
         // SIX). Conflicts are judged against this effective mode.
         let own = self.page_mode(client);
+        let others = self
+            .holders
+            .iter()
+            .filter(|h| h.0 != client)
+            .filter_map(|h| Some((h.0, h.1.mode()?)));
         match target {
             LockTarget::Object(o, m) => {
                 let intent = match own {
                     Some(pm) => pm.lub(m.intent()),
                     None => m.intent(),
                 };
-                for &(h, pm) in &self.page_holders {
-                    if h != client && !pm.compatible(intent) {
+                for (h, pm) in others {
+                    if !pm.compatible(intent) {
                         out.push(Conflict::PageLevel(h, pm));
                     }
                 }
@@ -309,8 +337,8 @@ impl PageLocks {
                     Some(pm) => pm.lub(m.as_page_mode()),
                     None => m.as_page_mode(),
                 };
-                for &(h, pm) in &self.page_holders {
-                    if h != client && !pm.compatible(pm_req) {
+                for (h, pm) in others {
+                    if !pm.compatible(pm_req) {
                         out.push(Conflict::PageLevel(h, pm));
                     }
                 }
@@ -330,15 +358,12 @@ impl PageLocks {
     /// touching the page — §3.2's trigger for inserting a DCT entry.
     fn grant(&mut self, client: ClientId, target: &LockTarget) -> bool {
         let had_exclusive = self.has_exclusive(client);
-        let page_mode = match target {
-            LockTarget::Object(o, m) => {
-                self.raise_object(o.slot, client, *m);
-                m.intent()
+        match target {
+            LockTarget::Object(o, m) => self.raise_object(o.slot, client, *m),
+            LockTarget::Page(_, m) | LockTarget::PageAdaptive(_, m, _) => {
+                self.update_holder(client, |h| h.page = h.page.max(Some(*m)))
             }
-            LockTarget::Page(_, m) | LockTarget::PageAdaptive(_, m, _) => m.as_page_mode(),
-        };
-        let pm = self.page_mode(client).unwrap_or(Mode::IS).lub(page_mode);
-        self.set_page_mode(client, Some(pm));
+        }
         !had_exclusive && self.has_exclusive(client)
     }
 
@@ -353,14 +378,11 @@ impl PageLocks {
                     self.set_object_mode(o.slot, from, Some(ObjMode::S));
                 }
             }
-            CallbackKind::ReleasePage(_) => {
-                self.set_page_mode(from, None);
-                self.remove_objects(from, None);
-            }
+            CallbackKind::ReleasePage(_) => self.drop_locks(from, false),
+            // Same precondition rule: only a page X downgrades.
             CallbackKind::DowngradePage(_) => {
-                // Same precondition rule: only a real page X downgrades.
-                if self.page_mode(from) == Some(Mode::X) {
-                    self.set_page_mode(from, Some(Mode::S));
+                if self.page_lock(from) == Some(ObjMode::X) {
+                    self.update_holder(from, |h| h.page = Some(ObjMode::S));
                 }
             }
             CallbackKind::DeEscalatePage(_) => {
@@ -370,27 +392,12 @@ impl PageLocks {
                 // client would keep granting locally against locks the
                 // server no longer tracks. `retained` adds the object
                 // locks that had been covered implicitly by the page lock.
-                self.set_page_mode(from, None);
+                self.update_holder(from, |h| h.page = None);
                 for (o, m) in retained {
                     self.raise_object(o.slot, from, *m);
                 }
             }
         }
-        self.recompute_intent(from);
-    }
-
-    /// Recompute a client's page-holder mode from its object locks (after
-    /// releases/downgrades), unless it holds a real page lock.
-    fn recompute_intent(&mut self, client: ClientId) {
-        if matches!(self.page_mode(client), Some(Mode::S) | Some(Mode::X)) {
-            return;
-        }
-        let intent = if self.holds_x_object(client) {
-            Some(Mode::IX)
-        } else {
-            self.objects_of(client).next().map(|_| Mode::IS)
-        };
-        self.set_page_mode(client, intent);
     }
 
     /// The first waiter that conflicts with no holder and no earlier
@@ -524,55 +531,34 @@ impl GlmCore {
         }
     }
 
-    /// Map conflicts to the callback actions that would clear them.
+    /// Map conflicts to the callback actions that would clear them. An S
+    /// request needs an X holder downgraded; anything else, released.
     fn callbacks_for(target: &LockTarget, conflicts: &[Conflict]) -> Vec<CallbackAction> {
+        use CallbackKind::*;
         let page = target.page();
-        let mode = target.mode();
-        let mut out = Vec::new();
-        for c in conflicts {
-            let action = match (target, c) {
-                // Fine-granularity: page-level conflicts de-escalate (§3.2).
-                (LockTarget::Object(..), Conflict::PageLevel(h, _)) => CallbackAction {
-                    to: *h,
-                    kind: CallbackKind::DeEscalatePage(page),
-                },
-                (LockTarget::Object(o, m), Conflict::ObjLevel(h, _, _)) => CallbackAction {
-                    to: *h,
-                    kind: if *m == ObjMode::X {
-                        CallbackKind::ReleaseObject(*o)
-                    } else {
-                        CallbackKind::DowngradeObject(*o)
-                    },
-                },
-                // Page-granularity requests.
-                (
-                    LockTarget::Page(..) | LockTarget::PageAdaptive(..),
-                    Conflict::PageLevel(h, pm),
-                ) => CallbackAction {
-                    to: *h,
-                    kind: if mode == ObjMode::S && *pm == Mode::X {
-                        CallbackKind::DowngradePage(page)
-                    } else {
-                        CallbackKind::ReleasePage(page)
-                    },
-                },
-                (
-                    LockTarget::Page(..) | LockTarget::PageAdaptive(..),
-                    Conflict::ObjLevel(h, slot, om),
-                ) => {
-                    let obj = ObjectId::new(page, *slot);
-                    CallbackAction {
-                        to: *h,
-                        kind: if mode == ObjMode::S && *om == ObjMode::X {
-                            CallbackKind::DowngradeObject(obj)
-                        } else {
-                            CallbackKind::ReleaseObject(obj)
-                        },
+        let downgrade = |held_x: bool| target.mode() == ObjMode::S && held_x;
+        let mut out: Vec<CallbackAction> = conflicts
+            .iter()
+            .map(|&c| {
+                let (to, kind) = match (target, c) {
+                    // Fine granularity: page-level conflicts de-escalate (§3.2).
+                    (LockTarget::Object(..), Conflict::PageLevel(h, _)) => {
+                        (h, DeEscalatePage(page))
                     }
-                }
-            };
-            out.push(action);
-        }
+                    (_, Conflict::PageLevel(h, pm)) if downgrade(pm == Mode::X) => {
+                        (h, DowngradePage(page))
+                    }
+                    (_, Conflict::PageLevel(h, _)) => (h, ReleasePage(page)),
+                    (_, Conflict::ObjLevel(h, slot, om)) if downgrade(om == ObjMode::X) => {
+                        (h, DowngradeObject(ObjectId::new(page, slot)))
+                    }
+                    (_, Conflict::ObjLevel(h, slot, _)) => {
+                        (h, ReleaseObject(ObjectId::new(page, slot)))
+                    }
+                };
+                CallbackAction { to, kind }
+            })
+            .collect();
         out.sort_unstable_by_key(callback_key);
         out.dedup();
         out
@@ -638,7 +624,7 @@ impl GlmCore {
         }
         self.graph.publish_queue_edges(page, entry.queue_edges());
         // Queue-order edges may have closed a cycle right away.
-        if let Some(victim) = self.find_deadlock_victim(txn) {
+        if let Some(victim) = self.graph.find_victim(txn) {
             events.push(GlmEvent::AbortTxn {
                 client: victim.client(),
                 txn: victim,
@@ -653,8 +639,9 @@ impl GlmCore {
     }
 
     /// Drop `SendCallback` events addressed to crashed clients: they stay
-    /// outstanding and are delivered via [`Self::pending_callbacks_for`]
-    /// once the client recovers (§3.3: callbacks queue until recovery).
+    /// outstanding until the client's recovery ends, when
+    /// [`Self::release_all`] drops every lock it still holds, forgets the
+    /// callbacks and re-evaluates the waiters behind them (§3.3).
     fn suppress_crashed(&self, events: Vec<GlmEvent>) -> Vec<GlmEvent> {
         if self.crashed.is_empty() {
             return events;
@@ -724,7 +711,7 @@ impl GlmCore {
                     self.graph.add_deferrals(*wtxn, &blockers);
                 }
                 for wtxn in &waiting {
-                    if let Some(victim) = self.find_deadlock_victim(*wtxn) {
+                    if let Some(victim) = self.graph.find_victim(*wtxn) {
                         let victim_client = victim.client();
                         events.push(GlmEvent::AbortTxn {
                             client: victim_client,
@@ -792,22 +779,12 @@ impl GlmCore {
         self.suppress_crashed(events)
     }
 
-    // ---- deadlock detection ------------------------------------------------
-
-    /// Cycle search over the graph (deferral edges plus the republished
-    /// queue edges); the youngest cycle member
-    /// (largest local sequence, tie-broken by raw id) is the victim.
-    fn find_deadlock_victim(&self, start: TxnId) -> Option<TxnId> {
-        self.graph.find_victim(start)
-    }
-
     // ---- voluntary release / crash handling ---------------------------------
 
     /// Release one object lock held by a client (e.g. after recovery).
     pub fn release_object(&mut self, client: ClientId, o: ObjectId) -> Vec<GlmEvent> {
         let events = self.with_page(o.page, |entry, graph| {
             entry.set_object_mode(o.slot, client, None);
-            entry.recompute_intent(client);
             entry.re_evaluate(o.page, graph)
         });
         self.suppress_crashed(events)
@@ -818,8 +795,7 @@ impl GlmCore {
         let mut events = Vec::new();
         let graph = &self.graph;
         self.pages.retain(|&page, entry| {
-            entry.set_page_mode(client, None);
-            entry.remove_objects(client, None);
+            entry.drop_locks(client, false);
             entry.outstanding.retain(|cb| cb.to != client);
             events.extend(entry.re_evaluate(page, graph));
             !entry.is_empty()
@@ -829,33 +805,26 @@ impl GlmCore {
 
     /// Client crash (§3.3): *release all shared locks held by the crashed
     /// client*; exclusive locks are retained until its restart recovery
-    /// completes. Its waiters disappear with it.
+    /// completes. Its waiters disappear with it. One pass over the pages:
+    /// each drops the client's waiters, shared locks and outstanding
+    /// callbacks, then re-evaluates once — so no waiter of the crashed
+    /// client is granted on the way.
     pub fn crash_client(&mut self, client: ClientId) -> Vec<GlmEvent> {
         self.crashed.insert(client);
         let mut events = Vec::new();
-        // Drop its waiters and their edges first.
-        let its_txns: Vec<TxnId> = self
-            .pages
-            .values()
-            .flat_map(|e| e.waiters.iter())
-            .filter(|w| w.client == client)
-            .map(|w| w.txn)
-            .collect();
-        for t in its_txns {
-            events.extend(self.cancel_wait(t));
-        }
         let graph = &self.graph;
         self.pages.retain(|&page, entry| {
-            // Shared locks go; X stays. Page S released; page X stays.
-            if matches!(entry.page_mode(client), Some(Mode::S) | Some(Mode::IS)) {
-                entry.set_page_mode(client, None);
-            }
-            entry.remove_objects(client, Some(ObjMode::S));
-            // Outstanding callbacks to the crashed client will be
-            // re-issued (queued by the server runtime) once it
-            // recovers; forget that they were sent.
+            entry.waiters.retain(|w| {
+                let gone = w.client == client;
+                if gone {
+                    graph.forget_txn(w.txn);
+                }
+                !gone
+            });
+            entry.drop_locks(client, true);
+            // Its cache is gone: forget the callbacks sent to it. The
+            // re-evaluation records those still needed, unsent while down.
             entry.outstanding.retain(|cb| cb.to != client);
-            entry.recompute_intent(client);
             events.extend(entry.re_evaluate(page, graph));
             !entry.is_empty()
         });
@@ -890,7 +859,7 @@ impl GlmCore {
                     .filter(|(_, m)| *m == ObjMode::X)
                     .map(|(slot, m)| LockTarget::Object(ObjectId::new(pid, slot), m)),
             );
-            if entry.page_mode(client) == Some(Mode::X) {
+            if entry.page_lock(client) == Some(ObjMode::X) {
                 out.push(LockTarget::Page(pid, ObjMode::X));
             }
         }
@@ -906,6 +875,17 @@ impl GlmCore {
             .entry(target.page())
             .or_default()
             .grant(client, &target);
+    }
+
+    /// The client's queued requests, by txn, sorted (diagnostics).
+    pub fn waiting_txns(&self, client: ClientId) -> Vec<TxnId> {
+        let waiters = self.pages.values().flat_map(|e| &e.waiters);
+        let mut out: Vec<_> = waiters
+            .filter(|w| w.client == client)
+            .map(|w| w.txn)
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Number of pages with any lock state (diagnostics).
@@ -1327,6 +1307,66 @@ mod tests {
         let (o, _t3, ev) = g.lock(C3, t(C3, 1), LockTarget::Object(obj(1, 1), ObjMode::X));
         assert_eq!(o, LockOutcome::Queued);
         assert!(!ev.is_empty());
+    }
+
+    #[test]
+    fn six_keeps_its_page_s_through_an_object_callback() {
+        // C1 holds X on s0 plus page S: SIX. Downgrading s0 for C2 leaves
+        // C1 page S plus object S, so C3's X on another slot still
+        // conflicts with C1's page S and must call it back.
+        let mut g = GlmCore::new();
+        g.lock(C1, t(C1, 1), LockTarget::Object(obj(1, 0), ObjMode::X));
+        g.lock(C1, t(C1, 1), LockTarget::Page(PageId(1), ObjMode::S));
+        assert_eq!(
+            g.client_locks_on_page(C1, PageId(1)),
+            (Some(Mode::SIX), vec![(SlotId(0), ObjMode::X)])
+        );
+        let (o, _t, _) = g.lock(C2, t(C2, 1), LockTarget::Object(obj(1, 0), ObjMode::S));
+        assert_eq!(o, LockOutcome::Queued);
+        let ev = g.callback_reply(
+            C1,
+            CallbackKind::DowngradeObject(obj(1, 0)),
+            CallbackReply::Done { retained: vec![] },
+        );
+        assert!(matches!(ev.as_slice(), [GlmEvent::Grant { client, .. }] if *client == C2));
+        assert_eq!(
+            g.client_locks_on_page(C1, PageId(1)),
+            (Some(Mode::S), vec![(SlotId(0), ObjMode::S)])
+        );
+        let (o, _t, ev) = g.lock(C3, t(C3, 1), LockTarget::Object(obj(1, 1), ObjMode::X));
+        assert_eq!(o, LockOutcome::Queued);
+        assert!(ev.contains(&GlmEvent::SendCallback(CallbackAction {
+            to: C1,
+            kind: CallbackKind::DeEscalatePage(PageId(1)),
+        })));
+    }
+
+    #[test]
+    fn crash_grants_the_crashed_client_nothing() {
+        // C1's page-S request queues ahead of its X on s1, so when C2
+        // releases s1 the X still waits behind it. Crashing C1 must drop
+        // both waiters, not cancel the first and grant the second.
+        let mut g = GlmCore::new();
+        g.lock(C2, t(C2, 1), LockTarget::Object(obj(1, 0), ObjMode::X));
+        g.lock(C2, t(C2, 1), LockTarget::Object(obj(1, 1), ObjMode::X));
+        let (o, _t, _) = g.lock(C1, t(C1, 1), LockTarget::Page(PageId(1), ObjMode::S));
+        assert_eq!(o, LockOutcome::Queued);
+        let (o, _t, _) = g.lock(C1, t(C1, 2), LockTarget::Object(obj(1, 1), ObjMode::X));
+        assert_eq!(o, LockOutcome::Queued);
+        let ev = g.callback_reply(
+            C2,
+            CallbackKind::ReleaseObject(obj(1, 1)),
+            CallbackReply::Done { retained: vec![] },
+        );
+        assert!(!ev.iter().any(|e| matches!(e, GlmEvent::Grant { .. })));
+        let before = g.exclusive_locks(C1);
+        let ev = g.crash_client(C1);
+        assert!(
+            !ev.iter()
+                .any(|e| matches!(e, GlmEvent::Grant { client, .. } if *client == C1)),
+            "{ev:?}"
+        );
+        assert_eq!(g.exclusive_locks(C1), before);
     }
 
     #[test]

@@ -88,9 +88,9 @@ impl ServerCore {
         for (peer, report) in peers.iter().zip(reports) {
             let id = peer.client_id();
             {
-                let mut glm = self.glm.lock();
+                let mut locks = self.locks.lock();
                 for lock in report.locks.iter().filter(|l| self.owns_page(l.page())) {
-                    glm.install_holder(id, *lock);
+                    locks.glm.install_holder(id, *lock);
                 }
             }
             dpt_by_client.insert(

@@ -5,27 +5,30 @@
 //! # One of each
 //!
 //! A `ServerCore` is the paper's server (§2, §3.2): one lock table (a
-//! [`GlmCore`]), one buffer pool + space map (a [`PageStore`]), one DCT,
-//! one server log. Scale-out is by *instances*: an N-way partitioned
-//! page service is N `ServerCore`s, instance `k` owning the pages with
-//! `PageId % N == k` (see [`ServerCore::new_instance`]); nothing inside
-//! an instance is partitioned again. The GLM feeds a [`WaitGraph`] that
-//! the cross-instance `DeadlockCoordinator` reads, so cycles spanning
+//! [`GlmCore`] and the requests parked on it), one buffer pool + space
+//! map (a [`PageStore`]), one DCT, one server log. Scale-out is by
+//! *instances*: an N-way partitioned page service is N `ServerCore`s,
+//! instance `k` owning the pages with `PageId % N == k` (see
+//! [`ServerCore::new_instance`]); nothing inside an instance is
+//! partitioned again. The GLM feeds a [`WaitGraph`] that the
+//! cross-instance `DeadlockCoordinator` reads, so cycles spanning
 //! instances are still found. The §4.1 `commit_ship_log` baseline's
 //! shared mutex *is* the bottleneck the paper predicts and stays as is.
 //!
 //! # Locking discipline
 //!
-//! Internal mutexes (`glm`, `store`, `dct`, `waiters`, …) are held only
-//! for short state transitions and **never** across a [`ClientPeer`]
-//! call; clients, symmetrically, never invoke the server while holding
-//! their own runtime mutex. This pair of rules is what makes the
-//! direct-call message fabric deadlock-free. The GLM acquires the wait
-//! graph's lock only while the graph never calls back into the server,
-//! so the order `glm → graph` is acyclic. Simulated disk latency (page
-//! reads and in-place writes) runs with **no server lock held**: the
-//! store exposes pool-first primitives and a bare disk handle so every
-//! sleep happens between lock acquisitions.
+//! Internal mutexes (`locks`, `store`, `dct`, …) are held only for short
+//! state transitions and **never** across a [`ClientPeer`] call; clients,
+//! symmetrically, never invoke the server while holding their own runtime
+//! mutex. This pair of rules is what makes the direct-call message fabric
+//! deadlock-free. `locks` guards the GLM together with the requests
+//! parked on it, so a request is parked, and its grant or verdict claims
+//! its slot, in the critical section that decided it. The GLM acquires
+//! the wait graph's lock only while the graph never calls back into the
+//! server, so the order `locks → graph` is acyclic. Simulated disk
+//! latency (page reads and in-place writes) runs with **no server lock
+//! held**: the store exposes pool-first primitives and a bare disk handle
+//! so every sleep happens between lock acquisitions.
 
 use crate::dct::Dct;
 use crate::pagestore::PageStore;
@@ -94,6 +97,36 @@ fn class_of(kind: &CallbackKind) -> CallbackClass {
     }
 }
 
+/// A parked request: the slot its client waits on and the cached PSN it carried (§3.2 fn. 4).
+type Parked = (GrantSlot, Option<Psn>);
+
+/// A GLM event with the parked request it resolves, if any.
+type Claimed = (GlmEvent, Option<Parked>);
+
+/// The lock table and the requests parked on it (by txn), under one mutex.
+pub(crate) struct LockTable {
+    pub(crate) glm: GlmCore,
+    parked: HashMap<TxnId, Parked>,
+}
+
+impl LockTable {
+    fn new(graph: Arc<WaitGraph>) -> Self {
+        let (glm, parked) = (GlmCore::with_graph(graph), HashMap::new());
+        LockTable { glm, parked }
+    }
+
+    /// Pair each event with the parked request it resolves, taken out of the table.
+    fn claim(&mut self, events: Vec<GlmEvent>) -> Vec<Claimed> {
+        let mut claim = |e: GlmEvent| match e {
+            GlmEvent::Grant { txn, .. } | GlmEvent::AbortTxn { txn, .. } => {
+                (e, self.parked.remove(&txn))
+            }
+            GlmEvent::SendCallback(_) => (e, None),
+        };
+        events.into_iter().map(&mut claim).collect()
+    }
+}
+
 /// The page server.
 pub struct ServerCore {
     /// Read-mostly and shared: clients hold `Arc` clones instead of
@@ -105,12 +138,9 @@ pub struct ServerCore {
     /// single-server system.
     instance: usize,
     instances: usize,
-    pub(crate) glm: Mutex<GlmCore>,
+    pub(crate) locks: Mutex<LockTable>,
     pub(crate) store: Mutex<PageStore>,
     pub(crate) dct: Mutex<Dct>,
-    /// Parked lock waiters plus the cached PSN their request carried
-    /// (footnote 4 of §3.2), keyed by txn.
-    waiters: Mutex<HashMap<TxnId, (GrantSlot, Option<Psn>)>>,
     /// Clients that replaced each page and must be told when it is forced
     /// (§3.6).
     replaced_by: Mutex<HashMap<PageId, HashSet<ClientId>>>,
@@ -201,10 +231,9 @@ impl ServerCore {
             net,
             instance,
             instances,
-            glm: Mutex::new(GlmCore::with_graph(wait_graph.clone())),
+            locks: Mutex::new(LockTable::new(wait_graph.clone())),
             store: Mutex::new(store),
             dct: Mutex::new(Dct::new()),
-            waiters: Mutex::new(HashMap::new()),
             replaced_by: Mutex::new(HashMap::new()),
             last_ship: Mutex::new(HashMap::new()),
             wait_graph,
@@ -230,11 +259,6 @@ impl ServerCore {
         })
     }
 
-    /// This server's partition index (`0` in a single-server system).
-    pub fn instance(&self) -> usize {
-        self.instance
-    }
-
     /// Whether `page` belongs to this instance's residue class. Requests
     /// for pages of other instances are a routing bug upstream.
     pub fn owns_page(&self, page: PageId) -> bool {
@@ -258,26 +282,35 @@ impl ServerCore {
         let _ = self.coord.set((coord.clone(), member));
     }
 
-    /// Cross-instance victim teardown: cancel `txn`'s parked waiter (if
-    /// any) on this instance and drive the resulting GLM events. Runs
-    /// with no server mutex held.
+    /// Cross-instance victim teardown: withdraw `txn`'s request (if any)
+    /// here, tell its parked waiter it is a deadlock victim, and drive the
+    /// resulting GLM events. Runs with no server mutex held.
     fn abort_parked(&self, txn: TxnId) {
         if self.down.load(Ordering::Acquire) {
             return;
         }
-        let events = self.abort_waiter(txn);
+        let mut parked = None;
+        let events = self.with_locks(|l| {
+            parked = l.parked.remove(&txn);
+            l.glm.cancel_wait(txn)
+        });
+        self.tell_victim(parked);
         self.drive(events);
     }
 
-    /// Tell `txn`'s parked waiter (if any) it was chosen as a deadlock
-    /// victim and withdraw its request from the GLM.
-    fn abort_waiter(&self, txn: TxnId) -> Vec<GlmEvent> {
-        let slot = self.waiters.lock().remove(&txn);
-        if let Some((slot, _)) = slot {
+    /// Tell a deadlock victim's parked waiter (if any) its verdict.
+    fn tell_victim(&self, parked: Option<Parked>) {
+        if let Some((slot, _)) = parked {
             self.net.msg(MsgKind::Abort, 16);
             slot.fulfil(GrantMsg::Victim);
         }
-        self.glm.lock().cancel_wait(txn)
+    }
+
+    /// Run `f` on the lock table and claim what its events resolve, in one critical section.
+    fn with_locks(&self, f: impl FnOnce(&mut LockTable) -> Vec<GlmEvent>) -> Vec<Claimed> {
+        let mut locks = self.locks.lock();
+        let events = f(&mut locks);
+        locks.claim(events)
     }
 
     fn check_up(&self) -> Result<()> {
@@ -317,13 +350,13 @@ impl ServerCore {
     /// holder's merged reply feeds the GLM in one pass. A grant blocked
     /// on N holders thus resolves after max(RTT) instead of sum(RTT), and
     /// the E2/E10 callbacks-per-commit constant drops with the fan-out.
-    fn drive(&self, events: Vec<GlmEvent>) {
-        let mut queue: std::collections::VecDeque<GlmEvent> = events.into();
+    fn drive(&self, events: Vec<Claimed>) {
+        let mut queue: std::collections::VecDeque<Claimed> = events.into();
         loop {
             // Wave: drain the queue, accumulating callbacks into
             // per-destination batches; grants and aborts apply inline.
             let mut batches: Vec<(ClientId, Vec<CallbackKind>)> = Vec::new();
-            while let Some(ev) = queue.pop_front() {
+            while let Some((ev, parked)) = queue.pop_front() {
                 match ev {
                     GlmEvent::SendCallback(cb) => {
                         match batches.iter_mut().find(|(to, _)| *to == cb.to) {
@@ -335,25 +368,16 @@ impl ServerCore {
                         client,
                         txn,
                         target,
-                        first_exclusive_on_page,
+                        first_exclusive_on_page: first_x,
                     } => {
-                        emit(Event::LockGrant {
-                            client,
-                            txn,
-                            page: target.page(),
-                            queued: true,
-                        });
-                        let slot = self.waiters.lock().remove(&txn);
-                        if let Some((slot, cached_psn)) = slot {
-                            if first_exclusive_on_page {
-                                self.dct.lock().insert(target.page(), client, cached_psn);
-                            }
-                            slot.fulfil(self.grant(client, target, first_exclusive_on_page));
+                        if let Some((slot, cached_psn)) = parked {
+                            slot.fulfil(self.grant(client, txn, target, first_x, cached_psn, true));
                         }
                     }
+                    // The GLM withdrew the victim's request when it chose it.
                     GlmEvent::AbortTxn { txn, .. } => {
                         emit(Event::DeadlockVictim { txn });
-                        queue.extend(self.abort_waiter(txn));
+                        self.tell_victim(parked);
                         // A cross-*server* cycle's victim may be parked on
                         // another instance entirely: broadcast so every
                         // other member hunts (and cancels) it too.
@@ -384,10 +408,7 @@ impl ServerCore {
         let mut deliveries: Vec<(ClientId, Arc<dyn ClientPeer>, Vec<CallbackKind>)> = Vec::new();
         for (to, kinds) in batches {
             // A client that crashed between GLM decision and delivery is
-            // skipped entirely: its callbacks stay outstanding in the GLM
-            // and are re-delivered after recovery, and the GLM's
-            // crash_client path re-evaluates the waiters so the grant is
-            // not stranded.
+            // skipped: `crash_client` re-evaluated the waiters behind it.
             if self.crashed_clients.lock().contains(&to) {
                 continue;
             }
@@ -450,7 +471,7 @@ impl ServerCore {
         from: ClientId,
         kinds: Vec<CallbackKind>,
         outcomes: Vec<CallbackOutcome>,
-        queue: &mut std::collections::VecDeque<GlmEvent>,
+        queue: &mut std::collections::VecDeque<Claimed>,
     ) {
         let mut replies = Vec::with_capacity(kinds.len());
         for (kind, outcome) in kinds.into_iter().zip(outcomes) {
@@ -468,25 +489,37 @@ impl ServerCore {
             };
             replies.push((kind, reply));
         }
-        let evs = self.glm.lock().callback_reply_batch(from, replies);
-        queue.extend(evs);
+        queue.extend(self.with_locks(|l| l.glm.callback_reply_batch(from, replies)));
     }
 
-    /// The grant message for `client`'s lock on `target`, counted as one
-    /// `LockReply` that carries the page. It runs once the wave that
-    /// decided the grant has absorbed every copy its callbacks shipped, so
-    /// the attached page holds the released updates and the grantee needs
-    /// no fetch. A page that cannot be read is left off; the grantee then
+    /// Deliver a grant: seed the DCT entry on the client's first exclusive
+    /// lock touching the page (§3.2), then build the message, one
+    /// `LockReply` carrying the page. It runs once the deciding wave has
+    /// absorbed every copy its callbacks shipped, so the grantee needs no
+    /// fetch. A page that cannot be read is left off; the grantee then
     /// fetches it, and meets the error there.
     fn grant(
         &self,
         client: ClientId,
+        txn: TxnId,
         target: LockTarget,
         first_exclusive_on_page: bool,
+        cached_psn: Option<Psn>,
+        queued: bool,
     ) -> GrantMsg {
+        let page = target.page();
+        emit(Event::LockGrant {
+            client,
+            txn,
+            page,
+            queued,
+        });
+        if first_exclusive_on_page {
+            self.dct.lock().insert(page, client, cached_psn);
+        }
         let evidence = self.grant_evidence(client, &target);
         let page = self
-            .hand_out_page(client, target.page())
+            .hand_out_page(client, page)
             .ok()
             .map(|(bytes, _)| bytes);
         self.net
@@ -729,10 +762,10 @@ impl ServerCore {
             return;
         }
         let entries = self.dct.lock().entries_for_page(page);
-        let glm = self.glm.lock();
+        let locks = self.locks.lock();
         let mut dct = self.dct.lock();
         for e in entries {
-            if !glm.client_has_exclusive_on_page(e.client, page) {
+            if !locks.glm.client_has_exclusive_on_page(e.client, page) {
                 dct.remove(page, e.client);
             }
         }
@@ -783,8 +816,7 @@ impl ServerCore {
         self.wait_graph.clear();
         self.store.lock().crash();
         self.dct.lock().clear();
-        *self.glm.lock() = GlmCore::with_graph(self.wait_graph.clone());
-        self.waiters.lock().clear();
+        *self.locks.lock() = LockTable::new(self.wait_graph.clone());
         self.replaced_by.lock().clear();
         self.last_ship.lock().clear();
         self.slog.lock().crash();
@@ -859,9 +891,19 @@ impl ServerCore {
         }
     }
 
-    /// Diagnostics: PSN of the server's current copy (pool else disk).
-    pub fn current_psn(&self, page: PageId) -> Option<Psn> {
-        self.store.lock().current_psn(page).ok().flatten()
+    /// Diagnostics: `client`'s parked requests and its requests queued in
+    /// the GLM (by txn, sorted), and its exclusive locks.
+    pub fn lock_state(&self, client: ClientId) -> (Vec<TxnId>, Vec<TxnId>, Vec<LockTarget>) {
+        let locks = self.locks.lock();
+        let mut parked: Vec<TxnId> = locks.parked.keys().copied().collect();
+        parked.retain(|t| t.client() == client);
+        parked.sort_unstable();
+        let glm = &locks.glm;
+        (
+            parked,
+            glm.waiting_txns(client),
+            glm.exclusive_locks(client),
+        )
     }
 
     /// Diagnostics / oracle verification: a copy of the page as the server
@@ -918,55 +960,40 @@ impl ServerApi for ServerCore {
             page: target.page(),
             exclusive: target.mode() == ObjMode::X,
         });
-        // Hold the waiter registry across the GLM call: once the GLM
-        // queues the request (and releases its mutex), a concurrent
-        // `drive` may already carry the Grant/Victim for this txn, and it
-        // resolves the slot through this same mutex — registering after
-        // releasing it would drop that wake-up and strand the client
-        // until the timeout backstop.
-        let mut parked = self.waiters.lock();
-        let (outcome, effective, events) = self.glm.lock().lock(client, txn, target);
-        match outcome {
-            LockOutcome::Granted {
-                first_exclusive_on_page,
-            } => {
-                drop(parked);
-                if first_exclusive_on_page {
-                    self.dct.lock().insert(effective.page(), client, cached_psn);
-                }
-                self.drive(events);
-                emit(Event::LockGrant {
-                    client,
-                    txn,
-                    page: effective.page(),
-                    queued: false,
-                });
-                Ok(LockResponse::Decided(self.grant(
-                    client,
-                    effective,
-                    first_exclusive_on_page,
-                )))
-            }
-            LockOutcome::Queued => {
-                let (slot, waiter) = grant_pair();
-                parked.insert(txn, (slot, cached_psn));
-                drop(parked);
-                emit(Event::LockQueue {
-                    client,
-                    txn,
-                    page: target.page(),
-                });
-                self.drive(events);
-                Ok(LockResponse::Wait(waiter))
-            }
-        }
+        let mut locks = self.locks.lock();
+        let (outcome, effective, events) = locks.glm.lock(client, txn, target);
+        let LockOutcome::Granted {
+            first_exclusive_on_page: first_x,
+        } = outcome
+        else {
+            // Parked in the critical section that queued it: whatever
+            // grant or verdict resolves the request claims the slot under
+            // this same mutex, so none can come before the slot is there.
+            let (slot, waiter) = grant_pair();
+            locks.parked.insert(txn, (slot, cached_psn));
+            let events = locks.claim(events);
+            drop(locks);
+            emit(Event::LockQueue {
+                client,
+                txn,
+                page: target.page(),
+            });
+            self.drive(events);
+            return Ok(LockResponse::Wait(waiter));
+        };
+        drop(locks);
+        debug_assert!(events.is_empty(), "an immediate grant emits no events");
+        let msg = self.grant(client, txn, effective, first_x, cached_psn, false);
+        Ok(LockResponse::Decided(msg))
     }
 
     /// A waiting client gave up (timeout) or aborted.
     fn cancel_wait(&self, _client: ClientId, txn: TxnId) {
         self.net.msg(MsgKind::Control, 16);
-        self.waiters.lock().remove(&txn);
-        let events = self.glm.lock().cancel_wait(txn);
+        let events = self.with_locks(|l| {
+            l.parked.remove(&txn);
+            l.glm.cancel_wait(txn)
+        });
         self.drive(events);
     }
 
@@ -994,10 +1021,8 @@ impl ServerApi for ServerCore {
         if let Some(bytes) = page_copy {
             self.absorb_page(client, &bytes, false)?;
         }
-        let events = self
-            .glm
-            .lock()
-            .callback_reply(client, kind, CallbackReply::Done { retained });
+        let done = CallbackReply::Done { retained };
+        let events = self.with_locks(|l| l.glm.callback_reply(client, kind, done));
         self.drive(events);
         Ok(())
     }
@@ -1020,8 +1045,9 @@ impl ServerApi for ServerCore {
         self.net.msg(MsgKind::Control, 16);
         let (page, evicted) = self.store.lock().allocate()?;
         self.flush_images(evicted)?;
-        self.glm
+        self.locks
             .lock()
+            .glm
             .install_holder(client, LockTarget::Page(page.id(), ObjMode::X));
         self.dct.lock().insert(page.id(), client, Some(page.psn()));
         let wire = page.to_wire();
@@ -1145,31 +1171,15 @@ impl ServerApi for ServerCore {
     }
 
     /// A client crashed: release its shared locks, keep its exclusive
-    /// locks, queue callbacks addressed to it.
+    /// locks, queue callbacks addressed to it. Its parked requests die
+    /// with it.
     fn client_crashed(&self, client: ClientId) {
         self.crashed_clients.lock().insert(client);
         self.peers.write().remove(&client);
-        // Its parked waiters die with it.
-        let its: Vec<TxnId> = {
-            let mut waiters = self.waiters.lock();
-            let its: Vec<TxnId> = waiters
-                .keys()
-                .copied()
-                .filter(|t| t.client() == client)
-                .collect();
-            for t in &its {
-                waiters.remove(t);
-            }
-            its
-        };
-        let mut events = Vec::new();
-        {
-            let mut glm = self.glm.lock();
-            for t in its {
-                events.extend(glm.cancel_wait(t));
-            }
-            events.extend(glm.crash_client(client));
-        }
+        let events = self.with_locks(|l| {
+            l.parked.retain(|t, _| t.client() != client);
+            l.glm.crash_client(client)
+        });
         self.drive(events);
     }
 
@@ -1183,7 +1193,7 @@ impl ServerApi for ServerCore {
         self.check_up()?;
         self.net.msg(MsgKind::Recovery, 16);
         self.peers.write().insert(client, peer);
-        let locks = self.glm.lock().exclusive_locks(client);
+        let locks = self.locks.lock().glm.exclusive_locks(client);
         let psns: Vec<(PageId, Option<Psn>)> = self
             .dct
             .lock()
@@ -1204,11 +1214,10 @@ impl ServerApi for ServerCore {
         self.net.msg(MsgKind::Recovery, 16);
         self.crashed_clients.lock().remove(&client);
         self.dct_incomplete.lock().remove(&client);
-        let events = {
-            let mut glm = self.glm.lock();
-            glm.client_recovered(client);
-            glm.release_all(client)
-        };
+        let events = self.with_locks(|l| {
+            l.glm.client_recovered(client);
+            l.glm.release_all(client)
+        });
         self.drive(events);
         self.bump_recovery_gen();
         Ok(())
