@@ -26,7 +26,7 @@ use crate::mode::{LockTarget, Mode, ObjMode};
 use crate::waitgraph::WaitGraph;
 use fgl_common::{ClientId, ObjectId, PageId, SlotId, TxnId};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// A callback request the server must send to a client.
@@ -485,10 +485,6 @@ pub struct GlmCore {
     /// graph its cross-instance coordinator reads; a standalone
     /// `GlmCore::new()` owns a private one.
     graph: Arc<WaitGraph>,
-    /// Clients currently marked crashed (their callbacks queue at the
-    /// server runtime; the GLM only needs it to skip S-lock grants held
-    /// by ghosts).
-    crashed: HashSet<ClientId>,
 }
 
 impl GlmCore {
@@ -631,28 +627,7 @@ impl GlmCore {
             });
             events.extend(self.cancel_wait(victim));
         }
-        (
-            LockOutcome::Queued,
-            effective,
-            self.suppress_crashed(events),
-        )
-    }
-
-    /// Drop `SendCallback` events addressed to crashed clients: they stay
-    /// outstanding until the client's recovery ends, when
-    /// [`Self::release_all`] drops every lock it still holds, forgets the
-    /// callbacks and re-evaluates the waiters behind them (§3.3).
-    fn suppress_crashed(&self, events: Vec<GlmEvent>) -> Vec<GlmEvent> {
-        if self.crashed.is_empty() {
-            return events;
-        }
-        events
-            .into_iter()
-            .filter(|e| match e {
-                GlmEvent::SendCallback(cb) => !self.crashed.contains(&cb.to),
-                _ => true,
-            })
-            .collect()
+        (LockOutcome::Queued, effective, events)
     }
 
     fn targets_conflict(a: &LockTarget, b: &LockTarget) -> bool {
@@ -722,7 +697,7 @@ impl GlmCore {
                 }
             }
         }
-        self.suppress_crashed(events)
+        events
     }
 
     /// Process one client's merged reply to a callback batch in a single
@@ -760,7 +735,7 @@ impl GlmCore {
         for (kind, blockers) in deferred {
             events.extend(self.callback_reply(from, kind, CallbackReply::Deferred { blockers }));
         }
-        self.suppress_crashed(events)
+        events
     }
 
     /// Remove a waiter (timeout, abort, deadlock victim).
@@ -776,18 +751,17 @@ impl GlmCore {
             }
             !entry.is_empty()
         });
-        self.suppress_crashed(events)
+        events
     }
 
     // ---- voluntary release / crash handling ---------------------------------
 
     /// Release one object lock held by a client (e.g. after recovery).
     pub fn release_object(&mut self, client: ClientId, o: ObjectId) -> Vec<GlmEvent> {
-        let events = self.with_page(o.page, |entry, graph| {
+        self.with_page(o.page, |entry, graph| {
             entry.set_object_mode(o.slot, client, None);
             entry.re_evaluate(o.page, graph)
-        });
-        self.suppress_crashed(events)
+        })
     }
 
     /// Release every lock the client holds (clean disconnect / tests).
@@ -800,7 +774,7 @@ impl GlmCore {
             events.extend(entry.re_evaluate(page, graph));
             !entry.is_empty()
         });
-        self.suppress_crashed(events)
+        events
     }
 
     /// Client crash (§3.3): *release all shared locks held by the crashed
@@ -810,7 +784,6 @@ impl GlmCore {
     /// callbacks, then re-evaluates once — so no waiter of the crashed
     /// client is granted on the way.
     pub fn crash_client(&mut self, client: ClientId) -> Vec<GlmEvent> {
-        self.crashed.insert(client);
         let mut events = Vec::new();
         let graph = &self.graph;
         self.pages.retain(|&page, entry| {
@@ -823,16 +796,16 @@ impl GlmCore {
             });
             entry.drop_locks(client, true);
             // Its cache is gone: forget the callbacks sent to it. The
-            // re-evaluation records those still needed, unsent while down.
+            // re-evaluation records those still needed as outstanding; the
+            // server holds them back until the client's recovery ends.
             entry.outstanding.retain(|cb| cb.to != client);
             events.extend(entry.re_evaluate(page, graph));
             !entry.is_empty()
         });
-        self.suppress_crashed(events)
+        events
     }
 
-    /// Callbacks addressed to a (previously crashed) client that were
-    /// suppressed while it was down.
+    /// Callbacks sent to `client` and not yet answered.
     pub fn pending_callbacks_for(&self, client: ClientId) -> Vec<CallbackAction> {
         self.pages
             .values()
@@ -840,11 +813,6 @@ impl GlmCore {
             .filter(|cb| cb.to == client)
             .copied()
             .collect()
-    }
-
-    /// Mark a crashed client recovered.
-    pub fn client_recovered(&mut self, client: ClientId) {
-        self.crashed.remove(&client);
     }
 
     /// Every exclusive lock a client holds (page X and object X) — what a
@@ -1215,31 +1183,21 @@ mod tests {
     }
 
     #[test]
-    fn callbacks_to_crashed_clients_are_suppressed_and_queryable() {
+    fn callbacks_to_crashed_clients_stay_outstanding() {
+        // The GLM half of §3.3: a callback to a crashed client is emitted
+        // and stays outstanding. Holding it back is the server's concern.
         let mut g = GlmCore::new();
         g.lock(C1, t(C1, 1), LockTarget::Object(obj(1, 0), ObjMode::X));
         g.crash_client(C1);
         // C2 wants the object C1 still holds X on.
         let (o, _t, ev) = g.lock(C2, t(C2, 1), LockTarget::Object(obj(1, 0), ObjMode::S));
         assert_eq!(o, LockOutcome::Queued);
-        // The callback is recorded as outstanding but *sent* only via the
-        // pending list once C1 recovers.
-        assert!(
-            ev.is_empty()
-                || !ev
-                    .iter()
-                    .any(|e| matches!(e, GlmEvent::SendCallback(cb) if cb.to == C1)),
-            "callback to crashed client must be suppressed: {ev:?}"
-        );
-        let pending = g.pending_callbacks_for(C1);
-        assert_eq!(
-            pending,
-            vec![CallbackAction {
-                to: C1,
-                kind: CallbackKind::DowngradeObject(obj(1, 0)),
-            }]
-        );
-        g.client_recovered(C1);
+        let downgrade = CallbackAction {
+            to: C1,
+            kind: CallbackKind::DowngradeObject(obj(1, 0)),
+        };
+        assert_eq!(ev, vec![GlmEvent::SendCallback(downgrade)]);
+        assert_eq!(g.pending_callbacks_for(C1), vec![downgrade]);
         // C1 (recovered, no active txns) complies.
         let ev = g.callback_reply(
             C1,
@@ -1247,6 +1205,7 @@ mod tests {
             CallbackReply::Done { retained: vec![] },
         );
         assert!(matches!(ev.as_slice(), [GlmEvent::Grant { client, .. }] if *client == C2));
+        assert!(g.pending_callbacks_for(C1).is_empty());
     }
 
     #[test]

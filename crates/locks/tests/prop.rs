@@ -20,7 +20,7 @@ use fgl_common::{ClientId, ObjectId, PageId, SlotId, TxnId};
 use fgl_locks::glm::{CallbackAction, CallbackKind, CallbackReply, GlmCore, GlmEvent, LockOutcome};
 use fgl_locks::llm::LlmCore;
 use fgl_locks::mode::{LockTarget, Mode, ObjMode};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write;
 
 #[derive(Clone, Debug)]
@@ -224,10 +224,13 @@ fn fnv(mut h: u64, text: &str) -> u64 {
 /// until a `CompleteDeferred`. Every step folds its outcome, its sorted
 /// events and every client's holdings on every page into `hash`. Every
 /// call into the GLM goes through a method here that also updates `model`.
+/// Like the server, it sends a crashed client nothing until it recovers:
+/// callbacks addressed to it are neither queued nor hashed.
 struct Driver {
     glm: GlmCore,
     shape: Shape,
     model: Model,
+    crashed: BTreeSet<ClientId>,
     pending: VecDeque<CallbackAction>,
     deferred: VecDeque<CallbackAction>,
     txn_seq: u32,
@@ -240,6 +243,7 @@ impl Driver {
             glm: GlmCore::new(),
             shape,
             model: Model::new(),
+            crashed: BTreeSet::new(),
             pending: VecDeque::new(),
             deferred: VecDeque::new(),
             txn_seq: 0,
@@ -373,6 +377,7 @@ impl Driver {
                 g.objects.retain(|_, m| *m == ObjMode::X);
             }
         }
+        self.crashed.insert(victim);
         let ev = self.glm.crash_client(victim);
         self.see(ev)
     }
@@ -383,9 +388,11 @@ impl Driver {
         self.see(ev)
     }
 
-    /// Queue the callbacks among `events`, check soundness and fold the
-    /// step (plus `extra` text) into the hash.
-    fn absorb(&mut self, events: Vec<GlmEvent>, extra: &str) {
+    /// Queue the callbacks among `events` that a live client receives,
+    /// check soundness and fold the step (plus `extra` text) into the hash.
+    fn absorb(&mut self, mut events: Vec<GlmEvent>, extra: &str) {
+        let crashed = &self.crashed;
+        events.retain(|e| !matches!(e, GlmEvent::SendCallback(cb) if crashed.contains(&cb.to)));
         let events = sorted(events);
         for e in &events {
             if let GlmEvent::SendCallback(cb) = e {
@@ -418,7 +425,7 @@ impl Driver {
         assert_eq!(x_before, x_after);
         let owed = sorted(self.glm.pending_callbacks_for(victim));
         self.absorb(events, &format!("{:?}{owed:?}", sorted(x_after)));
-        self.glm.client_recovered(victim);
+        self.crashed.remove(&victim);
         let other = ClientId(1 + rng.gen_range(self.shape.clients as u64) as u32);
         let events = self.release_all(other);
         self.absorb(events, "");

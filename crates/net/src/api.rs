@@ -48,7 +48,9 @@ pub type RecoveryHandshake = (Vec<LockTarget>, Vec<(PageId, Option<Psn>)>, bool)
 /// Immediate answer to a lock request.
 pub enum LockResponse {
     /// Granted synchronously, with no page attached: the grantee fetches
-    /// the page before it uses the lock.
+    /// the page before it uses the lock. `ServerCore` never answers this
+    /// (only `Decided` or `Wait`); it comes from test doubles and the
+    /// benchmark's router probe, and the client still honours it.
     Granted {
         target: LockTarget,
         first_exclusive_on_page: bool,

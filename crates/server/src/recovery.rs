@@ -65,7 +65,11 @@ impl ServerCore {
     pub fn restart_recovery(&self) -> Result<RestartReport> {
         let start = Instant::now();
         let peers = self.all_peers();
-        let crashed = self.crashed_set();
+        let crashed: Vec<ClientId> = {
+            let clients = self.clients.read();
+            let crashed = clients.iter().filter(|(_, e)| e.crashed);
+            crashed.map(|(&id, _)| id).collect()
+        };
 
         // ---- (a)+(b): gather client states, rebuild the GLM ----------------
         emit(Event::RecoveryPhase {
@@ -324,7 +328,9 @@ impl ServerCore {
 
         // Clients that were down across this restart must recover via the
         // §3.5 path (the rebuilt DCT cannot be trusted to cover them).
-        self.mark_dct_incomplete(&crashed);
+        for &id in &crashed {
+            self.with_client(id, |e| e.dct_incomplete = true);
+        }
         // Fresh checkpoint so the next crash starts from the rebuilt DCT.
         self.mark_up();
         self.checkpoint()?;

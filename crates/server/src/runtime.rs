@@ -127,6 +127,18 @@ impl LockTable {
     }
 }
 
+/// One client as the server sees it (§3.3–§3.5): up (a peer, not
+/// crashed), crashed (no peer), or recovering (a peer, still crashed).
+#[derive(Default)]
+pub(crate) struct ClientEntry {
+    peer: Option<Arc<dyn ClientPeer>>,
+    /// Crashed and not yet through `client_recovery_end`: sent nothing.
+    pub(crate) crashed: bool,
+    /// Down across a server restart: the rebuilt DCT does not cover it,
+    /// so its recovery takes the §3.5 path.
+    pub(crate) dct_incomplete: bool,
+}
+
 /// The page server.
 pub struct ServerCore {
     /// Read-mostly and shared: clients hold `Arc` clones instead of
@@ -156,14 +168,11 @@ pub struct ServerCore {
     /// Server log: replacement records + server checkpoints (§3.1, §3.2).
     /// Global: one sequential log device.
     slog: Mutex<LogManager>,
-    peers: RwLock<HashMap<ClientId, Arc<dyn ClientPeer>>>,
+    /// Every client's liveness: the one place delivery and recovery read it.
+    pub(crate) clients: RwLock<HashMap<ClientId, ClientEntry>>,
     /// Server-logging baseline (§4.1): log records shipped at commit,
     /// appended per client behind one (bottleneck) mutex.
     client_logs: Mutex<HashMap<ClientId, Vec<u8>>>,
-    crashed_clients: Mutex<HashSet<ClientId>>,
-    /// Clients that were down across a server restart: the rebuilt DCT is
-    /// incomplete for them, so their recovery must use the §3.5 path.
-    dct_incomplete: Mutex<HashSet<ClientId>>,
     /// Signals DCT PSN progress during parallel page recovery (§3.4).
     recovery_gen: Mutex<u64>,
     recovery_cv: Condvar,
@@ -239,10 +248,8 @@ impl ServerCore {
             wait_graph,
             coord: OnceLock::new(),
             slog: Mutex::new(slog),
-            peers: RwLock::new(HashMap::new()),
+            clients: RwLock::new(HashMap::new()),
             client_logs: Mutex::new(HashMap::new()),
-            crashed_clients: Mutex::new(HashSet::new()),
-            dct_incomplete: Mutex::new(HashSet::new()),
             recovery_gen: Mutex::new(0),
             recovery_cv: Condvar::new(),
             recovery_needs: Mutex::new(Vec::new()),
@@ -332,10 +339,18 @@ impl ServerCore {
         }
     }
 
-    // ---- registration ------------------------------------------------------
+    // ---- client table ------------------------------------------------------
 
-    fn peer(&self, id: ClientId) -> Option<Arc<dyn ClientPeer>> {
-        self.peers.read().get(&id).cloned()
+    /// `id`'s peer if it is up: the one check that holds back callbacks
+    /// and flush notices to a crashed or recovering client (§3.3).
+    fn up_peer(&self, id: ClientId) -> Option<Arc<dyn ClientPeer>> {
+        let clients = self.clients.read();
+        clients.get(&id).filter(|e| !e.crashed)?.peer.clone()
+    }
+
+    /// Run `f` on `id`'s entry in the client table.
+    pub(crate) fn with_client<R>(&self, id: ClientId, f: impl FnOnce(&mut ClientEntry) -> R) -> R {
+        f(self.clients.write().entry(id).or_default())
     }
 
     // ---- locking -------------------------------------------------------------
@@ -405,18 +420,12 @@ impl ServerCore {
         &self,
         batches: Vec<(ClientId, Vec<CallbackKind>)>,
     ) -> Vec<(ClientId, Vec<CallbackKind>, Vec<CallbackOutcome>)> {
-        let mut deliveries: Vec<(ClientId, Arc<dyn ClientPeer>, Vec<CallbackKind>)> = Vec::new();
-        for (to, kinds) in batches {
-            // A client that crashed between GLM decision and delivery is
-            // skipped: `crash_client` re-evaluated the waiters behind it.
-            if self.crashed_clients.lock().contains(&to) {
-                continue;
-            }
-            let Some(peer) = self.peer(to) else {
-                continue;
-            };
-            deliveries.push((to, peer, kinds));
-        }
+        // A callback to a client that is not up stays outstanding in the
+        // GLM until `release_all` at its recovery's end drops it.
+        let deliveries: Vec<(ClientId, Arc<dyn ClientPeer>, Vec<CallbackKind>)> = batches
+            .into_iter()
+            .filter_map(|(to, kinds)| Some((to, self.up_peer(to)?, kinds)))
+            .collect();
         // One concurrent delivery per destination holder.
         fgl_sched::fan_out(deliveries, |(to, peer, kinds)| {
             // One round-trip span per destination batch. A `fanout`
@@ -743,15 +752,9 @@ impl ServerCore {
                 .map(|s| s.into_iter().collect())
                 .unwrap_or_default()
         };
-        let crashed = self.crashed_clients.lock().clone();
-        for c in clients {
-            if crashed.contains(&c) {
-                continue;
-            }
-            if let Some(peer) = self.peer(c) {
-                self.net.msg(MsgKind::FlushNotify, 16);
-                peer.notify_page_flushed(page);
-            }
+        for peer in clients.into_iter().filter_map(|c| self.up_peer(c)) {
+            self.net.msg(MsgKind::FlushNotify, 16);
+            peer.notify_page_flushed(page);
         }
     }
 
@@ -802,10 +805,6 @@ impl ServerCore {
         Ok(())
     }
 
-    // ---- server-logging baselines (§4.1) --------------------------------------
-
-    // ---- client crash handling (§3.3) ------------------------------------------
-
     // ---- server crash plumbing (the restart algorithm lives in recovery.rs) ----
 
     /// Simulate a server crash: all volatile state (buffer pool, GLM,
@@ -835,16 +834,10 @@ impl ServerCore {
         self.slog.lock()
     }
 
+    /// The peers of every client that is up or recovering.
     pub(crate) fn all_peers(&self) -> Vec<Arc<dyn ClientPeer>> {
-        self.peers.read().values().cloned().collect()
-    }
-
-    pub(crate) fn crashed_set(&self) -> HashSet<ClientId> {
-        self.crashed_clients.lock().clone()
-    }
-
-    pub(crate) fn mark_dct_incomplete(&self, clients: &HashSet<ClientId>) {
-        self.dct_incomplete.lock().extend(clients.iter().copied());
+        let clients = self.clients.read();
+        clients.values().filter_map(|e| e.peer.clone()).collect()
     }
 
     fn bump_recovery_gen(&self) {
@@ -937,8 +930,7 @@ impl ServerApi for ServerCore {
     fn register_client(&self, peer: Arc<dyn ClientPeer>) {
         self.net.msg(MsgKind::Control, 16);
         let id = peer.client_id();
-        self.peers.write().insert(id, peer);
-        self.crashed_clients.lock().remove(&id);
+        self.with_client(id, |e| (e.peer, e.crashed) = (Some(peer), false));
     }
 
     /// Client → server lock request (§3.2). `cached_psn` carries the PSN
@@ -1171,11 +1163,10 @@ impl ServerApi for ServerCore {
     }
 
     /// A client crashed: release its shared locks, keep its exclusive
-    /// locks, queue callbacks addressed to it. Its parked requests die
+    /// locks, hold back callbacks addressed to it. Its parked requests die
     /// with it.
     fn client_crashed(&self, client: ClientId) {
-        self.crashed_clients.lock().insert(client);
-        self.peers.write().remove(&client);
+        self.with_client(client, |e| (e.peer, e.crashed) = (None, true));
         let events = self.with_locks(|l| {
             l.parked.retain(|t, _| t.client() != client);
             l.glm.crash_client(client)
@@ -1192,7 +1183,10 @@ impl ServerApi for ServerCore {
     ) -> Result<RecoveryHandshake> {
         self.check_up()?;
         self.net.msg(MsgKind::Recovery, 16);
-        self.peers.write().insert(client, peer);
+        let dct_incomplete = self.with_client(client, |e| {
+            e.peer = Some(peer);
+            e.dct_incomplete
+        });
         let locks = self.locks.lock().glm.exclusive_locks(client);
         let psns: Vec<(PageId, Option<Psn>)> = self
             .dct
@@ -1201,23 +1195,19 @@ impl ServerApi for ServerCore {
             .into_iter()
             .map(|e| (e.page, e.psn))
             .collect();
-        let dct_complete = !self.dct_incomplete.lock().contains(&client);
         self.net
             .msg(MsgKind::Recovery, 16 * (locks.len() + psns.len()).max(1));
-        Ok((locks, psns, dct_complete))
+        Ok((locks, psns, !dct_incomplete))
     }
 
-    /// Recovery finished: deliver queued callbacks, then let the client
-    /// release the locks of its (now resolved) pre-crash transactions.
+    /// Recovery finished: the client is up again, and the locks of its
+    /// (now resolved) pre-crash transactions go with the callbacks held
+    /// back for it.
     fn client_recovery_end(&self, client: ClientId) -> Result<()> {
         self.check_up()?;
         self.net.msg(MsgKind::Recovery, 16);
-        self.crashed_clients.lock().remove(&client);
-        self.dct_incomplete.lock().remove(&client);
-        let events = self.with_locks(|l| {
-            l.glm.client_recovered(client);
-            l.glm.release_all(client)
-        });
+        self.with_client(client, |e| (e.crashed, e.dct_incomplete) = (false, false));
+        let events = self.with_locks(|l| l.glm.release_all(client));
         self.drive(events);
         self.bump_recovery_gen();
         Ok(())
@@ -1243,8 +1233,8 @@ impl ServerApi for ServerCore {
             // server is up again: until then its recovery cannot begin
             // (`client_recovery_begin` refuses), so the wait would always
             // run to its deadline and reach the same merged copy.
-            let provider_recovering = self.crashed_clients.lock().contains(&cid);
-            if provider_recovering && !self.is_down() {
+            let crashed = self.clients.read().get(&cid).is_some_and(|e| e.crashed);
+            if crashed && !self.is_down() {
                 self.wait_for_recovery_progress(cid, page, psn);
             }
         }

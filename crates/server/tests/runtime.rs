@@ -15,6 +15,7 @@ use fgl_storage::disk::{DiskBackend, MemDisk};
 use fgl_storage::page::Page;
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock, Weak};
+use std::time::Duration;
 
 /// A peer that complies with callbacks, or in its deferring mode defers
 /// them, and records what it saw.
@@ -534,4 +535,78 @@ fn lock_table_crash_soak() {
     for case in 0..2_000u64 {
         lock_table_case(0x50AC_0000_0000 ^ case, 400);
     }
+}
+
+/// A client registered afresh under the id of a crashed one is up: a
+/// callback to it is delivered, not held back for a recovery it never
+/// runs, so the request behind the callback is granted.
+#[test]
+fn a_fresh_client_under_a_crashed_id_receives_its_callbacks() {
+    let s = server();
+    let _p1 = register(&s, 1);
+    let _p2 = register(&s, 2);
+    let x = LockTarget::Object(object(0), ObjMode::X);
+    let resp = s.lock(ClientId(1), txn(1, 1), x, None).unwrap();
+    assert!(matches!(resp, LockResponse::Decided(_)));
+    s.client_crashed(ClientId(1));
+    let fresh = register(&s, 1);
+    let shared = LockTarget::Object(object(0), ObjMode::S);
+    let LockResponse::Wait(w) = s.lock(ClientId(2), txn(2, 1), shared, None).unwrap() else {
+        panic!("client 1 still holds X on the object");
+    };
+    assert!(w.wait(Duration::from_secs(1)).is_some(), "never granted");
+    let downgrade = CallbackKind::DowngradeObject(object(0));
+    assert_eq!(fresh.lock().callbacks, vec![downgrade]);
+}
+
+/// A client that crashed before the server did stays crashed across the
+/// restart: until its `client_recovery_end` it is sent no callback and no
+/// flush notice, and its handshake reports the rebuilt DCT incomplete
+/// (§3.5). Once its recovery ends it gets both.
+#[test]
+fn a_client_down_across_a_server_restart_is_sent_nothing_until_its_recovery_ends() {
+    let s = server();
+    let _p1 = register(&s, 1);
+    let _p2 = register(&s, 2);
+    s.client_crashed(ClientId(1));
+    s.crash();
+    s.restart_recovery().unwrap();
+    let p1 = Arc::new(Mutex::new(FakePeerState::default()));
+    let (_, _, dct_complete) = s.client_recovery_begin(ClientId(1), peer(1, &p1)).unwrap();
+    assert!(!dct_complete);
+
+    // Recovering, client 1 takes a page X, which client 2 then wants a
+    // part of, and hardens the page.
+    let bytes = s.allocate_page(ClientId(1), txn(1, 1)).unwrap();
+    let pid = Page::from_wire(&bytes, s.config().page_size).unwrap().id();
+    let slot = |n| ObjectId::new(pid, fgl_common::SlotId(n));
+    let shared = |n| LockTarget::Object(slot(n), ObjMode::S);
+    let LockResponse::Wait(w) = s.lock(ClientId(2), txn(2, 1), shared(0), None).unwrap() else {
+        panic!("client 1 holds page X");
+    };
+    s.ship_page(ClientId(1), bytes.clone().into(), true)
+        .unwrap();
+    s.force_page(ClientId(1), pid).unwrap();
+    assert!(w.wait(Duration::from_millis(20)).is_none());
+    assert_eq!(p1.lock().callbacks, vec![]);
+    assert_eq!(p1.lock().flushes, vec![]);
+
+    // Its recovery's end drops its locks, so client 2 is granted; from
+    // then on callbacks and flush notices reach it.
+    s.client_recovery_end(ClientId(1)).unwrap();
+    assert!(w.wait(Duration::from_secs(1)).is_some());
+    let x = LockTarget::Object(slot(1), ObjMode::X);
+    let resp = s.lock(ClientId(1), txn(1, 2), x, None).unwrap();
+    assert!(matches!(resp, LockResponse::Decided(_)));
+    let LockResponse::Wait(w) = s.lock(ClientId(2), txn(2, 2), shared(1), None).unwrap() else {
+        panic!("client 1 holds X on slot 1");
+    };
+    assert!(w.wait(Duration::from_secs(1)).is_some());
+    assert_eq!(
+        p1.lock().callbacks,
+        vec![CallbackKind::DowngradeObject(slot(1))]
+    );
+    s.ship_page(ClientId(1), bytes.into(), true).unwrap();
+    s.force_page(ClientId(1), pid).unwrap();
+    assert_eq!(p1.lock().flushes, vec![pid]);
 }
