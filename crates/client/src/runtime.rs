@@ -29,8 +29,10 @@ use fgl_storage::page::Page;
 use fgl_wal::manager::LogManager;
 use fgl_wal::records::{LogPayload, RedoUpdateRecord, UndoSpillRecord, UpdateRecord};
 use fgl_wal::store::{LogStore, MemLogStore};
-use parking_lot::{Condvar, Mutex};
+use fgl_wal::{ForceTicket, GroupForce};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashSet;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -179,6 +181,22 @@ impl ClientStats {
     }
 }
 
+/// `st` locked for the private log's group force.
+struct WalGuard<'a>(MutexGuard<'a, ClientState>);
+
+impl Deref for WalGuard<'_> {
+    type Target = LogManager;
+    fn deref(&self) -> &LogManager {
+        &self.0.wal
+    }
+}
+
+impl DerefMut for WalGuard<'_> {
+    fn deref_mut(&mut self) -> &mut LogManager {
+        &mut self.0.wal
+    }
+}
+
 /// The client runtime.
 pub struct ClientCore {
     id: ClientId,
@@ -190,12 +208,8 @@ pub struct ClientCore {
     pub(crate) st: Mutex<ClientState>,
     /// Woken on callback completion / flush notification / txn end.
     pub(crate) cv: Condvar,
-    /// Group-commit coordinator: end LSN the in-flight private-log force
-    /// will cover; `None` when no force is in flight. Guards nothing else
-    /// — the WAL itself stays under `st`.
-    force_state: Mutex<Option<Lsn>>,
-    /// Woken when the in-flight force retires.
-    force_cv: Condvar,
+    /// Group commit of the private log, which itself stays under `st`.
+    group: GroupForce,
     /// Shared with the server: one registry covers the whole system.
     pub(crate) metrics: Arc<Metrics>,
     /// Set on first transactional activity. Aggregations over huge client
@@ -285,6 +299,7 @@ impl ClientCore {
             crashed,
             warmed: false,
         };
+        let group = GroupForce::new(cfg.disk_latency);
         let core = Arc::new(ClientCore {
             id,
             cfg,
@@ -292,8 +307,7 @@ impl ClientCore {
             net,
             st: Mutex::new(state),
             cv: Condvar::new(),
-            force_state: Mutex::new(None),
-            force_cv: Condvar::new(),
+            group,
             metrics,
             touched: AtomicBool::new(crashed),
             commits: AtomicU64::new(0),
@@ -447,7 +461,7 @@ impl ClientCore {
     pub fn commit_with(&self, txn: TxnId, before_release: impl FnOnce()) -> Result<()> {
         let commit_start = self.metrics.now_us();
         let _span = fgl_obs::trace::span(fgl_obs::SpanKind::Commit, txn);
-        let (shipment, group_force_upto) = {
+        let (shipment, group_force_ticket) = {
             let mut st = self.st.lock();
             let t = st.txns.get_mut(&txn).ok_or(FglError::InvalidTxnState {
                 txn,
@@ -482,7 +496,7 @@ impl ClientCore {
                     // The commit record becomes durable *after* the state
                     // mutex drops (`group_force`), so concurrent committers
                     // can append behind us and share the force.
-                    (None, Some(st.wal.end_lsn()))
+                    (None, Some(st.wal.force_ticket()))
                 }
                 CommitPolicy::ServerLog | CommitPolicy::ShipPagesAtCommit => {
                     // ARIES/CSA shape: the durable copy of the log lives at
@@ -499,8 +513,8 @@ impl ClientCore {
                 }
             }
         };
-        if let Some(upto) = group_force_upto {
-            self.group_force(txn, upto)?;
+        if let Some(ticket) = group_force_ticket {
+            self.group_force(txn, ticket)?;
         }
         if let Some((bytes, dirtied)) = shipment {
             // The dirtied-page set doubles as the partition-routing hint:
@@ -523,58 +537,15 @@ impl ClientCore {
         released
     }
 
-    /// Group commit (client-based logging): make the commit record ending
-    /// at `upto` durable. The commit must not return before its LSN is
-    /// durable; every exit below re-establishes `durable_lsn() >= upto`.
-    ///
-    /// Leader/follower protocol: the first committer to find no force in
-    /// flight becomes the leader — it captures the current end of log as
-    /// the force's goal, pays the device latency with **no locks held**
-    /// (the window in which cohort committers append behind it), then
-    /// promotes the captured range. A committer that finds an in-flight
-    /// force covering its LSN just waits for that force to retire
-    /// (piggybacked — no disk time of its own); one whose record is past
-    /// the goal waits for the slot and leads the next force.
-    fn group_force(&self, txn: TxnId, upto: Lsn) -> Result<()> {
+    /// Group commit (client-based logging): make the commit record that
+    /// `ticket` ends durable before the commit returns. Concurrent
+    /// committers share the device force ([`GroupForce`]).
+    fn group_force(&self, txn: TxnId, ticket: ForceTicket) -> Result<()> {
         let wait_start = self.metrics.now_us();
         // Covers the whole durability wait: leader device time and
         // piggybacked waits alike.
         let _span = fgl_obs::trace::span(fgl_obs::SpanKind::WalForce, txn);
-        let mut forced = false;
-        loop {
-            let mut fs = self.force_state.lock();
-            // One look at the log answers both questions: are we durable
-            // already, and if we lead, what does the force cover?
-            let end = {
-                let st = self.st.lock();
-                if st.wal.durable_lsn() >= upto {
-                    break;
-                }
-                st.wal.end_lsn()
-            };
-            if fs.is_some() {
-                // An in-flight force either covers us (wait → durable) or
-                // predates our record (wait → lead the next one).
-                self.force_cv.wait(&mut fs);
-                continue;
-            }
-            // Become the leader: everything appended so far rides this
-            // force.
-            *fs = Some(end);
-            drop(fs);
-            let started = self.metrics.now_us();
-            if !self.cfg.disk_latency.is_zero() {
-                // The device works here, outside every lock — cohort
-                // committers append their records behind `end` now.
-                fgl_sched::pause(self.cfg.disk_latency);
-            }
-            let res = self.st.lock().wal.complete_force(end, Some(started));
-            *self.force_state.lock() = None;
-            self.force_cv.notify_all();
-            res?;
-            forced = true;
-            break;
-        }
+        let forced = self.group.force(ticket, || WalGuard(self.st.lock()))?;
         self.metrics
             .observe_since(HistKind::GroupCommit, wait_start);
         if forced {

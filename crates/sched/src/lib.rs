@@ -271,8 +271,16 @@ struct TimerTarget {
     seq: u64,
 }
 
+/// The runnable tasks, and how many workers sleep on `queue_cv` waiting
+/// for one: a push wakes a worker only when one sleeps.
+#[derive(Default)]
+struct RunQueue {
+    tasks: VecDeque<Arc<TaskCore>>,
+    idle: usize,
+}
+
 struct Shared {
-    queue: Mutex<VecDeque<Arc<TaskCore>>>,
+    queue: Mutex<RunQueue>,
     queue_cv: Condvar,
     timers: Mutex<TimerWheel<TimerTarget>>,
     seeds_left: AtomicUsize,
@@ -467,8 +475,16 @@ fn push_runnable(shared: &Shared, task: Arc<TaskCore>) {
     if TRACE_HOOK_SET.load(Ordering::Acquire) {
         task.queued_at_us.store(sched_now_us(), Ordering::Relaxed);
     }
-    shared.queue.lock().unwrap().push_back(task);
-    shared.queue_cv.notify_one();
+    let idle = {
+        let mut queue = shared.queue.lock().unwrap();
+        queue.tasks.push_back(task);
+        queue.idle
+    };
+    // A worker counts itself idle under the queue mutex before it waits,
+    // so a count of 0 read under that mutex means no wake-up can be lost.
+    if idle > 0 {
+        shared.queue_cv.notify_one();
+    }
 }
 
 fn unpark_task(task: &Arc<TaskCore>) {
@@ -590,7 +606,7 @@ pub fn run_scoped<'env>(workers: usize, jobs: Vec<Box<dyn FnOnce() + Send + 'env
     }
     let workers = workers.max(1);
     let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(RunQueue::default()),
         queue_cv: Condvar::new(),
         timers: Mutex::new(TimerWheel::new(TICK)),
         seeds_left: AtomicUsize::new(jobs.len()),
@@ -709,7 +725,7 @@ fn worker_loop(shared: &Arc<Shared>) {
     });
     loop {
         fire_due_timers(shared);
-        let popped = shared.queue.lock().unwrap().pop_front();
+        let popped = shared.queue.lock().unwrap().tasks.pop_front();
         if let Some(task) = popped {
             run_task(&tls, task);
             continue;
@@ -725,12 +741,14 @@ fn worker_loop(shared: &Arc<Shared>) {
             .map(|d| d.saturating_duration_since(Instant::now()))
             .unwrap_or(IDLE_POLL)
             .min(IDLE_POLL);
-        let queue = shared.queue.lock().unwrap();
-        if queue.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
-            let _ = shared
+        let mut queue = shared.queue.lock().unwrap();
+        if queue.tasks.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
+            queue.idle += 1;
+            let (mut queue, _) = shared
                 .queue_cv
                 .wait_timeout(queue, wait.max(Duration::from_micros(1)))
                 .unwrap();
+            queue.idle -= 1;
         }
     }
     TLS.with(|t| t.borrow_mut().take());
@@ -974,6 +992,99 @@ mod tests {
             ]
         });
         assert!(woke.load(Ordering::Acquire));
+    }
+
+    /// Two tasks on two workers pass a turn back and forth `rounds` times
+    /// and return how long each took to start running once unparked. The
+    /// holder keeps its own worker in an OS sleep, long enough for the
+    /// other worker to fall asleep, then unparks its partner and keeps its
+    /// worker until the partner runs: only the sleeping worker can run it,
+    /// so the partner starts before that worker's next idle poll only if
+    /// the unpark woke it.
+    fn handoff_latencies(rounds: u32) -> Vec<Duration> {
+        const GAP: Duration = Duration::from_micros(300);
+        let turn = AtomicU32::new(0);
+        let arrived = AtomicU32::new(0);
+        let unparked_at = Mutex::new(Instant::now());
+        let parkers: [Mutex<Option<Unparker>>; 2] = Default::default();
+        let latencies = Mutex::new(Vec::new());
+        let player = |me: u32| {
+            let (turn, arrived, unparked_at) = (&turn, &arrived, &unparked_at);
+            let (parkers, latencies) = (&parkers, &latencies);
+            boxed(move || {
+                *parkers[me as usize].lock().unwrap() = current_unparker();
+                loop {
+                    let t = turn.load(Ordering::Acquire);
+                    if t >= rounds {
+                        break;
+                    }
+                    if t % 2 != me {
+                        park_until(Some(Instant::now() + Duration::from_secs(5)));
+                        continue;
+                    }
+                    if t > 0 && arrived.load(Ordering::Acquire) < t {
+                        latencies
+                            .lock()
+                            .unwrap()
+                            .push(unparked_at.lock().unwrap().elapsed());
+                        arrived.store(t, Ordering::Release);
+                    }
+                    std::thread::sleep(GAP);
+                    let partner = loop {
+                        if let Some(u) = parkers[1 - me as usize].lock().unwrap().take() {
+                            break u;
+                        }
+                        yield_now();
+                    };
+                    *unparked_at.lock().unwrap() = Instant::now();
+                    turn.store(t + 1, Ordering::Release);
+                    partner.unpark();
+                    *parkers[1 - me as usize].lock().unwrap() = Some(partner);
+                    let give_up = Instant::now() + Duration::from_millis(50);
+                    while t + 1 < rounds
+                        && arrived.load(Ordering::Acquire) <= t
+                        && Instant::now() < give_up
+                    {
+                        std::thread::sleep(Duration::from_micros(20));
+                    }
+                }
+            })
+        };
+        let start = Instant::now();
+        run_scoped(2, vec![player(0), player(1)]);
+        assert!(
+            start.elapsed() < rounds * (GAP + Duration::from_millis(5)),
+            "{rounds} hand-offs took {:?}",
+            start.elapsed()
+        );
+        latencies.into_inner().unwrap()
+    }
+
+    /// A push must wake a sleeping worker: the median hand-off stays well
+    /// under the idle poll a lost wake-up would wait out.
+    fn assert_handoffs_wake_a_worker(rounds: u32) {
+        let mut lat = handoff_latencies(rounds);
+        assert_eq!(lat.len(), rounds as usize - 1);
+        lat.sort_unstable();
+        let median = lat[lat.len() / 2];
+        assert!(median < IDLE_POLL / 4, "median hand-off {median:?}");
+    }
+
+    #[test]
+    fn an_unpark_wakes_a_sleeping_worker() {
+        if supported() {
+            assert_handoffs_wake_a_worker(101);
+        }
+    }
+
+    #[test]
+    #[ignore = "soak: ~10 s"]
+    fn an_unpark_wakes_a_sleeping_worker_soak() {
+        if supported() {
+            for _ in 0..100 {
+                assert_handoffs_wake_a_worker(201);
+            }
+        }
     }
 
     #[test]

@@ -45,9 +45,10 @@ use fgl_net::wait::{grant_pair, GrantMsg, GrantSlot};
 use fgl_obs::{emit, CallbackClass, Counter, Event, HistKind, LogOwner, Metrics};
 use fgl_storage::disk::DiskBackend;
 use fgl_storage::page::Page;
-use fgl_wal::manager::LogManager;
+use fgl_wal::manager::{LogManager, LogRecordEntry};
 use fgl_wal::records::{LogPayload, ReplacementRecord};
 use fgl_wal::store::MemLogStore;
+use fgl_wal::{ForceTicket, GroupForce};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -168,6 +169,9 @@ pub struct ServerCore {
     /// Server log: replacement records + server checkpoints (§3.1, §3.2).
     /// Global: one sequential log device.
     slog: Mutex<LogManager>,
+    /// Group commit of the server log: concurrent flushes share a force,
+    /// and none holds `slog` while the device works.
+    slog_force: GroupForce,
     /// Every client's liveness: the one place delivery and recovery read it.
     pub(crate) clients: RwLock<HashMap<ClientId, ClientEntry>>,
     /// Server-logging baseline (§4.1): log records shipped at commit,
@@ -227,14 +231,10 @@ impl ServerCore {
             instance as u64,
             instances as u64,
         );
-        let mut slog = LogManager::new(
-            Box::new(fgl_wal::store::SimLogStore::new(
-                Box::new(MemLogStore::new()),
-                cfg.disk_latency,
-            )),
-            cfg.server_log_bytes,
-        );
+        // The device latency is `slog_force`'s to pay, outside the mutex.
+        let mut slog = LogManager::new(Box::new(MemLogStore::new()), cfg.server_log_bytes);
         slog.attach_obs(metrics.clone(), LogOwner::Server);
+        let slog_force = GroupForce::new(cfg.disk_latency);
         Arc::new(ServerCore {
             cfg: Arc::new(cfg),
             net,
@@ -248,6 +248,7 @@ impl ServerCore {
             wait_graph,
             coord: OnceLock::new(),
             slog: Mutex::new(slog),
+            slog_force,
             clients: RwLock::new(HashMap::new()),
             client_logs: Mutex::new(HashMap::new()),
             recovery_gen: Mutex::new(0),
@@ -688,10 +689,10 @@ impl ServerCore {
     /// Write page images to disk with their replacement records: every
     /// record is appended and the server log forced once, so all of them
     /// are durable before the first page is written (§3.1); then the
-    /// pages go to disk as one request. The in-place writes (and their
-    /// simulated latency) run with no server lock held; the log force
-    /// serializes on the log's own mutex, which is the nature of a single
-    /// sequential log device.
+    /// pages go to disk as one request. Neither the force nor the
+    /// in-place writes hold a server lock while the device works:
+    /// concurrent flushes append behind an in-flight force and share the
+    /// next one (`slog_force`).
     fn flush_images(&self, images: Vec<Page>) -> Result<()> {
         if images.is_empty() {
             return Ok(());
@@ -710,23 +711,22 @@ impl ServerCore {
                 })
             })
             .collect();
-        let lsns = {
+        let ticket = {
+            // Each record is noted in the DCT as it is appended: a
+            // checkpoint snapshots the DCT under `slog` too, so one that
+            // lands while this flush waits for its force keeps the log
+            // from these records.
             let mut slog = self.slog.lock();
-            let lsns = records
-                .iter()
-                .map(|record| slog.append_critical(record))
-                .collect::<Result<Vec<Lsn>>>()?;
-            slog.force()?;
-            lsns
-        };
-        self.replacement_records
-            .fetch_add(images.len() as u64, Ordering::Relaxed);
-        {
             let mut dct = self.dct.lock();
-            for (img, lsn) in images.iter().zip(lsns) {
+            for (img, record) in images.iter().zip(&records) {
+                let lsn = slog.append_critical(record)?;
                 dct.note_replacement_record(img.id(), lsn);
             }
-        }
+            slog.force_ticket()
+        };
+        self.force_slog(ticket)?;
+        self.replacement_records
+            .fetch_add(images.len() as u64, Ordering::Relaxed);
         let disk = self.store.lock().disk_handle();
         disk.write_pages(&images)?;
         {
@@ -786,11 +786,21 @@ impl ServerCore {
     /// Take a server fuzzy checkpoint (§3.2): persist the DCT and advance
     /// the log low-water mark.
     pub fn checkpoint(&self) -> Result<()> {
-        let snapshot = self.dct.lock().snapshot();
-        let min_redo = snapshot.iter().filter_map(|e| e.redo_lsn).min();
+        let (lsn, ticket, min_redo) = {
+            let mut slog = self.slog.lock();
+            let snapshot = self.dct.lock().snapshot();
+            let min_redo = snapshot.iter().filter_map(|e| e.redo_lsn).min();
+            let lsn = slog.append_critical(&LogPayload::ServerCheckpoint { dct: snapshot })?;
+            (lsn, slog.force_ticket(), min_redo)
+        };
+        self.force_slog(ticket)?;
         let mut slog = self.slog.lock();
-        let lsn = slog.append_critical(&LogPayload::ServerCheckpoint { dct: snapshot })?;
-        slog.force()?;
+        // After a crash since the force, restart rebuilt the DCT this
+        // snapshot describes; a later checkpoint that completed first
+        // supersedes this one.
+        if slog.crash_epoch() != ticket.epoch || lsn < slog.last_checkpoint() {
+            return Ok(());
+        }
         slog.set_checkpoint(lsn)?;
         if let Some(lw) = min_redo {
             slog.advance_low_water(lw.min(lsn))?;
@@ -803,6 +813,12 @@ impl ServerCore {
             lsn,
         });
         Ok(())
+    }
+
+    /// Make the server log durable up to `ticket`, sharing the device
+    /// force with every concurrent flush.
+    fn force_slog(&self, ticket: ForceTicket) -> Result<()> {
+        self.slog_force.force(ticket, || self.slog.lock()).map(drop)
     }
 
     // ---- server crash plumbing (the restart algorithm lives in recovery.rs) ----
@@ -914,6 +930,11 @@ impl ServerCore {
     pub fn slog_bounds(&self) -> (Lsn, Lsn) {
         let slog = self.slog.lock();
         (slog.last_checkpoint(), slog.end_lsn())
+    }
+
+    /// Every server-log record from the low-water mark on (diagnostics).
+    pub fn slog_records(&self) -> Result<Vec<LogRecordEntry>> {
+        self.slog.lock().collect_from(Lsn::NIL)
     }
 
     /// Bytes appended to the server log per record kind (non-zero only).

@@ -16,12 +16,16 @@
 //! * [`manager`] — the log manager: append/force, LSN = byte address
 //!   (§2), scans, the master record locating the last complete checkpoint,
 //!   and circular-space accounting driving the §3.6 reclamation protocol.
+//! * [`group`] — group commit: concurrent forces of one log share one
+//!   device force, for the private logs and the server log alike.
 
 pub mod codec;
+pub mod group;
 pub mod manager;
 pub mod records;
 pub mod store;
 
+pub use group::{ForceTicket, GroupForce};
 pub use manager::{LogManager, LogRecordEntry, MasterRecord, ScannedRecord};
 pub use records::{
     CallbackRecord, ClrRecord, DctEntry, DptEntry, LogPayload, RecordHeader, RecordKind,

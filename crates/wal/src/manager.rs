@@ -21,6 +21,7 @@
 //! back — the standard way WAL systems avoid deadlocking on their own log.
 
 use crate::codec::checksum;
+use crate::group::ForceTicket;
 use crate::records::{LogPayload, RecordHeader, KIND_NAMES};
 use crate::store::{LogStore, MasterAnchor};
 use fgl_common::{FglError, Lsn, Result};
@@ -63,6 +64,9 @@ pub struct LogManager {
     /// The frame being appended, header first; reused so an append
     /// allocates nothing once the largest record has been seen.
     scratch: Vec<u8>,
+    /// Crashes so far: a [`ForceTicket`] of an earlier epoch names
+    /// records the crash discarded.
+    crash_epoch: u64,
 }
 
 impl LogManager {
@@ -81,6 +85,7 @@ impl LogManager {
             forces: 0,
             obs: None,
             scratch: Vec::new(),
+            crash_epoch: 0,
         }
     }
 
@@ -116,6 +121,28 @@ impl LogManager {
     /// LSN the next appended record will get.
     pub fn end_lsn(&self) -> Lsn {
         Self::lsn_at(self.store.len())
+    }
+
+    /// What a force must cover for everything appended so far.
+    #[inline]
+    pub fn force_ticket(&self) -> ForceTicket {
+        ForceTicket {
+            upto: self.end_lsn(),
+            epoch: self.crash_epoch,
+        }
+    }
+
+    /// Crashes since the manager was created.
+    #[inline]
+    pub fn crash_epoch(&self) -> u64 {
+        self.crash_epoch
+    }
+
+    /// A reading of the attached registry's clock, to time a force that
+    /// starts now and completes through [`complete_force`](Self::complete_force).
+    #[inline]
+    pub(crate) fn obs_now_us(&self) -> Option<u64> {
+        self.obs.as_ref().map(|(m, _)| m.now_us())
     }
 
     /// LSN up to which the log is durable (exclusive).
@@ -228,12 +255,12 @@ impl LogManager {
         Ok(durable)
     }
 
-    /// Second half of a group-commit force: promote everything up to
-    /// `upto` (the end LSN the leader captured when the force began) to
-    /// durable. The leader pays the device latency *between* capturing
-    /// `upto` and calling this, with no locks held, so cohort committers
-    /// can append behind it; records appended after the capture stay
-    /// pending and belong to the next force. `started_us` (a prior
+    /// Second half of a group force ([`GroupForce`](crate::GroupForce)):
+    /// promote everything up to `upto` (the end LSN the leader captured
+    /// when the force began) to durable. The leader pays the device
+    /// latency *between* capturing `upto` and calling this, with no locks
+    /// held, so other writers can append behind it; records appended after
+    /// the capture stay pending and belong to the next force. `started_us` (a prior
     /// [`Metrics::now_us`](fgl_obs::Metrics::now_us) reading taken at
     /// capture time) keeps the log-force histogram honest about the real
     /// device time.
@@ -368,6 +395,7 @@ impl LogManager {
     /// Simulate a crash: the store drops its non-durable tail.
     pub fn crash(&mut self) {
         self.store.crash();
+        self.crash_epoch += 1;
     }
 
     /// Raw framed bytes of the interval `[from, to)` — what the
