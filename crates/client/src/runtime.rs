@@ -24,7 +24,7 @@ use fgl_locks::mode::{LockTarget, ObjMode};
 use fgl_net::api::{LockResponse, ServerApi};
 use fgl_net::stats::NetSim;
 use fgl_net::wait::GrantMsg;
-use fgl_obs::{emit, Event, HistKind, LogOwner, Metrics};
+use fgl_obs::{emit, emit_at, Event, HistKind, LogOwner, Metrics};
 use fgl_storage::page::Page;
 use fgl_wal::manager::LogManager;
 use fgl_wal::records::{LogPayload, RedoUpdateRecord, UndoSpillRecord, UpdateRecord};
@@ -463,10 +463,12 @@ impl ClientCore {
         let _span = fgl_obs::trace::span(fgl_obs::SpanKind::Commit, txn);
         let (shipment, group_force_ticket) = {
             let mut st = self.st.lock();
-            let t = st.txns.get_mut(&txn).ok_or(FglError::InvalidTxnState {
-                txn,
-                state: "unknown",
-            })?;
+            let Some(t) = st.txns.get_mut(&txn) else {
+                return Err(FglError::InvalidTxnState {
+                    txn,
+                    state: "unknown",
+                });
+            };
             if !t.is_active() {
                 return Err(FglError::InvalidTxnState {
                     txn,
@@ -540,24 +542,34 @@ impl ClientCore {
     /// Group commit (client-based logging): make the commit record that
     /// `ticket` ends durable before the commit returns. Concurrent
     /// committers share the device force ([`GroupForce`]).
+    ///
+    /// A led commit reads the clock twice here: as it starts to wait,
+    /// which also starts the force it leads, and at the force's end,
+    /// which times the force and this wait and stamps both their events.
     fn group_force(&self, txn: TxnId, ticket: ForceTicket) -> Result<()> {
         let wait_start = self.metrics.now_us();
         // Covers the whole durability wait: leader device time and
         // piggybacked waits alike.
         let _span = fgl_obs::trace::span(fgl_obs::SpanKind::WalForce, txn);
-        let forced = self.group.force(ticket, || WalGuard(self.st.lock()))?;
+        let forced = self
+            .group
+            .force(ticket, Some(wait_start), || WalGuard(self.st.lock()))?;
+        let at_us = forced.ended_us.unwrap_or_else(|| self.metrics.now_us());
         self.metrics
-            .observe_since(HistKind::GroupCommit, wait_start);
-        if forced {
+            .observe(HistKind::GroupCommit, at_us.saturating_sub(wait_start));
+        if forced.led {
             self.commits_forced.fetch_add(1, Ordering::Relaxed);
         } else {
             self.commits_piggybacked.fetch_add(1, Ordering::Relaxed);
         }
-        emit(Event::GroupCommit {
-            client: self.id,
-            txn,
-            forced,
-        });
+        emit_at(
+            at_us,
+            Event::GroupCommit {
+                client: self.id,
+                txn,
+                forced: forced.led,
+            },
+        );
         Ok(())
     }
 
@@ -589,32 +601,29 @@ impl ClientCore {
     /// Establish (or move) a named savepoint (§3.2 partial rollbacks).
     pub fn savepoint(&self, txn: TxnId, name: &str) -> Result<()> {
         let mut st = self.st.lock();
-        let t =
-            st.txns
-                .get_mut(&txn)
-                .filter(|t| t.is_active())
-                .ok_or(FglError::InvalidTxnState {
-                    txn,
-                    state: "not active",
-                })?;
+        let Some(t) = st.txns.get_mut(&txn).filter(|t| t.is_active()) else {
+            return Err(FglError::InvalidTxnState {
+                txn,
+                state: "not active",
+            });
+        };
         t.set_savepoint(name);
         Ok(())
     }
 
     /// Partial rollback to a named savepoint; the transaction continues.
     pub fn rollback_to(&self, txn: TxnId, name: &str) -> Result<()> {
-        let upto =
-            {
-                let st = self.st.lock();
-                let t = st.txns.get(&txn).filter(|t| t.is_active()).ok_or(
-                    FglError::InvalidTxnState {
-                        txn,
-                        state: "not active",
-                    },
-                )?;
-                t.savepoint_lsn(name)
-                    .ok_or_else(|| FglError::UnknownSavepoint(name.to_string()))?
+        let upto = {
+            let st = self.st.lock();
+            let Some(t) = st.txns.get(&txn).filter(|t| t.is_active()) else {
+                return Err(FglError::InvalidTxnState {
+                    txn,
+                    state: "not active",
+                });
             };
+            t.savepoint_lsn(name)
+                .ok_or_else(|| FglError::UnknownSavepoint(name.to_string()))?
+        };
         self.rollback_chain(txn, upto)?;
         let mut st = self.st.lock();
         if let Some(t) = st.txns.get_mut(&txn) {
@@ -710,10 +719,9 @@ impl ClientCore {
     /// Read an object's bytes under a shared lock.
     pub fn read(&self, txn: TxnId, oid: ObjectId) -> Result<Vec<u8>> {
         self.operate(txn, oid, ObjMode::S, false, |st, _| {
-            let page = st
-                .cache
-                .peek(oid.page)
-                .ok_or(FglError::PageNotFound(oid.page))?;
+            let Some(page) = st.cache.peek(oid.page) else {
+                return Err(FglError::PageNotFound(oid.page));
+            };
             Ok(page.read_object(oid.slot)?.to_vec())
         })
     }
@@ -752,7 +760,9 @@ impl ClientCore {
         // Structural lock on the page.
         let probe = ObjectId::new(page, SlotId(0));
         self.operate(txn, probe, ObjMode::X, true, |st, at| {
-            let p = st.cache.peek(page).ok_or(FglError::PageNotFound(page))?;
+            let Some(p) = st.cache.peek(page) else {
+                return Err(FglError::PageNotFound(page));
+            };
             let oid = ObjectId::new(page, p.peek_insert_slot());
             let psn_before = p.psn();
             let (mode, lsn) = self.log_update(
@@ -765,7 +775,9 @@ impl ClientCore {
                 &mut Some(bytes.to_vec()),
                 true,
             )?;
-            let p = st.cache.get_mut(page).ok_or(FglError::PageNotFound(page))?;
+            let Some(p) = st.cache.get_mut(page) else {
+                return Err(FglError::PageNotFound(page));
+            };
             let got = p.insert_object(bytes)?;
             debug_assert_eq!(got, oid.slot);
             self.note_mem_undo(st, mode, txn, oid, lsn, None);
@@ -827,10 +839,9 @@ impl ClientCore {
         F: Fn(&Page) -> Result<(Option<Vec<u8>>, Option<Vec<u8>>)>,
     {
         self.operate(txn, oid, ObjMode::X, structural, |st, at| {
-            let page = st
-                .cache
-                .peek(oid.page)
-                .ok_or(FglError::PageNotFound(oid.page))?;
+            let Some(page) = st.cache.peek(oid.page) else {
+                return Err(FglError::PageNotFound(oid.page));
+            };
             let (mut before, mut after) = f(page)?;
             let psn_before = page.psn();
             let (mode, lsn) = self.log_update(
@@ -843,10 +854,9 @@ impl ClientCore {
                 &mut after,
                 structural,
             )?;
-            let p = st
-                .cache
-                .get_mut(oid.page)
-                .ok_or(FglError::PageNotFound(oid.page))?;
+            let Some(p) = st.cache.get_mut(oid.page) else {
+                return Err(FglError::PageNotFound(oid.page));
+            };
             match (&before, &after) {
                 (Some(_), Some(a)) => {
                     if p.read_object(oid.slot)?.len() == a.len() {
@@ -1597,10 +1607,12 @@ impl ClientCore {
             // Find the next record to undo.
             let entry = {
                 let st = self.st.lock();
-                let t = st.txns.get(&txn).ok_or(FglError::InvalidTxnState {
-                    txn,
-                    state: "unknown",
-                })?;
+                let Some(t) = st.txns.get(&txn) else {
+                    return Err(FglError::InvalidTxnState {
+                        txn,
+                        state: "unknown",
+                    });
+                };
                 let mut cur = t.last_lsn;
                 // Follow CLR undo-next pointers without re-undoing.
                 let rec = loop {
@@ -1630,11 +1642,10 @@ impl ClientCore {
             // Undo needs the page; it may have been replaced.
             self.ensure_page_present(u.object.page)?;
             let mut st = self.st.lock();
-            let psn_before = st
-                .cache
-                .peek(u.object.page)
-                .ok_or(FglError::PageNotFound(u.object.page))?
-                .psn();
+            let Some(page) = st.cache.peek(u.object.page) else {
+                return Err(FglError::PageNotFound(u.object.page));
+            };
+            let psn_before = page.psn();
             let clr = LogPayload::Clr(fgl_wal::records::ClrRecord {
                 txn,
                 prev_lsn: st.txns.get(&txn).unwrap().last_lsn,
@@ -1645,10 +1656,9 @@ impl ClientCore {
             });
             let clr_lsn = self.append_critical(&mut st, &clr)?;
             {
-                let p = st
-                    .cache
-                    .get_mut(u.object.page)
-                    .ok_or(FglError::PageNotFound(u.object.page))?;
+                let Some(p) = st.cache.get_mut(u.object.page) else {
+                    return Err(FglError::PageNotFound(u.object.page));
+                };
                 Self::undo_install(p, u.object.slot, u.before.as_deref())?;
             }
             self.after_update(&mut st, txn, u.object, clr_lsn);
@@ -1665,10 +1675,12 @@ impl ClientCore {
         loop {
             let entry = {
                 let mut st = self.st.lock();
-                let t = st.txns.get_mut(&txn).ok_or(FglError::InvalidTxnState {
-                    txn,
-                    state: "unknown",
-                })?;
+                let Some(t) = st.txns.get_mut(&txn) else {
+                    return Err(FglError::InvalidTxnState {
+                        txn,
+                        state: "unknown",
+                    });
+                };
                 match t.cold().and_then(|c| c.undo.last()) {
                     Some(u) if u.lsn > upto => t.cold_mut().undo.pop(),
                     _ => None,
@@ -1679,11 +1691,10 @@ impl ClientCore {
             };
             self.ensure_page_present(u.object.page)?;
             let mut st = self.st.lock();
-            let psn_before = st
-                .cache
-                .peek(u.object.page)
-                .ok_or(FglError::PageNotFound(u.object.page))?
-                .psn();
+            let Some(page) = st.cache.peek(u.object.page) else {
+                return Err(FglError::PageNotFound(u.object.page));
+            };
+            let psn_before = page.psn();
             let clr = LogPayload::Clr(fgl_wal::records::ClrRecord {
                 txn,
                 prev_lsn: st.txns.get(&txn).unwrap().last_lsn,
@@ -1694,10 +1705,9 @@ impl ClientCore {
             });
             let clr_lsn = self.append_critical(&mut st, &clr)?;
             {
-                let p = st
-                    .cache
-                    .get_mut(u.object.page)
-                    .ok_or(FglError::PageNotFound(u.object.page))?;
+                let Some(p) = st.cache.get_mut(u.object.page) else {
+                    return Err(FglError::PageNotFound(u.object.page));
+                };
                 Self::undo_install(p, u.object.slot, u.before.as_deref())?;
             }
             self.after_update(&mut st, txn, u.object, clr_lsn);

@@ -2,8 +2,11 @@
 //!
 //! Values (microseconds by convention) are counted into power-of-two
 //! buckets: bucket 0 holds the value `0`, bucket `i ≥ 1` holds
-//! `[2^(i-1), 2^i - 1]`. Recording is one relaxed `fetch_add` plus a
-//! `fetch_max`, so it is safe and cheap from any number of threads.
+//! `[2^(i-1), 2^i - 1]`. Recording is two relaxed `fetch_add`s (the
+//! bucket and the sum) plus a relaxed load of the maximum, raised with a
+//! `fetch_max` only when the value exceeds it; the count is not stored
+//! but summed from the buckets at snapshot time. So a record is safe and
+//! cheap from any number of threads.
 //! Quantiles are estimated by rank walk with linear interpolation inside
 //! the bucket, clamped to the observed maximum — deterministic for a
 //! given multiset of recorded values.
@@ -32,10 +35,10 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
     }
 }
 
-/// A concurrent log2-bucket histogram.
+/// A concurrent log2-bucket histogram. There is no count field: the
+/// count is the buckets' sum, so a record touches one atomic fewer.
 pub struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -44,7 +47,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -56,12 +58,16 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Record one observation.
+    /// Record one observation: two read-modify-writes, plus a third
+    /// only while the maximum is still rising. A stale load can only make
+    /// the `fetch_max` run needlessly, never skip a larger value.
+    #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Point-in-time copy.
@@ -72,7 +78,7 @@ impl Histogram {
         }
         HistSnapshot {
             buckets,
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }

@@ -60,10 +60,13 @@ pub fn seq_watermark() -> u64 {
     SEQ.load(Ordering::Relaxed)
 }
 
-/// Microseconds since the first observability call in this process. Used
-/// only to stamp flight-recorder entries; latency *measurements* go
-/// through the [`Metrics`] clock so tests can drive them manually.
-pub(crate) fn process_us() -> u64 {
+/// Microseconds since the first observability call in this process: the
+/// one timeline of the process. Flight-recorder entries are stamped with
+/// it, and the default [`Metrics`] clock reads it, so a caller that timed
+/// something through the registry can stamp the event with the same
+/// reading ([`emit_at`]).
+#[inline]
+pub fn now_us() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
@@ -72,10 +75,19 @@ pub(crate) fn process_us() -> u64 {
 /// flight-recorder ring, and fan it out to the installed sinks (the
 /// stderr sink auto-installs on first use when `FGL_TRACE` is set).
 pub fn emit(event: Event) {
+    emit_at(now_us(), event);
+}
+
+/// [`emit`] stamped with `at_us`, a fresh reading of [`now_us`] (or of a
+/// [`Metrics`] clock) the caller already holds: a site that has just
+/// timed an interval stamps its event with the interval's end instead of
+/// reading the clock again. The sequence number is taken here, so the
+/// event's place in the total order is that of the call.
+pub fn emit_at(at_us: u64, event: Event) {
     sink::ensure_default_sinks();
     let stamped = Stamped {
         seq: SEQ.fetch_add(1, Ordering::Relaxed),
-        at_us: process_us(),
+        at_us,
         event,
     };
     ring::record(stamped);

@@ -9,7 +9,6 @@ use crate::hist::{bucket_bounds, HistSnapshot, Histogram};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
 
 /// The latency distributions the system tracks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,7 +19,9 @@ pub enum HistKind {
     Commit,
     /// Server-side callback round trip: issued → completed (§3.2).
     CallbackRoundTrip,
-    /// A log force (client private log or server log).
+    /// A log force (client private log or server log). A group force's
+    /// leader times it from the reading it took as it began to wait for
+    /// durability, when it led on its first look at the log.
     LogForce,
     /// Client page fetch from the server.
     PageFetch,
@@ -83,22 +84,16 @@ pub trait Clock: Send + Sync {
     fn now_us(&self) -> u64;
 }
 
-/// Default clock: `Instant`-based monotonic microseconds.
-pub struct MonoClock {
-    epoch: Instant,
-}
-
-impl Default for MonoClock {
-    fn default() -> Self {
-        MonoClock {
-            epoch: Instant::now(),
-        }
-    }
-}
+/// Default clock: the process timeline ([`crate::now_us`]) that stamps
+/// flight-recorder entries, so a reading taken to time an interval can
+/// also stamp the event that reports it ([`crate::emit_at`]).
+#[derive(Default)]
+pub struct MonoClock;
 
 impl Clock for MonoClock {
+    #[inline]
     fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        crate::now_us()
     }
 }
 
@@ -157,7 +152,7 @@ impl Default for Metrics {
 impl Metrics {
     /// Registry with the monotonic wall clock.
     pub fn new() -> Metrics {
-        Metrics::with_clock(Box::new(MonoClock::default()))
+        Metrics::with_clock(Box::new(MonoClock))
     }
 
     /// Registry with an explicit clock (tests use [`ManualClock`]).
@@ -181,8 +176,12 @@ impl Metrics {
     }
 
     /// Record the elapsed time since `start_us` (a prior [`Metrics::now_us`]).
-    pub fn observe_since(&self, kind: HistKind, start_us: u64) {
-        self.observe(kind, self.now_us().saturating_sub(start_us));
+    /// Returns the end reading it took, for the caller to reuse as the
+    /// next interval's start or an event's stamp.
+    pub fn observe_since(&self, kind: HistKind, start_us: u64) -> u64 {
+        let end = self.now_us();
+        self.observe(kind, end.saturating_sub(start_us));
+        end
     }
 
     /// Add to a named counter, creating it on first use. Cold paths only:
@@ -389,7 +388,8 @@ mod tests {
         let m = Metrics::with_clock(Box::new(Shared(clock.clone())));
         let t0 = m.now_us();
         clock.advance_us(750);
-        m.observe_since(HistKind::Commit, t0);
+        // The end reading comes back for the caller to reuse.
+        assert_eq!(m.observe_since(HistKind::Commit, t0), t0 + 750);
         let s = m.snapshot();
         let h = s.hist(HistKind::Commit).unwrap();
         assert_eq!(h.count, 1);

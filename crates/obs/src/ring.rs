@@ -21,7 +21,6 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 pub const RING_CAPACITY: usize = 256;
 
 static CAPACITY: AtomicUsize = AtomicUsize::new(RING_CAPACITY);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
 
 /// Set the per-thread ring capacity (`SystemConfig::obs_ring_entries`).
 /// Applies to future appends on every ring; shrinking trims each ring
@@ -40,7 +39,13 @@ pub fn capacity() -> usize {
 /// delta across a run means `dump()` is a truncated view — raise
 /// `obs_ring_entries` if the analysis needs the full window.
 pub fn dropped_events() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
+    let rings = registry().lock().unwrap();
+    rings.exited_dropped
+        + rings
+            .entries
+            .iter()
+            .map(|(_, dropped)| dropped.load(Ordering::Relaxed))
+            .sum::<u64>()
 }
 
 /// One stamped flight-recorder entry.
@@ -55,13 +60,39 @@ pub struct Stamped {
 
 struct Ring {
     slots: Mutex<VecDeque<Stamped>>,
+    /// Events this ring evicted at capacity. Written only by its thread,
+    /// under `slots`' lock, so a push at capacity costs a plain store
+    /// rather than an RMW on a counter every thread shares.
+    dropped: Arc<AtomicU64>,
 }
 
-/// Every live thread's ring; a dead entry is pruned when a new ring
-/// registers and during [`dump`].
-fn registry() -> &'static Mutex<Vec<Weak<Ring>>> {
-    static RINGS: OnceLock<Mutex<Vec<Weak<Ring>>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
+/// Every ring with the count of events it evicted. A dead ring's entry
+/// is pruned when a new ring registers and during [`dump`]; its count
+/// moves to `exited_dropped` in the same critical section, so
+/// [`dropped_events`] never misses or repeats it.
+#[derive(Default)]
+struct Registry {
+    entries: Vec<(Weak<Ring>, Arc<AtomicU64>)>,
+    exited_dropped: u64,
+}
+
+impl Registry {
+    fn prune(&mut self) {
+        let mut exited = 0;
+        self.entries.retain(|(ring, dropped)| {
+            let live = ring.strong_count() > 0;
+            if !live {
+                exited += dropped.load(Ordering::Relaxed);
+            }
+            live
+        });
+        self.exited_dropped += exited;
+    }
+}
+
+fn registry() -> &'static Mutex<Registry> {
+    static RINGS: OnceLock<Mutex<Registry>> = OnceLock::new();
+    RINGS.get_or_init(Default::default)
 }
 
 thread_local! {
@@ -69,10 +100,11 @@ thread_local! {
     static LOCAL: Arc<Ring> = {
         let ring = Arc::new(Ring {
             slots: Mutex::new(VecDeque::with_capacity(capacity())),
+            dropped: Arc::default(),
         });
         let mut rings = registry().lock().unwrap();
-        rings.retain(|r| r.strong_count() > 0);
-        rings.push(Arc::downgrade(&ring));
+        rings.prune();
+        rings.entries.push((Arc::downgrade(&ring), ring.dropped.clone()));
         ring
     };
 }
@@ -83,9 +115,12 @@ pub(crate) fn record(stamped: Stamped) {
     let cap = capacity();
     LOCAL.with(|ring| {
         let mut slots = ring.slots.lock().unwrap();
-        while slots.len() >= cap {
-            slots.pop_front();
-            DROPPED.fetch_add(1, Ordering::Relaxed);
+        if slots.len() >= cap {
+            let evicted = slots.len() + 1 - cap;
+            slots.drain(..evicted);
+            let dropped = ring.dropped.load(Ordering::Relaxed);
+            ring.dropped
+                .store(dropped + evicted as u64, Ordering::Relaxed);
         }
         slots.push_back(stamped);
     });
@@ -96,8 +131,12 @@ pub(crate) fn record(stamped: Stamped) {
 pub fn dump() -> Vec<Stamped> {
     let rings: Vec<Arc<Ring>> = {
         let mut rings = registry().lock().unwrap();
-        rings.retain(|r| r.strong_count() > 0);
-        rings.iter().filter_map(Weak::upgrade).collect()
+        rings.prune();
+        rings
+            .entries
+            .iter()
+            .filter_map(|(r, _)| r.upgrade())
+            .collect()
     };
     let mut all: Vec<Stamped> = Vec::new();
     for ring in rings {
@@ -152,6 +191,31 @@ mod tests {
             }));
     }
 
+    /// Evictions count whether the ring's thread is still running or has
+    /// exited (and its ring was pruned by a later registration).
+    #[test]
+    fn dropped_events_count_live_and_exited_rings() {
+        let burst = RING_CAPACITY as u64 + 10;
+        let emit_burst = move || {
+            for i in 0..burst {
+                crate::emit(Event::DeadlockVictim { txn: TxnId(i) });
+            }
+        };
+        // Other tests only add to the total, so a lower bound is exact
+        // enough: at least `burst - capacity` evictions per burst.
+        let before = dropped_events();
+        emit_burst();
+        let live = dropped_events();
+        assert!(live >= before + 10, "{before} -> {live}");
+        std::thread::spawn(emit_burst).join().unwrap();
+        // A new thread's ring registration prunes the exited one.
+        std::thread::spawn(|| crate::emit(Event::DeadlockVictim { txn: TxnId(0) }))
+            .join()
+            .unwrap();
+        let after = dropped_events();
+        assert!(after >= live + 10, "{live} -> {after}");
+    }
+
     #[test]
     fn exited_threads_leave_no_ring_behind() {
         for i in 0..1_000u64 {
@@ -161,7 +225,7 @@ mod tests {
         }
         dump();
         // Only live threads (this test harness's) keep a ring.
-        let registered = registry().lock().unwrap().len();
+        let registered = registry().lock().unwrap().entries.len();
         assert!(registered < 64, "{registered} rings registered");
     }
 }

@@ -248,6 +248,11 @@ pub struct Condvar {
     /// under that mutex sees it. With nobody counted in (every commit's
     /// notify) the notify skips the futex call std would make.
     os_waiters: AtomicUsize,
+    /// Green tasks registered in `task_waiters`, counted in the same way:
+    /// before the registration, while the waiter still holds the user
+    /// mutex, and out only once it has left the list. With none counted
+    /// in, a notify skips the list's lock.
+    task_count: AtomicUsize,
     task_waiters: sync::Mutex<Vec<TaskWaiter>>,
     next_waiter: AtomicU64,
 }
@@ -268,6 +273,7 @@ impl Condvar {
         Condvar {
             inner: sync::Condvar::new(),
             os_waiters: AtomicUsize::new(0),
+            task_count: AtomicUsize::new(0),
             task_waiters: sync::Mutex::new(Vec::new()),
             next_waiter: AtomicU64::new(0),
         }
@@ -276,6 +282,9 @@ impl Condvar {
     pub fn notify_one(&self) {
         if self.os_waiters.load(Ordering::SeqCst) != 0 {
             self.inner.notify_one();
+        }
+        if self.task_count.load(Ordering::SeqCst) == 0 {
+            return;
         }
         let waiter = {
             let mut w = recover(self.task_waiters.lock());
@@ -294,6 +303,9 @@ impl Condvar {
         if self.os_waiters.load(Ordering::SeqCst) != 0 {
             self.inner.notify_all();
         }
+        if self.task_count.load(Ordering::SeqCst) == 0 {
+            return;
+        }
         let drained: Vec<TaskWaiter> = std::mem::take(&mut *recover(self.task_waiters.lock()));
         for w in drained {
             w.unparker.unpark();
@@ -310,14 +322,16 @@ impl Condvar {
         deadline: Option<Instant>,
     ) {
         let id = self.next_waiter.fetch_add(1, Ordering::Relaxed);
+        self.task_count.fetch_add(1, Ordering::SeqCst);
         recover(self.task_waiters.lock()).push(TaskWaiter { id, unparker });
-        // Registration happened while still holding the user mutex, so a
-        // notifier that mutates state under it cannot slip between our
-        // condition check and the park.
+        // Counting in and registration happened while still holding the
+        // user mutex, so a notifier that mutates state under it sees both
+        // and cannot slip between our condition check and the park.
         let inner = guard.inner.take().expect("guard present");
         drop(inner);
         fgl_sched::park_until(deadline);
         recover(self.task_waiters.lock()).retain(|w| w.id != id);
+        self.task_count.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(guard.lock.raw_lock());
     }
 
@@ -527,6 +541,48 @@ mod tests {
         ];
         fgl_sched::run_scoped(2, jobs);
         assert_eq!(*state.lock(), 2);
+    }
+
+    /// Two green tasks on two workers hand a turn back and forth through
+    /// one condvar, notifying after releasing the mutex. A notify that
+    /// skipped the task-waiter list while the peer was registered would
+    /// leave it parked until its deadline, which fails the hand-off.
+    fn tasks_hand_off(rounds: u32) {
+        if !fgl_sched::supported() {
+            return;
+        }
+        let (turn, cv) = (Mutex::new(0u32), Condvar::new());
+        let play = |me: u32| {
+            let (turn, cv) = (&turn, &cv);
+            boxed(move || {
+                for _ in 0..rounds {
+                    let mut t = turn.lock();
+                    while *t % 2 != me {
+                        let r = cv.wait_for(&mut t, Duration::from_secs(10));
+                        assert!(!r.timed_out(), "wakeup lost at turn {}", *t);
+                    }
+                    *t += 1;
+                    drop(t);
+                    cv.notify_all();
+                }
+            })
+        };
+        fgl_sched::run_scoped(2, vec![play(0), play(1)]);
+        assert_eq!(*turn.lock(), 2 * rounds);
+        assert_eq!(cv.task_count.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn task_handoff_never_loses_a_wakeup() {
+        tasks_hand_off(2_000);
+    }
+
+    /// `cargo test --release -p parking_lot -- --ignored`: 100 000
+    /// hand-offs.
+    #[test]
+    #[ignore]
+    fn task_handoff_soak() {
+        tasks_hand_off(50_000);
     }
 
     #[test]

@@ -818,7 +818,9 @@ impl ServerCore {
     /// Make the server log durable up to `ticket`, sharing the device
     /// force with every concurrent flush.
     fn force_slog(&self, ticket: ForceTicket) -> Result<()> {
-        self.slog_force.force(ticket, || self.slog.lock()).map(drop)
+        self.slog_force
+            .force(ticket, None, || self.slog.lock())
+            .map(drop)
     }
 
     // ---- server crash plumbing (the restart algorithm lives in recovery.rs) ----

@@ -407,7 +407,7 @@ impl Page {
         let s = self
             .read_slot(slot)
             .filter(|s| s.live())
-            .ok_or(FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
+            .ok_or_else(|| FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
         Ok(self.extent(s))
     }
 
@@ -520,7 +520,7 @@ impl Page {
         let s = self
             .read_slot(slot)
             .filter(|s| s.live())
-            .ok_or(FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
+            .ok_or_else(|| FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
         if s.len as usize != data.len() {
             return Err(FglError::Protocol(format!(
                 "write_object: size change {} -> {} on {:?} requires resize_object",
@@ -541,7 +541,7 @@ impl Page {
         let s = self
             .read_slot(slot)
             .filter(|s| s.live())
-            .ok_or(FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
+            .ok_or_else(|| FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
         if offset + data.len() > s.len as usize {
             return Err(FglError::Protocol(format!(
                 "write_object_at: range {}..{} exceeds object length {}",
@@ -563,7 +563,7 @@ impl Page {
         let s = self
             .read_slot(slot)
             .filter(|s| s.live())
-            .ok_or(FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
+            .ok_or_else(|| FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
         let old = self.extent(s).to_vec();
         let mut data = old.clone();
         data.resize(new_len, 0);
@@ -585,7 +585,7 @@ impl Page {
         let s = self
             .read_slot(slot)
             .filter(|s| s.live())
-            .ok_or(FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
+            .ok_or_else(|| FglError::ObjectNotFound(ObjectId::new(self.id(), slot)))?;
         let old = self.extent(s).to_vec();
         let psn = self.bump_psn();
         self.write_slot(slot, Slot::dead(psn));

@@ -49,15 +49,19 @@ impl GroupForce {
     }
 
     /// Make the log durable up to `ticket.upto`; `lock` locks the log.
-    /// `Ok(true)` when this caller led a force, `Ok(false)` when its
-    /// records were durable already or rode another writer's force; an
-    /// error when the log crashed after the ticket was taken (its records
-    /// are gone).
+    /// `waited_from` is a reading of the log's registry clock the caller
+    /// took as it began to wait: a caller that leads on its first look
+    /// times the force from it instead of reading the clock again (it is
+    /// earlier by the look itself, well under the histogram's
+    /// microsecond resolution); one that first waits for another force
+    /// takes a fresh reading when it leads. An error when the log crashed
+    /// after the ticket was taken (its records are gone).
     pub fn force<G: DerefMut<Target = LogManager>>(
         &self,
         ticket: ForceTicket,
+        mut waited_from: Option<u64>,
         lock: impl Fn() -> G,
-    ) -> Result<bool> {
+    ) -> Result<Forced> {
         let crashed = || FglError::Disconnected("the log crashed before its force".into());
         loop {
             let mut forcing = self.forcing.lock();
@@ -69,14 +73,15 @@ impl GroupForce {
                     return Err(crashed());
                 }
                 if log.durable_lsn() >= ticket.upto {
-                    return Ok(false);
+                    return Ok(Forced::default());
                 }
-                (!*forcing).then(|| (log.end_lsn(), log.obs_now_us()))
+                (!*forcing).then(|| (log.end_lsn(), waited_from.or_else(|| log.obs_now_us())))
             };
             let Some((goal, started)) = lead else {
                 // The force in flight either covers us (wait → durable)
                 // or predates our records (wait → lead the next one).
                 self.retired.wait(&mut forcing);
+                waited_from = None;
                 continue;
             };
             *forcing = true;
@@ -94,9 +99,24 @@ impl GroupForce {
             };
             *self.forcing.lock() = false;
             self.retired.notify_all();
-            return done.map(|_| true);
+            return done.map(|ended_us| Forced {
+                led: true,
+                ended_us,
+            });
         }
     }
+}
+
+/// How [`GroupForce::force`] made a writer's records durable.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Forced {
+    /// This writer led a device force; `false` when its records were
+    /// durable already or rode another writer's force.
+    pub led: bool,
+    /// The registry clock at the end of the force this writer led, which
+    /// timed the force and stamped its event; `None` when it did not lead
+    /// or the log has no registry attached.
+    pub ended_us: Option<u64>,
 }
 
 #[cfg(test)]
@@ -124,7 +144,7 @@ mod tests {
     }
 
     fn force(group: &GroupForce, log: &Mutex<LogManager>, ticket: ForceTicket) -> Result<bool> {
-        group.force(ticket, || log.lock())
+        group.force(ticket, None, || log.lock()).map(|f| f.led)
     }
 
     type Job<'a> = Box<dyn FnOnce() + Send + 'a>;

@@ -25,7 +25,7 @@ pub mod manager;
 pub mod records;
 pub mod store;
 
-pub use group::{ForceTicket, GroupForce};
+pub use group::{ForceTicket, Forced, GroupForce};
 pub use manager::{LogManager, LogRecordEntry, MasterRecord, ScannedRecord};
 pub use records::{
     CallbackRecord, ClrRecord, DctEntry, DptEntry, LogPayload, RecordHeader, RecordKind,

@@ -240,19 +240,12 @@ impl LogManager {
         if self.store.durable_len() == self.store.len() {
             return Ok(self.durable_lsn());
         }
-        let start = self.obs.as_ref().map(|(m, ..)| m.now_us());
+        let start = self.obs_now_us();
         let _span = fgl_obs::trace::span(fgl_obs::SpanKind::WalForce, fgl_common::TxnId(0));
         self.store.sync()?;
         self.forces += 1;
-        let durable = self.durable_lsn();
-        if let Some((metrics, owner)) = &self.obs {
-            metrics.observe_since(HistKind::LogForce, start.unwrap());
-            fgl_obs::emit(Event::LogForce {
-                owner: *owner,
-                lsn: durable,
-            });
-        }
-        Ok(durable)
+        self.observe_force(start);
+        Ok(self.durable_lsn())
     }
 
     /// Second half of a group force ([`GroupForce`](crate::GroupForce)):
@@ -260,23 +253,35 @@ impl LogManager {
     /// when the force began) to durable. The leader pays the device
     /// latency *between* capturing `upto` and calling this, with no locks
     /// held, so other writers can append behind it; records appended after
-    /// the capture stay pending and belong to the next force. `started_us` (a prior
-    /// [`Metrics::now_us`](fgl_obs::Metrics::now_us) reading taken at
-    /// capture time) keeps the log-force histogram honest about the real
-    /// device time.
-    pub fn complete_force(&mut self, upto: Lsn, started_us: Option<u64>) -> Result<Lsn> {
+    /// the capture stay pending and belong to the next force. `started_us`
+    /// (a prior [`Metrics::now_us`](fgl_obs::Metrics::now_us) reading taken
+    /// no later than the capture) keeps the log-force histogram honest
+    /// about the real device time. Returns the registry clock's reading at
+    /// the force's end (`None` when no registry is attached), the one
+    /// reading that times the force and stamps its event.
+    pub fn complete_force(&mut self, upto: Lsn, started_us: Option<u64>) -> Result<Option<u64>> {
         self.store.sync_range(Self::offset(upto))?;
         self.forces += 1;
-        let durable = self.durable_lsn();
-        if let Some((metrics, owner)) = &self.obs {
-            let start = started_us.unwrap_or_else(|| metrics.now_us());
-            metrics.observe_since(HistKind::LogForce, start);
-            fgl_obs::emit(Event::LogForce {
+        Ok(self.observe_force(started_us))
+    }
+
+    /// Time a finished force into the log-force histogram and emit its
+    /// event, both on one clock reading, which is returned.
+    fn observe_force(&self, started_us: Option<u64>) -> Option<u64> {
+        let (metrics, owner) = self.obs.as_ref()?;
+        let end = metrics.now_us();
+        metrics.observe(
+            HistKind::LogForce,
+            end.saturating_sub(started_us.unwrap_or(end)),
+        );
+        fgl_obs::emit_at(
+            end,
+            Event::LogForce {
                 owner: *owner,
-                lsn: durable,
-            });
-        }
-        Ok(durable)
+                lsn: self.durable_lsn(),
+            },
+        );
+        Some(end)
     }
 
     /// Force only if `lsn` is not yet durable (WAL rule helper).
